@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint bench bench-allocs bench-realtime bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
+.PHONY: all build vet test race fuzz lint bench bench-smoke bench-allocs bench-realtime bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
 
 all: ci
 
@@ -48,6 +48,13 @@ lint: vet
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRealtimeRoundtrip|BenchmarkServerThroughput|BenchmarkDispatcherAcquire' \
 		-benchmem ./internal/realtime/ ./internal/core/ | tee bench.out
+
+# benchmark/ is a Go module of its own, so an exported-API change that
+# breaks benchmark/adapter.go passes the root build and tests. Vet and test
+# it, then run every workload for a moment (plumbing only; ~3 s).
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 # Short fuzz passes over the wire-frame codec, the content chunker, and
 # the scenario decoder (CI runs the same smokes).

@@ -14,6 +14,9 @@ echo "== go test -race"
 # that legitimately exceeds go test's default 10-minute cap.
 go test -race -timeout 30m ./...
 
+echo "== benchmark module (nested: root go build/test do not reach it)"
+make bench-smoke
+
 echo "== fuzz smoke"
 go test -run '^$' -fuzz FuzzFrameCodec -fuzztime 10s ./internal/offload/
 go test -run '^$' -fuzz FuzzChunker -fuzztime 10s ./internal/offload/

@@ -237,6 +237,7 @@ func (c *Container) Stop(p *sim.Proc) error {
 		c.h.FreeMem(c.memUsedMB)
 		c.memUsedMB = 0
 	}
+	c.fs.Upper().DropCacheOn(c.h) // the private delta is never read again
 	c.state = StateStopped
 	return nil
 }

@@ -565,6 +565,7 @@ func (pl *Platform) removeSlot(sl *slot) {
 	}
 	sl.removed = true
 	pl.slots.remove(sl)
+	pl.sched.Forget(sl)
 	delete(pl.byID, sl.id)
 	pl.db.Remove(sl.id)
 	pl.ft.clear(sl.id)

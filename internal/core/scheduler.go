@@ -14,9 +14,11 @@ import (
 //
 // Schedulers are indexes, not owners: a slot is offered once when it goes
 // idle, and entries invalidate lazily — Pick must discard slots that are
-// no longer LifecycleIdle (claimed, draining, or removed since they were
+// no longer LifecycleIdle (claimed, draining or cordoned since they were
 // offered). The slot's inIdle/inAff flags guarantee at most one live entry
-// per slot per heap, keeping index sizes O(slots × loaded codes).
+// per slot per heap, keeping index sizes O(slots × loaded codes); a slot
+// that leaves the pool is dropped eagerly (Forget), because nothing
+// promises a later Pick on its AIDs to discard it.
 type Scheduler interface {
 	// Name labels the policy in configs and documentation.
 	Name() string
@@ -26,6 +28,9 @@ type Scheduler interface {
 	// nil when no idle slot exists. affinity reports whether the pick was a
 	// code-affinity hit (the slot already holds aid's code).
 	Pick(aid string) (sl *slot, affinity bool)
+	// Forget drops every entry of a slot that left the pool, so the index
+	// does not keep the dead runtime (and all it references) reachable.
+	Forget(sl *slot)
 }
 
 // SchedulerPolicy names a built-in Scheduler for Config.
@@ -129,6 +134,24 @@ func (s *AffinityScheduler) popAffinity(aid string) *slot {
 	return nil
 }
 
+// Forget implements Scheduler. A reaped runtime's AIDs may never be
+// requested again (a one-off app, a device that left), so waiting for
+// popAffinity to discard the entries would retain them forever.
+func (s *AffinityScheduler) Forget(sl *slot) {
+	forgetIdle(&s.idle, sl)
+	for aid, in := range sl.inAff {
+		if !in {
+			continue
+		}
+		h := s.affinity[aid]
+		dropFromHeap(h, sl)
+		if h.Len() == 0 {
+			delete(s.affinity, aid)
+		}
+	}
+	clear(sl.inAff)
+}
+
 // FIFOScheduler hands out idle runtimes strictly in boot order, blind to
 // code placement.
 type FIFOScheduler struct {
@@ -150,6 +173,28 @@ func (s *FIFOScheduler) Offer(sl *slot) {
 // when the earliest idle slot happens to hold the code.
 func (s *FIFOScheduler) Pick(aid string) (*slot, bool) {
 	return popIdleHeap(&s.idle), false
+}
+
+// Forget implements Scheduler.
+func (s *FIFOScheduler) Forget(sl *slot) { forgetIdle(&s.idle, sl) }
+
+// forgetIdle drops sl's idle-heap entry, if it has one.
+func forgetIdle(h *slotHeap, sl *slot) {
+	if sl.inIdle {
+		sl.inIdle = false
+		dropFromHeap(h, sl)
+	}
+}
+
+// dropFromHeap deletes sl's entry from h. The scan is linear in a heap that
+// holds at most one entry per pooled runtime.
+func dropFromHeap(h *slotHeap, sl *slot) {
+	for i, x := range *h {
+		if x == sl {
+			heap.Remove(h, i)
+			return
+		}
+	}
 }
 
 // slotIdle reports whether a popped index entry is still claimable.

@@ -93,7 +93,6 @@ type Host struct {
 	memPeakMB int
 
 	pageCache map[string]bool
-	cachedMB  int
 }
 
 // New creates a host on engine e.
@@ -166,7 +165,6 @@ func (h *Host) DiskRead(p *sim.Proc, key string, size Bytes, sequential bool, ef
 	h.diskOp(p, h.diskRead, size, sequential, efficiency)
 	if key != "" {
 		h.pageCache[key] = true
-		h.cachedMB += int(size / MB)
 	}
 }
 
@@ -221,20 +219,21 @@ func (h *Host) Cached(key string) bool { return h.pageCache[key] }
 
 // WarmCache marks key as resident without simulating a read (used when a
 // file was just written and is therefore hot).
-func (h *Host) WarmCache(key string, size Bytes) {
+func (h *Host) WarmCache(key string) {
 	if key == "" {
 		return
 	}
-	if !h.pageCache[key] {
-		h.pageCache[key] = true
-		h.cachedMB += int(size / MB)
-	}
+	h.pageCache[key] = true
 }
+
+// Evict drops key from the page cache (its file was deleted, or belongs to
+// a runtime that is gone and will never be read again). A key that is not
+// resident, the empty key included, is a no-op.
+func (h *Host) Evict(key string) { delete(h.pageCache, key) }
 
 // DropCaches empties the page cache (echo 3 > /proc/sys/vm/drop_caches).
 func (h *Host) DropCaches() {
 	h.pageCache = make(map[string]bool)
-	h.cachedMB = 0
 }
 
 // AllocMem reserves mb MiB of DRAM, failing if the machine would exceed

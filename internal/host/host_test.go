@@ -99,12 +99,17 @@ func TestPageCache(t *testing.T) {
 func TestDropCaches(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, CloudServer())
-	h.WarmCache("f", 10*MB)
+	h.WarmCache("f")
 	if !h.Cached("f") {
 		t.Fatal("WarmCache did not cache")
 	}
+	h.WarmCache("g")
+	h.Evict("f")
+	if h.Cached("f") || !h.Cached("g") {
+		t.Fatal("Evict must drop exactly its key")
+	}
 	h.DropCaches()
-	if h.Cached("f") {
+	if h.Cached("g") {
 		t.Fatal("DropCaches left file cached")
 	}
 }

@@ -48,6 +48,10 @@ type Category struct {
 type Manifest struct {
 	Name string
 	Cats []Category
+	// boot and onDemand are the BootFiles/OnDemandFiles enumerations. The
+	// constructors below build them once: every boot of the image walks
+	// the same few hundred paths, so callers share these read-only.
+	boot, onDemand []FileRef
 }
 
 // FileRef names one file and its size.
@@ -60,7 +64,7 @@ type FileRef struct {
 // reproduce the paper's measurements exactly: total 1126 MB (≈1.1 GB),
 // /system 985 MB (87.4%), never-accessed 771 MB (68.4%).
 func AndroidX86() Manifest {
-	return Manifest{
+	return withFileLists(Manifest{
 		Name: "android-x86-4.4-r2",
 		Cats: []Category{
 			{Name: "boot", Dir: "/boot", Ext: ".img", Files: 62, Total: 82 * host.MB, VMOnly: true, BootFrac: 0.2},
@@ -77,7 +81,16 @@ func AndroidX86() Manifest {
 			{Name: "data", Dir: "/data", Ext: ".db", Files: 40, Total: 45 * host.MB, BootFrac: 0.3},
 			{Name: "binetc", Dir: "/etc", Ext: "", Files: 60, Total: 14 * host.MB, BootFrac: 1.0},
 		},
-	}
+	})
+}
+
+// withFileLists fills in m's file enumerations. Capacities are clipped to
+// the lengths so a caller appending to a returned list gets a copy instead
+// of writing into the shared array.
+func withFileLists(m Manifest) Manifest {
+	boot, onDemand := m.bootFiles(), m.onDemandFiles()
+	m.boot, m.onDemand = boot[:len(boot):len(boot)], onDemand[:len(onDemand):len(onDemand)]
+	return m
 }
 
 // ForContainer drops the VM-only categories: containers share the host
@@ -90,7 +103,7 @@ func (m Manifest) ForContainer() Manifest {
 			out.Cats = append(out.Cats, c)
 		}
 	}
-	return out
+	return withFileLists(out)
 }
 
 // Customized applies the §IV-B3 OS customization: strippable categories
@@ -106,7 +119,7 @@ func (m Manifest) Customized() Manifest {
 		}
 		out.Cats = append(out.Cats, c)
 	}
-	return out
+	return withFileLists(out)
 }
 
 // Category returns the named category.
@@ -178,9 +191,17 @@ func (m Manifest) BuildLayer(name string, readOnly bool) *unionfs.Layer {
 
 // BootFiles enumerates the files a boot of this image reads: the first
 // BootFrac of each non-strippable category (UI services included when
-// present, i.e. a full, non-customized boot).
+// present, i.e. a full, non-customized boot). The list is shared: callers
+// must not modify its elements.
 func (m Manifest) BootFiles() []FileRef {
-	var out []FileRef
+	if m.boot == nil {
+		return m.bootFiles() // a Manifest literal built outside this package
+	}
+	return m.boot
+}
+
+func (m Manifest) bootFiles() []FileRef {
+	out := []FileRef{} // non-nil even when empty: nil means "not built"
 	for _, c := range m.Cats {
 		if c.Strippable || c.BootFrac <= 0 {
 			continue
@@ -198,7 +219,15 @@ func (m Manifest) BootFiles() []FileRef {
 // class loads) touches them over the first minute of uptime, which is why
 // Observation 4 finds exactly the strippable set untouched. Files are
 // interleaved round-robin across categories so the scan's load is even.
+// The list is shared: callers must not modify its elements.
 func (m Manifest) OnDemandFiles() []FileRef {
+	if m.onDemand == nil {
+		return m.onDemandFiles() // a Manifest literal built outside this package
+	}
+	return m.onDemand
+}
+
+func (m Manifest) onDemandFiles() []FileRef {
 	var perCat [][]FileRef
 	for _, c := range m.Cats {
 		if c.Strippable {
@@ -213,7 +242,7 @@ func (m Manifest) OnDemandFiles() []FileRef {
 			perCat = append(perCat, refs)
 		}
 	}
-	var out []FileRef
+	out := []FileRef{} // non-nil even when empty, as in bootFiles
 	for len(perCat) > 0 {
 		kept := perCat[:0]
 		for _, refs := range perCat {

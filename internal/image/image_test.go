@@ -1,6 +1,8 @@
 package image
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,5 +168,84 @@ func TestFileSizesSumExactly(t *testing.T) {
 		if sum != c.Total {
 			t.Fatalf("category %s: files sum to %d, want %d", c.Name, sum, c.Total)
 		}
+	}
+}
+
+// referenceLists recomputes the boot and on-demand enumerations from the
+// category table alone, the way every boot used to.
+func referenceLists(m Manifest) (boot, onDemand []FileRef) {
+	var perCat [][]FileRef
+	for _, c := range m.Cats {
+		if c.Strippable {
+			continue
+		}
+		n := int(float64(c.Files)*c.BootFrac + 0.5)
+		var rest []FileRef
+		for i := 0; i < c.Files; i++ {
+			ref := FileRef{Path: fmt.Sprintf("%s/%s_%04d%s", c.Dir, c.Name, i, c.Ext), Size: fileSize(c, i)}
+			if i < n {
+				boot = append(boot, ref)
+			} else {
+				rest = append(rest, ref)
+			}
+		}
+		if len(rest) > 0 {
+			perCat = append(perCat, rest)
+		}
+	}
+	for i := 0; len(perCat) > 0; i++ { // round-robin across categories
+		kept := perCat[:0]
+		for _, refs := range perCat {
+			if i < len(refs) {
+				onDemand = append(onDemand, refs[i])
+				kept = append(kept, refs)
+			}
+		}
+		perCat = kept
+	}
+	return boot, onDemand
+}
+
+// TestFileListsBuiltOnce: the lists a manifest hands out are the ones a
+// per-call enumeration produces — contents, order and BootBytes — for all
+// three images, every call returns the same shared array, and a caller
+// that appends to its list cannot write into the next caller's.
+func TestFileListsBuiltOnce(t *testing.T) {
+	for _, m := range []Manifest{AndroidX86(), AndroidX86().ForContainer(), AndroidX86().Customized()} {
+		wantBoot, wantOnDemand := referenceLists(m)
+		if got := m.BootFiles(); !reflect.DeepEqual(got, wantBoot) {
+			t.Fatalf("%s: BootFiles differs from the per-call enumeration (%d vs %d files)", m.Name, len(got), len(wantBoot))
+		}
+		if got := m.OnDemandFiles(); !reflect.DeepEqual(got, wantOnDemand) {
+			t.Fatalf("%s: OnDemandFiles differs from the per-call enumeration (%d vs %d files)", m.Name, len(got), len(wantOnDemand))
+		}
+		var sum host.Bytes
+		for _, f := range wantBoot {
+			sum += f.Size
+		}
+		if m.BootBytes() != sum {
+			t.Fatalf("%s: BootBytes = %d, want %d", m.Name, m.BootBytes(), sum)
+		}
+
+		for name, list := range map[string]func() []FileRef{"BootFiles": m.BootFiles, "OnDemandFiles": m.OnDemandFiles} {
+			a, b := list(), list()
+			if len(a) == 0 || &a[0] != &b[0] {
+				t.Fatalf("%s: %s rebuilt its list on a second call", m.Name, name)
+			}
+			first := append(a, FileRef{Path: "/intruder-1"})
+			second := append(b, FileRef{Path: "/intruder-2"})
+			if first[len(a)].Path != "/intruder-1" || second[len(b)].Path != "/intruder-2" {
+				t.Fatalf("%s: %s: two callers' appends share one array", m.Name, name)
+			}
+			if c := list(); len(c) != len(a) || !reflect.DeepEqual(c, a) {
+				t.Fatalf("%s: %s changed after callers appended to it", m.Name, name)
+			}
+		}
+	}
+	// A literal built outside the constructors still enumerates correctly.
+	lit := Manifest{Name: "literal", Cats: AndroidX86().Customized().Cats}
+	wantBoot, wantOnDemand := referenceLists(lit)
+	if !reflect.DeepEqual(lit.BootFiles(), wantBoot) || !reflect.DeepEqual(lit.OnDemandFiles(), wantOnDemand) {
+		t.Fatal("a Manifest literal enumerates different files than its constructor-built twin")
 	}
 }

@@ -140,6 +140,27 @@ func TestDriverPacesSleepOnFakeClock(t *testing.T) {
 	}
 }
 
+// TestDriverPacesInlineSleeps: sim.Proc.Sleep advances the engine's clock
+// itself when nothing is queued before its wake-up, but never past the
+// instant the driver's RunUntil allows — so at speed 1, on the real clock,
+// a chain of sleeps inside Do still takes at least its virtual length.
+func TestDriverPacesInlineSleeps(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := NewDriver(e, 1)
+	d.Start()
+	defer d.Stop()
+	const step, steps = 10 * time.Millisecond, 4
+	start := time.Now()
+	d.Do("sleeper", func(p *sim.Proc) {
+		for i := 0; i < steps; i++ {
+			p.Sleep(step)
+		}
+	})
+	if el := time.Since(start); el < steps*step {
+		t.Fatalf("%d sleeps of %v inside Do took %v of wall time: virtual time ran ahead of the wall clock", steps, step, el)
+	}
+}
+
 // TestDriverIdleHoldsNoTimer: an idle event-driven driver performs zero
 // timer wakeups — the "no ticker" acceptance criterion. The ticker
 // baseline burns them constantly, which keeps the comparison honest.

@@ -56,9 +56,11 @@ func TestDedupCacheConcurrentEviction(t *testing.T) {
 	if len(dc.res) > capacity {
 		t.Fatalf("window grew to %d entries, cap %d", len(dc.res), capacity)
 	}
+	// order is a ring: once the window is full, head is the oldest entry
+	// and the walk wraps past the end of the slice.
 	live := 0
-	for i := dc.head; i < len(dc.order); i++ {
-		key := dc.order[i]
+	for i := 0; i < len(dc.order); i++ {
+		key := dc.order[(dc.head+i)%len(dc.order)]
 		r, ok := dc.res[key]
 		if !ok {
 			t.Fatalf("order entry %v missing from result map", key)
@@ -70,6 +72,34 @@ func TestDedupCacheConcurrentEviction(t *testing.T) {
 	}
 	if live != len(dc.res) {
 		t.Fatalf("order tracks %d live keys, map holds %d", live, len(dc.res))
+	}
+}
+
+// TestDedupCacheEvictsFIFO pins the eviction order: each store past the
+// capacity evicts exactly the oldest surviving key, and re-storing a live
+// key neither evicts anything nor renews the key's place in line.
+func TestDedupCacheEvictsFIFO(t *testing.T) {
+	const capacity = 8
+	dc := newDedupCache(capacity)
+	key := func(i int) dedupKey { return dedupKey{dev: "dev", aid: "app", seq: i} }
+	for i := 0; i < 3*capacity; i++ {
+		dc.store(key(i), offload.Result{Output: fmt.Sprint(i)})
+		if i >= 2 {
+			dc.store(key(i-2), offload.Result{Output: fmt.Sprint(i - 2)}) // overwrite, not an insert
+		}
+		oldest := i - capacity + 1
+		if oldest < 0 {
+			oldest = 0
+		}
+		for j := 0; j <= i; j++ {
+			r, ok := dc.lookup(key(j))
+			if want := j >= oldest; ok != want {
+				t.Fatalf("after store %d: key %d present=%v, want %v", i, j, ok, want)
+			}
+			if ok && r.Output != fmt.Sprint(j) {
+				t.Fatalf("after store %d: key %d holds %q", i, j, r.Output)
+			}
+		}
 	}
 }
 

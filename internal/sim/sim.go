@@ -19,6 +19,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -85,6 +86,10 @@ type Engine struct {
 	rng     *rand.Rand
 	running bool
 	procs   int // live (started, unfinished) Procs, for leak detection
+	// horizon is the instant the current Run/RunUntil may advance the clock
+	// to: unbounded for Run, t for RunUntil(t). Sleep consults it before
+	// moving the clock itself.
+	horizon Time
 }
 
 // NewEngine returns an engine at virtual time zero whose random source is
@@ -141,6 +146,7 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.horizon = math.MaxInt64
 	for e.step() {
 	}
 }
@@ -153,8 +159,11 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.events) > 0 {
-		if next := e.events[0].at; next > t {
+	e.horizon = t
+	for {
+		// Peek past cancelled heads: step skips them, and would otherwise
+		// run the live event behind one even when that event lies beyond t.
+		if next, ok := e.NextEventAt(); !ok || next > t {
 			break
 		}
 		e.step()
@@ -237,11 +246,28 @@ func (p *Proc) park() {
 }
 
 // Sleep blocks the proc for d of virtual time.
+//
+// When the proc's own wake-up would be the very next event the engine pops
+// — nothing live is queued at or before now+d, and the current Run/RunUntil
+// is allowed to reach that instant — Sleep advances the clock itself and
+// returns: same resume instant and same order relative to every other
+// event, without an Event, a heap push or the two goroutine hand-offs of a
+// park/dispatch pair. An event queued exactly at now+d was scheduled
+// earlier, would carry a lower seq than the wake-up and so must fire
+// first: the comparison is strict. Otherwise the proc parks.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.Name, d))
 	}
-	p.E.After(d, p.dispatch)
+	e := p.E
+	wake := e.now + Time(d)
+	if wake <= e.horizon {
+		if next, ok := e.NextEventAt(); !ok || next > wake {
+			e.now = wake
+			return
+		}
+	}
+	e.After(d, p.dispatch)
 	p.park()
 }
 

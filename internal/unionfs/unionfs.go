@@ -34,6 +34,19 @@ type node struct {
 	data       []byte // optional real content (code blobs, small files)
 	accessed   bool
 	lastAccess sim.Time
+	// cacheKey names the file's blocks in the host page cache
+	// ("<layer>:<path>"). It is built the first time the file is cached
+	// and kept, so a read does not concatenate it again; empty until then.
+	cacheKey string
+}
+
+// key returns n's page-cache key, building it on first use. p must be the
+// clean path n is stored under in l.
+func (n *node) key(l *Layer, p string) string {
+	if n.cacheKey == "" {
+		n.cacheKey = l.name + ":" + p
+	}
+	return n.cacheKey
 }
 
 // Layer is one stratum of a union mount. A layer may back many mounts at
@@ -174,7 +187,17 @@ func (l *Layer) Snapshot(name string) *Layer {
 // memory speed.
 func (l *Layer) WarmCacheOn(h *host.Host) {
 	for p, n := range l.files {
-		h.WarmCache(l.name+":"+p, n.size)
+		h.WarmCache(n.key(l, p))
+	}
+}
+
+// DropCacheOn evicts the layer's files from h's page cache. A runtime's
+// private layer is never read again once the runtime stops, and its name —
+// hence its keys — is never reused, so without this the cache would keep
+// one entry per file per runtime ever booted.
+func (l *Layer) DropCacheOn(h *host.Host) {
+	for _, n := range l.files {
+		h.Evict(n.cacheKey)
 	}
 }
 
@@ -244,14 +267,43 @@ func (m *Mount) Upper() *Layer { return m.layers[0] }
 // Layers returns the stack, upper first.
 func (m *Mount) Layers() []*Layer { return m.layers }
 
+// clean returns the canonical rooted form of p, path.Clean("/"+p). Nearly
+// every path that reaches a mount is canonical already (image manifests and
+// the runtime build them that way), so that case is recognized without
+// allocating.
 func clean(p string) string {
-	p = path.Clean("/" + p)
-	return p
+	if isClean(p) {
+		return p
+	}
+	return path.Clean("/" + p)
 }
 
-// resolve finds the visible copy of p, honoring whiteouts in upper layers.
+// isClean reports whether p is rooted and has no empty, "." or ".." element
+// and no trailing slash, i.e. whether path.Clean("/"+p) == p.
+func isClean(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
+// resolve finds the visible copy of p, which must be clean, honoring
+// whiteouts in upper layers.
 func (m *Mount) resolve(p string) (*Layer, *node, bool) {
-	p = clean(p)
 	for _, l := range m.layers {
 		if l.wh[p] {
 			return nil, nil, false
@@ -265,20 +317,22 @@ func (m *Mount) resolve(p string) (*Layer, *node, bool) {
 
 // Stat returns metadata for p through the union view.
 func (m *Mount) Stat(p string) (File, bool) {
+	p = clean(p)
 	l, n, ok := m.resolve(p)
 	if !ok {
 		return File{}, false
 	}
-	return File{Path: clean(p), Size: n.size, Layer: l.name}, true
+	return File{Path: p, Size: n.size, Layer: l.name}, true
 }
 
-// cacheKey identifies a file's backing blocks host-wide. It is layer-
-// scoped, so two containers reading the same shared-layer file share cache.
-func (m *Mount) cacheKey(l *Layer, p string) string {
+// cacheKey identifies the backing blocks of n (l's file at clean path p)
+// host-wide. It is layer-scoped, so two containers reading the same
+// shared-layer file share cache.
+func (m *Mount) cacheKey(l *Layer, p string, n *node) string {
 	if m.directIO {
 		return ""
 	}
-	return l.name + ":" + p
+	return n.key(l, p)
 }
 
 // Read reads the whole file at p, blocking proc for the I/O time.
@@ -286,16 +340,17 @@ func (m *Mount) cacheKey(l *Layer, p string) string {
 // containers ≈ 1). It returns the file's size and content (nil if the
 // image only recorded a size).
 func (m *Mount) Read(proc *sim.Proc, p string, efficiency float64) (host.Bytes, []byte, error) {
+	p = clean(p)
 	l, n, ok := m.resolve(p)
 	if !ok {
-		return 0, nil, fmt.Errorf("unionfs: %s: %s: no such file", m.name, clean(p))
+		return 0, nil, fmt.Errorf("unionfs: %s: %s: no such file", m.name, p)
 	}
 	n.accessed = true
 	n.lastAccess = proc.E.Now()
 	if l.inMemory {
 		m.h.MemCopy(proc, n.size)
 	} else {
-		m.h.DiskRead(proc, m.cacheKey(l, clean(p)), n.size, true, efficiency)
+		m.h.DiskRead(proc, m.cacheKey(l, p, n), n.size, true, efficiency)
 	}
 	return n.size, n.data, nil
 }
@@ -316,17 +371,19 @@ func (m *Mount) Write(proc *sim.Proc, p string, size host.Bytes, data []byte, ef
 		if l.inMemory {
 			m.h.MemCopy(proc, n.size)
 		} else {
-			m.h.DiskRead(proc, m.cacheKey(l, p), n.size, true, efficiency)
+			m.h.DiskRead(proc, m.cacheKey(l, p, n), n.size, true, efficiency)
 		}
 	}
+	nn := &node{size: size, data: data, accessed: true}
 	if upper.inMemory {
 		m.h.MemCopy(proc, size)
 	} else {
 		m.h.DiskWrite(proc, size, true, efficiency)
-		m.h.WarmCache(m.cacheKey(upper, p), size)
+		m.h.WarmCache(m.cacheKey(upper, p, nn))
 	}
 	delete(upper.wh, p)
-	upper.files[p] = &node{size: size, data: data, accessed: true, lastAccess: proc.E.Now()}
+	nn.lastAccess = proc.E.Now() // after the I/O above
+	upper.files[p] = nn
 	return nil
 }
 
@@ -339,6 +396,9 @@ func (m *Mount) Remove(p string) error {
 	_, _, visible := m.resolve(p)
 	if !visible {
 		return fmt.Errorf("unionfs: %s: %s: no such file", m.name, p)
+	}
+	if n := upper.files[p]; n != nil {
+		m.h.Evict(n.cacheKey) // a deleted file's pages are freed
 	}
 	delete(upper.files, p)
 	// Still visible through a lower layer? Whiteout.

@@ -2,6 +2,7 @@ package unionfs
 
 import (
 	"fmt"
+	"path"
 	"testing"
 	"testing/quick"
 	"time"
@@ -355,3 +356,65 @@ func TestWriteFaultHook(t *testing.T) {
 }
 
 var errInjected = fmt.Errorf("test: injected write fault")
+
+// FuzzClean pins the allocation-free shortcut in clean to the function it
+// stands in for.
+func FuzzClean(f *testing.F) {
+	for _, p := range []string{"", "/", "//", "/a", "a", "/a/", "/a//b", "/a/./b", "/a/../b", "/..", "/.", "/a/..",
+		"/a/...", "/.a", "/a/.b/..c", "a/b", "./a", "../a", "/data/dalvik-cache/system@offloadruntime.dex", "/a\x00/b"} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		if got, want := clean(p), path.Clean("/"+p); got != want {
+			t.Fatalf("clean(%q) = %q, want %q", p, got, want)
+		}
+	})
+}
+
+func TestCleanAllocatesNothingOnCleanPaths(t *testing.T) {
+	p := "/system/framework/framework_0007.jar"
+	if n := testing.AllocsPerRun(100, func() { _ = clean(p) }); n != 0 {
+		t.Fatalf("clean of a canonical path allocates %v times", n)
+	}
+}
+
+// TestDropCacheOnForgetsPrivateLayer: a container's written and read
+// private files leave the host page cache with DropCacheOn (and a removed
+// file leaves at once); the shared layer's stay.
+func TestDropCacheOnForgetsPrivateLayer(t *testing.T) {
+	e := sim.NewEngine(1)
+	h := newTestHost(e)
+	shared := NewLayer("shared", true)
+	shared.AddFile("/system/lib.so", host.MB, nil)
+	upper := NewLayer("c1-delta", false)
+	upper.AddFile("/data/seed.db", host.MB, nil)
+	m, _ := NewMount(h, "c1", upper, shared)
+	e.Spawn("w", func(p *sim.Proc) {
+		m.Read(p, "/system/lib.so", 1.0)
+		m.Read(p, "/data/seed.db", 1.0)
+		m.Write(p, "/data/boot.log", host.KB, nil, 1.0)
+		m.Write(p, "/data/tmp", host.KB, nil, 1.0)
+	})
+	e.Run()
+	keys := []string{"c1-delta:/data/seed.db", "c1-delta:/data/boot.log", "c1-delta:/data/tmp", "shared:/system/lib.so"}
+	for _, k := range keys {
+		if !h.Cached(k) {
+			t.Fatalf("%s not cached after I/O", k)
+		}
+	}
+	if err := m.Remove("/data/tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if h.Cached("c1-delta:/data/tmp") {
+		t.Fatal("removed file still cached")
+	}
+	upper.DropCacheOn(h)
+	for _, k := range keys[:3] {
+		if h.Cached(k) {
+			t.Fatalf("%s still cached after DropCacheOn", k)
+		}
+	}
+	if !h.Cached("shared:/system/lib.so") {
+		t.Fatal("DropCacheOn on the private layer evicted a shared-layer file")
+	}
+}

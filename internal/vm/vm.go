@@ -215,5 +215,6 @@ func (v *VM) Destroy(p *sim.Proc) error {
 	p.Sleep(200 * time.Millisecond)
 	v.running = false
 	v.h.FreeMem(v.cfg.MemMB)
+	v.diskLayer.DropCacheOn(v.h) // the private disk image is never read again
 	return nil
 }
