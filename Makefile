@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint bench bench-smoke bench-allocs bench-realtime bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
+.PHONY: all build vet test test-fast race fuzz lint bench bench-smoke bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
 
 all: ci
 
@@ -13,12 +13,20 @@ vet:
 test:
 	$(GO) test ./...
 
+# Fast tier: everything but the full paper sweeps in internal/experiments
+# (the tests that call slowSweep, guarded by testing.Short). Under 20 s;
+# `test` above is tier-1 and still runs everything.
+test-fast:
+	$(GO) test -short ./...
+
 race:
 	$(GO) test -race -timeout 30m ./...
 
 # Static checks: formatting, vet, and the lifecycle-encapsulation rule —
 # RuntimeInfo.State/Busy are written only by ContainerDB.Transition (in
-# db.go); every other non-test file may only read them.
+# db.go); every other non-test file may only read them. The last grep keeps
+# encoding/gob out: the wire and the param blobs have one flat codec each,
+# and a second one would need negotiating again.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -43,6 +51,11 @@ lint: vet
 		echo "placement rings constructed outside internal/cluster (route through Membership):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \
+	if [ -n "$$bad" ]; then \
+		echo "encoding/gob imported under internal/ or cmd/ (the flat binary codecs are the only ones):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # Micro-benchmarks for the serving layer and dispatcher hot paths.
 bench:
@@ -63,18 +76,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 30s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 30s ./internal/scenario/
 
-# Allocation gate: allocs/op on the binary-wire warehouse-hit path must
-# stay under the absolute ceiling and within slack of the checked-in
-# throughput baseline.
-bench-allocs:
-	$(GO) run ./cmd/rattrap-bench -allocs -baseline BENCH_throughput.json
-
-# Regenerates BENCH_realtime.json (event vs ticker driver comparison).
-bench-realtime:
-	$(GO) run ./cmd/rattrap-bench -realtime
-
 # Regenerates BENCH_throughput.json (pipelined data-plane devices × depth
-# sweep; the checked-in file is the CI regression baseline).
+# sweep; the checked-in file is the CI regression baseline for p50, req/s
+# and allocs/op).
 bench-throughput:
 	$(GO) run ./cmd/rattrap-bench -throughput
 

@@ -156,7 +156,7 @@ func measureClusterCell(shards, devices, requests int) (clCell, error) {
 			defer done.Done()
 			aid := fmt.Sprintf("%s#d%d", baseAID, i)
 			errs[i] = driveThroughputDevice(ln.Addr().String(), fmt.Sprintf("cl-dev-%d", i),
-				offload.WireGob, app, aid, params, clDepth, requests, &ready, start)
+				app, aid, params, clDepth, requests, &ready, start)
 		}(i)
 	}
 	ready.Wait() // every device connected, warmed up and parked at the gate

@@ -6,9 +6,7 @@
 // Usage:
 //
 //	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]
-//	rattrap-bench -realtime [-out dir] [-baseline BENCH_realtime.json]   # serving-layer latency comparison
-//	rattrap-bench -throughput [-short] [-out dir] [-baseline BENCH_throughput.json]   # pipelined data-plane sweep (both wire codecs)
-//	rattrap-bench -allocs [-baseline BENCH_throughput.json]   # allocs/op gate on the binary-wire warehouse-hit path
+//	rattrap-bench -throughput [-short] [-out dir] [-baseline BENCH_throughput.json]   # pipelined data-plane sweep with p50, req/s and allocs/op fences
 //	rattrap-bench -cluster [-short] [-out dir]   # sharded-gateway scaling sweep (shards x devices)
 //	rattrap-bench -faults [-seed N] [-out dir]   # fault-plan robustness sweep
 //	rattrap-bench -stages [-seed N] [-out dir]   # per-stage latency breakdown (deterministic)
@@ -32,12 +30,10 @@ func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 1, 2, 3, 9, 10, 11 or obs4")
 	table := flag.String("table", "", "table to regenerate: 1 or 2")
 	out := flag.String("out", "", "directory to also write .txt and .csv artifacts to")
-	rt := flag.Bool("realtime", false, "benchmark the realtime serving layer and write BENCH_realtime.json")
 	tp := flag.Bool("throughput", false, "sweep the pipelined data plane (devices x depth) and write BENCH_throughput.json")
 	clu := flag.Bool("cluster", false, "sweep the sharded gateway (shards x devices) and write BENCH_cluster.json")
 	short := flag.Bool("short", false, "with -throughput, -cluster or -autoscale: run the reduced CI sweep (fewer cells and requests)")
-	baseline := flag.String("baseline", "", "with -realtime or -throughput: fail on regression vs this baseline report (>3x p50; with -throughput also <0.5x req/s)")
-	allocs := flag.Bool("allocs", false, "gate allocs/op on the binary-wire warehouse-hit path (absolute ceiling + baseline fence)")
+	baseline := flag.String("baseline", "", "with -throughput: fail on regression vs this baseline report (>3x p50, <0.5x req/s, allocs/op past x1.15+8)")
 	flt := flag.Bool("faults", false, "sweep the standard fault plans and write BENCH_faults.json")
 	stages := flag.Bool("stages", false, "emit the per-stage latency breakdown as BENCH_stages.json")
 	boot := flag.Bool("boot", false, "measure cold vs template-clone boots and the warehouse delta push, write BENCH_boot.json")
@@ -65,22 +61,6 @@ func main() {
 	if *scen != "" {
 		if err := runScenario(*scen, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "rattrap-bench: scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *rt {
-		if err := runRealtimeBench(*out, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: realtime: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *allocs {
-		if err := runAllocsGate(*baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: allocs: %v\n", err)
 			os.Exit(1)
 		}
 		return

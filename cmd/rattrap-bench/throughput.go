@@ -21,12 +21,11 @@ import (
 // rather than single-request latency. Depth 1 is the serial baseline the
 // pipeline is judged against.
 //
-// Unlike -realtime (speed 20000, tiny system: dispatch overhead is the
-// whole measurement), the sweep runs at 200x with an order-64 system so a
-// request's paced virtual cost — the part overlapping requests share — is
-// a few hundred µs of wall time. That is the window pipelining overlaps;
-// at 20000x it rounds to zero and every depth measures the same
-// serialized dispatch path.
+// The sweep runs at 200x with an order-64 system so a request's paced
+// virtual cost — the part overlapping requests share — is a few hundred µs
+// of wall time. That is the window pipelining overlaps; at much higher
+// speeds it rounds to zero and every depth measures the same serialized
+// dispatch path (benchmark/'s tcp-warm-serial measures that one).
 const (
 	tpSpeed         = 200
 	tpOrder         = 64  // Linpack system order: ~0.15 s virtual, ~80k real flops
@@ -34,23 +33,19 @@ const (
 	tpShortRequests = 160 // per device with -short (the CI gate); enough to amortize boot + handshake against the full-sweep baseline
 )
 
-// tpAllCells is the full devices × depth grid, swept once per wire
-// codec; -short keeps only the single-connection cells so the CI gate
-// stays fast. Cell identity is (devices, depth, codec): the baseline
-// check matches on it, so reordering or renaming cells invalidates
-// checked-in baselines. Baselines that predate the codec column are
-// read as gob (the only wire they could have measured).
+// tpAllCells is the full devices × depth grid; -short keeps only the
+// single-connection cells so the CI gate stays fast. Cell identity is
+// {devices, depth}: the baseline check matches on it, so reordering or
+// renaming cells invalidates checked-in baselines.
 var (
 	tpAllCells   = [][2]int{{1, 1}, {1, 8}, {4, 1}, {4, 8}}
 	tpShortCells = [][2]int{{1, 1}, {1, 8}}
-	tpWires      = []offload.Wire{offload.WireGob, offload.WireBinary}
 )
 
 type tpCell struct {
-	Devices  int    `json:"devices"`
-	Depth    int    `json:"depth"`
-	Codec    string `json:"codec"`    // wire codec the device connections negotiated
-	Requests int    `json:"requests"` // measured requests per device (excl. warm-up)
+	Devices  int `json:"devices"`
+	Depth    int `json:"depth"`
+	Requests int `json:"requests"` // measured requests per device (excl. warm-up)
 	// Wall-clock measurements; everything above is deterministic config.
 	ReqPerSec   float64 `json:"req_per_sec"`
 	P50Micros   float64 `json:"p50_us"`
@@ -58,38 +53,20 @@ type tpCell struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// tpKey identifies a cell across runs and baselines.
-type tpKey struct {
-	devices, depth int
-	codec          string
-}
-
-func cellKey(c tpCell) tpKey {
-	codec := c.Codec
-	if codec == "" {
-		codec = string(offload.WireGob) // pre-codec-column baseline
-	}
-	return tpKey{devices: c.Devices, depth: c.Depth, codec: codec}
-}
-
 type tpReport struct {
 	Workload string   `json:"workload"`
 	Speed    float64  `json:"speed"`
 	Short    bool     `json:"short"`
 	Cells    []tpCell `json:"cells"`
-	// PipelineSpeedupX is req/s at {1 device, depth 8} over {1, depth 1}
-	// on the binary wire: the headline number for what pipelining buys one
-	// connection.
+	// PipelineSpeedupX is req/s at {1 device, depth 8} over {1, depth 1}:
+	// the headline number for what pipelining buys one connection.
 	PipelineSpeedupX float64 `json:"pipeline_speedup_x"`
-	// CodecSpeedupX is binary req/s over gob req/s at {1 device, depth 8}:
-	// what the flat codec buys the pipelined hot path.
-	CodecSpeedupX float64 `json:"codec_speedup_x"`
 }
 
 // runThroughputBench sweeps the cell grid and writes BENCH_throughput.json
-// into dir (or the working directory). With baseline set, the run fails if
-// any matching cell's p50 regressed more than rtRegressionFactor or its
-// req/s fell below tpMinReqpsFactor of the baseline.
+// into dir (or the working directory). Every measured cell must stay under
+// the absolute allocs/op ceiling; with baseline set, the run also fails if
+// any matching cell regressed past the fences of checkThroughputRegression.
 func runThroughputBench(dir, baseline string, short bool) error {
 	cells, requests := tpAllCells, tpRequests
 	if short {
@@ -100,30 +77,21 @@ func runThroughputBench(dir, baseline string, short bool) error {
 		Speed:    tpSpeed,
 		Short:    short,
 	}
-	byKey := make(map[tpKey]tpCell, 2*len(cells))
-	for _, wire := range tpWires {
-		for _, c := range cells {
-			cell, err := measureThroughputCell(c[0], c[1], requests, wire)
-			if err != nil {
-				return fmt.Errorf("cell %dx%d %s: %w", c[0], c[1], wire, err)
-			}
-			rep.Cells = append(rep.Cells, cell)
-			byKey[cellKey(cell)] = cell
-			fmt.Printf("throughput %d dev x depth %d %-6s: %.0f req/s (p50 %.0f µs, p99 %.0f µs, %d allocs/op)\n",
-				cell.Devices, cell.Depth, cell.Codec, cell.ReqPerSec, cell.P50Micros, cell.P99Micros, cell.AllocsPerOp)
+	byKey := make(map[[2]int]tpCell, len(cells))
+	for _, c := range cells {
+		cell, err := measureThroughputCell(c[0], c[1], requests)
+		if err != nil {
+			return fmt.Errorf("cell %dx%d: %w", c[0], c[1], err)
 		}
+		rep.Cells = append(rep.Cells, cell)
+		byKey[c] = cell
+		fmt.Printf("throughput %d dev x depth %d: %.0f req/s (p50 %.0f µs, p99 %.0f µs, %d allocs/op)\n",
+			cell.Devices, cell.Depth, cell.ReqPerSec, cell.P50Micros, cell.P99Micros, cell.AllocsPerOp)
 	}
-	bin := string(offload.WireBinary)
-	if serial, ok := byKey[tpKey{1, 1, bin}]; ok && serial.ReqPerSec > 0 {
-		if piped, ok := byKey[tpKey{1, 8, bin}]; ok {
+	if serial, ok := byKey[[2]int{1, 1}]; ok && serial.ReqPerSec > 0 {
+		if piped, ok := byKey[[2]int{1, 8}]; ok {
 			rep.PipelineSpeedupX = piped.ReqPerSec / serial.ReqPerSec
-			fmt.Printf("pipeline speedup (1 dev, depth 8 vs 1, binary): %.1fx\n", rep.PipelineSpeedupX)
-		}
-	}
-	if gob8, ok := byKey[tpKey{1, 8, string(offload.WireGob)}]; ok && gob8.ReqPerSec > 0 {
-		if bin8, ok := byKey[tpKey{1, 8, bin}]; ok {
-			rep.CodecSpeedupX = bin8.ReqPerSec / gob8.ReqPerSec
-			fmt.Printf("codec speedup (1 dev, depth 8, binary vs gob): %.1fx\n", rep.CodecSpeedupX)
+			fmt.Printf("pipeline speedup (1 dev, depth 8 vs 1): %.1fx\n", rep.PipelineSpeedupX)
 		}
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -139,19 +107,37 @@ func runThroughputBench(dir, baseline string, short bool) error {
 		return err
 	}
 	fmt.Printf("report in %s\n", path)
+	for _, c := range rep.Cells {
+		if c.AllocsPerOp >= tpAllocsCap {
+			return fmt.Errorf("cell %dx%d: %d allocs/op breaches the absolute ceiling of %d",
+				c.Devices, c.Depth, c.AllocsPerOp, tpAllocsCap)
+		}
+	}
 	if baseline != "" {
 		return checkThroughputRegression(baseline, rep.Cells)
 	}
 	return nil
 }
 
-// tpMinReqpsFactor is how far a cell's req/s may fall against the baseline
-// before the run fails (same noise rationale as rtRegressionFactor: CI
-// loopback throughput halving is a real regression, 20% jitter is not).
-const tpMinReqpsFactor = 0.5
+// Regression fences against the baseline report. Loopback latencies on
+// shared CI machines are noisy: a 3x p50 or a halved req/s is a real
+// regression, 20% jitter is not. allocs/op is far steadier, so its fence is
+// tight — measured ≤ baseline×factor + flat, where the flat grace absorbs
+// scheduler-dependent noise (goroutine stacks, timer churn) that dominates
+// when the baseline itself is small — and an absolute ceiling keeps the
+// warehouse-hit request (decode, dedup lookup, dispatch, execute, encode;
+// client and server both in this process) at double-digit allocations even
+// if the baseline is re-pinned carelessly.
+const (
+	tpMaxP50Factor      = 3.0
+	tpMinReqpsFactor    = 0.5
+	tpAllocsCap         = 100
+	tpAllocsSlackFactor = 1.15
+	tpAllocsSlackFlat   = 8
+)
 
 // checkThroughputRegression compares each measured cell against the same
-// (devices, depth) cell of the baseline report; baseline cells that were
+// {devices, depth} cell of the baseline report; baseline cells that were
 // not run (e.g. a -short run against a full baseline) are skipped.
 func checkThroughputRegression(path string, cells []tpCell) error {
 	buf, err := os.ReadFile(path)
@@ -162,30 +148,33 @@ func checkThroughputRegression(path string, cells []tpCell) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	baseBy := make(map[tpKey]tpCell, len(base.Cells))
+	baseBy := make(map[[2]int]tpCell, len(base.Cells))
 	for _, c := range base.Cells {
-		baseBy[cellKey(c)] = c
+		baseBy[[2]int{c.Devices, c.Depth}] = c
 	}
 	for _, c := range cells {
-		key := cellKey(c)
-		b, ok := baseBy[key]
+		b, ok := baseBy[[2]int{c.Devices, c.Depth}]
 		if !ok {
 			continue
 		}
 		if b.P50Micros > 0 {
-			if ratio := c.P50Micros / b.P50Micros; ratio > rtRegressionFactor {
-				return fmt.Errorf("cell %dx%d %s p50 regressed %.1fx vs baseline %s (%.0f µs now, %.0f µs then; limit %.0fx)",
-					c.Devices, c.Depth, key.codec, ratio, path, c.P50Micros, b.P50Micros, rtRegressionFactor)
+			if ratio := c.P50Micros / b.P50Micros; ratio > tpMaxP50Factor {
+				return fmt.Errorf("cell %dx%d p50 regressed %.1fx vs baseline %s (%.0f µs now, %.0f µs then; limit %.0fx)",
+					c.Devices, c.Depth, ratio, path, c.P50Micros, b.P50Micros, tpMaxP50Factor)
 			}
 		}
 		if b.ReqPerSec > 0 {
 			if ratio := c.ReqPerSec / b.ReqPerSec; ratio < tpMinReqpsFactor {
-				return fmt.Errorf("cell %dx%d %s throughput fell to %.2fx of baseline %s (%.0f req/s now, %.0f then; floor %.2fx)",
-					c.Devices, c.Depth, key.codec, ratio, path, c.ReqPerSec, b.ReqPerSec, tpMinReqpsFactor)
+				return fmt.Errorf("cell %dx%d throughput fell to %.2fx of baseline %s (%.0f req/s now, %.0f then; floor %.2fx)",
+					c.Devices, c.Depth, ratio, path, c.ReqPerSec, b.ReqPerSec, tpMinReqpsFactor)
 			}
 		}
-		fmt.Printf("cell %dx%d %s vs baseline %s: p50 %.2fx, req/s %.2fx — ok\n",
-			c.Devices, c.Depth, key.codec, path, c.P50Micros/b.P50Micros, c.ReqPerSec/b.ReqPerSec)
+		if limit := int64(float64(b.AllocsPerOp)*tpAllocsSlackFactor) + tpAllocsSlackFlat; c.AllocsPerOp > limit {
+			return fmt.Errorf("cell %dx%d: %d allocs/op regressed past baseline %d (limit %d = %d×%.2f+%d)",
+				c.Devices, c.Depth, c.AllocsPerOp, b.AllocsPerOp, limit, b.AllocsPerOp, tpAllocsSlackFactor, tpAllocsSlackFlat)
+		}
+		fmt.Printf("cell %dx%d vs baseline %s: p50 %.2fx, req/s %.2fx, allocs/op %d vs %d — ok\n",
+			c.Devices, c.Depth, path, c.P50Micros/b.P50Micros, c.ReqPerSec/b.ReqPerSec, c.AllocsPerOp, b.AllocsPerOp)
 	}
 	return nil
 }
@@ -197,8 +186,8 @@ func checkThroughputRegression(path string, cells []tpCell) error {
 // the server's own latency histogram and allocs/op is the whole-process
 // malloc delta over the window divided by measured requests — both client
 // and server sides of the wire path run in this process, so the number
-// bounds the pooled codec's per-request cost.
-func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpCell, error) {
+// bounds the whole request path's per-request cost.
+func measureThroughputCell(devices, depth, requests int) (tpCell, error) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.IdleTimeout = 0 // keep the pool warm for the whole window
 	srv := realtime.NewServerOpts(cfg, tpSpeed, nil, realtime.Options{PipelineDepth: depth})
@@ -223,7 +212,7 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 		go func(i int) {
 			defer done.Done()
 			errs[i] = driveThroughputDevice(ln.Addr().String(), fmt.Sprintf("tp-dev-%d", i),
-				wire, app, aid, params, depth, requests, &ready, start)
+				app, aid, params, depth, requests, &ready, start)
 		}(i)
 	}
 	ready.Wait() // every device connected, warmed up and parked at the gate
@@ -253,7 +242,6 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 	return tpCell{
 		Devices:     devices,
 		Depth:       depth,
-		Codec:       string(wire),
 		Requests:    requests,
 		ReqPerSec:   float64(total) / wall.Seconds(),
 		P50Micros:   us(p50),
@@ -265,7 +253,7 @@ func measureThroughputCell(devices, depth, requests int, wire offload.Wire) (tpC
 // driveThroughputDevice runs one device's closed loop: dial, hello, one
 // warm-up exec (boots the runtime; first device also stages the code),
 // then park on the start gate and pump `requests` pipelined execs.
-func driveThroughputDevice(addr, deviceID string, wire offload.Wire, app workload.App, aid string, params []byte,
+func driveThroughputDevice(addr, deviceID string, app workload.App, aid string, params []byte,
 	depth, requests int, ready *sync.WaitGroup, start <-chan struct{}) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -274,7 +262,7 @@ func driveThroughputDevice(addr, deviceID string, wire offload.Wire, app workloa
 	}
 	defer conn.Close()
 	var badResult error
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, wire), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},

@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	rattrap-client [-server localhost:7431] [-app Linpack] [-n 3] [-device phone-1] [-seed 1] [-retries 4] [-pipeline 8] [-wire binary|gob]
+//	rattrap-client [-server localhost:7431] [-app Linpack] [-n 3] [-device phone-1] [-seed 1] [-retries 4] [-pipeline 8]
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 type client struct {
 	server   string
 	deviceID string
-	wire     offload.Wire
 	conn     net.Conn
 	c        *offload.Conn
 }
@@ -51,7 +50,7 @@ func (cl *client) connect() error {
 	if err != nil {
 		return err
 	}
-	c := offload.NewConnWire(conn, cl.wire)
+	c := offload.NewConn(conn)
 	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: cl.deviceID}}); err != nil {
 		conn.Close()
 		return fmt.Errorf("hello: %w", err)
@@ -119,7 +118,7 @@ func backoff(rng *rand.Rand, base, cap time.Duration, attempt int, retryAfter ti
 // runPipelined offloads n requests with up to depth in flight on one
 // connection. Results print in completion order; per-request latency is
 // measured from its submit.
-func runPipelined(server, deviceID string, wire offload.Wire, app workload.App, n, depth int, seed int64) error {
+func runPipelined(server, deviceID string, app workload.App, n, depth int, seed int64) error {
 	conn, err := net.Dial("tcp", server)
 	if err != nil {
 		return err
@@ -127,7 +126,7 @@ func runPipelined(server, deviceID string, wire offload.Wire, app workload.App, 
 	defer conn.Close()
 	aid := offload.AID(app.Name(), app.CodeSize())
 	submitted := make(map[int]time.Time, depth)
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, wire), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},
@@ -168,29 +167,22 @@ func main() {
 	retries := flag.Int("retries", 4, "max attempts per request (1 disables retrying)")
 	retryBase := flag.Duration("retry-base", 200*time.Millisecond, "initial retry backoff")
 	pipeline := flag.Int("pipeline", 1, "requests to keep in flight on one connection (1 = serial)")
-	wireName := flag.String("wire", "binary", "wire codec: binary (flat frames) or gob (legacy)")
 	flag.Parse()
 	if *retries < 1 {
 		*retries = 1
 	}
-	wire, err := offload.ParseWire(*wireName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rattrap-client: %v\n", err)
-		os.Exit(2)
-	}
-
 	app, err := workload.ByName(*appName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rattrap-client: %v\n", err)
 		os.Exit(2)
 	}
 	if *pipeline > 1 {
-		if err := runPipelined(*server, *deviceID, wire, app, *n, *pipeline, *seed); err != nil {
+		if err := runPipelined(*server, *deviceID, app, *n, *pipeline, *seed); err != nil {
 			log.Fatalf("rattrap-client: %v", err)
 		}
 		return
 	}
-	cl := &client{server: *server, deviceID: *deviceID, wire: wire}
+	cl := &client{server: *server, deviceID: *deviceID}
 	if err := cl.connect(); err != nil {
 		log.Fatalf("rattrap-client: %v", err)
 	}

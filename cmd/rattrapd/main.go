@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	rattrapd [-listen :7431] [-platform rattrap|rattrap-wo|vm] [-speed 1] [-max-runtimes 5] [-http :7432] [-pipeline-depth 8] [-shards 4] [-wire auto|gob|binary]
+//	rattrapd [-listen :7431] [-platform rattrap|rattrap-wo|vm] [-speed 1] [-max-runtimes 5] [-http :7432] [-pipeline-depth 8] [-shards 4]
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"rattrap/internal/core"
 	"rattrap/internal/obs"
-	"rattrap/internal/offload"
 	"rattrap/internal/realtime"
 )
 
@@ -39,14 +38,7 @@ func main() {
 	httpAddr := flag.String("http", "", "observability listen address (/metrics, /debug/pprof); empty disables")
 	pipelineDepth := flag.Int("pipeline-depth", 1, "exec requests one connection may have in flight (1 = serial)")
 	shards := flag.Int("shards", 1, "platform shards; apps are consistent-hashed across shards by AID")
-	wireName := flag.String("wire", "auto", "wire codec policy: auto (mirror each client), gob (refuse binary), binary")
 	flag.Parse()
-
-	wire, err := offload.ParseWire(*wireName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rattrapd: %v\n", err)
-		os.Exit(2)
-	}
 
 	var kind core.Kind
 	switch *platform {
@@ -71,7 +63,6 @@ func main() {
 	srv := realtime.NewServerOpts(cfg, *speed, logger, realtime.Options{
 		PipelineDepth: *pipelineDepth,
 		Shards:        *shards,
-		Wire:          wire,
 	})
 	defer srv.Close()
 

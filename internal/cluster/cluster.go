@@ -112,20 +112,15 @@ type Cluster struct {
 	stats MigrationStats
 }
 
-// New builds an n-shard cluster on engine e with replica factor 1. Every
-// shard gets an identical copy of cfg — including cfg.Autoscale, so an
-// elastic cluster runs one independent control loop per shard, each sizing
-// its own pool from its own queue; idle shards scale to MinRuntimes (or to
-// zero). With n > 1 each shard's CIDs are prefixed "sN-" so runtime IDs
-// are unique cluster-wide. With n == 1 the configuration is left untouched
-// — a 1-shard Cluster must be indistinguishable from the bare Platform it
+// NewReplicated builds an n-shard cluster on engine e whose warehouse
+// entries fan out to r replicas (r clamped to [1, n]). Every shard gets an
+// identical copy of cfg — including cfg.Autoscale, so an elastic cluster
+// runs one independent control loop per shard, each sizing its own pool
+// from its own queue; idle shards scale to MinRuntimes (or to zero). With
+// n > 1 each shard's CIDs are prefixed "sN-" so runtime IDs are unique
+// cluster-wide. With n == 1 the configuration is left untouched — a
+// 1-shard Cluster must be indistinguishable from the bare Platform it
 // wraps.
-func New(e *sim.Engine, cfg core.Config, n int) *Cluster {
-	return NewReplicated(e, cfg, n, 1)
-}
-
-// NewReplicated builds an n-shard cluster whose warehouse entries fan out
-// to r replicas (r clamped to [1, n]). r == 1 is exactly New.
 func NewReplicated(e *sim.Engine, cfg core.Config, n, r int) *Cluster {
 	if n < 1 {
 		n = 1

@@ -81,7 +81,7 @@ func TestShardErrorRoundTrip(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.MaxRuntimes = 1
 	cfg.MaxQueueDepth = 1
-	cl := New(e, cfg, 2)
+	cl := NewReplicated(e, cfg, 2, 1)
 
 	app, err := workload.ByName(workload.NameLinpack)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestShardErrorIsBlocked(t *testing.T) {
 func TestClusterRoutesByAID(t *testing.T) {
 	e := sim.NewEngine(7)
 	cfg := core.DefaultConfig(core.KindRattrap)
-	cl := New(e, cfg, 4)
+	cl := NewReplicated(e, cfg, 4, 1)
 
 	app, _ := workload.ByName(workload.NameLinpack)
 	const devices = 12

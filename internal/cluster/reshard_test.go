@@ -226,7 +226,7 @@ func seedCluster(t *testing.T, e *sim.Engine, cl *Cluster, app workload.App, var
 func TestClusterAddShardMigratesOnlyMissingChunks(t *testing.T) {
 	e := sim.NewEngine(11)
 	cfg := core.DefaultConfig(core.KindRattrap)
-	cl := New(e, cfg, 2)
+	cl := NewReplicated(e, cfg, 2, 1)
 	app, _ := workload.ByName(workload.NameLinpack)
 
 	aids := seedCluster(t, e, cl, app, 10)
@@ -357,7 +357,7 @@ func TestClusterFailShardReplicaFailover(t *testing.T) {
 func TestClusterRemoveShardHandsOff(t *testing.T) {
 	e := sim.NewEngine(17)
 	cfg := core.DefaultConfig(core.KindRattrap)
-	cl := New(e, cfg, 3)
+	cl := NewReplicated(e, cfg, 3, 1)
 	app, _ := workload.ByName(workload.NameLinpack)
 
 	aids := seedCluster(t, e, cl, app, 9)

@@ -909,6 +909,10 @@ func (pl *Platform) StopRuntime(p *sim.Proc, cid string) error {
 	pl.db.Transition(cid, LifecycleReclaimed)
 	if terr != nil {
 		pl.noteFailure(cid, FailTeardown)
+		// A clean Stop/Destroy evicts the guest's private layer from the
+		// page cache itself; a failed teardown never got that far, and the
+		// layer's keys are never read (or reused) again either way.
+		sl.env.FS().Upper().DropCacheOn(pl.Server)
 	}
 	pl.removeSlot(sl)
 	if pl.cfg.Kind != KindVM && pl.slots.n == 0 {

@@ -138,7 +138,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		cl *cluster.Cluster // nil unless cfg.Shards > 0
 	)
 	if cfg.Shards > 0 {
-		cl = cluster.New(e, core.DefaultConfig(cfg.Kind), cfg.Shards)
+		cl = cluster.NewReplicated(e, core.DefaultConfig(cfg.Kind), cfg.Shards, 1)
 		if cfg.Obs != nil {
 			cl.SetObs(cfg.Obs)
 		}

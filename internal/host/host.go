@@ -217,6 +217,9 @@ func (h *Host) diskTime(size Bytes, sequential bool, efficiency float64) time.Du
 // Cached reports whether key is resident in the page cache.
 func (h *Host) Cached(key string) bool { return h.pageCache[key] }
 
+// CachedFiles returns how many keys are resident in the page cache.
+func (h *Host) CachedFiles() int { return len(h.pageCache) }
+
 // WarmCache marks key as resident without simulating a read (used when a
 // file was just written and is therefore hot).
 func (h *Host) WarmCache(key string) {

@@ -7,11 +7,10 @@ import (
 	"rattrap/internal/host"
 )
 
-// The flat binary wire codec: the negotiated fast path that replaces gob
-// frame payloads on hot connections. The outer framing (one uvarint byte
-// length, then that many payload bytes, capped by the connection's frame
-// limit *before* any payload-sized allocation) is shared with the gob
-// codec; only the payload encoding differs.
+// The flat binary wire codec: the payload encoding of every frame. The
+// outer framing (one uvarint byte length, then that many payload bytes,
+// capped by the connection's frame limit *before* any payload-sized
+// allocation) lives in codec.go.
 //
 // # Payload layout (wire version 1)
 //
@@ -22,19 +21,16 @@ import (
 //	[4:] fields in fixed per-kind order
 //
 // Scalar fields are zigzag varints (all wire integers are signed Go types;
-// zigzag keeps negative values round-trippable so the codec cross-check
-// against gob is exact). Strings and byte slices are a uvarint length
-// followed by the raw bytes. Every field is always present — no omission
-// of zero values — and a decoder that does not consume the payload exactly
-// rejects the frame.
+// zigzag keeps negative values round-trippable). Strings and byte slices
+// are a uvarint length followed by the raw bytes. Every field is always
+// present — no omission of zero values — and a decoder that does not
+// consume the payload exactly rejects the frame.
 //
-// The magic byte is chosen from the range a gob stream can never emit as
-// its first payload byte: gob's unsigned-int wire encoding starts every
-// message with either a small literal count (0x00..0x7F) or a negated
-// byte-length marker (0xF8..0xFF), so 0x80..0xF7 is free for sniffing.
-// A server reads the first frame's payload and pins the connection's
-// codec from that one byte: 0xB1 means binary, anything else is the gob
-// fallback — which is how old gob-only clients keep connecting unchanged.
+// The magic and version bytes are checked on every frame. A payload that
+// opens with anything else — a client predating this codec spoke gob,
+// whose messages start in 0x00..0x7F or 0xF8..0xFF, never 0xB1 — is
+// rejected with a typed *WireVersionError, which a server answers with a
+// protocol-error result frame before hanging up.
 //
 // # Zero-copy contract
 //
@@ -45,31 +41,6 @@ import (
 // hands the frame to another goroutine must either copy the aliased bytes
 // or take ownership of the buffer with TakeRecvBuf and release it when
 // done — see the RecvBuf docs for the hazard this closes.
-
-// Wire names a frame-payload codec for NewConnWire and the -wire flags.
-type Wire string
-
-// Wire codec selections.
-const (
-	// WireAuto mirrors the peer: receive either codec, send gob until the
-	// first received frame reveals the peer speaks binary. Servers use it.
-	WireAuto Wire = "auto"
-	// WireGob sends gob and accepts only gob; a binary frame is refused
-	// with a typed *WireVersionError instead of a garbled decode.
-	WireGob Wire = "gob"
-	// WireBinary sends binary frames; the receive side still sniffs, so a
-	// gob-speaking peer's typed error frames stay readable.
-	WireBinary Wire = "binary"
-)
-
-// ParseWire maps a -wire flag value to a Wire selection.
-func ParseWire(s string) (Wire, error) {
-	switch Wire(s) {
-	case WireAuto, WireGob, WireBinary:
-		return Wire(s), nil
-	}
-	return "", fmt.Errorf("offload: unknown wire codec %q (want auto, gob or binary)", s)
-}
 
 const (
 	// binMagic is the first payload byte of every binary frame.
@@ -115,37 +86,34 @@ var binKindNames = [...]Kind{
 	binKindChunkNeed:  KindChunkNeed,
 }
 
-// WireVersionError reports a failed codec negotiation: the peer opened
-// with a binary frame the connection cannot serve, either because the
-// advertised wire version is unknown or because the connection is pinned
-// to gob (WireGob). Servers answer it with a typed protocol-error result
-// frame in gob — the one codec every client speaks — instead of dropping
-// the connection. Match with errors.As.
+// WireVersionError reports a frame this build cannot read: its payload
+// does not open with the wire magic, or advertises an unknown wire
+// version. Servers answer it on the hello with a typed protocol-error
+// result frame instead of silently dropping the connection. Match with
+// errors.As.
 type WireVersionError struct {
-	// Version is the wire version byte the peer sent.
+	// Version is the wire version byte the peer sent; 0 when the payload
+	// did not open with the wire magic at all.
 	Version byte
-	// Refused reports a policy rejection: the version is known but this
-	// connection accepts only gob.
-	Refused bool
 }
 
 func (e *WireVersionError) Error() string {
-	if e.Refused {
-		return fmt.Sprintf("offload: binary wire v%d refused: connection accepts gob only", e.Version)
+	if e.Version == 0 {
+		return fmt.Sprintf("offload: frame does not open with the wire magic (this build speaks binary wire v%d only)", BinaryWireVersion)
 	}
 	return fmt.Sprintf("offload: unsupported wire version %d (have %d)", e.Version, BinaryWireVersion)
 }
 
 // RecvBuf is ownership of the read buffer backing the byte-slice views of
-// the most recently received binary frame. The pooled read path makes the
+// the most recently received frame. The pooled read path makes the
 // aliasing hazard easy to hit silently: by default the buffer is recycled
 // on the next Recv, so a payload view (Exec.Params) handed to a pipeline
 // worker would be overwritten mid-flight by the connection's next frame.
 // TakeRecvBuf transfers the buffer out of the recycle path; the taker
 // must call Release exactly once, after the last use of the views.
 //
-// The zero RecvBuf (gob mode, or a frame without byte views) releases as
-// a no-op, so callers can take-and-release unconditionally.
+// The zero RecvBuf (nothing to take) releases as a no-op, so callers can
+// take-and-release unconditionally.
 type RecvBuf struct {
 	bp *[]byte
 }
@@ -213,6 +181,21 @@ func (c *Conn) putString(s string) {
 	c.sendBuf.WriteString(s)
 }
 
+// putHeader appends the four header bytes of a payload.
+func (c *Conn) putHeader(kind, flags byte) {
+	c.sendBuf.Write([]byte{binMagic, BinaryWireVersion, kind, flags})
+}
+
+// putResult appends a result payload's fields.
+func (c *Conn) putResult(r *Result) {
+	c.putString(r.Output)
+	c.putZig(int64(r.ResultBytes))
+	c.putString(r.Err)
+	c.putString(r.Code)
+	c.putZig(int64(r.RetryAfterMs))
+	c.putZig(int64(r.Seq))
+}
+
 // encodeBinary writes f's binary payload into the send buffer. The frame
 // must already be validated.
 func (c *Conn) encodeBinary(f *Frame) error {
@@ -224,14 +207,13 @@ func (c *Conn) encodeBinary(f *Frame) error {
 	if f.Kind == KindNeedCode && f.NeedCode != nil {
 		flags |= needCodeHasPayload
 	}
-	c.sendBuf.Write([]byte{binMagic, BinaryWireVersion, kind, flags})
+	c.putHeader(kind, flags)
 	switch f.Kind {
 	case KindHello:
 		c.putString(f.Hello.DeviceID)
 		ver := f.Hello.wireVersion
 		if ver == 0 {
-			// A binary-encoded hello advertises the codec by existing;
-			// default the explicit field to the version being spoken.
+			// Default the explicit field to the version being spoken.
 			ver = BinaryWireVersion
 		}
 		c.putUint(uint64(ver))
@@ -258,13 +240,7 @@ func (c *Conn) encodeBinary(f *Frame) error {
 		c.putZig(int64(f.Code.Size))
 		c.putZig(int64(f.Code.Seq))
 	case KindResult:
-		r := f.Result
-		c.putString(r.Output)
-		c.putZig(int64(r.ResultBytes))
-		c.putString(r.Err)
-		c.putString(r.Code)
-		c.putZig(int64(r.RetryAfterMs))
-		c.putZig(int64(r.Seq))
+		c.putResult(f.Result)
 	case KindChunkOffer, KindChunkNeed:
 		// Chunk negotiation rides the Exec carrier (see chunk.go): only
 		// the carrier fields the two payloads actually use hit the wire.
@@ -315,8 +291,7 @@ func (r *binReader) zig() int64 {
 
 // bytes returns a view of the next length-prefixed byte string, aliasing
 // the payload buffer (capacity-clamped so appends cannot bleed into the
-// following bytes). Zero length decodes as nil, matching gob's omission
-// of empty slices.
+// following bytes). Zero length decodes as nil.
 func (r *binReader) bytes() []byte {
 	n := r.uint()
 	if r.err != nil {
@@ -335,17 +310,16 @@ func (r *binReader) bytes() []byte {
 }
 
 // decodeBinary decodes a binary payload into the connection's scratch
-// structs and returns a Frame whose payload pointers alias them. buf must
-// already have been sniffed as binary (magic + supported version).
+// structs and returns a Frame whose payload pointers alias them.
 func (c *Conn) decodeBinary(buf []byte) (Frame, error) {
+	if len(buf) == 0 || buf[0] != binMagic {
+		return Frame{}, &WireVersionError{}
+	}
+	if len(buf) > 1 && buf[1] != BinaryWireVersion {
+		return Frame{}, &WireVersionError{Version: buf[1]}
+	}
 	if len(buf) < binHeaderLen {
 		return Frame{}, fmt.Errorf("offload: binary frame of %d bytes is shorter than its header", len(buf))
-	}
-	if buf[0] != binMagic {
-		return Frame{}, fmt.Errorf("offload: binary frame without magic (got 0x%02x)", buf[0])
-	}
-	if buf[1] != BinaryWireVersion {
-		return Frame{}, &WireVersionError{Version: buf[1]}
 	}
 	kindByte, flags := buf[2], buf[3]
 	if int(kindByte) >= len(binKindNames) || binKindNames[kindByte] == "" {

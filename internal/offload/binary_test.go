@@ -11,9 +11,9 @@ import (
 )
 
 // framesEqual compares two frames semantically: field-wise on the payload
-// structs, with byte slices compared by content (nil and empty are equal,
-// matching gob's zero-value omission) and codec-level fields (the hello's
-// advertised wire version) ignored.
+// structs, with byte slices compared by content (nil and empty are equal:
+// a zero-length byte string decodes as nil) and codec-level fields (the
+// hello's advertised wire version) ignored.
 func framesEqual(a, b Frame) bool {
 	if a.Kind != b.Kind {
 		return false
@@ -57,8 +57,8 @@ func framesEqual(a, b Frame) bool {
 	return true
 }
 
-// cloneFrame deep-copies a frame out of the connection-owned scratch a
-// binary Recv returns, so it survives the connection's next Recv.
+// cloneFrame deep-copies a frame out of the connection-owned scratch Recv
+// returns, so it survives the connection's next Recv.
 func cloneFrame(f Frame) Frame {
 	c := Frame{Kind: f.Kind}
 	if f.Hello != nil {
@@ -112,16 +112,12 @@ func binaryTestFrames() []Frame {
 	}
 }
 
-// TestBinaryRoundTrip sends every test frame over the binary codec and
-// checks semantic equality after decode — including that a WireAuto
-// receiver sniffs the codec and mirrors it for its own sends.
+// TestBinaryRoundTrip sends every test frame over the codec and checks
+// semantic equality after decode.
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sender := NewConnWire(&buf, WireBinary)
-	receiver := NewConnWire(&buf, WireAuto)
-	if got := receiver.WireName(); got != "gob" {
-		t.Fatalf("pre-negotiation WireName = %q, want gob", got)
-	}
+	sender := NewConn(&buf)
+	receiver := NewConn(&buf)
 	for i, f := range binaryTestFrames() {
 		if err := sender.Send(f); err != nil {
 			t.Fatalf("frame %d (%s): send: %v", i, f.Kind, err)
@@ -134,40 +130,21 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d (%s): round trip mismatch:\nsent %+v\ngot  %+v", i, f.Kind, f, got)
 		}
 	}
-	if got := sender.WireName(); got != "binary" {
-		t.Fatalf("sender WireName = %q, want binary", got)
-	}
-	if got := receiver.WireName(); got != "binary" {
-		t.Fatalf("negotiated receiver WireName = %q, want binary (mirrored)", got)
-	}
 }
 
-// TestBinaryHelloAdvertisesVersion: a binary hello carries the wire
-// version explicitly (defaulted to the spoken version when unset), and a
-// gob hello leaves it zero.
+// TestBinaryHelloAdvertisesVersion: a hello carries the wire version
+// explicitly, defaulted to the spoken version when unset.
 func TestBinaryHelloAdvertisesVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewConnWire(&buf, WireBinary).Send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: "d"}}); err != nil {
+	if err := NewConn(&buf).Send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: "d"}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewConnWire(&buf, WireAuto).Recv()
+	got, err := NewConn(&buf).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := got.Hello.WireVersion(); v != BinaryWireVersion {
 		t.Fatalf("binary hello WireVersion = %d, want %d", v, BinaryWireVersion)
-	}
-
-	buf.Reset()
-	if err := NewConn(&buf).Send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: "d"}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = NewConnWire(&buf, WireAuto).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := got.Hello.WireVersion(); v != 0 {
-		t.Fatalf("gob hello WireVersion = %d, want 0", v)
 	}
 }
 
@@ -201,10 +178,10 @@ func TestBinaryZeroAlloc(t *testing.T) {
 	f := Frame{Kind: KindExec, Exec: exec}
 
 	t.Run("send", func(t *testing.T) {
-		c := NewConnWire(struct {
+		c := NewConn(struct {
 			io.Reader
 			io.Writer
-		}{bytes.NewReader(nil), io.Discard}, WireBinary)
+		}{bytes.NewReader(nil), io.Discard})
 		for i := 0; i < 4; i++ {
 			if err := c.Send(f); err != nil {
 				t.Fatal(err)
@@ -221,10 +198,10 @@ func TestBinaryZeroAlloc(t *testing.T) {
 	})
 
 	t.Run("sendResult", func(t *testing.T) {
-		c := NewConnWire(struct {
+		c := NewConn(struct {
 			io.Reader
 			io.Writer
-		}{bytes.NewReader(nil), io.Discard}, WireBinary)
+		}{bytes.NewReader(nil), io.Discard})
 		r := Result{Output: "n=64 residual=1.08e-13", ResultBytes: 550, Seq: 9}
 		for i := 0; i < 4; i++ {
 			if err := c.SendResult(&r); err != nil {
@@ -243,13 +220,13 @@ func TestBinaryZeroAlloc(t *testing.T) {
 
 	t.Run("recv", func(t *testing.T) {
 		var enc bytes.Buffer
-		if err := NewConnWire(&enc, WireBinary).Send(f); err != nil {
+		if err := NewConn(&enc).Send(f); err != nil {
 			t.Fatal(err)
 		}
-		c := NewConnWire(struct {
+		c := NewConn(struct {
 			io.Reader
 			io.Writer
-		}{&repeatReader{data: enc.Bytes()}, io.Discard}, WireAuto)
+		}{&repeatReader{data: enc.Bytes()}, io.Discard})
 		// Warm-up interns the strings and seats the held buffer.
 		for i := 0; i < 4; i++ {
 			if _, err := c.Recv(); err != nil {
@@ -270,40 +247,41 @@ func TestBinaryZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestWireGobRefusesBinary: a WireGob connection (gob-pinned server or
-// legacy client) answers a binary first frame with a typed
-// *WireVersionError instead of a garbled gob decode.
-func TestWireGobRefusesBinary(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewConnWire(&buf, WireBinary).Send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: "d"}}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := NewConn(&buf).Recv()
-	var wve *WireVersionError
-	if !errors.As(err, &wve) {
-		t.Fatalf("err = %v, want *WireVersionError", err)
-	}
-	if !wve.Refused || wve.Version != BinaryWireVersion {
-		t.Fatalf("WireVersionError = %+v, want Refused=true Version=%d", wve, BinaryWireVersion)
-	}
-}
-
-// TestUnknownWireVersion: a binary frame advertising a future wire
-// version yields a typed *WireVersionError carrying that version.
+// TestUnknownWireVersion: a frame advertising a future wire version, or
+// not opening with the wire magic at all (what a pre-binary gob client
+// sends, or an empty payload), yields a typed *WireVersionError — Version
+// carries the advertised byte, 0 for "no magic" — and poisons the
+// receive side.
 func TestUnknownWireVersion(t *testing.T) {
-	payload := []byte{binMagic, 0x7e, binKindHello, 0x00, 0x01, 'd', 0x7e}
-	var buf bytes.Buffer
-	var lenBuf [binary.MaxVarintLen64]byte
-	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(payload)))])
-	buf.Write(payload)
-
-	_, err := NewConnWire(&buf, WireAuto).Recv()
-	var wve *WireVersionError
-	if !errors.As(err, &wve) {
-		t.Fatalf("err = %v, want *WireVersionError", err)
+	cases := map[string]struct {
+		payload []byte
+		version byte
+	}{
+		"future version": {[]byte{binMagic, 0x7e, binKindHello, 0x00, 0x01, 'd', 0x7e}, 0x7e},
+		"version only":   {[]byte{binMagic, 0x7e}, 0x7e},
+		"gob opening":    {[]byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 'F', 'r', 'a', 'm', 'e'}, 0},
+		"other magic":    {[]byte{0xB2, BinaryWireVersion, binKindHello, 0x00}, 0},
+		"empty payload":  {nil, 0},
 	}
-	if wve.Refused || wve.Version != 0x7e {
-		t.Fatalf("WireVersionError = %+v, want Refused=false Version=0x7e", wve)
+	for name, tc := range cases {
+		var buf bytes.Buffer
+		var lenBuf [binary.MaxVarintLen64]byte
+		buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(tc.payload)))])
+		buf.Write(tc.payload)
+
+		c := NewConn(&buf)
+		_, err := c.Recv()
+		var wve *WireVersionError
+		if !errors.As(err, &wve) {
+			t.Errorf("%s: err = %v, want *WireVersionError", name, err)
+			continue
+		}
+		if wve.Version != tc.version {
+			t.Errorf("%s: WireVersionError.Version = %#x, want %#x", name, wve.Version, tc.version)
+		}
+		if _, err := c.Recv(); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("%s: recv side not poisoned after version error", name)
+		}
 	}
 }
 
@@ -327,7 +305,7 @@ func TestBinaryMalformed(t *testing.T) {
 		"trailing bytes": {binMagic, BinaryWireVersion, binKindHello, 0x00, 0x01, 'd', 0x01, 0xaa},
 	}
 	for name, payload := range cases {
-		c := NewConnWire(frame(payload), WireAuto)
+		c := NewConn(frame(payload))
 		if _, err := c.Recv(); err == nil {
 			t.Errorf("%s: decoded without error", name)
 			continue
@@ -338,25 +316,25 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 }
 
-// TestBinaryOversizeRejectedBeforeAlloc: the shared length-prefixed
-// framing rejects an oversize declared size on the prefix alone — before
-// any payload-sized allocation — for binary exactly as for gob (the cap
-// check precedes the buffer draw in Recv). Per-frame allocations are
-// separately pinned to zero by TestBinaryZeroAlloc.
+// TestBinaryOversizeRejectedBeforeAlloc: the length-prefixed framing
+// rejects an oversize declared size on the prefix alone — before any
+// payload-sized allocation (the cap check precedes the buffer draw in
+// Recv). Per-frame allocations are separately pinned to zero by
+// TestBinaryZeroAlloc.
 func TestBinaryOversizeRejectedBeforeAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	var lenBuf [binary.MaxVarintLen64]byte
-	// Declare a 1 TiB binary frame; write only the sniffable header bytes.
+	// Declare a 1 TiB frame; write only the first two header bytes.
 	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], 1<<40)])
 	buf.Write([]byte{binMagic, BinaryWireVersion})
 
-	c := NewConnWireLimit(&buf, WireBinary, 1<<10)
+	c := NewConnLimit(&buf, 1<<10)
 	if _, err := c.Recv(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
-// TestTakeRecvBuf demonstrates the aliasing hazard and its fix. Binary
+// TestTakeRecvBuf demonstrates the aliasing hazard and its fix. Decoded
 // byte views alias the connection's read buffer, which is reused by the
 // next Recv: without TakeRecvBuf the first frame's params are clobbered
 // (deterministically — the held buffer is recycled in place); with it
@@ -364,7 +342,7 @@ func TestBinaryOversizeRejectedBeforeAlloc(t *testing.T) {
 func TestTakeRecvBuf(t *testing.T) {
 	encode := func(seqs ...byte) *bytes.Buffer {
 		var buf bytes.Buffer
-		c := NewConnWire(&buf, WireBinary)
+		c := NewConn(&buf)
 		for _, s := range seqs {
 			err := c.Send(Frame{Kind: KindExec, Exec: &ExecRequest{
 				App: "Linpack", Params: bytes.Repeat([]byte{s}, 32), Seq: int(s),
@@ -377,7 +355,7 @@ func TestTakeRecvBuf(t *testing.T) {
 	}
 
 	t.Run("hazard", func(t *testing.T) {
-		c := NewConnWire(encode(1, 2), WireAuto)
+		c := NewConn(encode(1, 2))
 		f1, err := c.Recv()
 		if err != nil {
 			t.Fatal(err)
@@ -393,7 +371,7 @@ func TestTakeRecvBuf(t *testing.T) {
 	})
 
 	t.Run("take", func(t *testing.T) {
-		c := NewConnWire(encode(1, 2), WireAuto)
+		c := NewConn(encode(1, 2))
 		f1, err := c.Recv()
 		if err != nil {
 			t.Fatal(err)
@@ -411,10 +389,17 @@ func TestTakeRecvBuf(t *testing.T) {
 
 	t.Run("zero-value release", func(t *testing.T) {
 		var pin RecvBuf
-		pin.Release()           // must be a no-op
-		c := NewConn(encode(1)) // gob conn: nothing to take
+		pin.Release() // must be a no-op
+		c := NewConn(encode(1))
 		if pin := c.TakeRecvBuf(); pin.bp != nil {
-			t.Fatal("gob connection handed out a buffer")
+			t.Fatal("connection handed out a buffer before any Recv")
+		}
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		c.TakeRecvBuf().Release()
+		if pin := c.TakeRecvBuf(); pin.bp != nil {
+			t.Fatal("connection handed out the same buffer twice")
 		}
 	})
 }

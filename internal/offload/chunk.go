@@ -208,10 +208,9 @@ type ChunkedSession interface {
 	PushChunks(p *sim.Proc, offer ChunkOffer, missing []uint64) error
 }
 
-// Wire carriers: chunk frames ride the existing exported Frame shape (an
-// ExecRequest payload) so the legacy gob stream's type descriptors — and
-// therefore its golden bytes — are untouched; the binary codec gives the
-// same carriers first-class discriminators. Field mapping:
+// Wire carriers: chunk frames ride the Frame's ExecRequest payload slot
+// rather than growing Frame by two more pointer fields; on the wire they
+// have their own kind bytes and carry only the fields below. Field mapping:
 //
 //	Exec.AID        = offer/need AID
 //	Exec.App        = offer App (offers only)

@@ -106,53 +106,49 @@ func TestPackHashesRoundTrip(t *testing.T) {
 	}
 }
 
-// Chunk frames must round-trip over both wire codecs.
+// Chunk frames must round-trip over the wire codec.
 func TestChunkFramesRoundTrip(t *testing.T) {
 	offer := ChunkOffer{AID: "abc12345", App: "ChessGame", Size: 2300 * host.KB, Seq: 7,
 		Hashes: SyntheticManifest("ChessGame", 2300*host.KB)}
 	need := ChunkNeed{Seq: 7, AID: "abc12345", Supported: true, Missing: offer.Hashes[:3]}
-	for _, wire := range []Wire{WireGob, WireBinary} {
-		var buf bytes.Buffer
-		send := NewConnWire(&buf, wire)
-		recv := NewConnWire(&buf, WireAuto)
-		if err := send.Send(ChunkOfferFrame(&offer)); err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		f, err := recv.Recv()
-		if err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		got, err := DecodeChunkOffer(f)
-		if err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		if !reflect.DeepEqual(got, offer) {
-			t.Fatalf("%s: offer round trip = %+v, want %+v", wire, got, offer)
-		}
-		if err := send.Send(ChunkNeedFrame(&need)); err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		f, err = recv.Recv()
-		if err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		gotNeed, err := DecodeChunkNeed(f)
-		if err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		if !reflect.DeepEqual(gotNeed, need) {
-			t.Fatalf("%s: need round trip = %+v, want %+v", wire, gotNeed, need)
-		}
+	var stream bytes.Buffer
+	send := NewConn(&stream)
+	recv := NewConn(&stream)
+	if err := send.Send(ChunkOfferFrame(&offer)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := recv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeChunkOffer(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, offer) {
+		t.Fatalf("offer round trip = %+v, want %+v", got, offer)
+	}
+	if err := send.Send(ChunkNeedFrame(&need)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = recv.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	gotNeed, err := DecodeChunkNeed(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotNeed, need) {
+		t.Fatalf("need round trip = %+v, want %+v", gotNeed, need)
 	}
 	// An unsupported reply must survive with nil Missing.
 	no := ChunkNeed{Seq: 3, AID: "x"}
 	var buf bytes.Buffer
-	c := NewConnWire(&buf, WireBinary)
+	c := NewConn(&buf)
 	if err := c.Send(ChunkNeedFrame(&no)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewConnWire(&buf, WireAuto).Recv()
-	if err != nil {
+	if f, err = NewConn(&buf).Recv(); err != nil {
 		t.Fatal(err)
 	}
 	gotNo, err := DecodeChunkNeed(f)

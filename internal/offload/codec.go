@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,39 +11,31 @@ import (
 )
 
 // The real-time wire protocol used by cmd/rattrapd and cmd/rattrap-client:
-// length-prefixed gob messages over a stream. The simulated path models
-// the same exchange with netsim transfer sizes; the message *types* are
-// shared so both paths speak the identical protocol.
+// length-prefixed messages over a stream. The simulated path models the
+// same exchange with netsim transfer sizes; the message *types* are shared
+// so both paths speak the identical protocol.
 //
-// Each frame is one uvarint byte length followed by that many bytes of
-// gob-encoded Frame. The explicit length prefix exists so the receiver
-// can reject an oversize frame *before* allocating for it: a bare gob
-// stream accepts an attacker-controlled declared message size and
-// allocates up to its internal 1 GiB ceiling from a single malicious
-// frame. With the prefix, anything above the connection's frame limit is
-// refused with ErrFrameTooLarge at the cost of one uvarint read.
+// Each frame is one uvarint byte length followed by that many payload
+// bytes in the flat binary layout of binary.go — the only payload codec.
+// The explicit length prefix exists so the receiver can reject an oversize
+// frame *before* allocating for it: anything above the connection's frame
+// limit is refused with ErrFrameTooLarge at the cost of one uvarint read.
 //
 // # Pooled wire path
 //
 // The codec is allocation-lean on the per-frame hot path:
 //
-//   - One gob.Encoder and one gob.Decoder persist for the Conn's lifetime.
-//     Gob streams carry their type definitions once up front, so the first
-//     frame in each direction pays the descriptor bytes and every later
-//     frame is value-only — smaller on the wire and cheaper to code. A
-//     fresh encoder per frame (the old scheme) re-sent the descriptors and
-//     re-allocated the engine state on every Send.
 //   - The encode scratch buffer (sendBuf) lives on the Conn and is Reset
 //     between frames; a warm Send performs zero heap allocations (gated by
 //     TestFrameEncodeZeroAlloc).
 //   - Recv payload buffers come from a package-level sync.Pool shared by
-//     all connections. Gob copies decoded data out of the scratch buffer,
-//     so the buffer is recycled as soon as Decode returns.
+//     all connections. Decode is zero-copy (see binary.go), so the buffer
+//     stays with the Conn until the next Recv or a TakeRecvBuf.
 //
-// The price of the persistent stream state: a Conn whose Send or Recv
-// returned an error is poisoned (the two sides' descriptor state may have
-// diverged) and must be dropped, not reused. Every caller in this repo
-// already treats codec errors as connection-fatal.
+// A Conn whose Send or Recv returned an error is poisoned and must be
+// dropped, not reused: after a failed write or a rejected frame the two
+// sides no longer agree on where the next frame starts. Every caller in
+// this repo already treats codec errors as connection-fatal.
 
 // DefaultMaxFrame bounds a single frame's encoded size. Code pushes carry
 // metadata (the blob itself is modeled by size), and Params payloads are
@@ -68,7 +59,7 @@ const (
 
 	// Chunked delta-push negotiation (PushCode's content-addressed fast
 	// path). Both ride the Exec carrier — see the wire-carrier notes in
-	// chunk.go — so the gob stream's type descriptors stay frozen.
+	// chunk.go.
 	KindChunkOffer Kind = "chunkoffer"
 	KindChunkNeed  Kind = "chunkneed"
 )
@@ -77,23 +68,13 @@ const (
 type Hello struct {
 	DeviceID string
 
-	// wireVersion is the binary wire version the client advertises in its
-	// handshake. Unexported so it never enters the gob encoding: gob type
-	// descriptors cover every exported field, and adding one would change
-	// the bytes of the legacy stream (the golden test pins them). The
-	// binary codec carries it explicitly; on the gob fallback it is
-	// implicitly zero ("gob only").
+	// wireVersion is the wire version the client advertises in its
+	// handshake. Unexported because no caller has to choose it: the encoder
+	// fills in BinaryWireVersion when it is unset.
 	wireVersion int
 }
 
-// SetWireVersion records the advertised binary wire version. The binary
-// encoder fills in BinaryWireVersion automatically when unset, so only
-// tests exercising version skew need this.
-func (h *Hello) SetWireVersion(v int) { h.wireVersion = v }
-
-// WireVersion reports the binary wire version the peer advertised in its
-// hello: 0 for a gob handshake, BinaryWireVersion for a current binary
-// client.
+// WireVersion reports the wire version the peer advertised in its hello.
 func (h Hello) WireVersion() int { return h.wireVersion }
 
 // NeedCode asks the device to transfer mobile code. Seq identifies which
@@ -158,32 +139,6 @@ var recvBufPool = sync.Pool{New: func() any {
 // maxPooledBuf caps the capacity of buffers returned to recvBufPool.
 const maxPooledBuf = 64 << 10
 
-// frameReader serves one frame's payload bytes to the persistent gob
-// decoder. It implements io.ByteReader so gob does not wrap it in a
-// bufio.Reader (which would read ahead across frame boundaries).
-type frameReader struct {
-	buf []byte
-	pos int
-}
-
-func (r *frameReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.buf[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *frameReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, io.EOF
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
 // Conn frames protocol messages over a byte stream. Conn methods are not
 // safe for concurrent use: pipelined callers must funnel all Sends through
 // one writer goroutine and all Recvs through one reader goroutine (the
@@ -193,21 +148,8 @@ type Conn struct {
 	w        io.Writer
 	maxFrame int
 
-	// wire is the constructor's codec selection; see the Wire constants.
-	// sendBinary resolves the send codec (for WireAuto it flips to true
-	// when the peer's first frame sniffs as binary). recvWire pins the
-	// receive codec after the first frame: 0 unsniffed, 'g' gob, 'b'
-	// binary.
-	wire       Wire
-	sendBinary bool
-	recvWire   byte
-
-	// Send-side persistent state: the gob stream encoder, its scratch
-	// buffer, and a scratch Frame that keeps the encoded value off the
-	// heap (passing a stack &f to Encode would escape per call).
-	enc        *gob.Encoder
+	// Send-side state: the payload scratch buffer and the varint scratch.
 	sendBuf    bytes.Buffer
-	sendFrame  Frame
 	lenBuf     [binary.MaxVarintLen64]byte
 	sendBroken bool
 
@@ -219,16 +161,10 @@ type Conn struct {
 	pend     []byte
 	coalesce bool
 
-	// Recv-side persistent state: the gob stream decoder and the reader
-	// it drains the current frame from.
-	dec        *gob.Decoder
-	recvSrc    frameReader
+	// Receive state: the buffer backing the last frame's byte views (nil
+	// once taken via TakeRecvBuf), the scratch payload structs the decoded
+	// frame points into, and the string intern table.
 	recvBroken bool
-
-	// Binary-codec receive state: the buffer backing the last binary
-	// frame's byte views (nil once taken via TakeRecvBuf or in gob mode),
-	// the scratch payload structs the decoded frame points into, and the
-	// string intern table.
 	held       *[]byte
 	intern     map[string]string
 	recvHello  Hello
@@ -239,64 +175,43 @@ type Conn struct {
 }
 
 // NewConn wraps a stream (e.g. a net.Conn) in the protocol codec with the
-// default frame-size limit, speaking the legacy gob codec (WireGob) — the
-// bytes it produces are identical to every pre-binary-codec release.
+// default frame-size limit.
 func NewConn(rw io.ReadWriter) *Conn { return NewConnLimit(rw, DefaultMaxFrame) }
 
 // NewConnLimit wraps a stream with an explicit frame-size limit.
 // maxFrame <= 0 selects DefaultMaxFrame.
 func NewConnLimit(rw io.ReadWriter, maxFrame int) *Conn {
-	return NewConnWireLimit(rw, WireGob, maxFrame)
-}
-
-// NewConnWire wraps a stream with an explicit codec selection and the
-// default frame-size limit.
-func NewConnWire(rw io.ReadWriter, w Wire) *Conn {
-	return NewConnWireLimit(rw, w, DefaultMaxFrame)
-}
-
-// NewConnWireLimit wraps a stream with an explicit codec selection and
-// frame-size limit. maxFrame <= 0 selects DefaultMaxFrame; an empty or
-// unknown Wire selects WireAuto.
-func NewConnWireLimit(rw io.ReadWriter, w Wire, maxFrame int) *Conn {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	if w != WireGob && w != WireBinary {
-		w = WireAuto
-	}
-	c := &Conn{r: bufio.NewReader(rw), w: rw, maxFrame: maxFrame, wire: w}
-	c.sendBinary = w == WireBinary
-	c.enc = gob.NewEncoder(&c.sendBuf)
-	c.dec = gob.NewDecoder(&c.recvSrc)
-	return c
+	return &Conn{r: bufio.NewReader(rw), w: rw, maxFrame: maxFrame}
 }
 
-// WireName reports the codec this connection currently sends with:
-// "gob" or "binary". For WireAuto it reads "gob" until the peer's first
-// frame negotiates binary.
-func (c *Conn) WireName() string {
-	if c.sendBinary {
-		return string(WireBinary)
-	}
-	return string(WireGob)
-}
+// Wire, its constants and NewConnWire are what is left of codec selection:
+// benchmark/adapter.go names them and is frozen for non-benchmark PRs. The
+// argument is ignored. Remove with the next benchmark PR.
+type Wire string
+
+const (
+	WireAuto   Wire = "auto"
+	WireBinary Wire = "binary"
+)
+
+func NewConnWire(rw io.ReadWriter, _ Wire) *Conn { return NewConn(rw) }
 
 // TakeRecvBuf transfers ownership of the read buffer backing the most
-// recently received binary frame's byte views out of the connection's
-// recycle path. Without it the views are invalidated by the next Recv;
-// see RecvBuf. Returns the zero RecvBuf when there is nothing to hand
-// over (gob frame, or no byte views outstanding).
+// recently received frame's byte views out of the connection's recycle
+// path. Without it the views are invalidated by the next Recv; see
+// RecvBuf. Returns the zero RecvBuf when there is nothing to hand over
+// (no frame received yet, or the buffer was already taken).
 func (c *Conn) TakeRecvBuf() RecvBuf {
 	b := RecvBuf{bp: c.held}
 	c.held = nil
 	return b
 }
 
-// Send writes one frame using the connection's send codec. After a
-// non-nil error the Conn's send side is poisoned and the connection must
-// be dropped: the persistent gob stream state may no longer agree with
-// the receiver's.
+// Send writes one frame. After a non-nil error the Conn's send side is
+// poisoned and the connection must be dropped.
 func (c *Conn) Send(f Frame) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -305,21 +220,12 @@ func (c *Conn) Send(f Frame) error {
 		return errors.New("offload: send on poisoned connection")
 	}
 	c.sendBuf.Reset()
-	if c.sendBinary {
-		if err := c.encodeBinary(&f); err != nil {
-			// Nothing was written to the stream; the frame was merely
-			// unencodable. State is still consistent, but poison anyway:
-			// callers treat codec errors as connection-fatal.
-			c.sendBroken = true
-			return err
-		}
-	} else {
-		c.sendFrame = f
-		if err := c.enc.Encode(&c.sendFrame); err != nil {
-			c.sendBroken = true
-			return err
-		}
-		c.sendFrame = Frame{} // don't pin payload pointers between sends
+	if err := c.encodeBinary(&f); err != nil {
+		// Nothing was written to the stream; the frame was merely
+		// unencodable. State is still consistent, but poison anyway:
+		// callers treat codec errors as connection-fatal.
+		c.sendBroken = true
+		return err
 	}
 	return c.flushSendBuf()
 }
@@ -331,17 +237,9 @@ func (c *Conn) SendResult(r *Result) error {
 	if c.sendBroken {
 		return errors.New("offload: send on poisoned connection")
 	}
-	if !c.sendBinary {
-		return c.Send(Frame{Kind: KindResult, Result: r})
-	}
 	c.sendBuf.Reset()
-	c.sendBuf.Write([]byte{binMagic, BinaryWireVersion, binKindResult, 0})
-	c.putString(r.Output)
-	c.putZig(int64(r.ResultBytes))
-	c.putString(r.Err)
-	c.putString(r.Code)
-	c.putZig(int64(r.RetryAfterMs))
-	c.putZig(int64(r.Seq))
+	c.putHeader(binKindResult, 0)
+	c.putResult(r)
 	return c.flushSendBuf()
 }
 
@@ -398,16 +296,14 @@ func (c *Conn) flushSendBuf() error {
 
 // Recv reads one frame. A frame whose declared size exceeds the
 // connection's limit is rejected with ErrFrameTooLarge before any
-// payload-sized allocation happens. The first received frame sniffs the
-// peer's codec (binary frames open with a magic byte no gob stream can
-// produce) and pins it for the connection's lifetime; under WireAuto the
-// send side mirrors the sniffed codec. After a non-nil error (other than
-// a clean io.EOF at a frame boundary) the Conn's receive side is
-// poisoned and the connection must be dropped.
+// payload-sized allocation happens; a payload that does not open with the
+// wire magic and a version this build speaks is rejected with a typed
+// *WireVersionError. After a non-nil error (other than a clean io.EOF at
+// a frame boundary) the Conn's receive side is poisoned and the
+// connection must be dropped.
 //
-// Binary frames decode zero-copy: the returned payload structs and byte
-// views are valid only until the next Recv (see TakeRecvBuf). Gob frames
-// are freshly allocated and independent of the connection.
+// Decode is zero-copy: the returned payload structs and byte views are
+// valid only until the next Recv (see TakeRecvBuf).
 func (c *Conn) Recv() (Frame, error) {
 	if c.recvBroken {
 		return Frame{}, errors.New("offload: recv on poisoned connection")
@@ -432,52 +328,19 @@ func (c *Conn) Recv() (Frame, error) {
 		*bp = make([]byte, size)
 	}
 	buf := (*bp)[:size]
-	putBuf := func() {
-		if cap(buf) <= maxPooledBuf {
-			*bp = buf[:0]
-			recvBufPool.Put(bp)
-		}
-	}
 	if _, err := io.ReadFull(c.r, buf); err != nil {
-		putBuf()
-		c.recvBroken = true
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, c.failRecv(bp, err)
 	}
-	if c.recvWire == 0 {
-		if err := c.sniffWire(buf); err != nil {
-			putBuf()
-			c.recvBroken = true
-			return Frame{}, err
-		}
-	}
-	if c.recvWire == 'b' {
-		f, err := c.decodeBinary(buf)
-		if err != nil {
-			putBuf()
-			c.recvBroken = true
-			return Frame{}, err
-		}
-		// Keep the buffer: the frame's byte views alias it. It is
-		// recycled on the next Recv unless the caller takes it.
-		c.held = bp
-		if err := f.Validate(); err != nil {
-			c.recvBroken = true
-			return Frame{}, err
-		}
-		return f, nil
-	}
-	c.recvSrc.buf, c.recvSrc.pos = buf, 0
-	var f Frame
-	err = c.dec.Decode(&f)
-	c.recvSrc.buf = nil
-	putBuf()
+	f, err := c.decodeBinary(buf)
 	if err != nil {
-		c.recvBroken = true
-		return Frame{}, err
+		return Frame{}, c.failRecv(bp, err)
 	}
+	// Keep the buffer: the frame's byte views alias it. It is recycled on
+	// the next Recv unless the caller takes it.
+	c.held = bp
 	if err := f.Validate(); err != nil {
 		c.recvBroken = true
 		return Frame{}, err
@@ -485,30 +348,9 @@ func (c *Conn) Recv() (Frame, error) {
 	return f, nil
 }
 
-// sniffWire pins the connection's receive codec from the first frame's
-// payload. A gob message can never start with the binary magic byte (see
-// binary.go), so one byte decides. WireGob connections refuse binary
-// frames with a typed *WireVersionError, as does any frame advertising a
-// wire version this build does not speak — the server turns both into a
-// protocol-error reply instead of a dropped connection.
-func (c *Conn) sniffWire(buf []byte) error {
-	if len(buf) >= 1 && buf[0] == binMagic {
-		var ver byte
-		if len(buf) >= 2 {
-			ver = buf[1]
-		}
-		if c.wire == WireGob {
-			return &WireVersionError{Version: ver, Refused: true}
-		}
-		if ver != BinaryWireVersion {
-			return &WireVersionError{Version: ver}
-		}
-		c.recvWire = 'b'
-		if c.wire == WireAuto {
-			c.sendBinary = true
-		}
-		return nil
-	}
-	c.recvWire = 'g'
-	return nil
+// failRecv recycles a rejected frame's buffer and poisons the receive side.
+func (c *Conn) failRecv(bp *[]byte, err error) error {
+	RecvBuf{bp: bp}.Release()
+	c.recvBroken = true
+	return err
 }

@@ -11,7 +11,7 @@ import (
 
 // TestCodecCapsDecodedFrameSize: a frame whose length prefix declares
 // more than the connection limit must be rejected with ErrFrameTooLarge
-// before any payload-sized allocation, not fed to the gob decoder.
+// before any payload-sized allocation, not fed to the decoder.
 func TestCodecCapsDecodedFrameSize(t *testing.T) {
 	var buf bytes.Buffer
 	var lenBuf [binary.MaxVarintLen64]byte

@@ -10,21 +10,30 @@ import (
 
 // FuzzFrameCodec throws arbitrary bytes at Conn.Recv. The codec must
 // never panic, never allocate beyond the frame limit, and — when the
-// input happens to be a valid frame — survive a re-encode round trip.
+// input happens to be a valid frame — reach a fix-point: decode → encode
+// → decode yields an equal frame.
 // Run with `go test -fuzz FuzzFrameCodec ./internal/offload/`
 // (ci.sh runs a short smoke pass).
 func FuzzFrameCodec(f *testing.F) {
-	// Seed corpus: one valid encoding of each frame kind, plus broken
-	// prefixes and garbage.
+	// Seed corpus: valid encodings covering all seven frame kinds, plus
+	// broken prefixes and garbage.
+	offer := ChunkOffer{AID: "abc", App: "ChessGame", Size: 200 * host.KB, Seq: 3,
+		Hashes: SyntheticManifest("ChessGame", 200*host.KB)}
+	need := ChunkNeed{AID: "abc", Seq: 3, Supported: true, Missing: offer.Hashes[:2]}
 	valid := []Frame{
 		{Kind: KindHello, Hello: &Hello{DeviceID: "phone-1"}},
 		{Kind: KindExec, Exec: &ExecRequest{
 			DeviceID: "phone-1", AID: "abc", App: "ChessGame", Method: "bestMove",
 			Seq: 3, Params: []byte{1, 2, 3}, ParamBytes: 122 * host.KB,
 		}},
+		{Kind: KindExec, Exec: &ExecRequest{AID: "x", Seq: -9, ParamBytes: -1, RoundTrips: -2}},
 		{Kind: KindNeedCode},
+		{Kind: KindNeedCode, NeedCode: &NeedCode{Seq: 3, AID: "abc"}},
 		{Kind: KindCode, Code: &CodePush{AID: "abc", App: "ChessGame", Size: 2300 * host.KB}},
-		{Kind: KindResult, Result: &Result{Output: "ok", ResultBytes: 7600, Code: CodeOverloaded, RetryAfterMs: 100}},
+		{Kind: KindResult, Result: &Result{Output: "ok", ResultBytes: 7600}},
+		{Kind: KindResult, Result: &Result{Err: "queue full", Code: CodeOverloaded, RetryAfterMs: 100}},
+		ChunkOfferFrame(&offer),
+		ChunkNeedFrame(&need),
 	}
 	for _, fr := range valid {
 		var buf bytes.Buffer
@@ -32,28 +41,22 @@ func FuzzFrameCodec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-		// The same frame in the binary codec, so the corpus explores both
-		// wire formats from the start.
-		var bbuf bytes.Buffer
-		if err := NewConnWire(&bbuf, WireBinary).Send(fr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bbuf.Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // huge uvarint
 	f.Add([]byte{0x05, 0x01, 0x02})                                           // truncated payload
 	f.Add([]byte{0x00})                                                       // zero-length frame
-	f.Add([]byte{0x04, binMagic, BinaryWireVersion, binKindHello, 0x00})      // short binary hello
-	f.Add([]byte{0x02, binMagic, 0x07})                                       // unknown binary version
-	f.Add([]byte{0x03, binMagic, BinaryWireVersion, 0x63})                    // unknown binary kind
+	f.Add([]byte{0x04, binMagic, BinaryWireVersion, binKindHello, 0x00})      // short hello
+	f.Add([]byte{0x02, binMagic, 0x07})                                       // unknown wire version
+	f.Add([]byte{0x03, binMagic, BinaryWireVersion, 0x63})                    // unknown kind
+	f.Add([]byte{0x05, 0x37, 0xff, 0x81, 0x03, 0x01})                         // no magic: a gob stream's opening bytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
-		c := NewConnWireLimit(struct {
+		c := NewConnLimit(struct {
 			io.Reader
 			io.Writer
-		}{bytes.NewReader(data), io.Discard}, WireAuto, limit)
+		}{bytes.NewReader(data), io.Discard}, limit)
 		fr, err := c.Recv()
 		if err != nil {
 			return // malformed input must error, not panic
@@ -61,53 +64,22 @@ func FuzzFrameCodec(f *testing.F) {
 		if err := fr.Validate(); err != nil {
 			t.Fatalf("Recv returned an invalid frame: %v", err)
 		}
-		// A binary frame's payload aliases the connection's scratch; copy
-		// it out so the replays below can't invalidate it.
+		// The frame's payload aliases the connection's scratch; copy it
+		// out so the replays below can't invalidate it.
 		fr = cloneFrame(fr)
 
-		// Cross-codec semantic equality: whatever decoded — from either
-		// codec — must round-trip through gob AND through the binary codec
-		// to frames that compare equal. This pins the two codecs to one
-		// semantic model of Frame.
-		crossCheck := func(w Wire) Frame {
-			var buf bytes.Buffer
-			cc := NewConnWireLimit(&buf, w, limit)
-			if err := cc.Send(fr); err != nil {
-				t.Fatalf("%s re-encode failed: %v", w, err)
-			}
-			got, err := NewConnWireLimit(struct {
-				io.Reader
-				io.Writer
-			}{&buf, io.Discard}, WireAuto, limit).Recv()
-			if err != nil {
-				t.Fatalf("%s re-decode failed: %v", w, err)
-			}
-			return cloneFrame(got)
-		}
-		viaGob := crossCheck(WireGob)
-		viaBin := crossCheck(WireBinary)
-		if !framesEqual(fr, viaGob) {
-			t.Fatalf("gob round trip changed the frame:\nin  %+v\nout %+v", fr, viaGob)
-		}
-		if !framesEqual(fr, viaBin) {
-			t.Fatalf("binary round trip changed the frame:\nin  %+v\nout %+v", fr, viaBin)
-		}
-		if !framesEqual(viaGob, viaBin) {
-			t.Fatalf("codecs disagree after round trip:\ngob    %+v\nbinary %+v", viaGob, viaBin)
-		}
-		// Round trip: what decoded must re-encode and decode identically
-		// at the kind level.
+		// Fix-point: what decoded must re-encode and decode to an equal
+		// frame, on a fresh connection pair.
 		var buf bytes.Buffer
-		rt := NewConnLimit(&buf, limit)
-		if err := rt.Send(fr); err != nil {
+		if err := NewConnLimit(&buf, limit).Send(fr); err != nil {
 			t.Fatalf("re-encoding a decoded frame failed: %v", err)
 		}
-		back, err := rt.Recv()
+		back, err := NewConnLimit(&buf, limit).Recv()
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
-		if back.Kind != fr.Kind {
-			t.Fatalf("round trip changed kind: %s -> %s", fr.Kind, back.Kind)
+		if !framesEqual(fr, back) {
+			t.Fatalf("round trip changed the frame:\nin  %+v\nout %+v", fr, back)
 		}
 
 		// Pooled-path exercise: run the same frame through one persistent

@@ -10,8 +10,8 @@ import (
 	"rattrap/internal/host"
 )
 
-// TestFrameEncodeZeroAlloc gates the pooled wire path: once the gob
-// stream is warm (type descriptors sent), encoding a frame must not touch
+// TestFrameEncodeZeroAlloc gates the pooled wire path: once the
+// connection's scratch buffers are sized, encoding a frame must not touch
 // the heap.
 func TestFrameEncodeZeroAlloc(t *testing.T) {
 	c := NewConn(struct {
@@ -23,7 +23,7 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 		Seq: 3, Params: []byte{1, 2, 3}, ParamBytes: 122 * host.KB,
 	}
 	f := Frame{Kind: KindExec, Exec: exec}
-	// Warm-up: first Send carries the type descriptors and may allocate.
+	// Warm-up: the first Sends grow the scratch buffers and may allocate.
 	for i := 0; i < 4; i++ {
 		if err := c.Send(f); err != nil {
 			t.Fatal(err)
@@ -40,9 +40,9 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 }
 
 // TestCodecPersistentStream pushes many frames of every kind through one
-// connection in both directions. The persistent encoder/decoder pair must
-// stay frame-aligned for the stream's whole life, and recycled pool
-// buffers must never leak one frame's bytes into another's decode.
+// connection in both directions. Sender and receiver must stay
+// frame-aligned for the stream's whole life, and recycled pool buffers
+// must never leak one frame's bytes into another's decode.
 func TestCodecPersistentStream(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
@@ -87,8 +87,8 @@ func TestCodecPersistentStream(t *testing.T) {
 }
 
 // TestCodecPoisonedAfterError: a Conn that returned a codec error must
-// refuse further use on that side — the persistent stream state may have
-// diverged from the peer's.
+// refuse further use on that side — the two ends may no longer agree on
+// where the next frame starts.
 func TestCodecPoisonedAfterError(t *testing.T) {
 	t.Run("send", func(t *testing.T) {
 		var buf bytes.Buffer

@@ -47,17 +47,17 @@ type ExecRequest struct {
 	InteractBytes host.Bytes
 
 	// span carries the request's observability span through the platform.
-	// Unexported so it never crosses the gob wire — each side of a real
-	// connection owns its own span; in-process calls (simulations, the
-	// realtime server handing a decoded request to core) pass it through.
+	// Unexported and never encoded: each side of a real connection owns
+	// its own span; in-process calls (simulations, the realtime server
+	// handing a decoded request to core) pass it through.
 	span *obs.Span
 
 	// pre carries an ahead-of-time execution of the request's task (see
 	// workload.Precomputed). Unexported for the same reason as span: it is
-	// cloud-internal and must never change the wire encoding. The realtime
-	// server runs the real computation on the request's own goroutine —
-	// outside the serialized engine — and the runtime returns this result
-	// instead of recomputing under the engine lock.
+	// cloud-internal and never on the wire. The realtime server runs the
+	// real computation on the request's own goroutine — outside the
+	// serialized engine — and the runtime returns this result instead of
+	// recomputing under the engine lock.
 	pre *workload.Precomputed
 
 	// abort is the request's cancellation signal: when it fires, a

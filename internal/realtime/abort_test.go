@@ -171,7 +171,7 @@ func TestShardedAutoscaleConcurrent(t *testing.T) {
 	// The DB census is no good for counting here — the control loops
 	// reclaim idle runtimes (and their records) as soon as the load
 	// stops — so count served requests at the server's histogram.
-	if n := srv.Latency().Count(); n != devices*requests {
+	if n := waitLatencyCount(srv, devices*requests); n != devices*requests {
 		t.Fatalf("latency observations = %d, want %d", n, devices*requests)
 	}
 

@@ -81,18 +81,13 @@ func (bc *benchClient) roundtrip(b *testing.B, seq int) {
 }
 
 // benchSpeed runs virtual time fast enough that the engine-side task cost
-// is small and the measured number is dominated by dispatch latency —
-// the quantity the event-driven driver exists to fix.
+// is small and the measured number is dominated by dispatch latency.
 const benchSpeed = 20000
 
-func benchmarkRoundtrip(b *testing.B, ticker bool) {
-	cfg := core.DefaultConfig(core.KindRattrap)
-	var srv *Server
-	if ticker {
-		srv = NewTickerServer(cfg, benchSpeed, nil)
-	} else {
-		srv = NewServer(cfg, benchSpeed, nil)
-	}
+// BenchmarkRealtimeRoundtrip measures a warehouse-hit exec request over
+// loopback TCP.
+func BenchmarkRealtimeRoundtrip(b *testing.B) {
+	srv := NewServer(core.DefaultConfig(core.KindRattrap), benchSpeed, nil)
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -116,13 +111,6 @@ func benchmarkRoundtrip(b *testing.B, ticker bool) {
 	b.ReportMetric(float64(p99.Microseconds()), "p99-us")
 }
 
-// BenchmarkRealtimeRoundtrip measures a warehouse-hit exec request over
-// loopback TCP: event-driven pacing versus the legacy 2 ms ticker.
-func BenchmarkRealtimeRoundtrip(b *testing.B) {
-	b.Run("event", func(b *testing.B) { benchmarkRoundtrip(b, false) })
-	b.Run("ticker", func(b *testing.B) { benchmarkRoundtrip(b, true) })
-}
-
 // The throughput benchmark wants a request whose *paced* virtual cost
 // (the exec sleep, which overlapping requests share) dominates its
 // serialized dispatch overhead, while the real factorization stays cheap:
@@ -136,7 +124,7 @@ const (
 	throughputOrder = 64
 )
 
-func benchmarkThroughput(b *testing.B, depth int, wire offload.Wire) {
+func benchmarkThroughput(b *testing.B, depth int) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.IdleTimeout = 0
 	srv := NewServerOpts(cfg, throughputSpeed, nil, Options{PipelineDepth: depth})
@@ -156,7 +144,7 @@ func benchmarkThroughput(b *testing.B, depth int, wire offload.Wire) {
 	app, _ := workload.ByName(workload.NameLinpack)
 	aid := offload.AID(app.Name(), app.CodeSize())
 	params := linpackParams(b, throughputOrder)
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, wire), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},
@@ -194,16 +182,10 @@ func benchmarkThroughput(b *testing.B, depth int, wire offload.Wire) {
 }
 
 // BenchmarkServerThroughput measures closed-loop requests/sec over one
-// connection: serial (depth 1) versus pipelined (depth 8), on each wire
-// codec. Pipelining overlaps the dispatch injections and wire I/O of up
-// to 8 requests, so depth 8 should sustain a multiple of the serial
-// request rate; the binary codec strips the gob reflection and per-frame
-// allocation off the same path.
+// connection: serial (depth 1) versus pipelined (depth 8). Pipelining
+// overlaps the dispatch injections and wire I/O of up to 8 requests, so
+// depth 8 should sustain a multiple of the serial request rate.
 func BenchmarkServerThroughput(b *testing.B) {
-	for _, wire := range []offload.Wire{offload.WireGob, offload.WireBinary} {
-		b.Run(string(wire), func(b *testing.B) {
-			b.Run("depth1", func(b *testing.B) { benchmarkThroughput(b, 1, wire) })
-			b.Run("depth8", func(b *testing.B) { benchmarkThroughput(b, 8, wire) })
-		})
-	}
+	b.Run("depth1", func(b *testing.B) { benchmarkThroughput(b, 1) })
+	b.Run("depth8", func(b *testing.B) { benchmarkThroughput(b, 8) })
 }

@@ -74,7 +74,7 @@ func TestServerChunkedDeltaPush(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.ChunkedPush = true
 	_, ln := startServerCfg(t, cfg, Options{})
-	_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "delta-dev")
+	_, c := helloOverWire(t, ln.Addr().String(), "delta-dev")
 
 	size1 := 5 * host.MB
 	offer1, need1, res1 := chunkExchange(t, c, app, 0, size1)
@@ -112,7 +112,7 @@ func TestServerDegenerateChunkOffer(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.ChunkedPush = true
 	_, ln := startServerCfg(t, cfg, Options{})
-	_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "degen-dev")
+	_, c := helloOverWire(t, ln.Addr().String(), "degen-dev")
 
 	// No hashes at all.
 	size1 := 5 * host.MB
@@ -142,7 +142,7 @@ func TestServerDegenerateChunkOffer(t *testing.T) {
 func TestServerChunkOfferFallback(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 	_, ln := startServerOpts(t, Options{}) // default config: ChunkedPush off
-	_, c := helloOverWire(t, ln.Addr().String(), offload.WireGob, "fallback-dev")
+	_, c := helloOverWire(t, ln.Addr().String(), "fallback-dev")
 
 	_, need, res := chunkExchange(t, c, app, 0, app.CodeSize())
 	if need.Supported {

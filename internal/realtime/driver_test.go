@@ -74,8 +74,7 @@ func (c *fakeClock) armed() int {
 // TestDriverWakeOnInjectNotTickQuantized is the fake-clock pacing test:
 // with the wall clock frozen solid — no tick, no timer can ever fire — a
 // zero-virtual-time injection must still complete, because the injector
-// drains due work synchronously. Under the old 2 ms ticker loop this
-// would hang forever.
+// drains due work synchronously. A tick-driven loop would hang forever.
 func TestDriverWakeOnInjectNotTickQuantized(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := NewDriver(e, 1)
@@ -161,9 +160,7 @@ func TestDriverPacesInlineSleeps(t *testing.T) {
 	}
 }
 
-// TestDriverIdleHoldsNoTimer: an idle event-driven driver performs zero
-// timer wakeups — the "no ticker" acceptance criterion. The ticker
-// baseline burns them constantly, which keeps the comparison honest.
+// TestDriverIdleHoldsNoTimer: an idle driver performs zero timer wakeups.
 func TestDriverIdleHoldsNoTimer(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := NewDriver(e, 1)
@@ -175,20 +172,11 @@ func TestDriverIdleHoldsNoTimer(t *testing.T) {
 		t.Fatalf("idle driver fired %d timer wakeups, want 0", w)
 	}
 	d.Stop()
-
-	te := sim.NewEngine(1)
-	td := NewTickerDriver(te, 1)
-	td.Start()
-	time.Sleep(60 * time.Millisecond)
-	td.Stop()
-	if td.TimerWakeups() == 0 {
-		t.Fatal("ticker baseline reported no wakeups; instrumentation broken")
-	}
 }
 
 // TestDriverZeroTimeDoLatency: 100 back-to-back zero-virtual-time Do
-// calls must complete far faster than one tick each (the old loop's
-// floor was ~2 ms per engine interaction).
+// calls must complete far faster than a polling loop's tick each (a 2 ms
+// ticker floors every engine interaction at ~2 ms).
 func TestDriverZeroTimeDoLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := NewDriver(e, 1)

@@ -69,7 +69,7 @@ func TestServerPipelinedRequests(t *testing.T) {
 			t.Fatalf("seq mismatch: %d vs %+v", seq, r)
 		}
 	}
-	if n := srv.Latency().Count(); n != total {
+	if n := waitLatencyCount(srv, total); n != total {
 		t.Fatalf("latency observations = %d, want %d", n, total)
 	}
 	if execs := srv.Platform().DB().Snapshot().TotalExec; execs != total {
@@ -91,7 +91,7 @@ func TestServerPipelineDepthOne(t *testing.T) {
 	if !needed {
 		t.Fatal("cold start should have asked for code")
 	}
-	if n := srv.Latency().Count(); n != 1 {
+	if n := waitLatencyCount(srv, 1); n != 1 {
 		t.Fatalf("latency observations = %d, want 1", n)
 	}
 }

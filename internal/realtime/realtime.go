@@ -23,10 +23,10 @@
 // The Driver owns its engine. After Start, every interaction with the
 // engine (and with anything living on it: the platform, sessions,
 // signals) must happen either inside the driver's loop or inside a
-// function passed to Inject/Do — all of which run with the driver's mutex
-// held. Calling Driver methods (Inject, Do, Now, Stop) from *inside* an
-// injected function deadlocks by construction; injected code must use the
-// sim.Proc it is handed instead.
+// function passed to Do — all of which run with the driver's mutex held.
+// Calling Driver methods (Do, Now, Stop) from *inside* an injected function
+// deadlocks by construction; injected code must use the sim.Proc it is
+// handed instead.
 package realtime
 
 import (
@@ -124,8 +124,8 @@ func (c *realClock) Timer(d time.Duration) (<-chan time.Time, func()) {
 }
 
 // Driver advances an engine in step with the wall clock. All interaction
-// with the engine (and anything living on it) must go through Inject/Do;
-// see the package comment for the ownership invariant.
+// with the engine (and anything living on it) must go through Do; see the
+// package comment for the ownership invariant.
 type Driver struct {
 	mu      sync.Mutex
 	e       *sim.Engine
@@ -139,11 +139,6 @@ type Driver struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-
-	// ticker selects the legacy poll-based loop (2 ms quantum). It is kept
-	// only as the baseline for BenchmarkRealtimeRoundtrip and
-	// `rattrap-bench -realtime`; new code should never set it.
-	ticker bool
 
 	// timerWakeups counts loop iterations caused by a timer firing —
 	// the observable for "no wakeups while idle".
@@ -166,23 +161,9 @@ func NewDriver(e *sim.Engine, speed float64) *Driver {
 	}
 }
 
-// NewTickerDriver wraps e with the legacy 2 ms polling loop. It exists so
-// benchmarks can measure the event-driven loop against the architecture
-// it replaced; it quantizes every engine interaction to the tick and
-// burns a wakeup every 2 ms even when idle.
-func NewTickerDriver(e *sim.Engine, speed float64) *Driver {
-	d := NewDriver(e, speed)
-	d.ticker = true
-	return d
-}
-
 // Start begins pacing. The engine's virtual time zero is "now".
 func (d *Driver) Start() {
 	d.started = d.clk.Now()
-	if d.ticker {
-		go d.tickerLoop()
-		return
-	}
 	go d.loop()
 }
 
@@ -246,24 +227,6 @@ func (d *Driver) loop() {
 	}
 }
 
-// tickerLoop is the legacy poll-based pacer (baseline only).
-func (d *Driver) tickerLoop() {
-	defer close(d.done)
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
-			d.timerWakeups.Add(1)
-			d.mu.Lock()
-			d.advanceLocked()
-			d.mu.Unlock()
-		}
-	}
-}
-
 // kick wakes the loop so it re-plans its sleep after the event queue
 // changed. The channel has capacity 1; a pending kick already covers us.
 func (d *Driver) kick() {
@@ -280,69 +243,45 @@ func (d *Driver) Stop() {
 }
 
 // TimerWakeups reports how many times the pacing loop woke because a
-// timer fired. An idle event-driven driver holds at zero; the ticker
-// baseline accumulates ~500/s regardless of load.
+// timer fired. An idle driver holds at zero.
 func (d *Driver) TimerWakeups() int64 { return d.timerWakeups.Load() }
-
-// inject spawns fn under the mutex and synchronously drains all work that
-// is due at the current wall target — including fn itself and everything
-// it does in zero virtual time. The critical section covers exactly the
-// engine interaction; channel/closure setup stays outside it.
-func (d *Driver) inject(name string, fn func(p *sim.Proc)) {
-	d.mu.Lock()
-	d.e.Spawn(name, fn)
-	if !d.ticker {
-		d.advanceLocked()
-	}
-	d.mu.Unlock()
-	if !d.ticker {
-		// The spawned proc may have scheduled future events; make the loop
-		// re-plan its sleep around them.
-		d.kick()
-	}
-}
-
-// Inject runs fn as a simulated process and returns a channel that closes
-// when the process finishes. Callers block on the channel from ordinary
-// goroutines; the process itself runs under the driver's pacing, so its
-// virtual-time costs (boots, transfers, compute) take real time. Work
-// that is due immediately runs before Inject returns, on the calling
-// goroutine.
-func (d *Driver) Inject(name string, fn func(p *sim.Proc)) <-chan struct{} {
-	ch := make(chan struct{})
-	d.inject(name, func(p *sim.Proc) {
-		defer close(ch)
-		fn(p)
-	})
-	return ch
-}
 
 // donePool recycles completion channels across Do calls. A channel is
 // signalled with a buffered send (not a close), received exactly once,
 // and is then empty again — safe to reuse.
 var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// Do injects fn and waits for it to complete. Unlike Inject it allocates
-// nothing on the hot path: the completion channel comes from a pool.
+// Do runs fn as a simulated process and waits for it to complete. The
+// process runs under the driver's pacing, so its virtual-time costs (boots,
+// transfers, compute) take real time; work that is due immediately —
+// including fn itself and everything it does in zero virtual time — is
+// drained synchronously on the calling goroutine. The critical section
+// covers exactly the engine interaction (closure setup stays outside it),
+// and the completion channel comes from a pool, not a per-call make.
 func (d *Driver) Do(name string, fn func(p *sim.Proc)) {
 	ch := donePool.Get().(chan struct{})
-	d.inject(name, func(p *sim.Proc) {
+	run := func(p *sim.Proc) {
 		defer func() { ch <- struct{}{} }()
 		fn(p)
-	})
+	}
+	d.mu.Lock()
+	d.e.Spawn(name, run)
+	d.advanceLocked()
+	d.mu.Unlock()
+	// The spawned proc may have scheduled future events; make the loop
+	// re-plan its sleep around them.
+	d.kick()
 	<-ch
 	donePool.Put(ch)
 }
 
 // Now returns the engine's current virtual time, advancing the engine to
 // the present wall target first so the reading tracks the wall clock even
-// while the loop sleeps toward a distant event. Like Inject, it must not
-// be called from inside an injected function.
+// while the loop sleeps toward a distant event. Like Do, it must not be
+// called from inside an injected function.
 func (d *Driver) Now() sim.Time {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.ticker {
-		d.advanceLocked()
-	}
+	d.advanceLocked()
 	return d.e.Now()
 }

@@ -19,9 +19,13 @@ func TestDriverPacesVirtualTime(t *testing.T) {
 	d := NewDriver(e, 50) // 50x so the test stays fast
 	d.Start()
 	defer d.Stop()
-	done := d.Inject("sleeper", func(p *sim.Proc) {
-		p.Sleep(500 * time.Millisecond) // 10ms wall at 50x
-	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Do("sleeper", func(p *sim.Proc) {
+			p.Sleep(500 * time.Millisecond) // 10ms wall at 50x
+		})
+	}()
 	select {
 	case <-done:
 	case <-time.After(3 * time.Second):
@@ -260,8 +264,8 @@ func TestServerRecordsLatency(t *testing.T) {
 		}
 	}
 	h := srv.Latency()
-	if h.Count() != 3 {
-		t.Fatalf("latency observations = %d, want 3", h.Count())
+	if n := waitLatencyCount(srv, 3); n != 3 {
+		t.Fatalf("latency observations = %d, want 3", n)
 	}
 	if h.Quantile(0.5) <= 0 || h.Max() <= 0 {
 		t.Fatalf("degenerate histogram: %s", h)

@@ -24,6 +24,20 @@ func startServerOpts(t *testing.T, opts Options) (*Server, net.Listener) {
 	return srv, ln
 }
 
+// waitLatencyCount returns the server's latency-observation count once it
+// has reached want, or after a deadline if it never does. The connection
+// writer observes a request's latency (and counts its result) just *after*
+// flushing the result frame, so a client can have its reply in hand before
+// the count moves; a test asserting an exact count right behind a client
+// must wait for it here instead of reading it directly.
+func waitLatencyCount(srv *Server, want int64) int64 {
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Latency().Count() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return srv.Latency().Count()
+}
+
 // TestSlowLorisReleasesSlot pins the tentpole's deadline behavior: a
 // device that asks for a slot, is told to push code, and then goes silent
 // must be cut off by the read deadline and its runtime slot released —
@@ -83,7 +97,7 @@ func TestSlowLorisReleasesSlot(t *testing.T) {
 	if res.Err != "" || res.Output == "" {
 		t.Fatalf("healthy request after loris cleanup: %+v", res)
 	}
-	if n := srv.Latency().Count(); n != 1 {
+	if n := waitLatencyCount(srv, 1); n != 1 {
 		t.Fatalf("latency observations = %d, want exactly the healthy request", n)
 	}
 }

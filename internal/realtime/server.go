@@ -54,12 +54,6 @@ type Options struct {
 	// on admission it stops reading frames (including code pushes) until a
 	// slot frees.
 	PipelineDepth int
-	// Wire selects the frame codec policy for accepted connections.
-	// The default (offload.WireAuto) sniffs each connection's first frame
-	// and mirrors the client's codec, so binary and legacy gob clients
-	// coexist. offload.WireGob pins the server to gob and refuses binary
-	// hellos with a typed protocol-error frame.
-	Wire offload.Wire
 	// Shards is how many platform shards the server runs (default 1).
 	// Each shard is a full single-node platform — its own engine, pacing
 	// driver, runtime pool, warehouse and admission bounds — and requests
@@ -97,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.Wire != offload.WireGob && o.Wire != offload.WireBinary {
-		o.Wire = offload.WireAuto
 	}
 	return o
 }
@@ -150,22 +141,11 @@ type Server struct {
 // NewServer builds a platform of the given kind and starts its pacing
 // driver with default Options. speed scales virtual time (1 = real time).
 func NewServer(cfg core.Config, speed float64, logger *log.Logger) *Server {
-	return newServer(cfg, speed, logger, false, Options{})
+	return NewServerOpts(cfg, speed, logger, Options{})
 }
 
 // NewServerOpts is NewServer with explicit robustness Options.
 func NewServerOpts(cfg core.Config, speed float64, logger *log.Logger, opts Options) *Server {
-	return newServer(cfg, speed, logger, false, opts)
-}
-
-// NewTickerServer is NewServer on the legacy poll-based driver. It exists
-// only so benchmarks can compare the event-driven pacing against the
-// architecture it replaced.
-func NewTickerServer(cfg core.Config, speed float64, logger *log.Logger) *Server {
-	return newServer(cfg, speed, logger, true, Options{})
-}
-
-func newServer(cfg core.Config, speed float64, logger *log.Logger, ticker bool, opts Options) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
@@ -185,12 +165,7 @@ func newServer(cfg core.Config, speed float64, logger *log.Logger, ticker bool, 
 			scfg.CIDPrefix = cluster.CIDPrefix(i)
 		}
 		pl := core.New(e, scfg)
-		var drv *Driver
-		if ticker {
-			drv = NewTickerDriver(e, speed)
-		} else {
-			drv = NewDriver(e, speed)
-		}
+		drv := NewDriver(e, speed)
 		drv.Start()
 		if opts.Shards > 1 {
 			pl.SetObsPrefixed(reg, cluster.ShardPrefix(i))
@@ -376,16 +351,13 @@ func (s *Server) sendProtocolError(conn net.Conn, c *offload.Conn, msg string) {
 	}})
 }
 
-// handle speaks the protocol with one device. The hello doubles as codec
-// negotiation: the connection sniffs the client's codec from the first
-// frame and (under WireAuto) mirrors it for replies. A hello the server
-// cannot speak — unknown binary wire version, or a binary hello against a
-// gob-pinned server — is answered with a typed protocol-error frame in
-// gob (the codec every client decodes) rather than a silent hangup.
-// After the hello the connection is handed to a connHandler, which
-// pipelines up to PipelineDepth requests concurrently.
+// handle speaks the protocol with one device. A first frame the server
+// cannot read — no wire magic (e.g. a client predating the binary wire) or
+// an unknown wire version — is answered with a typed protocol-error frame
+// rather than a silent hangup. After the hello the connection is handed to
+// a connHandler, which pipelines up to PipelineDepth requests concurrently.
 func (s *Server) handle(conn net.Conn) error {
-	c := offload.NewConnWireLimit(conn, s.opts.Wire, s.opts.MaxFrame)
+	c := offload.NewConnLimit(conn, s.opts.MaxFrame)
 	hello, err := s.recv(conn, c, s.opts.ReadTimeout)
 	if err != nil {
 		var wve *offload.WireVersionError
@@ -400,7 +372,7 @@ func (s *Server) handle(conn net.Conn) error {
 		return errors.New(msg)
 	}
 	dev := hello.Hello.DeviceID
-	s.log.Printf("device %s connected (wire %s)", dev, c.WireName())
+	s.log.Printf("device %s connected", dev)
 	// One abort signal per shard, fired when this connection tears down:
 	// any of the connection's requests still parked in a dispatcher wait
 	// ring returns ErrAborted instead of eventually claiming a runtime
@@ -530,9 +502,9 @@ func (h *connHandler) decodeLoop() error {
 				h.out <- outMsg{res: res, isResult: true, start: start}
 				continue
 			}
-			// On a binary connection req.Params aliases the codec's read
-			// buffer; take ownership so the next Recv cannot recycle it
-			// under the worker. The worker releases it when done.
+			// req.Params aliases the codec's read buffer; take ownership
+			// so the next Recv cannot recycle it under the worker. The
+			// worker releases it when done.
 			pin := h.c.TakeRecvBuf()
 			select {
 			case h.sem <- struct{}{}:

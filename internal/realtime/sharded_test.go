@@ -46,7 +46,7 @@ func TestServerShardedConcurrent(t *testing.T) {
 		}
 	}
 
-	if n := srv.Latency().Count(); n != devices*requests {
+	if n := waitLatencyCount(srv, devices*requests); n != devices*requests {
 		t.Fatalf("latency observations = %d, want %d", n, devices*requests)
 	}
 	// The unique AIDs must have spread the pool over several shards, and

@@ -11,19 +11,20 @@ import (
 
 	"rattrap/internal/cluster"
 	"rattrap/internal/offload"
+	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
 
-// helloOverWire dials addr and completes a hello on the given client
-// codec, returning the connection pair for the rest of the exchange.
-func helloOverWire(t *testing.T, addr string, wire offload.Wire, dev string) (net.Conn, *offload.Conn) {
+// helloOverWire dials addr and completes a hello, returning the connection
+// pair for the rest of the exchange.
+func helloOverWire(t *testing.T, addr, dev string) (net.Conn, *offload.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	c := offload.NewConnWire(conn, wire)
+	c := offload.NewConn(conn)
 	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: dev}}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,55 +64,20 @@ func execOnce(t *testing.T, c *offload.Conn, app workload.App, seq int) offload.
 	return *f.Result
 }
 
-// TestServerWireNegotiation covers the handshake matrix the ISSUE pins:
-// binary and gob clients against an auto server, a binary client against
-// a gob-pinned server (typed refusal, not a dropped connection), an
-// unknown wire version (same), and a mid-handshake disconnect.
+// TestServerWireNegotiation covers the handshake: a well-formed hello is
+// served, an unknown wire version gets a typed refusal (not a dropped
+// connection), and a mid-handshake disconnect is shrugged off. (The first
+// subtest's name predates the single-codec wire — every server is the
+// "auto" server now — and is kept so test history lines up.)
 func TestServerWireNegotiation(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 
 	t.Run("binary client, auto server", func(t *testing.T) {
 		_, ln := startServerOpts(t, Options{})
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "bin-dev")
+		_, c := helloOverWire(t, ln.Addr().String(), "bin-dev")
 		res := execOnce(t, c, app, 0)
 		if res.Err != "" || res.Output == "" {
 			t.Fatalf("binary request failed: %+v", res)
-		}
-		// The server mirrored the sniffed codec, so the frames we received
-		// negotiated this connection's receive side to binary too — after
-		// which our own send codec is what we chose at dial time.
-		if got := c.WireName(); got != "binary" {
-			t.Fatalf("client WireName = %q, want binary", got)
-		}
-	})
-
-	t.Run("gob client, auto server", func(t *testing.T) {
-		_, ln := startServerOpts(t, Options{})
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireGob, "gob-dev")
-		res := execOnce(t, c, app, 0)
-		if res.Err != "" || res.Output == "" {
-			t.Fatalf("gob request failed: %+v", res)
-		}
-		if got := c.WireName(); got != "gob" {
-			t.Fatalf("client WireName = %q, want gob", got)
-		}
-	})
-
-	t.Run("binary client, gob-pinned server", func(t *testing.T) {
-		_, ln := startServerOpts(t, Options{Wire: offload.WireGob})
-		conn, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "bin-dev")
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		// The refusal comes back as a gob frame; the binary client's
-		// receive side sniffs and reads it.
-		f, err := c.Recv()
-		if err != nil {
-			t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
-		}
-		if f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol {
-			t.Fatalf("expected protocol-error result, got %+v", f)
-		}
-		if !strings.Contains(f.Result.Err, "gob only") {
-			t.Fatalf("refusal does not name the policy: %q", f.Result.Err)
 		}
 	})
 
@@ -128,7 +94,7 @@ func TestServerWireNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := offload.NewConnWire(conn, offload.WireAuto).Recv()
+		f, err := offload.NewConn(conn).Recv()
 		if err != nil {
 			t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
 		}
@@ -152,20 +118,68 @@ func TestServerWireNegotiation(t *testing.T) {
 		}
 		conn.Close()
 		// The server must shrug it off and keep serving.
-		_, c := helloOverWire(t, ln.Addr().String(), offload.WireBinary, "after-dc")
+		_, c := helloOverWire(t, ln.Addr().String(), "after-dc")
 		if res := execOnce(t, c, app, 0); res.Err != "" {
 			t.Fatalf("request after disconnect: %+v", res)
 		}
-		// The observation lands just after the result write, so give the
-		// writer goroutine a beat before asserting.
-		deadline := time.Now().Add(2 * time.Second)
-		for srv.Latency().Count() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := srv.Latency().Count(); n != 1 {
+		if n := waitLatencyCount(srv, 1); n != 1 {
 			t.Fatalf("latency observations = %d, want only the completed request", n)
 		}
 	})
+}
+
+// TestServerRejectsNonBinaryHello: a first frame that does not open with
+// the wire magic — here the opening bytes of a pre-binary gob client's
+// hello stream — is answered with a typed CodeProtocol result frame and a
+// hangup. Nothing is booted or pinned on its behalf, and the server keeps
+// serving.
+func TestServerRejectsNonBinaryHello(t *testing.T) {
+	srv, ln := startServerOpts(t, Options{})
+	census := func() (runtimes, busy int) {
+		srv.Driver().Do("census", func(p *sim.Proc) {
+			runtimes = srv.Platform().RuntimeCount()
+			for _, r := range srv.Platform().DB().List() {
+				if r.Busy {
+					busy++
+				}
+			}
+		})
+		return
+	}
+	runtimes0, busy0 := census()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := []byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 'F', 'r', 'a', 'm', 'e', 0x01, 0xff, 0x82}
+	if _, err := conn.Write(append([]byte{byte(len(payload))}, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c := offload.NewConn(conn)
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
+	}
+	if f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol || f.Result.Err == "" {
+		t.Fatalf("expected protocol-error result, got %+v", f)
+	}
+	if _, err := c.Recv(); err == nil {
+		t.Fatal("server kept the connection open after a non-binary hello")
+	}
+	if runtimes, busy := census(); runtimes != runtimes0 || busy != busy0 {
+		t.Fatalf("rejected hello changed the census: runtimes %d -> %d, busy %d -> %d", runtimes0, runtimes, busy0, busy)
+	}
+	if n := srv.Latency().Count(); n != 0 {
+		t.Fatalf("latency observations = %d for a connection that never sent a request", n)
+	}
+	_, hc := helloOverWire(t, ln.Addr().String(), "after-gob")
+	app, _ := workload.ByName(workload.NameLinpack)
+	if res := execOnce(t, hc, app, 0); res.Err != "" || res.Output == "" {
+		t.Fatalf("request after the rejected hello: %+v", res)
+	}
 }
 
 // TestServerBinaryPipelineAliasing is the -race gate on the zero-copy
@@ -202,7 +216,7 @@ func TestServerBinaryPipelineAliasing(t *testing.T) {
 	defer conn.Close()
 	got := make([]string, requests)
 	errs := make([]string, requests)
-	pc := offload.NewPipelineClient(offload.NewConnWire(conn, offload.WireBinary), depth,
+	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
 		func(need offload.NeedCode) (offload.CodePush, error) {
 			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
 		},
@@ -263,18 +277,18 @@ func (r *repeatStream) Write(p []byte) (int, error) { return len(p), nil }
 // look it up in the dedup window, and encode the result reply — all
 // without touching the heap. The full request path including the engine
 // dispatch is gated end-to-end (<100 allocs/op) by `rattrap-bench
-// -allocs` in ci.sh; this test pins the codec-and-lookup layer to zero.
+// -throughput` in ci.sh; this test pins the codec-and-lookup layer to zero.
 func TestServerHotPathZeroAlloc(t *testing.T) {
 	var enc bytes.Buffer
 	params := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := offload.NewConnWire(&enc, offload.WireBinary).Send(offload.Frame{
+	if err := offload.NewConn(&enc).Send(offload.Frame{
 		Kind: offload.KindExec, Exec: &offload.ExecRequest{
 			AID: "a1b2c3d4", App: "Linpack", Method: "solve", Seq: 3,
 			Params: params, ParamBytes: 500,
 		}}); err != nil {
 		t.Fatal(err)
 	}
-	c := offload.NewConnWire(&repeatStream{data: enc.Bytes()}, offload.WireAuto)
+	c := offload.NewConn(&repeatStream{data: enc.Bytes()})
 	mem := cluster.NewMembership(4, 0, 1)
 	dedup := newDedupCache(64)
 	res := offload.Result{Output: "n=64 residual=1.08e-13", ResultBytes: 550}
@@ -298,7 +312,7 @@ func TestServerHotPathZeroAlloc(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		hot() // warm: intern strings, seat buffers, settle the gob side
+		hot() // warm: intern strings, seat buffers
 	}
 	if avg := testing.AllocsPerRun(200, hot); avg != 0 {
 		t.Fatalf("warehouse-hit frame path allocates %.1f times per request, want 0", avg)

@@ -20,9 +20,8 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -172,26 +171,25 @@ func (r *Registry) Execute(t Task) (Metrics, error) {
 	return a.Execute(t)
 }
 
-// Flat parameter codec. Param blobs used to be gob, which costs ~200
-// heap allocations per decode: each blob is its own gob stream, so every
-// Execute re-compiles the decoder engine from the embedded type
-// descriptors. The flat format is the same idea as the wire codec one
-// layer down — a magic byte, a version, then the struct's fields as
-// zigzag varints in declaration order — and decodes with zero
-// allocations. Legacy gob blobs still decode: gob's first byte is a
-// type-descriptor length in 0x01..0x7F or an extension byte ≥ 0xF8, so
-// paramMagic can never open a gob stream and sniffing is unambiguous.
+// Flat parameter codec — the same idea as the wire codec one layer down:
+// a magic byte, a version, then the struct's fields as zigzag varints in
+// declaration order. Decoding allocates nothing. A blob that does not open
+// with paramMagic is rejected with a typed error.
 const (
 	paramMagic   = 0xB2 // distinct from the wire codec's 0xB1
 	paramVersion = 1
 )
 
+// ErrParamFormat reports a parameter blob that does not open with the flat
+// format's magic byte. Matches with errors.Is.
+var ErrParamFormat = errors.New("workload: param blob is not in the flat format")
+
 func appendParamZig(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
 }
 
-// encodeParams encodes known app parameter structs in the flat format
-// and anything else as gob.
+// encodeParams encodes an app parameter struct in the flat format. An
+// unknown struct type is a programming error.
 func encodeParams(v any) []byte {
 	b := make([]byte, 2, 24)
 	b[0], b[1] = paramMagic, paramVersion
@@ -211,11 +209,7 @@ func encodeParams(v any) []byte {
 		b = appendParamZig(b, int64(p.SizeKB))
 		b = appendParamZig(b, int64(p.Planted))
 	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			panic(fmt.Sprintf("workload: encoding params: %v", err))
-		}
-		return buf.Bytes()
+		panic(fmt.Sprintf("workload: no flat encoder for %T", v))
 	}
 	return b
 }
@@ -249,13 +243,12 @@ func (r *paramReader) done() error {
 	return nil
 }
 
-// decodeParams decodes an app parameter blob: flat when it opens with
-// paramMagic, gob otherwise (blobs from clients predating the flat
-// format). The flat path never touches the heap — it is on the
-// zero-alloc request path gated by `rattrap-bench -allocs`.
+// decodeParams decodes a flat app parameter blob. It never touches the
+// heap on success — it is on the request path whose allocs/op
+// `rattrap-bench -throughput` fences.
 func decodeParams(data []byte, v any) error {
 	if len(data) < 2 || data[0] != paramMagic {
-		return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+		return ErrParamFormat
 	}
 	if data[1] != paramVersion {
 		return fmt.Errorf("workload: unsupported param version %d (have %d)", data[1], paramVersion)

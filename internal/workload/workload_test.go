@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -331,6 +332,41 @@ func TestLinpackRejectsBadOrder(t *testing.T) {
 	task := Task{App: NameLinpack, Params: encodeParams(linpackParams{Seed: 1, N: 0})}
 	if _, err := l.Execute(task); err == nil {
 		t.Fatal("order 0 accepted")
+	}
+}
+
+// TestParamsRejectNonFlatBlob: a parameter blob that does not open with
+// the flat format's magic byte — the opening bytes of a gob stream, an
+// empty blob, the wire codec's magic — is a typed error from every app,
+// and a flat blob with an unknown version or trailing bytes is rejected
+// too. Nothing is handed to a second decoder.
+func TestParamsRejectNonFlatBlob(t *testing.T) {
+	nonFlat := map[string][]byte{
+		"gob opening": {0x25, 0xff, 0x81, 0x03, 0x01, 0x01, 0x0d, 'l', 'i', 'n', 'p', 'a', 'c', 'k'},
+		"empty":       nil,
+		"magic only":  {paramMagic},
+		"wire magic":  {0xB1, paramVersion, 0x02, 0x10},
+	}
+	for _, app := range Apps() {
+		for name, blob := range nonFlat {
+			_, err := app.Execute(Task{App: app.Name(), Params: blob})
+			if !errors.Is(err, ErrParamFormat) {
+				t.Errorf("%s, %s blob: err = %v, want ErrParamFormat", app.Name(), name, err)
+			}
+		}
+	}
+	good := encodeParams(linpackParams{Seed: 1, N: 8})
+	var p linpackParams
+	if err := decodeParams(good, &p); err != nil || p.N != 8 {
+		t.Fatalf("flat blob: %+v, %v", p, err)
+	}
+	badVersion := append([]byte(nil), good...)
+	badVersion[1] = paramVersion + 1
+	if err := decodeParams(badVersion, &p); err == nil || errors.Is(err, ErrParamFormat) {
+		t.Fatalf("unknown param version: err = %v, want a version error", err)
+	}
+	if err := decodeParams(append(good, 0x00), &p); err == nil {
+		t.Fatal("trailing param bytes accepted")
 	}
 }
 
