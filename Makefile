@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-fast race fuzz lint bench bench-smoke bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
+.PHONY: all build vet test race fuzz lint bench bench-kernels bench-smoke bench-throughput bench-cluster bench-autoscale bench-reshard bench-faults bench-stages bench-boot bench-scenario scenario-validate ci clean
 
 all: ci
 
@@ -13,14 +13,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# Fast tier: everything but the full paper sweeps in internal/experiments
-# (the tests that call slowSweep, guarded by testing.Short). Under 20 s;
-# `test` above is tier-1 and still runs everything.
-test-fast:
-	$(GO) test -short ./...
-
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 8m ./...
 
 # Static checks: formatting, vet, and the lifecycle-encapsulation rule —
 # RuntimeInfo.State/Busy are written only by ContainerDB.Transition (in
@@ -57,10 +51,15 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 
-# Micro-benchmarks for the serving layer and dispatcher hot paths.
+# Micro-benchmarks for the serving layer, the dispatcher hot paths and the
+# four workload kernels (ns/op and B/op per kernel, plus the automaton build).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRealtimeRoundtrip|BenchmarkServerThroughput|BenchmarkDispatcherAcquire' \
-		-benchmem ./internal/realtime/ ./internal/core/ | tee bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRealtimeRoundtrip|BenchmarkServerThroughput|BenchmarkDispatcherAcquire|BenchmarkKernels' \
+		-benchmem ./internal/realtime/ ./internal/core/ ./internal/workload/ | tee bench.out
+
+# The workload kernels alone.
+bench-kernels:
+	$(GO) test -run '^$$' -bench BenchmarkKernels -benchmem ./internal/workload/
 
 # benchmark/ is a Go module of its own, so an exported-API change that
 # breaks benchmark/adapter.go passes the root build and tests. Vet and test
@@ -69,12 +68,13 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -smoke
 
-# Short fuzz passes over the wire-frame codec, the content chunker, and
-# the scenario decoder (CI runs the same smokes).
+# Short fuzz passes over the wire-frame codec, the content chunker, the
+# scenario decoder and the virus-scan automaton (CI runs the same smokes).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime 30s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 30s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 30s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzAhoCorasick -fuzztime 30s ./internal/workload/
 
 # Regenerates BENCH_throughput.json (pipelined data-plane devices × depth
 # sweep; the checked-in file is the CI regression baseline for p50, req/s

@@ -228,6 +228,10 @@ type slot struct {
 	ctr   *container.Container
 	vmach *vm.VM
 	info  *RuntimeInfo
+	// rootfs is a KindRattrapWO container's private copy of the base
+	// image (nil otherwise): warmed into the page cache at boot under keys
+	// no other runtime shares, so it leaves the cache with the slot.
+	rootfs *unionfs.Layer
 
 	acquiredAt sim.Time // when the current claim started (hold-time EWMA)
 
@@ -387,6 +391,9 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	fail := func(err error) (*slot, error) {
 		pl.db.Transition(id, LifecycleReclaimed)
 		pl.removeSlot(sl)
+		if sl.rootfs != nil {
+			sl.rootfs.DropCacheOn(pl.Server)
+		}
 		if pl.om != nil {
 			pl.om.bootFails.Inc()
 		}
@@ -429,11 +436,11 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			// image. The fresh copy's pages are page-cache resident, so —
 			// exactly like the measured 6.80 s — startup is CPU-bound; the
 			// 1.02 GB of disk is still charged per container.
-			rootfs := pl.contManifest.BuildLayer("rootfs:"+id, true)
-			rootfs.WarmCacheOn(pl.Server)
+			sl.rootfs = pl.contManifest.BuildLayer("rootfs:"+id, true)
+			sl.rootfs.WarmCacheOn(pl.Server)
 			c, err = container.Create(p, pl.Server, pl.Kernel,
 				container.DefaultConfig(id, memLimitWO),
-				unionfs.NewLayer(id+"-delta", false), rootfs)
+				unionfs.NewLayer(id+"-delta", false), sl.rootfs)
 			bc = android.BootConfig{Manifest: pl.contManifest}
 		case pl.cfg.TemplateBoot && pl.tmpl != nil:
 			// Template fast path: COW-clone the captured boot instead of
@@ -913,6 +920,9 @@ func (pl *Platform) StopRuntime(p *sim.Proc, cid string) error {
 		// page cache itself; a failed teardown never got that far, and the
 		// layer's keys are never read (or reused) again either way.
 		sl.env.FS().Upper().DropCacheOn(pl.Server)
+	}
+	if sl.rootfs != nil {
+		sl.rootfs.DropCacheOn(pl.Server) // neither Stop outcome touches a lower layer
 	}
 	pl.removeSlot(sl)
 	if pl.cfg.Kind != KindVM && pl.slots.n == 0 {

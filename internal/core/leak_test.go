@@ -73,52 +73,72 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 	}
 }
 
-// TestFaultedStopEvictsPrivatePageCache: a teardown that fails — the
-// injected fault stands in for a failing ctr.Stop / vmach.Destroy — never
-// reaches the guest's own page-cache eviction, yet the reaped runtime's
-// private keys are just as dead as after a clean stop. Boot → faulted-stop
-// rounds must bring the page cache back to its pre-boot size every time.
-// (A VM caches nothing private, and a KindRattrapWO container's private
-// rootfs layer is not evicted by a clean stop either — ROADMAP records
-// that one — so the optimized container is the kind that shows it.)
-func TestFaultedStopEvictsPrivatePageCache(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := DefaultConfig(KindRattrap)
-	cfg.IdleTimeout = 0 // stops are explicit here
-	pl := New(e, cfg)
-	faultErr := errors.New("teardown fault")
-	faulty := false
-	pl.SetTeardownFault(func(p *sim.Proc, id string) error {
-		if faulty {
-			return faultErr
-		}
-		return nil
-	})
+// TestStoppedRuntimesLeaveNoPageCacheKeys: a reclaimed runtime's private
+// layers are never read again and their keys never reused, so boot → stop
+// rounds must bring the page cache back to its pre-boot size every time —
+// after a clean stop, and after a teardown that fails (the injected fault
+// stands in for a failing ctr.Stop / vmach.Destroy, which never reaches the
+// guest's own eviction). The optimized container holds a private delta; a
+// KindRattrapWO container additionally holds its private rootfs copy
+// (~1300 keys a boot). A VM caches nothing private.
+func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
+	for _, kind := range []Kind{KindRattrap, KindRattrapWO} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := sim.NewEngine(1)
+			cfg := DefaultConfig(kind)
+			cfg.IdleTimeout = 0 // stops are explicit here
+			pl := New(e, cfg)
+			faultErr := errors.New("teardown fault")
+			faulty := false
+			pl.SetTeardownFault(func(p *sim.Proc, id string) error {
+				if faulty {
+					return faultErr
+				}
+				return nil
+			})
 
-	e.Spawn("flow", func(p *sim.Proc) {
-		// Round 0 stops cleanly: it absorbs what the platform's first
-		// boot caches for good (kernel modules, shared files) and so
-		// fixes the pre-boot size every later round must return to.
-		for round := 0; round < 5; round++ {
-			faulty = round > 0
-			before := pl.Server.CachedFiles()
-			sl, err := pl.acquireSlot(p, "app-A", nil, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			pl.releaseSlot(sl)
-			if pl.Server.CachedFiles() <= before {
-				t.Errorf("round %d: the boot left nothing in the page cache; the test observes nothing", round)
-			}
-			err = pl.StopRuntime(p, sl.id)
-			if faulty != errors.Is(err, faultErr) {
-				t.Errorf("round %d: StopRuntime error = %v (fault injected: %v)", round, err, faulty)
-			}
-			if after := pl.Server.CachedFiles(); faulty && after != before {
-				t.Errorf("round %d: page cache holds %d keys after the faulted stop, %d before the boot", round, after, before)
-			}
-		}
-	})
-	e.Run()
+			e.Spawn("flow", func(p *sim.Proc) {
+				// Round 0 stops cleanly and asserts nothing: it absorbs what
+				// the platform's first boot caches for good (kernel modules,
+				// shared files) and so fixes the pre-boot size every later
+				// round must return to. Rounds 1-2 stop cleanly, 3-5 faulted.
+				for round := 0; round < 6; round++ {
+					faulty = round > 2
+					before := pl.Server.CachedFiles()
+					sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					pl.releaseSlot(sl)
+					if pl.Server.CachedFiles() <= before {
+						t.Errorf("round %d: the boot left nothing in the page cache; the test observes nothing", round)
+					}
+					err = pl.StopRuntime(p, sl.id)
+					if faulty != errors.Is(err, faultErr) {
+						t.Errorf("round %d: StopRuntime error = %v (fault injected: %v)", round, err, faulty)
+					}
+					if after := pl.Server.CachedFiles(); round > 0 && after != before {
+						t.Errorf("round %d (faulted: %v): page cache holds %d keys after the stop, %d before the boot", round, faulty, after, before)
+					}
+				}
+				// A boot that fails after provisioning (the server is out of
+				// memory) must not leave the half-built runtime's keys either.
+				before := pl.Server.CachedFiles()
+				free := pl.Server.Config().MemMB - pl.Server.MemUsedMB()
+				if err := pl.Server.AllocMem(free); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := pl.BootRuntime(p); err == nil {
+					t.Error("boot succeeded on a server with no free memory")
+				}
+				pl.Server.FreeMem(free)
+				if after := pl.Server.CachedFiles(); after != before {
+					t.Errorf("failed boot: page cache holds %d keys, %d before", after, before)
+				}
+			})
+			e.Run()
+		})
+	}
 }

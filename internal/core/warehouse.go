@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rattrap/internal/host"
@@ -19,7 +20,7 @@ type cacheEntry struct {
 	App  string
 	Size host.Bytes
 	Path string
-	CIDs map[string]bool
+	CIDs []string // unordered; a container appears once
 	Hits int
 
 	// Hashes is the entry's chunk manifest when it arrived via a delta
@@ -57,6 +58,14 @@ type Warehouse struct {
 	chunks  map[uint64]*chunkInfo  // content-addressed block store
 	misses  int
 
+	// stored is the running StoredBytes total, adjusted wherever a plain
+	// blob or a chunk enters or leaves the store. byCID is the reverse of
+	// the entries' CID lists — container → AIDs it loaded — so a stopping
+	// container unbinds in time proportional to what it loaded, not to the
+	// size of the cache table.
+	stored host.Bytes
+	byCID  map[string][]string
+
 	// capacity bounds StoredBytes; 0 means unbounded (the pre-eviction
 	// behaviour). evictions counts entries dropped to stay under it.
 	capacity  host.Bytes
@@ -75,6 +84,7 @@ func NewWarehouse(e *sim.Engine, store *unionfs.Mount, capacity host.Bytes) *War
 		entries:  make(map[string]*cacheEntry),
 		pending:  make(map[string]*sim.Signal),
 		chunks:   make(map[uint64]*chunkInfo),
+		byCID:    make(map[string][]string),
 		capacity: capacity,
 	}
 }
@@ -125,11 +135,13 @@ func (w *Warehouse) newEntry(aid, app string, size host.Bytes, path string, hash
 	w.seq++
 	w.entries[aid] = &cacheEntry{
 		AID: aid, App: app, Size: size, Path: path,
-		CIDs:      make(map[string]bool),
 		Hashes:    hashes,
 		chunked:   chunked,
 		lastBound: w.e.Now(),
 		seq:       w.seq,
+	}
+	if !chunked {
+		w.stored += size
 	}
 }
 
@@ -237,6 +249,7 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 			c.refs++
 		} else {
 			w.chunks[h] = &chunkInfo{size: span[h], refs: 1}
+			w.stored += span[h]
 		}
 	}
 	w.newEntry(aid, app, size, chunkPath(hashes[0]), hashes, true)
@@ -248,16 +261,30 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 // least-recently-bound stamp.
 func (w *Warehouse) BindCID(aid, cid string) {
 	if e, ok := w.entries[aid]; ok {
-		e.CIDs[cid] = true
 		e.lastBound = w.e.Now()
+		if !slices.Contains(e.CIDs, cid) {
+			e.CIDs = append(e.CIDs, cid)
+			w.byCID[cid] = append(w.byCID[cid], aid)
+		}
 	}
+}
+
+// dropString removes v from the unordered list s.
+func dropString(s []string, v string) []string {
+	if i := slices.Index(s, v); i >= 0 {
+		s[i] = s[len(s)-1]
+		s = s[:len(s)-1]
+	}
+	return s
 }
 
 // UnbindCID removes a stopped container from all entries.
 func (w *Warehouse) UnbindCID(cid string) {
-	for _, e := range w.entries {
-		delete(e.CIDs, cid)
+	for _, aid := range w.byCID[cid] {
+		e := w.entries[aid]
+		e.CIDs = dropString(e.CIDs, cid)
 	}
+	delete(w.byCID, cid)
 }
 
 // CIDsFor returns containers holding the code, sorted for determinism.
@@ -266,10 +293,7 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 	if !ok {
 		return nil
 	}
-	out := make([]string, 0, len(e.CIDs))
-	for cid := range e.CIDs {
-		out = append(out, cid)
-	}
+	out := slices.Clone(e.CIDs)
 	sort.Strings(out)
 	return out
 }
@@ -278,7 +302,15 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 // with no remaining referents leave the store with it.
 func (w *Warehouse) dropEntry(e *cacheEntry) {
 	delete(w.entries, e.AID)
+	for _, cid := range e.CIDs {
+		if aids := dropString(w.byCID[cid], e.AID); len(aids) > 0 {
+			w.byCID[cid] = aids
+		} else {
+			delete(w.byCID, cid)
+		}
+	}
 	if !e.chunked {
+		w.stored -= e.Size
 		_ = w.store.Remove(e.Path)
 		return
 	}
@@ -295,6 +327,7 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		c.refs--
 		if c.refs <= 0 {
 			delete(w.chunks, h)
+			w.stored -= c.size
 			_ = w.store.Remove(chunkPath(h))
 		}
 	}
@@ -338,18 +371,7 @@ func (w *Warehouse) Stats() (entries, hits, misses int) {
 
 // StoredBytes is the total staged code volume: plain blobs plus the
 // deduplicated chunk store — a block shared by many AIDs is counted once.
-func (w *Warehouse) StoredBytes() host.Bytes {
-	var t host.Bytes
-	for _, e := range w.entries {
-		if !e.chunked {
-			t += e.Size
-		}
-	}
-	for _, c := range w.chunks {
-		t += c.size
-	}
-	return t
-}
+func (w *Warehouse) StoredBytes() host.Bytes { return w.stored }
 
 // ChunkCount reports how many content-addressed blocks the store holds.
 func (w *Warehouse) ChunkCount() int { return len(w.chunks) }

@@ -26,7 +26,6 @@ func TestOneShardClusterGolden(t *testing.T) {
 // comparison served through a 1-shard cluster must be byte-identical to the
 // pre-refactor Platform path.
 func TestComparisonOneShardCluster(t *testing.T) {
-	slowSweep(t)
 	base, err := RunComparison(42)
 	if err != nil {
 		t.Fatal(err)

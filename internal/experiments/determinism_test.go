@@ -65,7 +65,6 @@ func goldenRunShards(t *testing.T, seed int64, shards int) string {
 // spans and registry included; a different seed must differ (the test
 // would otherwise pass on constant output).
 func TestRunDeterministicWithSpans(t *testing.T) {
-	slowSweep(t)
 	a := goldenRun(t, 42)
 	b := goldenRun(t, 42)
 	if a != b {
@@ -141,7 +140,6 @@ func TestRunSpansDisabledByDefault(t *testing.T) {
 // backoff jitter, and injected failures all draw randomness — must also be
 // bit-identical per seed, plan by plan.
 func TestRunFaultsDeterministic(t *testing.T) {
-	slowSweep(t)
 	cfg := DefaultRun(core.KindRattrap, netsim.WANWiFi(), workload.NameLinpack, 42)
 	cfg.RequestsPerDevice = 2 // keep the sweep fast; every plan still injects
 	for _, plan := range faults.StandardPlans(42) {

@@ -49,7 +49,6 @@ func TestTableIReproducesPaper(t *testing.T) {
 }
 
 func TestFigure1ColdStartFailures(t *testing.T) {
-	slowSweep(t)
 	f, err := RunFigure1(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,6 @@ func TestFigure1ColdStartFailures(t *testing.T) {
 }
 
 func TestFigure2ServerLoadShape(t *testing.T) {
-	slowSweep(t)
 	f, err := RunFigure2(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,6 @@ func min(a, b int) int {
 }
 
 func TestFigure3CodeDominatesForPureCompute(t *testing.T) {
-	slowSweep(t)
 	f, err := RunFigure3(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -167,20 +164,7 @@ func TestObservation4ReproducesPaper(t *testing.T) {
 	}
 }
 
-// slowSweep marks a test that runs a full paper sweep or re-runs one for a
-// determinism/render check (1.5–25 s each; the fifteen of them are ~105 s
-// of this package's ~115 s). `go test -short` — the fast tier of
-// `make test-fast` and ci.sh — skips them; tier-1 (`go test ./...`) runs
-// everything.
-func slowSweep(t *testing.T) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("full paper sweep: skipped with -short")
-	}
-}
-
 func TestComparisonReproducesFigure9AndTableII(t *testing.T) {
-	slowSweep(t)
 	c, err := RunComparison(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +235,6 @@ func TestComparisonReproducesFigure9AndTableII(t *testing.T) {
 }
 
 func TestEnergyOrderingOnWiFi(t *testing.T) {
-	slowSweep(t)
 	// One representative Figure 10 cell per claim, kept small for test
 	// speed: chess on LAN, energy must order Rattrap < W/O < VM, all
 	// cheaper than local.
@@ -277,7 +260,6 @@ func TestEnergyOrderingOnWiFi(t *testing.T) {
 }
 
 func TestEnergyGapShrinksOnBadNetworks(t *testing.T) {
-	slowSweep(t)
 	// Paper: for OCR, the VM-vs-Rattrap gap narrows as the network
 	// degrades; on 3G the decision engine sends file-heavy work local.
 	gap := func(profile netsim.Profile) float64 {
@@ -308,7 +290,6 @@ func TestEnergyGapShrinksOnBadNetworks(t *testing.T) {
 }
 
 func TestFigure11ReproducesPaper(t *testing.T) {
-	slowSweep(t)
 	f, err := RunFigure11(seed)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 // TestFaultRunDeterministic pins the acceptance criterion that a fixed-
 // seed fault plan produces bit-identical results across runs.
 func TestFaultRunDeterministic(t *testing.T) {
-	slowSweep(t)
 	cfg := DefaultRun(core.KindRattrap, netsim.WANWiFi(), workload.NameChess, 42)
 	for _, plan := range faults.StandardPlans(42) {
 		run := func() *FaultRunResult {

@@ -78,7 +78,6 @@ func TestRunCellsZero(t *testing.T) {
 // sequential sweep. Each cell owns its engine, so only merge order could
 // diverge — this pins it.
 func TestParallelComparisonMatchesSequential(t *testing.T) {
-	slowSweep(t)
 	var seq, par string
 	withWorkers(t, 1, func() {
 		c, err := RunComparison(11)
@@ -104,7 +103,6 @@ func TestParallelComparisonMatchesSequential(t *testing.T) {
 // event list read-only. A scaled-down trace keeps the double run fast;
 // the full-scale replay is covered by TestFigure11ReproducesPaper.
 func TestParallelTraceMatchesSequential(t *testing.T) {
-	slowSweep(t)
 	tcfg := trace.DefaultConfig(11)
 	tcfg.Duration = 20 * time.Minute
 	var seq, par string

@@ -13,7 +13,6 @@ import (
 // TestRendersContainEveryRow exercises the text renderers end to end on
 // one shared run (they are the harness's user-visible output).
 func TestRendersContainEveryRow(t *testing.T) {
-	slowSweep(t)
 	f3, err := RunFigure3(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,6 @@ func TestObservation4Render(t *testing.T) {
 }
 
 func TestTraceWithReclamationDegradesVMMost(t *testing.T) {
-	slowSweep(t)
 	// The just-in-time ablation: with idle reclamation on, the VM cloud's
 	// failure rate explodes while Rattrap stays moderate.
 	run := func(idle bool) (*Figure11, error) {

@@ -39,6 +39,9 @@ const (
 	// deeper than the embedded depth-3 instance, whose alpha-beta visits
 	// ~1.2k nodes per position).
 	chessOpsPerNode = 0.5
+	// maxChessDepth bounds the search depth a request may ask for, and with
+	// it the number of per-ply move buffers a board carries.
+	maxChessDepth = 6
 )
 
 type chessParams struct {
@@ -72,13 +75,13 @@ func (c *Chess) Execute(t Task) (Metrics, error) {
 	if err := decodeParams(t.Params, &p); err != nil {
 		return Metrics{}, fmt.Errorf("chess: %w", err)
 	}
-	if p.Depth <= 0 || p.Depth > 6 {
+	if p.Depth <= 0 || p.Depth > maxChessDepth {
 		return Metrics{}, fmt.Errorf("chess: depth %d out of range", p.Depth)
 	}
 	b := newBoard()
 	rng := rand.New(rand.NewSource(p.Seed))
 	for i := 0; i < p.Prefix; i++ {
-		moves := b.legalMoves()
+		moves := b.legalMoves(0)
 		if len(moves) == 0 {
 			break
 		}
@@ -113,6 +116,22 @@ var knightOffsets = [8]int{33, 31, 18, 14, -33, -31, -18, -14}
 var kingOffsets = [8]int{1, -1, 16, -16, 15, -15, 17, -17}
 var bishopDirs = [4]int{15, -15, 17, -17}
 var rookDirs = [4]int{1, -1, 16, -16}
+var queenDirs = [8]int{15, -15, 17, -17, 1, -1, 16, -16} // bishop rays, then rook rays
+
+// squareScore[p+wk][i] is what piece p on 0x88 square i adds to white's
+// score in eval: material plus a centrality bonus (distance from the board
+// center, worth a few centipawns), negated for black. The empty row is zero.
+var squareScore = func() (t [2*wk + 1][128]int32) {
+	for i := 0; i < 128; i++ {
+		f, r := i%16, i/16
+		center := int32(6-abs(2*f-7)/2-abs(2*r-7)/2) * 3
+		for p := wp; p <= wk; p++ {
+			t[wk+p][i] = int32(pieceValue[p]) + center
+			t[wk-p][i] = -t[wk+p][i]
+		}
+	}
+	return t
+}()
 
 type move struct {
 	from, to int
@@ -136,11 +155,19 @@ type board struct {
 	sq    [128]int8
 	white bool // side to move
 	nodes int64
+	// king holds the white and black king squares (see kingIndex), kept up
+	// to date by make/unmake; -1 while that king is off the board.
+	king [2]int
+	// moveBufs[k] backs the move list generated at ply k, so a search
+	// reuses one buffer per ply instead of allocating per node. A position
+	// with more pseudo-legal moves than fit spills to the heap for that
+	// node only.
+	moveBufs [maxChessDepth + 1][64]move
 }
 
 // newBoard sets up the initial position.
 func newBoard() *board {
-	b := &board{white: true}
+	b := &board{white: true, king: [2]int{4, 7*16 + 4}}
 	back := []int8{wr, wn, wb, wq, wk, wb, wn, wr}
 	for f := 0; f < 8; f++ {
 		b.sq[f] = back[f]
@@ -152,16 +179,6 @@ func newBoard() *board {
 }
 
 func onBoard(i int) bool { return i&0x88 == 0 }
-
-func (b *board) side(piece int8) int {
-	switch {
-	case piece > 0:
-		return 1
-	case piece < 0:
-		return -1
-	}
-	return 0
-}
 
 func (b *board) mySign() int8 {
 	if b.white {
@@ -227,114 +244,113 @@ func (b *board) attacked(i int, bySign int8) bool {
 	return false
 }
 
-func (b *board) kingSquare(sign int8) int {
-	for i := 0; i < 128; i++ {
-		if onBoard(i) && b.sq[i] == sign*wk {
-			return i
-		}
+// kingIndex maps a side's sign (or one of its pieces) to its slot in
+// board.king.
+func kingIndex(sign int8) int {
+	if sign > 0 {
+		return 0
 	}
-	return -1
+	return 1
 }
 
 // inCheck reports whether the side with the given sign is in check.
 func (b *board) inCheck(sign int8) bool {
-	k := b.kingSquare(sign)
+	k := b.king[kingIndex(sign)]
 	if k < 0 {
 		return true // king captured in a pseudo-legal line; treat as illegal
 	}
 	return b.attacked(k, -sign)
 }
 
-// pseudoMoves generates pseudo-legal moves for the side to move.
-func (b *board) pseudoMoves() []move {
+// pseudoMoves appends the pseudo-legal moves of the side to move to moves.
+func (b *board) pseudoMoves(moves []move) []move {
 	sign := b.mySign()
-	moves := make([]move, 0, 48)
-	add := func(from, to int, promo int8) {
-		moves = append(moves, move{from: from, to: to, captured: b.sq[to], promo: promo})
+	step := int(sign)
+	lastRank, startRank := 7, 1
+	if sign < 0 {
+		lastRank, startRank = 0, 6
 	}
-	addPawn := func(from, to int) {
-		lastRank := 7
-		if sign < 0 {
-			lastRank = 0
-		}
-		if to/16 == lastRank {
-			add(from, to, sign*wq)
-		} else {
-			add(from, to, empty)
-		}
-	}
-	for i := 0; i < 128; i++ {
-		if !onBoard(i) {
-			continue
-		}
-		p := b.sq[i]
-		if p == empty || b.side(p) != int(sign) {
-			continue
-		}
-		switch p * sign {
-		case wp:
-			fwd := i + 16*int(sign)
-			if onBoard(fwd) && b.sq[fwd] == empty {
-				addPawn(i, fwd)
-				startRank := 1
-				if sign < 0 {
-					startRank = 6
-				}
-				fwd2 := i + 32*int(sign)
-				if i/16 == startRank && b.sq[fwd2] == empty {
-					add(i, fwd2, empty)
-				}
+	for r := 0; r < 8; r++ {
+		for i := r * 16; i < r*16+8; i++ {
+			p := b.sq[i] * sign
+			if p <= 0 { // empty or the opponent's
+				continue
 			}
-			for _, d := range [2]int{15, 17} {
-				c := i + d*int(sign)
-				if onBoard(c) && b.sq[c] != empty && b.side(b.sq[c]) == -int(sign) {
-					addPawn(i, c)
+			switch p {
+			case wp:
+				promo := empty
+				if r+step == lastRank {
+					promo = sign * wq
 				}
-			}
-		case wn:
-			for _, o := range knightOffsets {
-				to := i + o
-				if onBoard(to) && b.side(b.sq[to]) != int(sign) {
-					add(i, to, empty)
+				fwd := i + 16*step
+				if onBoard(fwd) && b.sq[fwd] == empty {
+					moves = append(moves, move{from: i, to: fwd, promo: promo})
+					if fwd2 := i + 32*step; r == startRank && b.sq[fwd2] == empty {
+						moves = append(moves, move{from: i, to: fwd2})
+					}
 				}
-			}
-		case wk:
-			for _, o := range kingOffsets {
-				to := i + o
-				if onBoard(to) && b.side(b.sq[to]) != int(sign) {
-					add(i, to, empty)
+				for _, d := range [2]int{15, 17} {
+					c := i + d*step
+					if onBoard(c) && b.sq[c]*sign < 0 {
+						moves = append(moves, move{from: i, to: c, captured: b.sq[c], promo: promo})
+					}
 				}
-			}
-		case wb, wr, wq:
-			var dirs []int
-			switch p * sign {
+			case wn:
+				moves = b.stepMoves(moves, i, knightOffsets[:], sign)
+			case wk:
+				moves = b.stepMoves(moves, i, kingOffsets[:], sign)
 			case wb:
-				dirs = bishopDirs[:]
+				moves = b.slideMoves(moves, i, bishopDirs[:], sign)
 			case wr:
-				dirs = rookDirs[:]
-			default:
-				dirs = append(append([]int{}, bishopDirs[:]...), rookDirs[:]...)
-			}
-			for _, d := range dirs {
-				for to := i + d; onBoard(to); to += d {
-					target := b.sq[to]
-					if b.side(target) == int(sign) {
-						break
-					}
-					add(i, to, empty)
-					if target != empty {
-						break
-					}
-				}
+				moves = b.slideMoves(moves, i, rookDirs[:], sign)
+			case wq:
+				moves = b.slideMoves(moves, i, queenDirs[:], sign)
 			}
 		}
 	}
 	return moves
 }
 
+// stepMoves appends the knight or king moves from square i.
+func (b *board) stepMoves(moves []move, i int, offsets []int, sign int8) []move {
+	for _, o := range offsets {
+		to := i + o
+		if onBoard(to) && b.sq[to]*sign <= 0 {
+			moves = append(moves, move{from: i, to: to, captured: b.sq[to]})
+		}
+	}
+	return moves
+}
+
+// slideMoves appends the slider moves from square i along dirs.
+func (b *board) slideMoves(moves []move, i int, dirs []int, sign int8) []move {
+	for _, d := range dirs {
+		for to := i + d; onBoard(to); to += d {
+			target := b.sq[to]
+			if target*sign > 0 {
+				break
+			}
+			moves = append(moves, move{from: i, to: to, captured: target})
+			if target != empty {
+				break
+			}
+		}
+	}
+	return moves
+}
+
+// isKing reports whether p is a king of either side.
+func isKing(p int8) bool { return p == wk || p == -wk }
+
 // make applies a move.
 func (b *board) make(m move) {
 	p := b.sq[m.from]
+	if isKing(p) {
+		b.king[kingIndex(p)] = m.to
+	}
+	if isKing(m.captured) {
+		b.king[kingIndex(m.captured)] = -1
+	}
 	if m.promo != empty {
 		p = m.promo
 	}
@@ -347,6 +363,12 @@ func (b *board) make(m move) {
 func (b *board) unmake(m move) {
 	b.white = !b.white
 	p := b.sq[m.to]
+	if isKing(p) {
+		b.king[kingIndex(p)] = m.from
+	}
+	if isKing(m.captured) {
+		b.king[kingIndex(m.captured)] = m.to
+	}
 	if m.promo != empty {
 		p = b.mySign() * wp
 	}
@@ -354,40 +376,34 @@ func (b *board) unmake(m move) {
 	b.sq[m.to] = m.captured
 }
 
-// legalMoves filters pseudo-legal moves that leave the mover in check.
-func (b *board) legalMoves() []move {
+// legalMoves returns the legal moves of the side to move: the
+// pseudo-legal ones, in generation order, minus those that leave the mover
+// in check. The list lives in the board's buffer for the given ply and is
+// valid until the next call with that ply.
+func (b *board) legalMoves(ply int) []move {
 	sign := b.mySign()
-	var out []move
-	for _, m := range b.pseudoMoves() {
+	moves := b.pseudoMoves(b.moveBufs[ply][:0])
+	legal := moves[:0]
+	for _, m := range moves {
 		b.make(m)
 		if !b.inCheck(sign) {
-			out = append(out, m)
+			legal = append(legal, m)
 		}
 		b.unmake(m)
 	}
-	return out
+	return legal
 }
 
 // eval scores the position from the side to move's perspective:
 // material plus a small centrality bonus.
 func (b *board) eval() int {
-	score := 0
-	for i := 0; i < 128; i++ {
-		if !onBoard(i) {
-			continue
+	score := int32(0)
+	for r := 0; r < 8; r++ {
+		for i := r * 16; i < r*16+8; i++ {
+			score += squareScore[b.sq[i]+wk][i]
 		}
-		p := b.sq[i]
-		if p == empty {
-			continue
-		}
-		v := pieceValue[p*int8(b.side(p))]
-		// Centrality: distance from board center, worth a few centipawns.
-		f, r := i%16, i/16
-		center := 6 - abs(2*f-7)/2 - abs(2*r-7)/2
-		v += center * 3
-		score += v * b.side(p)
 	}
-	return score * int(b.mySign())
+	return int(score) * int(b.mySign())
 }
 
 func abs(x int) int {
@@ -405,7 +421,7 @@ func (b *board) negamax(depth, alpha, beta int) int {
 	if depth == 0 {
 		return b.eval()
 	}
-	moves := b.legalMoves()
+	moves := b.legalMoves(depth) // depth strictly falls along a line: one buffer per ply
 	if len(moves) == 0 {
 		if b.inCheck(b.mySign()) {
 			return -mateScore - depth // prefer faster mates
@@ -457,7 +473,7 @@ func captureValue(m move) int {
 // number of nodes visited.
 func (b *board) search(depth int) (move, int, int64) {
 	b.nodes = 0
-	moves := b.legalMoves()
+	moves := b.legalMoves(depth)
 	if len(moves) == 0 {
 		return move{}, -mateScore, 1
 	}

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"rattrap/internal/host"
 )
@@ -20,7 +22,9 @@ import (
 // Hamming distance enforced at init, which makes it behave exactly like a
 // hand-drawn font for matching purposes.
 type OCR struct {
-	font map[byte][glyphPixels]byte
+	// masks holds one glyph per character of ocrAlphabet, in alphabet
+	// order; bit i is pixel i of the 5×7 cell (row-major).
+	masks [len(ocrAlphabet)]uint64
 }
 
 // Glyph geometry.
@@ -54,42 +58,35 @@ type ocrParams struct {
 	Chars int // approximate length of the rendered text
 }
 
-// NewOCR builds the benchmark, generating and validating the font.
-func NewOCR() *OCR {
-	o := &OCR{font: make(map[byte][glyphPixels]byte, len(ocrAlphabet))}
+// sharedOCR generates and validates the font once per process; it is
+// read-only afterwards, so every Registry can hold the same instance.
+var sharedOCR = sync.OnceValue(func() *OCR {
+	o := &OCR{}
 	rng := rand.New(rand.NewSource(ocrFontSeed))
-	for _, c := range []byte(ocrAlphabet) {
-		var g [glyphPixels]byte
-		if c != ' ' { // space stays blank
-			for i := range g {
-				g[i] = byte(rng.Intn(2))
-			}
+	for i := range o.masks {
+		if ocrAlphabet[i] == ' ' { // space stays blank
+			continue
 		}
-		o.font[c] = g
+		for px := 0; px < glyphPixels; px++ {
+			o.masks[i] |= uint64(rng.Intn(2)) << px
+		}
 	}
 	// A usable font needs well-separated glyphs; with 35 random bits the
 	// minimum distance is comfortably high, but verify so a bad seed can
 	// never silently break recognition.
-	letters := []byte(ocrAlphabet)
-	for i := 0; i < len(letters); i++ {
-		for j := i + 1; j < len(letters); j++ {
-			if hamming(o.font[letters[i]], o.font[letters[j]]) < 5 {
-				panic(fmt.Sprintf("workload: ocr font glyphs %q and %q too similar", letters[i], letters[j]))
+	for i := range o.masks {
+		for j := i + 1; j < len(o.masks); j++ {
+			if bits.OnesCount64(o.masks[i]^o.masks[j]) < 5 {
+				panic(fmt.Sprintf("workload: ocr font glyphs %q and %q too similar", ocrAlphabet[i], ocrAlphabet[j]))
 			}
 		}
 	}
 	return o
-}
+})
 
-func hamming(a, b [glyphPixels]byte) int {
-	d := 0
-	for i := range a {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d
-}
+// NewOCR returns the benchmark. The instance is shared process-wide: the
+// first call generates and validates the font.
+func NewOCR() *OCR { return sharedOCR() }
 
 func (o *OCR) Name() string         { return NameOCR }
 func (o *OCR) CodeSize() host.Bytes { return ocrCodeSize }
@@ -120,38 +117,50 @@ func genText(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
-// render draws text as a horizontal strip, one glyph cell per character.
+// render draws text as a horizontal strip, one glyph cell of 0/1 pixel
+// bytes per character. A character outside the alphabet renders blank.
 func (o *OCR) render(text string) []byte {
 	img := make([]byte, len(text)*glyphPixels)
 	for i := 0; i < len(text); i++ {
-		g := o.font[text[i]]
-		copy(img[i*glyphPixels:], g[:])
+		k := strings.IndexByte(ocrAlphabet, text[i])
+		if k < 0 {
+			continue
+		}
+		cell := img[i*glyphPixels : (i+1)*glyphPixels]
+		for px := range cell {
+			cell[px] = byte(o.masks[k] >> px & 1)
+		}
 	}
 	return img
 }
 
 // recognize matches every cell against the whole alphabet and returns the
-// recognized text plus the number of pixel comparisons performed.
+// recognized text plus the number of pixel comparisons performed. A cell
+// is packed into a bit mask once; its Hamming distance to a glyph is then
+// one XOR and a popcount, which compares all glyphPixels pixels — so each
+// template still counts glyphPixels operations.
 func (o *OCR) recognize(img []byte) (string, int64) {
 	cells := len(img) / glyphPixels
-	var out strings.Builder
+	out := make([]byte, cells)
 	var ops int64
-	for c := 0; c < cells; c++ {
-		var cell [glyphPixels]byte
-		copy(cell[:], img[c*glyphPixels:])
+	for c := range out {
+		var cell uint64
+		for px, v := range img[c*glyphPixels : (c+1)*glyphPixels] {
+			cell |= uint64(v&1) << px
+		}
 		bestChar := byte('?')
 		bestDist := glyphPixels + 1
-		for _, ch := range []byte(ocrAlphabet) {
-			d := hamming(cell, o.font[ch])
+		for k, mask := range o.masks {
+			d := bits.OnesCount64(cell ^ mask)
 			ops += glyphPixels
 			if d < bestDist {
 				bestDist = d
-				bestChar = ch
+				bestChar = ocrAlphabet[k]
 			}
 		}
-		out.WriteByte(bestChar)
+		out[c] = bestChar
 	}
-	return out.String(), ops
+	return string(out), ops
 }
 
 // Execute renders the document, recognizes it, and verifies the round trip.

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"rattrap/internal/host"
 )
@@ -17,8 +19,9 @@ import (
 // match count. Modeled I/O covers staging the transferred file and
 // streaming the (paper-scale) signature database.
 type VirusScan struct {
-	ac   *ahoCorasick
-	sigs [][]byte
+	ac     *ahoCorasick
+	sigs   [][]byte
+	maxSig int // longest signature: plants stay this far from their slot's end
 }
 
 // Calibration constants: Table II gives a ≈1.73 MB APK and ≈4.5 MB of
@@ -42,25 +45,34 @@ type virusParams struct {
 	Planted int // signatures planted in the target
 }
 
-// NewVirusScan builds the benchmark, constructing the signature automaton.
-func NewVirusScan() *VirusScan {
+// sharedVirusScan builds the signature corpus and its automaton once per
+// process. Both are read-only after construction and Execute keeps all
+// per-request state in locals and pooled scratch, so every Registry can
+// hold the same instance.
+var sharedVirusScan = sync.OnceValue(func() *VirusScan {
 	v := &VirusScan{}
 	rng := rand.New(rand.NewSource(virusSigSeed))
 	v.sigs = make([][]byte, virusSigCount)
 	for i := range v.sigs {
 		sig := make([]byte, 16+rng.Intn(33))
 		for j := range sig {
-			// Signatures avoid 0x00 so they cannot occur in the zero-free
-			// target noise by accident... targets use the full byte range,
-			// so instead give signatures a distinctive 0xEB prefix.
 			sig[j] = byte(rng.Intn(256))
 		}
-		sig[0], sig[1] = 0xEB, 0xFE // marker prefix: never generated as noise
+		// Marker prefix: targets use the full byte range except 0xEB, so a
+		// signature can only occur where it was planted.
+		sig[0], sig[1] = 0xEB, 0xFE
 		v.sigs[i] = sig
+		if len(sig) > v.maxSig {
+			v.maxSig = len(sig)
+		}
 	}
 	v.ac = newAhoCorasick(v.sigs)
 	return v
-}
+})
+
+// NewVirusScan returns the benchmark. The instance is shared process-wide:
+// the first call constructs the signature automaton.
+func NewVirusScan() *VirusScan { return sharedVirusScan() }
 
 func (v *VirusScan) Name() string         { return NameVirusScan }
 func (v *VirusScan) CodeSize() host.Bytes { return virusCodeSize }
@@ -80,6 +92,13 @@ func (v *VirusScan) NewTask(rng *rand.Rand, seq int) Task {
 	}
 }
 
+// vsScratch recycles the 64–256 KB target buffer across scans, like
+// lpScratch: Execute writes every byte of target[:size] before scanning it,
+// so recycled contents never reach a result.
+type vsScratch struct{ target []byte }
+
+var vsPool = sync.Pool{New: func() any { return new(vsScratch) }}
+
 // Execute scans the target and verifies the planted-signature count.
 func (v *VirusScan) Execute(t Task) (Metrics, error) {
 	var p virusParams
@@ -89,29 +108,36 @@ func (v *VirusScan) Execute(t Task) (Metrics, error) {
 	if p.SizeKB <= 0 || p.SizeKB > 4096 {
 		return Metrics{}, fmt.Errorf("virusscan: target size %d KB out of range", p.SizeKB)
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	target := make([]byte, p.SizeKB*1024)
+	if p.Planted < 0 {
+		return Metrics{}, fmt.Errorf("virusscan: %d planted signatures out of range", p.Planted)
+	}
+	size := p.SizeKB * 1024
+	step := size / (p.Planted + 1)
+	if step <= v.maxSig {
+		return Metrics{}, fmt.Errorf("virusscan: target too small for %d signatures", p.Planted)
+	}
+	scratch := vsPool.Get().(*vsScratch)
+	defer vsPool.Put(scratch)
+	if cap(scratch.target) < size {
+		scratch.target = make([]byte, size)
+	}
+	target := scratch.target[:size]
+	// Noise bytes are rng.Intn(256) draws taken straight off the source:
+	// for a power-of-two bound Intn is byte(src.Int63()>>32), and the
+	// planting draws below continue on the same stream.
+	src := rand.NewSource(p.Seed)
 	for i := range target {
-		b := byte(rng.Intn(256))
+		b := byte(src.Int63() >> 32)
 		if b == 0xEB { // reserve the signature marker for planted content
 			b = 0xEC
 		}
 		target[i] = b
 	}
 	// Plant signatures at non-overlapping random offsets.
-	maxSig := 0
-	for _, s := range v.sigs {
-		if len(s) > maxSig {
-			maxSig = len(s)
-		}
-	}
-	step := len(target) / (p.Planted + 1)
-	if step <= maxSig {
-		return Metrics{}, fmt.Errorf("virusscan: target too small for %d signatures", p.Planted)
-	}
+	rng := rand.New(src)
 	for i := 0; i < p.Planted; i++ {
 		sig := v.sigs[rng.Intn(len(v.sigs))]
-		off := i*step + rng.Intn(step-maxSig)
+		off := i*step + rng.Intn(step-v.maxSig)
 		copy(target[off:], sig)
 	}
 	matches := v.ac.scan(target)
@@ -125,87 +151,161 @@ func (v *VirusScan) Execute(t Task) (Metrics, error) {
 	scale := float64(p.SizeKB) / 160.0
 	fileBytes := host.Bytes(float64(virusFileBytes) * scale)
 	return Metrics{
-		Work:        host.Work(float64(len(target)) * virusOpsPerByte / 1e6),
+		Work:        host.Work(float64(size) * virusOpsPerByte / 1e6),
 		IOWrite:     fileBytes,                // stage the uploaded target
 		IORead:      fileBytes + virusDBBytes, // re-read target + stream DB
 		ResultBytes: virusResultBytes,
-		RealOps:     int64(len(target)),
+		RealOps:     int64(size),
 		Output:      fmt.Sprintf("scanned=%dKB verdict=%s", p.SizeKB, verdict),
 	}, nil
 }
 
 // --- Aho-Corasick multi-pattern automaton ---
 
-type acNode struct {
-	next map[byte]int
-	fail int
-	hits int // patterns ending here (including via fail links)
-}
-
+// ahoCorasick is a flat goto/fail automaton. Node 0 is the root. The goto
+// edges of node n are labels[first[n]:first[n+1]] leading to the
+// same-indexed targets (CSR layout); the root's edges are additionally
+// expanded into the dense 256-entry root row, where 0 means "no edge, stay
+// in the root" — no edge ever leads back to the root. Immutable after
+// newAhoCorasick.
 type ahoCorasick struct {
-	nodes []acNode
+	first   []int32 // len nodes+1
+	labels  []byte
+	targets []int32
+	fail    []int32
+	hits    []int32 // patterns ending here (including via fail links)
+	root    [256]int32
+	// rootByte is the root's only out-byte, or -1 when it has several (or
+	// none): with one, scan skips ahead to its next occurrence instead of
+	// stepping the root state byte by byte.
+	rootByte int
 }
 
+// newAhoCorasick builds the automaton over non-empty patterns.
 func newAhoCorasick(patterns [][]byte) *ahoCorasick {
-	a := &ahoCorasick{nodes: []acNode{{next: make(map[byte]int)}}}
-	// Build the trie.
+	// Build the trie with per-node edge lists, in insertion order.
+	type edge struct {
+		label byte
+		to    int32
+	}
+	trie := [][]edge{nil}
+	child := func(n int32, b byte) int32 {
+		for _, e := range trie[n] {
+			if e.label == b {
+				return e.to
+			}
+		}
+		return -1
+	}
+	hits := []int32{0}
 	for _, pat := range patterns {
-		cur := 0
+		cur := int32(0)
 		for _, b := range pat {
-			nxt, ok := a.nodes[cur].next[b]
-			if !ok {
-				a.nodes = append(a.nodes, acNode{next: make(map[byte]int)})
-				nxt = len(a.nodes) - 1
-				a.nodes[cur].next[b] = nxt
+			nxt := child(cur, b)
+			if nxt < 0 {
+				nxt = int32(len(trie))
+				trie = append(trie, nil)
+				hits = append(hits, 0)
+				trie[cur] = append(trie[cur], edge{b, nxt})
 			}
 			cur = nxt
 		}
-		a.nodes[cur].hits++
+		hits[cur]++
 	}
 	// BFS to set failure links (standard construction: the failure target
 	// of child v reached by byte b from u is the goto of fail(u) on b).
-	queue := make([]int, 0, len(a.nodes))
-	for _, n := range a.nodes[0].next {
-		queue = append(queue, n) // root children fail to the root
+	// Root children fail to the root.
+	fail := make([]int32, len(trie))
+	queue := make([]int32, 0, len(trie))
+	for _, e := range trie[0] {
+		queue = append(queue, e.to)
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for b, v := range a.nodes[u].next {
-			f := a.nodes[u].fail
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, e := range trie[u] {
+			f := fail[u]
 			for {
-				if n, ok := a.nodes[f].next[b]; ok && n != v {
-					a.nodes[v].fail = n
+				if n := child(f, e.label); n >= 0 {
+					fail[e.to] = n
 					break
 				}
 				if f == 0 {
-					a.nodes[v].fail = 0
 					break
 				}
-				f = a.nodes[f].fail
+				f = fail[f]
 			}
-			a.nodes[v].hits += a.nodes[a.nodes[v].fail].hits
-			queue = append(queue, v)
+			hits[e.to] += hits[fail[e.to]]
+			queue = append(queue, e.to)
 		}
+	}
+	// Flatten.
+	a := &ahoCorasick{
+		first:    make([]int32, len(trie)+1),
+		labels:   make([]byte, 0, len(trie)-1),
+		targets:  make([]int32, 0, len(trie)-1),
+		fail:     fail,
+		hits:     hits,
+		rootByte: -1,
+	}
+	for n, edges := range trie {
+		a.first[n] = int32(len(a.labels))
+		for _, e := range edges {
+			a.labels = append(a.labels, e.label)
+			a.targets = append(a.targets, e.to)
+		}
+	}
+	a.first[len(trie)] = int32(len(a.labels))
+	for _, e := range trie[0] {
+		a.root[e.label] = e.to
+	}
+	if len(trie[0]) == 1 {
+		a.rootByte = int(trie[0][0].label)
 	}
 	return a
 }
 
+// edge returns the goto target of non-root node n on byte b, or -1. Most
+// nodes sit on a single signature's tail and have one child.
+func (a *ahoCorasick) edge(n int32, b byte) int32 {
+	lo, hi := a.first[n], a.first[n+1]
+	if hi-lo == 1 {
+		if a.labels[lo] == b {
+			return a.targets[lo]
+		}
+		return -1
+	}
+	if k := bytes.IndexByte(a.labels[lo:hi], b); k >= 0 {
+		return a.targets[int(lo)+k]
+	}
+	return -1
+}
+
 // scan returns the number of pattern occurrences in data.
 func (a *ahoCorasick) scan(data []byte) int {
-	matches, cur := 0, 0
-	for _, b := range data {
-		for {
-			if n, ok := a.nodes[cur].next[b]; ok {
-				cur = n
+	matches, cur := 0, int32(0)
+	for i := 0; i < len(data); i++ {
+		b := data[i]
+		if cur == 0 && a.rootByte >= 0 {
+			// Only one byte leaves the root: every other byte keeps the
+			// state and matches nothing, so jump to its next occurrence.
+			j := bytes.IndexByte(data[i:], byte(a.rootByte))
+			if j < 0 {
 				break
 			}
-			if cur == 0 {
-				break
-			}
-			cur = a.nodes[cur].fail
+			i += j
+			b = data[i]
 		}
-		matches += a.nodes[cur].hits
+		next := int32(-1)
+		for cur != 0 && next < 0 {
+			if next = a.edge(cur, b); next < 0 {
+				cur = a.fail[cur]
+			}
+		}
+		if next < 0 {
+			next = a.root[b]
+		}
+		cur = next
+		matches += int(a.hits[cur])
 	}
 	return matches
 }

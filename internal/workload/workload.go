@@ -116,12 +116,15 @@ const (
 	NameLinpack   = "Linpack"
 )
 
-// Apps returns fresh instances of all four benchmarks in the paper's order.
+// Apps returns all four benchmarks in the paper's order. OCR and VirusScan
+// carry immutable tables (font, signature automaton) that are built once
+// per process and shared by every caller; every app is safe for concurrent
+// Execute.
 func Apps() []App {
 	return []App{NewOCR(), NewChess(), NewVirusScan(), NewLinpack()}
 }
 
-// ByName returns a fresh instance of the named benchmark.
+// ByName returns the named benchmark.
 func ByName(name string) (App, error) {
 	for _, a := range Apps() {
 		if a.Name() == name {
@@ -131,9 +134,8 @@ func ByName(name string) (App, error) {
 	return nil, fmt.Errorf("workload: unknown app %q", name)
 }
 
-// Registry resolves app names to instances, caching one instance per app so
-// expensive per-app state (the VirusScan automaton) is built once. It is
-// the cloud-side "reflection" table mapping offloaded class names to code.
+// Registry resolves app names to instances. It is the cloud-side
+// "reflection" table mapping offloaded class names to code.
 type Registry struct {
 	apps map[string]App
 }

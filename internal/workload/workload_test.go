@@ -162,7 +162,7 @@ func TestTableIICodeSizes(t *testing.T) {
 
 func TestChessInitialPosition(t *testing.T) {
 	b := newBoard()
-	moves := b.legalMoves()
+	moves := b.legalMoves(0)
 	if len(moves) != 20 {
 		t.Fatalf("initial position has %d legal moves, want 20", len(moves))
 	}
@@ -179,9 +179,9 @@ func TestChessPerft2(t *testing.T) {
 	// exactly 20*20 = 400 (no captures or checks possible yet).
 	b := newBoard()
 	count := 0
-	for _, m := range b.legalMoves() {
+	for _, m := range b.legalMoves(1) {
 		b.make(m)
-		count += len(b.legalMoves())
+		count += len(b.legalMoves(0))
 		b.unmake(m)
 	}
 	if count != 400 {
@@ -195,7 +195,7 @@ func TestChessMakeUnmakeRoundTrip(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		before := b.sq
 		side := b.white
-		moves := b.legalMoves()
+		moves := b.legalMoves(0)
 		if len(moves) == 0 {
 			break
 		}
@@ -222,6 +222,7 @@ func TestChessFindsHangingQueen(t *testing.T) {
 	b.sq[7*16+4] = -wk // black king e8
 	b.sq[3] = wr       // white rook d1
 	b.sq[3*16+3] = -wq // black queen d4
+	b.king = scanKings(b)
 	best, score, nodes := b.search(2)
 	if got := best.String(); got != "d1d4" {
 		t.Fatalf("best move = %s (score %d), want d1d4 capturing the queen", got, score)
@@ -236,8 +237,9 @@ func TestChessPromotion(t *testing.T) {
 	b.sq[4] = wk
 	b.sq[7*16+0] = -wk // black king a8... keep far from promotion square h8
 	b.sq[6*16+7] = wp  // white pawn h7
+	b.king = scanKings(b)
 	found := false
-	for _, m := range b.legalMoves() {
+	for _, m := range b.legalMoves(0) {
 		if m.promo == wq && m.to == 7*16+7 {
 			found = true
 			b.make(m)
@@ -261,8 +263,9 @@ func TestChessCheckmateDetection(t *testing.T) {
 	b.sq[7*16+7] = -wk // h8
 	b.sq[7*16+0] = wr  // a8
 	b.sq[5*16+6] = wk  // g6
-	if len(b.legalMoves()) != 0 {
-		t.Fatalf("mated side has legal moves: %v", b.legalMoves())
+	b.king = scanKings(b)
+	if len(b.legalMoves(0)) != 0 {
+		t.Fatalf("mated side has legal moves: %v", b.legalMoves(0))
 	}
 	if !b.inCheck(-1) {
 		t.Fatal("mated king not in check")
@@ -275,18 +278,17 @@ func TestPropertyChessSearchReturnsLegalMove(t *testing.T) {
 		b := newBoard()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(prefix%30); i++ {
-			moves := b.legalMoves()
+			moves := b.legalMoves(0)
 			if len(moves) == 0 {
 				return true
 			}
 			b.make(moves[rng.Intn(len(moves))])
 		}
-		legal := b.legalMoves()
-		if len(legal) == 0 {
+		if len(b.legalMoves(0)) == 0 {
 			return true
 		}
 		best, _, _ := b.search(2)
-		for _, m := range legal {
+		for _, m := range b.legalMoves(0) {
 			if m == best {
 				return true
 			}
@@ -393,14 +395,7 @@ func TestAhoCorasickAgainstNaive(t *testing.T) {
 	pats := [][]byte{[]byte("he"), []byte("she"), []byte("his"), []byte("hers")}
 	ac := newAhoCorasick(pats)
 	text := []byte("ushers and his heroes; she sells hers")
-	want := 0
-	for _, p := range pats {
-		for i := 0; i+len(p) <= len(text); i++ {
-			if string(text[i:i+len(p)]) == string(p) {
-				want++
-			}
-		}
-	}
+	want := naiveCount(pats, text)
 	if got := ac.scan(text); got != want {
 		t.Fatalf("AC found %d, naive found %d", got, want)
 	}
@@ -478,11 +473,10 @@ func TestOCRRecognizesKnownText(t *testing.T) {
 
 func TestOCRFontGlyphsDistinct(t *testing.T) {
 	o := NewOCR()
-	letters := []byte(ocrAlphabet)
-	for i := 0; i < len(letters); i++ {
-		for j := i + 1; j < len(letters); j++ {
-			if o.font[letters[i]] == o.font[letters[j]] {
-				t.Fatalf("glyphs %q and %q identical", letters[i], letters[j])
+	for i := range o.masks {
+		for j := i + 1; j < len(o.masks); j++ {
+			if o.masks[i] == o.masks[j] {
+				t.Fatalf("glyphs %q and %q identical", ocrAlphabet[i], ocrAlphabet[j])
 			}
 		}
 	}
