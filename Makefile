@@ -18,7 +18,9 @@ race:
 
 # Static checks: formatting, vet, and the lifecycle-encapsulation rule —
 # RuntimeInfo.State/Busy are written only by ContainerDB.Transition (in
-# db.go); every other non-test file may only read them. The last grep keeps
+# db.go); every other non-test file may only read them. Rings and
+# Memberships are built only inside internal/cluster, so no layer can route
+# on a private placement table frozen at epoch 0 again. The last grep keeps
 # encoding/gob out: the wire and the param blobs have one flat codec each,
 # and a second one would need negotiating again.
 lint: vet
@@ -43,6 +45,12 @@ lint: vet
 		| grep -v '_test.go' | grep -v '^internal/cluster/' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "placement rings constructed outside internal/cluster (route through Membership):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'cluster\.NewMembership(' --include='*.go' internal/ cmd/ \
+		| grep -v '_test.go' | grep -v '^internal/cluster/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a second Membership outside internal/cluster (a Cluster owns the only live one; route through it):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \

@@ -45,6 +45,12 @@ type clCell struct {
 	Shards   int `json:"shards"`
 	Devices  int `json:"devices"`
 	Requests int `json:"requests"` // measured requests per device (excl. warm-up)
+	// BusiestShardDevices is how many of the cell's AIDs (one per device)
+	// the ring places on its most loaded shard; with one runtime per shard
+	// that shard paces the cell, so PlacementBoundX = devices / busiest is
+	// the most a cell can gain over one shard. Both are deterministic.
+	BusiestShardDevices int     `json:"busiest_shard_devices"`
+	PlacementBoundX     float64 `json:"placement_bound_x"`
 	// Wall-clock measurements; everything above is deterministic config.
 	ReqPerSec float64 `json:"req_per_sec"`
 	P50Micros float64 `json:"p50_us"`
@@ -92,8 +98,8 @@ func runClusterBench(dir string, short bool) error {
 		}
 		rep.Cells = append(rep.Cells, cell)
 		byKey[c] = cell
-		fmt.Printf("cluster %d shard(s) x %d devices: %.0f req/s (p50 %.0f µs, p99 %.0f µs)\n",
-			cell.Shards, cell.Devices, cell.ReqPerSec, cell.P50Micros, cell.P99Micros)
+		fmt.Printf("cluster %d shard(s) x %d devices: %.0f req/s (p50 %.0f µs, p99 %.0f µs; busiest shard %d devices, placement bound %.2fx)\n",
+			cell.Shards, cell.Devices, cell.ReqPerSec, cell.P50Micros, cell.P99Micros, cell.BusiestShardDevices, cell.PlacementBoundX)
 	}
 	if one, ok := byKey[[2]int{1, 32}]; ok && one.ReqPerSec > 0 {
 		if four, ok := byKey[[2]int{4, 32}]; ok {
@@ -135,16 +141,30 @@ func measureClusterCell(shards, devices, requests int) (clCell, error) {
 		Shards:        shards,
 	})
 	defer srv.Close()
+
+	app, _ := workload.ByName(workload.NameLinpack)
+	baseAID := offload.AID(app.Name(), app.CodeSize())
+	params := workload.EncodeLinpackParams(7, clOrder)
+	deviceAID := func(i int) string { return fmt.Sprintf("%s#d%d", baseAID, i) }
+
+	// Placement is read before the server takes traffic (afterwards the
+	// cluster belongs to the driver).
+	perShard := make([]int, shards)
+	busiest := 0
+	for i := 0; i < devices; i++ {
+		o := srv.Cluster().Owner(deviceAID(i))
+		perShard[o]++
+		if perShard[o] > busiest {
+			busiest = perShard[o]
+		}
+	}
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return clCell{}, err
 	}
 	defer ln.Close()
 	go srv.Serve(ln)
-
-	app, _ := workload.ByName(workload.NameLinpack)
-	baseAID := offload.AID(app.Name(), app.CodeSize())
-	params := workload.EncodeLinpackParams(7, clOrder)
 
 	var ready, done sync.WaitGroup
 	start := make(chan struct{})
@@ -154,9 +174,8 @@ func measureClusterCell(shards, devices, requests int) (clCell, error) {
 	for i := 0; i < devices; i++ {
 		go func(i int) {
 			defer done.Done()
-			aid := fmt.Sprintf("%s#d%d", baseAID, i)
 			errs[i] = driveThroughputDevice(ln.Addr().String(), fmt.Sprintf("cl-dev-%d", i),
-				app, aid, params, clDepth, requests, &ready, start)
+				app, deviceAID(i), params, clDepth, requests, &ready, start)
 		}(i)
 	}
 	ready.Wait() // every device connected, warmed up and parked at the gate
@@ -176,11 +195,13 @@ func measureClusterCell(shards, devices, requests int) (clCell, error) {
 	p50, _, p99 := srv.Latency().Percentiles()
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return clCell{
-		Shards:    shards,
-		Devices:   devices,
-		Requests:  requests,
-		ReqPerSec: float64(total) / wall.Seconds(),
-		P50Micros: us(p50),
-		P99Micros: us(p99),
+		Shards:              shards,
+		Devices:             devices,
+		Requests:            requests,
+		BusiestShardDevices: busiest,
+		PlacementBoundX:     float64(devices) / float64(busiest),
+		ReqPerSec:           float64(total) / wall.Seconds(),
+		P50Micros:           us(p50),
+		P99Micros:           us(p99),
 	}, nil
 }

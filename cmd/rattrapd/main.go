@@ -91,7 +91,7 @@ func main() {
 		logger.Fatal(err)
 	}
 	logger.Printf("%s platform listening on %s (speed %.1fx, pool %d, shards %d)",
-		kind, ln.Addr(), *speed, *maxRuntimes, srv.Shards())
+		kind, ln.Addr(), *speed, *maxRuntimes, srv.Cluster().Shards())
 	if err := srv.Serve(ln); err != nil {
 		logger.Fatal(err)
 	}

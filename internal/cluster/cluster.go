@@ -21,9 +21,7 @@
 // A Cluster runs all shards on one sim.Engine, so results in virtual time
 // are bit-deterministic per seed, and a 1-shard Cluster is byte-identical
 // to a bare Platform (pinned by the experiments goldens). The realtime
-// serving layer shards differently — one engine and pacing driver per
-// shard, for wall-clock parallelism — but routes with this package's
-// Membership, so placement agrees between the two modes.
+// serving layer runs this same Cluster under its pacing driver.
 package cluster
 
 import (
@@ -59,8 +57,7 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard
 // Unwrap exposes the shard's error to errors.Is / errors.As.
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// ShardPrefix is the per-shard instrument/CID label convention shared by
-// the sim Cluster and the realtime serving layer.
+// ShardPrefix is the per-shard instrument label ("shard2.").
 func ShardPrefix(i int) string { return fmt.Sprintf("shard%d.", i) }
 
 // CIDPrefix is the per-shard runtime-ID prefix ("s2-cac-1").
@@ -195,9 +192,16 @@ func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session
 	}
 	sess, err := c.shards[shard].Prepare(p, req)
 	if err != nil {
+		if !c.mem.Routable(shard) {
+			// The shard left the ring while this request was parked in it
+			// and retire bounced its queue: a retry routes to the new owner.
+			err = ErrShardDown
+		}
 		return nil, &ShardError{Shard: shard, Err: err}
 	}
-	return &shardSession{Session: sess, shard: shard, c: c}, nil
+	// Every core session speaks the chunk negotiation (answering
+	// Supported=false when its platform has chunking off).
+	return &shardSession{ChunkedSession: sess.(offload.ChunkedSession), shard: shard, c: c}, nil
 }
 
 // Runtimes merges every shard's Container DB listing, shard 0 first. The
@@ -250,27 +254,61 @@ func (c *Cluster) WarehouseStats() (entries, hits int) {
 // sees it); work already inside the platform completes — the crash model
 // cuts the shard off from new operations, it does not unwind virtual time.
 type shardSession struct {
-	offload.Session
+	offload.ChunkedSession
 	shard int
 	c     *Cluster
 }
 
-func (s *shardSession) PushCode(p *sim.Proc, push offload.CodePush) error {
+// down reports ErrShardDown once the session's shard has crashed.
+func (s *shardSession) down() error {
 	if s.c.failed[s.shard] {
 		return &ShardError{Shard: s.shard, Err: ErrShardDown}
 	}
-	if err := s.Session.PushCode(p, push); err != nil {
-		return &ShardError{Shard: s.shard, Err: err}
-	}
-	s.c.fanOut(s.shard, push.AID)
 	return nil
 }
 
-func (s *shardSession) Execute(p *sim.Proc) (offload.Result, error) {
-	if s.c.failed[s.shard] {
-		return offload.Result{}, &ShardError{Shard: s.shard, Err: ErrShardDown}
+// pushed tags a failed push with the session's shard; a push that landed
+// fans out to the rest of the AID's replica set.
+func (s *shardSession) pushed(aid string, err error) error {
+	if err != nil {
+		return &ShardError{Shard: s.shard, Err: err}
 	}
-	res, err := s.Session.Execute(p)
+	s.c.fanOut(s.shard, aid)
+	return nil
+}
+
+func (s *shardSession) PushCode(p *sim.Proc, push offload.CodePush) error {
+	if err := s.down(); err != nil {
+		return err
+	}
+	return s.pushed(push.AID, s.ChunkedSession.PushCode(p, push))
+}
+
+// NegotiateChunks and PushChunks keep a device's delta push working
+// through routing, and the entry it lands replicates like a full push.
+func (s *shardSession) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offload.ChunkNeed, error) {
+	if err := s.down(); err != nil {
+		return offload.ChunkNeed{}, err
+	}
+	need, err := s.ChunkedSession.NegotiateChunks(p, offer)
+	if err != nil {
+		return need, &ShardError{Shard: s.shard, Err: err}
+	}
+	return need, nil
+}
+
+func (s *shardSession) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []uint64) error {
+	if err := s.down(); err != nil {
+		return err
+	}
+	return s.pushed(offer.AID, s.ChunkedSession.PushChunks(p, offer, missing))
+}
+
+func (s *shardSession) Execute(p *sim.Proc) (offload.Result, error) {
+	if err := s.down(); err != nil {
+		return offload.Result{}, err
+	}
+	res, err := s.ChunkedSession.Execute(p)
 	if err != nil {
 		// ErrCodeNeeded is part of the Gateway protocol (callers test for
 		// it with errors.Is); wrapping keeps that working while naming the

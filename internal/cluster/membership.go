@@ -53,8 +53,7 @@ func (s ShardState) String() string {
 
 // Membership is the epoch-numbered placement table: shard states plus a
 // consistent-hash ring over the routable shards and the replica factor R.
-// It is a passive table — the Cluster mutates it and drives migration;
-// the realtime server holds a static one purely for routing.
+// It is a passive table — the Cluster mutates it and drives migration.
 type Membership struct {
 	epoch    uint64
 	vnodes   int

@@ -210,11 +210,11 @@ func (c *Cluster) repair(p *sim.Proc) {
 			if tw == nil {
 				continue
 			}
-			ents := src.ExportRange(func(a string) bool { return a == aid })
-			if len(ents) != 1 {
+			ent, ok := src.Export(aid)
+			if !ok {
 				continue
 			}
-			delta, full, err := tw.ImportEntry(p, ents[0])
+			delta, full, err := tw.ImportEntry(p, ent)
 			if err != nil || full == 0 {
 				continue
 			}
@@ -249,14 +249,17 @@ func (c *Cluster) dropOrphans() {
 
 // retire winds a dead or drained shard's pool down: every runtime is
 // cordoned (in-flight work finishes, then the slot drains through the
-// lifecycle FSM), and the sizing floor drops to zero so an autoscaler
-// stops re-warming capacity nothing routes to.
+// lifecycle FSM), the sizing floor drops to zero so an autoscaler stops
+// re-warming capacity nothing routes to, and requests still parked in its
+// wait ring are bounced (Prepare reports ErrShardDown) to retry onto the
+// shards that now own their AIDs.
 func (c *Cluster) retire(id int) {
 	pl := c.shards[id]
 	for _, ri := range pl.DB().List() {
 		pl.CordonRuntime(ri.CID)
 	}
 	pl.SetPoolBounds(0, 1)
+	pl.RejectQueued()
 }
 
 // fanOut replicates a freshly pushed entry from its primary to the rest
@@ -272,8 +275,8 @@ func (c *Cluster) fanOut(shard int, aid string) {
 		if src == nil || c.failed[shard] {
 			return
 		}
-		ents := src.ExportRange(func(a string) bool { return a == aid })
-		if len(ents) != 1 {
+		ent, ok := src.Export(aid)
+		if !ok {
 			return
 		}
 		for _, t := range c.mem.ReplicaSet(aid) {
@@ -284,7 +287,7 @@ func (c *Cluster) fanOut(shard int, aid string) {
 			if tw == nil {
 				continue
 			}
-			delta, full, err := tw.ImportEntry(p, ents[0])
+			delta, full, err := tw.ImportEntry(p, ent)
 			if err != nil || full == 0 {
 				continue
 			}

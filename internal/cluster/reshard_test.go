@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"rattrap/internal/core"
+	"rattrap/internal/device"
 	"rattrap/internal/host"
+	"rattrap/internal/netsim"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -407,4 +409,119 @@ func TestClusterRemoveShardHandsOff(t *testing.T) {
 		})
 	}
 	e.Run()
+}
+
+// TestClusterChunkedPushThroughRouting: a chunked device keeps its delta
+// push when the gateway is a Cluster. Two shards at R=2, an app family of
+// two code sizes sharing their library prefix: the second member uploads
+// only the chunks the first did not already land (the shard session must
+// be an offload.ChunkedSession for the device to negotiate at all), and
+// the delta push fans out, so the replica holds the new entry too.
+func TestClusterChunkedPushThroughRouting(t *testing.T) {
+	e := sim.NewEngine(23)
+	cfg := core.DefaultConfig(core.KindRattrap)
+	cfg.ChunkedPush = true
+	cl := NewReplicated(e, cfg, 2, 2)
+	app, _ := workload.ByName(workload.NameLinpack)
+	const (
+		base    = 5 * host.MB
+		variant = 5*host.MB + 512*host.KB
+	)
+
+	var codeUp [2]host.Bytes
+	for i, size := range []host.Bytes{base, variant} {
+		i, size := i, size
+		e.Spawn(fmt.Sprintf("family-%d", i), func(p *sim.Proc) {
+			d, err := device.New(e, fmt.Sprintf("phone-%d", i), netsim.LANWiFi())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.EnableChunkedPush(true)
+			if _, _, err := d.Offload(p, d.NewTask(app), size, cl); err != nil {
+				t.Error(err)
+			}
+			codeUp[i] = d.Traffic().CodeUp
+		})
+		e.Run() // quiesce: the push's replica copy lands before the next member
+	}
+
+	if codeUp[0] != base {
+		t.Fatalf("first family member uploaded %d bytes, want the full %d", codeUp[0], base)
+	}
+	offer := offload.ChunkOffer{Size: variant, Hashes: offload.SyntheticManifest(app.Name(), variant)}
+	have := make(map[uint64]bool)
+	for _, h := range offload.SyntheticManifest(app.Name(), base) {
+		have[h] = true
+	}
+	var missing []uint64
+	for _, h := range offer.Hashes {
+		if !have[h] {
+			missing = append(missing, h)
+		}
+	}
+	want := offload.DeltaBytes(offer, missing)
+	if want == 0 || want >= variant/2 {
+		t.Fatalf("bad fixture: family delta %d of %d bytes", want, variant)
+	}
+	if codeUp[1] != want {
+		t.Fatalf("second family member uploaded %d bytes, want the %d-byte delta (full push is %d)", codeUp[1], want, variant)
+	}
+	aid := offload.AID(app.Name(), variant)
+	for _, s := range cl.Membership().ReplicaSet(aid) {
+		if _, ok := cl.Shard(s).Warehouse().Lookup(aid); !ok {
+			t.Fatalf("shard %d of %s's replica set does not hold the delta-pushed entry", s, aid)
+		}
+	}
+	if st := cl.MigrationStats(); st.ReplicaCopies != 2 {
+		t.Fatalf("replica copies = %d, want 2 (one per push): %+v", st.ReplicaCopies, st)
+	}
+}
+
+// TestClusterFailShardBouncesQueuedRequests: a request parked in a fixed
+// pool's wait ring when its shard crashes must come back with ErrShardDown
+// — the retired pool cordons every runtime, hands slots to nobody and boots
+// no replacements, so without the bounce the request would wait forever.
+func TestClusterFailShardBouncesQueuedRequests(t *testing.T) {
+	e := sim.NewEngine(29)
+	cfg := core.DefaultConfig(core.KindRattrap)
+	cfg.MaxRuntimes = 1
+	cl := NewReplicated(e, cfg, 2, 1)
+	app, _ := workload.ByName(workload.NameLinpack)
+	aid := offload.AID(app.Name(), app.CodeSize())
+	victim := cl.Owner(aid)
+
+	var queuedErr error
+	returned := false
+	e.Spawn("holder", func(p *sim.Proc) {
+		sess, err := cl.Prepare(p, offload.ExecRequest{DeviceID: "dev-1", AID: aid, App: app.Name()})
+		if err != nil {
+			t.Errorf("holder prepare: %v", err)
+			return
+		}
+		// The shard's only runtime is pinned; let dev-2 queue behind it,
+		// then crash the shard under both.
+		for cl.Shard(victim).QueueLength() == 0 {
+			p.Sleep(10 * time.Millisecond)
+		}
+		cl.FailShard(victim)
+		sess.Release()
+	})
+	e.Spawn("queued", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		_, queuedErr = cl.Prepare(p, offload.ExecRequest{DeviceID: "dev-2", AID: aid, App: app.Name()})
+		returned = true
+	})
+	e.Run()
+
+	if !returned {
+		t.Fatal("queued request never returned from Prepare: stranded in the dead shard's wait ring")
+	}
+	var se *ShardError
+	if !errors.Is(queuedErr, ErrShardDown) || !errors.As(queuedErr, &se) || se.Shard != victim {
+		t.Fatalf("queued request error = %v, want ErrShardDown from shard %d", queuedErr, victim)
+	}
+	if q := cl.Shard(victim).QueueLength(); q != 0 {
+		t.Fatalf("dead shard still queues %d request(s)", q)
+	}
 }

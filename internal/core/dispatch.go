@@ -209,7 +209,7 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		return nil, ErrAborted
 	}
 	if w.sl == nil {
-		return nil, errors.New("core: dispatcher queue aborted")
+		return nil, errors.New("core: dispatcher queue rejected (pool retired)")
 	}
 	w.taken = true
 	return w.sl, nil
@@ -273,6 +273,20 @@ func (pl *Platform) popLiveWaiter() *waiter {
 			continue
 		}
 		return w
+	}
+}
+
+// RejectQueued wakes every request parked in the wait ring without a slot:
+// each one's Prepare returns an error instead of waiting for a release
+// that will never come. A fixed pool whose runtimes have all been cordoned
+// (a retired cluster shard) hands slots to nobody and boots no
+// replacements, so without this its queue would wait forever.
+func (pl *Platform) RejectQueued() {
+	for w := pl.popLiveWaiter(); w != nil; w = pl.popLiveWaiter() {
+		w.sig.Fire() // w.sl stays nil: acquireSlot reports the rejection
+	}
+	if pl.om != nil {
+		pl.om.queueLen.Set(int64(pl.waitQ.len()))
 	}
 }
 

@@ -26,11 +26,30 @@ type ExportedEntry struct {
 	Hashes []uint64
 }
 
+// export puts one warehouse row in transferable form. Entries staged as
+// plain blobs get their synthetic manifest — the import side stores them
+// chunked, which is lossless here because chunk content is synthetic
+// everywhere in the simulation.
+func (e *cacheEntry) export() ExportedEntry {
+	hashes := e.Hashes
+	if !e.chunked {
+		hashes = offload.SyntheticManifest(e.App, e.Size)
+	}
+	return ExportedEntry{AID: e.AID, App: e.App, Size: e.Size, Hashes: hashes}
+}
+
+// Export returns aid's entry in transferable form, if the warehouse holds
+// it: the per-AID lookup behind replica fan-out and repair.
+func (w *Warehouse) Export(aid string) (ExportedEntry, bool) {
+	e, ok := w.entries[aid]
+	if !ok {
+		return ExportedEntry{}, false
+	}
+	return e.export(), true
+}
+
 // ExportRange lists the warehouse entries whose AID satisfies match, in
-// insertion (seq) order so migration transfers are deterministic. Entries
-// staged as plain blobs are exported with their synthetic manifest — the
-// import side stores them chunked, which is lossless here because chunk
-// content is synthetic everywhere in the simulation.
+// insertion (seq) order so migration transfers are deterministic.
 func (w *Warehouse) ExportRange(match func(aid string) bool) []ExportedEntry {
 	var rows []*cacheEntry
 	for _, e := range w.entries {
@@ -41,11 +60,7 @@ func (w *Warehouse) ExportRange(match func(aid string) bool) []ExportedEntry {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
 	out := make([]ExportedEntry, 0, len(rows))
 	for _, e := range rows {
-		hashes := e.Hashes
-		if !e.chunked {
-			hashes = offload.SyntheticManifest(e.App, e.Size)
-		}
-		out = append(out, ExportedEntry{AID: e.AID, App: e.App, Size: e.Size, Hashes: hashes})
+		out = append(out, e.export())
 	}
 	return out
 }

@@ -88,7 +88,7 @@ func TestConnTeardownAbortsQueuedWaiters(t *testing.T) {
 		pack = append(pack, conn)
 	}
 	// Wait until the whole pack is parked in the wait ring.
-	pl := srv.Platform()
+	pl := srv.Cluster().Shard(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		qlen := 0
@@ -181,10 +181,10 @@ func TestShardedAutoscaleConcurrent(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		total := 0
-		for s := 0; s < srv.Shards(); s++ {
+		for s := 0; s < srv.Cluster().Shards(); s++ {
 			s := s
-			srv.shards[s].drv.Do("probe-pool", func(p *sim.Proc) {
-				total += srv.ShardPlatform(s).RuntimeCount()
+			srv.Driver().Do("probe-pool", func(p *sim.Proc) {
+				total += srv.Cluster().Shard(s).RuntimeCount()
 			})
 		}
 		if total == 0 {

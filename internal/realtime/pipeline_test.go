@@ -72,7 +72,7 @@ func TestServerPipelinedRequests(t *testing.T) {
 	if n := waitLatencyCount(srv, total); n != total {
 		t.Fatalf("latency observations = %d, want %d", n, total)
 	}
-	if execs := srv.Platform().DB().Snapshot().TotalExec; execs != total {
+	if execs := srv.Cluster().Shard(0).DB().Snapshot().TotalExec; execs != total {
 		t.Fatalf("executions = %d, want %d", execs, total)
 	}
 }

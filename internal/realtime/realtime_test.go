@@ -131,7 +131,7 @@ func TestServerEndToEndOverTCP(t *testing.T) {
 	if needed {
 		t.Fatal("second request re-transferred code despite the warehouse")
 	}
-	if entries, _, _ := srv.Platform().Warehouse().Stats(); entries != 1 {
+	if entries, _, _ := srv.Cluster().Shard(0).Warehouse().Stats(); entries != 1 {
 		t.Fatalf("warehouse entries=%d, want 1", entries)
 	}
 }

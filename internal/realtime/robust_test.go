@@ -44,7 +44,7 @@ func waitLatencyCount(srv *Server, want int64) int64 {
 // other devices keep being served instead of queueing behind a corpse.
 func TestSlowLorisReleasesSlot(t *testing.T) {
 	srv, ln := startServerOpts(t, Options{ReadTimeout: 300 * time.Millisecond})
-	cfg := srv.Platform() // MaxRuntimes is the default (>1); the stall pins one slot
+	cfg := srv.Cluster().Shard(0) // MaxRuntimes is the default (>1); the stall pins one slot
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -114,7 +114,7 @@ func TestIdempotentRetryDoesNotReExecute(t *testing.T) {
 	if res1.Err != "" || res1.Output == "" {
 		t.Fatalf("first attempt: %+v", res1)
 	}
-	execs := srv.Platform().DB().Snapshot().TotalExec
+	execs := srv.Cluster().Shard(0).DB().Snapshot().TotalExec
 
 	// Same device, same seq — as a retry would send after a lost reply
 	// (fresh connection, like a client reconnecting after a fault).
@@ -125,7 +125,7 @@ func TestIdempotentRetryDoesNotReExecute(t *testing.T) {
 	if res2.Output != res1.Output || res2.ResultBytes != res1.ResultBytes {
 		t.Fatalf("retry result %+v differs from original %+v", res2, res1)
 	}
-	if after := srv.Platform().DB().Snapshot().TotalExec; after != execs {
+	if after := srv.Cluster().Shard(0).DB().Snapshot().TotalExec; after != execs {
 		t.Fatalf("retry re-executed: %d -> %d executions", execs, after)
 	}
 
@@ -134,7 +134,7 @@ func TestIdempotentRetryDoesNotReExecute(t *testing.T) {
 	if res3.Err != "" {
 		t.Fatalf("new seq: %+v", res3)
 	}
-	if after := srv.Platform().DB().Snapshot().TotalExec; after != execs+1 {
+	if after := srv.Cluster().Shard(0).DB().Snapshot().TotalExec; after != execs+1 {
 		t.Fatalf("new seq executions = %d, want %d", after, execs+1)
 	}
 }

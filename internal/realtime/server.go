@@ -54,14 +54,15 @@ type Options struct {
 	// on admission it stops reading frames (including code pushes) until a
 	// slot frees.
 	PipelineDepth int
-	// Shards is how many platform shards the server runs (default 1).
-	// Each shard is a full single-node platform — its own engine, pacing
-	// driver, runtime pool, warehouse and admission bounds — and requests
-	// route to shards by consistent-hashing their AID (cluster.Ring), so
-	// each app's warehouse entry lives on exactly one shard. Separate
-	// engines mean separate pacing: shards overlap in wall-clock time the
-	// way separate servers would. Shard instruments share the server's
-	// registry under "shardN." prefixes, and runtime CIDs get "sN-".
+	// Shards is how many platform shards the server's cluster.Cluster
+	// starts with (default 1). Each shard is a full single-node platform —
+	// its own runtime pool, warehouse and admission bounds — on the
+	// server's one engine and pacing driver, and requests route by AID
+	// through the cluster's live membership, so shards can be added,
+	// drained or failed while serving (Server.Cluster, under Driver().Do).
+	// Shards overlap in virtual time, which is what the pacer turns into
+	// wall-clock capacity. With more than one shard, instruments share the
+	// server's registry under "shardN." prefixes and runtime CIDs get "sN-".
 	Shards int
 }
 
@@ -95,25 +96,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// serverShard is one platform with its own engine and pacing driver. All
-// cross-goroutine access to the shard's engine goes through drv.Do.
-type serverShard struct {
-	drv *Driver
-	pl  *core.Platform
-}
-
-// Server serves the offload wire protocol over real connections, backed by
-// one or more paced core.Platform shards (Options.Shards) with requests
-// routed by consistent-hashed AID.
+// Server serves the offload wire protocol over real connections: a paced
+// Driver, the cluster.Cluster living on its engine, and the wire protocol.
+// All cross-goroutine access to the cluster goes through drv.Do.
 type Server struct {
-	shards []serverShard
-	mem    *cluster.Membership // static membership: epoch-0 routing only
-	drv    *Driver             // shard 0 (single-shard accessors, tests)
-	pl     *core.Platform      // shard 0
-	log    *log.Logger
-	lat    *metrics.LatencyHistogram
-	opts   Options
-	dedup  *dedupCache
+	drv   *Driver
+	cl    *cluster.Cluster
+	log   *log.Logger
+	lat   *metrics.LatencyHistogram
+	opts  Options
+	dedup *dedupCache
 
 	// wreg executes workloads ahead of dispatch, on the request's own
 	// goroutine. Apps are deterministic and their shared state is
@@ -155,30 +147,14 @@ func NewServerOpts(cfg core.Config, speed float64, logger *log.Logger, opts Opti
 		dedup = newDedupCache(opts.DedupWindow)
 	}
 	reg := obs.NewRegistry()
-	shards := make([]serverShard, opts.Shards)
-	for i := range shards {
-		// Per-shard engines: seed i+1 keeps shard 0 identical to the
-		// historical single-engine server.
-		e := sim.NewEngine(int64(i) + 1)
-		scfg := cfg
-		if opts.Shards > 1 {
-			scfg.CIDPrefix = cluster.CIDPrefix(i)
-		}
-		pl := core.New(e, scfg)
-		drv := NewDriver(e, speed)
-		drv.Start()
-		if opts.Shards > 1 {
-			pl.SetObsPrefixed(reg, cluster.ShardPrefix(i))
-		} else {
-			pl.SetObs(reg)
-		}
-		shards[i] = serverShard{drv: drv, pl: pl}
-	}
+	e := sim.NewEngine(1)
+	cl := cluster.NewReplicated(e, cfg, opts.Shards, 1)
+	cl.SetObs(reg)
+	drv := NewDriver(e, speed)
+	drv.Start()
 	s := &Server{
-		shards:     shards,
-		mem:        cluster.NewMembership(opts.Shards, 0, 1),
-		drv:        shards[0].drv,
-		pl:         shards[0].pl,
+		drv:        drv,
+		cl:         cl,
 		log:        logger,
 		lat:        metrics.NewLatencyHistogram(),
 		opts:       opts,
@@ -195,38 +171,14 @@ func NewServerOpts(cfg core.Config, speed float64, logger *log.Logger, opts Opti
 	return s
 }
 
-// Platform exposes shard 0's platform (status endpoints, tests; the whole
-// platform on a single-shard server).
-func (s *Server) Platform() *core.Platform { return s.pl }
-
-// Driver exposes shard 0's pacing driver.
+// Driver exposes the pacing driver that owns the server's engine.
 func (s *Server) Driver() *Driver { return s.drv }
 
-// Shards returns the shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
-// ShardPlatform returns shard i's platform.
-func (s *Server) ShardPlatform(i int) *core.Platform { return s.shards[i].pl }
-
-// shardFor routes an AID to its owning shard. The server's membership is
-// static (its shards are fixed per-process engines), so this is always an
-// epoch-0 route — but it goes through the same Membership type the sim
-// cluster reshards, so placement agrees between the two modes.
-func (s *Server) shardFor(aid string) (int, serverShard) {
-	i := s.mem.Primary(aid)
-	return i, s.shards[i]
-}
-
-// shardErr tags an error with its shard on multi-shard servers; with one
-// shard errors pass through untouched, preserving the single-node
-// messages. The wrap keeps errors.Is / errors.As working (ShardError
-// unwraps), so typed overload and blocked classification survive routing.
-func (s *Server) shardErr(shard int, err error) error {
-	if err == nil || len(s.shards) == 1 {
-		return err
-	}
-	return &cluster.ShardError{Shard: shard, Err: err}
-}
+// Cluster exposes the platform shards and their live membership. It lives
+// on the driver's engine: once the server is serving, read or mutate it
+// (AddShard, RemoveShard, FailShard, per-shard platforms) only inside
+// Driver().Do.
+func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 
 // Metrics exposes the server's observability registry: platform counters
 // and gauges (dispatch.*, warehouse.*, core.*), virtual-time stage
@@ -308,9 +260,7 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	for _, sh := range s.shards {
-		sh.drv.Stop()
-	}
+	s.drv.Stop()
 }
 
 // recv reads one frame, bounding the wait with a read deadline when
@@ -373,21 +323,25 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 	dev := hello.Hello.DeviceID
 	s.log.Printf("device %s connected", dev)
-	// One abort signal per shard, fired when this connection tears down:
-	// any of the connection's requests still parked in a dispatcher wait
-	// ring returns ErrAborted instead of eventually claiming a runtime
-	// for a device that is gone. Constructing a Signal only records the
-	// engine pointer — no engine state is touched off-driver.
-	aborts := make([]*sim.Signal, len(s.shards))
-	for i := range aborts {
-		aborts[i] = sim.NewSignal(s.shards[i].pl.E)
-	}
 	h := &connHandler{
-		s:          s,
-		conn:       conn,
-		c:          c,
-		dev:        dev,
-		aborts:     aborts,
+		s:    s,
+		conn: conn,
+		c:    c,
+		dev:  dev,
+		// The abort signal is fired when this connection tears down: any of
+		// its requests still parked in a dispatcher wait ring returns
+		// ErrAborted instead of eventually claiming a runtime for a device
+		// that is gone. Constructing a Signal only records the engine
+		// pointer — no engine state is touched off-driver.
+		abort: sim.NewSignal(s.drv.e),
+		procs: procNames{
+			request: "request:" + dev,
+			push:    "push:" + dev,
+			exec:    "exec:" + dev,
+			chunks:  "chunks:" + dev,
+			release: "release:" + dev,
+			abort:   "abort:" + dev,
+		},
 		sem:        make(chan struct{}, s.opts.PipelineDepth),
 		out:        make(chan outMsg, s.opts.PipelineDepth+2),
 		connDone:   make(chan struct{}),
@@ -416,6 +370,12 @@ type outMsg struct {
 	fatal string
 }
 
+// procNames are the names of the processes a connection injects into the
+// engine, built once per connection rather than concatenated per request.
+type procNames struct {
+	request, push, exec, chunks, release, abort string
+}
+
 // connHandler pipelines one device connection: a decode loop (the
 // connection handler's own goroutine) admits exec frames and routes code
 // pushes, per-request worker goroutines drive the platform, and a single
@@ -427,7 +387,8 @@ type connHandler struct {
 	c    *offload.Conn
 	dev  string
 
-	aborts     []*sim.Signal // per-shard request-abort signals, fired at teardown
+	abort      *sim.Signal   // request-abort signal, fired at teardown
+	procs      procNames     // injected-process names for this device
 	sem        chan struct{} // pipeline admission tokens (cap = PipelineDepth)
 	out        chan outMsg   // workers/decode loop -> writer
 	connDone   chan struct{} // closed when the decode loop exits
@@ -452,19 +413,12 @@ func (h *connHandler) run() error {
 	go h.writer()
 	loopErr := h.decodeLoop()
 	close(h.connDone)
-	// Fire the per-shard abort signals so workers parked in a dispatcher
-	// wait ring (waiting for a runtime that may never free up now that no
-	// more releases are coming from this connection) unblock instead of
-	// deadlocking workers.Wait. Signal state belongs to each shard's
-	// engine, so both the check and the fire run under its driver.
-	for i := range h.aborts {
-		sig := h.aborts[i]
-		h.s.shards[i].drv.Do("abort:"+h.dev, func(p *sim.Proc) {
-			if !sig.Fired() {
-				sig.Fire()
-			}
-		})
-	}
+	// Fire the abort signal so workers parked in a dispatcher wait ring
+	// (waiting for a runtime that may never free up now that no more
+	// releases are coming from this connection) unblock instead of
+	// deadlocking workers.Wait. Signal state belongs to the engine, so the
+	// fire runs under the driver.
+	h.s.drv.Do(h.procs.abort, func(p *sim.Proc) { h.abort.Fire() })
 	h.workers.Wait()
 	close(h.out)
 	<-h.writerDone
@@ -782,6 +736,10 @@ func errorResult(err error) offload.Result {
 		res.RetryAfterMs = over.RetryAfter.Milliseconds()
 	case errors.Is(err, core.ErrBlocked):
 		res.Code = offload.CodeBlocked
+	case errors.Is(err, cluster.ErrShardDown):
+		// The shard crashed under the session; the membership has already
+		// routed around it, so an immediate retry lands on a live shard.
+		res.Code = offload.CodeOverloaded
 	}
 	return res
 }
@@ -815,12 +773,9 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 	// also consumes req.Params before the worker's read-buffer pin could
 	// matter to anyone downstream of the engine.
 	req.SetPrecomputed(s.precompute(&req))
-	// Route the request to the shard owning its AID; every engine
-	// interaction for this request happens on that shard's driver. The
-	// connection's abort signal for that shard rides along so a teardown
+	// The connection's abort signal rides along so a teardown
 	// mid-queue-wait cannot strand this worker (or a runtime slot).
-	shardID, shard := s.shardFor(req.AID)
-	req.SetAbort(h.aborts[shardID])
+	req.SetAbort(h.abort)
 	var (
 		sess    offload.Session
 		prepErr error
@@ -828,8 +783,11 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 		execErr error
 		fast    bool
 	)
-	shard.drv.Do("request:"+h.dev, func(p *sim.Proc) {
-		sess, prepErr = shard.pl.Prepare(p, req)
+	// The cluster routes the request to the shard owning its AID, under
+	// the driver — so the membership may change between requests — and the
+	// session it returns stays pinned to that shard.
+	s.drv.Do(h.procs.request, func(p *sim.Proc) {
+		sess, prepErr = s.cl.Prepare(p, req)
 		if prepErr != nil || sess.NeedCode() {
 			return // code transfer needs protocol I/O; finish below
 		}
@@ -841,13 +799,11 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 		fast = true
 	})
 	if prepErr != nil {
-		r := errorResult(s.shardErr(shardID, prepErr))
-		r.Seq = req.Seq
-		h.out <- outMsg{res: r, isResult: true, start: start, span: sp}
+		h.finishRequest(key, req.Seq, res, prepErr, start, sp)
 		return
 	}
 	if fast {
-		h.finishRequest(key, req.Seq, res, s.shardErr(shardID, execErr), start, sp)
+		h.finishRequest(key, req.Seq, res, execErr, start, sp)
 		return
 	}
 
@@ -859,7 +815,7 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 	released := false
 	defer func() {
 		if !released {
-			shard.drv.Do("release:"+h.dev, func(p *sim.Proc) { sess.Release() })
+			s.drv.Do(h.procs.release, func(p *sim.Proc) { sess.Release() })
 		}
 	}()
 
@@ -880,16 +836,14 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 			var negErr error
 			cs, chunked := sess.(offload.ChunkedSession)
 			if chunked {
-				shard.drv.Do("chunks:"+h.dev, func(p *sim.Proc) {
+				s.drv.Do(h.procs.chunks, func(p *sim.Proc) {
 					need, negErr = cs.NegotiateChunks(p, *msg.offer)
 				})
 			} else {
 				need = offload.ChunkNeed{Seq: msg.offer.Seq, AID: msg.offer.AID}
 			}
 			if negErr != nil {
-				r := errorResult(s.shardErr(shardID, negErr))
-				r.Seq = req.Seq
-				h.out <- outMsg{res: r, isResult: true, start: start, span: sp}
+				h.finishRequest(key, req.Seq, res, negErr, start, sp)
 				return
 			}
 			if need.Supported {
@@ -912,7 +866,7 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 		}
 		push := msg.push
 		var pushErr error
-		shard.drv.Do("push:"+h.dev, func(p *sim.Proc) {
+		s.drv.Do(h.procs.push, func(p *sim.Proc) {
 			if negotiated != nil {
 				pushErr = sess.(offload.ChunkedSession).PushChunks(p, *negotiated, negotiatedMissing)
 			} else {
@@ -920,14 +874,12 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 			}
 		})
 		if pushErr != nil {
-			r := errorResult(s.shardErr(shardID, pushErr))
-			r.Seq = req.Seq
-			h.out <- outMsg{res: r, isResult: true, start: start, span: sp}
+			h.finishRequest(key, req.Seq, res, pushErr, start, sp)
 			return
 		}
 
 		// Execute and release in one injected process.
-		shard.drv.Do("exec:"+h.dev, func(p *sim.Proc) {
+		s.drv.Do(h.procs.exec, func(p *sim.Proc) {
 			res, execErr = sess.Execute(p)
 			if errors.Is(execErr, offload.ErrCodeNeeded) {
 				return
@@ -939,7 +891,7 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 			break
 		}
 	}
-	h.finishRequest(key, req.Seq, res, s.shardErr(shardID, execErr), start, sp)
+	h.finishRequest(key, req.Seq, res, execErr, start, sp)
 }
 
 // finishRequest stores a successful result in the idempotency window and

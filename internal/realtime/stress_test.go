@@ -172,7 +172,7 @@ func TestConcurrentAbortedPushesReuseSlots(t *testing.T) {
 
 	// Aborted pushes must not pin slots: once the read deadlines fire,
 	// every runtime returns to idle and a fresh device is served at once.
-	cfg := srv.Platform()
+	cfg := srv.Cluster().Shard(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		busy := false

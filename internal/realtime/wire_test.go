@@ -137,8 +137,8 @@ func TestServerRejectsNonBinaryHello(t *testing.T) {
 	srv, ln := startServerOpts(t, Options{})
 	census := func() (runtimes, busy int) {
 		srv.Driver().Do("census", func(p *sim.Proc) {
-			runtimes = srv.Platform().RuntimeCount()
-			for _, r := range srv.Platform().DB().List() {
+			runtimes = srv.Cluster().Shard(0).RuntimeCount()
+			for _, r := range srv.Cluster().Shard(0).DB().List() {
 				if r.Busy {
 					busy++
 				}
