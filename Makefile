@@ -22,7 +22,9 @@ race:
 # Memberships are built only inside internal/cluster, so no layer can route
 # on a private placement table frozen at epoch 0 again. The last grep keeps
 # encoding/gob out: the wire and the param blobs have one flat codec each,
-# and a second one would need negotiating again.
+# and a second one would need negotiating again. internal/sim starts
+# goroutines in one place, the pooled worker's constructor (worker.go): a
+# second go statement there would be a goroutine-per-proc path coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -51,6 +53,13 @@ lint: vet
 		| grep -v '_test.go' | grep -v '^internal/cluster/' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "a second Membership outside internal/cluster (a Cluster owns the only live one; route through it):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]' internal/sim/*.go \
+		| grep -v '_test.go' \
+		| grep -v -E '^internal/sim/worker\.go:[0-9]+:[[:space:]]*go w\.loop\(\)$$' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "go statement in internal/sim outside takeWorker (procs run on pooled workers):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \

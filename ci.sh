@@ -10,8 +10,8 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race"
-# One tier: the full suite is ~17 s plain and ~170 s under the race detector
-# (internal/experiments' paper sweeps are ~155 s of that); the per-package
+# One tier: the full suite is ~12 s plain and ~135 s under the race detector
+# (internal/experiments' paper sweeps are ~120 s of that); the per-package
 # budget is about three times the slowest package.
 go test -race -timeout 8m ./...
 

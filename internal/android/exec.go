@@ -2,6 +2,7 @@ package android
 
 import (
 	"fmt"
+	"strconv"
 
 	"rattrap/internal/host"
 	"rattrap/internal/sim"
@@ -101,11 +102,21 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 		h.Compute(p, binderTxnWork, r.env.CPUEff())
 	}
 
+	// The task's file on the offloading I/O mount. A task with no input
+	// files and no extra output never touches it, so the name is built by
+	// the first branch that needs it.
+	var staged string
+	stagePath := func() string {
+		if staged == "" {
+			staged = "/offload/" + r.env.Name() + "/task-" + strconv.Itoa(r.executed)
+		}
+		return staged
+	}
+
 	// Stage input files on the offloading I/O mount.
 	ioStart := e.Now()
-	stagePath := fmt.Sprintf("/offload/%s/task-%d", r.env.Name(), r.executed)
 	if task.FileBytes > 0 {
-		if err := r.offload.Write(p, stagePath, task.FileBytes, nil, r.env.IOEff()); err != nil {
+		if err := r.offload.Write(p, stagePath(), task.FileBytes, nil, r.env.IOEff()); err != nil {
 			return ExecResult{}, err
 		}
 	}
@@ -130,18 +141,19 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	ioStart2 := e.Now()
 	remaining := m.IORead
 	if task.FileBytes > 0 && remaining > 0 {
-		if _, ok := r.offload.Stat(stagePath); ok {
-			if _, _, err := r.offload.Read(p, stagePath, r.env.IOEff()); err != nil {
+		if _, ok := r.offload.Stat(stagePath()); ok {
+			if _, _, err := r.offload.Read(p, stagePath(), r.env.IOEff()); err != nil {
 				return ExecResult{}, err
 			}
 			remaining -= task.FileBytes
 		}
 	}
 	if extra := m.IOWrite - task.FileBytes; extra > 0 {
-		if err := r.offload.Write(p, stagePath+".tmp", extra, nil, r.env.IOEff()); err != nil {
+		tmp := stagePath() + ".tmp"
+		if err := r.offload.Write(p, tmp, extra, nil, r.env.IOEff()); err != nil {
 			return ExecResult{}, err
 		}
-		_ = r.offload.Remove(stagePath + ".tmp")
+		_ = r.offload.Remove(tmp)
 	}
 	if remaining > 0 {
 		// Database/app-data streaming; too large to stay page-cached under
@@ -150,7 +162,7 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	}
 	// Burn after reading: drop the staged input.
 	if task.FileBytes > 0 {
-		_ = r.offload.Remove(stagePath)
+		_ = r.offload.Remove(stagePath())
 	}
 	ioSec := ioStaged + (e.Now() - ioStart2).Duration().Seconds()
 
@@ -172,7 +184,7 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	h.Compute(p, binderTxnWork, r.env.CPUEff())
 
 	r.executed++
-	r.log("offload", fmt.Sprintf("task %s.%s done: %s", task.App, task.Method, m.Output))
+	r.log("offload", "task "+task.App+"."+task.Method+" done: "+m.Output)
 	return ExecResult{Metrics: m, ComputeSeconds: computeSec, IOSeconds: ioSec}, nil
 }
 

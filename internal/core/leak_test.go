@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"rattrap/internal/host"
+	"rattrap/internal/obs"
+	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
@@ -140,5 +143,76 @@ func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
 			})
 			e.Run()
 		})
+	}
+}
+
+// TestWarmRequestsKeepHeapFlat: the serving path must keep no per-request
+// history. After the first ten thousand warm requests have grown whatever
+// grows to a steady size (rings, histograms, pooled buffers), ninety
+// thousand more may not move the live heap by more than a small constant —
+// the host's utilization recorder alone used to add ~32 B a request.
+func TestWarmRequestsKeepHeapFlat(t *testing.T) {
+	e := sim.NewEngine(1)
+	pl := New(e, DefaultConfig(KindRattrap))
+	pl.SetObs(obs.NewRegistry()) // as the realtime server runs it
+	app, _ := workload.ByName(workload.NameLinpack)
+	task := workload.Task{
+		App: app.Name(), Method: "solve", ParamBytes: 500,
+		Params: workload.EncodeLinpackParams(1, 8),
+	}
+	m, err := workload.NewRegistry().Execute(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := &workload.Precomputed{Metrics: m}
+	req := offload.ExecRequest{
+		DeviceID: "phone-1", AID: offload.AID(app.Name(), app.CodeSize()), App: task.App,
+		Method: task.Method, Params: task.Params, ParamBytes: task.ParamBytes,
+	}
+	seq := 0
+	serve := func(n int) {
+		e.Spawn("flow", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				seq++
+				req.Seq = seq
+				req.SetSpan(obs.NewSpan())
+				req.SetPrecomputed(pre)
+				sess, err := pl.Prepare(p, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sess.NeedCode() {
+					if err := sess.PushCode(p, offload.CodePush{AID: req.AID, App: req.App, Size: app.CodeSize()}); err != nil {
+						t.Error(err)
+					}
+				}
+				if res, err := sess.Execute(p); err != nil || res.Err != "" {
+					t.Errorf("request %d: %v %q", seq, err, res.Err)
+				}
+				sess.Release()
+			}
+		})
+		e.Run()
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees what the first one's sweep finalized
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve(10_000)
+	at10k := liveHeap()
+	serve(90_000)
+	at100k := liveHeap()
+	runtime.KeepAlive(pl) // or the second reading is of a heap without the platform
+	if t.Failed() {
+		return
+	}
+	const slack = 256 << 10
+	if at100k > at10k+slack {
+		t.Fatalf("live heap grew from %d B at 10k warm requests to %d B at 100k (+%d B, %.1f B a request)",
+			at10k, at100k, at100k-at10k, float64(at100k-at10k)/90_000)
 	}
 }

@@ -150,6 +150,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		gw = pl
 	}
+	// Fig. 2's server timelines (ServerCPU, ServerIORead, ServerIOWrite).
+	pl.Server.RecordTimelines()
 	refReg := workload.NewRegistry() // reference executions for local time
 
 	res := &RunResult{Cfg: cfg}

@@ -82,10 +82,11 @@ type Host struct {
 	E   *sim.Engine
 	cfg Config
 
-	cpu     *sim.Resource
-	cpuBusy *sim.StepSeries
+	cpu  *sim.Resource
+	disk *sim.Resource
 
-	disk      *sim.Resource
+	// The utilization recorder; nil until RecordTimelines.
+	cpuBusy   *sim.StepSeries
 	diskRead  *sim.CountSeries
 	diskWrite *sim.CountSeries
 
@@ -97,18 +98,27 @@ type Host struct {
 
 // New creates a host on engine e.
 func New(e *sim.Engine, cfg Config) *Host {
-	h := &Host{
+	return &Host{
 		E:         e,
 		cfg:       cfg,
 		cpu:       sim.NewResource(e, cfg.Name+"/cpu", cfg.Cores),
 		disk:      sim.NewResource(e, cfg.Name+"/disk", 1),
-		diskRead:  sim.NewCountSeries(e),
-		diskWrite: sim.NewCountSeries(e),
 		pageCache: make(map[string]bool),
 	}
-	h.cpuBusy = sim.NewStepSeries(e)
+}
+
+// RecordTimelines starts the recorder behind CPUUtilization, DiskReadMBps
+// and DiskWriteMBps at the current virtual time. It is opt-in because the
+// series keep an entry per CPU hand-over and per disk operation for as long
+// as the host lives — what the experiment harness charts (Fig. 2), and what
+// a platform that serves requests indefinitely must not accumulate. A host
+// that never called it reports all-zero timelines.
+func (h *Host) RecordTimelines() {
+	h.cpuBusy = sim.NewStepSeries(h.E)
+	h.cpuBusy.Set(float64(h.cpu.InUse()))
 	h.cpu.OnChange(func(n int) { h.cpuBusy.Set(float64(n)) })
-	return h
+	h.diskRead = sim.NewCountSeries(h.E)
+	h.diskWrite = sim.NewCountSeries(h.E)
 }
 
 // Config returns the machine description.
@@ -179,7 +189,9 @@ func (h *Host) DiskWrite(p *sim.Proc, size Bytes, sequential bool, efficiency fl
 func (h *Host) diskOp(p *sim.Proc, rec *sim.CountSeries, size Bytes, sequential bool, efficiency float64) {
 	raw := h.diskTime(size, sequential, 1.0)
 	total := h.diskTime(size, sequential, efficiency)
-	rec.AddSpread(float64(size), total)
+	if rec != nil {
+		rec.AddSpread(float64(size), total)
+	}
 	h.disk.Acquire(p, 1)
 	p.Sleep(raw)
 	h.disk.Release(1)
@@ -273,7 +285,11 @@ func (h *Host) MemPeakMB() int { return h.memPeakMB }
 // CPUUtilization returns per-bucket CPU utilization in percent over
 // [from, to), one value per width.
 func (h *Host) CPUUtilization(from, to sim.Time, width time.Duration) []float64 {
-	raw := h.cpuBusy.Buckets(from, to, width)
+	busy := h.cpuBusy
+	if busy == nil {
+		busy = sim.NewStepSeries(h.E) // nothing recorded: one zero per bucket
+	}
+	raw := busy.Buckets(from, to, width)
 	out := make([]float64, len(raw))
 	for i, v := range raw {
 		out[i] = v / float64(h.cfg.Cores) * 100
@@ -292,6 +308,9 @@ func (h *Host) DiskWriteMBps(from, to sim.Time, width time.Duration) []float64 {
 }
 
 func (h *Host) diskRate(c *sim.CountSeries, from, to sim.Time, width time.Duration) []float64 {
+	if c == nil {
+		c = sim.NewCountSeries(h.E) // nothing recorded: one zero per bucket
+	}
 	raw := c.Buckets(from, to, width)
 	out := make([]float64, len(raw))
 	for i, v := range raw {

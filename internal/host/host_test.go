@@ -138,6 +138,7 @@ func TestMemAccounting(t *testing.T) {
 func TestCPUUtilizationTimeline(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, Config{Name: "m", Cores: 4, CoreMops: 100, MemMB: 1024, DiskSeqMBps: 100, DiskRandIOPS: 100, MemBWMBps: 1000})
+	h.RecordTimelines()
 	// Two cores busy for the first 2 seconds.
 	for i := 0; i < 2; i++ {
 		e.Spawn("w", func(p *sim.Proc) { h.Compute(p, 200, 1.0) })
@@ -156,6 +157,7 @@ func TestCPUUtilizationTimeline(t *testing.T) {
 func TestDiskTimeline(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, Config{Name: "m", Cores: 1, CoreMops: 100, MemMB: 1024, DiskSeqMBps: 100, DiskRandIOPS: 100, MemBWMBps: 1000})
+	h.RecordTimelines()
 	e.Spawn("w", func(p *sim.Proc) {
 		h.DiskRead(p, "", 300*MB, true, 1.0) // 3s at 100MB/s
 	})
@@ -165,6 +167,38 @@ func TestDiskTimeline(t *testing.T) {
 		if r < 90 || r > 110 {
 			t.Fatalf("read rate bucket %d = %v MB/s, want ~100", i, r)
 		}
+	}
+}
+
+// A host nobody asked to record keeps no per-operation history — a serving
+// platform's hosts live forever — and charts as idle. Recording switched on
+// mid-run starts from the cores busy at that instant.
+func TestTimelinesAreOptIn(t *testing.T) {
+	e := sim.NewEngine(1)
+	h := New(e, Config{Name: "m", Cores: 4, CoreMops: 100, MemMB: 1024, DiskSeqMBps: 100, DiskRandIOPS: 100, MemBWMBps: 1000})
+	e.Spawn("w", func(p *sim.Proc) {
+		h.DiskRead(p, "", 100*MB, true, 1.0) // 1s
+		h.DiskWrite(p, 100*MB, true, 1.0)    // 1s
+		h.Compute(p, 200, 1.0)               // 2s
+	})
+	e.RunUntil(sim.Time(3 * time.Second))
+	if h.cpuBusy != nil || h.diskRead != nil || h.diskWrite != nil {
+		t.Fatal("a host that never called RecordTimelines holds a recorder")
+	}
+	end := sim.Time(3 * time.Second)
+	for name, tl := range map[string][]float64{
+		"cpu":   h.CPUUtilization(0, end, time.Second),
+		"read":  h.DiskReadMBps(0, end, time.Second),
+		"write": h.DiskWriteMBps(0, end, time.Second),
+	} {
+		if len(tl) != 3 || tl[0] != 0 || tl[1] != 0 || tl[2] != 0 {
+			t.Errorf("%s timeline without a recorder = %v, want three zeros", name, tl)
+		}
+	}
+	h.RecordTimelines() // one core is a second into its two
+	e.Run()
+	if u := h.CPUUtilization(end, sim.Time(5*time.Second), time.Second); u[0] != 25 || u[1] != 0 {
+		t.Fatalf("utilization from a mid-run start = %v, want [25 0]", u)
 	}
 }
 

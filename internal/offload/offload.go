@@ -55,7 +55,7 @@ type ExecRequest struct {
 	// pre carries an ahead-of-time execution of the request's task (see
 	// workload.Precomputed). Unexported for the same reason as span: it is
 	// cloud-internal and never on the wire. The realtime server runs the
-	// real computation on the request's own goroutine — outside the
+	// real computation on the request's worker goroutine — outside the
 	// serialized engine — and the runtime returns this result instead of
 	// recomputing under the engine lock.
 	pre *workload.Precomputed

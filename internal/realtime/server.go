@@ -107,7 +107,7 @@ type Server struct {
 	opts  Options
 	dedup *dedupCache
 
-	// wreg executes workloads ahead of dispatch, on the request's own
+	// wreg executes workloads ahead of dispatch, on the request's worker
 	// goroutine. Apps are deterministic and their shared state is
 	// read-only after construction, so one registry serves all
 	// connections' workers concurrently; the engine-injected dispatch
@@ -342,7 +342,7 @@ func (s *Server) handle(conn net.Conn) error {
 			release: "release:" + dev,
 			abort:   "abort:" + dev,
 		},
-		sem:        make(chan struct{}, s.opts.PipelineDepth),
+		work:       make(chan request),
 		out:        make(chan outMsg, s.opts.PipelineDepth+2),
 		connDone:   make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -376,11 +376,18 @@ type procNames struct {
 	request, push, exec, chunks, release, abort string
 }
 
+// request is one exec frame on its way from the decode loop to a worker.
+type request struct {
+	req   offload.ExecRequest
+	start time.Time
+	pin   offload.RecvBuf // the read buffer req.Params aliases; the worker releases it
+}
+
 // connHandler pipelines one device connection: a decode loop (the
 // connection handler's own goroutine) admits exec frames and routes code
-// pushes, per-request worker goroutines drive the platform, and a single
-// writer goroutine owns the send side of the codec. Responses may leave
-// out of order; clients match them by Result.Seq.
+// pushes, up to PipelineDepth worker goroutines drive the platform, and a
+// single writer goroutine owns the send side of the codec. Responses may
+// leave out of order; clients match them by Result.Seq.
 type connHandler struct {
 	s    *Server
 	conn net.Conn
@@ -389,12 +396,13 @@ type connHandler struct {
 
 	abort      *sim.Signal   // request-abort signal, fired at teardown
 	procs      procNames     // injected-process names for this device
-	sem        chan struct{} // pipeline admission tokens (cap = PipelineDepth)
+	work       chan request  // decode loop -> workers; unbuffered, so a send is a free pipeline slot
 	out        chan outMsg   // workers/decode loop -> writer
 	connDone   chan struct{} // closed when the decode loop exits
 	writerDone chan struct{} // closed when the writer exits
 
-	workers sync.WaitGroup
+	workers  sync.WaitGroup
+	nworkers int // workers started so far; decode loop only
 
 	mu       sync.Mutex
 	inflight int
@@ -407,8 +415,9 @@ type connHandler struct {
 
 // run owns the shutdown sequence: when the decode loop exits (read error,
 // protocol violation, or server close), connDone aborts workers parked on
-// code waits, the workers drain through the platform, and only then is
-// the writer's queue closed — every queued frame gets its send attempt.
+// code waits, the workers drain through the platform and exit on the closed
+// work queue, and only then is the writer's queue closed — every queued
+// frame gets its send attempt.
 func (h *connHandler) run() error {
 	go h.writer()
 	loopErr := h.decodeLoop()
@@ -419,6 +428,7 @@ func (h *connHandler) run() error {
 	// deadlocking workers.Wait. Signal state belongs to the engine, so the
 	// fire runs under the driver.
 	h.s.drv.Do(h.procs.abort, func(p *sim.Proc) { h.abort.Fire() })
+	close(h.work)
 	h.workers.Wait()
 	close(h.out)
 	<-h.writerDone
@@ -431,8 +441,8 @@ func (h *connHandler) run() error {
 }
 
 // decodeLoop reads frames for the connection's whole life. Exec frames
-// are admitted against the pipeline semaphore (and the server's close
-// signal); code frames are routed to the worker that asked for them.
+// are admitted to a free worker (or refused by the server's close signal);
+// code frames are routed to the worker that asked for them.
 func (h *connHandler) decodeLoop() error {
 	s := h.s
 	for {
@@ -451,7 +461,7 @@ func (h *connHandler) decodeLoop() error {
 			if res, ok := s.dedup.lookup(key); ok {
 				// Idempotent retry: the result was computed on a previous
 				// attempt and the reply was lost. Answer inline from the
-				// window — no admission token, no worker, no re-execution.
+				// window — no pipeline slot, no worker, no re-execution.
 				s.cDedupHits.Inc()
 				h.out <- outMsg{res: res, isResult: true, start: start}
 				continue
@@ -460,20 +470,11 @@ func (h *connHandler) decodeLoop() error {
 			// so the next Recv cannot recycle it under the worker. The
 			// worker releases it when done.
 			pin := h.c.TakeRecvBuf()
-			select {
-			case h.sem <- struct{}{}:
-			case <-s.closedCh:
+			h.beginRequest() // before the hand-off: the worker may be done before admit returns
+			if !h.admit(request{req: req, start: start, pin: pin}) {
 				pin.Release()
 				return errors.New("realtime: server shutting down")
 			}
-			h.beginRequest()
-			h.workers.Add(1)
-			go func() {
-				defer h.workers.Done()
-				defer h.endRequest()
-				defer pin.Release()
-				h.serveRequest(req, start)
-			}()
 		case offload.KindCode:
 			if !h.routeCodeMsg(f.Code.Seq, codeMsg{push: *f.Code}) {
 				msg := "realtime: code frame with no code transfer pending"
@@ -528,18 +529,54 @@ func (h *connHandler) beginRequest() {
 	h.mu.Unlock()
 }
 
-// endRequest releases the worker's admission token. When the last
-// in-flight request drains it re-arms the idle deadline directly on the
-// conn — the decode loop may already be parked inside Recv with no
+// endRequest is beginRequest's counterpart, called by the worker. When the
+// last in-flight request drains it re-arms the idle deadline directly on
+// the conn — the decode loop may already be parked inside Recv with no
 // deadline, and a deadline set here fires through that blocked read.
 func (h *connHandler) endRequest() {
-	<-h.sem
 	h.mu.Lock()
 	h.inflight--
 	if h.inflight == 0 && h.s.opts.IdleTimeout > 0 {
 		h.conn.SetReadDeadline(time.Now().Add(h.s.opts.IdleTimeout))
 	}
 	h.mu.Unlock()
+}
+
+// admit hands r to a request worker, which is the connection's admission
+// control: there are at most PipelineDepth workers and each serves one
+// request at a time, so with the pipeline full the decode loop blocks here
+// until a worker comes free — or the server closes, reported as false.
+// Workers start lazily (a connection that never has more than k requests in
+// flight never has more than k) and then live as long as the connection, so
+// a request lands on a goroutine whose stack the ones before it already
+// grew.
+func (h *connHandler) admit(r request) bool {
+	select {
+	case h.work <- r: // a parked worker took it
+		return true
+	default:
+	}
+	if h.nworkers < h.s.opts.PipelineDepth {
+		h.nworkers++
+		h.workers.Add(1)
+		go h.worker()
+	}
+	select {
+	case h.work <- r:
+		return true
+	case <-h.s.closedCh:
+		return false
+	}
+}
+
+// worker serves admitted requests one at a time until run closes the queue.
+func (h *connHandler) worker() {
+	defer h.workers.Done()
+	for r := range h.work {
+		h.serveRequest(r.req, r.start)
+		r.pin.Release()
+		h.endRequest()
+	}
 }
 
 // writer is the connection's single sender. On the first send failure it

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"rattrap/internal/cluster"
@@ -251,8 +252,8 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 	arrived := r.e.Now()
 	prof := cs.profile
 	cs.arrivals++
-	r.e.Spawn(fmt.Sprintf("%s.r%d", cs.spec.Name, k), func(p *sim.Proc) {
-		dev := fmt.Sprintf("%s-d%d", cs.spec.Name, k%cs.spec.Devices)
+	r.e.Spawn(cs.spec.Name+".r"+strconv.Itoa(k), func(p *sim.Proc) {
+		dev := cs.spec.Name + "-d" + strconv.Itoa(k%cs.spec.Devices)
 		link := netsim.NewLink(r.e, prof)
 		link.SetFault(func(p *sim.Proc, op string, size host.Bytes) error {
 			if r.inj == nil {

@@ -13,7 +13,9 @@
 // Procs are backed by goroutines, but the engine guarantees that at most one
 // of them executes at any instant: a Proc runs only between Engine handing
 // it control and the Proc parking again, so no locking is needed in model
-// code and results are reproducible.
+// code and results are reproducible. The goroutines are pooled workers (see
+// worker.go): a proc borrows one from its start event until its function
+// returns.
 package sim
 
 import (
@@ -38,9 +40,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback. It may be cancelled before it fires.
 type Event struct {
-	at       Time
-	seq      uint64
+	at  Time
+	seq uint64
+	// Exactly one of fn and proc is set: a plain callback, or the proc a
+	// start or Sleep wake-up event resumes (the event is then the one
+	// embedded in that Proc, so neither it nor a closure is allocated).
 	fn       func()
+	proc     *Proc
 	canceled bool
 	index    int // heap index, -1 once popped
 }
@@ -111,10 +117,16 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", t, e.now))
 	}
-	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
+	ev := &Event{fn: fn}
+	e.schedule(ev, t)
 	return ev
+}
+
+// schedule queues ev, which must not be queued already, to fire at t.
+func (e *Engine) schedule(ev *Event, t Time) {
+	e.seq++
+	ev.at, ev.seq = t, e.seq
+	heap.Push(&e.events, ev)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -133,7 +145,11 @@ func (e *Engine) step() bool {
 			continue
 		}
 		e.now = ev.at
-		ev.fn()
+		if ev.proc != nil {
+			ev.proc.dispatch()
+		} else {
+			ev.fn()
+		}
 		return true
 	}
 	return false
@@ -201,48 +217,63 @@ func (e *Engine) LiveProcs() int { return e.procs }
 // All Proc methods must be called from the Proc's own goroutine (that is,
 // from within the function passed to Spawn or functions it calls).
 type Proc struct {
-	E      *Engine
-	Name   string
-	resume chan struct{}
-	parked chan struct{}
-	dead   bool
+	E    *Engine
+	Name string
+	// fn is the proc's function; nil once it has returned, which is what
+	// marks the proc done (and lets go of whatever the closure captured).
+	fn func(*Proc)
+	// w is the pooled goroutine running fn: nil until the start event
+	// fires and again once fn has returned.
+	w *worker
+	// ev is the one event the proc needs at a time: its start event, then
+	// the wake-up of each parking Sleep. Nobody else holds a pointer to
+	// it, so it cannot be cancelled, and a proc parked in Sleep is resumed
+	// only by it, so it is never queued twice.
+	ev Event
 }
 
 // Spawn starts fn as a simulated process at the current virtual time.
 // fn begins executing when the engine dispatches its start event.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{E: e, Name: name, resume: make(chan struct{}), parked: make(chan struct{})}
+	p := &Proc{E: e, Name: name, fn: fn}
+	p.ev.proc = p
 	e.procs++
-	e.After(0, func() {
-		go func() {
-			// The deferred park runs even if fn panics or exits via
-			// runtime.Goexit (e.g. t.Fatal in tests), so the engine is
-			// never left waiting on a dead proc.
-			defer func() {
-				p.dead = true
-				p.E.procs--
-				p.parked <- struct{}{}
-			}()
-			<-p.resume
-			fn(p)
-		}()
-		p.dispatch()
-	})
+	e.schedule(&p.ev, e.now)
 	return p
 }
 
 // dispatch hands control to the proc's goroutine and blocks the engine until
 // the proc parks (or finishes). It is the only place model goroutines run.
+// The first dispatch, from the start event, takes a worker from the pool.
 func (p *Proc) dispatch() {
-	p.resume <- struct{}{}
-	<-p.parked
+	if p.Done() {
+		// The worker has moved on to another proc: resuming it here would
+		// wake that one.
+		panic(fmt.Sprintf("sim: dispatch of finished proc %q", p.Name))
+	}
+	w := p.w
+	if w == nil {
+		w = takeWorker()
+		p.w = w
+	}
+	w.resume <- p
+	<-w.parked
 }
 
 // park suspends the calling proc, returning control to the engine, until
 // some event calls dispatch again.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	w := p.w
+	w.parked <- struct{}{}
+	<-w.resume
+}
+
+// finish marks the proc done and detaches it from its worker. It runs on
+// the worker's goroutine, before the engine is signalled.
+func (p *Proc) finish() {
+	p.fn = nil
+	p.w = nil
+	p.E.procs--
 }
 
 // Sleep blocks the proc for d of virtual time.
@@ -267,12 +298,12 @@ func (p *Proc) Sleep(d time.Duration) {
 			return
 		}
 	}
-	e.After(d, p.dispatch)
+	e.schedule(&p.ev, wake)
 	p.park()
 }
 
 // Done reports whether the proc's function has returned.
-func (p *Proc) Done() bool { return p.dead }
+func (p *Proc) Done() bool { return p.fn == nil }
 
 // Wait blocks the proc until the signal fires. If the signal has already
 // fired, Wait returns immediately.

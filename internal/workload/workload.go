@@ -60,7 +60,7 @@ type Task struct {
 // execution. Apps are deterministic in the task parameters ("a task
 // executes identically on the device, in a VM, or in a container"), so a
 // result computed early — e.g. by the realtime server on the request's
-// own goroutine, outside the serialized engine — is byte-for-byte the
+// worker goroutine, outside the serialized engine — is byte-for-byte the
 // result the runtime would have produced.
 type Precomputed struct {
 	Metrics Metrics
