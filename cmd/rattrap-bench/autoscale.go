@@ -1,19 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"rattrap/internal/experiments"
 )
 
-// runAutoscaleBench races the elastic pool against fixed pools over one
-// bursty open-loop arrival schedule and writes BENCH_autoscale.json. The
-// whole sweep runs in virtual time, so the report is bit-identical across
-// runs at one seed — CI diffs two back-to-back runs as its determinism
-// gate. Two acceptance gates run on every invocation (short included,
-// since the physics does not change with sweep size):
+// runAutoscale races the elastic pool against fixed pools over one bursty
+// open-loop arrival schedule, all in virtual time. Two gates:
 //
 //   - p99: the autoscaled pool must beat every fixed pool no larger than
 //     its own measured average size (k*).
@@ -21,49 +16,34 @@ import (
 //     settle back at its floor with no slot stuck draining — zero
 //     permanent capacity loss, the regression the draining-slot leak fix
 //     guards.
-func runAutoscaleBench(seed int64, dir string, short bool) error {
-	rep, err := experiments.RunAutoscale(experiments.DefaultAutoscaleConfig(seed, short))
+func runAutoscale(w io.Writer, seed int64) (any, error) {
+	rep, err := experiments.RunAutoscale(experiments.DefaultAutoscaleConfig(seed))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep.Short = short
 
-	fmt.Printf("autoscale: p99 %.0f ms, avg pool %.2f (peak %d), k* = %d\n",
+	fmt.Fprintf(w, "autoscale: p99 %.0f ms, avg pool %.2f (peak %d), k* = %d\n",
 		rep.Auto.P99Millis, rep.Auto.AvgPool, rep.Auto.PeakPool, rep.KStar)
 	for _, cell := range rep.Fixed {
-		fmt.Printf("fixed-%d:   p99 %.0f ms, avg pool %.2f\n",
+		fmt.Fprintf(w, "fixed-%d:   p99 %.0f ms, avg pool %.2f\n",
 			cell.FixedSize, cell.P99Millis, cell.AvgPool)
 	}
-	fmt.Printf("teardown-fault: final pool %d (floor %d), draining %d, teardown failures %d\n",
+	fmt.Fprintf(w, "teardown-fault: final pool %d (floor %d), draining %d, teardown failures %d\n",
 		rep.Fault.FinalPool, experiments.AutoscaleFaultFloor,
 		rep.Fault.DrainingFinal, rep.Fault.TeardownFailures)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	path := "BENCH_autoscale.json"
-	if dir != "" {
-		path = dir + string(os.PathSeparator) + path
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("report in %s\n", path)
-
 	for _, cell := range rep.Fixed {
 		if cell.FixedSize <= rep.KStar && rep.Auto.P99Millis >= cell.P99Millis {
-			return fmt.Errorf("autoscaled p99 %.0f ms does not beat fixed-%d's %.0f ms (k* = %d)",
+			return rep, fmt.Errorf("autoscaled p99 %.0f ms does not beat fixed-%d's %.0f ms (k* = %d)",
 				rep.Auto.P99Millis, cell.FixedSize, cell.P99Millis, rep.KStar)
 		}
 	}
 	if rep.Fault.TeardownFailures == 0 {
-		return fmt.Errorf("teardown-fault cell injected no teardown failures; the remediation gate proved nothing")
+		return rep, fmt.Errorf("teardown-fault cell injected no teardown failures; the remediation gate proved nothing")
 	}
 	if rep.Fault.FinalPool != experiments.AutoscaleFaultFloor || rep.Fault.DrainingFinal != 0 {
-		return fmt.Errorf("permanent capacity loss under teardown faults: final pool %d (want %d), %d slot(s) stuck draining",
+		return rep, fmt.Errorf("permanent capacity loss under teardown faults: final pool %d (want %d), %d slot(s) stuck draining",
 			rep.Fault.FinalPool, experiments.AutoscaleFaultFloor, rep.Fault.DrainingFinal)
 	}
-	return nil
+	return rep, nil
 }

@@ -1,9 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"rattrap/internal/core"
@@ -60,11 +59,11 @@ func modeReport(r *experiments.FaultRunResult) faultModeReport {
 	}
 }
 
-// runFaultsBench sweeps the standard plans and writes BENCH_faults.json
-// into dir (or the working directory when dir is empty).
-func runFaultsBench(seed int64, dir string) error {
+// runFaults sweeps the standard plans. The mode has no gate of its own:
+// the golden comparison pins every success rate.
+func runFaults(w io.Writer, seed int64) (any, error) {
 	profile := netsim.WANWiFi()
-	rep := faultsReport{Seed: seed, Profile: profile.Name}
+	rep := &faultsReport{Seed: seed, Profile: profile.Name}
 	plans := append([]faults.Plan{faults.Healthy()}, faults.StandardPlans(seed)...)
 	// Every (plan, retry-mode) run is an independent simulation — its own
 	// engine and injector — so the whole sweep fans out on the experiment
@@ -90,7 +89,7 @@ func runFaultsBench(seed int64, dir string) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, plan := range plans {
 		bare, robust := results[2*i], results[2*i+1]
@@ -101,23 +100,10 @@ func runFaultsBench(seed int64, dir string) error {
 			SingleAttempt:  modeReport(bare),
 			WithRetries:    modeReport(robust),
 		})
-		fmt.Printf("%-16s  faults=%-3d  single: %5.1f%% ok  |  retries: %5.1f%% ok in %d attempts, p99 %v\n",
+		fmt.Fprintf(w, "%-16s  faults=%-3d  single: %5.1f%% ok  |  retries: %5.1f%% ok in %d attempts, p99 %v\n",
 			plan.Name, robust.Injected,
 			100*bare.SuccessRate, 100*robust.SuccessRate, robust.Attempts, robust.P99.Round(time.Millisecond))
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	path := "BENCH_faults.json"
-	if dir != "" {
-		path = dir + string(os.PathSeparator) + path
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fault-plan report in %s\n", path)
-	return nil
+	return rep, nil
 }

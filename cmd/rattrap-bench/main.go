@@ -1,23 +1,25 @@
-// Command rattrap-bench regenerates every table and figure of the paper's
-// evaluation from the simulated testbed. Without flags it runs everything;
-// -fig / -table select individual artifacts; -out additionally writes each
-// artifact as both a text table and a CSV file.
+// Command rattrap-bench is the virtual-time half of the evaluation. Without
+// flags it is the paper oracle: every table and figure of the paper's
+// evaluation, regenerated from the simulated testbed. With a mode flag it
+// writes one BENCH_<mode>.json report and exits non-zero if one of the
+// mode's gates fails. Nothing here reads the wall clock, so every output is
+// a function of the seed: `go test ./cmd/rattrap-bench` holds the reports
+// against the checked-in files and ci.sh holds the oracle against
+// testdata/oracle.golden. Wall-clock numbers come from benchmark/.
 //
 // Usage:
 //
-//	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]
-//	rattrap-bench -throughput [-short] [-out dir] [-baseline BENCH_throughput.json]   # pipelined data-plane sweep with p50, req/s and allocs/op fences
-//	rattrap-bench -cluster [-short] [-out dir]   # sharded-gateway scaling sweep (shards x devices)
-//	rattrap-bench -faults [-seed N] [-out dir]   # fault-plan robustness sweep
-//	rattrap-bench -stages [-seed N] [-out dir]   # per-stage latency breakdown (deterministic)
-//	rattrap-bench -reshard [-short] [-out dir]   # live kill-one-add-one membership sweep with hard gates
+//	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]   # paper oracle; -out adds a .txt and a .csv per table
+//	rattrap-bench -stages|-boot|-autoscale|-reshard|-faults [-seed N] [-out dir]   # one BENCH_<mode>.json, gates as exit status
 //	rattrap-bench -scenario scenarios/baseline.yaml [-out dir]   # run one chaos scenario, assertions as exit status
 //	rattrap-bench -scenario-validate scenarios   # parse-and-check scenario files without running
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,218 +27,168 @@ import (
 	"rattrap/internal/metrics"
 )
 
+// A mode is one JSON report. run builds it at a seed, prints its human
+// summary to w and returns it with the first gate it fails; a report that
+// fails a gate is still returned, so the file is there to inspect.
+type mode struct {
+	name, help string
+	run        func(w io.Writer, seed int64) (report any, gate error)
+}
+
+var modes = []mode{
+	{"stages", "per-stage latency breakdown of the paper's standard run; stage sums must reconcile with end-to-end", runStages},
+	{"boot", "cold boot vs template clone vs warehouse delta push; clones >=10x faster, family delta <30% of the full push", runBoot},
+	{"autoscale", "elastic pool vs fixed pools under bursty arrivals; must win on p99 and lose no capacity to teardown faults", runAutoscale},
+	{"reshard", "kill one shard and add another mid-sweep; gates availability, recovery and delta migration", runReshard},
+	{"faults", "success rate and latency tail per standard fault plan, single attempt vs retries", runFaults},
+}
+
+// An artifact is one figure or table of the paper, selected by -fig or
+// -table; the slice order is the order the oracle prints them in.
+type artifact struct {
+	fig, table, name string
+	tables           func(seed int64) ([]*metrics.Table, error)
+}
+
+// tabled adapts an experiment whose result renders itself.
+func tabled[R interface{ Tables() []*metrics.Table }](run func(int64) (R, error)) func(int64) ([]*metrics.Table, error) {
+	return func(seed int64) ([]*metrics.Table, error) {
+		r, err := run(seed)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+func artifacts() []artifact {
+	// Figure 9 and Table II are two views of one comparison run.
+	var comparison *experiments.Comparison
+	compared := func(view func(*experiments.Comparison) []*metrics.Table) func(int64) ([]*metrics.Table, error) {
+		return func(seed int64) ([]*metrics.Table, error) {
+			if comparison == nil {
+				c, err := experiments.RunComparison(seed)
+				if err != nil {
+					return nil, err
+				}
+				comparison = c
+			}
+			return view(comparison), nil
+		}
+	}
+	return []artifact{
+		{fig: "1", name: "figure 1", tables: tabled(experiments.RunFigure1)},
+		{fig: "2", name: "figure 2", tables: tabled(experiments.RunFigure2)},
+		{fig: "3", name: "figure 3", tables: tabled(experiments.RunFigure3)},
+		{fig: "obs4", name: "observation 4", tables: tabled(experiments.RunObservation4)},
+		{table: "1", name: "table I", tables: tabled(experiments.RunTableI)},
+		{fig: "9", name: "figure 9", tables: compared((*experiments.Comparison).Figure9Tables)},
+		{table: "2", name: "table II", tables: compared((*experiments.Comparison).TableIITables)},
+		{fig: "10", name: "figure 10", tables: tabled(experiments.RunFigure10)},
+		{fig: "11", name: "figure 11", tables: tabled(experiments.RunFigure11)},
+	}
+}
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "rattrap-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	seed := flag.Int64("seed", 42, "simulation seed (results are deterministic per seed)")
 	fig := flag.String("fig", "", "figure to regenerate: 1, 2, 3, 9, 10, 11 or obs4")
 	table := flag.String("table", "", "table to regenerate: 1 or 2")
-	out := flag.String("out", "", "directory to also write .txt and .csv artifacts to")
-	tp := flag.Bool("throughput", false, "sweep the pipelined data plane (devices x depth) and write BENCH_throughput.json")
-	clu := flag.Bool("cluster", false, "sweep the sharded gateway (shards x devices) and write BENCH_cluster.json")
-	short := flag.Bool("short", false, "with -throughput, -cluster or -autoscale: run the reduced CI sweep (fewer cells and requests)")
-	baseline := flag.String("baseline", "", "with -throughput: fail on regression vs this baseline report (>3x p50, <0.5x req/s, allocs/op past x1.15+8)")
-	flt := flag.Bool("faults", false, "sweep the standard fault plans and write BENCH_faults.json")
-	stages := flag.Bool("stages", false, "emit the per-stage latency breakdown as BENCH_stages.json")
-	boot := flag.Bool("boot", false, "measure cold vs template-clone boots and the warehouse delta push, write BENCH_boot.json")
-	ascale := flag.Bool("autoscale", false, "race the elastic pool against fixed pools under bursty arrivals and write BENCH_autoscale.json")
-	reshard := flag.Bool("reshard", false, "kill one shard and add another mid-sweep, gate availability/recovery/delta-migration, write BENCH_reshard.json")
+	out := flag.String("out", "", "directory for BENCH_*.json (default: the working directory) and for a .txt and .csv per oracle table")
+	selected := make([]*bool, len(modes))
+	for i, m := range modes {
+		selected[i] = flag.Bool(m.name, false, "write BENCH_"+m.name+".json: "+m.help)
+	}
 	scen := flag.String("scenario", "", "run one YAML chaos scenario and write BENCH_scenario.json (exit 1 on failed assertions)")
 	scenValidate := flag.String("scenario-validate", "", "parse and validate a scenario file or every *.yaml in a directory, without running")
 	flag.Parse()
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
-
 	if *scenValidate != "" {
-		if err := runScenarioValidate(*scenValidate); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: scenario-validate: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return runScenarioValidate(*scenValidate)
 	}
-
 	if *scen != "" {
-		if err := runScenario(*scen, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		rep, gate := runScenario(os.Stdout, *scen)
+		return finish("scenario", rep, gate, *out)
 	}
-
-	if *tp {
-		if err := runThroughputBench(*out, *baseline, *short); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: throughput: %v\n", err)
-			os.Exit(1)
+	ranMode := false
+	for i, m := range modes {
+		if !*selected[i] {
+			continue
 		}
-		return
+		ranMode = true
+		rep, gate := m.run(os.Stdout, *seed)
+		if err := finish(m.name, rep, gate, *out); err != nil {
+			return err
+		}
 	}
-
-	if *clu {
-		if err := runClusterBench(*out, *short); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ascale {
-		if err := runAutoscaleBench(*seed, *out, *short); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: autoscale: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *reshard {
-		if err := runReshardBench(*seed, *out, *short); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: reshard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *stages {
-		if err := runStagesBench(*seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: stages: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *boot {
-		if err := runBootBench(*seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: boot: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *flt {
-		if err := runFaultsBench(*seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: faults: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if ranMode {
+		return nil
 	}
 
 	all := *fig == "" && *table == ""
-	emit := func(name string, fn func() ([]*metrics.Table, error)) {
-		tabs, err := fn()
+	for _, a := range artifacts() {
+		if !(all || (a.fig != "" && a.fig == *fig) || (a.table != "" && a.table == *table)) {
+			continue
+		}
+		tabs, err := a.tables(*seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rattrap-bench: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
 		for _, tb := range tabs {
-			fmt.Println(tb.Render())
+			text := tb.Render()
+			fmt.Println(text)
 			if *out == "" {
 				continue
 			}
-			slug := tb.Slug()
-			if err := os.WriteFile(filepath.Join(*out, slug+".txt"), []byte(tb.Render()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "rattrap-bench: writing %s: %v\n", slug, err)
-				os.Exit(1)
+			base := filepath.Join(*out, tb.Slug())
+			if err := os.WriteFile(base+".txt", []byte(text), 0o644); err != nil {
+				return err
 			}
-			if err := os.WriteFile(filepath.Join(*out, slug+".csv"), []byte(tb.CSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "rattrap-bench: writing %s: %v\n", slug, err)
-				os.Exit(1)
+			if err := os.WriteFile(base+".csv", []byte(tb.CSV()), 0o644); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
+}
 
-	var comparison *experiments.Comparison
-	getComparison := func() (*experiments.Comparison, error) {
-		if comparison == nil {
-			c, err := experiments.RunComparison(*seed)
-			if err != nil {
-				return nil, err
-			}
-			comparison = c
+// marshalReport is the one encoding of every BENCH_*.json.
+func marshalReport(rep any) ([]byte, error) {
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
+}
+
+// finish writes a mode's report, when it produced one, to
+// BENCH_<name>.json under dir (the working directory when dir is empty)
+// and returns the mode's gate error.
+func finish(name string, rep any, gate error, dir string) error {
+	if rep != nil {
+		buf, err := marshalReport(rep)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		return comparison, nil
+		path := filepath.Join(dir, "BENCH_"+name+".json")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("report in %s\n", path)
 	}
-
-	if all || *fig == "1" {
-		emit("figure 1", func() ([]*metrics.Table, error) {
-			f, err := experiments.RunFigure1(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return f.Tables(), nil
-		})
+	if gate != nil {
+		return fmt.Errorf("%s: %w", name, gate)
 	}
-	if all || *fig == "2" {
-		emit("figure 2", func() ([]*metrics.Table, error) {
-			f, err := experiments.RunFigure2(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return f.Tables(), nil
-		})
-	}
-	if all || *fig == "3" {
-		emit("figure 3", func() ([]*metrics.Table, error) {
-			f, err := experiments.RunFigure3(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return f.Tables(), nil
-		})
-	}
-	if all || *fig == "obs4" {
-		emit("observation 4", func() ([]*metrics.Table, error) {
-			o, err := experiments.RunObservation4(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return o.Tables(), nil
-		})
-	}
-	if all || *table == "1" {
-		emit("table I", func() ([]*metrics.Table, error) {
-			t, err := experiments.RunTableI(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return t.Tables(), nil
-		})
-	}
-	if all || *fig == "9" {
-		emit("figure 9", func() ([]*metrics.Table, error) {
-			c, err := getComparison()
-			if err != nil {
-				return nil, err
-			}
-			return c.Figure9Tables(), nil
-		})
-	}
-	if all || *table == "2" {
-		emit("table II", func() ([]*metrics.Table, error) {
-			c, err := getComparison()
-			if err != nil {
-				return nil, err
-			}
-			return c.TableIITables(), nil
-		})
-	}
-	if all || *fig == "10" {
-		emit("figure 10", func() ([]*metrics.Table, error) {
-			f, err := experiments.RunFigure10(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return f.Tables(), nil
-		})
-	}
-	if all || *fig == "11" {
-		emit("figure 11", func() ([]*metrics.Table, error) {
-			f, err := experiments.RunFigure11(*seed)
-			if err != nil {
-				return nil, err
-			}
-			return f.Tables(), nil
-		})
-	}
+	return nil
 }

@@ -1,63 +1,47 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"rattrap/internal/experiments"
 )
 
-// runReshardBench runs the live kill-one-add-one membership sweep and
-// writes BENCH_reshard.json. The report's three headline properties are
-// hard gates: full availability through the crash, post-event rate
-// within 10% of the pre-event rate, and a join that moved strictly
-// fewer bytes than the entries' full size (chunk-level dedup working).
-func runReshardBench(seed int64, dir string, short bool) error {
-	rep, err := experiments.RunReshard(experiments.DefaultReshardConfig(seed, short))
+// runReshard runs the live kill-one-add-one membership sweep. The
+// report's three headline properties are gates: full availability
+// through the crash, post-event rate within 10% of the pre-event rate,
+// and a join that moved strictly fewer bytes than the entries' full size
+// (chunk-level dedup working).
+func runReshard(w io.Writer, seed int64) (any, error) {
+	rep, err := experiments.RunReshard(experiments.DefaultReshardConfig(seed))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep.Short = short
 
-	fmt.Printf("reshard: %d/%d ok (%d retries, %d shard-down), p99 %.0f ms\n",
+	fmt.Fprintf(w, "reshard: %d/%d ok (%d retries, %d shard-down), p99 %.0f ms\n",
 		rep.Succeeded, rep.Requests, rep.Retries, rep.ShardDownRetries, rep.P99Millis)
-	fmt.Printf("rate: pre %.1f req/s, post %.1f req/s (recovery %.2f)\n",
+	fmt.Fprintf(w, "rate: pre %.1f req/s, post %.1f req/s (recovery %.2f)\n",
 		rep.PreReqS, rep.PostReqS, rep.RecoveryRatio)
-	fmt.Printf("membership: epoch %d, %d live shards; join moved %d entries, %d/%d delta/full bytes, %d replica copies, %d repaired\n",
+	fmt.Fprintf(w, "membership: epoch %d, %d live shards; join moved %d entries, %d/%d delta/full bytes, %d replica copies, %d repaired\n",
 		rep.Epoch, rep.LiveShards, rep.EntriesMoved, rep.DeltaBytes, rep.FullBytes, rep.ReplicaCopies, rep.Repaired)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	path := "BENCH_reshard.json"
-	if dir != "" {
-		path = dir + string(os.PathSeparator) + path
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("report in %s\n", path)
-
 	if rep.Succeeded != rep.Requests {
-		return fmt.Errorf("%d of %d requests failed despite retries", rep.Requests-rep.Succeeded, rep.Requests)
+		return rep, fmt.Errorf("%d of %d requests failed despite retries", rep.Requests-rep.Succeeded, rep.Requests)
 	}
 	if rep.RecoveryRatio < 0.9 {
-		return fmt.Errorf("post-event rate %.1f req/s is below 90%% of pre-event %.1f req/s (ratio %.2f)",
+		return rep, fmt.Errorf("post-event rate %.1f req/s is below 90%% of pre-event %.1f req/s (ratio %.2f)",
 			rep.PostReqS, rep.PreReqS, rep.RecoveryRatio)
 	}
 	if rep.EntriesMoved == 0 {
-		return fmt.Errorf("the join migrated nothing; the delta gate proved nothing")
+		return rep, fmt.Errorf("the join migrated nothing; the delta gate proved nothing")
 	}
 	if rep.DeltaBytes >= rep.FullBytes {
-		return fmt.Errorf("join moved %d delta bytes vs %d full bytes: chunk dedup is not saving transfer",
+		return rep, fmt.Errorf("join moved %d delta bytes vs %d full bytes: chunk dedup is not saving transfer",
 			rep.DeltaBytes, rep.FullBytes)
 	}
 	if rep.Epoch < 2 || rep.LiveShards != rep.Shards {
-		return fmt.Errorf("membership did not converge: epoch %d, %d live shards (want %d)",
+		return rep, fmt.Errorf("membership did not converge: epoch %d, %d live shards (want %d)",
 			rep.Epoch, rep.LiveShards, rep.Shards)
 	}
-	return nil
+	return rep, nil
 }

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,27 +11,25 @@ import (
 	"rattrap/internal/scenario"
 )
 
-// runScenario loads, runs, and reports one scenario file. The report goes
-// to BENCH_scenario.json (under dir when -out is set); any failed
-// assertion makes the run exit non-zero, so a scenario invocation in
-// ci.sh is a hard gate. The run is all virtual time, so the report is
-// bit-identical across invocations at one seed — CI diffs two
-// back-to-back runs as its determinism check.
-func runScenario(path, dir string) error {
+// runScenario loads and runs one scenario file; its report becomes
+// BENCH_scenario.json and its gate is the scenario's own assertions. The
+// seed is the file's, and the run is all virtual time: internal/scenario's
+// tests pin scenarios/baseline.yaml's report to the checked-in file.
+func runScenario(w io.Writer, path string) (any, error) {
 	scn, err := scenario.Load(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep, err := scenario.Run(scn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	fmt.Printf("scenario %q: %d arrivals, %.2f%% success, p50 %.1f ms, p99 %.1f ms over %.1fs virtual\n",
+	fmt.Fprintf(w, "scenario %q: %d arrivals, %.2f%% success, p50 %.1f ms, p99 %.1f ms over %.1fs virtual\n",
 		rep.Scenario, rep.Totals.Arrivals, rep.Totals.SuccessRate*100,
 		rep.Totals.P50Ms, rep.Totals.P99Ms, rep.VirtualSecs)
 	for _, ev := range rep.Events {
-		fmt.Printf("  event @%8.0fms  %-12s %s\n", ev.AtMs, ev.Action, ev.Detail)
+		fmt.Fprintf(w, "  event @%8.0fms  %-12s %s\n", ev.AtMs, ev.Action, ev.Detail)
 	}
 	failed := 0
 	for _, a := range rep.Assertions {
@@ -44,27 +42,13 @@ func runScenario(path, dir string) error {
 		if a.Cohort != "" {
 			scope = " [" + a.Cohort + "]"
 		}
-		fmt.Printf("  %s  %-18s%s want %s, got %s\n", verdict, a.Type, scope, a.Want, a.Got)
+		fmt.Fprintf(w, "  %s  %-18s%s want %s, got %s\n", verdict, a.Type, scope, a.Want, a.Got)
 	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	outPath := "BENCH_scenario.json"
-	if dir != "" {
-		outPath = filepath.Join(dir, outPath)
-	}
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("report in %s\n", outPath)
 
 	if failed > 0 {
-		return fmt.Errorf("scenario %q: %d of %d assertions failed", rep.Scenario, failed, len(rep.Assertions))
+		return rep, fmt.Errorf("%q: %d of %d assertions failed", rep.Scenario, failed, len(rep.Assertions))
 	}
-	return nil
+	return rep, nil
 }
 
 // runScenarioValidate parses and validates one scenario file, or every

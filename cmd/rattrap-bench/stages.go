@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"rattrap/internal/core"
@@ -17,12 +15,9 @@ import (
 
 // The stages mode is the per-stage latency breakdown: the paper's standard
 // run with request-scoped spans enabled, aggregated per stage. All
-// durations are virtual time, so the whole report is bit-deterministic per
-// seed — the mode runs the simulation twice and refuses to emit a report
-// the second run does not reproduce byte-for-byte. It also self-checks the
-// span model: per request, the sum of the four top-level stages must equal
-// the end-to-end response time (tolerance 1%; in fault-free runs the match
-// is exact).
+// durations are virtual time. Its gate checks the span model: per request,
+// the sum of the four top-level stages must equal the end-to-end response
+// time (tolerance 1%; in fault-free runs the match is exact).
 
 type stageAgg struct {
 	Count   int   `json:"count"`
@@ -47,44 +42,15 @@ type stageReport struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// runStagesBench writes BENCH_stages.json into dir (or the working
-// directory when dir is empty).
-func runStagesBench(seed int64, dir string) error {
-	rep, first, err := stagesOnce(seed)
-	if err != nil {
-		return err
-	}
-	// Determinism gate: same seed, fresh engine and registry, identical
-	// bytes.
-	_, second, err := stagesOnce(seed)
-	if err != nil {
-		return fmt.Errorf("second run: %w", err)
-	}
-	if string(first) != string(second) {
-		return fmt.Errorf("stage breakdown is not deterministic: two runs with seed %d differ", seed)
-	}
-	path := "BENCH_stages.json"
-	if dir != "" {
-		path = filepath.Join(dir, path)
-	}
-	if err := os.WriteFile(path, first, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("per-stage breakdown over %d requests: %s(max reconcile error %.4f%%); report in %s\n",
-		rep.Requests, stageBreakdownString(rep), rep.MaxReconcileErr, path)
-	return nil
-}
-
-// stagesOnce runs one spans-enabled experiment and reduces it to the
-// report plus its canonical JSON encoding.
-func stagesOnce(seed int64) (*stageReport, []byte, error) {
+// runStages runs one spans-enabled experiment and reduces it to the report.
+func runStages(w io.Writer, seed int64) (any, error) {
 	reg := obs.NewRegistry()
 	cfg := experiments.DefaultRun(core.KindRattrap, netsim.LANWiFi(), workload.NameLinpack, seed)
 	cfg.Spans = true
 	cfg.Obs = reg
 	res, err := experiments.Run(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	rep := &stageReport{
@@ -93,7 +59,7 @@ func stagesOnce(seed int64) (*stageReport, []byte, error) {
 		Seed:     seed,
 		Profile:  cfg.Profile.Name,
 		Stages:   map[string]stageAgg{},
-		Counters: map[string]int64{},
+		Counters: reg.Snapshot().Counters,
 	}
 	for _, rec := range res.Records {
 		if !rec.Offloaded || rec.Err != "" || rec.Span == nil {
@@ -121,36 +87,23 @@ func stagesOnce(seed int64) (*stageReport, []byte, error) {
 		}
 	}
 	if rep.Requests == 0 {
-		return nil, nil, fmt.Errorf("no successful offloaded requests with spans")
-	}
-	if rep.MaxReconcileErr > 1 {
-		return nil, nil, fmt.Errorf("stage sums do not reconcile with end-to-end latency: max error %.4f%% > 1%%", rep.MaxReconcileErr)
+		return nil, fmt.Errorf("no successful offloaded requests with spans")
 	}
 	for name, a := range rep.Stages {
 		a.MeanNs = a.TotalNs / int64(a.Count)
 		rep.Stages[name] = a
 	}
-	snap := reg.Snapshot()
-	for n, v := range snap.Counters {
-		rep.Counters[n] = v
-	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, append(buf, '\n'), nil
-}
-
-// stageBreakdownString renders the four top-level stages of one run as a
-// human line (used by -stages stdout and tests).
-func stageBreakdownString(rep *stageReport) string {
-	order := []string{obs.StageConnect, obs.StageTransfer, obs.StagePrepare, obs.StageExecute}
-	s := ""
-	for _, n := range order {
+	fmt.Fprintf(w, "per-stage breakdown over %d requests:", rep.Requests)
+	for _, n := range []string{obs.StageConnect, obs.StageTransfer, obs.StagePrepare, obs.StageExecute} {
 		if a, ok := rep.Stages[n]; ok {
-			s += fmt.Sprintf("%s=%v ", n, time.Duration(a.MeanNs))
+			fmt.Fprintf(w, " %s=%v", n, time.Duration(a.MeanNs))
 		}
 	}
-	return s
+	fmt.Fprintf(w, " (max reconcile error %.4f%%)\n", rep.MaxReconcileErr)
+
+	if rep.MaxReconcileErr > 1 {
+		return rep, fmt.Errorf("stage sums do not reconcile with end-to-end latency: max error %.4f%% > 1%%", rep.MaxReconcileErr)
+	}
+	return rep, nil
 }

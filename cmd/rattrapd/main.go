@@ -34,7 +34,6 @@ func main() {
 	minRuntimes := flag.Int("min-runtimes", 0, "runtime pool floor under -autoscale (0 = scale to zero)")
 	autoscale := flag.Bool("autoscale", false, "run the elastic pool control loop per shard (grow/shrink between -min-runtimes and -max-runtimes from queue pressure)")
 	templateBoot := flag.Bool("template-boot", false, "snapshot the first full boot and satisfy later boots by COW-cloning the template")
-	chunkedPush := flag.Bool("chunked-push", false, "negotiate content-addressed delta code pushes (devices upload only chunks the warehouse is missing)")
 	httpAddr := flag.String("http", "", "observability listen address (/metrics, /debug/pprof); empty disables")
 	pipelineDepth := flag.Int("pipeline-depth", 1, "exec requests one connection may have in flight (1 = serial)")
 	shards := flag.Int("shards", 1, "platform shards; apps are consistent-hashed across shards by AID")
@@ -58,7 +57,6 @@ func main() {
 	cfg.MinRuntimes = *minRuntimes
 	cfg.Autoscale.Enabled = *autoscale
 	cfg.TemplateBoot = *templateBoot
-	cfg.ChunkedPush = *chunkedPush
 	logger := log.New(os.Stderr, "rattrapd: ", log.LstdFlags)
 	srv := realtime.NewServerOpts(cfg, *speed, logger, realtime.Options{
 		PipelineDepth: *pipelineDepth,

@@ -264,7 +264,7 @@ func (c *Cluster) retire(id int) {
 
 // fanOut replicates a freshly pushed entry from its primary to the rest
 // of its replica set, asynchronously (the pushing device does not wait on
-// intra-cluster copies). No-op at R = 1 — the engine sees no new procs,
+// copies between shards). No-op at R = 1 — the engine sees no new procs,
 // which is what keeps the replica-free goldens byte-identical.
 func (c *Cluster) fanOut(shard int, aid string) {
 	if c.mem.Replicas() < 2 {

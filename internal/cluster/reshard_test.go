@@ -419,9 +419,7 @@ func TestClusterRemoveShardHandsOff(t *testing.T) {
 // the delta push fans out, so the replica holds the new entry too.
 func TestClusterChunkedPushThroughRouting(t *testing.T) {
 	e := sim.NewEngine(23)
-	cfg := core.DefaultConfig(core.KindRattrap)
-	cfg.ChunkedPush = true
-	cl := NewReplicated(e, cfg, 2, 2)
+	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 2, 2)
 	app, _ := workload.ByName(workload.NameLinpack)
 	const (
 		base    = 5 * host.MB

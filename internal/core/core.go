@@ -105,10 +105,6 @@ type Config struct {
 	// instead of re-running the Figure 6 sequence. Off (the default),
 	// every boot takes the cold path and existing goldens are untouched.
 	TemplateBoot bool
-	// ChunkedPush enables the content-addressed delta code push: devices
-	// offer their blob's chunk-hash manifest and transfer only the chunks
-	// the warehouse is missing. Off, every first push moves the full blob.
-	ChunkedPush bool
 	// WarehouseCapacity bounds the warehouse's staged code volume; once
 	// StoredBytes exceeds it, least-recently-bound entries are evicted.
 	// 0 (the default) keeps the historical unbounded behaviour.
@@ -697,15 +693,16 @@ func (s *session) PushCode(p *sim.Proc, push offload.CodePush) error {
 }
 
 // NegotiateChunks implements offload.ChunkedSession: answer a device's
-// chunk-hash offer with the subset the warehouse is missing. A
-// Supported=false reply (chunked push disabled, or no warehouse) tells
-// the device to fall back to the full PushCode transfer.
+// chunk-hash offer with the subset the warehouse is missing. The offer
+// frame is the opt-in: a device that never sends one pushes full blobs. A
+// Supported=false reply (no warehouse to stage chunks in) tells the
+// device to fall back to the full PushCode transfer.
 func (s *session) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offload.ChunkNeed, error) {
 	need := offload.ChunkNeed{Seq: offer.Seq, AID: offer.AID}
 	if offer.AID != s.req.AID {
 		return need, fmt.Errorf("core: chunk offer AID %s does not match request %s", offer.AID, s.req.AID)
 	}
-	if !s.pl.cfg.ChunkedPush || s.pl.warehouse == nil {
+	if s.pl.warehouse == nil {
 		return need, nil
 	}
 	// A degenerate or malformed offer (zero-size blob, empty or truncated
@@ -729,7 +726,7 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 	if offer.AID != s.req.AID {
 		return fmt.Errorf("core: chunk push AID %s does not match request %s", offer.AID, s.req.AID)
 	}
-	if !s.pl.cfg.ChunkedPush || s.pl.warehouse == nil {
+	if s.pl.warehouse == nil {
 		return fmt.Errorf("core: %s: chunked push not negotiated", offer.AID)
 	}
 	sp := s.req.Span()

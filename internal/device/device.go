@@ -83,9 +83,11 @@ func (d *Device) EnableSpans(on bool) { d.spans = on }
 // nil when spans are disabled or no offload has run yet.
 func (d *Device) LastSpan() *obs.Span { return d.lastSpan }
 
-// EnableChunkedPush toggles the delta code push. The device still falls
-// back to a full transfer when the cloud answers the offer with
-// Supported=false (chunking disabled, or no warehouse).
+// EnableChunkedPush toggles the delta code push: on, the device opens a
+// push with a chunk offer, which is all the opt-in there is — the cloud
+// has no switch of its own. The device still falls back to a full
+// transfer when the cloud answers the offer with Supported=false (a
+// platform without a warehouse, or a malformed offer).
 func (d *Device) EnableChunkedPush(on bool) { d.chunked = on }
 
 // Traffic returns the device's cumulative migrated-data accounting.

@@ -53,9 +53,9 @@ type AutoscaleConfig struct {
 // size the remediation gate requires the cell to settle back at.
 const AutoscaleFaultFloor = 2
 
-// DefaultAutoscaleConfig is the full sweep; short trims it for CI.
-func DefaultAutoscaleConfig(seed int64, short bool) AutoscaleConfig {
-	cfg := AutoscaleConfig{
+// DefaultAutoscaleConfig is the sweep BENCH_autoscale.json is pinned at.
+func DefaultAutoscaleConfig(seed int64) AutoscaleConfig {
+	return AutoscaleConfig{
 		Seed:         seed,
 		Order:        96, // ~0.5 s virtual execution on the cloud host
 		Bursts:       4,
@@ -67,13 +67,6 @@ func DefaultAutoscaleConfig(seed int64, short bool) AutoscaleConfig {
 		FixedSizes:   []int{1, 2, 3, 4, 8},
 		SamplePeriod: 250 * time.Millisecond,
 	}
-	if short {
-		cfg.Bursts = 2
-		cfg.BurstSize = 20
-		cfg.BurstEvery = 15 * time.Second
-		cfg.FixedSizes = []int{1, 2, 3}
-	}
-	return cfg
 }
 
 // horizon is the sampling window: first arrival to one full cycle past
@@ -127,7 +120,6 @@ type AutoscaleCell struct {
 type AutoscaleReport struct {
 	Workload  string          `json:"workload"`
 	Seed      int64           `json:"seed"`
-	Short     bool            `json:"short"`
 	Bursts    int             `json:"bursts"`
 	BurstSize int             `json:"burst_size"`
 	BurstSecs float64         `json:"burst_every_s"`

@@ -62,9 +62,9 @@ type ReshardConfig struct {
 	MaxRuntimes int
 }
 
-// DefaultReshardConfig is the full sweep; short trims it for CI.
-func DefaultReshardConfig(seed int64, short bool) ReshardConfig {
-	cfg := ReshardConfig{
+// DefaultReshardConfig is the sweep BENCH_reshard.json is pinned at.
+func DefaultReshardConfig(seed int64) ReshardConfig {
+	return ReshardConfig{
 		Seed:         seed,
 		Order:        48,
 		Requests:     600,
@@ -80,11 +80,6 @@ func DefaultReshardConfig(seed int64, short bool) ReshardConfig {
 		MaxAttempts:  6,
 		MaxRuntimes:  4,
 	}
-	if short {
-		cfg.Requests = 300
-		cfg.Variants = 32
-	}
-	return cfg
 }
 
 // ReshardReport is BENCH_reshard.json. All quantities are virtual time,
@@ -92,7 +87,6 @@ func DefaultReshardConfig(seed int64, short bool) ReshardConfig {
 type ReshardReport struct {
 	Workload string `json:"workload"`
 	Seed     int64  `json:"seed"`
-	Short    bool   `json:"short"`
 	Shards   int    `json:"shards"`
 	Replicas int    `json:"replicas"`
 

@@ -184,9 +184,9 @@ type ChunkOffer struct {
 }
 
 // ChunkNeed is the server's answer: the subset of offered chunks its
-// store is missing. Supported=false means the server does not speak delta
-// push (chunking disabled, or no warehouse) and the device must fall back
-// to a full push.
+// store is missing. Supported=false means the server will not take this
+// push as a delta (no warehouse, or a malformed offer) and the device must
+// fall back to a full push.
 type ChunkNeed struct {
 	Seq       int
 	AID       string

@@ -71,9 +71,7 @@ func chunkExchangeHashes(t *testing.T, c *offload.Conn, app workload.App, seq in
 // tail — under 30% of the full blob, the ISSUE's delta criterion.
 func TestServerChunkedDeltaPush(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
-	cfg := core.DefaultConfig(core.KindRattrap)
-	cfg.ChunkedPush = true
-	_, ln := startServerCfg(t, cfg, Options{})
+	_, ln := startServerOpts(t, Options{})
 	_, c := helloOverWire(t, ln.Addr().String(), "delta-dev")
 
 	size1 := 5 * host.MB
@@ -82,7 +80,7 @@ func TestServerChunkedDeltaPush(t *testing.T) {
 		t.Fatalf("first request failed: %+v", res1)
 	}
 	if !need1.Supported {
-		t.Fatal("server declined chunk negotiation with ChunkedPush on")
+		t.Fatal("a platform with a warehouse declined chunk negotiation")
 	}
 	if got, want := len(need1.Missing), len(offer1.Hashes); got != want {
 		t.Fatalf("cold store missing %d chunks, offered %d", got, want)
@@ -109,9 +107,7 @@ func TestServerChunkedDeltaPush(t *testing.T) {
 // the full code push that follows still completes the request.
 func TestServerDegenerateChunkOffer(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
-	cfg := core.DefaultConfig(core.KindRattrap)
-	cfg.ChunkedPush = true
-	_, ln := startServerCfg(t, cfg, Options{})
+	_, ln := startServerOpts(t, Options{})
 	_, c := helloOverWire(t, ln.Addr().String(), "degen-dev")
 
 	// No hashes at all.
@@ -136,17 +132,18 @@ func TestServerDegenerateChunkOffer(t *testing.T) {
 	}
 }
 
-// TestServerChunkOfferFallback pins the downgrade path: a server without
-// ChunkedPush answers the offer Supported=false, and the device's full
-// code push that follows still completes the request.
+// TestServerChunkOfferFallback pins the downgrade path: a platform without
+// an App Warehouse has nowhere to stage chunks, answers the offer
+// Supported=false, and the device's full code push that follows still
+// completes the request.
 func TestServerChunkOfferFallback(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
-	_, ln := startServerOpts(t, Options{}) // default config: ChunkedPush off
+	_, ln := startServerCfg(t, core.DefaultConfig(core.KindRattrapWO), Options{})
 	_, c := helloOverWire(t, ln.Addr().String(), "fallback-dev")
 
 	_, need, res := chunkExchange(t, c, app, 0, app.CodeSize())
 	if need.Supported {
-		t.Fatal("server claimed chunk support with ChunkedPush off")
+		t.Fatal("server claimed chunk support without a warehouse")
 	}
 	if len(need.Missing) != 0 {
 		t.Fatalf("unsupported reply carries %d missing chunks", len(need.Missing))

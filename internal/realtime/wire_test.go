@@ -276,8 +276,8 @@ func (r *repeatStream) Write(p []byte) (int, error) { return len(p), nil }
 // decode an exec frame (binary), route its AID through the shard ring,
 // look it up in the dedup window, and encode the result reply — all
 // without touching the heap. The full request path including the engine
-// dispatch is gated end-to-end (<100 allocs/op) by `rattrap-bench
-// -throughput` in ci.sh; this test pins the codec-and-lookup layer to zero.
+// dispatch is measured end to end as `allocs_per_req` on benchmark/'s
+// tcp-warm-serial; this test pins the codec-and-lookup layer to zero.
 func TestServerHotPathZeroAlloc(t *testing.T) {
 	var enc bytes.Buffer
 	params := []byte{1, 2, 3, 4, 5, 6, 7, 8}

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current output")
+var updateGolden = flag.Bool("update", false, "rewrite the checked-in BENCH_scenario.json from the current output")
 
 // soakThreshold keeps the double-run sweep affordable: scenarios whose
 // declared arrival count exceeds it (the million-device soak) are run by
@@ -76,7 +76,8 @@ func TestScenarioDoubleRunIdentical(t *testing.T) {
 }
 
 // TestBaselineReportGolden pins the baseline scenario's full report
-// against a checked-in copy. Any intentional change to the runner, the
+// against the checked-in BENCH_scenario.json, the file `make
+// bench-scenario` writes. Any intentional change to the runner, the
 // platform stack, or the report schema shows up as a reviewable golden
 // diff (regenerate with `go test ./internal/scenario -run Golden -update`).
 func TestBaselineReportGolden(t *testing.T) {
@@ -85,7 +86,7 @@ func TestBaselineReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got := reportBytes(t, scn)
-	golden := filepath.Join("testdata", "baseline_report.golden.json")
+	golden := filepath.Join("..", "..", "BENCH_scenario.json")
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)

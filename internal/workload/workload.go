@@ -246,8 +246,8 @@ func (r *paramReader) done() error {
 }
 
 // decodeParams decodes a flat app parameter blob. It never touches the
-// heap on success — it is on the request path whose allocs/op
-// `rattrap-bench -throughput` fences.
+// heap on success — it is on the request path benchmark/ counts as
+// `allocs_per_req` (and `workload.mixed_allocs_per_task` for this layer).
 func decodeParams(data []byte, v any) error {
 	if len(data) < 2 || data[0] != paramMagic {
 		return ErrParamFormat
