@@ -25,6 +25,9 @@ race:
 # and a second one would need negotiating again. internal/sim starts
 # goroutines in one place, the pooled worker's constructor (worker.go): a
 # second go statement there would be a goroutine-per-proc path coming back.
+# Session.PushCode has one simulated caller, device.Client (client.go), next
+# to the cluster's forwarder and the server half of the TCP exchange: another
+# one would be a sixth copy of the device exchange.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -60,6 +63,13 @@ lint: vet
 		| grep -v -E '^internal/sim/worker\.go:[0-9]+:[[:space:]]*go w\.loop\(\)$$' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "go statement in internal/sim outside takeWorker (procs run on pooled workers):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn '\.PushCode(' --include='*.go' internal/ cmd/ \
+		| grep -v '_test.go' | grep -v '^internal/core/' \
+		| grep -v -E '^internal/(cluster/cluster|realtime/server|device/client)\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "the device exchange written out again (offload through device.Client.Attempt):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \

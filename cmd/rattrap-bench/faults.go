@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rattrap/internal/core"
-	"rattrap/internal/device"
 	"rattrap/internal/experiments"
 	"rattrap/internal/faults"
 	"rattrap/internal/netsim"
@@ -77,7 +76,7 @@ func runFaults(w io.Writer, seed int64) (any, error) {
 		cfg.RequestsPerDevice = 6
 		// Mix in a file-carrying workload so fs.write sites are exercised.
 		cfg.Apps = []string{workload.NameChess, workload.NameOCR}
-		r, err := experiments.RunFaults(cfg, plan, device.RetryPolicy{}, retry)
+		r, err := experiments.RunFaults(cfg, plan, retry)
 		if err != nil {
 			mode := "single attempt"
 			if retry {

@@ -3,17 +3,18 @@
 // prints results with timings. The first request of an app transfers the
 // mobile code; later requests hit the App Warehouse.
 //
-// Requests are retried with exponential backoff and jitter on transport
-// failures and overload rejections. Retries are safe: the server dedupes
-// on (device, AID, seq), so a request whose result was computed but lost
-// in transit is answered from the server's idempotency window instead of
-// being re-executed.
+// There is one request path. The client keeps up to -pipeline requests in
+// flight on one connection (1, the default, is serial); the server executes
+// them concurrently and results come back in completion order, matched by
+// sequence number. The server must be running with a pipeline depth of at
+// least -pipeline.
 //
-// With -pipeline N the client keeps up to N requests in flight on one
-// connection; the server executes them concurrently and results come back
-// in completion order, matched by sequence number. The server must be
-// running with a pipeline depth of at least N. Retries are not attempted
-// in pipelined mode.
+// When the connection fails or the server sheds a request, the client backs
+// off (exponentially, with jitter, no shorter than the server's retry-after
+// hint), re-dials and resubmits whatever is unanswered, at any depth.
+// Retries are safe: the server dedupes on (device, AID, seq), so a request
+// whose result was computed but lost in transit is answered from the
+// server's idempotency window instead of being re-executed.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -33,129 +35,129 @@ import (
 	"rattrap/internal/workload"
 )
 
-// client wraps one connection to the server, re-dialing on demand after
-// a transport failure invalidated the previous one.
-type client struct {
-	server   string
+// offloader is the device side of the exchange over TCP: an
+// offload.PipelineClient per connection, wrapped by the retry loop.
+type offloader struct {
+	dial     func() (net.Conn, error)
 	deviceID string
-	conn     net.Conn
-	c        *offload.Conn
+	depth    int
+	policy   offload.RetryPolicy
+	rng      *rand.Rand // backoff jitter
+	code     offload.CodePush
+	out      io.Writer
 }
 
-func (cl *client) connect() error {
-	if cl.c != nil {
-		return nil
+// call is one request until its final result.
+type call struct {
+	req      offload.ExecRequest
+	start    time.Time // first put on the wire
+	attempts int
+	pushed   bool // the cloud asked this request for the code
+}
+
+// run offloads reqs, which must carry distinct Seqs, printing each result
+// as it arrives. It gives up when a request fails permanently or has used
+// all its attempts.
+func (o *offloader) run(reqs []offload.ExecRequest) error {
+	todo := make([]*call, len(reqs))
+	for i, req := range reqs {
+		todo[i] = &call{req: req}
 	}
-	conn, err := net.Dial("tcp", cl.server)
-	if err != nil {
-		return err
+	for len(todo) > 0 {
+		var cause error
+		if todo, cause = o.pass(todo); len(todo) == 0 {
+			break
+		}
+		worst := todo[0]
+		for _, c := range todo {
+			if c.attempts > worst.attempts {
+				worst = c
+			}
+		}
+		delay, ok := o.policy.Backoff(worst.attempts, cause, o.rng)
+		if !ok {
+			return fmt.Errorf("req %d failed after %d attempts: %w", worst.req.Seq, worst.attempts, cause)
+		}
+		fmt.Fprintf(os.Stderr, "rattrap-client: %v; resubmitting %d requests in %v\n", cause, len(todo), delay.Round(time.Millisecond))
+		time.Sleep(delay)
 	}
-	c := offload.NewConn(conn)
-	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: cl.deviceID}}); err != nil {
-		conn.Close()
-		return fmt.Errorf("hello: %w", err)
-	}
-	cl.conn, cl.c = conn, c
 	return nil
 }
 
-func (cl *client) drop() {
-	if cl.conn != nil {
-		cl.conn.Close()
+// pass submits todo in order on one fresh connection and waits for the
+// results, submitting nothing further once the cloud shed a request. It
+// returns the calls still unanswered and why: the connection's error, or
+// the overload rejection of a request with attempts to spare. A request's
+// attempt is spent when it is submitted; a connection that fails before any
+// was, spends one of the first's.
+func (o *offloader) pass(todo []*call) (left []*call, cause error) {
+	open := make(map[int]*call, len(todo))
+	for _, c := range todo {
+		open[c.req.Seq] = c
 	}
-	cl.conn, cl.c = nil, nil
-}
-
-// attempt runs one request exchange. A non-nil error is a transport or
-// protocol failure: the connection is dropped and the caller may retry.
-func (cl *client) attempt(req offload.ExecRequest, app workload.App) (res offload.Result, pushed bool, err error) {
-	if err := cl.connect(); err != nil {
-		return res, false, err
-	}
-	fail := func(err error) (offload.Result, bool, error) {
-		cl.drop()
-		return offload.Result{}, pushed, err
-	}
-	if err := cl.c.Send(offload.Frame{Kind: offload.KindExec, Exec: &req}); err != nil {
-		return fail(fmt.Errorf("exec: %w", err))
-	}
-	f, err := cl.c.Recv()
-	if err != nil {
-		return fail(fmt.Errorf("recv: %w", err))
-	}
-	for f.Kind == offload.KindNeedCode {
-		pushed = true
-		if err := cl.c.Send(offload.Frame{Kind: offload.KindCode, Code: &offload.CodePush{
-			AID: req.AID, App: app.Name(), Size: app.CodeSize(),
-		}}); err != nil {
-			return fail(fmt.Errorf("code push: %w", err))
-		}
-		if f, err = cl.c.Recv(); err != nil {
-			return fail(fmt.Errorf("recv: %w", err))
-		}
-	}
-	if f.Kind != offload.KindResult {
-		return fail(fmt.Errorf("unexpected frame %s", f.Kind))
-	}
-	return *f.Result, pushed, nil
-}
-
-// backoff is the delay before retry number attempt (1-based): base
-// doubled per attempt, capped, with ±25% jitter; an overload rejection's
-// retry-after hint sets the floor.
-func backoff(rng *rand.Rand, base, cap time.Duration, attempt int, retryAfter time.Duration) time.Duration {
-	d := base << uint(attempt-1)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	d += time.Duration(float64(d) * 0.25 * (2*rng.Float64() - 1))
-	if d < retryAfter {
-		d = retryAfter
-	}
-	return d
-}
-
-// runPipelined offloads n requests with up to depth in flight on one
-// connection. Results print in completion order; per-request latency is
-// measured from its submit.
-func runPipelined(server, deviceID string, app workload.App, n, depth int, seed int64) error {
-	conn, err := net.Dial("tcp", server)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	aid := offload.AID(app.Name(), app.CodeSize())
-	submitted := make(map[int]time.Time, depth)
-	pc := offload.NewPipelineClient(offload.NewConn(conn), depth,
-		func(need offload.NeedCode) (offload.CodePush, error) {
-			return offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}, nil
-		},
-		func(res offload.Result) {
-			elapsed := time.Since(submitted[res.Seq]).Round(time.Millisecond)
-			delete(submitted, res.Seq)
-			if res.Err != "" {
-				fmt.Printf("req %d: ERROR after %v: %s\n", res.Seq, elapsed, res.Err)
-				return
+	var shed error
+	sent := 0
+	conn, err := o.dial()
+	if err == nil {
+		defer conn.Close()
+		pc := offload.NewPipelineClient(offload.NewConn(conn), o.depth,
+			func(need offload.NeedCode) (offload.CodePush, error) {
+				if c := open[need.Seq]; c != nil {
+					c.pushed = true
+				}
+				return o.code, nil
+			},
+			func(res offload.Result) {
+				c := open[res.Seq]
+				if res.Code == offload.CodeOverloaded && c.attempts < o.policy.MaxAttempts {
+					shed = &offload.OverloadedError{RetryAfter: res.RetryAfter()}
+					return
+				}
+				delete(open, res.Seq)
+				o.report(c, res)
+			})
+		err = pc.Hello(o.deviceID)
+		for ; err == nil && shed == nil && sent < len(todo); sent++ {
+			c := todo[sent]
+			c.attempts++
+			// Submit first waits for room in the window; the request's clock
+			// starts once it is on the wire.
+			if err = pc.Submit(c.req); c.start.IsZero() {
+				c.start = time.Now()
 			}
-			fmt.Printf("req %d: %v -> %s\n", res.Seq, elapsed, res.Output)
-		})
-	if err := pc.Hello(deviceID); err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		task := app.NewTask(rng, i)
-		req := offload.ExecRequest{
-			DeviceID: deviceID, AID: aid, App: task.App, Method: task.Method,
-			Seq: task.Seq, Params: task.Params, ParamBytes: task.ParamBytes,
-			FileBytes: task.FileBytes, RoundTrips: task.RoundTrips, InteractBytes: task.InteractBytes,
 		}
-		submitted[req.Seq] = time.Now()
-		if err := pc.Submit(req); err != nil {
-			return fmt.Errorf("req %d: %w", i, err)
+		if err == nil {
+			err = pc.Flush()
 		}
 	}
-	return pc.Flush()
+	if sent == 0 {
+		todo[0].attempts++
+	}
+	if err == nil {
+		err = shed
+	}
+	for _, c := range todo {
+		if open[c.req.Seq] == c {
+			left = append(left, c)
+		}
+	}
+	return left, err
+}
+
+func (o *offloader) report(c *call, res offload.Result) {
+	elapsed := time.Since(c.start).Round(time.Millisecond)
+	if res.Err != "" {
+		fmt.Fprintf(o.out, "req %d: ERROR after %v (%d attempts): %s\n", res.Seq, elapsed, c.attempts, res.Err)
+		return
+	}
+	note := ""
+	if c.pushed {
+		note = " (mobile code transferred)"
+	}
+	if c.attempts > 1 {
+		note += fmt.Sprintf(" (%d attempts)", c.attempts)
+	}
+	fmt.Fprintf(o.out, "req %d: %v%s -> %s\n", res.Seq, elapsed, note, res.Output)
 }
 
 func main() {
@@ -176,66 +178,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rattrap-client: %v\n", err)
 		os.Exit(2)
 	}
-	if *pipeline > 1 {
-		if err := runPipelined(*server, *deviceID, app, *n, *pipeline, *seed); err != nil {
-			log.Fatalf("rattrap-client: %v", err)
-		}
-		return
-	}
-	cl := &client{server: *server, deviceID: *deviceID}
-	if err := cl.connect(); err != nil {
-		log.Fatalf("rattrap-client: %v", err)
-	}
-	defer cl.drop()
-
 	rng := rand.New(rand.NewSource(*seed))
-	aid := offload.AID(app.Name(), app.CodeSize())
-	for i := 0; i < *n; i++ {
-		task := app.NewTask(rng, i)
-		req := offload.ExecRequest{
-			DeviceID: *deviceID, AID: aid, App: task.App, Method: task.Method,
-			Seq: task.Seq, Params: task.Params, ParamBytes: task.ParamBytes,
-			FileBytes: task.FileBytes, RoundTrips: task.RoundTrips, InteractBytes: task.InteractBytes,
-		}
-		start := time.Now()
-		var res offload.Result
-		var pushed bool
-		attempt := 1
-		for ; ; attempt++ {
-			var aerr error
-			res, pushed, aerr = cl.attempt(req, app)
-			retryAfter := time.Duration(0)
-			switch {
-			case aerr == nil && res.Code == offload.CodeOverloaded:
-				retryAfter = res.RetryAfter()
-			case aerr == nil:
-				// A result (success or permanent error): done.
-			default:
-				fmt.Fprintf(os.Stderr, "rattrap-client: req %d attempt %d: %v\n", i, attempt, aerr)
-			}
-			if aerr == nil && res.Code != offload.CodeOverloaded {
-				break
-			}
-			if attempt >= *retries {
-				if aerr != nil {
-					log.Fatalf("rattrap-client: req %d failed after %d attempts: %v", i, attempt, aerr)
-				}
-				break // overloaded on the last attempt: report the rejection
-			}
-			time.Sleep(backoff(rng, *retryBase, 5*time.Second, attempt, retryAfter))
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		if res.Err != "" {
-			fmt.Printf("req %d: ERROR after %v (%d attempts): %s\n", i, elapsed, attempt, res.Err)
-			continue
-		}
-		note := ""
-		if pushed {
-			note = " (mobile code transferred)"
-		}
-		if attempt > 1 {
-			note += fmt.Sprintf(" (%d attempts)", attempt)
-		}
-		fmt.Printf("req %d: %v%s -> %s\n", i, elapsed, note, res.Output)
+	reqs := make([]offload.ExecRequest, max(*n, 0))
+	for i := range reqs {
+		reqs[i] = offload.NewExecRequest(*deviceID, app.NewTask(rng, i), app.CodeSize())
+	}
+	o := &offloader{
+		dial:     func() (net.Conn, error) { return net.Dial("tcp", *server) },
+		deviceID: *deviceID,
+		depth:    *pipeline,
+		policy:   offload.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}.WithDefaults(),
+		rng:      rng,
+		code:     offload.CodePush{AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name(), Size: app.CodeSize()},
+		out:      os.Stdout,
+	}
+	if err := o.run(reqs); err != nil {
+		log.Fatalf("rattrap-client: %v", err)
 	}
 }

@@ -17,17 +17,6 @@ func (r *Runtime) CodeLoaded(aid string) bool {
 	return ok
 }
 
-// LoadedCodes returns the AIDs the ClassLoader currently holds, in
-// unspecified order. The dispatcher uses it to index idle runtimes by the
-// code they can run without a load.
-func (r *Runtime) LoadedCodes() []string {
-	out := make([]string, 0, len(r.loaded))
-	for aid := range r.loaded {
-		out = append(out, aid)
-	}
-	return out
-}
-
 // EachLoadedCode visits every held AID without building a slice — the
 // scheduler indexes idle runtimes on every release, which sits on the
 // zero-alloc request path.

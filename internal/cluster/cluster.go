@@ -25,7 +25,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"rattrap/internal/core"
@@ -36,11 +35,10 @@ import (
 )
 
 // ErrShardDown reports an operation against a shard that crashed after the
-// session was routed to it. It is retryable by design: the failure already
-// advanced the membership epoch, so the caller's next Prepare routes to a
-// surviving shard. Retry loops should treat it like a transient transport
-// fault (alongside faults.IsTransient and offload.ErrOverloaded).
-var ErrShardDown = errors.New("cluster: shard down")
+// session was routed to it. It is offload.ErrShardDown, which
+// offload.Retryable knows: the failure already advanced the membership
+// epoch, so the caller's next Prepare routes to a surviving shard.
+var ErrShardDown = offload.ErrShardDown
 
 // ShardError tags a platform error with the shard that produced it. It
 // wraps rather than flattens: errors.As still finds the shard's
@@ -211,26 +209,6 @@ func (c *Cluster) Runtimes() []*core.RuntimeInfo {
 	var out []*core.RuntimeInfo
 	for _, pl := range c.shards {
 		out = append(out, pl.DB().List()...)
-	}
-	return out
-}
-
-// PoolSizes returns every shard's current runtime-pool size, in shard
-// order — the per-shard view of the autoscalers' sizing decisions.
-func (c *Cluster) PoolSizes() []int {
-	out := make([]int, len(c.shards))
-	for i, pl := range c.shards {
-		out[i] = pl.RuntimeCount()
-	}
-	return out
-}
-
-// QueueLengths returns every shard's dispatcher wait-ring depth, in shard
-// order.
-func (c *Cluster) QueueLengths() []int {
-	out := make([]int, len(c.shards))
-	for i, pl := range c.shards {
-		out[i] = pl.QueueLength()
 	}
 	return out
 }

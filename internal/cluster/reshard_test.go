@@ -353,6 +353,59 @@ func TestClusterFailShardReplicaFailover(t *testing.T) {
 	}
 }
 
+// crashAfterPrepare is a gateway whose shard dies under the session Prepare
+// just routed to it (FailShard is a no-op once the shard is dead).
+type crashAfterPrepare struct {
+	*Cluster
+	shard int
+}
+
+func (g crashAfterPrepare) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session, error) {
+	sess, err := g.Cluster.Prepare(p, req)
+	g.FailShard(g.shard)
+	return sess, err
+}
+
+// TestDeviceRetrySurvivesShardFailure: the device's retry loop knows a
+// crashed shard is retryable. A device's second request loses its AID's
+// primary mid-session; OffloadRetry backs off, re-routes onto the replica
+// — warm, thanks to the first request's fan-out — and succeeds. The
+// device's own Retryable used to omit ErrShardDown and gave up here.
+func TestDeviceRetrySurvivesShardFailure(t *testing.T) {
+	e := sim.NewEngine(13)
+	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 3, 2)
+	app, _ := workload.ByName(workload.NameLinpack)
+	size := app.CodeSize()
+	primary := cl.Owner(offload.AID(app.Name(), size))
+	d, err := device.New(e, "phone-1", netsim.LANWiFi())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e.Spawn("first", func(p *sim.Proc) {
+		if _, _, err := d.Offload(p, d.NewTask(app), size, cl); err != nil {
+			t.Errorf("first offload: %v", err)
+		}
+	})
+	e.Run() // request + replica fan-out drain
+
+	var attempts int
+	var res offload.Result
+	e.Spawn("second", func(p *sim.Proc) {
+		attempts, _, res, err = d.OffloadRetry(p, d.NewTask(app), size, crashAfterPrepare{cl, primary}, offload.RetryPolicy{})
+	})
+	e.Run()
+	if err != nil || res.Output == "" {
+		t.Fatalf("request through a shard failure: %+v, %v", res, err)
+	}
+	if attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (one lost to the crash)", attempts)
+	}
+	if got := d.Traffic().CodeUp; got != size {
+		t.Errorf("CodeUp = %d, want one copy (%d): the replica was warm", got, size)
+	}
+}
+
 // TestClusterRemoveShardHandsOff (R=1): a graceful leave moves every
 // entry to its next owner before the shard goes dark, so nothing is lost
 // and nobody re-pushes.

@@ -74,9 +74,6 @@ func NewRingMembers(ids []int, vnodes int) *Ring {
 // Shards returns the member count.
 func (r *Ring) Shards() int { return len(r.members) }
 
-// Members returns the sorted member ids (a copy).
-func (r *Ring) Members() []int { return append([]int(nil), r.members...) }
-
 // Owner returns the shard owning aid.
 func (r *Ring) Owner(aid string) int {
 	if len(r.members) == 1 {

@@ -45,7 +45,6 @@ type PermTable struct {
 type AccessController struct {
 	threshold int
 	tables    map[string]*PermTable
-	analyses  int
 }
 
 // analysisWork is the CPU spent generating one permission table.
@@ -68,7 +67,6 @@ func (ac *AccessController) Analyze(p *sim.Proc, h *host.Host, app string, grant
 		return t
 	}
 	h.Compute(p, analysisWork, 1.0)
-	ac.analyses++
 	t := &PermTable{App: app, Allowed: make(map[Permission]bool, len(granted))}
 	for _, g := range granted {
 		t.Allowed[g] = true
@@ -82,9 +80,6 @@ func (ac *AccessController) Table(app string) (*PermTable, bool) {
 	t, ok := ac.tables[app]
 	return t, ok
 }
-
-// Analyses reports how many permission tables were generated.
-func (ac *AccessController) Analyses() int { return ac.analyses }
 
 // Check filters one operation flowing out of a container. A disallowed
 // operation records a violation; reaching the threshold blocks the app's

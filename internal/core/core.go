@@ -821,17 +821,6 @@ func (s *session) Execute(p *sim.Proc) (offload.Result, error) {
 		}
 	}
 
-	task := workload.Task{
-		App: req.App, Method: req.Method, Seq: req.Seq, Params: req.Params,
-		ParamBytes: req.ParamBytes, FileBytes: req.FileBytes,
-		RoundTrips: req.RoundTrips, InteractBytes: req.InteractBytes,
-	}
-	if pre := req.Precomputed(); pre != nil {
-		// The realtime server already ran the computation on the request's
-		// own goroutine; the runtime charges the modeled work without
-		// redoing it under the serialized engine.
-		task.SetPrecomputed(pre)
-	}
 	if pl.execFault != nil {
 		if ferr := pl.execFault(p, sl.id, req.AID); ferr != nil {
 			pl.noteFailure(sl.id, FailExec)
@@ -839,7 +828,10 @@ func (s *session) Execute(p *sim.Proc) (offload.Result, error) {
 		}
 	}
 	runStart := s.stageStart(sp)
-	res, err := sl.rt.Execute(p, req.AID, task, pl.reg)
+	// When the realtime server already ran the computation on the request's
+	// own goroutine, the task carries the outcome and the runtime charges the
+	// modeled work without redoing it under the serialized engine.
+	res, err := sl.rt.Execute(p, req.AID, req.Task(), pl.reg)
 	if d, on := s.stageEnd(runStart); on && err == nil {
 		sp.Add(obs.StageRun, d)
 		if pl.om != nil {

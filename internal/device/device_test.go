@@ -45,9 +45,7 @@ func (s *fakeSession) PushCode(p *sim.Proc, push offload.CodePush) error {
 
 func (s *fakeSession) Execute(p *sim.Proc) (offload.Result, error) {
 	p.Sleep(s.g.execDelay)
-	m, err := s.g.reg.Execute(workload.Task{
-		App: s.req.App, Method: s.req.Method, Seq: s.req.Seq, Params: s.req.Params,
-	})
+	m, err := s.g.reg.Execute(s.req.Task())
 	if err != nil {
 		return offload.Result{Err: err.Error()}, nil
 	}
@@ -216,23 +214,5 @@ func TestUnknownProfileRejected(t *testing.T) {
 	e := sim.NewEngine(1)
 	if _, err := New(e, "x", netsim.Profile{Name: "5G", UpMbps: 1, DownMbps: 1}); err == nil {
 		t.Fatal("device accepted a profile with no radio model")
-	}
-}
-
-func TestResetTraffic(t *testing.T) {
-	e := sim.NewEngine(1)
-	d, _ := New(e, "phone-1", netsim.LANWiFi())
-	gw := newFake(e)
-	app, _ := workload.ByName(workload.NameChess)
-	e.Spawn("t", func(p *sim.Proc) {
-		d.Offload(p, d.NewTask(app), app.CodeSize(), gw)
-	})
-	e.Run()
-	if d.Traffic().Up() == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	d.ResetTraffic()
-	if d.Traffic().Up() != 0 {
-		t.Fatal("ResetTraffic did not clear")
 	}
 }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"rattrap/internal/core"
+	"rattrap/internal/device"
 	"rattrap/internal/faults"
 	"rattrap/internal/metrics"
-	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
@@ -201,7 +200,6 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, fixed int, 
 	if err != nil {
 		return nil, err
 	}
-	aid := offload.AID(app.Name(), app.CodeSize())
 	params := workload.EncodeLinpackParams(cfg.Seed, cfg.Order)
 
 	e := sim.NewEngine(cfg.Seed)
@@ -258,31 +256,9 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, fixed int, 
 		e.Spawn(fmt.Sprintf("req-%d", i), func(p *sim.Proc) {
 			p.Sleep(at)
 			start := e.Now()
-			req := offload.ExecRequest{
-				DeviceID: fmt.Sprintf("dev-%d", i),
-				AID:      aid,
-				App:      app.Name(),
-				Method:   "solve",
-				Params:   params,
-			}
-			sess, err := pl.Prepare(p, req)
-			if err != nil {
-				return
-			}
-			defer sess.Release()
-			push := offload.CodePush{AID: aid, App: app.Name(), Size: app.CodeSize()}
-			if sess.NeedCode() {
-				if err := sess.PushCode(p, push); err != nil {
-					return
-				}
-			}
-			res, err := sess.Execute(p)
-			if errors.Is(err, offload.ErrCodeNeeded) {
-				if err = sess.PushCode(p, push); err == nil {
-					res, err = sess.Execute(p)
-				}
-			}
-			if err != nil || res.Err != "" {
+			c := device.Client{ID: fmt.Sprintf("dev-%d", i)}
+			task := workload.Task{App: app.Name(), Method: "solve", Params: params}
+			if _, err := c.Attempt(p, pl, task, app.CodeSize(), nil); err != nil {
 				return
 			}
 			cell.Succeeded++

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rattrap/internal/core"
-	"rattrap/internal/device"
 	"rattrap/internal/faults"
 	"rattrap/internal/netsim"
 	"rattrap/internal/obs"
@@ -143,11 +142,11 @@ func TestRunFaultsDeterministic(t *testing.T) {
 	cfg := DefaultRun(core.KindRattrap, netsim.WANWiFi(), workload.NameLinpack, 42)
 	cfg.RequestsPerDevice = 2 // keep the sweep fast; every plan still injects
 	for _, plan := range faults.StandardPlans(42) {
-		a, err := RunFaults(cfg, plan, device.RetryPolicy{}, true)
+		a, err := RunFaults(cfg, plan, true)
 		if err != nil {
 			t.Fatalf("plan %s: %v", plan.Name, err)
 		}
-		b, err := RunFaults(cfg, plan, device.RetryPolicy{}, true)
+		b, err := RunFaults(cfg, plan, true)
 		if err != nil {
 			t.Fatalf("plan %s (second): %v", plan.Name, err)
 		}

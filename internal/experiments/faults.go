@@ -8,6 +8,7 @@ import (
 	"rattrap/internal/device"
 	"rattrap/internal/faults"
 	"rattrap/internal/metrics"
+	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
@@ -39,8 +40,9 @@ type FaultRunResult struct {
 // The plan's injector is wired into every device link, the platform's
 // shared offloading-I/O mount, and the container boot path. When retry
 // is false every request gets exactly one attempt (the pre-robustness
-// behavior); otherwise policy governs backoff and attempt budget.
-func RunFaults(cfg RunConfig, plan faults.Plan, policy device.RetryPolicy, retry bool) (*FaultRunResult, error) {
+// behavior); otherwise the default offload.RetryPolicy governs backoff and
+// attempt budget.
+func RunFaults(cfg RunConfig, plan faults.Plan, retry bool) (*FaultRunResult, error) {
 	if cfg.Devices <= 0 || cfg.RequestsPerDevice <= 0 || len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("experiments: bad config %+v", cfg)
 	}
@@ -58,6 +60,10 @@ func RunFaults(cfg RunConfig, plan faults.Plan, policy device.RetryPolicy, retry
 	}
 
 	res := &FaultRunResult{Plan: plan.Name, Retry: retry}
+	var policy offload.RetryPolicy
+	if !retry {
+		policy.MaxAttempts = 1
+	}
 	var latencies []float64
 	for i := 0; i < cfg.Devices; i++ {
 		i := i
@@ -72,12 +78,8 @@ func RunFaults(cfg RunConfig, plan faults.Plan, policy device.RetryPolicy, retry
 				appName := cfg.Apps[r%len(cfg.Apps)]
 				app, _ := workload.ByName(appName)
 				task := dev.NewTask(app)
-				pol := policy
-				if !retry {
-					pol.MaxAttempts = 1
-				}
 				start := e.Now()
-				attempts, _, result, err := dev.OffloadRetry(p, task, app.CodeSize(), pl, pol)
+				attempts, _, result, err := dev.OffloadRetry(p, task, app.CodeSize(), pl, policy)
 				res.Requests++
 				res.Attempts += attempts
 				if err == nil && result.Err == "" {

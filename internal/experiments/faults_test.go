@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rattrap/internal/core"
-	"rattrap/internal/device"
 	"rattrap/internal/faults"
 	"rattrap/internal/netsim"
 	"rattrap/internal/workload"
@@ -17,7 +16,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 	cfg := DefaultRun(core.KindRattrap, netsim.WANWiFi(), workload.NameChess, 42)
 	for _, plan := range faults.StandardPlans(42) {
 		run := func() *FaultRunResult {
-			r, err := RunFaults(cfg, plan, device.RetryPolicy{}, true)
+			r, err := RunFaults(cfg, plan, true)
 			if err != nil {
 				t.Fatalf("%s: %v", plan.Name, err)
 			}
@@ -34,7 +33,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 // every request succeeds in one attempt.
 func TestHealthyPlanIsLossless(t *testing.T) {
 	cfg := DefaultRun(core.KindRattrap, netsim.LANWiFi(), workload.NameChess, 7)
-	r, err := RunFaults(cfg, faults.Healthy(), device.RetryPolicy{}, true)
+	r, err := RunFaults(cfg, faults.Healthy(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestRetriesRecoverInjectedLoss(t *testing.T) {
 		{Site: faults.SiteUpload, Kind: faults.Drop, Every: 5},
 	}}
 
-	bare, err := RunFaults(cfg, plan, device.RetryPolicy{}, false)
+	bare, err := RunFaults(cfg, plan, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestRetriesRecoverInjectedLoss(t *testing.T) {
 		t.Fatalf("retry disabled but attempts %d != requests %d", bare.Attempts, bare.Requests)
 	}
 
-	robust, err := RunFaults(cfg, plan, device.RetryPolicy{}, true)
+	robust, err := RunFaults(cfg, plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestStalledDevicePlanReleasesSlots(t *testing.T) {
 	if plan.Name == "" {
 		t.Fatal("stalled-device plan missing from the standard suite")
 	}
-	r, err := RunFaults(cfg, plan, device.RetryPolicy{}, true)
+	r, err := RunFaults(cfg, plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}

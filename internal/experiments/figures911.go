@@ -68,13 +68,6 @@ func RunComparisonShards(seed int64, shards int) (*Comparison, error) {
 	return c, nil
 }
 
-// PhaseMeans returns the mean phase seconds for one cell.
-func (c *Comparison) PhaseMeans(app string, kind core.Kind) (transfer, prep, comp float64) {
-	conn, t, p, e := c.Runs[app][kind].MeanPhases()
-	_ = conn
-	return t, p, e
-}
-
 // Figure9Tables builds "Average performance of offloading requests":
 // per-workload phase means normalized to the VM platform's total.
 func (c *Comparison) Figure9Tables() []*metrics.Table {

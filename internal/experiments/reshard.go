@@ -7,6 +7,7 @@ import (
 
 	"rattrap/internal/cluster"
 	"rattrap/internal/core"
+	"rattrap/internal/device"
 	"rattrap/internal/host"
 	"rattrap/internal/metrics"
 	"rattrap/internal/offload"
@@ -29,9 +30,10 @@ import (
 //     missing, so migrated delta bytes stay strictly under the entries'
 //     full size.
 //
-// Requests drive cluster.Prepare directly (no modeled device network),
-// so the measured rate isolates routing + queueing + execution — the
-// costs membership changes perturb. Deterministic per seed.
+// Requests run the device exchange in-process (a device.Client without a
+// link: no modeled device network), so the measured rate isolates routing +
+// queueing + execution — the costs membership changes perturb.
+// Deterministic per seed.
 
 // ReshardConfig parameterizes the sweep. Zero value is unusable; use
 // DefaultReshardConfig.
@@ -148,6 +150,7 @@ func RunReshard(cfg ReshardConfig) (*ReshardReport, error) {
 	e.At(sim.Time(cfg.FailAt), func() { cl.FailShard(1) })
 	e.At(sim.Time(cfg.AddAt), func() { cl.AddShard() })
 
+	policy := offload.RetryPolicy{MaxAttempts: cfg.MaxAttempts, BaseDelay: 50 * time.Millisecond}.WithDefaults()
 	var latencies []float64
 	var preDone, postDone int
 	gap := cfg.Horizon / time.Duration(cfg.Requests)
@@ -158,16 +161,24 @@ func RunReshard(cfg ReshardConfig) (*ReshardReport, error) {
 			p.Sleep(at)
 			start := e.Now()
 			codeSize := app.CodeSize() + host.Bytes(i%cfg.Variants)
-			req := offload.ExecRequest{
-				DeviceID: fmt.Sprintf("dev-%d", i%cfg.Devices),
-				AID:      offload.AID(app.Name(), codeSize),
-				App:      app.Name(),
-				Method:   "solve",
-				Seq:      i / cfg.Devices,
-				Params:   params,
-			}
-			if err := offloadWithRetry(p, cl, cfg, rep, req, app.Name(), codeSize); err != nil {
-				return
+			c := device.Client{ID: fmt.Sprintf("dev-%d", i%cfg.Devices)}
+			task := workload.Task{App: app.Name(), Method: "solve", Seq: i / cfg.Devices, Params: params}
+			// Shard-down and overload errors back off and retry (the next
+			// epoch's ring routes around the crash); anything else is permanent.
+			for attempt := 1; ; attempt++ {
+				_, err := c.Attempt(p, cl, task, codeSize, nil)
+				if err == nil {
+					break
+				}
+				delay, ok := policy.Backoff(attempt, err, e.Rand())
+				if !ok {
+					return
+				}
+				if errors.Is(err, cluster.ErrShardDown) {
+					rep.ShardDownRetries++
+				}
+				rep.Retries++
+				p.Sleep(delay)
 			}
 			rep.Succeeded++
 			done := e.Now()
@@ -215,55 +226,4 @@ func RunReshard(cfg ReshardConfig) (*ReshardReport, error) {
 	rep.ReplicaCopies = ms.ReplicaCopies
 	rep.Repaired = ms.Repaired
 	return rep, nil
-}
-
-// offloadWithRetry drives one request: shard-down and overload errors
-// back off and retry (the next epoch's ring routes around the crash);
-// anything else is permanent.
-func offloadWithRetry(p *sim.Proc, cl *cluster.Cluster, cfg ReshardConfig, rep *ReshardReport, req offload.ExecRequest, appName string, codeSize host.Bytes) error {
-	for attempt := 1; ; attempt++ {
-		err := reshardAttempt(p, cl, req, appName, codeSize)
-		if err == nil {
-			return nil
-		}
-		retryable := errors.Is(err, cluster.ErrShardDown) || errors.Is(err, offload.ErrOverloaded)
-		if attempt >= cfg.MaxAttempts || !retryable {
-			return err
-		}
-		if errors.Is(err, cluster.ErrShardDown) {
-			rep.ShardDownRetries++
-		}
-		rep.Retries++
-		p.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
-	}
-}
-
-func reshardAttempt(p *sim.Proc, cl *cluster.Cluster, req offload.ExecRequest, appName string, codeSize host.Bytes) error {
-	sess, err := cl.Prepare(p, req)
-	if err != nil {
-		return err
-	}
-	defer sess.Release()
-	push := offload.CodePush{AID: req.AID, App: appName, Size: codeSize}
-	if sess.NeedCode() {
-		if err := sess.PushCode(p, push); err != nil {
-			return err
-		}
-	}
-	for {
-		res, err := sess.Execute(p)
-		if errors.Is(err, offload.ErrCodeNeeded) {
-			if perr := sess.PushCode(p, push); perr != nil {
-				return perr
-			}
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if res.Err != "" {
-			return fmt.Errorf("cloud error (%s): %s", res.Code, res.Err)
-		}
-		return nil
-	}
 }

@@ -269,12 +269,3 @@ func (in *Injector) TeardownHook() func(p *sim.Proc, id string) error {
 		return in.Apply(p, SiteTeardown, id, 0)
 	}
 }
-
-// ExecHook adapts the injector to core.Platform.SetExecFault. The rule
-// target matches the runtime ID, so a plan can fail every execution on
-// one specific runtime (the health tracker's cordon scenario).
-func (in *Injector) ExecHook() func(p *sim.Proc, id, aid string) error {
-	return func(p *sim.Proc, id, aid string) error {
-		return in.Apply(p, SiteExec, id, 0)
-	}
-}

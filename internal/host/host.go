@@ -318,6 +318,3 @@ func (h *Host) diskRate(c *sim.CountSeries, from, to sim.Time, width time.Durati
 	}
 	return out
 }
-
-// BusyCores returns the number of cores currently executing.
-func (h *Host) BusyCores() int { return h.cpu.InUse() }

@@ -242,14 +242,6 @@ func (h *Handle) Close() error {
 	return nil
 }
 
-// Refs returns the number of open handles into the named module.
-func (k *Kernel) Refs(name string) int {
-	if lm, ok := k.modules[name]; ok {
-		return lm.refs
-	}
-	return 0
-}
-
 // DefaultLoadTime is a representative insmod latency used for module specs
 // that want a simple time-based cost instead of Work.
 const DefaultLoadTime = 15 * time.Millisecond

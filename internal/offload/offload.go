@@ -68,14 +68,44 @@ type ExecRequest struct {
 	abort *sim.Signal
 }
 
+// NewExecRequest is the request that offloads task from deviceID; the AID
+// follows from the app and the size of its code.
+func NewExecRequest(deviceID string, task workload.Task, codeSize host.Bytes) ExecRequest {
+	return ExecRequest{
+		DeviceID:      deviceID,
+		AID:           AID(task.App, codeSize),
+		App:           task.App,
+		Method:        task.Method,
+		Seq:           task.Seq,
+		Params:        task.Params,
+		ParamBytes:    task.ParamBytes,
+		FileBytes:     task.FileBytes,
+		RoundTrips:    task.RoundTrips,
+		InteractBytes: task.InteractBytes,
+	}
+}
+
+// Task is NewExecRequest's inverse, cloud side: the task the request asks
+// for, carrying the request's precomputed outcome if it has one.
+func (r ExecRequest) Task() workload.Task {
+	t := workload.Task{
+		App:           r.App,
+		Method:        r.Method,
+		Seq:           r.Seq,
+		Params:        r.Params,
+		ParamBytes:    r.ParamBytes,
+		FileBytes:     r.FileBytes,
+		RoundTrips:    r.RoundTrips,
+		InteractBytes: r.InteractBytes,
+	}
+	t.SetPrecomputed(r.pre)
+	return t
+}
+
 // SetPrecomputed attaches an ahead-of-time execution outcome for the
 // request's task. A nil value (the default) means the runtime computes
 // for real at dispatch.
 func (r *ExecRequest) SetPrecomputed(p *workload.Precomputed) { r.pre = p }
-
-// Precomputed returns the attached outcome, nil when the request has not
-// been pre-executed.
-func (r ExecRequest) Precomputed() *workload.Precomputed { return r.pre }
 
 // SetSpan attaches an observability span to the request. The platform
 // records dispatcher/warehouse/runtime sub-stages into it. A nil span

@@ -43,37 +43,20 @@ func NewPipelineClient(c *Conn, depth int, code func(NeedCode) (CodePush, error)
 
 // Hello opens the session.
 func (p *PipelineClient) Hello(deviceID string) error {
-	if p.err != nil {
-		return p.err
-	}
-	if err := p.c.Send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: deviceID}}); err != nil {
-		p.err = err
-		return err
-	}
-	return nil
+	return p.send(Frame{Kind: KindHello, Hello: &Hello{DeviceID: deviceID}})
 }
-
-// InFlight reports how many submitted requests have not yet produced a
-// result.
-func (p *PipelineClient) InFlight() int { return len(p.pending) }
 
 // Submit sends one exec request, first draining incoming frames until the
 // pipeline window has room. The request's Seq must be unique among
 // in-flight requests.
 func (p *PipelineClient) Submit(req ExecRequest) error {
-	if p.err != nil {
-		return p.err
-	}
-	if _, dup := p.pending[req.Seq]; dup {
+	if _, dup := p.pending[req.Seq]; dup && p.err == nil {
 		return fmt.Errorf("offload: seq %d already in flight", req.Seq)
 	}
-	for len(p.pending) >= p.depth {
-		if err := p.step(); err != nil {
-			return err
-		}
+	for p.err == nil && len(p.pending) >= p.depth {
+		p.step()
 	}
-	if err := p.c.Send(Frame{Kind: KindExec, Exec: &req}); err != nil {
-		p.err = err
+	if err := p.send(Frame{Kind: KindExec, Exec: &req}); err != nil {
 		return err
 	}
 	p.pending[req.Seq] = struct{}{}
@@ -83,58 +66,55 @@ func (p *PipelineClient) Submit(req ExecRequest) error {
 // Flush processes incoming frames until every in-flight request has
 // resolved.
 func (p *PipelineClient) Flush() error {
-	if p.err != nil {
-		return p.err
+	for p.err == nil && len(p.pending) > 0 {
+		p.step()
 	}
-	for len(p.pending) > 0 {
-		if err := p.step(); err != nil {
-			return err
-		}
+	return p.err
+}
+
+// send writes one frame. The pipeline's first error, here or in step, is
+// final: every later call reports it.
+func (p *PipelineClient) send(f Frame) error {
+	if p.err == nil {
+		p.err = p.c.Send(f)
 	}
-	return nil
+	return p.err
 }
 
 // step handles one incoming frame: a NEED_CODE triggers the code
 // callback, a result completes its request.
-func (p *PipelineClient) step() error {
+func (p *PipelineClient) step() {
 	f, err := p.c.Recv()
-	if err != nil {
+	switch {
+	case err != nil:
 		p.err = err
-		return err
-	}
-	switch f.Kind {
-	case KindNeedCode:
+	case f.Kind == KindNeedCode && p.code == nil:
+		p.err = errors.New("offload: cloud asked for code but no code source configured")
+	case f.Kind == KindNeedCode:
 		var need NeedCode
 		if f.NeedCode != nil {
 			need = *f.NeedCode
 		}
-		if p.code == nil {
-			p.err = errors.New("offload: cloud asked for code but no code source configured")
-			return p.err
+		var push CodePush
+		if push, p.err = p.code(need); p.err == nil {
+			push.Seq = need.Seq
+			p.send(Frame{Kind: KindCode, Code: &push})
 		}
-		push, err := p.code(need)
-		if err != nil {
-			p.err = err
-			return err
-		}
-		push.Seq = need.Seq
-		if err := p.c.Send(Frame{Kind: KindCode, Code: &push}); err != nil {
-			p.err = err
-			return err
-		}
-	case KindResult:
+	case f.Kind != KindResult:
+		p.err = fmt.Errorf("offload: unexpected %s frame from the cloud", f.Kind)
+	case f.Result.Code == CodeProtocol:
+		// The server's farewell before it closes the connection: it answers
+		// no request (Seq 0), it says what the client did wrong.
+		p.err = fmt.Errorf("offload: cloud rejected the connection: %s", f.Result.Err)
+	default:
 		res := *f.Result
 		if _, ok := p.pending[res.Seq]; !ok {
 			p.err = fmt.Errorf("offload: result for unknown seq %d", res.Seq)
-			return p.err
+			return
 		}
 		delete(p.pending, res.Seq)
 		if p.onRes != nil {
 			p.onRes(res)
 		}
-	default:
-		p.err = fmt.Errorf("offload: unexpected %s frame from the cloud", f.Kind)
-		return p.err
 	}
-	return nil
 }

@@ -950,12 +950,7 @@ func (h *connHandler) finishRequest(key dedupKey, seq int, res offload.Result, e
 // concurrently with every other request — the registry's apps are
 // read-only after construction.
 func (s *Server) precompute(req *offload.ExecRequest) *workload.Precomputed {
-	t := workload.Task{
-		App: req.App, Method: req.Method, Seq: req.Seq, Params: req.Params,
-		ParamBytes: req.ParamBytes, FileBytes: req.FileBytes,
-		RoundTrips: req.RoundTrips, InteractBytes: req.InteractBytes,
-	}
-	m, err := s.wreg.Execute(t)
+	m, err := s.wreg.Execute(req.Task())
 	return &workload.Precomputed{Metrics: m, Err: err}
 }
 

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"time"
 
 	"rattrap/internal/cluster"
 	"rattrap/internal/core"
+	"rattrap/internal/device"
 	"rattrap/internal/faults"
 	"rattrap/internal/host"
 	"rattrap/internal/netsim"
@@ -245,9 +245,8 @@ func (r *runner) spawnGenerator(cs *cohortState) {
 	})
 }
 
-// spawnRequest runs one arrival's full offload exchange as its own proc:
-// connect, upload, prepare, (push code), execute, download — the lite
-// mirror of device.Offload — under the scenario's retry policy.
+// spawnRequest runs one arrival's offload exchange as its own proc, through
+// a bare device.Client on a fresh link.
 func (r *runner) spawnRequest(cs *cohortState, k int) {
 	arrived := r.e.Now()
 	prof := cs.profile
@@ -270,7 +269,7 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 		if cs.spec.LinpackOrder > 0 && task.App == workload.NameLinpack {
 			task.Params = workload.EncodeLinpackParams(r.scn.Seed, cs.spec.LinpackOrder)
 		}
-		err := r.offload(p, cs, link, dev, task, codeSize)
+		err := r.offload(p, cs, device.Client{ID: dev, Link: link}, task, codeSize)
 		if err == nil {
 			cs.succeeded++
 			cs.latencies = append(cs.latencies, (r.e.Now() - arrived).Duration().Seconds())
@@ -288,108 +287,23 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 	})
 }
 
-// offload drives one request with retries: transient transport faults and
-// overload rejections back off and try again (device.Retryable's rule);
-// everything else is permanent.
-func (r *runner) offload(p *sim.Proc, cs *cohortState, link *netsim.Link, dev string, task workload.Task, codeSize host.Bytes) error {
-	rp := r.scn.Client
+// offload drives one request under the scenario's retry policy. Jitter
+// comes from the engine source: the engine serializes procs, so the draw
+// order — and hence the schedule — is deterministic.
+func (r *runner) offload(p *sim.Proc, cs *cohortState, c device.Client, task workload.Task, codeSize host.Bytes) error {
 	for attempt := 1; ; attempt++ {
-		err := r.attempt(p, link, dev, task, codeSize)
+		_, err := c.Attempt(p, r.cl, task, codeSize, nil)
 		if err == nil {
 			return nil
 		}
 		if errors.Is(err, offload.ErrOverloaded) {
 			cs.overloads++
 		}
-		// A down shard is retryable like a transient transport fault: the
-		// next epoch's ring routes the AID to a surviving replica.
-		if attempt >= rp.MaxAttempts || !(faults.IsTransient(err) || errors.Is(err, offload.ErrOverloaded) || errors.Is(err, cluster.ErrShardDown)) {
+		delay, ok := r.scn.Client.Backoff(attempt, err, r.e.Rand())
+		if !ok {
 			return err
 		}
 		cs.retries++
-		p.Sleep(r.backoff(rp, attempt, err))
+		p.Sleep(delay)
 	}
-}
-
-// backoff mirrors device.backoff: exponential from BaseDelay, capped at
-// MaxDelay, ±25% jitter from the engine source (the engine serializes
-// procs, so the draw order — and hence the schedule — is deterministic),
-// floored by an overload rejection's retry-after hint.
-func (r *runner) backoff(rp ClientSpec, attempt int, cause error) time.Duration {
-	delay := rp.BaseDelay << uint(attempt-1)
-	if delay > rp.MaxDelay || delay <= 0 {
-		delay = rp.MaxDelay
-	}
-	delay += time.Duration(float64(delay) * 0.25 * (2*r.e.Rand().Float64() - 1))
-	var over *offload.OverloadedError
-	if errors.As(cause, &over) && delay < over.RetryAfter {
-		delay = over.RetryAfter
-	}
-	if delay < time.Millisecond {
-		delay = time.Millisecond
-	}
-	return delay
-}
-
-// attempt is one try of the basic offloading mechanism against the
-// cluster gateway.
-func (r *runner) attempt(p *sim.Proc, link *netsim.Link, dev string, task workload.Task, codeSize host.Bytes) error {
-	req := offload.ExecRequest{
-		DeviceID:      dev,
-		AID:           offload.AID(task.App, codeSize),
-		App:           task.App,
-		Method:        task.Method,
-		Seq:           task.Seq,
-		Params:        task.Params,
-		ParamBytes:    task.ParamBytes,
-		FileBytes:     task.FileBytes,
-		RoundTrips:    task.RoundTrips,
-		InteractBytes: task.InteractBytes,
-	}
-	if _, err := link.Connect(p); err != nil {
-		return err
-	}
-	if _, err := link.Upload(p, task.UploadBytes()+offload.ControlBytes); err != nil {
-		return err
-	}
-	sess, err := r.cl.Prepare(p, req)
-	if err != nil {
-		return err
-	}
-	defer sess.Release()
-	push := func() error {
-		if _, err := link.Download(p, offload.ControlBytes); err != nil {
-			return err
-		}
-		if _, err := link.Upload(p, codeSize); err != nil {
-			return err
-		}
-		return sess.PushCode(p, offload.CodePush{AID: req.AID, App: task.App, Size: codeSize})
-	}
-	if sess.NeedCode() {
-		if err := push(); err != nil {
-			return err
-		}
-	}
-	var res offload.Result
-	for {
-		res, err = sess.Execute(p)
-		if errors.Is(err, offload.ErrCodeNeeded) {
-			if perr := push(); perr != nil {
-				return perr
-			}
-			continue
-		}
-		break
-	}
-	if err != nil {
-		return err
-	}
-	if res.Err != "" {
-		return fmt.Errorf("cloud error (%s): %s", res.Code, res.Err)
-	}
-	if _, err := link.Download(p, res.ResultBytes+offload.ControlBytes); err != nil {
-		return err
-	}
-	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"rattrap/internal/core"
 	"rattrap/internal/faults"
 	"rattrap/internal/netsim"
+	"rattrap/internal/offload"
 	"rattrap/internal/workload"
 )
 
@@ -61,7 +62,7 @@ type Scenario struct {
 	Seed        int64
 	Shards      int
 	Platform    PlatformSpec
-	Client      ClientSpec
+	Client      offload.RetryPolicy // every arrival's; the decoder defaults to one attempt
 	Fleet       []CohortSpec
 	Events      []EventSpec
 	Assertions  []AssertionSpec
@@ -81,14 +82,6 @@ type PlatformSpec struct {
 	// out to the R shards clockwise of its AID, so a shard failure loses
 	// no cached code. 1 (the default) is the replica-free PR 5 cluster.
 	Replicas int
-}
-
-// ClientSpec is the per-request retry policy (mirrors device.RetryPolicy:
-// exponential backoff with jitter, overload retry-after floor).
-type ClientSpec struct {
-	MaxAttempts int // total tries including the first; 1 = no retries
-	BaseDelay   time.Duration
-	MaxDelay    time.Duration
 }
 
 // ArrivalKind selects a cohort's arrival process.
@@ -581,9 +574,9 @@ func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 	return spec
 }
 
-func (d *decoder) client(root *yamlNode, path string, ru used) ClientSpec {
+func (d *decoder) client(root *yamlNode, path string, ru used) offload.RetryPolicy {
 	ru["client"] = true
-	spec := ClientSpec{MaxAttempts: 1, BaseDelay: 200 * time.Millisecond, MaxDelay: 5 * time.Second}
+	spec := offload.RetryPolicy{MaxAttempts: 1}.WithDefaults()
 	n := root.get("client")
 	if n == nil || d.err != nil {
 		return spec
@@ -594,8 +587,8 @@ func (d *decoder) client(root *yamlNode, path string, ru used) ClientSpec {
 	}
 	u := used{}
 	spec.MaxAttempts = d.intVal(n, p, u, "max_attempts", 1, 1, 16)
-	spec.BaseDelay = d.durVal(n, p, u, "base_delay", 200*time.Millisecond, time.Millisecond, time.Minute)
-	spec.MaxDelay = d.durVal(n, p, u, "max_delay", 5*time.Second, time.Millisecond, time.Hour)
+	spec.BaseDelay = d.durVal(n, p, u, "base_delay", spec.BaseDelay, time.Millisecond, time.Minute)
+	spec.MaxDelay = d.durVal(n, p, u, "max_delay", spec.MaxDelay, time.Millisecond, time.Hour)
 	if d.err == nil {
 		d.checkUnknown(n, p, u)
 	}

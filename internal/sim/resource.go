@@ -30,9 +30,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	return &Resource{e: e, name: name, capacity: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

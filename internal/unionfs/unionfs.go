@@ -79,9 +79,6 @@ func (l *Layer) Name() string { return l.name }
 // ReadOnly reports whether the layer rejects writes.
 func (l *Layer) ReadOnly() bool { return l.readOnly }
 
-// InMemory reports whether the layer is a tmpfs.
-func (l *Layer) InMemory() bool { return l.inMemory }
-
 // AddFile places a file directly into the layer (image construction; not a
 // timed operation). data may be nil when only the size matters.
 func (l *Layer) AddFile(p string, size host.Bytes, data []byte) {
@@ -90,9 +87,6 @@ func (l *Layer) AddFile(p string, size host.Bytes, data []byte) {
 	}
 	l.files[clean(p)] = &node{size: size, data: data}
 }
-
-// RemoveFile deletes a file directly from the layer (image construction).
-func (l *Layer) RemoveFile(p string) { delete(l.files, clean(p)) }
 
 // Has reports whether the layer itself contains the path.
 func (l *Layer) Has(p string) bool {

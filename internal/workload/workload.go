@@ -71,10 +71,6 @@ type Precomputed struct {
 // executing the task then returns it instead of running the app again.
 func (t *Task) SetPrecomputed(p *Precomputed) { t.pre = p }
 
-// PrecomputedResult returns the attached outcome, nil when the task has
-// not been pre-executed.
-func (t Task) PrecomputedResult() *Precomputed { return t.pre }
-
 // UploadBytes is the modeled size of everything the request pushes to the
 // cloud except mobile code.
 func (t Task) UploadBytes() host.Bytes { return t.ParamBytes + t.FileBytes }
