@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint bench-kernels bench-smoke bench-scenario scenario-validate ci
+.PHONY: all build vet test race fuzz lint bench-kernels bench-coldboot bench-smoke bench-scenario scenario-validate ci
 
 all: ci
 
@@ -81,6 +81,13 @@ lint: vet
 # ns/op and B/op per workload kernel, plus the automaton build.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels -benchmem ./internal/workload/
+
+# ns, B and allocations per cold boot + stop of one optimized container on
+# a warmed platform: the layer tcp-cold spends a third of a request in,
+# measured in two seconds instead of through a 28 s run. TestColdBootAllocs
+# (tier-1) fences the allocation count.
+bench-coldboot:
+	$(GO) test -run '^$$' -bench BenchmarkColdBoot -benchmem -cpu 1 ./internal/core/
 
 # benchmark/ is a Go module of its own, so an exported-API change that
 # breaks benchmark/adapter.go passes the root build and tests. Vet and test

@@ -17,15 +17,13 @@ func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(benchSeed)) }
 
 // loadACD inserts the Android Container Driver.
 func loadACD(e *sim.Engine, k *kernel.Kernel, p *sim.Proc) error {
-	return acd.LoadAll(p, k, e)
+	return acd.LoadAll(p, k, acd.Modules(e, k.Release()))
 }
 
-// bootCustomized boots the customized Android on a container.
-func bootCustomized(p *sim.Proc, c *container.Container) (*android.Runtime, error) {
-	return android.Boot(p, c, android.BootConfig{
-		Manifest:   image.AndroidX86().Customized(),
-		Customized: true,
-	})
+// bootCustomized boots the customized Android on a container mounted over
+// shared.
+func bootCustomized(p *sim.Proc, c *container.Container, shared *image.Image) (*android.Runtime, error) {
+	return android.Boot(p, c, android.BootConfig{Image: shared, Customized: true})
 }
 
 // traceDefault returns the default trace configuration at the bench seed.

@@ -325,16 +325,16 @@ func makeTasks(b *testing.B, app workload.App, n int) []workload.Task {
 func execVirusScan(b *testing.B, e *sim.Engine, h *host.Host, k *kernel.Kernel, p *sim.Proc, app workload.App, reg *workload.Registry, tmpfs bool) float64 {
 	b.Helper()
 	shared := image.AndroidX86().Customized().BuildLayer("shared-android", true)
-	shared.WarmCacheOn(h)
+	shared.Layer.WarmCacheOn(h)
 	c, err := container.Create(p, h, k, container.DefaultConfig("abl", 96),
-		unionfs.NewLayer("abl-delta", false), shared)
+		unionfs.NewLayer("abl-delta", false), shared.Layer)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := loadACD(e, k, p); err != nil {
 		b.Fatal(err)
 	}
-	rt, err := bootCustomized(p, c)
+	rt, err := bootCustomized(p, c, shared)
 	if err != nil {
 		b.Fatal(err)
 	}

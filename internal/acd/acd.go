@@ -33,15 +33,17 @@ const (
 	DevAshmem    = "/dev/ashmem"
 )
 
+var requiredDevices = []string{DevBinder, DevAlarm, DevLogMain, DevLogEvents, DevAshmem}
+
 // RequiredDevices lists every device an Android boot needs. A container
-// whose namespace cannot open all of them fails to start Android.
-func RequiredDevices() []string {
-	return []string{DevBinder, DevAlarm, DevLogMain, DevLogEvents, DevAshmem}
-}
+// whose namespace cannot open all of them fails to start Android. The list
+// is shared: callers must not modify it.
+func RequiredDevices() []string { return requiredDevices }
 
 // Modules returns the Android Container Driver built for the given kernel
 // release (the paper targets Linux 3.18.0). The engine parameterizes the
-// Alarm driver, whose timers fire in virtual time.
+// Alarm driver, whose timers fire in virtual time. The specs are immutable:
+// a platform builds them once and hands the same list to every LoadAll.
 func Modules(e *sim.Engine, release string) []*kernel.Module {
 	return []*kernel.Module{
 		{
@@ -85,10 +87,11 @@ func Modules(e *sim.Engine, release string) []*kernel.Module {
 	}
 }
 
-// LoadAll inserts every Android Container Driver module, stopping at the
-// first failure. It is idempotent across already-loaded modules.
-func LoadAll(p *sim.Proc, k *kernel.Kernel, e *sim.Engine) error {
-	for _, m := range Modules(e, k.Release()) {
+// LoadAll inserts every module of the driver package mods (from Modules),
+// stopping at the first failure. It is idempotent across already-loaded
+// modules.
+func LoadAll(p *sim.Proc, k *kernel.Kernel, mods []*kernel.Module) error {
+	for _, m := range mods {
 		if k.Loaded(m.Name) {
 			continue
 		}

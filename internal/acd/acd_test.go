@@ -20,7 +20,7 @@ func newHarness() (*sim.Engine, *kernel.Kernel) {
 func TestLoadAllProvidesRequiredDevices(t *testing.T) {
 	e, k := newHarness()
 	e.Spawn("init", func(p *sim.Proc) {
-		if err := LoadAll(p, k, e); err != nil {
+		if err := LoadAll(p, k, Modules(e, k.Release())); err != nil {
 			t.Fatal(err)
 		}
 		for _, dev := range RequiredDevices() {
@@ -29,7 +29,7 @@ func TestLoadAllProvidesRequiredDevices(t *testing.T) {
 			}
 		}
 		// Idempotent.
-		if err := LoadAll(p, k, e); err != nil {
+		if err := LoadAll(p, k, Modules(e, k.Release())); err != nil {
 			t.Errorf("second LoadAll: %v", err)
 		}
 	})
@@ -44,7 +44,7 @@ func TestNoRebuildNeeded(t *testing.T) {
 		if len(k.Lsmod()) != 0 {
 			t.Fatal("kernel not stock")
 		}
-		if err := LoadAll(p, k, e); err != nil {
+		if err := LoadAll(p, k, Modules(e, k.Release())); err != nil {
 			t.Fatal(err)
 		}
 		if len(k.Lsmod()) != 4 {
@@ -57,7 +57,7 @@ func TestNoRebuildNeeded(t *testing.T) {
 func TestBinderPerNamespace(t *testing.T) {
 	e, k := newHarness()
 	e.Spawn("init", func(p *sim.Proc) {
-		LoadAll(p, k, e)
+		LoadAll(p, k, Modules(e, k.Release()))
 		ns1, ns2 := k.NewNamespace("c1"), k.NewNamespace("c2")
 		h1, err := k.Open(ns1, DevBinder)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestBinderPerNamespace(t *testing.T) {
 func TestUnloadAllBlockedByOpenHandles(t *testing.T) {
 	e, k := newHarness()
 	e.Spawn("init", func(p *sim.Proc) {
-		LoadAll(p, k, e)
+		LoadAll(p, k, Modules(e, k.Release()))
 		ns := k.NewNamespace("c1")
 		h, _ := k.Open(ns, DevBinder)
 		if err := UnloadAll(k); !errors.Is(err, kernel.ErrModuleInUse) {

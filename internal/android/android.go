@@ -59,8 +59,9 @@ type Env interface {
 
 // BootConfig selects what kind of Android comes up.
 type BootConfig struct {
-	// Manifest is the OS image the runtime boots from.
-	Manifest image.Manifest
+	// Image is the OS image the runtime boots from: the layer beneath the
+	// environment's filesystem and its resolved working set.
+	Image *image.Image
 	// Customized enables the §IV-B3 offloading OS: modified init, no
 	// UI/telephony services (their interfaces are faked with direct
 	// returns), reduced zygote preload.
@@ -116,21 +117,13 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 
 	// Stage 1: /init. First action: open the Android devices. Without the
 	// Android Container Driver this is where a container boot dies.
-	for _, dev := range acd.RequiredDevices() {
-		hnd, err := env.OpenDevice(dev)
-		if err != nil {
-			r.closeDevices()
-			return nil, fmt.Errorf("android: %s: init: opening %s: %w", env.Name(), dev, err)
-		}
-		r.devs = append(r.devs, hnd)
-		switch dev {
-		case acd.DevBinder:
-			r.binder = hnd.State().(*binder.Context)
-		case acd.DevLogMain:
-			r.logger = hnd.State().(*acd.Logger)
-		}
+	if err := r.openDevices("init"); err != nil {
+		return nil, err
 	}
 	initSpec := initDaemons(cfg.Customized)
+	// The whole census: the daemons, zygote, installd, the services and the
+	// offload controller.
+	r.procs = make([]Process, 0, len(initSpec)+2+len(services(cfg.Customized))+1)
 	for _, d := range initSpec {
 		h.Compute(p, d.cpu, env.BootCPUEff())
 		if err := r.grow(d.name, d.mem); err != nil {
@@ -143,8 +136,8 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 	// Stage 2: zygote preload — reads the boot working set (framework
 	// jars, core libraries) through the union filesystem and burns
 	// preload CPU. This is the stage OS customization shrinks the most.
-	for _, f := range cfg.Manifest.BootFiles() {
-		if _, _, err := env.FS().Read(p, f.Path, env.BootIOEff()); err != nil {
+	for _, f := range cfg.Image.Boot {
+		if _, _, err := env.FS().ReadRef(p, f, env.BootIOEff()); err != nil {
 			r.teardown()
 			return nil, fmt.Errorf("android: %s: zygote preload: %w", env.Name(), err)
 		}
@@ -172,7 +165,7 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 			r.teardown()
 			return nil, err
 		}
-		if _, err := r.binder.Register(s.name, r.serviceHandler(s.name)); err != nil {
+		if _, err := r.binder.Register(s.name, serviceHandlers[s.name]); err != nil {
 			r.teardown()
 			return nil, fmt.Errorf("android: %s: %w", env.Name(), err)
 		}
@@ -185,7 +178,7 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 		r.teardown()
 		return nil, err
 	}
-	if _, err := r.binder.Register("offloadcontroller", r.serviceHandler("offloadcontroller")); err != nil {
+	if _, err := r.binder.Register("offloadcontroller", serviceHandlers["offloadcontroller"]); err != nil {
 		r.teardown()
 		return nil, err
 	}
@@ -216,14 +209,13 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 	// core OS files over the first minute of uptime. This — not the
 	// request path — is what leaves only the strippable set untouched in
 	// the §III-E profiling.
-	onDemand := cfg.Manifest.OnDemandFiles()
 	p.E.Spawn(env.Name()+"-bgscan", func(bp *sim.Proc) {
 		bp.Sleep(2 * time.Second)
-		for _, f := range onDemand {
+		for _, f := range cfg.Image.OnDemand {
 			if !r.up {
 				return
 			}
-			if _, _, err := env.FS().Read(bp, f.Path, env.IOEff()); err != nil {
+			if _, _, err := env.FS().ReadRef(bp, f, env.IOEff()); err != nil {
 				return // runtime torn down mid-scan
 			}
 			bp.Sleep(400 * time.Millisecond)
@@ -270,19 +262,8 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 	h := env.Host()
 	start := p.E.Now()
 
-	for _, dev := range acd.RequiredDevices() {
-		hnd, err := env.OpenDevice(dev)
-		if err != nil {
-			r.closeDevices()
-			return nil, fmt.Errorf("android: %s: clone: opening %s: %w", env.Name(), dev, err)
-		}
-		r.devs = append(r.devs, hnd)
-		switch dev {
-		case acd.DevBinder:
-			r.binder = hnd.State().(*binder.Context)
-		case acd.DevLogMain:
-			r.logger = hnd.State().(*acd.Logger)
-		}
+	if err := r.openDevices("clone"); err != nil {
+		return nil, err
 	}
 
 	// One allocation for the whole frozen image; the per-process split is
@@ -296,12 +277,12 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 	h.Compute(p, cloneThawWork, env.BootCPUEff())
 
 	for _, s := range services(tmpl.cfg.Customized) {
-		if _, err := r.binder.Register(s.name, r.serviceHandler(s.name)); err != nil {
+		if _, err := r.binder.Register(s.name, serviceHandlers[s.name]); err != nil {
 			r.teardown()
 			return nil, fmt.Errorf("android: %s: %w", env.Name(), err)
 		}
 	}
-	if _, err := r.binder.Register("offloadcontroller", r.serviceHandler("offloadcontroller")); err != nil {
+	if _, err := r.binder.Register("offloadcontroller", serviceHandlers["offloadcontroller"]); err != nil {
 		r.teardown()
 		return nil, fmt.Errorf("android: %s: %w", env.Name(), err)
 	}
@@ -312,15 +293,27 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 	return r, nil
 }
 
-// serviceHandler returns a trivial Binder handler for a system service.
-// The customized OS "fakes the key interfaces with direct returns" for
-// removed services; present services answer with a small parcel.
-func (r *Runtime) serviceHandler(name string) binder.TxnHandler {
-	reply := []byte(name + ":ok") // handlers answer every call with the
-	// same parcel; building it once keeps service calls off the heap
-	return func(code uint32, data []byte) ([]byte, error) {
-		return reply, nil
+// openDevices opens every Android device through the environment's device
+// namespace and picks out the driver state the runtime talks to; stage names
+// the caller in the error.
+func (r *Runtime) openDevices(stage string) error {
+	devices := acd.RequiredDevices()
+	r.devs = make([]*kernel.Handle, 0, len(devices))
+	for _, dev := range devices {
+		hnd, err := r.env.OpenDevice(dev)
+		if err != nil {
+			r.closeDevices()
+			return fmt.Errorf("android: %s: %s: opening %s: %w", r.env.Name(), stage, dev, err)
+		}
+		r.devs = append(r.devs, hnd)
+		switch dev {
+		case acd.DevBinder:
+			r.binder = hnd.State().(*binder.Context)
+		case acd.DevLogMain:
+			r.logger = hnd.State().(*acd.Logger)
+		}
 	}
+	return nil
 }
 
 func (r *Runtime) grow(proc string, mb int) error {

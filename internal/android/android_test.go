@@ -39,7 +39,7 @@ func bootVM(t *testing.T, hn *harness, p *sim.Proc, name string) (*vm.VM, *andro
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := android.Boot(p, v, v.BootConfig(manifest))
+	rt, err := android.Boot(p, v, v.BootConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +50,19 @@ func bootVM(t *testing.T, hn *harness, p *sim.Proc, name string) (*vm.VM, *andro
 // rootfs, stock Android, ACD loaded.
 func bootWO(t *testing.T, hn *harness, p *sim.Proc, name string) (*container.Container, *android.Runtime) {
 	t.Helper()
-	if err := acd.LoadAll(p, hn.k, hn.e); err != nil {
+	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
 		t.Fatal(err)
 	}
 	manifest := image.AndroidX86().ForContainer()
 	// The rootfs copy was just provisioned from the base image, so its
 	// pages are cache-resident (as on the measured testbed).
 	rootfs := manifest.BuildLayer("rootfs:"+name, true)
-	rootfs.WarmCacheOn(hn.h)
-	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 128), unionfs.NewLayer(name+"-delta", false), rootfs)
+	rootfs.Layer.WarmCacheOn(hn.h)
+	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 128), unionfs.NewLayer(name+"-delta", false), rootfs.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := android.Boot(p, c, android.BootConfig{Manifest: manifest, Customized: false})
+	rt, err := android.Boot(p, c, android.BootConfig{Image: rootfs, Customized: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,26 +71,25 @@ func bootWO(t *testing.T, hn *harness, p *sim.Proc, name string) (*container.Con
 
 // bootOptimized creates an optimized Cloud Android Container over a warmed
 // shared layer.
-func bootOptimized(t *testing.T, hn *harness, p *sim.Proc, name string, shared *unionfs.Layer) (*container.Container, *android.Runtime) {
+func bootOptimized(t *testing.T, hn *harness, p *sim.Proc, name string, shared *image.Image) (*container.Container, *android.Runtime) {
 	t.Helper()
-	if err := acd.LoadAll(p, hn.k, hn.e); err != nil {
+	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
 		t.Fatal(err)
 	}
-	manifest := image.AndroidX86().Customized()
-	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 96), unionfs.NewLayer(name+"-delta", false), shared)
+	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 96), unionfs.NewLayer(name+"-delta", false), shared.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := android.Boot(p, c, android.BootConfig{Manifest: manifest, Customized: true})
+	rt, err := android.Boot(p, c, android.BootConfig{Image: shared, Customized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, rt
 }
 
-func sharedLayer(hn *harness) *unionfs.Layer {
+func sharedLayer(hn *harness) *image.Image {
 	shared := image.AndroidX86().Customized().BuildLayer("shared-android", true)
-	shared.WarmCacheOn(hn.h) // platform warms the shared layer at startup
+	shared.Layer.WarmCacheOn(hn.h) // platform warms the shared layer at startup
 	return shared
 }
 
@@ -176,15 +175,14 @@ func TestTableIRatios(t *testing.T) {
 
 func TestContainerBootFailsWithoutACD(t *testing.T) {
 	hn := newHarness() // no LoadAll
-	manifest := image.AndroidX86().ForContainer()
-	rootfs := manifest.BuildLayer("rootfs", true)
+	rootfs := image.AndroidX86().ForContainer().BuildLayer("rootfs", true)
 	var bootErr error
 	hn.e.Spawn("test", func(p *sim.Proc) {
-		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("c1", 128), unionfs.NewLayer("d", false), rootfs)
+		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("c1", 128), unionfs.NewLayer("d", false), rootfs.Layer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bootErr = android.Boot(p, c, android.BootConfig{Manifest: manifest})
+		_, bootErr = android.Boot(p, c, android.BootConfig{Image: rootfs})
 	})
 	hn.e.Run()
 	if !errors.Is(bootErr, kernel.ErrNoDevice) {

@@ -8,7 +8,6 @@ import (
 	"rattrap/internal/acd"
 	"rattrap/internal/android"
 	"rattrap/internal/container"
-	"rattrap/internal/image"
 	"rattrap/internal/sim"
 	"rattrap/internal/unionfs"
 )
@@ -21,17 +20,15 @@ func TestBootFailsUnderTightMemoryLimit(t *testing.T) {
 	shared := sharedLayer(hn)
 	var bootErr error
 	hn.e.Spawn("t", func(p *sim.Proc) {
-		if err := acd.LoadAll(p, hn.k, hn.e); err != nil {
+		if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
 			t.Fatal(err)
 		}
 		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("tiny", 48),
-			unionfs.NewLayer("tiny-delta", false), shared)
+			unionfs.NewLayer("tiny-delta", false), shared.Layer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bootErr = android.Boot(p, c, android.BootConfig{
-			Manifest: image.AndroidX86().Customized(), Customized: true,
-		})
+		_, bootErr = android.Boot(p, c, android.BootConfig{Image: shared, Customized: true})
 	})
 	hn.e.Run()
 	if !errors.Is(bootErr, container.ErrMemLimit) {

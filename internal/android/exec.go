@@ -26,6 +26,11 @@ func (r *Runtime) EachLoadedCode(fn func(aid string)) {
 	}
 }
 
+// CodeCacheKey names, in the host page cache, the reassembled blob of a code
+// the App Warehouse holds only as chunks: there is no staged file to own the
+// residency of LoadCode's read, and whoever drops the code evicts this key.
+func CodeCacheKey(aid string) string { return "code:" + aid }
+
 // LoadCode runs the ClassLoader over a mobile code blob of the given size,
 // blocking p for the dex parse/verify CPU. fromWarehouse adds the read of
 // the blob out of the App Warehouse store; freshly received code is
@@ -46,7 +51,7 @@ func (r *Runtime) LoadCode(p *sim.Proc, aid string, size host.Bytes, fromWarehou
 			}
 		} else {
 			// No staged copy: charge a plain read of the blob.
-			r.env.Host().DiskRead(p, "code:"+aid, size, true, r.env.IOEff())
+			r.env.Host().DiskRead(p, CodeCacheKey(aid), size, true, r.env.IOEff())
 		}
 	}
 	work := classLoadWorkPerMB * host.Work(float64(size)/float64(host.MB))
@@ -178,19 +183,19 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 }
 
 // TouchOnDemand lazily faults in i-th of the image's on-demand core files
-// (class loading and dlopen during offloaded execution). The experiment
-// harness spreads these touches across a run, which is how the
+// (class loading and dlopen during offloaded execution). A booted runtime's
+// background scan walks the same list on its own, which is how the
 // Observation-4 access profile converges to "everything except the
-// strippable set".
+// strippable set"; this is the one-file step for a caller that wants a
+// touch at a time of its choosing.
 func (r *Runtime) TouchOnDemand(p *sim.Proc, idx int) error {
-	files := r.cfg.Manifest.OnDemandFiles()
+	files := r.cfg.Image.OnDemand
 	if len(files) == 0 {
 		return nil
 	}
-	f := files[idx%len(files)]
-	_, _, err := r.env.FS().Read(p, f.Path, r.env.IOEff())
+	_, _, err := r.env.FS().ReadRef(p, files[idx%len(files)], r.env.IOEff())
 	return err
 }
 
 // OnDemandCount reports how many on-demand files the image has.
-func (r *Runtime) OnDemandCount() int { return len(r.cfg.Manifest.OnDemandFiles()) }
+func (r *Runtime) OnDemandCount() int { return len(r.cfg.Image.OnDemand) }

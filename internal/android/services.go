@@ -1,6 +1,9 @@
 package android
 
-import "rattrap/internal/host"
+import (
+	"rattrap/internal/binder"
+	"rattrap/internal/host"
+)
 
 // Cost tables for the Android boot stages. These are the calibration
 // constants behind Table I: a full (non-customized) boot burns
@@ -20,24 +23,28 @@ type procSpec struct {
 // netd, vold, servicemanager, ...). The modified init of a customized
 // boot starts fewer of them and skips device-specific probing.
 func initDaemons(customized bool) []procSpec {
-	core := []procSpec{
+	if customized {
+		return customInitDaemons
+	}
+	return fullInitDaemons
+}
+
+var (
+	fullInitDaemons = []procSpec{
 		{"init", 200, 3},
 		{"ueventd", 100, 1},
 		{"servicemanager", 120, 2},
 		{"netd", 250, 3},
 		{"vold", 230, 3},
 	}
-	if customized {
-		// vold (volume manager) is unnecessary without removable media;
-		// ueventd has no hardware to enumerate.
-		return []procSpec{
-			{"init", 80, 3},
-			{"servicemanager", 60, 2},
-			{"netd", 80, 3},
-		}
+	// vold (volume manager) is unnecessary without removable media;
+	// ueventd has no hardware to enumerate.
+	customInitDaemons = []procSpec{
+		{"init", 80, 3},
+		{"servicemanager", 60, 2},
+		{"netd", 80, 3},
 	}
-	return core
-}
+)
 
 // zygoteSpec is the class/resource preload stage.
 func zygoteSpec(customized bool) procSpec {
@@ -99,13 +106,34 @@ var removedServiceSet = func() map[string]struct{} {
 	return m
 }()
 
+// fullServices is what a full (non-customized) boot starts.
+var fullServices = append(append([]procSpec{}, coreServices...), uiServices...)
+
 // services returns the system services for the boot flavor.
 func services(customized bool) []procSpec {
 	if customized {
 		return coreServices
 	}
-	return append(append([]procSpec{}, coreServices...), uiServices...)
+	return fullServices
 }
+
+// serviceHandlers holds the trivial Binder handler of every process that
+// registers a service. The customized OS "fakes the key interfaces with
+// direct returns" for removed services; present services answer every call
+// with the same small parcel. Neither depends on the runtime registering the
+// service, so the handlers are built here and no boot allocates one.
+var serviceHandlers = func() map[string]binder.TxnHandler {
+	m := make(map[string]binder.TxnHandler, len(fullServices)+1)
+	add := func(name string) {
+		reply := []byte(name + ":ok")
+		m[name] = func(code uint32, data []byte) ([]byte, error) { return reply, nil }
+	}
+	for _, s := range fullServices {
+		add(s.name)
+	}
+	add("offloadcontroller")
+	return m
+}()
 
 // Offload controller process costs. The customized runtime gives it larger
 // staging buffers (part of the in-memory offloading I/O design), which is

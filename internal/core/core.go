@@ -152,10 +152,11 @@ type Platform struct {
 
 	fullManifest image.Manifest // VM disk
 	contManifest image.Manifest // container rootfs, full Android
-	custManifest image.Manifest // customized OS
 
-	sharedLayer *unionfs.Layer // Rattrap: Shared Resource Layer (/system)
-	offloadIO   *unionfs.Mount // Rattrap: shared in-memory offloading I/O
+	acdModules []*kernel.Module // the Android Container Driver for Kernel
+
+	shared    *image.Image   // Rattrap: Shared Resource Layer (/system), the customized OS
+	offloadIO *unionfs.Mount // Rattrap: shared in-memory offloading I/O
 
 	// Template-boot state (cfg.TemplateBoot): the first full boot leaves
 	// behind a frozen upper-layer snapshot, the source mount to clone the
@@ -292,13 +293,14 @@ func New(e *sim.Engine, cfg Config) *Platform {
 		}
 	}
 	pl.contManifest = pl.fullManifest.ForContainer()
-	pl.custManifest = pl.fullManifest.Customized()
+	pl.acdModules = acd.Modules(e, pl.Kernel.Release())
 	if cfg.Kind == KindRattrap {
 		// Shared Resource Layer: the customized /system, stored once and
-		// mounted read-only under every container. Building it just wrote
-		// these files, so they start page-cached.
-		pl.sharedLayer = pl.custManifest.BuildLayer("shared-android", true)
-		pl.sharedLayer.WarmCacheOn(srv)
+		// mounted read-only under every container, its boot working set
+		// resolved once for all of them. Building it just wrote these
+		// files, so they start page-cached.
+		pl.shared = pl.fullManifest.Customized().BuildLayer("shared-android", true)
+		pl.shared.Layer.WarmCacheOn(srv)
 		// Sharing Offloading I/O: one tmpfs layer for all containers.
 		tmp := unionfs.NewTmpfs("offload-io")
 		m, err := unionfs.NewMount(srv, "offload-io", tmp)
@@ -324,7 +326,12 @@ func (pl *Platform) Warehouse() *Warehouse { return pl.warehouse }
 func (pl *Platform) Access() *AccessController { return pl.access }
 
 // SharedLayer returns the Shared Resource Layer (nil for baselines).
-func (pl *Platform) SharedLayer() *unionfs.Layer { return pl.sharedLayer }
+func (pl *Platform) SharedLayer() *unionfs.Layer {
+	if pl.shared == nil {
+		return nil
+	}
+	return pl.shared.Layer
+}
 
 // OffloadIO returns the shared in-memory offloading mount (nil for
 // baselines).
@@ -409,7 +416,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 		if err != nil {
 			return fail(err)
 		}
-		rt, err := android.Boot(p, v, v.BootConfig(pl.fullManifest))
+		rt, err := android.Boot(p, v, v.BootConfig())
 		if err != nil {
 			v.Destroy(p)
 			return fail(err)
@@ -418,7 +425,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 
 	case KindRattrapWO, KindRattrap:
 		// Extend the host kernel on demand — no rebuild, no reboot.
-		if err := acd.LoadAll(p, pl.Kernel, pl.E); err != nil {
+		if err := acd.LoadAll(p, pl.Kernel, pl.acdModules); err != nil {
 			return fail(err)
 		}
 		var (
@@ -432,12 +439,13 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			// image. The fresh copy's pages are page-cache resident, so —
 			// exactly like the measured 6.80 s — startup is CPU-bound; the
 			// 1.02 GB of disk is still charged per container.
-			sl.rootfs = pl.contManifest.BuildLayer("rootfs:"+id, true)
+			rootfs := pl.contManifest.BuildLayer("rootfs:"+id, true)
+			sl.rootfs = rootfs.Layer
 			sl.rootfs.WarmCacheOn(pl.Server)
 			c, err = container.Create(p, pl.Server, pl.Kernel,
 				container.DefaultConfig(id, memLimitWO),
 				unionfs.NewLayer(id+"-delta", false), sl.rootfs)
-			bc = android.BootConfig{Manifest: pl.contManifest}
+			bc = android.BootConfig{Image: rootfs}
 		case pl.cfg.TemplateBoot && pl.tmpl != nil:
 			// Template fast path: COW-clone the captured boot instead of
 			// re-running it. The clone's union mount stacks a fresh empty
@@ -450,8 +458,8 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 		default:
 			c, err = container.Create(p, pl.Server, pl.Kernel,
 				container.DefaultConfig(id, memLimitOpt),
-				unionfs.NewLayer(id+"-delta", false), pl.sharedLayer)
-			bc = android.BootConfig{Manifest: pl.custManifest, Customized: true}
+				unionfs.NewLayer(id+"-delta", false), pl.shared.Layer)
+			bc = android.BootConfig{Image: pl.shared, Customized: true}
 		}
 		if err != nil {
 			return fail(err)
@@ -955,8 +963,8 @@ func (pl *Platform) QueueLength() int { return pl.waitQ.len() }
 func (pl *Platform) TotalDiskBytes() host.Bytes {
 	var t host.Bytes
 	pl.slots.each(func(sl *slot) { t += pl.slotDiskBytes(sl) })
-	if pl.sharedLayer != nil {
-		t += pl.sharedLayer.Size()
+	if pl.shared != nil {
+		t += pl.shared.Layer.Size()
 	}
 	if pl.tmplLayer != nil {
 		t += pl.tmplLayer.Size() // the frozen template upper, charged once

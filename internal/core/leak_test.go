@@ -2,15 +2,16 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"rattrap/internal/android"
 	"rattrap/internal/host"
 	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
+	"rattrap/internal/unionfs"
 	"rattrap/internal/workload"
 )
 
@@ -32,6 +33,7 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 
 			const rounds = 5
 			var cids []string
+			var deltas []*unionfs.Layer // each runtime's private layer, held from before its reap
 			e.Spawn("flow", func(p *sim.Proc) {
 				for i := 0; i < rounds; i++ {
 					// A distinct code size is a distinct AID.
@@ -41,7 +43,9 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 					}
 					cid := pl.slots.head.id
 					cids = append(cids, cid)
-					if !pl.Server.Cached(cid + "-delta:/data/local.prop") {
+					delta := pl.slots.head.env.FS().Upper()
+					deltas = append(deltas, delta)
+					if !delta.CachedOn(pl.Server, "/data/local.prop") {
 						t.Errorf("round %d: %s's boot writes are not in the page cache while it lives", i, cid)
 					}
 					p.Sleep(10 * time.Second) // far past the idle timeout
@@ -65,10 +69,13 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 					t.Errorf("fifo scheduler retains %d idle entries for reaped runtimes", len(s.idle))
 				}
 			}
-			for _, cid := range cids {
+			for i, delta := range deltas {
 				for _, f := range []string{"/data/dalvik-cache/system@offloadruntime.dex", "/data/local.prop", "/data/misc/boot.log"} {
-					if key := fmt.Sprintf("%s-delta:%s", cid, f); pl.Server.Cached(key) {
-						t.Errorf("page cache still holds %s of a reaped runtime", key)
+					if !delta.Has(f) {
+						t.Errorf("%s's private layer has no %s; the test observes nothing", cids[i], f)
+					}
+					if delta.CachedOn(pl.Server, f) {
+						t.Errorf("page cache still holds %s:%s of a reaped runtime", delta.Name(), f)
 					}
 				}
 			}
@@ -143,6 +150,56 @@ func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
 			})
 			e.Run()
 		})
+	}
+}
+
+// TestDroppedChunkedCodeLeavesPageCache: a chunk-pushed code has no staged
+// blob file, so a runtime loading it caches the reassembled blob under a key
+// of its own (android.CodeCacheKey). The key must leave the page cache with
+// the warehouse entry; nothing else ever names it again. Distinct AIDs pushed
+// through a capacity-bounded warehouse keep it evicting, and the page cache
+// may then hold one such key per live entry and not one more.
+func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.WarehouseCapacity = 4 * host.MB
+	pl := New(e, cfg)
+	d := mustDevice(t, e, "phone-1")
+	d.EnableChunkedPush(true)
+	app, _ := workload.ByName(workload.NameLinpack)
+
+	var aids []string
+	e.Spawn("flow", func(p *sim.Proc) {
+		steady := -1
+		for i := 0; i < 40; i++ {
+			size := app.CodeSize() + host.Bytes(i)*offload.ChunkSize // a distinct AID with a chunk of its own
+			if _, _, err := d.Offload(p, d.NewTask(app), size, pl); err != nil {
+				t.Error(err)
+				return
+			}
+			aids = append(aids, offload.AID(app.Name(), size))
+			live := 0
+			for _, aid := range aids {
+				if _, ok := pl.warehouse.Lookup(aid); ok {
+					live++
+				} else if pl.Server.Cached(android.CodeCacheKey(aid)) {
+					t.Errorf("push %d: the page cache still holds the blob of dropped code %s", i, aid)
+				}
+			}
+			if !pl.Server.Cached(android.CodeCacheKey(aids[i])) {
+				t.Errorf("push %d: the loaded blob is not in the page cache; the test observes nothing", i)
+			}
+			switch rest := pl.Server.CachedFiles() - live; {
+			case steady < 0:
+				steady = rest
+			case rest != steady:
+				t.Errorf("push %d: %d cached files besides the %d live codes, %d after the first push", i, rest, live, steady)
+			}
+		}
+	})
+	e.Run()
+	if n := pl.warehouse.Evictions(); n < 10 {
+		t.Fatalf("the warehouse evicted %d entries; the test needs it to keep evicting", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"rattrap/internal/android"
 	"rattrap/internal/host"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
@@ -299,7 +300,9 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 }
 
 // dropEntry removes an entry and releases its chunk references; blocks
-// with no remaining referents leave the store with it.
+// with no remaining referents leave the store with it, and so do the cached
+// pages of the blob runtimes reassembled from them (a plain blob's go when
+// its staged file is removed).
 func (w *Warehouse) dropEntry(e *cacheEntry) {
 	delete(w.entries, e.AID)
 	for _, cid := range e.CIDs {
@@ -314,6 +317,7 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		_ = w.store.Remove(e.Path)
 		return
 	}
+	w.store.Host().Evict(android.CodeCacheKey(e.AID))
 	seen := make(map[uint64]bool, len(e.Hashes))
 	for _, h := range e.Hashes {
 		if seen[h] {

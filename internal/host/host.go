@@ -93,17 +93,34 @@ type Host struct {
 	memUsedMB int
 	memPeakMB int
 
-	pageCache map[string]bool
+	// The page cache: a Page is resident here while its tag is cacheGen, so
+	// DropCaches retires every page by advancing it. cached counts the
+	// resident pages; named owns the pages of data no file stands for.
+	cacheGen uint64
+	cached   int
+	named    map[string]*Page
+}
+
+// Page is the page-cache residency of one file's blocks. Whoever owns the
+// file embeds one (a unionfs node does) and hands it to the host on every
+// read, so a cached read reaches its residency without building or hashing a
+// key. The zero Page is resident nowhere. A Page names the one host that
+// cached it: read on a second host it is a miss there and moves over,
+// instead of the two hosts silently sharing a cache.
+type Page struct {
+	h   *Host
+	gen uint64
 }
 
 // New creates a host on engine e.
 func New(e *sim.Engine, cfg Config) *Host {
 	return &Host{
-		E:         e,
-		cfg:       cfg,
-		cpu:       sim.NewResource(e, cfg.Name+"/cpu", cfg.Cores),
-		disk:      sim.NewResource(e, cfg.Name+"/disk", 1),
-		pageCache: make(map[string]bool),
+		E:        e,
+		cfg:      cfg,
+		cpu:      sim.NewResource(e, cfg.Name+"/cpu", cfg.Cores),
+		disk:     sim.NewResource(e, cfg.Name+"/disk", 1),
+		cacheGen: 1,
+		named:    make(map[string]*Page),
 	}
 }
 
@@ -154,10 +171,12 @@ func (h *Host) ComputeOn(p *sim.Proc, cores int, work Work, efficiency float64) 
 	h.cpu.Release(cores)
 }
 
-// DiskRead reads size bytes, blocking p. key identifies the data for page
+// DiskRead reads size bytes, blocking p. key names the data for page
 // caching: a cached key is served from memory without touching the disk.
 // An empty key bypasses the cache. sequential selects streaming bandwidth
-// versus the random-IOPS budget.
+// versus the random-IOPS budget. It is DiskReadPage for data no file stands
+// for (a kernel module, a reassembled code blob): the host keeps the key's
+// Page itself.
 //
 // efficiency models the caller's I/O-virtualization cost. Crucially, only
 // the raw media time occupies the (FIFO) disk; the virtualization penalty
@@ -168,14 +187,27 @@ func (h *Host) DiskRead(p *sim.Proc, key string, size Bytes, sequential bool, ef
 	if size <= 0 {
 		return
 	}
-	if key != "" && h.pageCache[key] {
+	if h.Cached(key) {
 		h.memCopy(p, size)
 		return
 	}
 	h.diskOp(p, h.diskRead, size, sequential, efficiency)
-	if key != "" {
-		h.pageCache[key] = true
+	h.WarmCache(key) // looked up again: an Evict while the read blocked dropped the key's Page
+}
+
+// DiskReadPage is DiskRead for data whose owner holds its Page: resident, it
+// is served from memory; otherwise the read pays the disk and leaves it
+// resident. A nil pg bypasses the cache.
+func (h *Host) DiskReadPage(p *sim.Proc, pg *Page, size Bytes, sequential bool, efficiency float64) {
+	if size <= 0 {
+		return
 	}
+	if h.CachedPage(pg) {
+		h.memCopy(p, size)
+		return
+	}
+	h.diskOp(p, h.diskRead, size, sequential, efficiency)
+	h.WarmPage(pg)
 }
 
 // DiskWrite writes size bytes, blocking p.
@@ -226,29 +258,68 @@ func (h *Host) diskTime(size Bytes, sequential bool, efficiency float64) time.Du
 	return time.Duration(secs * float64(time.Second))
 }
 
+// CachedPage reports whether pg is resident in this host's page cache.
+func (h *Host) CachedPage(pg *Page) bool {
+	return pg != nil && pg.h == h && pg.gen == h.cacheGen
+}
+
+// WarmPage marks pg resident without simulating a read (its file was just
+// written and is therefore hot). A nil pg is a no-op.
+func (h *Host) WarmPage(pg *Page) {
+	if pg == nil || h.CachedPage(pg) {
+		return
+	}
+	if pg.h != nil {
+		pg.h.EvictPage(pg) // resident on one host at a time
+	}
+	*pg = Page{h: h, gen: h.cacheGen}
+	h.cached++
+}
+
+// EvictPage drops pg from the page cache (its file was deleted, or belongs
+// to a runtime that is gone and will never be read again). A page that is
+// not resident here, nil included, is a no-op.
+func (h *Host) EvictPage(pg *Page) {
+	if h.CachedPage(pg) {
+		pg.h = nil
+		h.cached--
+	}
+}
+
 // Cached reports whether key is resident in the page cache.
-func (h *Host) Cached(key string) bool { return h.pageCache[key] }
+func (h *Host) Cached(key string) bool { return h.CachedPage(h.named[key]) }
 
-// CachedFiles returns how many keys are resident in the page cache.
-func (h *Host) CachedFiles() int { return len(h.pageCache) }
+// CachedFiles returns how many files and keys are resident in the page
+// cache.
+func (h *Host) CachedFiles() int { return h.cached }
 
-// WarmCache marks key as resident without simulating a read (used when a
-// file was just written and is therefore hot).
+// WarmCache is WarmPage by key, whose Page is created on first use; the
+// empty key is a no-op.
 func (h *Host) WarmCache(key string) {
 	if key == "" {
 		return
 	}
-	h.pageCache[key] = true
+	pg := h.named[key]
+	if pg == nil {
+		pg = new(Page)
+		h.named[key] = pg
+	}
+	h.WarmPage(pg)
 }
 
-// Evict drops key from the page cache (its file was deleted, or belongs to
-// a runtime that is gone and will never be read again). A key that is not
-// resident, the empty key included, is a no-op.
-func (h *Host) Evict(key string) { delete(h.pageCache, key) }
+// Evict is EvictPage by key. A key that is not resident, the empty key
+// included, is a no-op.
+func (h *Host) Evict(key string) {
+	h.EvictPage(h.named[key])
+	delete(h.named, key)
+}
 
-// DropCaches empties the page cache (echo 3 > /proc/sys/vm/drop_caches).
+// DropCaches empties the page cache (echo 3 > /proc/sys/vm/drop_caches):
+// every Page tagged with the old generation stops being resident.
 func (h *Host) DropCaches() {
-	h.pageCache = make(map[string]bool)
+	h.cacheGen++
+	h.cached = 0
+	clear(h.named)
 }
 
 // AllocMem reserves mb MiB of DRAM, failing if the machine would exceed

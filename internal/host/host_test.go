@@ -114,6 +114,54 @@ func TestDropCaches(t *testing.T) {
 	}
 }
 
+// TestPagesAndKeysShareOneCache: a file-owned Page and a named key are the
+// same residency — one count, one DropCaches, the same miss-then-hit read —
+// and a nil Page is the bypass the empty key is.
+func TestPagesAndKeysShareOneCache(t *testing.T) {
+	e := sim.NewEngine(1)
+	h := New(e, CloudServer())
+	var file Page
+	if h.CachedPage(&file) || h.CachedPage(nil) {
+		t.Fatal("a zero or nil Page is resident")
+	}
+	var cold, warm, bypass time.Duration
+	e.Spawn("w", func(p *sim.Proc) {
+		t0 := e.Now()
+		h.DiskReadPage(p, &file, 110*MB, true, 1.0)
+		cold = (e.Now() - t0).Duration()
+		t0 = e.Now()
+		h.DiskReadPage(p, &file, 110*MB, true, 1.0)
+		warm = (e.Now() - t0).Duration()
+		t0 = e.Now()
+		h.DiskReadPage(p, nil, 110*MB, true, 1.0)
+		h.DiskReadPage(p, nil, 110*MB, true, 1.0)
+		bypass = (e.Now() - t0).Duration()
+	})
+	e.Run()
+	if warm >= cold/10 || bypass != 2*cold {
+		t.Fatalf("cold %v, cached %v, two bypassing reads %v", cold, warm, bypass)
+	}
+	h.WarmCache("ko:binder")
+	if !h.CachedPage(&file) || !h.Cached("ko:binder") || h.CachedFiles() != 2 {
+		t.Fatalf("a page and a key are resident; CachedFiles = %d", h.CachedFiles())
+	}
+	h.WarmPage(&file) // already resident: counted once
+	h.EvictPage(&file)
+	h.EvictPage(&file)
+	if h.CachedPage(&file) || h.CachedFiles() != 1 {
+		t.Fatalf("after evicting the page: resident %v, CachedFiles = %d", h.CachedPage(&file), h.CachedFiles())
+	}
+	h.WarmPage(&file)
+	h.DropCaches()
+	if h.CachedPage(&file) || h.Cached("ko:binder") || h.CachedFiles() != 0 {
+		t.Fatalf("DropCaches left something resident; CachedFiles = %d", h.CachedFiles())
+	}
+	h.WarmPage(&file)
+	if !h.CachedPage(&file) || h.CachedFiles() != 1 {
+		t.Fatal("a page cannot be cached again after DropCaches")
+	}
+}
+
 func TestMemAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, Config{Name: "m", Cores: 1, CoreMops: 100, MemMB: 1000, DiskSeqMBps: 100, DiskRandIOPS: 100, MemBWMBps: 1000})

@@ -9,10 +9,11 @@
 //   - the customized OS for offloading additionally drops the UI/telephony
 //     services (which a full boot does touch), keeping ~31.6% of the image.
 //
-// A Manifest is a recipe: BuildLayer materializes it as a unionfs layer,
-// BootFiles/OnDemandFiles enumerate what a boot and subsequent offloading
-// execution read. Sizes are per category with even per-file split, so the
-// aggregate numbers above are exact while individual files stay plausible.
+// A Manifest is a recipe: BuildLayer materializes it as an Image — a unionfs
+// layer plus resolved handles on what a boot and subsequent offloading
+// execution read, which BootFiles/OnDemandFiles enumerate by path. Sizes are
+// per category with even per-file split, so the aggregate numbers above are
+// exact while individual files stay plausible.
 package image
 
 import (
@@ -88,7 +89,7 @@ func AndroidX86() Manifest {
 // the lengths so a caller appending to a returned list gets a copy instead
 // of writing into the shared array.
 func withFileLists(m Manifest) Manifest {
-	boot, onDemand := m.bootFiles(), m.onDemandFiles()
+	boot, onDemand := workingSet(m.Cats, fileRef)
 	m.boot, m.onDemand = boot[:len(boot):len(boot)], onDemand[:len(onDemand):len(onDemand)]
 	return m
 }
@@ -178,82 +179,98 @@ func fileSize(c Category, i int) host.Bytes {
 	return base
 }
 
+func fileRef(c Category, i int) FileRef {
+	return FileRef{Path: filePath(c, i), Size: fileSize(c, i)}
+}
+
+// Image is a Manifest materialized as a layer, with the manifest's working
+// set resolved against it: Boot[i] is the layer's copy of BootFiles()[i] and
+// OnDemand[i] of OnDemandFiles()[i]. Every runtime that boots from the layer
+// reads through these handles, so the paths are looked up when the layer is
+// built and never again.
+type Image struct {
+	Layer          *unionfs.Layer
+	Boot, OnDemand []unionfs.Ref
+}
+
 // BuildLayer materializes the manifest as a unionfs layer.
-func (m Manifest) BuildLayer(name string, readOnly bool) *unionfs.Layer {
+func (m Manifest) BuildLayer(name string, readOnly bool) *Image {
 	l := unionfs.NewLayer(name, readOnly)
+	add := func(c Category, i int) unionfs.Ref {
+		return l.AddFile(filePath(c, i), fileSize(c, i), nil)
+	}
 	for _, c := range m.Cats {
-		for i := 0; i < c.Files; i++ {
-			l.AddFile(filePath(c, i), fileSize(c, i), nil)
+		if c.Strippable { // outside the working set; workingSet adds the rest
+			for i := 0; i < c.Files; i++ {
+				add(c, i)
+			}
 		}
 	}
-	return l
+	boot, onDemand := workingSet(m.Cats, add)
+	return &Image{Layer: l, Boot: boot, OnDemand: onDemand}
 }
 
-// BootFiles enumerates the files a boot of this image reads: the first
-// BootFrac of each non-strippable category (UI services included when
-// present, i.e. a full, non-customized boot). The list is shared: callers
-// must not modify its elements.
-func (m Manifest) BootFiles() []FileRef {
-	if m.boot == nil {
-		return m.bootFiles() // a Manifest literal built outside this package
-	}
-	return m.boot
-}
-
-func (m Manifest) bootFiles() []FileRef {
-	out := []FileRef{} // non-nil even when empty: nil means "not built"
-	for _, c := range m.Cats {
-		if c.Strippable || c.BootFrac <= 0 {
-			continue
-		}
-		n := int(float64(c.Files)*c.BootFrac + 0.5)
-		for i := 0; i < n; i++ {
-			out = append(out, FileRef{Path: filePath(c, i), Size: fileSize(c, i)})
-		}
-	}
-	return out
-}
-
-// OnDemandFiles enumerates the non-strippable files a boot does not read.
-// The post-boot background scan (media scanner, background dexopt, lazy
-// class loads) touches them over the first minute of uptime, which is why
-// Observation 4 finds exactly the strippable set untouched. Files are
-// interleaved round-robin across categories so the scan's load is even.
-// The list is shared: callers must not modify its elements.
-func (m Manifest) OnDemandFiles() []FileRef {
-	if m.onDemand == nil {
-		return m.onDemandFiles() // a Manifest literal built outside this package
-	}
-	return m.onDemand
-}
-
-func (m Manifest) onDemandFiles() []FileRef {
-	var perCat [][]FileRef
-	for _, c := range m.Cats {
+// workingSet calls file once for every file of every non-strippable
+// category, in category then index order, and splits the results in two.
+// boot is what a boot of the image reads: the first BootFrac of each
+// category (UI services included when present, i.e. a full, non-customized
+// boot). onDemand is the rest, interleaved round-robin across categories so
+// the post-boot scan's load is even. Both are non-nil even when empty: to a
+// Manifest nil means "not built".
+func workingSet[T any](cats []Category, file func(c Category, i int) T) (boot, onDemand []T) {
+	boot, onDemand = []T{}, []T{}
+	var perCat [][]T
+	for _, c := range cats {
 		if c.Strippable {
 			continue
 		}
 		n := int(float64(c.Files)*c.BootFrac + 0.5)
-		var refs []FileRef
-		for i := n; i < c.Files; i++ {
-			refs = append(refs, FileRef{Path: filePath(c, i), Size: fileSize(c, i)})
+		var rest []T
+		for i := 0; i < c.Files; i++ {
+			if f := file(c, i); i < n {
+				boot = append(boot, f)
+			} else {
+				rest = append(rest, f)
+			}
 		}
-		if len(refs) > 0 {
-			perCat = append(perCat, refs)
+		if len(rest) > 0 {
+			perCat = append(perCat, rest)
 		}
 	}
-	out := []FileRef{} // non-nil even when empty, as in bootFiles
 	for len(perCat) > 0 {
 		kept := perCat[:0]
-		for _, refs := range perCat {
-			out = append(out, refs[0])
-			if rest := refs[1:]; len(rest) > 0 {
+		for _, rest := range perCat {
+			onDemand = append(onDemand, rest[0])
+			if rest = rest[1:]; len(rest) > 0 {
 				kept = append(kept, rest)
 			}
 		}
 		perCat = kept
 	}
-	return out
+	return boot, onDemand
+}
+
+// BootFiles enumerates the files a boot of this image reads (see
+// workingSet). The list is shared: callers must not modify its elements.
+func (m Manifest) BootFiles() []FileRef {
+	if m.boot == nil { // a Manifest literal built outside this package
+		boot, _ := workingSet(m.Cats, fileRef)
+		return boot
+	}
+	return m.boot
+}
+
+// OnDemandFiles enumerates the non-strippable files a boot does not read.
+// The post-boot background scan (media scanner, background dexopt, lazy
+// class loads) touches them over the first minute of uptime, which is why
+// Observation 4 finds exactly the strippable set untouched. The list is
+// shared: callers must not modify its elements.
+func (m Manifest) OnDemandFiles() []FileRef {
+	if m.onDemand == nil { // a Manifest literal built outside this package
+		_, onDemand := workingSet(m.Cats, fileRef)
+		return onDemand
+	}
+	return m.onDemand
 }
 
 // BootBytes is the total size of BootFiles.

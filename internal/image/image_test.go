@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rattrap/internal/host"
+	"rattrap/internal/unionfs"
 )
 
 func TestPaperComposition(t *testing.T) {
@@ -93,7 +94,7 @@ func TestCustomizedKeepsOnlyCore(t *testing.T) {
 
 func TestBuildLayerExactSizes(t *testing.T) {
 	m := AndroidX86()
-	l := m.BuildLayer("img", true)
+	l := m.BuildLayer("img", true).Layer
 	if l.Size() != m.TotalBytes() {
 		t.Fatalf("layer size %d != manifest %d", l.Size(), m.TotalBytes())
 	}
@@ -247,5 +248,32 @@ func TestFileListsBuiltOnce(t *testing.T) {
 	wantBoot, wantOnDemand := referenceLists(lit)
 	if !reflect.DeepEqual(lit.BootFiles(), wantBoot) || !reflect.DeepEqual(lit.OnDemandFiles(), wantOnDemand) {
 		t.Fatal("a Manifest literal enumerates different files than its constructor-built twin")
+	}
+}
+
+// TestImageRefsMatchFileLists: the handles an Image hands out are the lists
+// its Manifest enumerates, resolved — same file at the same index, by path
+// and size, and resolved against the Image's own layer — for all three
+// images and for a literal built outside the constructors.
+func TestImageRefsMatchFileLists(t *testing.T) {
+	lit := Manifest{Name: "literal", Cats: AndroidX86().Customized().Cats}
+	for _, m := range []Manifest{AndroidX86(), AndroidX86().ForContainer(), AndroidX86().Customized(), lit} {
+		img := m.BuildLayer("img", true)
+		for name, set := range map[string]struct {
+			refs  []unionfs.Ref
+			files []FileRef
+		}{"Boot": {img.Boot, m.BootFiles()}, "OnDemand": {img.OnDemand, m.OnDemandFiles()}} {
+			if len(set.refs) != len(set.files) || len(set.refs) == 0 {
+				t.Fatalf("%s: %s has %d refs for %d files", m.Name, name, len(set.refs), len(set.files))
+			}
+			for i, r := range set.refs {
+				if f := set.files[i]; r.Path() != f.Path || r.Size() != f.Size {
+					t.Fatalf("%s: %s[%d] is %s (%d B), the list says %s (%d B)", m.Name, name, i, r.Path(), r.Size(), f.Path, f.Size)
+				}
+				if own, ok := img.Layer.Ref(r.Path()); !ok || own != r {
+					t.Fatalf("%s: %s[%d] (%s) is not the layer's own copy of the file", m.Name, name, i, r.Path())
+				}
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@ package unionfs
 
 import (
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -34,20 +35,27 @@ type node struct {
 	data       []byte // optional real content (code blobs, small files)
 	accessed   bool
 	lastAccess sim.Time
-	// cacheKey names the file's blocks in the host page cache
-	// ("<layer>:<path>"). It is built the first time the file is cached
-	// and kept, so a read does not concatenate it again; empty until then.
-	cacheKey string
+	// page is the residency of the file's blocks in the host page cache. It
+	// belongs to this layer's copy of the file, so two containers reading
+	// the same shared-layer file share cache and a private copy shares none.
+	page host.Page
 }
 
-// key returns n's page-cache key, building it on first use. p must be the
-// clean path n is stored under in l.
-func (n *node) key(l *Layer, p string) string {
-	if n.cacheKey == "" {
-		n.cacheKey = l.name + ":" + p
-	}
-	return n.cacheKey
+// Ref is a file resolved once: a layer's copy of a path, held by whoever
+// reads the same immutable files again and again (a boot's working set of
+// the shared image). Mount.ReadRef reads it without looking the path up in
+// the ref's own layer. The zero Ref names no file.
+type Ref struct {
+	l    *Layer
+	n    *node
+	path string // clean
 }
+
+// Path returns the file's canonical path.
+func (r Ref) Path() string { return r.path }
+
+// Size returns the file's size.
+func (r Ref) Size() host.Bytes { return r.n.size }
 
 // Layer is one stratum of a union mount. A layer may back many mounts at
 // once; that sharing is exactly what the Shared Resource Layer exploits.
@@ -56,13 +64,16 @@ type Layer struct {
 	readOnly bool
 	inMemory bool
 	files    map[string]*node
-	wh       map[string]bool // whiteouts (only meaningful on writable layers)
+	wh       map[string]bool // whiteouts, made by Remove; nil until the first
+	// lens has bit len(p)%64 set for every path p files has ever held (see
+	// lookup).
+	lens uint64
 }
 
 // NewLayer creates a disk-backed layer. readOnly layers reject writes
 // through any mount.
 func NewLayer(name string, readOnly bool) *Layer {
-	return &Layer{name: name, readOnly: readOnly, files: make(map[string]*node), wh: make(map[string]bool)}
+	return &Layer{name: name, readOnly: readOnly, files: make(map[string]*node)}
 }
 
 // NewTmpfs creates an in-memory (tmpfs) layer. Its content occupies RAM and
@@ -80,12 +91,42 @@ func (l *Layer) Name() string { return l.name }
 func (l *Layer) ReadOnly() bool { return l.readOnly }
 
 // AddFile places a file directly into the layer (image construction; not a
-// timed operation). data may be nil when only the size matters.
-func (l *Layer) AddFile(p string, size host.Bytes, data []byte) {
+// timed operation) and returns its Ref. data may be nil when only the size
+// matters.
+func (l *Layer) AddFile(p string, size host.Bytes, data []byte) Ref {
 	if size < 0 {
 		panic("unionfs: negative file size")
 	}
-	l.files[clean(p)] = &node{size: size, data: data}
+	p = clean(p)
+	n := &node{size: size, data: data}
+	l.put(p, n)
+	return Ref{l: l, n: n, path: p}
+}
+
+// put stores n as the layer's copy of clean path p.
+func (l *Layer) put(p string, n *node) {
+	l.files[p] = n
+	l.lens |= 1 << (len(p) % 64)
+}
+
+// lookup returns the layer's copy of clean path p. A layer holds few
+// distinct path lengths — a container's delta three files, an image a
+// length per category — so for most paths it does not hold, lens says so
+// and the path is never hashed. That is every lookup a boot and its
+// background scan make in the delta above the shared image.
+func (l *Layer) lookup(p string) (*node, bool) {
+	if l.lens&(1<<(len(p)%64)) == 0 {
+		return nil, false
+	}
+	n, ok := l.files[p]
+	return n, ok
+}
+
+// Ref resolves p within the layer itself.
+func (l *Layer) Ref(p string) (Ref, bool) {
+	p = clean(p)
+	n, ok := l.lookup(p)
+	return Ref{l: l, n: n, path: p}, ok
 }
 
 // Has reports whether the layer itself contains the path.
@@ -164,13 +205,11 @@ func (l *Layer) Snapshot(name string) *Layer {
 		readOnly: true,
 		inMemory: l.inMemory,
 		files:    make(map[string]*node, len(l.files)),
-		wh:       make(map[string]bool, len(l.wh)),
+		wh:       maps.Clone(l.wh),
+		lens:     l.lens,
 	}
 	for p, n := range l.files {
 		s.files[p] = &node{size: n.size, data: n.data, accessed: n.accessed, lastAccess: n.lastAccess}
-	}
-	for p := range l.wh {
-		s.wh[p] = true
 	}
 	return s
 }
@@ -180,19 +219,25 @@ func (l *Layer) Snapshot(name string) *Layer {
 // platform starts, so every container boot after the first reads /system at
 // memory speed.
 func (l *Layer) WarmCacheOn(h *host.Host) {
-	for p, n := range l.files {
-		h.WarmCache(n.key(l, p))
+	for _, n := range l.files {
+		h.WarmPage(&n.page)
 	}
 }
 
 // DropCacheOn evicts the layer's files from h's page cache. A runtime's
-// private layer is never read again once the runtime stops, and its name —
-// hence its keys — is never reused, so without this the cache would keep
-// one entry per file per runtime ever booted.
+// private layer is never read again once the runtime stops, so without this
+// the cache would count one resident file per file per runtime ever booted.
 func (l *Layer) DropCacheOn(h *host.Host) {
 	for _, n := range l.files {
-		h.Evict(n.cacheKey)
+		h.EvictPage(&n.page)
 	}
+}
+
+// CachedOn reports whether the layer's own copy of p is resident in h's
+// page cache.
+func (l *Layer) CachedOn(h *host.Host, p string) bool {
+	n, ok := l.files[clean(p)]
+	return ok && h.CachedPage(&n.page)
 }
 
 // FaultHook is consulted before each write through a mount. A hook may
@@ -255,6 +300,10 @@ func (m *Mount) CloneFrom(name string, upper, tmpl *Layer) (*Mount, error) {
 // Name returns the mount identifier.
 func (m *Mount) Name() string { return m.name }
 
+// Host returns the machine whose disk, memory and page cache time the
+// mount's I/O.
+func (m *Mount) Host() *host.Host { return m.h }
+
 // Upper returns the writable top layer.
 func (m *Mount) Upper() *Layer { return m.layers[0] }
 
@@ -295,14 +344,18 @@ func isClean(p string) bool {
 	return true
 }
 
+// hides reports whether l holds a whiteout for clean path p. Nearly every
+// layer holds none at all, which is answered without a map call.
+func (l *Layer) hides(p string) bool { return l.wh != nil && l.wh[p] }
+
 // resolve finds the visible copy of p, which must be clean, honoring
 // whiteouts in upper layers.
 func (m *Mount) resolve(p string) (*Layer, *node, bool) {
 	for _, l := range m.layers {
-		if l.wh[p] {
+		if l.hides(p) {
 			return nil, nil, false
 		}
-		if n, ok := l.files[p]; ok {
+		if n, ok := l.lookup(p); ok {
 			return l, n, true
 		}
 	}
@@ -319,14 +372,13 @@ func (m *Mount) Stat(p string) (File, bool) {
 	return File{Path: p, Size: n.size, Layer: l.name}, true
 }
 
-// cacheKey identifies the backing blocks of n (l's file at clean path p)
-// host-wide. It is layer-scoped, so two containers reading the same
-// shared-layer file share cache.
-func (m *Mount) cacheKey(l *Layer, p string, n *node) string {
+// page returns the page-cache residency of n's blocks as this mount reaches
+// them: nil, the cache bypass, under direct I/O.
+func (m *Mount) page(n *node) *host.Page {
 	if m.directIO {
-		return ""
+		return nil
 	}
-	return n.key(l, p)
+	return &n.page
 }
 
 // Read reads the whole file at p, blocking proc for the I/O time.
@@ -339,12 +391,42 @@ func (m *Mount) Read(proc *sim.Proc, p string, efficiency float64) (host.Bytes, 
 	if !ok {
 		return 0, nil, fmt.Errorf("unionfs: %s: %s: no such file", m.name, p)
 	}
+	return m.read(proc, l, n, efficiency)
+}
+
+// ReadRef is Read(r.Path()) for a file resolved beforehand. Only the layers
+// above the ref's own are searched — a container's fresh delta, a clone's
+// template snapshot — and when none of them holds the path or a whiteout
+// for it, the ref's copy is the visible one and is read without a lookup.
+// Everything else takes Read: a copy-up or whiteout above, a ref into a
+// writable layer (a Write may have replaced its node since) and a ref whose
+// layer this mount does not stack.
+func (m *Mount) ReadRef(proc *sim.Proc, r Ref, efficiency float64) (host.Bytes, []byte, error) {
+	if r.l.readOnly {
+		for _, l := range m.layers {
+			if l.hides(r.path) {
+				break
+			}
+			if l == r.l {
+				return m.read(proc, l, r.n, efficiency)
+			}
+			if _, copied := l.lookup(r.path); copied {
+				break
+			}
+		}
+	}
+	return m.Read(proc, r.path, efficiency)
+}
+
+// read is the tail Read and ReadRef share: n is l's copy of the file and the
+// one visible through m.
+func (m *Mount) read(proc *sim.Proc, l *Layer, n *node, efficiency float64) (host.Bytes, []byte, error) {
 	n.accessed = true
 	n.lastAccess = proc.E.Now()
 	if l.inMemory {
 		m.h.MemCopy(proc, n.size)
 	} else {
-		m.h.DiskRead(proc, m.cacheKey(l, p, n), n.size, true, efficiency)
+		m.h.DiskReadPage(proc, m.page(n), n.size, true, efficiency)
 	}
 	return n.size, n.data, nil
 }
@@ -365,7 +447,7 @@ func (m *Mount) Write(proc *sim.Proc, p string, size host.Bytes, data []byte, ef
 		if l.inMemory {
 			m.h.MemCopy(proc, n.size)
 		} else {
-			m.h.DiskRead(proc, m.cacheKey(l, p, n), n.size, true, efficiency)
+			m.h.DiskReadPage(proc, m.page(n), n.size, true, efficiency)
 		}
 	}
 	nn := &node{size: size, data: data, accessed: true}
@@ -373,11 +455,14 @@ func (m *Mount) Write(proc *sim.Proc, p string, size host.Bytes, data []byte, ef
 		m.h.MemCopy(proc, size)
 	} else {
 		m.h.DiskWrite(proc, size, true, efficiency)
-		m.h.WarmCache(m.cacheKey(upper, p, nn))
+		m.h.WarmPage(m.page(nn))
 	}
 	delete(upper.wh, p)
 	nn.lastAccess = proc.E.Now() // after the I/O above
-	upper.files[p] = nn
+	if old := upper.files[p]; old != nil {
+		m.h.EvictPage(&old.page) // the replaced version's pages are freed
+	}
+	upper.put(p, nn)
 	return nil
 }
 
@@ -392,12 +477,15 @@ func (m *Mount) Remove(p string) error {
 		return fmt.Errorf("unionfs: %s: %s: no such file", m.name, p)
 	}
 	if n := upper.files[p]; n != nil {
-		m.h.Evict(n.cacheKey) // a deleted file's pages are freed
+		m.h.EvictPage(&n.page) // a deleted file's pages are freed
 	}
 	delete(upper.files, p)
 	// Still visible through a lower layer? Whiteout.
 	for _, l := range m.layers[1:] {
 		if _, ok := l.files[p]; ok {
+			if upper.wh == nil {
+				upper.wh = make(map[string]bool)
+			}
 			upper.wh[p] = true
 			break
 		}

@@ -396,25 +396,28 @@ func TestDropCacheOnForgetsPrivateLayer(t *testing.T) {
 		m.Write(p, "/data/tmp", host.KB, nil, 1.0)
 	})
 	e.Run()
-	keys := []string{"c1-delta:/data/seed.db", "c1-delta:/data/boot.log", "c1-delta:/data/tmp", "shared:/system/lib.so"}
-	for _, k := range keys {
-		if !h.Cached(k) {
-			t.Fatalf("%s not cached after I/O", k)
+	private := []string{"/data/seed.db", "/data/boot.log", "/data/tmp"}
+	for _, f := range private {
+		if !upper.CachedOn(h, f) {
+			t.Fatalf("c1-delta:%s not cached after I/O", f)
 		}
+	}
+	if !shared.CachedOn(h, "/system/lib.so") {
+		t.Fatal("shared:/system/lib.so not cached after I/O")
 	}
 	if err := m.Remove("/data/tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if h.Cached("c1-delta:/data/tmp") {
-		t.Fatal("removed file still cached")
+	if upper.CachedOn(h, "/data/tmp") || h.CachedFiles() != 3 {
+		t.Fatalf("removed file still cached (%d files resident, want 3)", h.CachedFiles())
 	}
 	upper.DropCacheOn(h)
-	for _, k := range keys[:3] {
-		if h.Cached(k) {
-			t.Fatalf("%s still cached after DropCacheOn", k)
+	for _, f := range private {
+		if upper.CachedOn(h, f) {
+			t.Fatalf("c1-delta:%s still cached after DropCacheOn", f)
 		}
 	}
-	if !h.Cached("shared:/system/lib.so") {
+	if !shared.CachedOn(h, "/system/lib.so") || h.CachedFiles() != 1 {
 		t.Fatal("DropCacheOn on the private layer evicted a shared-layer file")
 	}
 }

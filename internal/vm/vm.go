@@ -67,7 +67,7 @@ type VM struct {
 	guestKernel *kernel.Kernel
 	ns          *kernel.Namespace
 	fs          *unionfs.Mount
-	diskLayer   *unionfs.Layer
+	disk        *image.Image // the private disk image Create built
 
 	memUsedMB  int // guest-internal accounting within the reservation
 	running    bool
@@ -88,10 +88,11 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 	start := p.E.Now()
 	p.Sleep(createDelay)
 
-	// Private disk image: layer names are cache keys, so a per-VM name
-	// means no page-cache sharing across VMs (each has its own file).
-	diskLayer := manifest.BuildLayer("vmdisk:"+cfg.Name, false)
-	fs, err := unionfs.NewMount(h, cfg.Name, diskLayer)
+	// Private disk image: a file's page-cache residency belongs to its
+	// layer, so a layer per VM means no sharing across VMs (each has its
+	// own file).
+	disk := manifest.BuildLayer("vmdisk:"+cfg.Name, false)
+	fs, err := unionfs.NewMount(h, cfg.Name, disk.Layer)
 	if err != nil {
 		h.FreeMem(cfg.MemMB)
 		return nil, fmt.Errorf("vm %s: %w", cfg.Name, err)
@@ -103,18 +104,9 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 	// modules inserted during guest kernel init (their cost is part of
 	// the boot the VM pays anyway).
 	gk := kernel.New(e, h, "3.10.0-android")
-	vmProcErr := func() error {
-		for _, m := range acd.Modules(e, gk.Release()) {
-			m.VerMagic = gk.Release()
-			if err := gk.Load(p, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if vmProcErr != nil {
+	if err := acd.LoadAll(p, gk, acd.Modules(e, gk.Release())); err != nil {
 		h.FreeMem(cfg.MemMB)
-		return nil, fmt.Errorf("vm %s: guest kernel: %w", cfg.Name, vmProcErr)
+		return nil, fmt.Errorf("vm %s: guest kernel: %w", cfg.Name, err)
 	}
 
 	return &VM{
@@ -122,18 +114,18 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 		guestKernel: gk,
 		ns:          gk.NewNamespace(cfg.Name),
 		fs:          fs,
-		diskLayer:   diskLayer,
+		disk:        disk,
 		running:     true,
 		createTime:  (p.E.Now() - start).Duration(),
 	}, nil
 }
 
 // BootConfig returns the android.BootConfig for this VM's full device-style
-// boot (Figure 6a): bootloader, kernel+ramdisk, filesystem preparation,
-// then the stock (non-customized) init.
-func (v *VM) BootConfig(manifest image.Manifest) android.BootConfig {
+// boot (Figure 6a) off its disk image: bootloader, kernel+ramdisk,
+// filesystem preparation, then the stock (non-customized) init.
+func (v *VM) BootConfig() android.BootConfig {
 	return android.BootConfig{
-		Manifest:     manifest,
+		Image:        v.disk,
 		Customized:   false,
 		PreInitFixed: PreInitFixed,
 		PreInitWork:  PreInitWork,
@@ -199,7 +191,7 @@ func (v *VM) MemReservedMB() int { return v.cfg.MemMB }
 func (v *VM) GuestMemUsedMB() int { return v.memUsedMB }
 
 // DiskUsageBytes is the VM's private disk footprint: the entire image.
-func (v *VM) DiskUsageBytes() host.Bytes { return v.diskLayer.Size() }
+func (v *VM) DiskUsageBytes() host.Bytes { return v.disk.Layer.Size() }
 
 // Running reports whether the VM is powered on.
 func (v *VM) Running() bool { return v.running }
@@ -215,6 +207,6 @@ func (v *VM) Destroy(p *sim.Proc) error {
 	p.Sleep(200 * time.Millisecond)
 	v.running = false
 	v.h.FreeMem(v.cfg.MemMB)
-	v.diskLayer.DropCacheOn(v.h) // the private disk image is never read again
+	v.disk.Layer.DropCacheOn(v.h) // the private disk image is never read again
 	return nil
 }

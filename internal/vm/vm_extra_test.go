@@ -22,7 +22,7 @@ func TestBootConfigIsDeviceStyle(t *testing.T) {
 	e, h := newHarness()
 	e.Spawn("t", func(p *sim.Proc) {
 		v, _ := Create(p, h, e, DefaultConfig("vm1"), image.AndroidX86())
-		bc := v.BootConfig(image.AndroidX86())
+		bc := v.BootConfig()
 		if bc.Customized {
 			t.Error("VM boot must run stock Android")
 		}
