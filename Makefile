@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint bench-kernels bench-coldboot bench-smoke bench-scenario scenario-validate ci
+.PHONY: all build vet test race fuzz lint bench-kernels bench-coldboot bench-engine bench-smoke bench-scenario scenario-validate ci
 
 all: ci
 
@@ -22,9 +22,12 @@ race:
 # Memberships are built only inside internal/cluster, so no layer can route
 # on a private placement table frozen at epoch 0 again. The last grep keeps
 # encoding/gob out: the wire and the param blobs have one flat codec each,
-# and a second one would need negotiating again. internal/sim starts
-# goroutines in one place, the pooled worker's constructor (worker.go): a
-# second go statement there would be a goroutine-per-proc path coming back.
+# and a second one would need negotiating again. internal/sim starts no
+# goroutine and makes coroutines in one place, the pooled worker's
+# constructor (worker.go): a go statement or a second iter.Pull there would
+# be a goroutine- or coroutine-per-proc path coming back. The two go.mod
+# files state the same language version, because benchmark/run.sh refuses to
+# build against a root module newer than its own.
 # Session.PushCode has one simulated caller, device.Client (client.go), next
 # to the cluster's forwarder and the server half of the TCP exchange: another
 # one would be a sixth copy of the device exchange.
@@ -58,12 +61,22 @@ lint: vet
 		echo "a second Membership outside internal/cluster (a Cluster owns the only live one; route through it):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]' internal/sim/*.go \
-		| grep -v '_test.go' \
-		| grep -v -E '^internal/sim/worker\.go:[0-9]+:[[:space:]]*go w\.loop\(\)$$' || true); \
+	@bad=$$(grep -n -E '^[[:space:]]*go[[:space:]]' internal/sim/*.go | grep -v '_test.go' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "go statement in internal/sim outside takeWorker (procs run on pooled workers):"; \
+		echo "go statement in internal/sim (procs are coroutines of pooled workers, not goroutines of their own):"; \
 		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} /iter\.Pull\(/ && fn !~ /^func takeWorker\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/sim/*.go | grep -v '_test.go')); \
+	if [ -n "$$bad" ]; then \
+		echo "iter.Pull( in internal/sim outside takeWorker (one pooled coroutine kind, made in one place):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@root=$$(grep '^go ' go.mod); bench=$$(grep '^go ' benchmark/go.mod); \
+	if [ "$$root" != "$$bench" ]; then \
+		echo "go.mod says '$$root', benchmark/go.mod '$$bench':"; \
+		echo "a root bump alone breaks benchmark/run.sh (go: updates to go.mod needed); bump both in one benchmark-archetype change"; \
+		exit 1; \
 	fi
 	@bad=$$(grep -rn '\.PushCode(' --include='*.go' internal/ cmd/ \
 		| grep -v '_test.go' | grep -v '^internal/core/' \
@@ -88,6 +101,13 @@ bench-kernels:
 # (tier-1) fences the allocation count.
 bench-coldboot:
 	$(GO) test -run '^$$' -bench BenchmarkColdBoot -benchmem -cpu 1 ./internal/core/
+
+# ns, B and allocations per proc life, parked Wait and queued Acquire: what
+# the benchmark's sim.spawn_ns / sim.signal_wait_ns probes time, plus the
+# resource hand-off, at one P and at two (the engine runs one proc at a time,
+# so the second P only shows what a switch costs when it crosses cores).
+bench-engine:
+	$(GO) test -run '^$$' -bench 'BenchmarkSpawn|BenchmarkSignalWait|BenchmarkResourceHandoff' -benchmem -benchtime 200000x -cpu 1,2 ./internal/sim/
 
 # benchmark/ is a Go module of its own, so an exported-API change that
 # breaks benchmark/adapter.go passes the root build and tests. Vet and test
@@ -119,7 +139,9 @@ scenario-validate:
 # Runs one scenario end to end and writes BENCH_scenario.json (pinned for
 # the default by internal/scenario's TestBaselineReportGolden); override
 # with SCENARIO=<file>. The million-device soak (scenarios/million-soak.yaml)
-# takes ~20s wall for an hour of virtual time and is run on demand, not in CI.
+# takes 9.9 s wall at GOMAXPROCS=1 and 9.7 s at 2 for an hour of virtual time
+# (11.7-12.0 s and 16.5-16.7 s before PR 21's coroutine procs) and is run on
+# demand, not in CI.
 SCENARIO ?= scenarios/baseline.yaml
 bench-scenario:
 	$(GO) run ./cmd/rattrap-bench -scenario $(SCENARIO)

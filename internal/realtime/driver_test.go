@@ -13,6 +13,7 @@ import (
 type fakeClock struct {
 	mu     sync.Mutex
 	now    time.Time
+	nows   int // Now calls: every pass of the driver's loop makes at least one
 	timers []*fakeTimer
 }
 
@@ -30,7 +31,15 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.nows++
 	return c.now
+}
+
+// calls reports how often Now and Timer have been called.
+func (c *fakeClock) calls() (nows, timers int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nows, len(c.timers)
 }
 
 func (c *fakeClock) Timer(d time.Duration) (<-chan time.Time, func()) {
@@ -136,6 +145,82 @@ func TestDriverPacesSleepOnFakeClock(t *testing.T) {
 	}
 	if d.Now() < sim.Time(300*time.Millisecond) {
 		t.Fatalf("virtual clock %v did not reach the sleep end", d.Now())
+	}
+}
+
+// TestDriverYieldsThroughShortWaits: an event nearer than yieldBelow is not
+// worth a sleep — the kernel would round it up to its timer slack — so the
+// loop must keep planning (yielding the P in between) without ever asking
+// the clock for a timer, and run the event once the clock has passed it. A
+// wait beyond the threshold still gets its timer, and an idle loop neither
+// holds one nor goes round.
+func TestDriverYieldsThroughShortWaits(t *testing.T) {
+	e := sim.NewEngine(1)
+	fc := newFakeClock()
+	d := NewDriver(e, 1)
+	d.clk = fc
+	d.Start()
+	defer d.Stop()
+
+	do := func(sleep time.Duration) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			d.Do("sleeper", func(p *sim.Proc) { p.Sleep(sleep) })
+		}()
+		return done
+	}
+	// until polls cond on the real clock; the fake one stays where it is.
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Idle: Start reads the clock, the loop's first pass reads it, finds
+	// nothing and blocks. No pass after that, no timer ever.
+	until("the idle loop has made its first pass", func() bool { n, _ := fc.calls(); return n >= 2 })
+	time.Sleep(20 * time.Millisecond)
+	if nows, timers := fc.calls(); nows != 2 || timers != 0 {
+		t.Fatalf("idle driver: %d clock reads after the first pass, %d timers; want none of either", nows-2, timers)
+	}
+
+	// Below the threshold: passes, no timer, no completion while the clock
+	// stands still.
+	short := do(yieldBelow / 2)
+	before, _ := fc.calls()
+	until("the loop has gone round 100 times on the short wait", func() bool { n, _ := fc.calls(); return n > before+100 })
+	select {
+	case <-short:
+		t.Fatal("short virtual sleep completed before the wall clock reached it")
+	default:
+	}
+	fc.Advance(yieldBelow / 2)
+	select {
+	case <-short:
+	case <-time.After(5 * time.Second):
+		t.Fatal("short virtual sleep did not complete after the clock crossed its deadline")
+	}
+	if _, timers := fc.calls(); timers != 0 || d.TimerWakeups() != 0 {
+		t.Fatalf("a wait of %v armed %d timers and counted %d timer wakeups, want 0 and 0", yieldBelow/2, timers, d.TimerWakeups())
+	}
+
+	// Above it: one timer, armed for the whole wait, one wakeup.
+	long := do(2 * yieldBelow)
+	until("the loop has armed a timer for the long wait", func() bool { return fc.armed() == 1 })
+	fc.Advance(2 * yieldBelow)
+	select {
+	case <-long:
+	case <-time.After(5 * time.Second):
+		t.Fatal("long virtual sleep did not complete after its timer fired")
+	}
+	if _, timers := fc.calls(); timers != 1 || d.TimerWakeups() != 1 {
+		t.Fatalf("a wait of %v armed %d timers and counted %d timer wakeups, want 1 and 1", 2*yieldBelow, timers, d.TimerWakeups())
 	}
 }
 

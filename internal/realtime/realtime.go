@@ -10,7 +10,9 @@
 // The driver is event-driven, not tick-driven. Its loop asks the engine
 // for the next pending event (sim.Engine.NextEventAt), converts that
 // virtual instant into a wall deadline, and sleeps on a timer armed for
-// exactly that deadline. Injecting work wakes the loop immediately, and
+// exactly that deadline (a deadline nearer than a sleep can resolve is
+// not slept towards: the loop yields and looks again, see yieldBelow).
+// Injecting work wakes the loop immediately, and
 // the injector itself drains all work that is already due — so a request
 // whose engine-side cost is zero virtual time (e.g. a warehouse-hit
 // dispatch) completes synchronously on the caller's goroutine with no
@@ -30,6 +32,7 @@
 package realtime
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -56,6 +59,16 @@ type clock interface {
 // of the timer path is small and the loop stays interruptible.
 const syncSleepMax = 2 * time.Millisecond
 
+// yieldBelow is the longest wait the loop does not sleep at all. The kernel
+// rounds a nanosleep up by its timer slack (~50 µs): asked for 300 ns it
+// comes back after 55 µs. Waits that short are what the hops inside a boot
+// come to at speed 1e6, and a proc switch (~100 ns) no longer outlasts them
+// the way a channel hand-off (~1 µs) did: on the benchmark's tcp-cold,
+// sleeping through them took req_per_s from 17.1 k to 12–15 k with the
+// process 18 % idle. So the loop yields the P and plans again, until the
+// event is due or far enough away to sleep towards.
+const yieldBelow = 50 * time.Microsecond
+
 // realClock reuses one timer across rounds — the pacer plans a sleep per
 // event, and a fresh time.Timer each round puts two heap objects on the
 // steady-state request path. Reuse makes Timer single-owner: only the
@@ -64,6 +77,10 @@ const syncSleepMax = 2 * time.Millisecond
 // that races cancel can leave a stale value in the channel; the drains
 // below sweep it, and at worst the loop wakes early once and re-plans,
 // which is harmless by design.
+//
+// The loop never brings a wait of yieldBelow or less here (it yields
+// through those), so a wait is served in one of three ways: yield < timer
+// slack ≤ nanosleep ≤ syncSleepMax < Go timer.
 //
 // Short waits (≤ syncSleepMax) are served synchronously: Timer blocks in
 // a raw nanosleep right here, on the loop's goroutine, then returns a
@@ -207,6 +224,17 @@ func (d *Driver) loop() {
 			wait := d.wallDeadline(next).Sub(d.clk.Now())
 			if wait <= 0 {
 				// Already due: advance again without sleeping.
+				continue
+			}
+			if wait <= yieldBelow {
+				// Closer than a sleep can resolve: let whoever else wants
+				// the P run, then plan again.
+				select {
+				case <-d.stop:
+					return
+				default:
+				}
+				runtime.Gosched()
 				continue
 			}
 			timerC, cancel = d.clk.Timer(wait)

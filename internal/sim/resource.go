@@ -11,15 +11,19 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*resWaiter
+	// queue[head:] are the parked procs, first come first. Admitting one
+	// moves head instead of the slice's start, which would give away the
+	// front of the backing array and reallocate it every few waits.
+	queue    []resWaiter
+	head     int
 	onChange func(inUse int) // optional utilization hook
 }
 
+// resWaiter is a proc parked in Acquire until n units are free; it is woken
+// through its own event.
 type resWaiter struct {
-	n      int
-	wake   func()
-	abort  bool
-	doneCh bool
+	n int
+	p *Proc
 }
 
 // NewResource returns a resource with the given capacity.
@@ -34,15 +38,7 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 func (r *Resource) InUse() int { return r.inUse }
 
 // Queued returns the number of procs waiting to acquire.
-func (r *Resource) Queued() int {
-	n := 0
-	for _, w := range r.queue {
-		if !w.abort {
-			n++
-		}
-	}
-	return n
-}
+func (r *Resource) Queued() int { return len(r.queue) - r.head }
 
 // OnChange registers fn to be called whenever the in-use count changes,
 // with the new count. Used by utilization recorders.
@@ -60,12 +56,16 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of %d", r.name, n, r.capacity))
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.Queued() == 0 && r.inUse+n <= r.capacity {
 		r.setInUse(r.inUse + n)
 		return
 	}
-	w := &resWaiter{n: n, wake: p.dispatch}
-	r.queue = append(r.queue, w)
+	if r.head > len(r.queue)/2 {
+		// Mostly admitted entries: move the live ones down before growing.
+		r.queue = r.queue[:copy(r.queue, r.queue[r.head:])]
+		r.head = 0
+	}
+	r.queue = append(r.queue, resWaiter{n: n, p: p})
 	p.park()
 }
 
@@ -75,7 +75,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of %d", r.name, n, r.capacity))
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.Queued() == 0 && r.inUse+n <= r.capacity {
 		r.setInUse(r.inUse + n)
 		return true
 	}
@@ -94,23 +94,19 @@ func (r *Resource) Release(n int) {
 // pump admits queue heads while they fit. FIFO: a large request at the head
 // blocks smaller ones behind it (no barging), matching a fair scheduler.
 func (r *Resource) pump() {
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		if w.abort {
-			r.queue = r.queue[1:]
-			continue
-		}
+	for r.head < len(r.queue) {
+		w := r.queue[r.head]
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.queue = r.queue[1:]
+		r.queue[r.head].p = nil
+		r.head++
 		r.setInUse(r.inUse + w.n)
-		w.doneCh = true
 		// Wake as a zero-delay event so the releasing proc finishes its
 		// current step before the waiter resumes.
-		wake := w.wake
-		r.e.After(0, wake)
+		r.e.schedule(&w.p.ev, r.e.now)
 	}
+	r.queue, r.head = r.queue[:0], 0
 }
 
 // UseFor acquires n units, sleeps for d, and releases them. It is the

@@ -10,10 +10,10 @@
 //     block in virtual time (Sleep, Wait, Resource.Acquire) while other
 //     events run.
 //
-// Procs are backed by goroutines, but the engine guarantees that at most one
-// of them executes at any instant: a Proc runs only between Engine handing
-// it control and the Proc parking again, so no locking is needed in model
-// code and results are reproducible. The goroutines are pooled workers (see
+// Procs are coroutines of the goroutine that steps the engine: a Proc runs
+// only between Engine switching to it and the Proc parking again, so at most
+// one of them executes at any instant, no locking is needed in model code
+// and results are reproducible. The coroutines are pooled workers (see
 // worker.go): a proc borrows one from its start event until its function
 // returns.
 package sim
@@ -42,9 +42,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 type Event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn and proc is set: a plain callback, or the proc a
-	// start or Sleep wake-up event resumes (the event is then the one
-	// embedded in that Proc, so neither it nor a closure is allocated).
+	// Exactly one of fn and proc is set: a plain callback, or the proc the
+	// event starts or resumes (the event is then the one embedded in that
+	// Proc, so neither it nor a closure is allocated).
 	fn       func()
 	proc     *Proc
 	canceled bool
@@ -214,7 +214,7 @@ func (e *Engine) NextEventAt() (Time, bool) {
 func (e *Engine) LiveProcs() int { return e.procs }
 
 // Proc is a simulated process: a coroutine that can block in virtual time.
-// All Proc methods must be called from the Proc's own goroutine (that is,
+// All Proc methods must be called from the Proc's own coroutine (that is,
 // from within the function passed to Spawn or functions it calls).
 type Proc struct {
 	E    *Engine
@@ -222,13 +222,14 @@ type Proc struct {
 	// fn is the proc's function; nil once it has returned, which is what
 	// marks the proc done (and lets go of whatever the closure captured).
 	fn func(*Proc)
-	// w is the pooled goroutine running fn: nil until the start event
+	// w is the pooled coroutine running fn: nil until the start event
 	// fires and again once fn has returned.
 	w *worker
 	// ev is the one event the proc needs at a time: its start event, then
-	// the wake-up of each parking Sleep. Nobody else holds a pointer to
-	// it, so it cannot be cancelled, and a proc parked in Sleep is resumed
-	// only by it, so it is never queued twice.
+	// the wake-up of each park (a Sleep's, a fired Signal's, a Resource
+	// admitting it). Nobody else holds a pointer to it, so it cannot be
+	// cancelled, and a parked proc waits for exactly one thing, so it is
+	// never queued twice.
 	ev Event
 }
 
@@ -242,9 +243,10 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// dispatch hands control to the proc's goroutine and blocks the engine until
-// the proc parks (or finishes). It is the only place model goroutines run.
-// The first dispatch, from the start event, takes a worker from the pool.
+// dispatch switches to the proc's coroutine and returns when the proc parks
+// or finishes. It is the only place model code runs. The first dispatch,
+// from the start event, takes a worker from the pool; the one after which
+// the proc is done gives it back.
 func (p *Proc) dispatch() {
 	if p.Done() {
 		// The worker has moved on to another proc: resuming it here would
@@ -254,22 +256,22 @@ func (p *Proc) dispatch() {
 	w := p.w
 	if w == nil {
 		w = takeWorker()
-		p.w = w
+		w.p, p.w = p, w
 	}
-	w.resume <- p
-	<-w.parked
+	w.next()
+	if p.Done() {
+		w.retire()
+	}
 }
 
 // park suspends the calling proc, returning control to the engine, until
 // some event calls dispatch again.
 func (p *Proc) park() {
-	w := p.w
-	w.parked <- struct{}{}
-	<-w.resume
+	p.w.yield(struct{}{})
 }
 
 // finish marks the proc done and detaches it from its worker. It runs on
-// the worker's goroutine, before the engine is signalled.
+// the worker's coroutine, before control returns to the engine.
 func (p *Proc) finish() {
 	p.fn = nil
 	p.w = nil
@@ -282,7 +284,7 @@ func (p *Proc) finish() {
 // — nothing live is queued at or before now+d, and the current Run/RunUntil
 // is allowed to reach that instant — Sleep advances the clock itself and
 // returns: same resume instant and same order relative to every other
-// event, without an Event, a heap push or the two goroutine hand-offs of a
+// event, without a heap push or the two coroutine switches of a
 // park/dispatch pair. An event queued exactly at now+d was scheduled
 // earlier, would carry a lower seq than the wake-up and so must fire
 // first: the comparison is strict. Otherwise the proc parks.
@@ -311,7 +313,7 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p.dispatch)
+	s.register(sigWaiter{p: p})
 	p.park()
 }
 
@@ -322,7 +324,17 @@ type Signal struct {
 	e       *Engine
 	fired   bool
 	firedAt Time
-	waiters []func()
+	waiters []sigWaiter // in registration order
+	// one backs waiters until a second registration: most signals release
+	// one proc, and that wait then allocates nothing.
+	one [1]sigWaiter
+}
+
+// sigWaiter is one of the two things a Signal releases: a proc parked in
+// Wait, woken through its own event, or an OnFire callback.
+type sigWaiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewSignal returns an unfired signal bound to e.
@@ -344,10 +356,13 @@ func (s *Signal) Fire() {
 	s.fired = true
 	s.firedAt = s.e.now
 	for _, w := range s.waiters {
-		w := w
-		s.e.After(0, w)
+		if w.p != nil {
+			s.e.schedule(&w.p.ev, s.e.now)
+		} else {
+			s.e.After(0, w.fn)
+		}
 	}
-	s.waiters = nil
+	s.waiters, s.one[0] = nil, sigWaiter{}
 }
 
 // OnFire registers fn to run when the signal fires (immediately, as a
@@ -357,5 +372,12 @@ func (s *Signal) OnFire(fn func()) {
 		s.e.After(0, fn)
 		return
 	}
-	s.waiters = append(s.waiters, fn)
+	s.register(sigWaiter{fn: fn})
+}
+
+func (s *Signal) register(w sigWaiter) {
+	if s.waiters == nil {
+		s.waiters = s.one[:0]
+	}
+	s.waiters = append(s.waiters, w)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -94,31 +95,27 @@ func TestNegativeSleepPanics(t *testing.T) {
 	e.Run()
 }
 
+// A proc that ends in runtime.Goexit ends the goroutine that called Run with
+// it, as t.Fatal inside a proc should. The engine is not wedged: a second
+// Run fires everything that was still queued.
 func TestEngineSurvivesProcGoexit(t *testing.T) {
-	// A proc whose function exits abnormally (the deferred park) must not
-	// wedge the engine; remaining events still run.
 	e := NewEngine(1)
 	ran := false
 	e.Spawn("dying", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		panicSafeGoexit()
+		runtime.Goexit()
 	})
 	e.After(time.Second, func() { ran = true })
+	if runOnGoroutine(func() { e.RunUntil(Time(time.Minute)) }) {
+		t.Fatal("RunUntil returned although a proc called Goexit")
+	}
+	if ran || e.LiveProcs() != 0 {
+		t.Fatalf("after the exit: later event ran = %v, LiveProcs = %d, want false and 0", ran, e.LiveProcs())
+	}
 	e.Run()
 	if !ran {
 		t.Fatal("engine stopped after abnormal proc exit")
 	}
-}
-
-// panicSafeGoexit emulates t.Fatal's control flow (runtime.Goexit) without
-// importing runtime in a way vet dislikes.
-func panicSafeGoexit() {
-	done := make(chan struct{})
-	go func() { close(done) }()
-	<-done
-	// Use a recovered panic: the deferred park in Spawn must still fire.
-	defer func() { recover() }()
-	panic("simulated abnormal exit")
 }
 
 // Property: N procs each sleeping a random duration all finish, the final

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -167,6 +168,42 @@ func TestSignalDoubleFirePanics(t *testing.T) {
 		s.Fire()
 	})
 	e.Run()
+}
+
+// Fire releases procs and callbacks in the order they registered, whatever
+// the mix, and after events already queued for the same instant.
+func TestSignalFiresInRegistrationOrder(t *testing.T) {
+	e := NewEngine(1)
+	s := NewSignal(e)
+	var order []string
+	note := func(who string) func() { return func() { order = append(order, who) } }
+	waiter := func(name string) {
+		e.Spawn(name, func(p *Proc) {
+			p.Wait(s)
+			note(name)()
+		})
+	}
+	// Registration happens when each proc's start event runs, so callbacks
+	// registered from events land between them.
+	s.OnFire(note("cb0"))
+	waiter("p1")
+	e.After(0, func() { s.OnFire(note("cb2")) })
+	waiter("p3")
+	waiter("p4")
+	e.After(0, func() { s.OnFire(note("cb5")) })
+	e.After(time.Second, func() {
+		e.After(0, note("queued-before-fire"))
+		s.Fire()
+		e.After(0, note("queued-after-fire"))
+	})
+	e.Run()
+	want := []string{"queued-before-fire", "cb0", "p1", "cb2", "p3", "p4", "cb5", "queued-after-fire"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d waiters never resumed", e.LiveProcs())
+	}
 }
 
 func TestResourceFIFO(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -37,8 +38,11 @@ func TestDispatchFinishedProcPanics(t *testing.T) {
 }
 
 // A proc that leaves through runtime.Goexit (t.Fatal in a test) takes its
-// goroutine with it: the engine must still get control back, the proc must
-// count as finished, and the dead worker must not be handed to a later proc.
+// coroutine with it, and iter.Pull passes the exit on to the goroutine that
+// stepped it: the one inside Run — for a test, the test's own, which is
+// where FailNow is meant to run. The proc must count as finished, the dead
+// worker must not be handed to a later proc, and the engine must be
+// runnable again, with everything still queued firing.
 func TestGoexitProcSignalsEngine(t *testing.T) {
 	e := NewEngine(1)
 	var w *worker
@@ -55,44 +59,86 @@ func TestGoexitProcSignalsEngine(t *testing.T) {
 		p.Sleep(time.Second)
 		ran = true
 	})
-	e.Run()
-	if !ran {
-		t.Fatal("engine stopped after a proc's Goexit")
+	if returned := runOnGoroutine(e.Run); returned {
+		t.Fatal("Run returned although a proc called Goexit: the exit did not reach the stepping goroutine")
 	}
-	if !dying.Done() || e.LiveProcs() != 0 {
-		t.Fatalf("Done = %v, LiveProcs = %d after Goexit", dying.Done(), e.LiveProcs())
+	if ran || e.Now() != Time(2*time.Millisecond) {
+		t.Fatalf("the exit left Run at %v with the later proc run = %v, want 2ms and false", e.Now(), ran)
+	}
+	if !dying.Done() || e.LiveProcs() != 1 {
+		t.Fatalf("Done = %v, LiveProcs = %d after Goexit, want true and the one sleeper", dying.Done(), e.LiveProcs())
 	}
 	if pooled(w) {
-		t.Fatal("worker whose goroutine exited is back in the pool")
+		t.Fatal("worker whose coroutine exited is back in the pool")
+	}
+	e.Run()
+	if !ran || e.LiveProcs() != 0 {
+		t.Fatalf("second Run: later proc ran = %v, LiveProcs = %d", ran, e.LiveProcs())
 	}
 }
 
-// The same for a panic. The panic kills the process once it leaves the
-// worker's goroutine, so this test runs the worker loop on a goroutine of
-// its own that recovers it, and plays the engine's side of the hand-off.
+// runOnGoroutine calls run on a goroutine of its own and reports whether it
+// returned, as opposed to the goroutine ending under it (runtime.Goexit).
+func runOnGoroutine(run func()) (returned bool) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		run()
+		returned = true
+	}()
+	<-done
+	return returned
+}
+
+// A proc's panic leaves Run as a *ProcPanic on the stepping goroutine: the
+// proc's name, the original value, and the stack of the coroutine, which
+// the re-raised panic's own traceback no longer has. Bookkeeping is as for
+// Goexit.
 func TestPanickingProcSignalsEngine(t *testing.T) {
 	e := NewEngine(1)
-	w := &worker{resume: make(chan *Proc), parked: make(chan struct{})}
-	p := &Proc{E: e, Name: "boom", fn: func(*Proc) { panic("boom") }}
-	e.procs++
-	recovered := make(chan any)
-	go func() {
-		defer func() { recovered <- recover() }()
-		w.loop()
+	var w *worker
+	cause := errors.New("boom")
+	boom := e.Spawn("boom", func(p *Proc) {
+		w = p.w
+		p.Sleep(2 * time.Millisecond)
+		explode(cause)
+	})
+	e.After(time.Millisecond, func() {})
+	ran := false
+	e.After(time.Second, func() { ran = true })
+
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
 	}()
-	p.w = w
-	w.resume <- p
-	<-w.parked
-	if r := <-recovered; r != "boom" {
-		t.Fatalf("recovered %v, want the proc's panic", r)
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %T %v, want *ProcPanic", got, got)
 	}
-	if !p.Done() || e.LiveProcs() != 0 {
-		t.Fatalf("Done = %v, LiveProcs = %d after panic", p.Done(), e.LiveProcs())
+	if pp.Proc != "boom" || pp.Value != cause || !errors.Is(pp, cause) {
+		t.Fatalf("ProcPanic{Proc: %q, Value: %v}, want the proc's name and panic value", pp.Proc, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "sim.explode") || !strings.Contains(pp.Error(), "sim.explode") {
+		t.Fatalf("the proc's frames are missing from the stack:\n%s", pp.Stack)
+	}
+	if !strings.Contains(pp.Error(), `"boom"`) {
+		t.Fatalf("Error() = %q does not name the proc", pp.Error())
+	}
+	if !boom.Done() || e.LiveProcs() != 0 {
+		t.Fatalf("Done = %v, LiveProcs = %d after panic", boom.Done(), e.LiveProcs())
 	}
 	if pooled(w) {
-		t.Fatal("worker whose goroutine panicked is back in the pool")
+		t.Fatal("worker whose coroutine panicked is back in the pool")
+	}
+	e.Run()
+	if !ran {
+		t.Fatal("second Run did not fire the remaining event")
 	}
 }
+
+//go:noinline
+func explode(v any) { panic(v) }
 
 // Engines on different goroutines share the pool, so a worker released by
 // one is taken by another at any moment. Each engine's trace must still be
@@ -141,8 +187,9 @@ func TestManyEnginesShareWorkers(t *testing.T) {
 	wg.Wait()
 }
 
-// The pool keeps at most maxIdleWorkers parked goroutines however many
-// procs were alive at once: the rest exit when their proc finishes.
+// The pool keeps at most maxIdleWorkers parked coroutines (the runtime
+// counts each as a goroutine) however many procs were alive at once: the
+// rest are stopped when their proc finishes.
 func TestWorkerPoolIsBounded(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -161,18 +208,15 @@ func TestWorkerPoolIsBounded(t *testing.T) {
 	if n > maxIdleWorkers {
 		t.Fatalf("%d idle workers, cap is %d", n, maxIdleWorkers)
 	}
-	// A surplus worker signals the engine before its goroutine is gone.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+maxIdleWorkers {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after %d procs, want at most %d + %d", runtime.NumGoroutine(), 10*maxIdleWorkers, base, maxIdleWorkers)
-		}
-		time.Sleep(time.Millisecond)
+	// A surplus worker's coroutine is gone when stop returns.
+	if g := runtime.NumGoroutine(); g > base+maxIdleWorkers {
+		t.Fatalf("%d goroutines after %d procs, want at most %d + %d", g, 10*maxIdleWorkers, base, maxIdleWorkers)
 	}
 }
 
 // A spawn is one heap object (the Proc, which carries its start event); a
-// Sleep that really parks reuses that event and allocates nothing.
+// park reuses that event and allocates nothing, whether it waits for a
+// Sleep's instant, a Signal or a Resource.
 func TestSpawnAndParkedSleepAllocs(t *testing.T) {
 	e := NewEngine(1)
 	fn := func(*Proc) {}
@@ -205,5 +249,59 @@ func TestSpawnAndParkedSleepAllocs(t *testing.T) {
 	e.Run()
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("%d sleepers never finished", n)
+	}
+
+	// A Wait that parks and is released by Fire rides the proc's own event
+	// and the signal's inline slot: the Signal is the only object.
+	stop = false
+	var sig *Signal
+	e.Spawn("waiter", func(p *Proc) {
+		for !stop {
+			sig = NewSignal(e)
+			p.Wait(sig)
+		}
+	})
+	e.Run() // parks the waiter on the first signal
+	if avg := testing.AllocsPerRun(200, func() {
+		sig.Fire()
+		e.Run()
+	}); avg > 1 {
+		t.Errorf("a parked Wait released by Fire allocates %.1f objects, want 1 (the Signal)", avg)
+	}
+	stop = true
+	sig.Fire()
+	e.Run()
+
+	// Two procs trading a one-unit resource: every Acquire but the first
+	// queues behind the holder and is admitted by its Release.
+	stop = false
+	r := NewResource(e, "r", 1)
+	queued := 0
+	for i := 0; i < 2; i++ {
+		e.Spawn("trader", func(p *Proc) {
+			for !stop {
+				if r.InUse() == 1 {
+					queued++
+				}
+				r.Acquire(p, 1)
+				p.Sleep(time.Millisecond)
+				r.Release(1)
+			}
+		})
+	}
+	e.RunUntil(e.Now() + Time(10*time.Millisecond))
+	queued = 0
+	if avg := testing.AllocsPerRun(100, func() {
+		e.RunUntil(e.Now() + Time(10*time.Millisecond))
+	}); avg != 0 {
+		t.Errorf("ten queued acquires allocate %.1f objects, want 0", avg)
+	}
+	if queued < 1000 {
+		t.Fatalf("only %d acquires queued: the model does not exercise the wait queue", queued)
+	}
+	stop = true
+	e.Run()
+	if n := e.LiveProcs(); n != 0 || r.InUse() != 0 || r.Queued() != 0 {
+		t.Fatalf("LiveProcs = %d, InUse = %d, Queued = %d after the traders stopped", n, r.InUse(), r.Queued())
 	}
 }
