@@ -91,7 +91,10 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 
-# ns/op and B/op per workload kernel, plus the automaton build.
+# ns/op, B/op and allocs/op per workload kernel — Linpack twice: linpack128
+# is one fixed system (a fill-cache hit), linpack-mix the orders 110-149 with
+# distinct seeds that tcp-compute serves (always a miss) — plus the
+# automaton build.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels -benchmem ./internal/workload/
 
@@ -117,12 +120,14 @@ bench-smoke:
 	bash benchmark/run.sh -smoke
 
 # Short fuzz passes over the wire-frame codec, the content chunker, the
-# scenario decoder and the virus-scan automaton; ci.sh runs this target.
+# scenario decoder, the virus-scan automaton and the task parameter blobs
+# (any app name, any blob, through Registry.Execute); ci.sh runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime 10s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 10s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzAhoCorasick -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzTaskParams -fuzztime 10s ./internal/workload/
 
 # bench-stages, bench-boot, bench-autoscale, bench-reshard, bench-faults:
 # regenerate BENCH_<mode>.json at the default seed and exit non-zero if one

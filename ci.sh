@@ -11,9 +11,10 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race"
-# One tier: the full suite is ~12 s plain and ~135 s under the race detector
-# (internal/experiments' paper sweeps are ~120 s of that); the per-package
-# budget is about three times the slowest package.
+# One tier: the full suite is ~10 s plain and ~90 s under the race detector
+# (internal/experiments' paper sweeps are ~67 s of that, re-measured after
+# PR 23's kernels); the per-package budget is several times the slowest
+# package.
 go test -race -timeout 8m ./...
 
 echo "== benchmark module (nested: root go build/test do not reach it)"

@@ -42,6 +42,10 @@ const (
 	// maxChessDepth bounds the search depth a request may ask for, and with
 	// it the number of per-ply move buffers a board carries.
 	maxChessDepth = 6
+	// maxChessPrefix bounds the random game played before the search. The
+	// prefix runs before anything can time the request out, and a bare-kings
+	// game never runs out of legal moves; devices draw 6–25.
+	maxChessPrefix = 1024
 )
 
 type chessParams struct {
@@ -78,8 +82,12 @@ func (c *Chess) Execute(t Task) (Metrics, error) {
 	if p.Depth <= 0 || p.Depth > maxChessDepth {
 		return Metrics{}, fmt.Errorf("chess: depth %d out of range", p.Depth)
 	}
+	if p.Prefix < 0 || p.Prefix > maxChessPrefix {
+		return Metrics{}, fmt.Errorf("chess: prefix %d out of range", p.Prefix)
+	}
 	b := newBoard()
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := seededRand(p.Seed)
+	defer randPool.Put(rng)
 	for i := 0; i < p.Prefix; i++ {
 		moves := b.legalMoves(0)
 		if len(moves) == 0 {
@@ -118,8 +126,20 @@ var bishopDirs = [4]int{15, -15, 17, -17}
 var rookDirs = [4]int{1, -1, 16, -16}
 var queenDirs = [8]int{15, -15, 17, -17, 1, -1, 16, -16} // bishop rays, then rook rays
 
+// kingLine[to-from+119] is the unit step of the queen ray that leads from
+// one square to another, 0 when they share none: a 0x88 difference
+// identifies the ray uniquely.
+var kingLine = func() (t [239]int8) {
+	for _, d := range queenDirs {
+		for n := 1; n < 8; n++ {
+			t[n*d+119] = int8(d)
+		}
+	}
+	return t
+}()
+
 // squareScore[p+wk][i] is what piece p on 0x88 square i adds to white's
-// score in eval: material plus a centrality bonus (distance from the board
+// score: material plus a centrality bonus (distance from the board
 // center, worth a few centipawns), negated for black. The empty row is zero.
 var squareScore = func() (t [2*wk + 1][128]int32) {
 	for i := 0; i < 128; i++ {
@@ -158,6 +178,9 @@ type board struct {
 	// king holds the white and black king squares (see kingIndex), kept up
 	// to date by make/unmake; -1 while that king is off the board.
 	king [2]int
+	// score is the squareScore sum over the board (white's view), kept up
+	// to date by make/unmake; the initial position is 0 by symmetry.
+	score int32
 	// moveBufs[k] backs the move list generated at ply k, so a search
 	// reuses one buffer per ply instead of allocating per node. A position
 	// with more pseudo-legal moves than fit spills to the heap for that
@@ -345,6 +368,7 @@ func isKing(p int8) bool { return p == wk || p == -wk }
 // make applies a move.
 func (b *board) make(m move) {
 	p := b.sq[m.from]
+	b.score -= squareScore[p+wk][m.from] + squareScore[m.captured+wk][m.to]
 	if isKing(p) {
 		b.king[kingIndex(p)] = m.to
 	}
@@ -354,6 +378,7 @@ func (b *board) make(m move) {
 	if m.promo != empty {
 		p = m.promo
 	}
+	b.score += squareScore[p+wk][m.to]
 	b.sq[m.to] = p
 	b.sq[m.from] = empty
 	b.white = !b.white
@@ -363,6 +388,7 @@ func (b *board) make(m move) {
 func (b *board) unmake(m move) {
 	b.white = !b.white
 	p := b.sq[m.to]
+	b.score -= squareScore[p+wk][m.to]
 	if isKing(p) {
 		b.king[kingIndex(p)] = m.from
 	}
@@ -372,24 +398,58 @@ func (b *board) unmake(m move) {
 	if m.promo != empty {
 		p = b.mySign() * wp
 	}
+	b.score += squareScore[p+wk][m.from] + squareScore[m.captured+wk][m.to]
 	b.sq[m.from] = p
 	b.sq[m.to] = m.captured
 }
 
+// shields reports whether the piece on from is all that stands between the
+// king of the given sign on k and an enemy slider: the only way a move by
+// anything but the king can expose a king that is not in check now.
+func (b *board) shields(from, k int, sign int8) bool {
+	d := int(kingLine[from-k+119])
+	if d == 0 {
+		return false
+	}
+	for i := k + d; i != from; i += d {
+		if b.sq[i] != empty {
+			return false
+		}
+	}
+	slider := -sign * wb
+	if d == 1 || d == -1 || d == 16 || d == -16 {
+		slider = -sign * wr
+	}
+	for i := from + d; onBoard(i); i += d {
+		if p := b.sq[i]; p != empty {
+			return p == slider || p == -sign*wq
+		}
+	}
+	return false
+}
+
 // legalMoves returns the legal moves of the side to move: the
 // pseudo-legal ones, in generation order, minus those that leave the mover
-// in check. The list lives in the board's buffer for the given ply and is
+// in check. Out of check, only a king move or a move by a shielding piece
+// can do that, so only those (and every move when in check) are tried on
+// the board. The list lives in the board's buffer for the given ply and is
 // valid until the next call with that ply.
 func (b *board) legalMoves(ply int) []move {
 	sign := b.mySign()
 	moves := b.pseudoMoves(b.moveBufs[ply][:0])
+	k := b.king[kingIndex(sign)]
+	safe := k >= 0 && !b.attacked(k, -sign)
 	legal := moves[:0]
 	for _, m := range moves {
-		b.make(m)
-		if !b.inCheck(sign) {
-			legal = append(legal, m)
+		if !safe || m.from == k || b.shields(m.from, k, sign) {
+			b.make(m)
+			check := b.inCheck(sign)
+			b.unmake(m)
+			if check {
+				continue
+			}
 		}
-		b.unmake(m)
+		legal = append(legal, m)
 	}
 	return legal
 }
@@ -397,13 +457,7 @@ func (b *board) legalMoves(ply int) []move {
 // eval scores the position from the side to move's perspective:
 // material plus a small centrality bonus.
 func (b *board) eval() int {
-	score := int32(0)
-	for r := 0; r < 8; r++ {
-		for i := r * 16; i < r*16+8; i++ {
-			score += squareScore[b.sq[i]+wk][i]
-		}
-	}
-	return int(score) * int(b.mySign())
+	return int(b.score) * int(b.mySign())
 }
 
 func abs(x int) int {

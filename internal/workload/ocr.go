@@ -117,31 +117,29 @@ func genText(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
-// render draws text as a horizontal strip, one glyph cell of 0/1 pixel
-// bytes per character. A character outside the alphabet renders blank.
-func (o *OCR) render(text string) []byte {
-	img := make([]byte, len(text)*glyphPixels)
+// render draws text into img as a horizontal strip, one glyph cell of 0/1
+// pixel bytes per character; len(img) is len(text)*glyphPixels and every
+// byte of it is written. A character outside the alphabet renders blank.
+func (o *OCR) render(img []byte, text string) {
 	for i := 0; i < len(text); i++ {
-		k := strings.IndexByte(ocrAlphabet, text[i])
-		if k < 0 {
-			continue
+		var mask uint64
+		if k := strings.IndexByte(ocrAlphabet, text[i]); k >= 0 {
+			mask = o.masks[k]
 		}
 		cell := img[i*glyphPixels : (i+1)*glyphPixels]
 		for px := range cell {
-			cell[px] = byte(o.masks[k] >> px & 1)
+			cell[px] = byte(mask >> px & 1)
 		}
 	}
-	return img
 }
 
-// recognize matches every cell against the whole alphabet and returns the
-// recognized text plus the number of pixel comparisons performed. A cell
-// is packed into a bit mask once; its Hamming distance to a glyph is then
-// one XOR and a popcount, which compares all glyphPixels pixels — so each
-// template still counts glyphPixels operations.
-func (o *OCR) recognize(img []byte) (string, int64) {
-	cells := len(img) / glyphPixels
-	out := make([]byte, cells)
+// recognize matches every cell of img against the whole alphabet, writes
+// the recognized text to out (one byte per cell) and returns the number of
+// pixel comparisons performed. A cell is packed into a bit mask once; its
+// Hamming distance to a glyph is then one XOR and a popcount, which
+// compares all glyphPixels pixels — so each template still counts
+// glyphPixels operations.
+func (o *OCR) recognize(out, img []byte) int64 {
 	var ops int64
 	for c := range out {
 		var cell uint64
@@ -160,8 +158,15 @@ func (o *OCR) recognize(img []byte) (string, int64) {
 		}
 		out[c] = bestChar
 	}
-	return string(out), ops
+	return ops
 }
+
+// ocrScratch recycles the rendered strip and the recognized text across
+// requests, like vsScratch: render writes every byte of img and recognize
+// every byte of out before either is read.
+type ocrScratch struct{ img, out []byte }
+
+var ocrPool = sync.Pool{New: func() any { return new(ocrScratch) }}
 
 // Execute renders the document, recognizes it, and verifies the round trip.
 func (o *OCR) Execute(t Task) (Metrics, error) {
@@ -172,16 +177,24 @@ func (o *OCR) Execute(t Task) (Metrics, error) {
 	if p.Chars <= 0 || p.Chars > 100000 {
 		return Metrics{}, fmt.Errorf("ocr: %d chars out of range", p.Chars)
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	text := genText(rng, p.Chars)
-	img := o.render(text)
-	got, ops := o.recognize(img)
-	if got != text {
+	rng := seededRand(p.Seed)
+	text := genText(rng.Rand, p.Chars)
+	randPool.Put(rng)
+	scratch := ocrPool.Get().(*ocrScratch)
+	defer ocrPool.Put(scratch)
+	if cap(scratch.out) < len(text) {
+		scratch.img = make([]byte, len(text)*glyphPixels)
+		scratch.out = make([]byte, len(text))
+	}
+	img, out := scratch.img[:len(text)*glyphPixels], scratch.out[:len(text)]
+	o.render(img, text)
+	ops := o.recognize(out, img)
+	if string(out) != text {
 		return Metrics{}, fmt.Errorf("ocr: recognition mismatch (%d chars)", len(text))
 	}
 	scale := float64(p.Chars) / 600.0
 	fileBytes := host.Bytes(float64(ocrFileBytes) * scale)
-	preview := got
+	preview := text
 	if len(preview) > 24 {
 		preview = preview[:24]
 	}
@@ -191,6 +204,6 @@ func (o *OCR) Execute(t Task) (Metrics, error) {
 		IORead:      fileBytes, // read it back for recognition
 		ResultBytes: ocrResultBytes,
 		RealOps:     ops,
-		Output:      fmt.Sprintf("chars=%d text=%q...", len(got), preview),
+		Output:      fmt.Sprintf("chars=%d text=%q...", len(text), preview),
 	}, nil
 }

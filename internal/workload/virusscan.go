@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -99,6 +100,35 @@ type vsScratch struct{ target []byte }
 
 var vsPool = sync.Pool{New: func() any { return new(vsScratch) }}
 
+// unmark turns every 0xEB byte of w into 0xEC, reserving the signature
+// marker for planted content. x has a zero byte where w has the marker; z
+// gets 0x80 in exactly those bytes (the carry-free zero-byte test), and
+// adding 1 there cannot carry out of the byte.
+func unmark(w uint64) uint64 {
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	x := w ^ 0xebebebebebebebeb
+	z := ^((x&lo7 + lo7) | x | lo7)
+	return w + z>>7
+}
+
+// fill writes the target: marker-free noise, eight bytes per draw
+// (len(target) is a multiple of 1024), then planted signatures at
+// non-overlapping random offsets, one per step-sized slot, drawn from the
+// same stream.
+func (v *VirusScan) fill(target []byte, seed int64, planted, step int) {
+	rng := seededRand(seed)
+	defer randPool.Put(rng)
+	src := rng.src
+	for i := 0; i < len(target); i += 8 {
+		binary.LittleEndian.PutUint64(target[i:], unmark(src.Uint64()))
+	}
+	for i := 0; i < planted; i++ {
+		sig := v.sigs[rng.Intn(len(v.sigs))]
+		off := i*step + rng.Intn(step-v.maxSig)
+		copy(target[off:], sig)
+	}
+}
+
 // Execute scans the target and verifies the planted-signature count.
 func (v *VirusScan) Execute(t Task) (Metrics, error) {
 	var p virusParams
@@ -122,24 +152,7 @@ func (v *VirusScan) Execute(t Task) (Metrics, error) {
 		scratch.target = make([]byte, size)
 	}
 	target := scratch.target[:size]
-	// Noise bytes are rng.Intn(256) draws taken straight off the source:
-	// for a power-of-two bound Intn is byte(src.Int63()>>32), and the
-	// planting draws below continue on the same stream.
-	src := rand.NewSource(p.Seed)
-	for i := range target {
-		b := byte(src.Int63() >> 32)
-		if b == 0xEB { // reserve the signature marker for planted content
-			b = 0xEC
-		}
-		target[i] = b
-	}
-	// Plant signatures at non-overlapping random offsets.
-	rng := rand.New(src)
-	for i := 0; i < p.Planted; i++ {
-		sig := v.sigs[rng.Intn(len(v.sigs))]
-		off := i*step + rng.Intn(step-v.maxSig)
-		copy(target[off:], sig)
-	}
+	v.fill(target, p.Seed, p.Planted, step)
 	matches := v.ac.scan(target)
 	if matches != p.Planted {
 		return Metrics{}, fmt.Errorf("virusscan: found %d signatures, planted %d", matches, p.Planted)

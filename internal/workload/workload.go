@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"rattrap/internal/host"
 )
@@ -167,6 +168,28 @@ func (r *Registry) Execute(t Task) (Metrics, error) {
 		return Metrics{}, err
 	}
 	return a.Execute(t)
+}
+
+// prng is a pooled generator: an Execute reseeds one instead of allocating
+// a 4.9 KB source per request. Seeding gives the stream of
+// rand.New(rand.NewSource(seed)); src is the Rand's own source, for loops
+// that draw straight off it.
+type prng struct {
+	*rand.Rand
+	src rand.Source64
+}
+
+var randPool = sync.Pool{New: func() any {
+	src := rand.NewSource(0).(rand.Source64)
+	return &prng{Rand: rand.New(src), src: src}
+}}
+
+// seededRand takes a generator from randPool and seeds it; the caller puts
+// it back.
+func seededRand(seed int64) *prng {
+	r := randPool.Get().(*prng)
+	r.Seed(seed)
+	return r
 }
 
 // Flat parameter codec — the same idea as the wire codec one layer down:

@@ -222,7 +222,7 @@ func TestChessFindsHangingQueen(t *testing.T) {
 	b.sq[7*16+4] = -wk // black king e8
 	b.sq[3] = wr       // white rook d1
 	b.sq[3*16+3] = -wq // black queen d4
-	b.king = scanKings(b)
+	b.track()
 	best, score, nodes := b.search(2)
 	if got := best.String(); got != "d1d4" {
 		t.Fatalf("best move = %s (score %d), want d1d4 capturing the queen", got, score)
@@ -237,7 +237,7 @@ func TestChessPromotion(t *testing.T) {
 	b.sq[4] = wk
 	b.sq[7*16+0] = -wk // black king a8... keep far from promotion square h8
 	b.sq[6*16+7] = wp  // white pawn h7
-	b.king = scanKings(b)
+	b.track()
 	found := false
 	for _, m := range b.legalMoves(0) {
 		if m.promo == wq && m.to == 7*16+7 {
@@ -263,7 +263,7 @@ func TestChessCheckmateDetection(t *testing.T) {
 	b.sq[7*16+7] = -wk // h8
 	b.sq[7*16+0] = wr  // a8
 	b.sq[5*16+6] = wk  // g6
-	b.king = scanKings(b)
+	b.track()
 	if len(b.legalMoves(0)) != 0 {
 		t.Fatalf("mated side has legal moves: %v", b.legalMoves(0))
 	}
@@ -460,8 +460,7 @@ func TestOCRRoundTrip(t *testing.T) {
 func TestOCRRecognizesKnownText(t *testing.T) {
 	o := NewOCR()
 	text := "CLOUD ANDROID CONTAINER 42"
-	img := o.render(text)
-	got, ops := o.recognize(img)
+	got, ops := recognizeStrip(o, renderText(o, text))
 	if got != text {
 		t.Fatalf("recognized %q, want %q", got, text)
 	}
@@ -494,7 +493,7 @@ func TestPropertyOCRRoundTripsAlphabet(t *testing.T) {
 			b.WriteByte(ocrAlphabet[int(i)%len(ocrAlphabet)])
 		}
 		text := b.String()
-		got, _ := o.recognize(o.render(text))
+		got, _ := recognizeStrip(o, renderText(o, text))
 		return got == text
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
