@@ -30,7 +30,9 @@ race:
 # build against a root module newer than its own.
 # Session.PushCode has one simulated caller, device.Client (client.go), next
 # to the cluster's forwarder and the server half of the TCP exchange: another
-# one would be a sixth copy of the device exchange.
+# one would be a sixth copy of the device exchange. Fault plans have one
+# runner, the scenario runner: a faults.New( anywhere else outside tests is a
+# hand-written fleet harness coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -85,6 +87,12 @@ lint: vet
 		echo "the device exchange written out again (offload through device.Client.Attempt):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rn 'faults\.New(' --include='*.go' internal/ cmd/ \
+		| grep -v '_test.go' | grep -v '^internal/scenario/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a fault plan instantiated outside the scenario runner (ask the question as a scenario or a rattrap-bench suite):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \
 	if [ -n "$$bad" ]; then \
 		echo "encoding/gob imported under internal/ or cmd/ (the flat binary codecs are the only ones):"; \
@@ -131,9 +139,12 @@ fuzz:
 
 # bench-stages, bench-boot, bench-autoscale, bench-reshard, bench-faults:
 # regenerate BENCH_<mode>.json at the default seed and exit non-zero if one
-# of the mode's gates fails. `go test ./cmd/rattrap-bench` regenerates the
-# same five in memory, runs the same gates and byte-compares with the
-# checked-in files, so a report that moves is re-pinned with this target.
+# of the mode's gates fails. autoscale, reshard and faults are scenario
+# suites (cmd/rattrap-bench/suite.go): variants of one checked-in file under
+# scenarios/, so run them from the repository root. `go test
+# ./cmd/rattrap-bench` regenerates the same five in memory, runs the same
+# gates and byte-compares with the checked-in files, so a report that moves
+# is re-pinned with this target.
 bench-%:
 	$(GO) run ./cmd/rattrap-bench -$*
 

@@ -11,9 +11,10 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race"
-# One tier: the full suite is ~10 s plain and ~90 s under the race detector
-# (internal/experiments' paper sweeps are ~67 s of that, re-measured after
-# PR 23's kernels); the per-package budget is several times the slowest
+# One tier: the full suite is ~11 s plain and ~91 s under the race detector
+# (internal/experiments' paper sweeps are 66 s of that alone, 71 s beside
+# the other packages; re-measured in PR 25 once the fleet runners left it,
+# 68 s at its parent); the per-package budget is several times the slowest
 # package.
 go test -race -timeout 8m ./...
 

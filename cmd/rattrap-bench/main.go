@@ -38,9 +38,9 @@ type mode struct {
 var modes = []mode{
 	{"stages", "per-stage latency breakdown of the paper's standard run; stage sums must reconcile with end-to-end", runStages},
 	{"boot", "cold boot vs template clone vs warehouse delta push; clones >=10x faster, family delta <30% of the full push", runBoot},
-	{"autoscale", "elastic pool vs fixed pools under bursty arrivals; must win on p99 and lose no capacity to teardown faults", runAutoscale},
-	{"reshard", "kill one shard and add another mid-sweep; gates availability, recovery and delta migration", runReshard},
-	{"faults", "success rate and latency tail per standard fault plan, single attempt vs retries", runFaults},
+	{"autoscale", "scenarios/autoscale-bursts.yaml as a suite: elastic pool vs fixed pools; must win on p99 and lose no capacity to teardown faults", autoscaleSuite.run},
+	{"reshard", "scenarios/reshard-live.yaml as a suite: kill one shard and add another mid-run; gates availability, p99 and delta migration", reshardSuite.run},
+	{"faults", "scenarios/fault-sweep.yaml as a suite: every standard fault plan, single attempt vs retries", faultsSuite.run},
 }
 
 // An artifact is one figure or table of the paper, selected by -fig or

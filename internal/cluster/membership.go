@@ -120,10 +120,6 @@ func (m *Membership) Routable(id int) bool {
 // LiveCount returns how many shards are currently routable.
 func (m *Membership) LiveCount() int { return m.ring.Shards() }
 
-// Ring exposes the current routing ring (treat as read-only; it is
-// replaced wholesale on every epoch advance).
-func (m *Membership) Ring() *Ring { return m.ring }
-
 // Primary returns the shard owning aid under the current epoch.
 func (m *Membership) Primary(aid string) int { return m.ring.Owner(aid) }
 

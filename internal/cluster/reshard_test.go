@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -366,43 +367,58 @@ func (g crashAfterPrepare) Prepare(p *sim.Proc, req offload.ExecRequest) (offloa
 	return sess, err
 }
 
-// TestDeviceRetrySurvivesShardFailure: the device's retry loop knows a
+// TestDeviceRetrySurvivesShardFailure: the shared retry policy knows a
 // crashed shard is retryable. A device's second request loses its AID's
-// primary mid-session; OffloadRetry backs off, re-routes onto the replica
-// — warm, thanks to the first request's fan-out — and succeeds. The
-// device's own Retryable used to omit ErrShardDown and gave up here.
+// primary mid-session; the retry loop every simulated caller runs —
+// device.Client.Attempt, then offload.RetryPolicy.Backoff — backs off,
+// re-routes onto the replica (warm, thanks to the first request's fan-out)
+// and succeeds without pushing the code again. The device's own retry
+// predicate used to omit ErrShardDown and gave up here.
 func TestDeviceRetrySurvivesShardFailure(t *testing.T) {
 	e := sim.NewEngine(13)
 	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 3, 2)
 	app, _ := workload.ByName(workload.NameLinpack)
 	size := app.CodeSize()
 	primary := cl.Owner(offload.AID(app.Name(), size))
-	d, err := device.New(e, "phone-1", netsim.LANWiFi())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := device.Client{ID: "phone-1", Link: netsim.NewLink(e, netsim.LANWiFi())}
+	rng := rand.New(rand.NewSource(13))
 
 	e.Spawn("first", func(p *sim.Proc) {
-		if _, _, err := d.Offload(p, d.NewTask(app), size, cl); err != nil {
+		if _, err := c.Attempt(p, cl, app.NewTask(rng, 0), size, nil); err != nil {
 			t.Errorf("first offload: %v", err)
 		}
 	})
 	e.Run() // request + replica fan-out drain
 
-	var attempts int
-	var res offload.Result
+	var failed []error
+	var x device.Exchange
+	var codeUp host.Bytes
 	e.Spawn("second", func(p *sim.Proc) {
-		attempts, _, res, err = d.OffloadRetry(p, d.NewTask(app), size, crashAfterPrepare{cl, primary}, offload.RetryPolicy{})
+		task, rp := app.NewTask(rng, 1), offload.RetryPolicy{}.WithDefaults()
+		for attempt := 1; ; attempt++ {
+			var err error
+			x, err = c.Attempt(p, crashAfterPrepare{cl, primary}, task, size, nil)
+			codeUp += x.Traffic.CodeUp
+			if err == nil {
+				return
+			}
+			failed = append(failed, err)
+			delay, ok := rp.Backoff(attempt, err, rng)
+			if !ok {
+				return
+			}
+			p.Sleep(delay)
+		}
 	})
 	e.Run()
-	if err != nil || res.Output == "" {
-		t.Fatalf("request through a shard failure: %+v, %v", res, err)
+	if len(failed) != 1 || !errors.Is(failed[0], ErrShardDown) {
+		t.Fatalf("failed attempts %v, want exactly one, lost to the crash (ErrShardDown)", failed)
 	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (one lost to the crash)", attempts)
+	if x.Result.Output == "" {
+		t.Fatalf("the retry did not succeed: %+v", x.Result)
 	}
-	if got := d.Traffic().CodeUp; got != size {
-		t.Errorf("CodeUp = %d, want one copy (%d): the replica was warm", got, size)
+	if codeUp != 0 {
+		t.Errorf("the request re-pushed %d code bytes: the replica was cold", codeUp)
 	}
 }
 

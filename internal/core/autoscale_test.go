@@ -487,3 +487,40 @@ func lifecycleCensusStorm(t *testing.T, templateBoot bool) {
 		t.Fatalf("leaked procs: %d", e.LiveProcs())
 	}
 }
+
+// TestPoolUsageIntegratesPoolSize: PoolUsage is the pool size integrated
+// over virtual time, slope n while n slots exist (booting ones included,
+// from the moment they joined the slot list), and peak is the largest n.
+func TestPoolUsageIntegratesPoolSize(t *testing.T) {
+	e := sim.NewEngine(1)
+	pl := New(e, DefaultConfig(KindRattrap))
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("boot-%d", i), func(p *sim.Proc) {
+			if _, err := pl.BootRuntime(p); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	var at10, at20 float64
+	e.Spawn("probe", func(p *sim.Proc) {
+		p.Sleep(10 * time.Second)
+		at10, _ = pl.PoolUsage()
+		p.Sleep(10 * time.Second)
+		at20, _ = pl.PoolUsage()
+		if err := pl.StopRuntime(p, pl.DB().List()[0].CID); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Run()
+	if at10 != 20 || at20 != 40 {
+		t.Fatalf("two slots since t=0: usage %v at 10 s and %v at 20 s, want 20 and 40", at10, at20)
+	}
+	stopped, peak := pl.PoolUsage()
+	e.Spawn("idle", func(p *sim.Proc) { p.Sleep(5 * time.Second) })
+	e.Run()
+	later, _ := pl.PoolUsage()
+	if peak != 2 || pl.RuntimeCount() != 1 || later-stopped != 5 {
+		t.Fatalf("after one stop: peak %d, pool %d, %v runtime-seconds over 5 s (want 2, 1, 5)",
+			peak, pl.RuntimeCount(), later-stopped)
+	}
+}

@@ -342,22 +342,22 @@ func (pl *Platform) OffloadIO() *unionfs.Mount { return pl.offloadIO }
 func (pl *Platform) Registry() *workload.Registry { return pl.reg }
 
 // SetBootFault installs a hook consulted at the start of every runtime
-// boot; a non-nil return fails the boot (nil removes the hook). Typically
-// wired to a faults.Injector via its BootHook adapter.
+// boot; a non-nil return fails the boot (nil removes the hook). The
+// scenario runner wires it to its active fault plan.
 func (pl *Platform) SetBootFault(fn func(p *sim.Proc, id string) error) { pl.bootFault = fn }
 
 // SetTeardownFault installs a hook consulted before a runtime's guest
 // teardown in StopRuntime; a non-nil return fails the teardown (the slot
-// is still reclaimed — teardown is best-effort). Typically wired to a
-// faults.Injector via its TeardownHook adapter.
+// is still reclaimed — teardown is best-effort). The scenario runner wires
+// it to its active fault plan.
 func (pl *Platform) SetTeardownFault(fn func(p *sim.Proc, id string) error) {
 	pl.teardownFault = fn
 }
 
 // SetExecFault installs a hook consulted before every workload
 // execution; a non-nil return fails that execution (and counts against
-// the runtime's failure strikes). Typically wired to a faults.Injector
-// via its ExecHook adapter.
+// the runtime's failure strikes). The scenario runner wires it to its
+// active fault plan.
 func (pl *Platform) SetExecFault(fn func(p *sim.Proc, id, aid string) error) {
 	pl.execFault = fn
 }
@@ -385,7 +385,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	id := fmt.Sprintf("%s%s-%d", pl.cfg.CIDPrefix, kindSlug(pl.cfg.Kind), pl.nextID)
 	sl := &slot{id: id, seq: pl.nextID, inAff: make(map[string]bool), acquiredAt: pl.E.Now()}
 	sl.info = &RuntimeInfo{CID: id, Kind: pl.cfg.Kind} // born LifecycleCold
-	pl.slots.pushBack(sl)
+	pl.slots.pushBack(sl, pl.E.Now())
 	pl.byID[id] = sl
 	pl.db.Put(sl.info)
 	pl.db.Transition(id, LifecycleBooting)
@@ -575,7 +575,7 @@ func (pl *Platform) removeSlot(sl *slot) {
 		return
 	}
 	sl.removed = true
-	pl.slots.remove(sl)
+	pl.slots.remove(sl, pl.E.Now())
 	pl.sched.Forget(sl)
 	delete(pl.byID, sl.id)
 	pl.db.Remove(sl.id)
@@ -954,6 +954,15 @@ func (pl *Platform) RuntimeFS(cid string) (*unionfs.Mount, bool) {
 
 // RuntimeCount returns the pool size.
 func (pl *Platform) RuntimeCount() int { return pl.slots.n }
+
+// PoolUsage returns the pool size integrated over virtual time from zero
+// to now, in runtime-seconds (divided by the elapsed seconds it is the
+// time-weighted mean pool size), and the largest pool the platform held.
+// Booting slots count: they hold their memory from the moment they exist.
+func (pl *Platform) PoolUsage() (runtimeSecs float64, peak int) {
+	pl.slots.advance(pl.E.Now())
+	return time.Duration(pl.slots.area).Seconds(), pl.slots.peak
+}
 
 // QueueLength returns how many requests wait for a runtime.
 func (pl *Platform) QueueLength() int { return pl.waitQ.len() }

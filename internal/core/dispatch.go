@@ -24,13 +24,26 @@ import (
 // dispatcher: both pick the minimum-boot-order eligible slot, and the
 // experiment harness is the oracle for that.
 
-// slotList is the platform's runtime pool in boot order.
+// slotList is the platform's runtime pool in boot order. It also keeps the
+// pool size's integral over virtual time (area, in runtime-nanoseconds up
+// to since) and its peak, updated where n changes, so a time-weighted mean
+// pool size costs three words and no sampler.
 type slotList struct {
 	head, tail *slot
 	n          int
+	area       int64
+	since      sim.Time
+	peak       int
 }
 
-func (l *slotList) pushBack(sl *slot) {
+// advance closes the integral at now.
+func (l *slotList) advance(now sim.Time) {
+	l.area += int64(l.n) * int64(now-l.since)
+	l.since = now
+}
+
+func (l *slotList) pushBack(sl *slot, now sim.Time) {
+	l.advance(now)
 	sl.prev, sl.next = l.tail, nil
 	if l.tail != nil {
 		l.tail.next = sl
@@ -39,9 +52,11 @@ func (l *slotList) pushBack(sl *slot) {
 	}
 	l.tail = sl
 	l.n++
+	l.peak = max(l.peak, l.n)
 }
 
-func (l *slotList) remove(sl *slot) {
+func (l *slotList) remove(sl *slot, now sim.Time) {
+	l.advance(now)
 	if sl.prev != nil {
 		sl.prev.next = sl.next
 	} else {

@@ -15,11 +15,10 @@ import (
 )
 
 // Client is the device half of the offload exchange and its only simulated
-// implementation: a Device offloads through one, and fleet-scale callers
-// (scenario arrivals, the experiments' open-loop sweeps) make a bare Client
-// per request, because a Device costs a host model and a draw from the
-// engine's random source that a million arrivals cannot afford and a pinned
-// schedule must not see.
+// implementation: a Device offloads through one, and the fleet-scale caller
+// (every scenario arrival) makes a bare Client per request, because a
+// Device costs a host model and a draw from the engine's random source that
+// a million arrivals cannot afford and a pinned schedule must not see.
 type Client struct {
 	// ID is the DeviceID requests carry: half of the idempotency key.
 	ID string

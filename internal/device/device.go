@@ -117,34 +117,6 @@ func (d *Device) Offload(p *sim.Proc, task workload.Task, codeSize host.Bytes, g
 	return x.Phases, x.Result, err
 }
 
-// OffloadRetry runs Offload with up to MaxAttempts tries, sleeping an
-// exponentially growing, jittered backoff (from the device rng, so
-// deterministic per seed) between attempts. Retries are safe because
-// requests carry a (DeviceID, Seq) idempotency key: a retry of a request
-// whose result was computed but lost is answered from the server's dedup
-// window without re-executing. Phase durations accumulate across attempts
-// (the device's radio was busy for all of them). It returns the number of
-// attempts made.
-func (d *Device) OffloadRetry(p *sim.Proc, task workload.Task, codeSize host.Bytes, gw offload.Gateway, rp offload.RetryPolicy) (attempts int, ph offload.Phases, res offload.Result, err error) {
-	rp = rp.WithDefaults()
-	for attempts = 1; ; attempts++ {
-		var aph offload.Phases
-		aph, res, err = d.Offload(p, task, codeSize, gw)
-		ph.NetworkConnection += aph.NetworkConnection
-		ph.DataTransfer += aph.DataTransfer
-		ph.RuntimePreparation += aph.RuntimePreparation
-		ph.ComputationExecution += aph.ComputationExecution
-		if err == nil {
-			return attempts, ph, res, nil
-		}
-		delay, ok := rp.Backoff(attempts, err, d.rng)
-		if !ok {
-			return attempts, ph, res, err
-		}
-		p.Sleep(delay)
-	}
-}
-
 // Estimate is the client framework's offload-decision input: predicted
 // response time and device energy for offloading versus running locally.
 type Estimate struct {

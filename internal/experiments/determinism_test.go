@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"rattrap/internal/core"
-	"rattrap/internal/faults"
 	"rattrap/internal/netsim"
 	"rattrap/internal/obs"
 	"rattrap/internal/workload"
@@ -131,27 +129,6 @@ func TestRunSpansDisabledByDefault(t *testing.T) {
 	for _, rec := range res.Records {
 		if rec.Span != nil {
 			t.Fatalf("%s #%d: span present with Spans=false", rec.Device, rec.Index)
-		}
-	}
-}
-
-// TestRunFaultsDeterministic: the fault-injected run — where retries,
-// backoff jitter, and injected failures all draw randomness — must also be
-// bit-identical per seed, plan by plan.
-func TestRunFaultsDeterministic(t *testing.T) {
-	cfg := DefaultRun(core.KindRattrap, netsim.WANWiFi(), workload.NameLinpack, 42)
-	cfg.RequestsPerDevice = 2 // keep the sweep fast; every plan still injects
-	for _, plan := range faults.StandardPlans(42) {
-		a, err := RunFaults(cfg, plan, true)
-		if err != nil {
-			t.Fatalf("plan %s: %v", plan.Name, err)
-		}
-		b, err := RunFaults(cfg, plan, true)
-		if err != nil {
-			t.Fatalf("plan %s (second): %v", plan.Name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("plan %s: two runs differ:\n%+v\n%+v", plan.Name, a, b)
 		}
 	}
 }

@@ -4,7 +4,9 @@
 // transfers, unionfs writes, container boots); an Injector instantiates
 // the plan and is wired into the model through the small function hooks
 // each package exposes (netsim.Link.SetFault, unionfs.Mount.SetFault,
-// core.Platform.SetBootFault).
+// core.Platform.SetBootFault/SetTeardownFault/SetExecFault). The scenario
+// runner is the one place that builds injectors and wires them: every hook
+// it installs calls Apply on whichever plan the timeline has active.
 //
 // Determinism: an Injector draws all randomness from its own source,
 // seeded by the plan. Because the discrete-event engine dispatches one
@@ -177,9 +179,6 @@ func New(plan Plan) *Injector {
 	}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Apply evaluates the plan at one operation. Stalls sleep p in virtual
 // time and return nil; drop/disconnect/corrupt return a typed *Error
 // (after charging a stall, if a stall rule also fired). The first
@@ -231,41 +230,4 @@ func (in *Injector) Stats() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Injected reports the total number of injected faults (stalls included).
-func (in *Injector) Injected() int {
-	n := 0
-	for _, v := range in.stats {
-		n += v
-	}
-	return n
-}
-
-// NetHook adapts the injector to netsim.Link.SetFault for one device.
-func (in *Injector) NetHook(target string) func(p *sim.Proc, op string, size host.Bytes) error {
-	return func(p *sim.Proc, op string, size host.Bytes) error {
-		return in.Apply(p, op, target, size)
-	}
-}
-
-// FSHook adapts the injector to unionfs.Mount.SetFault.
-func (in *Injector) FSHook() func(p *sim.Proc, path string, size host.Bytes) error {
-	return func(p *sim.Proc, path string, size host.Bytes) error {
-		return in.Apply(p, SiteFSWrite, path, size)
-	}
-}
-
-// BootHook adapts the injector to core.Platform.SetBootFault.
-func (in *Injector) BootHook() func(p *sim.Proc, id string) error {
-	return func(p *sim.Proc, id string) error {
-		return in.Apply(p, SiteBoot, id, 0)
-	}
-}
-
-// TeardownHook adapts the injector to core.Platform.SetTeardownFault.
-func (in *Injector) TeardownHook() func(p *sim.Proc, id string) error {
-	return func(p *sim.Proc, id string) error {
-		return in.Apply(p, SiteTeardown, id, 0)
-	}
 }

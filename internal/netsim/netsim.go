@@ -94,8 +94,8 @@ type Link struct {
 	fault FaultHook
 }
 
-// SetFault installs a fault hook (nil removes it). Typically wired to a
-// faults.Injector via its NetHook adapter.
+// SetFault installs a fault hook (nil removes it). The scenario runner
+// wires every arrival's link to its active fault plan.
 func (l *Link) SetFault(h FaultHook) { l.fault = h }
 
 // NewLink creates a link on engine e.

@@ -18,8 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the checked-in BENCH_scen
 
 // reportsGolden holds one "name sha256" line per affordable checked-in
 // scenario: the hash of its JSON report as reportBytes renders it. It was
-// generated at the commit before the device exchange was unified, so a
-// refactor that claims byte-identical scenario reports is held to it.
+// last re-pinned when the report gained the pool fields the rattrap-bench
+// suites read, so a refactor that claims byte-identical scenario reports is
+// held to it.
 var reportsGolden = filepath.Join("testdata", "reports.golden")
 
 // soakThreshold keeps the double-run sweep affordable: scenarios whose

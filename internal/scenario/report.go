@@ -86,16 +86,23 @@ type ShardPool struct {
 
 // PoolReport is the cluster-wide pool and chaos accounting.
 type PoolReport struct {
-	Shards           []ShardPool `json:"shards"`
-	TotalRuntimes    int         `json:"total_runtimes"`
-	Cordoned         int         `json:"cordoned"`
-	BootFailures     int         `json:"boot_failures"`
-	ExecFailures     int         `json:"exec_failures"`
-	TeardownFailures int         `json:"teardown_failures"`
-	WarehouseEntries int         `json:"warehouse_entries"`
-	WarehouseHits    int         `json:"warehouse_hits"`
-	WarehouseMisses  int         `json:"warehouse_misses"`
-	InjectedFaults   int         `json:"injected_faults"`
+	Shards        []ShardPool `json:"shards"`
+	TotalRuntimes int         `json:"total_runtimes"`
+	// AvgRuntimes is the cluster's pool size averaged over the run's
+	// virtual time; PeakRuntimes is the largest pool one shard held.
+	AvgRuntimes      float64 `json:"avg_runtimes"`
+	PeakRuntimes     int     `json:"peak_runtimes"`
+	Cordoned         int     `json:"cordoned"`
+	BootFailures     int     `json:"boot_failures"`
+	ExecFailures     int     `json:"exec_failures"`
+	TeardownFailures int     `json:"teardown_failures"`
+	WarehouseEntries int     `json:"warehouse_entries"`
+	WarehouseHits    int     `json:"warehouse_hits"`
+	WarehouseMisses  int     `json:"warehouse_misses"`
+	InjectedFaults   int     `json:"injected_faults"`
+	// FaultStats breaks InjectedFaults down by "site:kind", across every
+	// plan the timeline activated.
+	FaultStats map[string]int `json:"fault_stats,omitempty"`
 }
 
 // EventReport records one applied timeline event.
@@ -167,6 +174,7 @@ func (r *runner) report() *Report {
 	rep.Totals = buildStats(tA, tS, tF, tO, tR, allLats)
 
 	pool := PoolReport{}
+	var runtimeSecs float64
 	for i := 0; i < r.cl.Shards(); i++ {
 		pl := r.cl.Shard(i)
 		db := pl.DB()
@@ -183,6 +191,9 @@ func (r *runner) report() *Report {
 			sp.QueueLen == 0 && sp.Idle == sp.Runtimes && db.Count() == sp.Runtimes
 		pool.Shards = append(pool.Shards, sp)
 		pool.TotalRuntimes += sp.Runtimes
+		secs, peak := pl.PoolUsage()
+		runtimeSecs += secs
+		pool.PeakRuntimes = max(pool.PeakRuntimes, peak)
 		pool.Cordoned += pl.Cordoned()
 		pool.BootFailures += pl.FailureCount(core.FailBoot)
 		pool.ExecFailures += pl.FailureCount(core.FailExec)
@@ -194,9 +205,13 @@ func (r *runner) report() *Report {
 			pool.WarehouseMisses += m
 		}
 	}
-	pool.InjectedFaults = r.retired
-	if r.inj != nil {
-		pool.InjectedFaults += r.inj.Injected()
+	if rep.VirtualSecs > 0 {
+		pool.AvgRuntimes = runtimeSecs / rep.VirtualSecs
+	}
+	r.retireInjector() // the run is over: bank the active plan with the retired ones
+	pool.FaultStats = r.retired
+	for _, n := range r.retired {
+		pool.InjectedFaults += n
 	}
 	rep.Pool = pool
 

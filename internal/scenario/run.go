@@ -49,7 +49,7 @@ type runner struct {
 	// hooks are closures over the runner, so activating a plan mid-run
 	// immediately affects in-flight links and future boots/teardowns.
 	inj     *faults.Injector
-	retired int // faults injected by plans since replaced or cleared
+	retired map[string]int // "site:kind" counts of plans since replaced or cleared
 
 	cohorts []*cohortState
 	events  []EventReport
@@ -133,37 +133,42 @@ func Run(scn *Scenario) (*Report, error) {
 	return r.report(), nil
 }
 
-// installFaultHooks wires one shard's boot/teardown/exec fault points to
-// the runner's *current* injector, so fault-plan events swap plans
-// without re-wiring anything.
-func (r *runner) installFaultHooks(pl *core.Platform) {
-	pl.SetBootFault(func(p *sim.Proc, id string) error {
-		if r.inj == nil {
-			return nil
-		}
-		return r.inj.Apply(p, faults.SiteBoot, id, 0)
-	})
-	pl.SetTeardownFault(func(p *sim.Proc, id string) error {
-		if r.inj == nil {
-			return nil
-		}
-		return r.inj.Apply(p, faults.SiteTeardown, id, 0)
-	})
-	pl.SetExecFault(func(p *sim.Proc, id, aid string) error {
-		if r.inj == nil {
-			return nil
-		}
-		return r.inj.Apply(p, faults.SiteExec, id, 0)
-	})
+// fault consults the runner's *current* injector at one operation; every
+// fault point of every shard and link calls it, so fault-plan events swap
+// plans without re-wiring anything.
+func (r *runner) fault(p *sim.Proc, site, target string, size host.Bytes) error {
+	if r.inj == nil {
+		return nil
+	}
+	return r.inj.Apply(p, site, target, size)
 }
 
-// retireInjector banks the active plan's injected-fault count before the
-// plan is replaced or cleared.
-func (r *runner) retireInjector() {
-	if r.inj != nil {
-		r.retired += r.inj.Injected()
-		r.inj = nil
+// installFaultHooks wires one shard's boot, teardown, exec and
+// offloading-I/O write fault points to the runner.
+func (r *runner) installFaultHooks(pl *core.Platform) {
+	pl.SetBootFault(func(p *sim.Proc, id string) error { return r.fault(p, faults.SiteBoot, id, 0) })
+	pl.SetTeardownFault(func(p *sim.Proc, id string) error { return r.fault(p, faults.SiteTeardown, id, 0) })
+	pl.SetExecFault(func(p *sim.Proc, id, aid string) error { return r.fault(p, faults.SiteExec, id, 0) })
+	if m := pl.OffloadIO(); m != nil {
+		m.SetFault(func(p *sim.Proc, path string, size host.Bytes) error {
+			return r.fault(p, faults.SiteFSWrite, path, size)
+		})
 	}
+}
+
+// retireInjector banks the active plan's fault counts before the plan is
+// replaced or cleared.
+func (r *runner) retireInjector() {
+	if r.inj == nil {
+		return
+	}
+	if r.retired == nil {
+		r.retired = make(map[string]int)
+	}
+	for k, n := range r.inj.Stats() {
+		r.retired[k] += n
+	}
+	r.inj = nil
 }
 
 func (r *runner) applyEvent(ev EventSpec) {
@@ -254,12 +259,7 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 	r.e.Spawn(cs.spec.Name+".r"+strconv.Itoa(k), func(p *sim.Proc) {
 		dev := cs.spec.Name + "-d" + strconv.Itoa(k%cs.spec.Devices)
 		link := netsim.NewLink(r.e, prof)
-		link.SetFault(func(p *sim.Proc, op string, size host.Bytes) error {
-			if r.inj == nil {
-				return nil
-			}
-			return r.inj.Apply(p, op, dev, size)
-		})
+		link.SetFault(func(p *sim.Proc, op string, size host.Bytes) error { return r.fault(p, op, dev, size) })
 		app := cs.apps[k%len(cs.apps)]
 		// Distinct code sizes make distinct AIDs: variants spread one
 		// app's traffic over Variants consistent-hash placements.

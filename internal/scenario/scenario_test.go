@@ -312,3 +312,32 @@ assertions:
 			rep.Cohorts[1].Stats.P50Ms, rep.Cohorts[0].Stats.P50Ms)
 	}
 }
+
+// TestSlowFSPlanReachesOffloadIO: a fault plan's fs.write rules reach the
+// shared offloading-I/O mount, where OCR stages its input image. The runner
+// used to wire boot, teardown, exec and link faults but not this one, so
+// slow-fs validated and then injected nothing.
+func TestSlowFSPlanReachesOffloadIO(t *testing.T) {
+	scn, err := Decode([]byte(`name: slow-fs
+fleet:
+  - cohort: scanners
+    devices: 10
+    network: lan-wifi
+    apps: [OCR]
+    duration: 5s
+events:
+  - at: 0s
+    action: fault-plan
+    plan: slow-fs
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pool.InjectedFaults == 0 || rep.Pool.FaultStats["fs.write:stall"] == 0 {
+		t.Fatalf("slow-fs injected %d faults, stats %v: want fs.write stalls", rep.Pool.InjectedFaults, rep.Pool.FaultStats)
+	}
+}

@@ -255,8 +255,9 @@ type Mount struct {
 	fault    FaultHook
 }
 
-// SetFault installs a write fault hook (nil removes it). Typically wired
-// to a faults.Injector via its FSHook adapter.
+// SetFault installs a write fault hook (nil removes it). The scenario
+// runner wires each platform's offloading-I/O mount to its active fault
+// plan.
 func (m *Mount) SetFault(h FaultHook) { m.fault = h }
 
 // SetDirectIO makes the mount bypass the host page cache. A hypervisor's
