@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint bench-kernels bench-coldboot bench-engine bench-smoke bench-scenario scenario-validate ci
+.PHONY: all build vet test race fuzz lint bench-kernels bench-coldboot bench-engine bench-simreq bench-smoke bench-scenario scenario-validate ci
 
 all: ci
 
@@ -25,7 +25,9 @@ race:
 # and a second one would need negotiating again. internal/sim starts no
 # goroutine and makes coroutines in one place, the pooled worker's
 # constructor (worker.go): a go statement or a second iter.Pull there would
-# be a goroutine- or coroutine-per-proc path coming back. The two go.mod
+# be a goroutine- or coroutine-per-proc path coming back. The event queue is
+# the typed heap in sim.go: container/heap there would box every event
+# through an interface again. The two go.mod
 # files state the same language version, because benchmark/run.sh refuses to
 # build against a root module newer than its own.
 # Session.PushCode has one simulated caller, device.Client (client.go), next
@@ -74,6 +76,11 @@ lint: vet
 		echo "iter.Pull( in internal/sim outside takeWorker (one pooled coroutine kind, made in one place):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -n '"container/heap"' $$(ls internal/sim/*.go | grep -v '_test.go') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "container/heap imported in internal/sim (the event queue is the typed eventHeap):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@root=$$(grep '^go ' go.mod); bench=$$(grep '^go ' benchmark/go.mod); \
 	if [ "$$root" != "$$bench" ]; then \
 		echo "go.mod says '$$root', benchmark/go.mod '$$bench':"; \
@@ -119,6 +126,13 @@ bench-coldboot:
 # so the second P only shows what a switch costs when it crosses cores).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpawn|BenchmarkSignalWait|BenchmarkResourceHandoff' -benchmem -benchtime 200000x -cpu 1,2 ./internal/sim/
+
+# ns, heap bytes and heap objects per simulated arrival: the whole sim-churn
+# workload (benchmark/scenarios/sim-churn.yaml) run in-process, three times
+# at one P (~3 s). TestSimArrivalAllocs (tier-1) fences the allocation count
+# on the same file shrunk five times.
+bench-simreq:
+	$(GO) test -run '^$$' -bench BenchmarkSimRequest -benchtime 3x -cpu 1 ./internal/scenario/
 
 # benchmark/ is a Go module of its own, so an exported-API change that
 # breaks benchmark/adapter.go passes the root build and tests. Vet and test

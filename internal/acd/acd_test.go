@@ -2,6 +2,9 @@ package acd
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,13 +134,13 @@ func TestAlarmCancel(t *testing.T) {
 
 func TestLoggerRingBuffer(t *testing.T) {
 	l := NewLogger(100)
-	l.Write(LogEntry{Tag: "zygote", Msg: "preloading classes"})  // 8+6+18 = 32
-	l.Write(LogEntry{Tag: "zygote", Msg: "preloading resource"}) // 33
-	l.Write(LogEntry{Tag: "am", Msg: "start offloadproc0"})      // 28
+	l.Write("zygote", "preloading classes")  // 8+6+18 = 32
+	l.Write("zygote", "preloading resource") // 33
+	l.Write("am", "start offloadproc0")      // 28
 	if got := len(l.Read()); got != 3 {
 		t.Fatalf("entries = %d, want 3", got)
 	}
-	l.Write(LogEntry{Tag: "am", Msg: "another entry here"}) // forces eviction
+	l.Write("am", "another entry here") // forces eviction
 	if l.Dropped() == 0 {
 		t.Fatal("ring buffer never evicted")
 	}
@@ -152,9 +155,74 @@ func TestLoggerRingBuffer(t *testing.T) {
 
 func TestLoggerOversizeEntry(t *testing.T) {
 	l := NewLogger(16)
-	l.Write(LogEntry{Tag: "t", Msg: "this message is far larger than the buffer"})
+	l.Write("t", "this message is far larger than the buffer")
 	if len(l.Read()) != 0 || l.Dropped() != 1 {
 		t.Fatalf("oversize entry handling: entries=%d dropped=%d", len(l.Read()), l.Dropped())
+	}
+}
+
+// refLogger is the logger as it was before the byte ring: whole messages in
+// a slice that drops its head on eviction.
+type refLogger struct {
+	capBytes, used, dropped int
+	entries                 []LogEntry
+}
+
+func (l *refLogger) write(e LogEntry) {
+	sz := len(e.Tag) + len(e.Msg) + 8
+	for l.used+sz > l.capBytes && len(l.entries) > 0 {
+		l.used -= len(l.entries[0].Tag) + len(l.entries[0].Msg) + 8
+		l.entries = l.entries[1:]
+		l.dropped++
+	}
+	if sz > l.capBytes {
+		l.dropped++
+		return
+	}
+	l.entries = append(l.entries, e)
+	l.used += sz
+}
+
+// TestLoggerMatchesWholeMessageRing: over random writes of 0 to 9 parts,
+// including entries larger than the buffer, into rings small enough to
+// wrap and large enough to grow while wrapped, the byte ring reads back,
+// charges and drops exactly what the whole-message logger did.
+func TestLoggerMatchesWholeMessageRing(t *testing.T) {
+	words := []string{"", "a", "task ", "Linpack", ".", "solve", " done: ", "n=24 residual=1.2e-16", strings.Repeat("x", 90), strings.Repeat("y", 300)}
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		capBytes := 40 + r.Intn(3000)
+		l, ref := NewLogger(capBytes), &refLogger{capBytes: capBytes}
+		for i := 0; i < 300; i++ {
+			tag := words[r.Intn(4)]
+			parts := make([]string, r.Intn(10))
+			for j := range parts {
+				parts[j] = words[r.Intn(len(words))]
+			}
+			l.Write(tag, parts...)
+			ref.write(LogEntry{Tag: tag, Msg: strings.Join(parts, "")})
+			if l.Used() != ref.used || l.Dropped() != ref.dropped {
+				t.Fatalf("seed %d write %d: used %d dropped %d, whole-message ring %d and %d",
+					seed, i, l.Used(), l.Dropped(), ref.used, ref.dropped)
+			}
+			if got := l.Read(); !reflect.DeepEqual(got, append([]LogEntry{}, ref.entries...)) {
+				t.Fatalf("seed %d write %d: read %q, whole-message ring %q", seed, i, got, ref.entries)
+			}
+		}
+	}
+}
+
+// TestLoggerWriteAllocs: logging a line made of strings the caller holds
+// allocates nothing once the ring has grown to its steady size.
+func TestLoggerWriteAllocs(t *testing.T) {
+	l := NewLogger(4096)
+	app, method, out := "Linpack", "solve", "n=24 residual=1.2e-16"
+	write := func() { l.Write("offload", "task ", app, ".", method, " done: ", out) }
+	for i := 0; i < 1000; i++ {
+		write()
+	}
+	if n := testing.AllocsPerRun(1000, write); n != 0 {
+		t.Fatalf("Logger.Write allocates %.1f times a line in steady state, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package acd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -57,14 +58,26 @@ type LogEntry struct {
 	Msg string
 }
 
-// Logger is the lightweight RAM log driver: a fixed-capacity ring buffer,
-// one instance per namespace per log stream (/dev/log/main, .../events).
+// Logger is the lightweight RAM log driver: a byte ring buffer, one
+// instance per namespace per log stream (/dev/log/main, .../events). Like
+// the kernel driver it copies each entry into the ring — an 8-byte header
+// holding the tag and message lengths, then their bytes — so an entry
+// costs exactly the bytes Used counts, writing one allocates nothing once
+// the ring has grown, and strings are made again only by Read.
 type Logger struct {
 	capBytes int
 	used     int
-	entries  []LogEntry
 	dropped  int
+	n        int // entries buffered
+	// buf holds the entries back to back from head, wrapping at its end.
+	// It grows toward capBytes as the log fills and is reused from then
+	// on: evicting an entry advances head, it frees nothing.
+	buf  []byte
+	head int
 }
+
+// logHeader is an entry's fixed overhead: its tag and message lengths.
+const logHeader = 8
 
 // NewLogger returns a ring buffer holding up to capBytes of entries.
 func NewLogger(capBytes int) *Logger {
@@ -74,28 +87,98 @@ func NewLogger(capBytes int) *Logger {
 	return &Logger{capBytes: capBytes}
 }
 
-func entrySize(e LogEntry) int { return len(e.Tag) + len(e.Msg) + 8 }
-
-// Write appends an entry, evicting the oldest entries when full.
-func (l *Logger) Write(e LogEntry) {
-	sz := entrySize(e)
-	for l.used+sz > l.capBytes && len(l.entries) > 0 {
-		l.used -= entrySize(l.entries[0])
-		l.entries = l.entries[1:]
-		l.dropped++
+// Write appends an entry whose message is the concatenation of msg,
+// evicting the oldest entries when full. An entry takes its tag and
+// message bytes plus logHeader.
+func (l *Logger) Write(tag string, msg ...string) {
+	msgLen := 0
+	for _, m := range msg {
+		msgLen += len(m)
+	}
+	sz := logHeader + len(tag) + msgLen
+	for l.used+sz > l.capBytes && l.n > 0 {
+		l.evict()
 	}
 	if sz > l.capBytes {
 		l.dropped++
 		return // entry larger than the whole buffer: dropped, like the real driver truncating
 	}
-	l.entries = append(l.entries, e)
+	if l.used+sz > len(l.buf) {
+		l.grow(l.used + sz)
+	}
+	at := (l.head + l.used) % len(l.buf)
+	var hdr [logHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(tag)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(msgLen))
+	for _, b := range hdr {
+		l.buf[at] = b
+		at = (at + 1) % len(l.buf)
+	}
+	at = l.put(at, tag)
+	for _, m := range msg {
+		at = l.put(at, m)
+	}
 	l.used += sz
+	l.n++
+}
+
+// put copies s into the ring at at, wrapping, and returns where it ended.
+func (l *Logger) put(at int, s string) int {
+	if n := copy(l.buf[at:], s); n < len(s) {
+		copy(l.buf, s[n:])
+	}
+	return (at + len(s)) % len(l.buf)
+}
+
+// get returns the n ring bytes at at as a string, and where they end.
+func (l *Logger) get(at, n int) (string, int) {
+	end := at + n
+	if end <= len(l.buf) {
+		return string(l.buf[at:end]), end % len(l.buf)
+	}
+	end -= len(l.buf)
+	return string(l.buf[at:]) + string(l.buf[:end]), end
+}
+
+// header decodes the lengths of the entry at at.
+func (l *Logger) header(at int) (tagLen, msgLen, next int) {
+	var hdr [logHeader]byte
+	for i := range hdr {
+		hdr[i] = l.buf[at]
+		at = (at + 1) % len(l.buf)
+	}
+	return int(binary.LittleEndian.Uint32(hdr[:4])), int(binary.LittleEndian.Uint32(hdr[4:])), at
+}
+
+// evict drops the oldest entry.
+func (l *Logger) evict() {
+	tagLen, msgLen, _ := l.header(l.head)
+	sz := logHeader + tagLen + msgLen
+	l.head = (l.head + sz) % len(l.buf)
+	l.used -= sz
+	l.n--
+	l.dropped++
+}
+
+// grow resizes the ring to hold at least need bytes (never more than
+// capBytes), laying the entries out from the start again.
+func (l *Logger) grow(need int) {
+	grown := make([]byte, min(l.capBytes, max(need, 2*len(l.buf), 512)))
+	if n := copy(grown, l.buf[l.head:min(len(l.buf), l.head+l.used)]); n < l.used {
+		copy(grown[n:], l.buf[:l.used-n])
+	}
+	l.buf, l.head = grown, 0
 }
 
 // Read returns the buffered entries, oldest first.
 func (l *Logger) Read() []LogEntry {
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
+	out := make([]LogEntry, l.n)
+	at := l.head
+	for i := range out {
+		tagLen, msgLen, next := l.header(at)
+		out[i].Tag, next = l.get(next, tagLen)
+		out[i].Msg, at = l.get(next, msgLen)
+	}
 	return out
 }
 

@@ -325,9 +325,11 @@ func (r *Runtime) grow(proc string, mb int) error {
 	return nil
 }
 
-func (r *Runtime) log(tag, msg string) {
+// log writes one logcat line whose message is msg's parts concatenated
+// (see acd.Logger.Write).
+func (r *Runtime) log(tag string, msg ...string) {
 	if r.logger != nil {
-		r.logger.Write(acd.LogEntry{Tag: tag, Msg: msg})
+		r.logger.Write(tag, msg...)
 	}
 }
 

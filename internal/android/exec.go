@@ -17,15 +17,6 @@ func (r *Runtime) CodeLoaded(aid string) bool {
 	return ok
 }
 
-// EachLoadedCode visits every held AID without building a slice — the
-// scheduler indexes idle runtimes on every release, which sits on the
-// zero-alloc request path.
-func (r *Runtime) EachLoadedCode(fn func(aid string)) {
-	for aid := range r.loaded {
-		fn(aid)
-	}
-}
-
 // CodeCacheKey names, in the host page cache, the reassembled blob of a code
 // the App Warehouse holds only as chunks: there is no staged file to own the
 // residency of LoadCode's read, and whoever drops the code evicts this key.
@@ -57,7 +48,7 @@ func (r *Runtime) LoadCode(p *sim.Proc, aid string, size host.Bytes, fromWarehou
 	work := classLoadWorkPerMB * host.Work(float64(size)/float64(host.MB))
 	r.env.Host().Compute(p, work, r.env.CPUEff())
 	r.loaded[aid] = size
-	r.log("ClassLoader", "loaded "+aid)
+	r.log("ClassLoader", "loaded ", aid)
 	return nil
 }
 
@@ -178,7 +169,7 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	h.Compute(p, binderTxnWork, r.env.CPUEff())
 
 	r.executed++
-	r.log("offload", "task "+task.App+"."+task.Method+" done: "+m.Output)
+	r.log("offload", "task ", task.App, ".", task.Method, " done: ", m.Output)
 	return ExecResult{Metrics: m, ComputeSeconds: computeSec, IOSeconds: ioSec}, nil
 }
 

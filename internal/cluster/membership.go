@@ -123,11 +123,12 @@ func (m *Membership) LiveCount() int { return m.ring.Shards() }
 // Primary returns the shard owning aid under the current epoch.
 func (m *Membership) Primary(aid string) int { return m.ring.Owner(aid) }
 
-// ReplicaSet returns aid's replica placement under the current epoch:
-// the first R distinct routable shards clockwise of its hash, primary
-// first (fewer if the cluster has fewer routable shards).
-func (m *Membership) ReplicaSet(aid string) []int {
-	return m.ring.Successors(aid, m.replicas)
+// AppendReplicaSet appends aid's replica placement under the current
+// epoch to dst: the first R distinct routable shards clockwise of its
+// hash, primary first (fewer if the cluster has fewer routable shards).
+// Callers that only read the set pass a stack buffer.
+func (m *Membership) AppendReplicaSet(dst []int, aid string) []int {
+	return m.ring.AppendSuccessors(dst, aid, m.replicas)
 }
 
 // Route is the epoch-stamped routing call: the primary shard for aid and

@@ -119,8 +119,9 @@ func (c *Cluster) join(p *sim.Proc, id int) {
 			if src == nil {
 				continue
 			}
+			var set [8]int
 			ents := src.ExportRange(func(aid string) bool {
-				return containsShard(next.Successors(aid, r), id)
+				return containsShard(next.AppendSuccessors(set[:0], aid, r), id)
 			})
 			for _, ent := range ents {
 				delta, full, err := target.ImportEntry(p, ent)
@@ -151,8 +152,9 @@ func (c *Cluster) leave(p *sim.Proc, id int) {
 	next := c.mem.RingWithout(id)
 	r := c.mem.Replicas()
 	if src := c.shards[id].Warehouse(); src != nil {
+		var set [8]int
 		for _, ent := range src.ExportRange(func(string) bool { return true }) {
-			for _, t := range next.Successors(ent.AID, r) {
+			for _, t := range next.AppendSuccessors(set[:0], ent.AID, r) {
 				tw := c.shards[t].Warehouse()
 				if tw == nil {
 					continue
@@ -199,10 +201,11 @@ func (c *Cluster) repair(p *sim.Proc) {
 		aids = append(aids, aid)
 	}
 	sort.Strings(aids)
+	var set [8]int
 	for _, aid := range aids {
 		have := holders[aid]
 		src := c.shards[have[0]].Warehouse()
-		for _, t := range c.mem.ReplicaSet(aid) {
+		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
 			if containsShard(have, t) {
 				continue
 			}
@@ -231,6 +234,7 @@ func (c *Cluster) repair(p *sim.Proc) {
 // whose entry is dropped underneath it degrades to ErrCodeNeeded and the
 // device re-pushes; nothing breaks, one transfer is wasted.
 func (c *Cluster) dropOrphans() {
+	var set [8]int
 	for s := range c.shards {
 		if !c.mem.Routable(s) {
 			continue
@@ -240,7 +244,7 @@ func (c *Cluster) dropOrphans() {
 			continue
 		}
 		for _, aid := range wh.AIDs() {
-			if !containsShard(c.mem.ReplicaSet(aid), s) && wh.DropEntry(aid) {
+			if !containsShard(c.mem.AppendReplicaSet(set[:0], aid), s) && wh.DropEntry(aid) {
 				c.stats.EntriesDropped++
 			}
 		}
@@ -279,7 +283,8 @@ func (c *Cluster) fanOut(shard int, aid string) {
 		if !ok {
 			return
 		}
-		for _, t := range c.mem.ReplicaSet(aid) {
+		var set [8]int
+		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
 			if t == shard || c.failed[t] {
 				continue
 			}

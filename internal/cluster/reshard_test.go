@@ -149,7 +149,7 @@ func TestMembershipReplicaSet(t *testing.T) {
 	m := NewMembership(3, 0, 2)
 	for i := 0; i < 64; i++ {
 		aid := fmt.Sprintf("app#%d", i)
-		set := m.ReplicaSet(aid)
+		set := m.AppendReplicaSet(nil, aid)
 		if len(set) != 2 {
 			t.Fatalf("replica set size %d, want 2", len(set))
 		}
@@ -162,7 +162,7 @@ func TestMembershipReplicaSet(t *testing.T) {
 	}
 	m.Fail(0)
 	m.Fail(1)
-	if set := m.ReplicaSet("app#1"); len(set) != 1 || set[0] != 2 {
+	if set := m.AppendReplicaSet(nil, "app#1"); len(set) != 1 || set[0] != 2 {
 		t.Fatalf("1-survivor replica set = %v", set)
 	}
 }
@@ -298,7 +298,7 @@ func TestClusterFailShardReplicaFailover(t *testing.T) {
 	e.Run() // request + replica fan-out drain
 
 	primary := cl.Owner(aid)
-	set := cl.Membership().ReplicaSet(aid)
+	set := cl.Membership().AppendReplicaSet(nil, aid)
 	if len(set) != 2 {
 		t.Fatalf("replica set %v, want 2 shards", set)
 	}
@@ -535,7 +535,7 @@ func TestClusterChunkedPushThroughRouting(t *testing.T) {
 		t.Fatalf("second family member uploaded %d bytes, want the %d-byte delta (full push is %d)", codeUp[1], want, variant)
 	}
 	aid := offload.AID(app.Name(), variant)
-	for _, s := range cl.Membership().ReplicaSet(aid) {
+	for _, s := range cl.Membership().AppendReplicaSet(nil, aid) {
 		if _, ok := cl.Shard(s).Warehouse().Lookup(aid); !ok {
 			t.Fatalf("shard %d of %s's replica set does not hold the delta-pushed entry", s, aid)
 		}

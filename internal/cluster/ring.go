@@ -90,10 +90,11 @@ func (r *Ring) Owner(aid string) int {
 	return r.points[i].shard
 }
 
-// Successors returns the first n distinct shards clockwise of aid's hash —
-// the AID's replica set, primary first. Fewer than n members returns them
-// all. The slice is freshly allocated (callers keep it).
-func (r *Ring) Successors(aid string, n int) []int {
+// AppendSuccessors appends to dst the first n distinct shards clockwise of
+// aid's hash — the AID's replica set, primary first — and returns the
+// extended slice. Fewer than n members yields them all. A caller that only
+// reads the set passes a stack buffer and allocates nothing.
+func (r *Ring) AppendSuccessors(dst []int, aid string, n int) []int {
 	if n < 1 {
 		n = 1
 	}
@@ -101,33 +102,21 @@ func (r *Ring) Successors(aid string, n int) []int {
 		n = len(r.members)
 	}
 	if len(r.members) <= 1 || len(r.points) == 0 {
-		out := make([]int, 0, 1)
 		if len(r.members) == 1 {
-			out = append(out, r.members[0])
-		} else {
-			out = append(out, 0)
+			return append(dst, r.members[0])
 		}
-		return out
+		return append(dst, 0)
 	}
 	h := hashString32(aid)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	seen := 0
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
+	base := len(dst)
+	for k := 0; k < len(r.points) && len(dst)-base < n; k++ {
 		p := r.points[(i+k)%len(r.points)]
-		dup := false
-		for _, s := range out {
-			if s == p.shard {
-				dup = true
-				break
-			}
+		if !containsShard(dst[base:], p.shard) {
+			dst = append(dst, p.shard)
 		}
-		if !dup {
-			out = append(out, p.shard)
-		}
-		seen++
 	}
-	return out
+	return dst
 }
 
 func hash32(b []byte) uint32 {

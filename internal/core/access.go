@@ -103,14 +103,20 @@ func (ac *AccessController) Check(app string, op Permission) error {
 	return fmt.Errorf("%w: %s needs %s", ErrPermissionDenied, app, op)
 }
 
+// The two permission sets request analysis derives. Analyze only reads
+// them, so every request shares one of these instead of building its own.
+var (
+	grantsNoFiles = []Permission{PermExec, PermBinder, PermNet}
+	grantsFiles   = []Permission{PermExec, PermBinder, PermFSRead, PermFSWrite, PermNet}
+)
+
 // grantedFor maps the benchmark apps to the permissions request analysis
 // derives for them: file-carrying apps get filesystem access, interactive
-// apps get network callbacks, everything gets execution.
+// apps get network callbacks, everything gets execution. The slice is
+// shared: callers must not modify it.
 func grantedFor(app string, fileBytes host.Bytes) []Permission {
-	perms := []Permission{PermExec, PermBinder}
 	if fileBytes > 0 {
-		perms = append(perms, PermFSRead, PermFSWrite)
+		return grantsFiles
 	}
-	perms = append(perms, PermNet)
-	return perms
+	return grantsNoFiles
 }

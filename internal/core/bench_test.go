@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"rattrap/internal/host"
+	"rattrap/internal/obs"
+	"rattrap/internal/offload"
 	"rattrap/internal/sim"
+	"rattrap/internal/workload"
 )
 
 // BenchmarkDispatcherAcquire measures an acquire/release cycle against a
@@ -31,7 +34,7 @@ func BenchmarkDispatcherAcquire(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			if err := sl.rt.LoadCode(p, aids[i], 4*host.MB, false); err != nil {
+			if err := pl.loadCode(p, sl, aids[i], 4*host.MB, false); err != nil {
 				b.Error(err)
 				return
 			}
@@ -105,7 +108,7 @@ func BenchmarkColdBoot(b *testing.B) {
 // the container's own objects, per-namespace driver state, Binder
 // registrations, the slot and its records. The fence leaves room for two
 // more; a table rebuilt per boot or a key built per file read costs tens.
-const coldBootAllocs = 73
+const coldBootAllocs = 70
 
 func TestColdBootAllocs(t *testing.T) {
 	e, pl := coldBootPlatform(t)
@@ -118,4 +121,61 @@ func TestColdBootAllocs(t *testing.T) {
 		t.Fatalf("a cold boot + stop allocates %.0f objects, fence is %d + 2", allocs, coldBootAllocs)
 	}
 	t.Logf("a cold boot + stop allocates %.0f objects", allocs)
+}
+
+// warmRequestAllocs is what one warm request allocates on an instrumented
+// platform — Prepare, Execute and Release of a Linpack order-8 solve whose
+// code the runtime holds, its outcome precomputed and a span attached, as
+// the realtime server hands core a decoded request (the body of the
+// benchmark's core.warm_request_allocs): the span, the span's stage list
+// and the session. It was 7 while the grant list was built per request
+// and the runtime's log line was concatenated into a ring that re-grew its
+// array as the log churned.
+const warmRequestAllocs = 3
+
+func TestWarmRequestAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	pl := New(e, DefaultConfig(KindRattrap))
+	pl.SetObs(obs.NewRegistry())
+	app, _ := workload.ByName(workload.NameLinpack)
+	task := workload.Task{App: app.Name(), Method: "solve", ParamBytes: 500, Params: workload.EncodeLinpackParams(42, 8)}
+	m, err := workload.NewRegistry().Execute(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := &workload.Precomputed{Metrics: m}
+	base := offload.ExecRequest{DeviceID: "probe-dev", AID: offload.AID(app.Name(), app.CodeSize()),
+		App: task.App, Method: task.Method, Params: task.Params, ParamBytes: task.ParamBytes}
+	serve := func(p *sim.Proc) {
+		req := base
+		req.Seq++
+		base.Seq = req.Seq
+		req.SetSpan(obs.NewSpan())
+		req.SetPrecomputed(pre)
+		sess, err := pl.Prepare(p, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer sess.Release()
+		if sess.NeedCode() {
+			if err := sess.PushCode(p, offload.CodePush{AID: req.AID, App: req.App, Size: app.CodeSize()}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if res, err := sess.Execute(p); err != nil || res.Err != "" {
+			t.Errorf("%v %q", err, res.Err)
+		}
+	}
+	var allocs float64
+	e.Spawn("fence", func(p *sim.Proc) {
+		serve(p) // the first one boots, pushes and grows what stays grown
+		allocs = testing.AllocsPerRun(500, func() { serve(p) })
+	})
+	e.Run()
+	t.Logf("a warm request allocates %.0f objects", allocs)
+	if allocs > warmRequestAllocs {
+		t.Fatalf("a warm request allocates %.0f objects, fence is %d", allocs, warmRequestAllocs)
+	}
 }

@@ -232,12 +232,12 @@ type slot struct {
 
 	acquiredAt sim.Time // when the current claim started (hold-time EWMA)
 
-	prev, next  *slot           // pl.slots linkage
-	removed     bool            // unlinked from the pool; index entries are stale
-	cordoned    bool            // unschedulable; drains once idle (failuretracker.go)
-	viaTemplate bool            // booted by cloning the runtime template
-	inIdle      bool            // has a live entry in the scheduler's idle heap
-	inAff       map[string]bool // AIDs with a live entry in the affinity index
+	prev, next  *slot    // pl.slots linkage
+	removed     bool     // unlinked from the pool; index entries are stale
+	cordoned    bool     // unschedulable; drains once idle (failuretracker.go)
+	viaTemplate bool     // booted by cloning the runtime template
+	inIdle      bool     // has a live entry in the scheduler's idle heap
+	codes       []string // AIDs the scheduler indexes this slot under (Add)
 }
 
 type waiter struct {
@@ -383,7 +383,7 @@ func (pl *Platform) BootRuntime(p *sim.Proc) (*RuntimeInfo, error) {
 func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	pl.nextID++
 	id := fmt.Sprintf("%s%s-%d", pl.cfg.CIDPrefix, kindSlug(pl.cfg.Kind), pl.nextID)
-	sl := &slot{id: id, seq: pl.nextID, inAff: make(map[string]bool), acquiredAt: pl.E.Now()}
+	sl := &slot{id: id, seq: pl.nextID, acquiredAt: pl.E.Now()}
 	sl.info = &RuntimeInfo{CID: id, Kind: pl.cfg.Kind} // born LifecycleCold
 	pl.slots.pushBack(sl, pl.E.Now())
 	pl.byID[id] = sl
@@ -682,7 +682,7 @@ func (s *session) PushCode(p *sim.Proc, push offload.CodePush) error {
 		}
 		s.pl.warehouse.settle(push.AID)
 	}
-	if err := s.sl.rt.LoadCode(p, push.AID, push.Size, false); err != nil {
+	if err := s.pl.loadCode(p, s.sl, push.AID, push.Size, false); err != nil {
 		return err
 	}
 	if d, on := s.stageEnd(stageStart); on {
@@ -743,7 +743,7 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 		return err
 	}
 	s.pl.warehouse.settle(offer.AID)
-	if err := s.sl.rt.LoadCode(p, offer.AID, offer.Size, true); err != nil {
+	if err := s.pl.loadCode(p, s.sl, offer.AID, offer.Size, true); err != nil {
 		return err
 	}
 	if d, on := s.stageEnd(stageStart); on {
@@ -756,6 +756,20 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 	s.pl.noteWarehouse()
 	s.sl.info.Traffic.CodeUp += offload.DeltaBytes(offer, missing)
 	s.pushed = true
+	return nil
+}
+
+// loadCode loads aid's code into the slot's runtime (see
+// android.Runtime.LoadCode) and, when the runtime did not hold it yet,
+// indexes the slot as one of the code's holders for affinity dispatch.
+func (pl *Platform) loadCode(p *sim.Proc, sl *slot, aid string, size host.Bytes, fromWarehouse bool) error {
+	had := sl.rt.CodeLoaded(aid)
+	if err := sl.rt.LoadCode(p, aid, size, fromWarehouse); err != nil {
+		return err
+	}
+	if !had {
+		pl.sched.Add(sl, aid)
+	}
 	return nil
 }
 
@@ -791,7 +805,7 @@ func (s *session) Execute(p *sim.Proc) (offload.Result, error) {
 		s.waitPush = nil
 		if entry, ok := pl.warehouse.Lookup(req.AID); ok {
 			loadStart := s.stageStart(sp)
-			if err := sl.rt.LoadCode(p, req.AID, entry.Size, true); err != nil {
+			if err := pl.loadCode(p, sl, req.AID, entry.Size, true); err != nil {
 				return offload.Result{}, err
 			}
 			if d, on := s.stageEnd(loadStart); on {

@@ -17,9 +17,9 @@ import (
 
 // TestReapedRuntimesLeaveNoIndexEntries: boot → execute → reap rounds with
 // an AID that is never requested again must leave nothing behind that
-// keeps the dead runtime reachable — no scheduler entry (the affinity
-// heaps were only ever emptied by a later Pick on the same AID) and no
-// page-cache key of the reaped container's private delta.
+// keeps the dead runtime reachable — no scheduler entry (an AID's holder
+// list would otherwise only ever shrink through a later Pick on the same
+// AID) and no page-cache key of the reaped container's private delta.
 func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 	for _, policy := range []SchedulerPolicy{SchedAffinity, SchedFIFO} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -61,8 +61,8 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 
 			switch s := pl.sched.(type) {
 			case *AffinityScheduler:
-				if len(s.idle) != 0 || len(s.affinity) != 0 {
-					t.Errorf("affinity scheduler retains %d idle entries and %d per-AID heaps for reaped runtimes", len(s.idle), len(s.affinity))
+				if len(s.idle) != 0 || len(s.holders) != 0 {
+					t.Errorf("affinity scheduler retains %d idle entries and %d AIDs' holders for reaped runtimes", len(s.idle), len(s.holders))
 				}
 			case *FIFOScheduler:
 				if len(s.idle) != 0 {

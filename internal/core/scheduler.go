@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 )
 
 // Scheduler is the Dispatcher's slot-selection seam: given the pool's idle
@@ -12,18 +13,21 @@ import (
 // app, which is exactly the policy axis the paper varies (§IV-B's
 // warehouse-aware dispatching vs. a plain queue).
 //
-// Schedulers are indexes, not owners: a slot is offered once when it goes
-// idle, and entries invalidate lazily — Pick must discard slots that are
-// no longer LifecycleIdle (claimed, draining or cordoned since they were
-// offered). The slot's inIdle/inAff flags guarantee at most one live entry
-// per slot per heap, keeping index sizes O(slots × loaded codes); a slot
-// that leaves the pool is dropped eagerly (Forget), because nothing
-// promises a later Pick on its AIDs to discard it.
+// Schedulers are indexes, not owners. A slot is offered once when it goes
+// idle, and the idle index invalidates lazily: Pick discards entries that
+// are no longer LifecycleIdle (claimed, draining or cordoned since they
+// were offered), and the slot's inIdle flag keeps at most one entry per
+// slot. A slot is added as a holder of a code once, when its runtime loads
+// it; runtimes never unload code, so a holder stays one until its slot
+// leaves the pool, and then it is dropped eagerly (Forget), because
+// nothing promises a later Pick on its AIDs to discard it.
 type Scheduler interface {
 	// Name labels the policy in configs and documentation.
 	Name() string
 	// Offer indexes a slot that just became idle.
 	Offer(sl *slot)
+	// Add records that the slot's runtime just loaded aid's code.
+	Add(sl *slot, aid string)
 	// Pick removes and returns the best idle slot for a request on aid, or
 	// nil when no idle slot exists. affinity reports whether the pick was a
 	// code-affinity hit (the slot already holds aid's code).
@@ -64,92 +68,88 @@ func newScheduler(p SchedulerPolicy) Scheduler {
 	case SchedFIFO:
 		return &FIFOScheduler{}
 	default:
-		return &AffinityScheduler{affinity: make(map[string]*slotHeap)}
+		return &AffinityScheduler{holders: make(map[string][]*slot)}
 	}
 }
 
 // AffinityScheduler implements the paper's warehouse-affinity dispatch:
-// idle slots live in a free-list min-heap keyed by boot sequence, plus one
-// min-heap per AID whose runtimes already hold that code (the cache
-// table's AID→CID column, turned into a dispatch index). Picks are
-// identical to a full in-order scan of the pool.
+// idle slots live in a free-list min-heap keyed by boot sequence, and every
+// AID maps to the slots whose runtimes hold its code (the cache table's
+// AID→CID column, turned into a dispatch index). A code is indexed once,
+// when it is loaded, not again on every release. Picks are identical to a
+// full in-order scan of the pool: the earliest-booted idle slot holding
+// the code, else the earliest-booted idle slot.
 type AffinityScheduler struct {
-	idle     slotHeap
-	affinity map[string]*slotHeap
+	idle    slotHeap
+	holders map[string][]*slot // unordered; a slot appears once per AID
+	// spare holds emptied holder lists for reuse: AIDs come and go with the
+	// runtimes that load them, and a new AID then allocates nothing.
+	spare [][]*slot
 }
 
 // Name implements Scheduler.
 func (s *AffinityScheduler) Name() string { return "affinity" }
 
-// Offer indexes an idle slot into the free-list and into the affinity heap
-// of every code its runtime holds. Flags dedupe entries — a stale entry
-// left by a lazy pop "revives" when the slot goes idle again, which is
-// exactly the state it advertises.
+// Offer implements Scheduler. A stale idle-heap entry left by an affinity
+// pick "revives" when the slot goes idle again, which is exactly the state
+// it advertises.
 func (s *AffinityScheduler) Offer(sl *slot) {
 	if !sl.inIdle {
 		sl.inIdle = true
 		heap.Push(&s.idle, sl)
 	}
-	sl.rt.EachLoadedCode(func(aid string) {
-		if !sl.inAff[aid] {
-			sl.inAff[aid] = true
-			h := s.affinity[aid]
-			if h == nil {
-				h = &slotHeap{}
-				s.affinity[aid] = h
-			}
-			heap.Push(h, sl)
-		}
-	})
+}
+
+// Add implements Scheduler. A slot that already left the pool is not
+// indexed: nothing would Forget it again.
+func (s *AffinityScheduler) Add(sl *slot, aid string) {
+	if sl.removed {
+		return
+	}
+	hs, ok := s.holders[aid]
+	if !ok && len(s.spare) > 0 {
+		hs = s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+	}
+	s.holders[aid] = append(hs, sl)
+	sl.codes = append(sl.codes, aid)
 }
 
 // Pick implements Scheduler: the earliest-booted idle slot already holding
 // aid, else the earliest-booted idle slot.
 func (s *AffinityScheduler) Pick(aid string) (*slot, bool) {
-	if sl := s.popAffinity(aid); sl != nil {
-		return sl, true
+	var best *slot
+	for _, sl := range s.holders[aid] {
+		if slotIdle(sl) && (best == nil || sl.seq < best.seq) {
+			best = sl
+		}
+	}
+	if best != nil {
+		return best, true
 	}
 	return popIdleHeap(&s.idle), false
 }
 
-// popAffinity claims the earliest-booted idle slot that already holds aid,
-// or nil.
-func (s *AffinityScheduler) popAffinity(aid string) *slot {
-	h, ok := s.affinity[aid]
-	if !ok {
-		return nil
-	}
-	for h.Len() > 0 {
-		sl := heap.Pop(h).(*slot)
-		sl.inAff[aid] = false
-		if !slotIdle(sl) || !sl.rt.CodeLoaded(aid) {
-			continue // stale entry; discard
-		}
-		if h.Len() == 0 {
-			delete(s.affinity, aid)
-		}
-		return sl
-	}
-	delete(s.affinity, aid)
-	return nil
-}
-
 // Forget implements Scheduler. A reaped runtime's AIDs may never be
-// requested again (a one-off app, a device that left), so waiting for
-// popAffinity to discard the entries would retain them forever.
+// requested again (a one-off app, a device that left), so its holder
+// entries go now rather than never.
 func (s *AffinityScheduler) Forget(sl *slot) {
 	forgetIdle(&s.idle, sl)
-	for aid, in := range sl.inAff {
-		if !in {
+	for _, aid := range sl.codes {
+		hs := s.holders[aid]
+		if i := slices.Index(hs, sl); i >= 0 {
+			hs[i] = hs[len(hs)-1]
+			hs[len(hs)-1] = nil
+			hs = hs[:len(hs)-1]
+		}
+		if len(hs) == 0 {
+			delete(s.holders, aid)
+			s.spare = append(s.spare, hs)
 			continue
 		}
-		h := s.affinity[aid]
-		dropFromHeap(h, sl)
-		if h.Len() == 0 {
-			delete(s.affinity, aid)
-		}
+		s.holders[aid] = hs
 	}
-	clear(sl.inAff)
+	sl.codes = nil
 }
 
 // FIFOScheduler hands out idle runtimes strictly in boot order, blind to
@@ -168,6 +168,9 @@ func (s *FIFOScheduler) Offer(sl *slot) {
 		heap.Push(&s.idle, sl)
 	}
 }
+
+// Add implements Scheduler: FIFO does not route on code placement.
+func (s *FIFOScheduler) Add(*slot, string) {}
 
 // Pick implements Scheduler. A FIFO pick is never an affinity hit, even
 // when the earliest idle slot happens to hold the code.

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"rattrap/internal/host"
@@ -27,8 +28,17 @@ const ControlBytes host.Bytes = 350
 // AID identifies a mobile code blob (the App Warehouse cache key): the
 // hash of the code, app-stable across devices.
 func AID(app string, codeSize host.Bytes) string {
-	sum := sha1.Sum([]byte(fmt.Sprintf("%s:%d", app, codeSize)))
-	return hex.EncodeToString(sum[:8])
+	// The bytes of fmt.Sprintf("%s:%d", app, codeSize), built on the stack:
+	// the identity is recomputed for every simulated arrival, and the
+	// Sprintf/EncodeToString form cost five allocations where the string
+	// returned is the only one needed.
+	var buf [64]byte
+	key := append(append(buf[:0], app...), ':')
+	key = strconv.AppendInt(key, int64(codeSize), 10)
+	sum := sha1.Sum(key)
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }
 
 // ExecRequest asks the cloud to run one offloaded task.

@@ -2,6 +2,11 @@ package offload
 
 import (
 	"bytes"
+	"crypto/sha1"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +27,34 @@ func TestAIDStableAndDistinct(t *testing.T) {
 	}
 	if len(a1) != 16 {
 		t.Fatalf("AID %q has unexpected length", a1)
+	}
+}
+
+// refAID is AID as it was written first: Sprintf, SHA-1, hex.
+func refAID(app string, codeSize host.Bytes) string {
+	sum := sha1.Sum([]byte(fmt.Sprintf("%s:%d", app, codeSize)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestAIDMatchesSprintfForm: the stack-built key hashes to the same
+// identity as the Sprintf form for any app name — long ones that outgrow
+// the stack buffer, empty ones, non-ASCII ones — and any size, negative
+// included; and it allocates only the string it returns.
+func TestAIDMatchesSprintfForm(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	apps := []string{"", "Linpack", "ChessGame", "Ünïcode-app", strings.Repeat("VeryLongAppName", 8)}
+	for i := 0; i < 2000; i++ {
+		app := apps[r.Intn(len(apps))]
+		if r.Intn(3) == 0 {
+			app += fmt.Sprint(r.Int63())
+		}
+		size := host.Bytes(r.Int63n(1<<40) - 1<<20)
+		if got, want := AID(app, size), refAID(app, size); got != want {
+			t.Fatalf("AID(%q, %d) = %s, Sprintf form %s", app, size, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = AID("Linpack", 152*host.KB+4095) }); n > 1 {
+		t.Fatalf("AID allocates %.1f times, want at most 1 (the returned string)", n)
 	}
 }
 

@@ -29,6 +29,11 @@ type cohortState struct {
 	profile netsim.Profile
 	mult    float64
 	apps    []workload.App
+	// procName names every request proc of the cohort, and params is the
+	// pinned linpack_order blob (nil when unpinned): both are the same for
+	// every arrival, so they are built once.
+	procName string
+	params   []byte
 
 	arrivals  int
 	succeeded int
@@ -103,12 +108,16 @@ func Run(scn *Scenario) (*Report, error) {
 
 	for i, c := range scn.Fleet {
 		cs := &cohortState{
-			spec:    c,
-			idx:     i,
-			gen:     newArrivalGen(c, scn.Seed, i),
-			taskRng: rand.New(rand.NewSource(cohortSeed(scn.Seed, i+MaxCohorts))),
-			profile: c.Network,
-			mult:    1,
+			spec:     c,
+			idx:      i,
+			gen:      newArrivalGen(c, scn.Seed, i),
+			taskRng:  rand.New(rand.NewSource(cohortSeed(scn.Seed, i+MaxCohorts))),
+			profile:  c.Network,
+			mult:     1,
+			procName: c.Name + ".request",
+		}
+		if c.LinpackOrder > 0 {
+			cs.params = workload.EncodeLinpackParams(scn.Seed, c.LinpackOrder)
 		}
 		for _, name := range c.Apps {
 			app, err := workload.ByName(name)
@@ -256,8 +265,8 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 	arrived := r.e.Now()
 	prof := cs.profile
 	cs.arrivals++
-	r.e.Spawn(cs.spec.Name+".r"+strconv.Itoa(k), func(p *sim.Proc) {
-		dev := cs.spec.Name + "-d" + strconv.Itoa(k%cs.spec.Devices)
+	r.e.Spawn(cs.procName, func(p *sim.Proc) {
+		dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
 		link := netsim.NewLink(r.e, prof)
 		link.SetFault(func(p *sim.Proc, op string, size host.Bytes) error { return r.fault(p, op, dev, size) })
 		app := cs.apps[k%len(cs.apps)]
@@ -266,8 +275,8 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 		codeSize := app.CodeSize() + host.Bytes(k%cs.spec.Variants)
 		seq := k / cs.spec.Devices // unique per device: the idempotency key half
 		task := app.NewTask(cs.taskRng, seq)
-		if cs.spec.LinpackOrder > 0 && task.App == workload.NameLinpack {
-			task.Params = workload.EncodeLinpackParams(r.scn.Seed, cs.spec.LinpackOrder)
+		if cs.params != nil && task.App == workload.NameLinpack {
+			task.Params = cs.params // shared: nothing downstream writes a task's params
 		}
 		err := r.offload(p, cs, device.Client{ID: dev, Link: link}, task, codeSize)
 		if err == nil {
@@ -285,6 +294,14 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 			}
 		}
 	})
+}
+
+// deviceID names the i-th device of a cohort ("<cohort>-d<i>") with one
+// allocation, the string itself.
+func deviceID(cohort string, i int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], cohort...), "-d"...)
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // offload drives one request under the scenario's retry policy. Jitter

@@ -1,0 +1,116 @@
+package scenario
+
+import (
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// simChurn loads the benchmark's sim-churn workload — 50 000 devices on
+// three replicated autoscaled shards under a chaos timeline — shrunk k
+// times in fleet and in time alike: every cohort's devices and duration
+// and every event's instant and length divided by k. The arrival rate, and
+// with it how often runtimes sit idle long enough to be reaped, stays the
+// workload's; dividing the fleet alone would make most arrivals cold.
+func simChurn(tb testing.TB, k int) *Scenario {
+	tb.Helper()
+	scn, err := Load(filepath.Join("..", "..", "benchmark", "scenarios", "sim-churn.yaml"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := time.Duration(k)
+	for i := range scn.Fleet {
+		c := &scn.Fleet[i]
+		c.Devices, c.Variants = max(1, c.Devices/k), max(1, c.Variants/k)
+		c.Start, c.Duration = c.Start/d, c.Duration/d
+	}
+	for i := range scn.Events {
+		ev := &scn.Events[i]
+		ev.At, ev.Dur = ev.At/d, ev.Dur/d
+	}
+	return scn
+}
+
+// runCounted runs scn and reports its arrivals and the heap objects the
+// run allocated.
+func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(scn)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep.Totals.Arrivals, after.Mallocs - before.Mallocs
+}
+
+// simArrivalAllocs is what one arrival of sim-churn shrunk five times
+// allocates, the cluster's set-up and the timeline's migrations included
+// (at full size the same count is the benchmark's allocs_per_req, 23.3).
+// Before the simulated request path was cut down it was 42.8 here and
+// 40.6 at full size; the sites and what each lost are in DESIGN.md, "Where
+// a simulated request allocates".
+const simArrivalAllocs = 25.8
+
+// TestSimArrivalAllocs fences the allocations of one simulated request
+// end to end: the arrival proc and its link, the device exchange, routing,
+// dispatch, the code push and its replica fan-out, the solve and the log.
+func TestSimArrivalAllocs(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pool slots
+	scn := simChurn(t, 5)
+	runCounted(t, simChurn(t, 50)) // grows the worker pool and the solve's caches
+	arrivals, mallocs := runCounted(t, scn)
+	per := float64(mallocs) / float64(arrivals)
+	t.Logf("%.2f allocations per arrival over %d arrivals", per, arrivals)
+	if per > simArrivalAllocs+1 {
+		t.Fatalf("a sim-churn arrival allocates %.2f objects, fence is %.1f + 1", per, simArrivalAllocs)
+	}
+}
+
+// poolKeeps reports whether sync.Pool hands back what was put: under the
+// race detector it drops a quarter of all Puts at random, and the solve's
+// pooled scratch then shows up in every count.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkSimRequest runs the whole sim-churn workload per iteration and
+// reports what one simulated arrival costs the simulator: wall-clock ns,
+// heap bytes and heap objects (make bench-simreq). These are the
+// benchmark's sim-churn cpu_us_per_req, alloc_bytes_per_req and
+// allocs_per_req measured in-process, without the benchmark's harness.
+func BenchmarkSimRequest(b *testing.B) {
+	scn := simChurn(b, 1)
+	runCounted(b, simChurn(b, 50)) // warm, as the benchmark's set-up does
+	var before, after runtime.MemStats
+	arrivals := 0
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(scn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arrivals += rep.Totals.Arrivals
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(arrivals)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/arrival")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/arrival")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/arrival")
+}

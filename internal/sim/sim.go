@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,33 +54,65 @@ type Event struct {
 // fired (or was already cancelled) is a no-op.
 func (ev *Event) Cancel() { ev.canceled = true }
 
+// eventHeap is the pending-event queue: a binary min-heap ordered by
+// (at, seq). seq is unique per scheduling, so the order is total and the
+// pop sequence is fixed by the events alone, whatever the heap's shape.
+// push and pop compare inline on the concrete type; container/heap would
+// box every element through an interface and call Less and Swap
+// dynamically, a tenth of a busy simulation's CPU.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires ahead of b.
+func (a *Event) before(b *Event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// push adds ev, sifting it up from the bottom.
+func (h *eventHeap) push(ev *Event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		up := q[parent]
+		if !ev.before(up) {
+			break
+		}
+		q[i], up.index = up, i
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i], ev.index = ev, i
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event; the heap must not be empty.
+// The last element takes the root's place and sifts down.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i], q[c].index = q[c], i
+			i = c
+		}
+		q[i], last.index = last, i
+	}
+	top.index = -1
+	*h = q
+	return top
 }
 
 // Engine owns the virtual clock and the pending-event queue.
@@ -126,7 +157,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 func (e *Engine) schedule(ev *Event, t Time) {
 	e.seq++
 	ev.at, ev.seq = t, e.seq
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -140,7 +171,7 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 // step pops and runs the next event. It reports false when no events remain.
 func (e *Engine) step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.events.pop()
 		if ev.canceled {
 			continue
 		}
@@ -201,7 +232,7 @@ func (e *Engine) Pending() int { return len(e.events) }
 func (e *Engine) NextEventAt() (Time, bool) {
 	for len(e.events) > 0 {
 		if e.events[0].canceled {
-			heap.Pop(&e.events)
+			e.events.pop()
 			continue
 		}
 		return e.events[0].at, true

@@ -230,7 +230,9 @@ func encodeParams(v any) []byte {
 		b = appendParamZig(b, int64(p.SizeKB))
 		b = appendParamZig(b, int64(p.Planted))
 	default:
-		panic(fmt.Sprintf("workload: no flat encoder for %T", v))
+		// A constant message, as in decodeParams: formatting v would box
+		// every caller's parameter struct on the heap.
+		panic("workload: no flat encoder for this parameter type")
 	}
 	return b
 }
@@ -291,7 +293,9 @@ func decodeParams(data []byte, v any) error {
 		p.SizeKB = int(r.zig())
 		p.Planted = int(r.zig())
 	default:
-		return fmt.Errorf("workload: no flat decoder for %T", v)
+		// No %T here: formatting v would move every caller's parameter
+		// struct to the heap, one allocation per Execute.
+		return errors.New("workload: no flat decoder for this parameter type")
 	}
 	return r.done()
 }
