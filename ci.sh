@@ -13,9 +13,13 @@ go build ./...
 echo "== go test -race"
 # One tier: the full suite is ~11 s plain and ~91 s under the race detector
 # (internal/experiments' paper sweeps are 66 s of that alone, 71 s beside
-# the other packages; re-measured in PR 25 once the fleet runners left it,
-# 68 s at its parent); the per-package budget is several times the slowest
-# package.
+# the other packages); the per-package budget is several times the slowest
+# package. `make race-top` attributes the experiments package per test; on
+# two Xeon cores its ten slowest take 60 of its 73 s: the reclamation trace
+# 16.5 s, the parallel-vs-sequential trace and comparison 9.4 + 7.9 s,
+# Figure 11 7.3 s, the two one-shard-cluster pins (ROADMAP item 7 deletes
+# them) 5.6 + 2.1 s, the faults determinism run 4.4 s, Figure 9/Table II
+# 2.6 s, the spans determinism run 2.3 s, WiFi energy ordering 1.7 s.
 go test -race -timeout 8m ./...
 
 echo "== benchmark module (nested: root go build/test do not reach it)"

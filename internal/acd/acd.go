@@ -9,6 +9,7 @@
 package acd
 
 import (
+	"errors"
 	"fmt"
 
 	"rattrap/internal/binder"
@@ -89,13 +90,14 @@ func Modules(e *sim.Engine, release string) []*kernel.Module {
 
 // LoadAll inserts every module of the driver package mods (from Modules),
 // stopping at the first failure. It is idempotent across already-loaded
-// modules.
+// modules, including one a concurrent boot inserted while this boot was
+// reading it.
 func LoadAll(p *sim.Proc, k *kernel.Kernel, mods []*kernel.Module) error {
 	for _, m := range mods {
 		if k.Loaded(m.Name) {
 			continue
 		}
-		if err := k.Load(p, m); err != nil {
+		if err := k.Load(p, m); err != nil && !errors.Is(err, kernel.ErrModuleLoaded) {
 			return fmt.Errorf("acd: loading %s: %w", m.Name, err)
 		}
 	}

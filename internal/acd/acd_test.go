@@ -62,11 +62,11 @@ func TestBinderPerNamespace(t *testing.T) {
 	e.Spawn("init", func(p *sim.Proc) {
 		LoadAll(p, k, Modules(e, k.Release()))
 		ns1, ns2 := k.NewNamespace("c1"), k.NewNamespace("c2")
-		h1, err := k.Open(ns1, DevBinder)
-		if err != nil {
+		var h1, h2 kernel.Handle
+		if err := k.Open(ns1, DevBinder, &h1); err != nil {
 			t.Fatal(err)
 		}
-		h2, _ := k.Open(ns2, DevBinder)
+		k.Open(ns2, DevBinder, &h2)
 		c1 := h1.State().(*binder.Context)
 		c2 := h2.State().(*binder.Context)
 		c1.Register("offloadcontroller", func(code uint32, d []byte) ([]byte, error) { return d, nil })
@@ -82,7 +82,8 @@ func TestUnloadAllBlockedByOpenHandles(t *testing.T) {
 	e.Spawn("init", func(p *sim.Proc) {
 		LoadAll(p, k, Modules(e, k.Release()))
 		ns := k.NewNamespace("c1")
-		h, _ := k.Open(ns, DevBinder)
+		var h kernel.Handle
+		k.Open(ns, DevBinder, &h)
 		if err := UnloadAll(k); !errors.Is(err, kernel.ErrModuleInUse) {
 			t.Errorf("err = %v, want ErrModuleInUse", err)
 		}

@@ -18,13 +18,15 @@ type Alarm struct {
 	fired int
 }
 
-// NewAlarm returns an alarm device bound to e.
-func NewAlarm(e *sim.Engine) *Alarm {
-	return &Alarm{e: e, armed: make(map[int]*sim.Event)}
-}
+// NewAlarm returns an alarm device bound to e. Its table is made by the
+// first Set: most namespaces never arm an alarm.
+func NewAlarm(e *sim.Engine) *Alarm { return &Alarm{e: e} }
 
 // Set arms an alarm to fire fn after d; it returns an id for Cancel.
 func (a *Alarm) Set(d time.Duration, fn func()) int {
+	if a.armed == nil {
+		a.armed = make(map[int]*sim.Event)
+	}
 	a.next++
 	id := a.next
 	a.armed[id] = a.e.After(d, func() {
@@ -204,8 +206,8 @@ type AshmemRegion struct {
 	freed  bool
 }
 
-// NewAshmem returns an empty region table.
-func NewAshmem() *Ashmem { return &Ashmem{regions: make(map[int]*AshmemRegion)} }
+// NewAshmem returns an empty region table, made by the first Create.
+func NewAshmem() *Ashmem { return &Ashmem{} }
 
 // ErrRegionFreed is returned when touching an unpinned, reclaimed region.
 var ErrRegionFreed = errors.New("acd: ashmem region was reclaimed")
@@ -214,6 +216,9 @@ var ErrRegionFreed = errors.New("acd: ashmem region was reclaimed")
 func (a *Ashmem) Create(name string, size int) (*AshmemRegion, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("acd: ashmem region %q: size %d", name, size)
+	}
+	if a.regions == nil {
+		a.regions = make(map[int]*AshmemRegion)
 	}
 	a.next++
 	r := &AshmemRegion{ID: a.next, Name: name, Size: size, pinned: true}

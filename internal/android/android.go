@@ -35,9 +35,9 @@ type Env interface {
 	// FS is the environment's root filesystem view.
 	FS() *unionfs.Mount
 	// OpenDevice opens a /dev node through the environment's device
-	// namespace; it fails with kernel.ErrNoDevice when the backing
+	// namespace into h; it fails with kernel.ErrNoDevice when the backing
 	// driver is not loaded.
-	OpenDevice(dev string) (*kernel.Handle, error)
+	OpenDevice(dev string, h *kernel.Handle) error
 	// CPUEff / IOEff are steady-state virtualization efficiencies.
 	CPUEff() float64
 	IOEff() float64
@@ -85,7 +85,7 @@ type Runtime struct {
 	env    Env
 	cfg    BootConfig
 	binder *binder.Context
-	devs   []*kernel.Handle
+	devs   []kernel.Handle // one slab, parallel to acd.RequiredDevices
 	logger *acd.Logger
 
 	procs    []Process
@@ -158,7 +158,8 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 	}
 
 	// Stage 4: system_server starts services; each registers with the
-	// per-namespace Binder context.
+	// per-namespace Binder context, sized once for the whole table.
+	r.binder.Reserve(len(services(cfg.Customized)) + 1)
 	for _, s := range services(cfg.Customized) {
 		h.Compute(p, s.cpu, env.BootCPUEff())
 		if err := r.grow(s.name, s.mem); err != nil {
@@ -276,6 +277,7 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 	r.procs = append([]Process(nil), tmpl.procs...)
 	h.Compute(p, cloneThawWork, env.BootCPUEff())
 
+	r.binder.Reserve(len(services(tmpl.cfg.Customized)) + 1)
 	for _, s := range services(tmpl.cfg.Customized) {
 		if _, err := r.binder.Register(s.name, serviceHandlers[s.name]); err != nil {
 			r.teardown()
@@ -298,14 +300,13 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 // the caller in the error.
 func (r *Runtime) openDevices(stage string) error {
 	devices := acd.RequiredDevices()
-	r.devs = make([]*kernel.Handle, 0, len(devices))
-	for _, dev := range devices {
-		hnd, err := r.env.OpenDevice(dev)
-		if err != nil {
+	r.devs = make([]kernel.Handle, len(devices))
+	for i, dev := range devices {
+		hnd := &r.devs[i]
+		if err := r.env.OpenDevice(dev, hnd); err != nil {
 			r.closeDevices()
 			return fmt.Errorf("android: %s: %s: opening %s: %w", r.env.Name(), stage, dev, err)
 		}
-		r.devs = append(r.devs, hnd)
 		switch dev {
 		case acd.DevBinder:
 			r.binder = hnd.State().(*binder.Context)
@@ -361,6 +362,9 @@ func (r *Runtime) Processes() []Process {
 	return out
 }
 
+// ProcessCount reports how many processes run, without copying the list.
+func (r *Runtime) ProcessCount() int { return len(r.procs) }
+
 // Up reports whether the runtime is serving.
 func (r *Runtime) Up() bool { return r.up }
 
@@ -376,9 +380,10 @@ func (r *Runtime) SetOffloadFS(m *unionfs.Mount) { r.offload = m }
 // OffloadFS returns where offloading I/O currently lands.
 func (r *Runtime) OffloadFS() *unionfs.Mount { return r.offload }
 
+// closeDevices closes the opened handles; unopened ones refuse harmlessly.
 func (r *Runtime) closeDevices() {
-	for _, d := range r.devs {
-		d.Close()
+	for i := range r.devs {
+		r.devs[i].Close()
 	}
 	r.devs = nil
 }

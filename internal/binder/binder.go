@@ -35,6 +35,7 @@ type TxnHandler func(code uint32, data []byte) ([]byte, error)
 type Service struct {
 	name    string
 	handler TxnHandler
+	handle  uint32 // 0 until the first Lookup hands one out
 	dead    bool
 	deathFn []func()
 }
@@ -51,18 +52,27 @@ type Stats struct {
 }
 
 // Context is one Binder device instance: the service-manager registry plus
-// a handle table.
+// a handle table (handle h names handles[h-1]). Nodes come from slab.
 type Context struct {
 	services map[string]*Service
-	handles  map[uint32]*Service
-	next     uint32
+	handles  []*Service
+	slab     []Service
 	stats    Stats
 }
 
 // NewContext returns an empty Binder context (as created when the binder
 // module initializes a device namespace).
-func NewContext() *Context {
-	return &Context{services: make(map[string]*Service), handles: make(map[uint32]*Service)}
+func NewContext() *Context { return &Context{} }
+
+// Reserve sizes the registry and the node slab for n more registrations, so
+// a boot registering its fixed service table allocates nothing more.
+func (c *Context) Reserve(n int) {
+	if c.services == nil {
+		c.services = make(map[string]*Service, n)
+	}
+	if cap(c.slab)-len(c.slab) < n {
+		c.slab = make([]Service, 0, n)
+	}
 }
 
 // Register adds a named service, as servicemanager.addService would.
@@ -76,7 +86,11 @@ func (c *Context) Register(name string, h TxnHandler) (*Service, error) {
 	if _, ok := c.services[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
-	s := &Service{name: name, handler: h}
+	if len(c.slab) == cap(c.slab) { // replaced, not grown: nodes keep their addresses
+		c.Reserve(max(4, cap(c.slab)))
+	}
+	c.slab = append(c.slab, Service{name: name, handler: h})
+	s := &c.slab[len(c.slab)-1]
 	c.services[name] = s
 	return s, nil
 }
@@ -104,23 +118,19 @@ func (c *Context) Lookup(name string) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoService, name)
 	}
-	// Reuse an existing handle for the same service if present.
-	for h, svc := range c.handles {
-		if svc == s {
-			return h, nil
-		}
+	if s.handle == 0 {
+		c.handles = append(c.handles, s)
+		s.handle = uint32(len(c.handles))
 	}
-	c.next++
-	c.handles[c.next] = s
-	return c.next, nil
+	return s.handle, nil
 }
 
 // Transact performs a synchronous transaction against a handle.
 func (c *Context) Transact(handle uint32, code uint32, data []byte) ([]byte, error) {
-	s, ok := c.handles[handle]
-	if !ok {
+	if handle == 0 || int(handle) > len(c.handles) {
 		return nil, fmt.Errorf("%w: %d", ErrBadHandle, handle)
 	}
+	s := c.handles[handle-1]
 	if s.dead {
 		return nil, fmt.Errorf("%w: %s", ErrDeadBinder, s.name)
 	}

@@ -173,3 +173,62 @@ func TestPropertyEchoRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// registerAllocs is what a context costs to stand up with a boot's service
+// table reserved: the context, the registry map sized for 11 (four objects)
+// and the node slab. Before the slab it was the context and its two maps,
+// then one node per service and four map growths: 18 for the customized
+// table's 11.
+const registerAllocs = 6
+
+// ctxSink keeps the measured context on the heap, as a namespace's driver
+// state is.
+var ctxSink *Context
+
+func TestRegisterAllocs(t *testing.T) {
+	names := make([]string, 11) // the customized boot's ten core services and the offload controller
+	for i := range names {
+		names[i] = fmt.Sprintf("svc-%d", i)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c := NewContext()
+		c.Reserve(len(names))
+		for _, n := range names {
+			if _, err := c.Register(n, echo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctxSink = c
+	})
+	t.Logf("a context with %d services registered allocates %.0f objects", len(names), allocs)
+	if allocs > registerAllocs {
+		t.Fatalf("a context with %d services registered allocates %.0f objects, fence is %d", len(names), allocs, registerAllocs)
+	}
+}
+
+// Nodes carved from a full slab must not move the ones handed out before:
+// registering past a Reserve keeps every earlier *Service and handle valid.
+func TestRegisterPastReserveKeepsNodes(t *testing.T) {
+	c := NewContext()
+	c.Reserve(2)
+	var svcs []*Service
+	for i := 0; i < 9; i++ {
+		s, err := c.Register(fmt.Sprintf("svc-%d", i), echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs = append(svcs, s)
+	}
+	for i, s := range svcs {
+		if want := fmt.Sprintf("svc-%d", i); s.Name() != want {
+			t.Fatalf("node %d names %q after later registrations, want %q", i, s.Name(), want)
+		}
+		h, err := c.Lookup(s.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != uint32(i+1) {
+			t.Fatalf("lookup %d got handle %d, want %d", i, h, i+1)
+		}
+	}
+}

@@ -161,12 +161,13 @@ func (c *Container) Host() *host.Host { return c.h }
 // FS returns the container's root filesystem view.
 func (c *Container) FS() *unionfs.Mount { return c.fs }
 
-// OpenDevice opens a /dev node through the container's device namespace.
-func (c *Container) OpenDevice(dev string) (*kernel.Handle, error) {
+// OpenDevice opens a /dev node through the container's device namespace
+// into h.
+func (c *Container) OpenDevice(dev string, h *kernel.Handle) error {
 	if c.state != StateRunning {
-		return nil, fmt.Errorf("container %s: not running", c.cfg.Name)
+		return fmt.Errorf("container %s: not running", c.cfg.Name)
 	}
-	return c.k.Open(c.ns, dev)
+	return c.k.Open(c.ns, dev, h)
 }
 
 // CPUEff returns the steady-state CPU efficiency.

@@ -87,7 +87,7 @@ func TestStopReleasesMemory(t *testing.T) {
 		if err := c.Stop(p); err == nil {
 			t.Error("double stop succeeded")
 		}
-		if _, err := c.OpenDevice("/dev/binder"); err == nil {
+		if err := c.OpenDevice("/dev/binder", new(kernel.Handle)); err == nil {
 			t.Error("device open on stopped container succeeded")
 		}
 	})

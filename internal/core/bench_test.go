@@ -105,10 +105,14 @@ func BenchmarkColdBoot(b *testing.B) {
 }
 
 // coldBootAllocs is what a boot + stop allocates today: the runtime's and
-// the container's own objects, per-namespace driver state, Binder
-// registrations, the slot and its records. The fence leaves room for two
-// more; a table rebuilt per boot or a key built per file read costs tens.
-const coldBootAllocs = 70
+// the container's own objects, per-namespace driver state, the Binder
+// context with its service slab and sized registry, the handle slab, the
+// slot and its records. It was 70 while every registration allocated its
+// node, every module load rebuilt its record, key and shared-state map, and
+// every device open its own handle (DESIGN.md, "Cold path"). The fence
+// leaves room for two more; a table rebuilt per boot or a key built per
+// file read costs tens.
+const coldBootAllocs = 35
 
 func TestColdBootAllocs(t *testing.T) {
 	e, pl := coldBootPlatform(t)
@@ -127,11 +131,11 @@ func TestColdBootAllocs(t *testing.T) {
 // platform — Prepare, Execute and Release of a Linpack order-8 solve whose
 // code the runtime holds, its outcome precomputed and a span attached, as
 // the realtime server hands core a decoded request (the body of the
-// benchmark's core.warm_request_allocs): the span, the span's stage list
-// and the session. It was 7 while the grant list was built per request
-// and the runtime's log line was concatenated into a ring that re-grew its
-// array as the log churned.
-const warmRequestAllocs = 3
+// benchmark's core.warm_request_allocs): the span (its stages inline) and
+// the session. It was 3 while the stage list was a second object, and 7
+// while the grant list was built per request and the runtime's log line was
+// concatenated into a ring that re-grew its array as the log churned.
+const warmRequestAllocs = 2
 
 func TestWarmRequestAllocs(t *testing.T) {
 	e := sim.NewEngine(1)

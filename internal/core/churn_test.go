@@ -1,0 +1,251 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"rattrap/internal/android"
+	"rattrap/internal/binder"
+	"rattrap/internal/host"
+	"rattrap/internal/offload"
+	"rattrap/internal/sim"
+	"rattrap/internal/workload"
+)
+
+// churnWorld is one seed's platform under the cold-path op generator, with
+// what the checks need to remember about runtimes that are gone.
+type churnWorld struct {
+	pl       *Platform
+	inflight int
+	// reaped binder views: every runtime's context and the handle its
+	// offload controller was looked up under, kept past the runtime's stop.
+	handles map[*binder.Context]uint32
+	seen    map[*slot]bool
+	// steady is the page cache less what live warehouse entries explain, at
+	// the first quiescent point after a boot; every later one must match.
+	steady int
+}
+
+// noteRuntimes records the binder view of every runtime not seen before.
+func (w *churnWorld) noteRuntimes(t *testing.T) {
+	w.pl.slots.each(func(sl *slot) {
+		if w.seen[sl] || sl.rt == nil {
+			return
+		}
+		w.seen[sl] = true
+		ctx := sl.rt.Binder()
+		h, err := ctx.Lookup("offloadcontroller")
+		if err != nil {
+			t.Errorf("%s: offload controller not registered: %v", sl.id, err)
+			return
+		}
+		w.handles[ctx] = h
+	})
+}
+
+// checkCensus holds at every step: the lifecycle census counts exactly the
+// DB's rows, which are exactly the pool's slots.
+func (w *churnWorld) checkCensus() error {
+	pl := w.pl
+	sum := 0
+	for s := Lifecycle(0); int(s) < numLifecycleStates; s++ {
+		sum += pl.db.StateCount(s)
+	}
+	if sum != pl.db.Count() || pl.db.Count() != pl.slots.n || len(pl.byID) != pl.slots.n {
+		return fmt.Errorf("census %d, DB rows %d, pool %d, CID index %d", sum, pl.db.Count(), pl.slots.n, len(pl.byID))
+	}
+	return nil
+}
+
+// checkQuiescent holds once every request finished and every runtime was
+// reaped: nothing names a reaped slot, the driver is out of the kernel,
+// the page cache holds only what live warehouse entries explain, and every
+// reaped runtime's binder handle answers dead or bad.
+func (w *churnWorld) checkQuiescent() error {
+	pl := w.pl
+	if err := w.checkCensus(); err != nil {
+		return err
+	}
+	if pl.slots.n != 0 || pl.waitQ.len() != 0 || pl.cordonedLive != 0 {
+		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters, %d cordoned", pl.slots.n, pl.waitQ.len(), pl.cordonedLive)
+	}
+	if mods := pl.Kernel.Lsmod(); len(mods) != 0 || pl.Kernel.ModuleMemKB() != 0 {
+		return fmt.Errorf("empty pool left modules %v loaded (%d KB)", mods, pl.Kernel.ModuleMemKB())
+	}
+	switch s := pl.sched.(type) {
+	case *AffinityScheduler:
+		if len(s.idle) != 0 || len(s.holders) != 0 {
+			return fmt.Errorf("scheduler names reaped slots: %d idle entries, %d AIDs' holders", len(s.idle), len(s.holders))
+		}
+	case *FIFOScheduler:
+		if len(s.idle) != 0 {
+			return fmt.Errorf("scheduler names reaped slots: %d idle entries", len(s.idle))
+		}
+	}
+	if n := len(pl.warehouse.byCID); n != 0 {
+		return fmt.Errorf("warehouse binds code to %d reaped runtimes", n)
+	}
+	// A live entry explains a cached file when a runtime loaded it from a
+	// reassembled blob (android.CodeCacheKey); plain blobs sit on tmpfs.
+	rest := pl.Server.CachedFiles()
+	for aid := range pl.warehouse.entries {
+		if pl.Server.Cached(android.CodeCacheKey(aid)) {
+			rest--
+		}
+	}
+	switch {
+	case len(w.seen) == 0:
+		// Nothing has booted: the driver's .ko files, which a platform's
+		// first boot caches for good, are not in yet.
+	case w.steady < 0:
+		w.steady = rest
+	case rest != w.steady:
+		return fmt.Errorf("page cache holds %d files besides live entries, %d at the first quiescent point", rest, w.steady)
+	}
+	for ctx, h := range w.handles {
+		reply, err := ctx.Transact(h, 1, nil)
+		if !errors.Is(err, binder.ErrDeadBinder) && !errors.Is(err, binder.ErrBadHandle) {
+			return fmt.Errorf("a reaped runtime's handle %d answered %q, %v", h, reply, err)
+		}
+	}
+	return nil
+}
+
+// Property: random cold-path churn — requests under new and known AIDs,
+// code pushes (some abandoned, so waiters re-claim them), executes,
+// releases, idle reaps, warehouse drops and cordons, with a warehouse small
+// enough to keep evicting — leaves nothing behind. The census balances at
+// every step; at every quiescent point the Android Container Driver is
+// unloaded, no index names a reaped runtime, the page cache is flat, and
+// binder handles of reaped runtimes are dead.
+func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
+	app, _ := workload.ByName(workload.NameLinpack)
+	task := workload.Task{App: app.Name(), Method: "solve", ParamBytes: 500, Params: workload.EncodeLinpackParams(7, 8)}
+	m, err := workload.NewRegistry().Execute(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := &workload.Precomputed{Metrics: m}
+	const idle = 2 * time.Second
+	evictions, cordons, reclaims := 0, 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		e := sim.NewEngine(seed)
+		cfg := DefaultConfig(KindRattrap)
+		cfg.MaxRuntimes = 3
+		cfg.IdleTimeout = idle
+		cfg.WarehouseCapacity = 6 * app.CodeSize()
+		w := &churnWorld{pl: New(e, cfg), handles: map[*binder.Context]uint32{}, seen: map[*slot]bool{}, steady: -1}
+		pl := w.pl
+		rng := rand.New(rand.NewSource(seed))
+		var aids []string
+		push := func(p *sim.Proc, sess offload.Session, aid string, size host.Bytes) bool {
+			if err := sess.PushCode(p, offload.CodePush{AID: aid, App: app.Name(), Size: size}); err != nil {
+				t.Errorf("seed %d: push %s: %v", seed, aid, err)
+				return false
+			}
+			return true
+		}
+		serve := func(p *sim.Proc, aid string, size host.Bytes, abandon, execute bool) {
+			defer func() { w.inflight-- }()
+			req := offload.ExecRequest{DeviceID: "dev", AID: aid, App: task.App, Method: task.Method,
+				Params: task.Params, ParamBytes: task.ParamBytes}
+			req.SetPrecomputed(pre)
+			sess, err := pl.Prepare(p, req)
+			if err != nil {
+				t.Errorf("seed %d: prepare %s: %v", seed, aid, err)
+				return
+			}
+			defer sess.Release()
+			w.noteRuntimes(t)
+			if sess.NeedCode() && (abandon || !push(p, sess, aid, size)) {
+				return
+			}
+			for execute {
+				res, err := sess.Execute(p)
+				if errors.Is(err, offload.ErrCodeNeeded) {
+					if push(p, sess, aid, size) {
+						continue
+					}
+					return
+				}
+				if err != nil || res.Err != "" {
+					t.Errorf("seed %d: execute %s: %v %q", seed, aid, err, res.Err)
+				}
+				return
+			}
+		}
+		quiesce := func(p *sim.Proc) bool {
+			for waited := time.Duration(0); w.inflight > 0; waited += 100 * time.Millisecond {
+				if waited > time.Minute {
+					t.Errorf("seed %d, at %v: %d requests still in flight, %d queued, pool %d", seed, e.Now(), w.inflight, pl.waitQ.len(), pl.slots.n)
+					return false
+				}
+				p.Sleep(100 * time.Millisecond)
+			}
+			p.Sleep(3 * idle) // every reap and drain is due and done
+			if err := w.checkQuiescent(); err != nil {
+				t.Errorf("seed %d, at %v: %v", seed, e.Now(), err)
+				return false
+			}
+			return true
+		}
+		e.Spawn("ops", func(p *sim.Proc) {
+			for step := 0; step < 40; step++ {
+				switch op := rng.Intn(12); {
+				case op < 6: // a request, under a new AID or a known one
+					var size host.Bytes
+					if len(aids) == 0 || rng.Intn(3) == 0 {
+						size = app.CodeSize() + host.Bytes(len(aids))
+						aids = append(aids, offload.AID(app.Name(), size))
+					} else {
+						size = app.CodeSize() + host.Bytes(rng.Intn(len(aids)))
+					}
+					aid := offload.AID(app.Name(), size)
+					abandon, execute := rng.Intn(6) == 0, rng.Intn(8) != 0
+					w.inflight++
+					p.E.Spawn("req", func(rp *sim.Proc) { serve(rp, aid, size, abandon, execute) })
+				case op < 8:
+					p.Sleep(time.Duration(rng.Intn(400)) * time.Millisecond)
+				case op < 9:
+					p.Sleep(idle + time.Duration(rng.Intn(1000))*time.Millisecond) // idle runtimes reap
+				case op < 10: // drop a warehouse entry, as a migration away does
+					if len(aids) > 0 {
+						pl.warehouse.DropEntry(aids[rng.Intn(len(aids))])
+					}
+				case op < 11: // cordon a live runtime; it drains once idle
+					var live []string
+					pl.slots.each(func(sl *slot) { live = append(live, sl.id) })
+					if len(live) > 0 {
+						pl.CordonRuntime(live[rng.Intn(len(live))])
+					}
+				default:
+					if !quiesce(p) {
+						return
+					}
+				}
+				if err := w.checkCensus(); err != nil {
+					t.Errorf("seed %d, step %d: %v", seed, step, err)
+					return
+				}
+			}
+			quiesce(p)
+		})
+		e.Run()
+		if t.Failed() {
+			return
+		}
+		if len(w.handles) == 0 {
+			t.Fatalf("seed %d booted nothing; the test observes nothing", seed)
+		}
+		evictions += pl.warehouse.Evictions()
+		cordons += pl.Cordoned()
+		reclaims += len(w.seen)
+	}
+	if evictions == 0 || cordons == 0 {
+		t.Fatalf("over 200 seeds: %d evictions, %d cordons; the generator misses an op", evictions, cordons)
+	}
+	t.Logf("200 seeds: %d runtimes reaped, %d warehouse evictions, %d cordons", reclaims, evictions, cordons)
+}

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"rattrap/internal/acd"
@@ -382,7 +383,7 @@ func (pl *Platform) BootRuntime(p *sim.Proc) (*RuntimeInfo, error) {
 // booting → reclaimed and leaves the DB.
 func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	pl.nextID++
-	id := fmt.Sprintf("%s%s-%d", pl.cfg.CIDPrefix, kindSlug(pl.cfg.Kind), pl.nextID)
+	id := pl.cid(pl.nextID)
 	sl := &slot{id: id, seq: pl.nextID, acquiredAt: pl.E.Now()}
 	sl.info = &RuntimeInfo{CID: id, Kind: pl.cfg.Kind} // born LifecycleCold
 	pl.slots.pushBack(sl, pl.E.Now())
@@ -498,7 +499,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	sl.info.BootTime = (pl.E.Now() - start).Duration()
 	sl.info.MemMB = pl.slotMemMB(sl)
 	sl.info.DiskBytes = pl.slotDiskBytes(sl)
-	sl.info.Processes = len(sl.rt.Processes())
+	sl.info.Processes = sl.rt.ProcessCount()
 	sl.info.LastUsed = pl.E.Now()
 	pl.db.Transition(sl.id, LifecycleActive) // reserved for the caller
 	if len(pl.bootSamples) < maxBootSamples {
@@ -532,6 +533,16 @@ func (pl *Platform) BootDurations() []time.Duration {
 	out = append(out, pl.bootSamples[pl.bootNext:]...)
 	out = append(out, pl.bootSamples[:pl.bootNext]...)
 	return out
+}
+
+// cid names the platform's n-th runtime, "<CIDPrefix><kind slug>-<n>",
+// built on the stack so the returned string is its only allocation.
+func (pl *Platform) cid(n int) string {
+	var buf [32]byte
+	b := append(buf[:0], pl.cfg.CIDPrefix...)
+	b = append(b, kindSlug(pl.cfg.Kind)...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 func kindSlug(k Kind) string {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,5 +126,27 @@ func TestSnapshotAggregates(t *testing.T) {
 	db.Remove("a")
 	if db.Count() != 1 {
 		t.Fatalf("count = %d", db.Count())
+	}
+}
+
+// TestCIDMatchesSprintfForm: the stack-built runtime ID equals the Sprintf
+// form it replaced for every kind, with and without a shard prefix (short
+// ones and one that outgrows the stack buffer), at any boot number; and it
+// allocates only the string it returns.
+func TestCIDMatchesSprintfForm(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, prefix := range []string{"", "s3-", strings.Repeat("shard-", 8)} {
+			pl := &Platform{cfg: Config{Kind: kind, CIDPrefix: prefix}}
+			for _, n := range []int{1, 9, 10, 255, 256, 65537, 1 << 40} {
+				want := fmt.Sprintf("%s%s-%d", prefix, kindSlug(kind), n)
+				if got := pl.cid(n); got != want {
+					t.Fatalf("cid(%d) = %q, Sprintf form %q", n, got, want)
+				}
+			}
+		}
+	}
+	pl := &Platform{cfg: Config{Kind: KindRattrap, CIDPrefix: "s1-"}}
+	if n := testing.AllocsPerRun(1000, func() { _ = pl.cid(123456) }); n > 1 {
+		t.Fatalf("cid allocates %.1f times, want at most 1 (the returned string)", n)
 	}
 }

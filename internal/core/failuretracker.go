@@ -126,11 +126,19 @@ func (pl *Platform) FailureCount(k FailureKind) int { return pl.ft.total(k) }
 // event). Cordoned slots are invisible to the scheduler, so nothing can
 // claim the slot between the spawn and the proc running; the re-check
 // guards against a concurrent StopAll.
+// When the last schedulable runtime of a fixed pool drains out from under
+// queued requests, nothing would release to them again (an autoscaler
+// would boot capacity), so the drain proc boots their replacement.
 func (pl *Platform) drainSlot(sl *slot) {
 	pl.E.Spawn("drain:"+sl.id, func(p *sim.Proc) {
 		if sl.removed || sl.info.State != LifecycleIdle {
 			return
 		}
 		_ = pl.StopRuntime(p, sl.id) // teardown failures recorded by the tracker
+		if pl.scaler == nil && pl.waitQ.len() > 0 && pl.schedulable() == 0 && pl.slots.n < pl.poolCap() {
+			if sl, err := pl.bootSlot(p); err == nil {
+				pl.releaseSlot(sl) // hands it to the oldest live waiter
+			}
+		}
 	})
 }

@@ -32,9 +32,66 @@ type cacheEntry struct {
 
 	// lastBound/seq order entries for least-recently-bound eviction: the
 	// virtual time a container last loaded the code, with the insertion
-	// sequence breaking same-instant ties deterministically.
+	// sequence breaking same-instant ties deterministically; heapIdx is the
+	// entry's slot in the eviction heap.
 	lastBound sim.Time
 	seq       int
+	heapIdx   int
+}
+
+// evictOrder is the cache table as a min-heap on (lastBound, seq), each slot
+// carrying its entry's key: the root is the next eviction victim, the one a
+// scan of the table would pick (seq is unique, so ties resolve the same).
+// Entries record their index, so a bind or a drop fixes it in O(log n).
+type evictOrder []evictSlot
+
+type evictSlot struct {
+	lastBound sim.Time
+	seq       int
+	e         *cacheEntry
+}
+
+func (a evictSlot) before(b evictSlot) bool {
+	return a.lastBound < b.lastBound || a.lastBound == b.lastBound && a.seq < b.seq
+}
+
+func (e *cacheEntry) slot() evictSlot { return evictSlot{e.lastBound, e.seq, e} }
+
+func (h evictOrder) set(i int, s evictSlot) { h[i], s.e.heapIdx = s, i }
+
+func (h *evictOrder) push(e *cacheEntry) {
+	*h = append(*h, evictSlot{})
+	h.fix(len(*h)-1, e.slot())
+}
+
+// remove takes out the entry at i; the last entry fills the hole.
+func (h *evictOrder) remove(i int) {
+	n := len(*h) - 1
+	last := (*h)[n]
+	(*h)[n] = evictSlot{}
+	*h = (*h)[:n]
+	if i < n {
+		h.fix(i, last)
+	}
+}
+
+// fix places s, the new key of slot i, sifting it up or down.
+func (h evictOrder) fix(i int, s evictSlot) {
+	for i > 0 && s.before(h[(i-1)/2]) {
+		h.set(i, h[(i-1)/2])
+		i = (i - 1) / 2
+	}
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(s) {
+			break
+		}
+		h.set(i, h[c])
+		i = c
+	}
+	h.set(i, s)
 }
 
 // chunkInfo is one content-addressed block of the chunk store: its size
@@ -66,6 +123,7 @@ type Warehouse struct {
 	// size of the cache table.
 	stored host.Bytes
 	byCID  map[string][]string
+	order  evictOrder
 
 	// capacity bounds StoredBytes; 0 means unbounded (the pre-eviction
 	// behaviour). evictions counts entries dropped to stay under it.
@@ -134,13 +192,15 @@ func (w *Warehouse) Lookup(aid string) (*cacheEntry, bool) {
 // newEntry records a staged blob in the cache table.
 func (w *Warehouse) newEntry(aid, app string, size host.Bytes, path string, hashes []uint64, chunked bool) {
 	w.seq++
-	w.entries[aid] = &cacheEntry{
+	e := &cacheEntry{
 		AID: aid, App: app, Size: size, Path: path,
 		Hashes:    hashes,
 		chunked:   chunked,
 		lastBound: w.e.Now(),
 		seq:       w.seq,
 	}
+	w.entries[aid] = e
+	w.order.push(e)
 	if !chunked {
 		w.stored += size
 	}
@@ -263,6 +323,7 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 func (w *Warehouse) BindCID(aid, cid string) {
 	if e, ok := w.entries[aid]; ok {
 		e.lastBound = w.e.Now()
+		w.order.fix(e.heapIdx, e.slot())
 		if !slices.Contains(e.CIDs, cid) {
 			e.CIDs = append(e.CIDs, cid)
 			w.byCID[cid] = append(w.byCID[cid], aid)
@@ -305,6 +366,7 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 // its staged file is removed).
 func (w *Warehouse) dropEntry(e *cacheEntry) {
 	delete(w.entries, e.AID)
+	w.order.remove(e.heapIdx)
 	for _, cid := range e.CIDs {
 		if aids := dropString(w.byCID[cid], e.AID); len(aids) > 0 {
 			w.byCID[cid] = aids
@@ -348,14 +410,7 @@ func (w *Warehouse) EnforceCapacity() int {
 	}
 	dropped := 0
 	for w.StoredBytes() > w.capacity && len(w.entries) > 1 {
-		var victim *cacheEntry
-		for _, e := range w.entries {
-			if victim == nil || e.lastBound < victim.lastBound ||
-				(e.lastBound == victim.lastBound && e.seq < victim.seq) {
-				victim = e
-			}
-		}
-		w.dropEntry(victim)
+		w.dropEntry(w.order[0].e)
 		dropped++
 	}
 	w.evictions += dropped

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"rattrap/internal/host"
 	"rattrap/internal/offload"
@@ -214,4 +215,167 @@ func TestPropertyWarehouseBooksMatchRecomputation(t *testing.T) {
 			t.Errorf("seed %d: the bounded warehouse never evicted", seed)
 		}
 	}
+}
+
+// scanVictim is the eviction choice as EnforceCapacity made it before the
+// heap: one pass over the whole cache table for the least (lastBound, seq).
+func scanVictim(w *Warehouse) *cacheEntry {
+	var victim *cacheEntry
+	for _, e := range w.entries {
+		if victim == nil || e.lastBound < victim.lastBound ||
+			(e.lastBound == victim.lastBound && e.seq < victim.seq) {
+			victim = e
+		}
+	}
+	return victim
+}
+
+// scanEnforce is EnforceCapacity as it was: scan for the victim, drop it,
+// repeat.
+func scanEnforce(w *Warehouse) int {
+	if w.capacity <= 0 {
+		return 0
+	}
+	dropped := 0
+	for w.StoredBytes() > w.capacity && len(w.entries) > 1 {
+		w.dropEntry(scanVictim(w))
+		dropped++
+	}
+	w.evictions += dropped
+	return dropped
+}
+
+// checkEvictOrder checks the heap against the table: every entry is in it
+// once at the index it records, and its root is the scan's victim.
+func checkEvictOrder(w *Warehouse) error {
+	if len(w.order) != len(w.entries) {
+		return fmt.Errorf("heap holds %d entries, table %d", len(w.order), len(w.entries))
+	}
+	for i, sl := range w.order {
+		e := sl.e
+		if e.heapIdx != i || w.entries[e.AID] != e || sl != e.slot() {
+			return fmt.Errorf("heap slot %d holds %s recording index %d", i, e.AID, e.heapIdx)
+		}
+		if i > 0 && sl.before(w.order[(i-1)/2]) {
+			return fmt.Errorf("heap slot %d (%s) orders before its parent", i, e.AID)
+		}
+	}
+	if len(w.order) > 0 && w.order[0].e != scanVictim(w) {
+		return fmt.Errorf("heap root %s, the scan picks %s", w.order[0].e.AID, scanVictim(w).AID)
+	}
+	return nil
+}
+
+// Property: the eviction heap evicts exactly what the O(n) scan did. Two
+// worlds on engines of their own run one seeded op list — plain and chunked
+// pushes, binds (bursts of them at one virtual instant, so lastBound ties
+// and seq decides), imports from a peer, drops and capacity enforcement —
+// one enforcing through the heap, the other through the scan. After every
+// op their cache tables and eviction counts must agree, and the heap's root
+// must be the scan's victim.
+func TestPropertyEvictionOrderMatchesScan(t *testing.T) {
+	type op struct {
+		kind          int
+		aid, cid, app string
+		size          host.Bytes
+		sleep         time.Duration
+	}
+	ties := 0 // enforcements whose victim shared its lastBound with another entry
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]op, 400)
+		for i := range ops {
+			o := op{
+				kind: rng.Intn(10),
+				aid:  fmt.Sprintf("aid-%d", rng.Intn(80)),
+				cid:  fmt.Sprintf("cac-%d", rng.Intn(8)),
+				app:  fmt.Sprintf("App%d", rng.Intn(3)),
+				size: host.Bytes(1+rng.Intn(10)) * 50 * host.KB,
+			}
+			if rng.Intn(4) == 0 { // otherwise the next op runs at the same instant
+				o.sleep = time.Duration(1+rng.Intn(5)) * time.Millisecond
+			}
+			ops[i] = o
+		}
+		type world struct {
+			w, peer *Warehouse
+			log     []string // per step: the cache table and the eviction count
+		}
+		run := func(viaHeap bool) *world {
+			e := sim.NewEngine(seed)
+			wd := &world{w: newTestWarehouse(t, e, 8*host.MB), peer: newTestWarehouse(t, e, 0)}
+			e.Spawn("ops", func(p *sim.Proc) {
+				for step, o := range ops {
+					w := wd.w
+					switch {
+					case o.kind < 2:
+						if err := w.Put(p, o.aid, o.app, o.size); err != nil {
+							t.Errorf("put: %v", err)
+						}
+					case o.kind < 3:
+						hashes := offload.SyntheticManifest(o.app, o.size)
+						if err := w.PutChunked(p, o.aid, o.app, o.size, hashes, w.MissingChunks(hashes)); err != nil {
+							t.Errorf("put chunked: %v", err)
+						}
+					case o.kind < 6:
+						w.BindCID(o.aid, o.cid)
+					case o.kind < 7:
+						if err := wd.peer.Put(p, o.aid, o.app, o.size); err != nil {
+							t.Errorf("peer put: %v", err)
+						}
+						if ent, ok := wd.peer.Export(o.aid); ok {
+							if _, _, err := w.ImportEntry(p, ent); err != nil {
+								t.Errorf("import: %v", err)
+							}
+						}
+					case o.kind < 8:
+						w.DropEntry(o.aid)
+					default:
+						if viaHeap {
+							if len(w.order) > 1 && tiedAtRoot(w) {
+								ties++
+							}
+							w.EnforceCapacity()
+						} else {
+							scanEnforce(w)
+						}
+					}
+					if viaHeap {
+						if err := checkEvictOrder(w); err != nil {
+							t.Errorf("seed %d, step %d: %v", seed, step, err)
+						}
+					}
+					wd.log = append(wd.log, fmt.Sprint(w.AIDs(), w.Evictions()))
+					p.Sleep(o.sleep)
+				}
+			})
+			e.Run()
+			return wd
+		}
+		heapWorld, scanWorld := run(true), run(false)
+		if t.Failed() {
+			return
+		}
+		for step := range ops {
+			if heapWorld.log[step] != scanWorld.log[step] {
+				t.Fatalf("seed %d, step %d: heap world %s, scan world %s", seed, step, heapWorld.log[step], scanWorld.log[step])
+			}
+		}
+		if heapWorld.w.Evictions() == 0 {
+			t.Errorf("seed %d: nothing was evicted; the test observes nothing", seed)
+		}
+	}
+	if ties == 0 {
+		t.Error("no enforcement met a lastBound tie; the seq tie-break is not exercised")
+	}
+}
+
+// tiedAtRoot reports whether another entry shares the heap root's lastBound.
+func tiedAtRoot(w *Warehouse) bool {
+	for _, sl := range w.order[1:] {
+		if sl.lastBound == w.order[0].lastBound {
+			return true
+		}
+	}
+	return false
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"rattrap/internal/host"
 	"rattrap/internal/sim"
@@ -62,10 +61,14 @@ type Module struct {
 	LoadCost host.Work
 }
 
+// loadedModule is the kernel's record of a module; it outlives an unload, so
+// a module loaded and unloaded with every cold boot is not rebuilt each time.
 type loadedModule struct {
 	spec   *Module
-	refs   int // open handles across all namespaces
-	shared map[string]any
+	key    string // page-cache key of the .ko file
+	loaded bool
+	refs   int   // open handles across all namespaces
+	shared []any // non-namespaced devices' state, by index into spec.Devices
 }
 
 // Namespace is a device namespace: one per container, multiplexing
@@ -83,8 +86,8 @@ type Kernel struct {
 	e       *sim.Engine
 	h       *host.Host
 	release string
-	modules map[string]*loadedModule
-	devices map[string]*Module // /dev path -> owning module
+	modules map[string]*loadedModule // every module ever loaded; see loaded
+	devices map[string]*loadedModule // /dev path -> owning module
 	memKB   int
 }
 
@@ -95,7 +98,7 @@ func New(e *sim.Engine, h *host.Host, release string) *Kernel {
 		h:       h,
 		release: release,
 		modules: make(map[string]*loadedModule),
-		devices: make(map[string]*Module),
+		devices: make(map[string]*loadedModule),
 	}
 }
 
@@ -110,7 +113,8 @@ func (k *Kernel) Load(p *sim.Proc, m *Module) error {
 	if m.VerMagic != "" && m.VerMagic != k.release {
 		return fmt.Errorf("%w: module %s built for %s, kernel is %s", ErrVersionMagic, m.Name, m.VerMagic, k.release)
 	}
-	if _, ok := k.modules[m.Name]; ok {
+	lm := k.modules[m.Name]
+	if lm != nil && lm.loaded {
 		return fmt.Errorf("%w: %s", ErrModuleLoaded, m.Name)
 	}
 	for _, d := range m.Devices {
@@ -118,15 +122,23 @@ func (k *Kernel) Load(p *sim.Proc, m *Module) error {
 			return fmt.Errorf("%w: %s", ErrDeviceExists, d.Name)
 		}
 	}
+	if lm == nil || lm.spec != m {
+		lm = &loadedModule{spec: m, key: "ko:" + m.Name, shared: make([]any, len(m.Devices))}
+		k.modules[m.Name] = lm
+	}
 	// Read the .ko (a small contiguous file) and run module_init.
-	k.h.DiskRead(p, "ko:"+m.Name, host.Bytes(m.SizeKB)*host.KB, true, 1.0)
+	k.h.DiskRead(p, lm.key, host.Bytes(m.SizeKB)*host.KB, true, 1.0)
 	k.h.Compute(p, m.LoadCost, 1.0)
-	lm := &loadedModule{spec: m, shared: make(map[string]any)}
-	k.modules[m.Name] = lm
-	for _, d := range m.Devices {
-		k.devices[d.Name] = m
+	if lm.loaded {
+		// A concurrent insmod of the same module finished while this one
+		// read and initialized it: the module is in, once.
+		return fmt.Errorf("%w: %s", ErrModuleLoaded, m.Name)
+	}
+	lm.loaded = true
+	for i, d := range m.Devices {
+		k.devices[d.Name] = lm
 		if !d.Namespaced && d.New != nil {
-			lm.shared[d.Name] = d.New()
+			lm.shared[i] = d.New()
 		}
 	}
 	k.memKB += m.SizeKB
@@ -137,8 +149,8 @@ func (k *Kernel) Load(p *sim.Proc, m *Module) error {
 // handle to one of its devices is open — the "unloaded when no longer
 // needed to avoid wasting memory" lifecycle.
 func (k *Kernel) Unload(name string) error {
-	lm, ok := k.modules[name]
-	if !ok {
+	lm := k.modules[name]
+	if lm == nil || !lm.loaded {
 		return fmt.Errorf("%w: %s", ErrNoModule, name)
 	}
 	if lm.refs > 0 {
@@ -147,22 +159,25 @@ func (k *Kernel) Unload(name string) error {
 	for _, d := range lm.spec.Devices {
 		delete(k.devices, d.Name)
 	}
-	delete(k.modules, name)
+	clear(lm.shared)
+	lm.loaded = false
 	k.memKB -= lm.spec.SizeKB
 	return nil
 }
 
 // Loaded reports whether a module is inserted.
 func (k *Kernel) Loaded(name string) bool {
-	_, ok := k.modules[name]
-	return ok
+	lm := k.modules[name]
+	return lm != nil && lm.loaded
 }
 
 // Lsmod lists loaded modules, sorted.
 func (k *Kernel) Lsmod() []string {
 	out := make([]string, 0, len(k.modules))
-	for n := range k.modules {
-		out = append(out, n)
+	for n, lm := range k.modules {
+		if lm.loaded {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -182,36 +197,32 @@ func (k *Kernel) NewNamespace(name string) *Namespace {
 	return &Namespace{name: name, state: make(map[string]any)}
 }
 
-// Handle is an open device descriptor.
+// Handle is an open device descriptor, in storage the caller owns.
 type Handle struct {
-	k     *Kernel
 	mod   *loadedModule
 	dev   string
 	state any
 	open  bool
 }
 
-// Open opens dev within ns. It returns ErrNoDevice when no loaded module
-// provides the device — the failure a container hits when the Android
-// Container Driver is absent. Namespaced devices lazily create
+// Open opens dev within ns into h. It returns ErrNoDevice when no loaded
+// module provides the device — the failure a container hits when the
+// Android Container Driver is absent. Namespaced devices lazily create
 // per-namespace state; shared devices return the module-wide state.
-func (k *Kernel) Open(ns *Namespace, dev string) (*Handle, error) {
-	m, ok := k.devices[dev]
+func (k *Kernel) Open(ns *Namespace, dev string, h *Handle) error {
+	lm, ok := k.devices[dev]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoDevice, dev)
+		return fmt.Errorf("%w: %s", ErrNoDevice, dev)
 	}
-	lm := k.modules[m.Name]
-	var spec *DeviceSpec
-	for i := range m.Devices {
-		if m.Devices[i].Name == dev {
-			spec = &m.Devices[i]
-			break
-		}
+	i := 0
+	for lm.spec.Devices[i].Name != dev {
+		i++
 	}
+	spec := &lm.spec.Devices[i]
 	var state any
 	if spec.Namespaced {
 		if ns == nil {
-			return nil, fmt.Errorf("kernel: device %s requires a device namespace", dev)
+			return fmt.Errorf("kernel: device %s requires a device namespace", dev)
 		}
 		if s, ok := ns.state[dev]; ok {
 			state = s
@@ -220,10 +231,11 @@ func (k *Kernel) Open(ns *Namespace, dev string) (*Handle, error) {
 			ns.state[dev] = state
 		}
 	} else {
-		state = lm.shared[dev]
+		state = lm.shared[i]
 	}
 	lm.refs++
-	return &Handle{k: k, mod: lm, dev: dev, state: state, open: true}, nil
+	*h = Handle{mod: lm, dev: dev, state: state, open: true}
+	return nil
 }
 
 // State returns the driver state behind the handle (e.g. *binder.Context).
@@ -241,7 +253,3 @@ func (h *Handle) Close() error {
 	h.mod.refs--
 	return nil
 }
-
-// DefaultLoadTime is a representative insmod latency used for module specs
-// that want a simple time-based cost instead of Work.
-const DefaultLoadTime = 15 * time.Millisecond

@@ -69,7 +69,7 @@ func TestOpenWithoutModuleIsENODEV(t *testing.T) {
 	e, k := newHarness()
 	ns := k.NewNamespace("c1")
 	e.Spawn("init", func(p *sim.Proc) {
-		if _, err := k.Open(ns, "/dev/binder"); !errors.Is(err, ErrNoDevice) {
+		if err := k.Open(ns, "/dev/binder", new(Handle)); !errors.Is(err, ErrNoDevice) {
 			t.Errorf("err = %v, want ErrNoDevice", err)
 		}
 	})
@@ -83,12 +83,11 @@ func TestNamespaceIsolation(t *testing.T) {
 		if err := k.Load(p, binderLikeModule()); err != nil {
 			t.Fatal(err)
 		}
-		h1, err := k.Open(ns1, "/dev/binder")
-		if err != nil {
+		var h1, h2, h1b Handle
+		if err := k.Open(ns1, "/dev/binder", &h1); err != nil {
 			t.Fatal(err)
 		}
-		h2, err := k.Open(ns2, "/dev/binder")
-		if err != nil {
+		if err := k.Open(ns2, "/dev/binder", &h2); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct per-namespace state.
@@ -97,7 +96,7 @@ func TestNamespaceIsolation(t *testing.T) {
 			t.Error("namespaces share driver state")
 		}
 		// Same namespace reopens the same state.
-		h1b, _ := k.Open(ns1, "/dev/binder")
+		k.Open(ns1, "/dev/binder", &h1b)
 		if len(h1b.State().(map[string]int)) != 1 {
 			t.Error("reopen in same namespace lost state")
 		}
@@ -114,8 +113,9 @@ func TestSharedDeviceState(t *testing.T) {
 	ns1, ns2 := k.NewNamespace("c1"), k.NewNamespace("c2")
 	e.Spawn("init", func(p *sim.Proc) {
 		k.Load(p, m)
-		h1, _ := k.Open(ns1, "/dev/ashmem")
-		h2, _ := k.Open(ns2, "/dev/ashmem")
+		var h1, h2 Handle
+		k.Open(ns1, "/dev/ashmem", &h1)
+		k.Open(ns2, "/dev/ashmem", &h2)
 		h1.State().(map[string]int)["region"] = 1
 		if h2.State().(map[string]int)["region"] != 1 {
 			t.Error("non-namespaced device state not shared")
@@ -129,7 +129,8 @@ func TestUnloadRefcounting(t *testing.T) {
 	ns := k.NewNamespace("c1")
 	e.Spawn("init", func(p *sim.Proc) {
 		k.Load(p, binderLikeModule())
-		h, _ := k.Open(ns, "/dev/binder")
+		var h Handle
+		k.Open(ns, "/dev/binder", &h)
 		if err := k.Unload("test_binder"); !errors.Is(err, ErrModuleInUse) {
 			t.Errorf("unload with open handle: err = %v, want ErrModuleInUse", err)
 		}
@@ -201,4 +202,108 @@ func TestLoadTakesTime(t *testing.T) {
 	if took <= 0 {
 		t.Fatal("module load was instantaneous")
 	}
+}
+
+// acdLikeModules mirrors the Android Container Driver's shape: four modules,
+// five devices, one of them kernel-global with state made at load.
+func acdLikeModules() []*Module {
+	state := func() any { return new(int) }
+	return []*Module{
+		{Name: "m_binder", VerMagic: "3.18.0", SizeKB: 180, LoadCost: 4,
+			Devices: []DeviceSpec{{Name: "/dev/binder", Namespaced: true, New: state}}},
+		{Name: "m_alarm", VerMagic: "3.18.0", SizeKB: 24, LoadCost: 1,
+			Devices: []DeviceSpec{{Name: "/dev/alarm", Namespaced: true, New: state}}},
+		{Name: "m_logger", VerMagic: "3.18.0", SizeKB: 32, LoadCost: 1,
+			Devices: []DeviceSpec{{Name: "/dev/log/main", Namespaced: true, New: state}, {Name: "/dev/log/events", Namespaced: true, New: state}}},
+		{Name: "m_ashmem", VerMagic: "3.18.0", SizeKB: 28, LoadCost: 1,
+			Devices: []DeviceSpec{{Name: "/dev/ashmem", New: state}}},
+	}
+}
+
+// loadUnloadAllocs is what inserting and removing the four modules costs
+// once the kernel has seen them: the kernel-global device's fresh state, and
+// nothing else. It was 13 for the load alone while every load concatenated
+// the .ko's page-cache key and rebuilt the module's record and an empty
+// shared-state map.
+const loadUnloadAllocs = 1
+
+func TestLoadUnloadAllocs(t *testing.T) {
+	e, k := newHarness()
+	mods := acdLikeModules()
+	cycle := func(p *sim.Proc) {
+		for _, m := range mods {
+			if err := k.Load(p, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range mods {
+			if err := k.Unload(m.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var allocs float64
+	e.Spawn("fence", func(p *sim.Proc) {
+		cycle(p) // the first load makes the records and grows the maps
+		allocs = testing.AllocsPerRun(100, func() { cycle(p) })
+	})
+	e.Run()
+	t.Logf("a load + unload of %d modules allocates %.0f objects", len(mods), allocs)
+	if allocs > loadUnloadAllocs {
+		t.Fatalf("a load + unload of %d modules allocates %.0f objects, fence is %d", len(mods), allocs, loadUnloadAllocs)
+	}
+}
+
+// A record kept across an unload must behave like no record: the module is
+// gone from Loaded, Lsmod, the device table and the memory count, a reload
+// builds fresh kernel-global state, and a different spec under the same
+// name replaces the record.
+func TestReloadAfterUnload(t *testing.T) {
+	e, k := newHarness()
+	m := acdLikeModules()[3]
+	ns := k.NewNamespace("c1")
+	e.Spawn("init", func(p *sim.Proc) {
+		if err := k.Load(p, m); err != nil {
+			t.Fatal(err)
+		}
+		var h Handle
+		if err := k.Open(ns, "/dev/ashmem", &h); err != nil {
+			t.Fatal(err)
+		}
+		first := h.State()
+		h.Close()
+		if err := k.Unload(m.Name); err != nil {
+			t.Fatal(err)
+		}
+		if k.Loaded(m.Name) || len(k.Lsmod()) != 0 || k.HasDevice("/dev/ashmem") || k.ModuleMemKB() != 0 {
+			t.Fatalf("unloaded module still visible: loaded=%v lsmod=%v dev=%v mem=%d",
+				k.Loaded(m.Name), k.Lsmod(), k.HasDevice("/dev/ashmem"), k.ModuleMemKB())
+		}
+		if err := k.Unload(m.Name); !errors.Is(err, ErrNoModule) {
+			t.Errorf("second unload: err = %v, want ErrNoModule", err)
+		}
+		if err := k.Open(ns, "/dev/ashmem", &h); !errors.Is(err, ErrNoDevice) {
+			t.Errorf("open after unload: err = %v, want ErrNoDevice", err)
+		}
+		if err := k.Load(p, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Open(ns, "/dev/ashmem", &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.State() == first {
+			t.Error("a reload kept the previous load's kernel-global state")
+		}
+		h.Close()
+		k.Unload(m.Name)
+		other := &Module{Name: m.Name, VerMagic: "3.18.0", SizeKB: 5,
+			Devices: []DeviceSpec{{Name: "/dev/other"}}}
+		if err := k.Load(p, other); err != nil {
+			t.Fatal(err)
+		}
+		if !k.HasDevice("/dev/other") || k.HasDevice("/dev/ashmem") || k.ModuleMemKB() != 5 {
+			t.Errorf("a new spec under an old name kept the old record")
+		}
+	})
+	e.Run()
 }

@@ -125,6 +125,44 @@ func TestObserveSpan(t *testing.T) {
 	r.ObserveSpan("s.", nil) // nil span: no-op
 }
 
+// A request's span, recorded and folded, allocates only the span itself:
+// its first stages live inline, and folding resolves each (prefix, stage)
+// to its histogram without building the name. The fold still lands on the
+// histogram named prefix + stage, and a span past its inline stages keeps
+// every record in order.
+func TestSpanRecordAndFoldAllocs(t *testing.T) {
+	r := NewRegistry()
+	stages := []string{StageBoot, StageCodeStage, StageRun}
+	fold := func() {
+		sp := NewSpan()
+		for _, st := range stages {
+			sp.Add(st, time.Millisecond)
+		}
+		r.ObserveSpan("server.stage.", sp)
+	}
+	fold() // the first fold makes the histograms
+	if n := testing.AllocsPerRun(200, fold); n > 1 {
+		t.Fatalf("recording and folding a %d-stage span allocates %.0f objects, want at most 1 (the span)", len(stages), n)
+	}
+	if n := r.Histogram("server.stage." + StageRun).Count(); n != 202 {
+		t.Fatalf("server.stage.run count = %d, want 202", n)
+	}
+	sp := NewSpan()
+	for i := 0; i < 2*spanInline+1; i++ {
+		sp.Add(stages[i%len(stages)], time.Duration(i))
+	}
+	for i, rec := range sp.Stages() {
+		if rec.Stage != stages[i%len(stages)] || rec.Dur != time.Duration(i) {
+			t.Fatalf("record %d = %+v after outgrowing the inline stages", i, rec)
+		}
+	}
+	var zero Span
+	zero.Add(StageRun, time.Second) // the zero Span records too
+	if len(zero.Stages()) != 1 {
+		t.Fatal("a zero Span lost its record")
+	}
+}
+
 func TestSnapshotTextAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.count").Add(3)

@@ -64,14 +64,19 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]metrics.Snapshotter
+	// stageHists is ObserveSpan's (prefix, stage) → Histogram(prefix+stage).
+	stageHists map[stageKey]*metrics.ShardedHistogram
 }
+
+type stageKey struct{ prefix, stage string }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]metrics.Snapshotter),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		hists:      make(map[string]metrics.Snapshotter),
+		stageHists: make(map[stageKey]*metrics.ShardedHistogram),
 	}
 }
 
@@ -159,7 +164,17 @@ func (r *Registry) ObserveSpan(prefix string, sp *Span) {
 		return
 	}
 	for _, rec := range sp.Stages() {
-		r.Histogram(prefix + rec.Stage).Observe(rec.Dur)
+		key := stageKey{prefix, rec.Stage}
+		r.mu.RLock()
+		h := r.stageHists[key]
+		r.mu.RUnlock()
+		if h == nil { // the pair's first fold names its histogram
+			h = r.Histogram(prefix + rec.Stage)
+			r.mu.Lock()
+			r.stageHists[key] = h
+			r.mu.Unlock()
+		}
+		h.Observe(rec.Dur)
 	}
 }
 

@@ -25,7 +25,13 @@ type StageRecord struct {
 // to leave in hot paths unconditionally.
 type Span struct {
 	stages []StageRecord
+	// inline backs stages until a request records more than spanInline of
+	// them: a cold TCP request records three, a warm one one.
+	inline [spanInline]StageRecord
 }
+
+// spanInline is how many stages a span holds without a second allocation.
+const spanInline = 4
 
 // NewSpan returns an empty, enabled span.
 func NewSpan() *Span { return &Span{} }
@@ -41,6 +47,9 @@ func (s *Span) Add(stage string, d time.Duration) {
 	}
 	if d < 0 {
 		d = 0
+	}
+	if s.stages == nil {
+		s.stages = s.inline[:0]
 	}
 	s.stages = append(s.stages, StageRecord{Stage: stage, Dur: d})
 }

@@ -572,8 +572,9 @@ func (h *connHandler) admit(r request) bool {
 // worker serves admitted requests one at a time until run closes the queue.
 func (h *connHandler) worker() {
 	defer h.workers.Done()
+	st := newReqState(h)
 	for r := range h.work {
-		h.serveRequest(r.req, r.start)
+		st.serve(r.req, r.start)
 		r.pin.Release()
 		h.endRequest()
 	}
@@ -704,17 +705,29 @@ func (h *connHandler) registerCodeWait(seq int) (chan codeMsg, error) {
 
 // waitCodeMsg blocks for the routed frame, bounded by the per-read
 // timeout, the request's remaining wall budget, and the connection's life.
-func (h *connHandler) waitCodeMsg(seq int, ch chan codeMsg, start time.Time) (codeMsg, error) {
-	timeout, err := h.s.requestRead(start)
+func (st *reqState) waitCodeMsg(ch chan codeMsg) (codeMsg, error) {
+	h, seq := st.h, st.req.Seq
+	timeout, err := h.s.requestRead(st.start)
 	if err != nil {
 		h.cancelCodeWait(seq)
 		return codeMsg{}, err
 	}
 	var timerC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timerC = timer.C
+		if st.timer == nil {
+			st.timer = time.NewTimer(timeout)
+		} else {
+			st.timer.Reset(timeout)
+		}
+		timerC = st.timer.C
+		defer func() { // stop it, sweeping a tick that raced the stop
+			if !st.timer.Stop() {
+				select {
+				case <-st.timer.C:
+				default:
+				}
+			}
+		}()
 	}
 	select {
 	case msg := <-ch:
@@ -730,13 +743,14 @@ func (h *connHandler) waitCodeMsg(seq int, ch chan codeMsg, start time.Time) (co
 
 // awaitCode asks the device for the mobile code and waits for its answer:
 // the code push itself, or a chunk offer opening a delta push.
-func (h *connHandler) awaitCode(seq int, aid string, start time.Time) (codeMsg, error) {
-	ch, err := h.registerCodeWait(seq)
+func (st *reqState) awaitCode() (codeMsg, error) {
+	h := st.h
+	ch, err := h.registerCodeWait(st.req.Seq)
 	if err != nil {
 		return codeMsg{}, err
 	}
-	h.out <- outMsg{frame: offload.Frame{Kind: offload.KindNeedCode, NeedCode: &offload.NeedCode{Seq: seq, AID: aid}}}
-	return h.waitCodeMsg(seq, ch, start)
+	h.out <- outMsg{frame: offload.Frame{Kind: offload.KindNeedCode, NeedCode: &offload.NeedCode{Seq: st.req.Seq, AID: st.req.AID}}}
+	return st.waitCodeMsg(ch)
 }
 
 func (h *connHandler) cancelCodeWait(seq int) {
@@ -781,17 +795,96 @@ func errorResult(err error) offload.Result {
 	return res
 }
 
-// serveRequest runs one request through the platform on a worker
-// goroutine and queues its result for the writer. Engine-bound steps run
-// as injected processes so runtime preparation and execution consume real
-// (paced) time; protocol I/O happens through the decode loop and writer.
-// When no code transfer is needed — the warehouse-hit fast path —
-// prepare, execute, and release are batched into a single injected
-// process, so the whole request costs one engine interaction instead of
-// four. Request-fatal errors (code-exchange timeout, duplicate seq) tear
-// the connection down via fail, matching the serial server's behavior.
-func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
-	s := h.s
+// reqState is a worker's request in flight: the request and everything its
+// engine steps hand back to the worker. A worker owns one for its life and
+// reuses it, with the steps bound to it once and its code-wait timer, so
+// serving a request boxes no captured local and builds no closure.
+type reqState struct {
+	h *connHandler
+	reqVars
+
+	prepare, negotiate, push, execute, release func(*sim.Proc)
+
+	timer *time.Timer // bounds code waits; made on the first
+}
+
+// reqVars is what one request sets; serve zeroes it for the next.
+type reqVars struct {
+	req   offload.ExecRequest
+	start time.Time
+	pre   workload.Precomputed
+
+	sess offload.Session
+	res  offload.Result
+	err  error // of the last step; the request's, once done
+	done bool  // Prepare failed, or the session executed and was released
+
+	// The code exchange: the frame that answered NEED_CODE, and the offer a
+	// delta push negotiated with what the warehouse said it lacks.
+	msg        codeMsg
+	negotiated *offload.ChunkOffer
+	missing    []uint64
+	need       offload.ChunkNeed
+}
+
+func newReqState(h *connHandler) *reqState {
+	st := &reqState{h: h}
+	st.prepare = st.prepareStep
+	st.negotiate = func(p *sim.Proc) {
+		st.need, st.err = st.sess.(offload.ChunkedSession).NegotiateChunks(p, *st.msg.offer)
+	}
+	st.push = st.pushStep
+	st.execute = st.executeStep
+	st.release = func(*sim.Proc) { st.sess.Release() }
+	return st
+}
+
+// prepareStep is the request's first engine step. The cluster routes the
+// request to the shard owning its AID, under the driver — so the membership
+// may change between requests — and the session it returns stays pinned to
+// that shard. Without a code transfer to wait for (a warehouse hit) it
+// executes and releases in the same step.
+func (st *reqState) prepareStep(p *sim.Proc) {
+	st.sess, st.err = st.h.s.cl.Prepare(p, st.req)
+	if st.err != nil {
+		st.done = true
+		return
+	}
+	if !st.sess.NeedCode() {
+		st.executeStep(p)
+	}
+}
+
+func (st *reqState) pushStep(p *sim.Proc) {
+	if st.negotiated != nil {
+		st.err = st.sess.(offload.ChunkedSession).PushChunks(p, *st.negotiated, st.missing)
+	} else {
+		st.err = st.sess.PushCode(p, st.msg.push)
+	}
+}
+
+// executeStep executes and releases in one step, unless Execute re-claimed
+// a push another device abandoned: then the code exchange runs again.
+func (st *reqState) executeStep(p *sim.Proc) {
+	st.res, st.err = st.sess.Execute(p)
+	if !errors.Is(st.err, offload.ErrCodeNeeded) {
+		st.sess.Release()
+		st.done = true
+	}
+}
+
+// serve runs one request through the platform on its worker goroutine and
+// queues its result for the writer. Engine-bound steps run as injected
+// processes so runtime preparation and execution consume real (paced)
+// time; protocol I/O happens through the decode loop and writer. When no
+// code transfer is needed — the warehouse-hit fast path — prepare,
+// execute, and release are batched into a single injected process, so the
+// whole request costs one engine interaction instead of four.
+// Request-fatal errors (code-exchange timeout, duplicate seq) tear the
+// connection down via fail, matching the serial server's behavior.
+func (st *reqState) serve(req offload.ExecRequest, start time.Time) {
+	h, s := st.h, st.h.s
+	st.reqVars = reqVars{req: req, start: start}
 	key := dedupKey{dev: h.dev, aid: req.AID, seq: req.Seq}
 	// Attach a request-scoped span: the platform records its dispatcher,
 	// warehouse and runtime sub-stages (virtual time) into it, and the span
@@ -801,46 +894,23 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 	// boundaries, and the channel send to the writer orders the final fold),
 	// so no lock is needed.
 	sp := obs.NewSpan()
-	req.SetSpan(sp)
+	st.req.SetSpan(sp)
 	// Run the real computation here, on this worker goroutine, before
 	// entering the serialized engine: apps are deterministic in the task
 	// parameters, so the dispatch inside the driver charges the modeled
 	// virtual cost and returns this result without holding every other
 	// request's engine interaction hostage to the actual CPU work. This
 	// also consumes req.Params before the worker's read-buffer pin could
-	// matter to anyone downstream of the engine.
-	req.SetPrecomputed(s.precompute(&req))
+	// matter to anyone downstream of the engine. The outcome is the
+	// worker's to reuse: nothing reads it once the session is released.
+	st.pre.Metrics, st.pre.Err = s.wreg.Execute(st.req.Task())
+	st.req.SetPrecomputed(&st.pre)
 	// The connection's abort signal rides along so a teardown
 	// mid-queue-wait cannot strand this worker (or a runtime slot).
-	req.SetAbort(h.abort)
-	var (
-		sess    offload.Session
-		prepErr error
-		res     offload.Result
-		execErr error
-		fast    bool
-	)
-	// The cluster routes the request to the shard owning its AID, under
-	// the driver — so the membership may change between requests — and the
-	// session it returns stays pinned to that shard.
-	s.drv.Do(h.procs.request, func(p *sim.Proc) {
-		sess, prepErr = s.cl.Prepare(p, req)
-		if prepErr != nil || sess.NeedCode() {
-			return // code transfer needs protocol I/O; finish below
-		}
-		res, execErr = sess.Execute(p)
-		if errors.Is(execErr, offload.ErrCodeNeeded) {
-			return // re-claimed an aborted push; code exchange below
-		}
-		sess.Release()
-		fast = true
-	})
-	if prepErr != nil {
-		h.finishRequest(key, req.Seq, res, prepErr, start, sp)
-		return
-	}
-	if fast {
-		h.finishRequest(key, req.Seq, res, execErr, start, sp)
+	st.req.SetAbort(h.abort)
+	s.drv.Do(h.procs.request, st.prepare)
+	if st.done { // Prepare failed, or the warehouse-hit fast path finished
+		h.finishRequest(key, req.Seq, st.res, st.err, start, sp)
 		return
 	}
 
@@ -849,15 +919,15 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 	// device abandoned. Every early return releases the session, so a
 	// device that stalls mid-exchange cannot pin a runtime slot past the
 	// code-wait timeout.
-	released := false
 	defer func() {
-		if !released {
-			s.drv.Do(h.procs.release, func(p *sim.Proc) { sess.Release() })
+		if !st.done {
+			s.drv.Do(h.procs.release, st.release)
 		}
 	}()
 
 	for {
-		msg, err := h.awaitCode(req.Seq, req.AID, start)
+		var err error
+		st.msg, err = st.awaitCode()
 		if err != nil {
 			h.fail(err)
 			return
@@ -866,26 +936,20 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 		// missing set until the device sends the (delta or full) code frame.
 		// The negotiated offer is remembered so the code frame that follows
 		// stages chunks instead of a full blob.
-		var negotiated *offload.ChunkOffer
-		var negotiatedMissing []uint64
-		for msg.offer != nil {
-			var need offload.ChunkNeed
-			var negErr error
-			cs, chunked := sess.(offload.ChunkedSession)
-			if chunked {
-				s.drv.Do(h.procs.chunks, func(p *sim.Proc) {
-					need, negErr = cs.NegotiateChunks(p, *msg.offer)
-				})
+		st.negotiated, st.missing = nil, nil
+		for st.msg.offer != nil {
+			if _, chunked := st.sess.(offload.ChunkedSession); chunked {
+				s.drv.Do(h.procs.chunks, st.negotiate)
 			} else {
-				need = offload.ChunkNeed{Seq: msg.offer.Seq, AID: msg.offer.AID}
+				st.need, st.err = offload.ChunkNeed{Seq: st.msg.offer.Seq, AID: st.msg.offer.AID}, nil
 			}
-			if negErr != nil {
-				h.finishRequest(key, req.Seq, res, negErr, start, sp)
+			if st.err != nil {
+				h.finishRequest(key, req.Seq, st.res, st.err, start, sp)
 				return
 			}
-			if need.Supported {
-				negotiated = msg.offer
-				negotiatedMissing = need.Missing
+			if st.need.Supported {
+				st.negotiated = st.msg.offer
+				st.missing = st.need.Missing
 			}
 			// Re-register before the need reply leaves: the device answers
 			// it with the code frame, which must find a waiter.
@@ -894,41 +958,26 @@ func (h *connHandler) serveRequest(req offload.ExecRequest, start time.Time) {
 				h.fail(rerr)
 				return
 			}
-			h.out <- outMsg{frame: offload.ChunkNeedFrame(&need)}
-			msg, err = h.waitCodeMsg(req.Seq, ch, start)
+			h.out <- outMsg{frame: offload.ChunkNeedFrame(&st.need)}
+			st.msg, err = st.waitCodeMsg(ch)
 			if err != nil {
 				h.fail(err)
 				return
 			}
 		}
-		push := msg.push
-		var pushErr error
-		s.drv.Do(h.procs.push, func(p *sim.Proc) {
-			if negotiated != nil {
-				pushErr = sess.(offload.ChunkedSession).PushChunks(p, *negotiated, negotiatedMissing)
-			} else {
-				pushErr = sess.PushCode(p, push)
-			}
-		})
-		if pushErr != nil {
-			h.finishRequest(key, req.Seq, res, pushErr, start, sp)
+		s.drv.Do(h.procs.push, st.push)
+		if st.err != nil {
+			h.finishRequest(key, req.Seq, st.res, st.err, start, sp)
 			return
 		}
 
 		// Execute and release in one injected process.
-		s.drv.Do(h.procs.exec, func(p *sim.Proc) {
-			res, execErr = sess.Execute(p)
-			if errors.Is(execErr, offload.ErrCodeNeeded) {
-				return
-			}
-			sess.Release()
-		})
-		if !errors.Is(execErr, offload.ErrCodeNeeded) {
-			released = true
+		s.drv.Do(h.procs.exec, st.execute)
+		if st.done {
 			break
 		}
 	}
-	h.finishRequest(key, req.Seq, res, execErr, start, sp)
+	h.finishRequest(key, req.Seq, st.res, st.err, start, sp)
 }
 
 // finishRequest stores a successful result in the idempotency window and
@@ -942,16 +991,6 @@ func (h *connHandler) finishRequest(key dedupKey, seq int, res offload.Result, e
 		h.s.dedup.store(key, res)
 	}
 	h.out <- outMsg{res: res, isResult: true, start: start, span: sp}
-}
-
-// precompute executes the request's task for real, ahead of its engine
-// dispatch, and packages the outcome for the runtime's short-circuit
-// (workload.Registry.Execute). It runs on the request's worker goroutine,
-// concurrently with every other request — the registry's apps are
-// read-only after construction.
-func (s *Server) precompute(req *offload.ExecRequest) *workload.Precomputed {
-	m, err := s.wreg.Execute(req.Task())
-	return &workload.Precomputed{Metrics: m, Err: err}
 }
 
 // dedupKey identifies a request for the idempotency window. A comparable

@@ -49,11 +49,13 @@ func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
 
 // simArrivalAllocs is what one arrival of sim-churn shrunk five times
 // allocates, the cluster's set-up and the timeline's migrations included
-// (at full size the same count is the benchmark's allocs_per_req, 23.3).
-// Before the simulated request path was cut down it was 42.8 here and
-// 40.6 at full size; the sites and what each lost are in DESIGN.md, "Where
-// a simulated request allocates".
-const simArrivalAllocs = 25.8
+// (at full size the same count is the benchmark's allocs_per_req). Before
+// the simulated request path was cut down it was 42.8 here and 40.6 at
+// full size; the sites and what each lost are in DESIGN.md, "Where a
+// simulated request allocates". It was 25.8 until a boot stopped
+// allocating its Binder nodes, module records and device handles one by
+// one (DESIGN.md, "Cold path").
+const simArrivalAllocs = 24.9
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,

@@ -274,7 +274,8 @@ func NewMount(h *host.Host, name string, upper *Layer, lowers ...*Layer) (*Mount
 	if upper.readOnly {
 		return nil, fmt.Errorf("unionfs: mount %q: upper layer %q is read-only", name, upper.name)
 	}
-	layers := append([]*Layer{upper}, lowers...)
+	layers := make([]*Layer, 0, 1+len(lowers))
+	layers = append(append(layers, upper), lowers...)
 	return &Mount{h: h, name: name, layers: layers}, nil
 }
 

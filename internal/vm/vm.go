@@ -143,11 +143,11 @@ func (v *VM) FS() *unionfs.Mount { return v.fs }
 
 // OpenDevice opens a guest /dev node; the Android drivers are built into
 // the guest kernel, so this always succeeds while the VM runs.
-func (v *VM) OpenDevice(dev string) (*kernel.Handle, error) {
+func (v *VM) OpenDevice(dev string, h *kernel.Handle) error {
 	if !v.running {
-		return nil, fmt.Errorf("vm %s: not running", v.cfg.Name)
+		return fmt.Errorf("vm %s: not running", v.cfg.Name)
 	}
-	return v.guestKernel.Open(v.ns, dev)
+	return v.guestKernel.Open(v.ns, dev, h)
 }
 
 // CPUEff returns the steady-state CPU efficiency.

@@ -5,6 +5,7 @@ import (
 
 	"rattrap/internal/host"
 	"rattrap/internal/image"
+	"rattrap/internal/kernel"
 	"rattrap/internal/sim"
 )
 
@@ -90,8 +91,8 @@ func TestGuestDevicesAlwaysPresent(t *testing.T) {
 	e.Spawn("t", func(p *sim.Proc) {
 		v, _ := Create(p, h, e, DefaultConfig("vm1"), image.AndroidX86())
 		// Android drivers are built into the guest kernel.
-		hnd, err := v.OpenDevice("/dev/binder")
-		if err != nil {
+		var hnd kernel.Handle
+		if err := v.OpenDevice("/dev/binder", &hnd); err != nil {
 			t.Fatalf("guest /dev/binder: %v", err)
 		}
 		hnd.Close()
@@ -112,7 +113,7 @@ func TestDestroyReleasesReservation(t *testing.T) {
 		if err := v.Destroy(p); err == nil {
 			t.Error("double destroy succeeded")
 		}
-		if _, err := v.OpenDevice("/dev/binder"); err == nil {
+		if err := v.OpenDevice("/dev/binder", new(kernel.Handle)); err == nil {
 			t.Error("device open on destroyed VM succeeded")
 		}
 	})
