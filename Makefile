@@ -39,10 +39,12 @@ race-top:
 # files state the same language version, because benchmark/run.sh refuses to
 # build against a root module newer than its own.
 # Session.PushCode has one simulated caller, device.Client (client.go), next
-# to the cluster's forwarder and the server half of the TCP exchange: another
+# to the cluster's forwarder and the server's connection machine: another
 # one would be a sixth copy of the device exchange. Fault plans have one
 # runner, the scenario runner: a faults.New( anywhere else outside tests is a
-# hand-written fleet harness coming back.
+# hand-written fleet harness coming back. The realtime protocol is tested in
+# virtual time (virtual_test.go): a wall-clock sleep or timeout belongs only
+# in the pacing driver's tests and the TCP adapter's (tcp_test.go).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -97,7 +99,7 @@ lint: vet
 	fi
 	@bad=$$(grep -rn '\.PushCode(' --include='*.go' internal/ cmd/ \
 		| grep -v '_test.go' | grep -v '^internal/core/' \
-		| grep -v -E '^internal/(cluster/cluster|realtime/server|device/client)\.go:' || true); \
+		| grep -v -E '^internal/(cluster/cluster|realtime/machine|device/client)\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "the device exchange written out again (offload through device.Client.Attempt):"; \
 		echo "$$bad"; exit 1; \
@@ -111,6 +113,12 @@ lint: vet
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \
 	if [ -n "$$bad" ]; then \
 		echo "encoding/gob imported under internal/ or cmd/ (the flat binary codecs are the only ones):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \
+		| grep -v -E '^internal/realtime/(driver|tcp)_test\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "wall-clock wait in a realtime protocol test (run it on the virtual transport):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

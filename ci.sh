@@ -11,15 +11,17 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race"
-# One tier: the full suite is ~11 s plain and ~91 s under the race detector
-# (internal/experiments' paper sweeps are 66 s of that alone, 71 s beside
-# the other packages); the per-package budget is several times the slowest
-# package. `make race-top` attributes the experiments package per test; on
-# two Xeon cores its ten slowest take 60 of its 73 s: the reclamation trace
-# 16.5 s, the parallel-vs-sequential trace and comparison 9.4 + 7.9 s,
-# Figure 11 7.3 s, the two one-shard-cluster pins (ROADMAP item 7 deletes
-# them) 5.6 + 2.1 s, the faults determinism run 4.4 s, Figure 9/Table II
-# 2.6 s, the spans determinism run 2.3 s, WiFi energy ordering 1.7 s.
+# One tier. On two Xeon cores the full suite is ~18 s plain and ~130 s
+# under the race detector, internal/experiments' paper sweeps being the
+# critical path (77 s alone, 97 s beside the other packages); the
+# per-package budget is several times the slowest package. `make race-top`
+# attributes the experiments package per test; its ten slowest take 68 of
+# its 77 s: the reclamation trace 22.0 s, the parallel-vs-sequential trace
+# and comparison 12.1 + 8.9 s, Figure 11 9.1 s, the faults determinism run
+# 5.0 s, Figure 9/Table II 3.5 s, the spans determinism run 2.9 s, WiFi
+# energy ordering 2.0 s, Figure 1 1.8 s, the renders 1.7 s. The one-shard
+# cluster pins that were 8.4 s of it (90 s alone, measured back to back)
+# now run in internal/cluster.
 go test -race -timeout 8m ./...
 
 echo "== benchmark module (nested: root go build/test do not reach it)"

@@ -202,30 +202,6 @@ func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session
 	return &shardSession{ChunkedSession: sess.(offload.ChunkedSession), shard: shard, c: c}, nil
 }
 
-// Runtimes merges every shard's Container DB listing, shard 0 first. The
-// records are copies (ContainerDB.List semantics) and CIDs are unique
-// cluster-wide thanks to the per-shard prefix.
-func (c *Cluster) Runtimes() []*core.RuntimeInfo {
-	var out []*core.RuntimeInfo
-	for _, pl := range c.shards {
-		out = append(out, pl.DB().List()...)
-	}
-	return out
-}
-
-// WarehouseStats sums entries and hits across shards (Rattrap kinds only;
-// zero for baselines).
-func (c *Cluster) WarehouseStats() (entries, hits int) {
-	for _, pl := range c.shards {
-		if wh := pl.Warehouse(); wh != nil {
-			e, h, _ := wh.Stats()
-			entries += e
-			hits += h
-		}
-	}
-	return entries, hits
-}
-
 // shardSession pins a session to the shard that prepared it and tags
 // session-level errors with that shard. If the shard crashes mid-session,
 // further operations fail fast with ErrShardDown (wrapped, so errors.Is

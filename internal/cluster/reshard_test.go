@@ -233,7 +233,7 @@ func TestClusterAddShardMigratesOnlyMissingChunks(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 
 	aids := seedCluster(t, e, cl, app, 10)
-	if entries, _ := cl.WarehouseStats(); entries != len(aids) {
+	if entries := warehouseEntries(cl); entries != len(aids) {
 		t.Fatalf("seeded %d entries, want %d", entries, len(aids))
 	}
 

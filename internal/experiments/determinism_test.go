@@ -16,19 +16,10 @@ import (
 // Two runs with the same seed must produce identical bytes.
 func goldenRun(t *testing.T, seed int64) string {
 	t.Helper()
-	return goldenRunShards(t, seed, 0)
-}
-
-// goldenRunShards is goldenRun served through cfg.Shards (0 = bare
-// Platform). TestOneShardClusterGolden pins shards=1 byte-identical to
-// shards=0.
-func goldenRunShards(t *testing.T, seed int64, shards int) string {
-	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := DefaultRun(core.KindRattrap, netsim.LANWiFi(), workload.NameLinpack, seed)
 	cfg.Spans = true
 	cfg.Obs = reg
-	cfg.Shards = shards
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,13 +24,6 @@ type Comparison struct {
 // The workload × platform cells are independent simulations, so they run
 // on the RunCells worker pool and merge in sweep order.
 func RunComparison(seed int64) (*Comparison, error) {
-	return RunComparisonShards(seed, 0)
-}
-
-// RunComparisonShards is RunComparison served through a cluster of the
-// given shard count (0 = bare Platform). The shards=1 output is pinned
-// byte-identical to shards=0 by TestComparisonOneShardCluster.
-func RunComparisonShards(seed int64, shards int) (*Comparison, error) {
 	c := &Comparison{
 		Runs:  make(map[string]map[core.Kind]*RunResult),
 		Order: workloadOrder(),
@@ -50,9 +43,7 @@ func RunComparisonShards(seed int64, shards int) (*Comparison, error) {
 	results := make([]*RunResult, len(cells))
 	err := RunCells(len(cells), func(i int) error {
 		cl := cells[i]
-		cfg := DefaultRun(cl.kind, netsim.LANWiFi(), cl.app, seed)
-		cfg.Shards = shards
-		r, err := Run(cfg)
+		r, err := Run(DefaultRun(cl.kind, netsim.LANWiFi(), cl.app, seed))
 		if err != nil {
 			return fmt.Errorf("comparison (%s, %v): %w", cl.app, cl.kind, err)
 		}

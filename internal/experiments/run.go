@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"rattrap/internal/cluster"
 	"rattrap/internal/core"
 	"rattrap/internal/device"
 	"rattrap/internal/host"
@@ -49,11 +48,6 @@ type RunConfig struct {
 	// Obs, when non-nil, is installed on the platform (core.SetObs) so the
 	// run populates aggregate counters, gauges and stage histograms.
 	Obs *obs.Registry
-	// Shards, when positive, serves the run through a cluster.Cluster of
-	// that many Platform shards (consistent-hash AID routing) instead of a
-	// bare Platform. A 1-shard cluster is pinned byte-identical to the
-	// bare Platform by the goldens in this package's tests.
-	Shards int
 }
 
 // DefaultRun returns the paper's standard setup for one workload.
@@ -132,23 +126,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 	e := sim.NewEngine(cfg.Seed)
-	var (
-		gw offload.Gateway
-		pl *core.Platform   // shard 0 (server-timeline vantage point)
-		cl *cluster.Cluster // nil unless cfg.Shards > 0
-	)
-	if cfg.Shards > 0 {
-		cl = cluster.NewReplicated(e, core.DefaultConfig(cfg.Kind), cfg.Shards, 1)
-		if cfg.Obs != nil {
-			cl.SetObs(cfg.Obs)
-		}
-		gw, pl = cl, cl.Shard(0)
-	} else {
-		pl = core.New(e, core.DefaultConfig(cfg.Kind))
-		if cfg.Obs != nil {
-			pl.SetObs(cfg.Obs)
-		}
-		gw = pl
+	pl := core.New(e, core.DefaultConfig(cfg.Kind))
+	if cfg.Obs != nil {
+		pl.SetObs(cfg.Obs)
 	}
 	// Fig. 2's server timelines (ServerCPU, ServerIORead, ServerIOWrite).
 	pl.Server.RecordTimelines()
@@ -181,7 +161,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 					LocalEnergyJ: power.LocalEnergy(local),
 				}
 				before := dev.Meter.Joules
-				offloaded, ph, result, err := dev.MaybeOffload(p, task, app.CodeSize(), gw)
+				offloaded, ph, result, err := dev.MaybeOffload(p, task, app.CodeSize(), pl)
 				rec.End = e.Now()
 				rec.Phases = ph
 				rec.Offloaded = offloaded
@@ -208,19 +188,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, fmt.Errorf("experiments: %d procs deadlocked", live)
 	}
 
-	if cl != nil {
-		res.Runtimes = cl.Runtimes()
-		res.WarehouseEntries, res.WarehouseHits = cl.WarehouseStats()
-	} else {
-		res.Runtimes = pl.DB().List()
-		if wh := pl.Warehouse(); wh != nil {
-			res.WarehouseEntries, res.WarehouseHits, _ = wh.Stats()
-		}
+	res.Runtimes = pl.DB().List()
+	if wh := pl.Warehouse(); wh != nil {
+		res.WarehouseEntries, res.WarehouseHits, _ = wh.Stats()
 	}
 	res.Horizon = e.Now().Duration().Truncate(time.Second) + time.Second
 	end := sim.Time(res.Horizon)
-	// Server timelines come from shard 0: in cluster mode each shard is its
-	// own server host, and the figures only chart the single-server story.
 	res.ServerCPU = pl.Server.CPUUtilization(0, end, time.Second)
 	res.ServerIORead = pl.Server.DiskReadMBps(0, end, time.Second)
 	res.ServerIOWrite = pl.Server.DiskWriteMBps(0, end, time.Second)

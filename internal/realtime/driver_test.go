@@ -8,6 +8,36 @@ import (
 	"rattrap/internal/sim"
 )
 
+func TestDriverPacesVirtualTime(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := NewDriver(e, 50) // 50x so the test stays fast
+	d.Start()
+	defer d.Stop()
+	d.Do("sleeper", func(p *sim.Proc) {
+		p.Sleep(500 * time.Millisecond) // 10ms wall at 50x
+	})
+	if d.Now() < sim.Time(500*time.Millisecond) {
+		t.Fatalf("virtual clock %v did not reach the sleep end", d.Now())
+	}
+}
+
+func TestDriverDoRunsInOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := NewDriver(e, 100)
+	d.Start()
+	defer d.Stop()
+	var got []int
+	for i := 0; i < 5; i++ {
+		i := i
+		d.Do("step", func(p *sim.Proc) { got = append(got, i) })
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("Do calls out of order: %v", got)
+		}
+	}
+}
+
 // fakeClock is a manually advanced wall clock: tests freeze time, inspect
 // the timers the driver arms, and fire them by advancing.
 type fakeClock struct {

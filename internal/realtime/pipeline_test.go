@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rattrap/internal/core"
 	"rattrap/internal/offload"
 	"rattrap/internal/workload"
 )
@@ -95,73 +94,6 @@ func TestServerPipelineDepthOne(t *testing.T) {
 	}
 	if n := waitLatencyCount(srv, 1); n != 1 {
 		t.Fatalf("latency observations = %d, want 1", n)
-	}
-}
-
-// TestServerCloseUnblocksAdmission pins the Close fix for pipelined
-// connections: a decode loop parked on the per-connection admission
-// semaphore (window full of in-flight requests) is not blocked in a read,
-// so closing the socket alone cannot unpark it. Close must still return
-// promptly — the close signal has to reach the admission wait directly.
-func TestServerCloseUnblocksAdmission(t *testing.T) {
-	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 200, nil, Options{
-		PipelineDepth: 1,
-		// Long read timeout: if Close relied on the code-wait timer to
-		// free the admission slot, this test would take 30s and fail.
-		ReadTimeout: 30 * time.Second,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	c := offload.NewConn(conn)
-	app, _ := workload.ByName(workload.NameChess)
-	aid := offload.AID(app.Name(), app.CodeSize())
-	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: "parked"}}); err != nil {
-		t.Fatal(err)
-	}
-	// First request goes cold: the worker parks in its code wait, holding
-	// the only admission token.
-	task := app.NewTask(testRng(0), 0)
-	if err := c.Send(offload.Frame{Kind: offload.KindExec, Exec: &offload.ExecRequest{
-		DeviceID: "parked", AID: aid, App: task.App, Method: task.Method,
-		Seq: 0, Params: task.Params, ParamBytes: task.ParamBytes,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := c.Recv(); err != nil || f.Kind != offload.KindNeedCode {
-		t.Fatalf("expected NEED_CODE, got %v / %v", f.Kind, err)
-	}
-	// Second request parks the decode loop on the admission semaphore.
-	task2 := app.NewTask(testRng(1), 1)
-	if err := c.Send(offload.Frame{Kind: offload.KindExec, Exec: &offload.ExecRequest{
-		DeviceID: "parked", AID: aid, App: task2.App, Method: task2.Method,
-		Seq: 1, Params: task2.Params, ParamBytes: task2.ParamBytes,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // let the decode loop reach the park
-
-	done := make(chan struct{})
-	go func() {
-		srv.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not unblock the admission-parked decode loop")
 	}
 }
 

@@ -1,142 +1,97 @@
 package realtime
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"rattrap/internal/core"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
-	"rattrap/internal/workload"
 )
 
-func startServerOpts(t *testing.T, opts Options) (*Server, net.Listener) {
-	t.Helper()
-	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 200, nil, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close(); ln.Close() })
-	return srv, ln
-}
-
-// waitLatencyCount returns the server's latency-observation count once it
-// has reached want, or after a deadline if it never does. The connection
-// writer observes a request's latency (and counts its result) just *after*
-// flushing the result frame, so a client can have its reply in hand before
-// the count moves; a test asserting an exact count right behind a client
-// must wait for it here instead of reading it directly.
-func waitLatencyCount(srv *Server, want int64) int64 {
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Latency().Count() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return srv.Latency().Count()
-}
-
-// TestSlowLorisReleasesSlot pins the tentpole's deadline behavior: a
-// device that asks for a slot, is told to push code, and then goes silent
-// must be cut off by the read deadline and its runtime slot released —
-// other devices keep being served instead of queueing behind a corpse.
+// TestSlowLorisReleasesSlot pins the read deadline: a device that asks for
+// a slot, is told to push code, and then goes silent is cut off exactly
+// readTimeout later, without a farewell (a client retries a lost
+// connection), and its runtime slot is released: other devices keep being
+// served instead of queueing behind a corpse.
 func TestSlowLorisReleasesSlot(t *testing.T) {
-	srv, ln := startServerOpts(t, Options{ReadTimeout: 300 * time.Millisecond})
-	cfg := srv.Cluster().Shard(0) // MaxRuntimes is the default (>1); the stall pins one slot
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := offload.NewConn(conn)
-	app, _ := workload.ByName(workload.NameChess)
-	task := app.NewTask(testRng(0), 0)
-	aid := offload.AID(app.Name(), app.CodeSize())
-	if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: "loris"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send(offload.Frame{Kind: offload.KindExec, Exec: &offload.ExecRequest{
-		DeviceID: "loris", AID: aid, App: task.App, Method: task.Method,
-		Params: task.Params, ParamBytes: task.ParamBytes,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := c.Recv()
-	if err != nil || f.Kind != offload.KindNeedCode {
-		t.Fatalf("expected NEED_CODE, got %v / %v", f.Kind, err)
-	}
-	// Go silent: never push the code. The server must hit its read
-	// deadline and release the pinned slot.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		busy := false
-		srv.Driver().Do("probe", func(p *sim.Proc) {
-			for _, r := range cfg.DB().List() {
-				busy = busy || r.Busy
-			}
-		})
-		if !busy {
-			break
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	pl := s.pr.cl.Shard(0)
+	var needAt, cutAt sim.Time
+	s.at(0, "loris", func(p *sim.Proc) {
+		d := s.connect(p, "loris")
+		defer d.hangUp()
+		d.send(execFrame(chess, 0))
+		if f, err := d.recv(); err != nil || f.Kind != offload.KindNeedCode {
+			t.Errorf("expected NEED_CODE, got %v / %v", f.Kind, err)
+			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("stalled device still pins a busy runtime after the read deadline")
+		needAt = p.E.Now()
+		// Go silent: never push the code.
+		if f, err := d.recv(); err == nil {
+			t.Errorf("got %+v, want the connection closed at the read deadline", f)
 		}
-		time.Sleep(20 * time.Millisecond)
+		cutAt = p.E.Now()
+	})
+	s.at(readTimeout+5*time.Second, "healthy", func(p *sim.Proc) {
+		if n := pl.DB().StateCount(core.LifecycleActive); n != 0 {
+			t.Errorf("%d runtimes still claimed after the loris was cut off", n)
+		}
+		// No result frame was produced for the aborted request.
+		if n := s.pr.lat.Count(); n != 0 {
+			t.Errorf("latency observations = %d for a request that produced no result", n)
+		}
+		d := s.connect(p, "healthy")
+		defer d.hangUp()
+		if res, _, err := d.offload(chess, 1); err != nil || res.Err != "" || res.Output == "" {
+			t.Errorf("healthy request after loris cleanup: %+v, %v", res, err)
+		}
+	})
+	s.run()
+	if got := cutAt - needAt; got != sim.Time(readTimeout) {
+		t.Fatalf("silent device cut off %v after NEED_CODE, want %v", got, readTimeout)
 	}
-	// The latency histogram must not have recorded the aborted request:
-	// no result frame was produced.
-	if n := srv.Latency().Count(); n != 0 {
-		t.Fatalf("latency observations = %d for a request that produced no result", n)
-	}
-	// A healthy device is served normally afterwards.
-	res, _ := runClient(t, ln.Addr().String(), "healthy", app, 1)
-	if res.Err != "" || res.Output == "" {
-		t.Fatalf("healthy request after loris cleanup: %+v", res)
-	}
-	if n := waitLatencyCount(srv, 1); n != 1 {
+	if n := s.pr.lat.Count(); n != 1 {
 		t.Fatalf("latency observations = %d, want exactly the healthy request", n)
 	}
 }
 
 // TestIdempotentRetryDoesNotReExecute pins the retry-safety contract: a
 // second exec frame with the same (DeviceID, AID, Seq) — a client retry
-// after a lost reply — is answered from the dedup window without running
-// the workload again.
+// after a lost reply, on a fresh connection — is answered from the dedup
+// window without running the workload again.
 func TestIdempotentRetryDoesNotReExecute(t *testing.T) {
-	srv, ln := startServerOpts(t, Options{})
-	app, _ := workload.ByName(workload.NameLinpack)
-
-	res1, _ := runClient(t, ln.Addr().String(), "phone-r", app, 0)
-	if res1.Err != "" || res1.Output == "" {
-		t.Fatalf("first attempt: %+v", res1)
-	}
-	execs := srv.Cluster().Shard(0).DB().Snapshot().TotalExec
-
-	// Same device, same seq — as a retry would send after a lost reply
-	// (fresh connection, like a client reconnecting after a fault).
-	res2, needed := runClient(t, ln.Addr().String(), "phone-r", app, 0)
-	if needed {
-		t.Fatal("retry was asked to re-push code")
-	}
-	if res2.Output != res1.Output || res2.ResultBytes != res1.ResultBytes {
-		t.Fatalf("retry result %+v differs from original %+v", res2, res1)
-	}
-	if after := srv.Cluster().Shard(0).DB().Snapshot().TotalExec; after != execs {
-		t.Fatalf("retry re-executed: %d -> %d executions", execs, after)
-	}
-
-	// A genuinely new sequence number still executes.
-	res3, _ := runClient(t, ln.Addr().String(), "phone-r", app, 1)
-	if res3.Err != "" {
-		t.Fatalf("new seq: %+v", res3)
-	}
-	if after := srv.Cluster().Shard(0).DB().Snapshot().TotalExec; after != execs+1 {
-		t.Fatalf("new seq executions = %d, want %d", after, execs+1)
-	}
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	execs := func() int { return s.pr.cl.Shard(0).DB().Snapshot().TotalExec }
+	s.at(0, "phone-r", func(p *sim.Proc) {
+		run := func(seq int) (offload.Result, bool) {
+			d := s.connect(p, "phone-r")
+			defer d.hangUp()
+			res, needed, err := d.offload(linpack, seq)
+			if err != nil || res.Err != "" || res.Output == "" {
+				t.Errorf("seq %d: %+v, %v", seq, res, err)
+			}
+			return res, needed
+		}
+		res1, _ := run(0)
+		before := execs()
+		res2, needed := run(0)
+		if needed {
+			t.Error("retry was asked to re-push code")
+		}
+		if res2.Output != res1.Output || res2.ResultBytes != res1.ResultBytes {
+			t.Errorf("retry result %+v differs from original %+v", res2, res1)
+		}
+		if after := execs(); after != before {
+			t.Errorf("retry re-executed: %d -> %d executions", before, after)
+		}
+		// A genuinely new sequence number still executes.
+		run(1)
+		if after := execs(); after != before+1 {
+			t.Errorf("new seq executions = %d, want %d", after, before+1)
+		}
+	})
+	s.run()
 }
 
 // TestDedupCacheEviction pins the window's FIFO bound.
@@ -157,11 +112,6 @@ func TestDedupCacheEviction(t *testing.T) {
 	dc.store(key("b"), offload.Result{Output: "b2"}) // overwrite, no growth
 	if r, _ := dc.lookup(key("b")); r.Output != "b2" {
 		t.Fatal("overwrite did not take")
-	}
-	var nilCache *dedupCache
-	nilCache.store(key("x"), offload.Result{})
-	if _, ok := nilCache.lookup(key("x")); ok {
-		t.Fatal("nil cache should be inert")
 	}
 }
 
@@ -193,26 +143,15 @@ func TestDedupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the zero/negative semantics.
+// TestOptionsDefaults pins the zero/negative semantics of the two sizes.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.ReadTimeout != 15*time.Second || o.WriteTimeout != 15*time.Second {
-		t.Fatalf("default read/write timeouts: %+v", o)
+	if o := (Options{}).withDefaults(); o.PipelineDepth != 1 || o.Shards != 1 {
+		t.Fatalf("defaults: %+v, want depth 1 and 1 shard", o)
 	}
-	if o.RequestTimeout != 2*time.Minute || o.IdleTimeout != 0 {
-		t.Fatalf("default request/idle timeouts: %+v", o)
+	if o := (Options{PipelineDepth: -3, Shards: -1}).withDefaults(); o.PipelineDepth != 1 || o.Shards != 1 {
+		t.Fatalf("negative sizes should clamp to 1: %+v", o)
 	}
-	if o.MaxFrame != offload.DefaultMaxFrame || o.DedupWindow != 256 {
-		t.Fatalf("default frame/dedup: %+v", o)
-	}
-	if o.PipelineDepth != 1 {
-		t.Fatalf("default pipeline depth: %+v", o)
-	}
-	d := Options{ReadTimeout: -1, WriteTimeout: -1, RequestTimeout: -1, IdleTimeout: -1, PipelineDepth: -3}.withDefaults()
-	if d.ReadTimeout != 0 || d.WriteTimeout != 0 || d.RequestTimeout != 0 || d.IdleTimeout != 0 {
-		t.Fatalf("negative should disable: %+v", d)
-	}
-	if d.PipelineDepth != 1 {
-		t.Fatalf("negative pipeline depth should clamp to 1: %+v", d)
+	if o := (Options{PipelineDepth: 8, Shards: 4}).withDefaults(); o.PipelineDepth != 8 || o.Shards != 4 {
+		t.Fatalf("explicit sizes changed: %+v", o)
 	}
 }

@@ -190,22 +190,22 @@ func TestServerKillOneAddOne(t *testing.T) {
 	}
 
 	// Keep the stream running until the join has commissioned and the new
-	// shard has executed something.
-	var epoch uint64
+	// shard has executed something, probing once per virtual second.
+	var ep uint64
 	var live, joinedExecs int
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		srv.Driver().Do("probe-membership", func(p *sim.Proc) {
-			epoch, live = cl.Epoch(), cl.Membership().LiveCount()
+			p.Sleep(time.Second)
+			ep, live = cl.Epoch(), cl.Membership().LiveCount()
 			joinedExecs = cl.Shard(joined).DB().Snapshot().TotalExec
 		})
-		if epoch == 2 && live == 3 && joinedExecs > 0 {
+		if ep == 2 && live == 3 && joinedExecs > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("join never took traffic: epoch %d, live %d, shard %d execs %d", epoch, live, joined, joinedExecs)
+			t.Fatalf("join never took traffic: epoch %d, live %d, shard %d execs %d", ep, live, joined, joinedExecs)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	finish()
 

@@ -2,14 +2,13 @@ package realtime
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"rattrap/internal/core"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
-	"rattrap/internal/workload"
 )
 
 // TestDedupCacheConcurrentEviction hammers the idempotency window from
@@ -105,92 +104,42 @@ func TestDedupCacheEvictsFIFO(t *testing.T) {
 
 // TestConcurrentAbortedPushesReuseSlots pins dispatcher slot reuse under
 // client failure at the worst moment: many devices ask for the same cold
-// application, are told NEED_CODE, and then vanish before pushing — while
-// healthy devices race them for the same slots. Every abort must release
-// its slot (via the read deadline) and every healthy device must still
-// get a result; at the end no runtime may be left busy.
+// application, and vanish at their first answer — NEED_CODE, a queue
+// position or a result — while healthy devices race them for the same
+// slots. Every abort must release its slot and every healthy device must
+// still get a result; at the end no runtime may be left claimed.
 func TestConcurrentAbortedPushesReuseSlots(t *testing.T) {
-	srv, ln := startServerOpts(t, Options{ReadTimeout: 200 * time.Millisecond})
-	app, _ := workload.ByName(workload.NameChess)
-	aid := offload.AID(app.Name(), app.CodeSize())
-
-	const aborters = 6
-	var abortWG sync.WaitGroup
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	const aborters, healthy = 6, 4
 	for i := 0; i < aborters; i++ {
 		i := i
-		abortWG.Add(1)
-		go func() {
-			defer abortWG.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Errorf("aborter %d dial: %v", i, err)
-				return
-			}
-			c := offload.NewConn(conn)
-			dev := fmt.Sprintf("aborter-%d", i)
-			task := app.NewTask(testRng(i), i)
-			if err := c.Send(offload.Frame{Kind: offload.KindHello, Hello: &offload.Hello{DeviceID: dev}}); err != nil {
-				conn.Close()
-				return
-			}
-			if err := c.Send(offload.Frame{Kind: offload.KindExec, Exec: &offload.ExecRequest{
-				DeviceID: dev, AID: aid, App: task.App, Method: task.Method,
-				Seq: i, Params: task.Params, ParamBytes: task.ParamBytes,
-			}}); err != nil {
-				conn.Close()
-				return
-			}
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			// Whether we were queued, told to push, or raced a concurrent
-			// push to a result, hang up without completing the exchange.
-			c.Recv()
-			conn.Close()
-		}()
+		s.at(time.Duration(i)*time.Millisecond, "aborter", func(p *sim.Proc) {
+			d := s.connect(p, fmt.Sprintf("aborter-%d", i))
+			d.send(execFrame(chess, i))
+			d.recv()
+			d.hangUp()
+		})
 	}
-
-	const healthy = 4
-	var healthyWG sync.WaitGroup
-	errs := make([]error, healthy)
 	for i := 0; i < healthy; i++ {
 		i := i
-		healthyWG.Add(1)
-		go func() {
-			defer healthyWG.Done()
-			res, _ := runClient(t, ln.Addr().String(), fmt.Sprintf("healthy-%d", i), app, 100+i)
-			if res.Err != "" || res.Output == "" {
-				errs[i] = fmt.Errorf("healthy-%d: %+v", i, res)
-			}
-		}()
-	}
-	abortWG.Wait()
-	healthyWG.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Aborted pushes must not pin slots: once the read deadlines fire,
-	// every runtime returns to idle and a fresh device is served at once.
-	cfg := srv.Cluster().Shard(0)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		busy := false
-		srv.Driver().Do("probe", func(p *sim.Proc) {
-			for _, r := range cfg.DB().List() {
-				busy = busy || r.Busy
+		s.at(time.Duration(i)*time.Millisecond, "healthy", func(p *sim.Proc) {
+			d := s.connect(p, fmt.Sprintf("healthy-%d", i))
+			defer d.hangUp()
+			if res, _, err := d.offload(chess, 100+i); err != nil || res.Err != "" || res.Output == "" {
+				t.Errorf("healthy-%d: %+v, %v", i, res, err)
 			}
 		})
-		if !busy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("aborted pushes left runtimes busy past the read deadline")
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	res, _ := runClient(t, ln.Addr().String(), "after-storm", app, 999)
-	if res.Err != "" || res.Output == "" {
-		t.Fatalf("request after abort storm failed: %+v", res)
-	}
+	// Once the read deadlines have fired, a fresh device is served at once.
+	s.at(2*readTimeout, "after-storm", func(p *sim.Proc) {
+		if n := s.pr.cl.Shard(0).DB().StateCount(core.LifecycleActive); n != 0 {
+			t.Errorf("aborted pushes left %d runtimes claimed past the read deadline", n)
+		}
+		d := s.connect(p, "after-storm")
+		defer d.hangUp()
+		if res, _, err := d.offload(chess, 999); err != nil || res.Err != "" || res.Output == "" {
+			t.Errorf("request after abort storm failed: %+v, %v", res, err)
+		}
+	})
+	s.run()
 }

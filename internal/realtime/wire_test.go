@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rattrap/internal/cluster"
+	"rattrap/internal/core"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -134,52 +135,52 @@ func TestServerWireNegotiation(t *testing.T) {
 // hangup. Nothing is booted or pinned on its behalf, and the server keeps
 // serving.
 func TestServerRejectsNonBinaryHello(t *testing.T) {
-	srv, ln := startServerOpts(t, Options{})
-	census := func() (runtimes, busy int) {
-		srv.Driver().Do("census", func(p *sim.Proc) {
-			runtimes = srv.Cluster().Shard(0).RuntimeCount()
-			for _, r := range srv.Cluster().Shard(0).DB().List() {
-				if r.Busy {
-					busy++
-				}
-			}
-		})
-		return
-	}
-	runtimes0, busy0 := census()
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	s.at(0, "gob", func(p *sim.Proc) {
+		c := s.dial()
+		d := &vDev{c: c, p: p}
+		defer d.hangUp()
+		payload := []byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 'F', 'r', 'a', 'm', 'e', 0x01, 0xff, 0x82}
+		c.up.Write(append([]byte{byte(len(payload))}, payload...))
+		f, err := d.recv()
+		if err != nil || f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol || f.Result.Err == "" {
+			t.Errorf("expected a protocol-error result, got %+v / %v", f, err)
+		}
+		if _, err := d.recv(); err == nil {
+			t.Error("server kept the connection open after a non-binary hello")
+		}
+		if n := s.pr.cl.Shard(0).RuntimeCount(); n != 0 {
+			t.Errorf("rejected hello booted %d runtimes", n)
+		}
+		if n := s.pr.lat.Count(); n != 0 {
+			t.Errorf("latency observations = %d for a connection that never sent a request", n)
+		}
+		after := s.connect(p, "after-gob")
+		defer after.hangUp()
+		if res, _, err := after.offload(linpack, 0); err != nil || res.Err != "" || res.Output == "" {
+			t.Errorf("request after the rejected hello: %+v, %v", res, err)
+		}
+	})
+	s.run()
+}
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload := []byte{0x37, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 'F', 'r', 'a', 'm', 'e', 0x01, 0xff, 0x82}
-	if _, err := conn.Write(append([]byte{byte(len(payload))}, payload...)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	c := offload.NewConn(conn)
-	f, err := c.Recv()
-	if err != nil {
-		t.Fatalf("expected a typed protocol error frame, got recv error %v", err)
-	}
-	if f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol || f.Result.Err == "" {
-		t.Fatalf("expected protocol-error result, got %+v", f)
-	}
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("server kept the connection open after a non-binary hello")
-	}
-	if runtimes, busy := census(); runtimes != runtimes0 || busy != busy0 {
-		t.Fatalf("rejected hello changed the census: runtimes %d -> %d, busy %d -> %d", runtimes0, runtimes, busy0, busy)
-	}
-	if n := srv.Latency().Count(); n != 0 {
-		t.Fatalf("latency observations = %d for a connection that never sent a request", n)
-	}
-	_, hc := helloOverWire(t, ln.Addr().String(), "after-gob")
-	app, _ := workload.ByName(workload.NameLinpack)
-	if res := execOnce(t, hc, app, 0); res.Err != "" || res.Output == "" {
-		t.Fatalf("request after the rejected hello: %+v", res)
-	}
+// TestServerRejectsProtocolViolations: an exec before the hello is
+// explained in an error Result frame, then the connection is dropped.
+func TestServerRejectsProtocolViolations(t *testing.T) {
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	s.at(0, "rude", func(p *sim.Proc) {
+		d := &vDev{c: s.dial(), p: p}
+		defer d.hangUp()
+		d.send(execFrame(chess, 0))
+		f, err := d.recv()
+		if err != nil || f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol || f.Result.Err == "" {
+			t.Errorf("violation reply = %+v / %v, want a CodeProtocol result", f, err)
+		}
+		if _, err := d.recv(); err == nil {
+			t.Error("server kept the connection open after a protocol violation")
+		}
+	})
+	s.run()
 }
 
 // TestServerBinaryPipelineAliasing is the -race gate on the zero-copy
