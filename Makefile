@@ -13,8 +13,16 @@ vet:
 test:
 	$(GO) test ./...
 
+# The run's output is kept in race.log (git-ignored), so a failure that
+# does not reproduce is still on disk; on failure the log is printed without
+# the passing packages' lines, which leaves the failing tests' output.
 race:
-	$(GO) test -race -timeout 8m ./...
+	@status=0; $(GO) test -race -timeout 8m ./... > race.log 2>&1 || status=$$?; \
+	if [ $$status -eq 0 ]; then cat race.log; else \
+		echo "go test -race failed; the whole run is in race.log:"; \
+		grep -v -E '^(ok|\?) ' race.log; \
+	fi; \
+	exit $$status
 
 # The ten slowest tests of internal/experiments under the race detector,
 # seconds first: the package is most of what `make race` costs, so this is
@@ -125,9 +133,11 @@ lint: vet
 # ns/op, B/op and allocs/op per workload kernel — Linpack twice: linpack128
 # is one fixed system (a fill-cache hit), linpack-mix the orders 110-149 with
 # distinct seeds that tcp-compute serves (always a miss) — plus the
-# automaton build.
+# automaton build; then Linpack's factorization alone at seven orders,
+# unblocked against the panel LU that lpSolve runs.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels -benchmem ./internal/workload/
+	$(GO) test -run '^$$' -bench BenchmarkLpSolve -cpu 1 -count 3 ./internal/workload/
 
 # ns, B and allocations per cold boot + stop of one optimized container on
 # a warmed platform: the layer tcp-cold spends a third of a request in,
@@ -161,14 +171,16 @@ bench-smoke:
 	bash benchmark/run.sh -smoke
 
 # Short fuzz passes over the wire-frame codec, the content chunker, the
-# scenario decoder, the virus-scan automaton and the task parameter blobs
-# (any app name, any blob, through Registry.Execute); ci.sh runs this target.
+# scenario decoder, the virus-scan automaton, the task parameter blobs (any
+# app name, any blob, through Registry.Execute) and Linpack's blocked
+# factorization against the textbook loop; ci.sh runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime 10s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 10s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzAhoCorasick -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzTaskParams -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzLpSolve -fuzztime 10s ./internal/workload/
 
 # bench-stages, bench-boot, bench-autoscale, bench-reshard, bench-faults:
 # regenerate BENCH_<mode>.json at the default seed and exit non-zero if one

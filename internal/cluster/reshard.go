@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"rattrap/internal/core"
 	"rattrap/internal/sim"
 )
@@ -14,10 +12,12 @@ import (
 //	join    boot platform (Joining, unroutable) → copy the vnode ranges
 //	        the prospective ring assigns it (MissingChunks delta, so only
 //	        absent blocks transfer) → Commission (epoch++, routable) →
-//	        drop the moved ranges from shards that left their replica set
+//	        repair → drop the moved ranges from shards that left their
+//	        replica set
 //	leave   BeginDrain (still routable: read-your-writes until handoff
 //	        completes) → copy its entries to their next owners →
-//	        CompleteDrain (epoch++, unroutable) → retire the pool
+//	        CompleteDrain (epoch++, unroutable) → retire the pool →
+//	        repair → drop
 //	fail    Fail (epoch++ immediately, no handoff) → retire the pool →
 //	        re-replicate under-replicated entries from survivors (R > 1;
 //	        at R = 1 the cached code is simply lost and devices re-push
@@ -140,6 +140,7 @@ func (c *Cluster) join(p *sim.Proc, id int) {
 	}
 	c.mem.Commission(id)
 	c.stats.Joins++
+	c.repair(p)
 	c.dropOrphans()
 }
 
@@ -175,35 +176,50 @@ func (c *Cluster) leave(p *sim.Proc, id int) {
 	c.mem.CompleteDrain(id)
 	c.stats.Removals++
 	c.retire(id)
+	c.repair(p)
 	c.dropOrphans()
 }
 
-// repair restores the replica factor after a failure: every AID held by
-// fewer shards than its replica set asks for is re-copied from a
-// surviving holder. Iteration is sorted so the transfer schedule is
-// deterministic.
+// repair restores the replica factor after a membership change: every AID
+// held by fewer shards than its replica set asks for is re-copied from a
+// surviving holder. After a join or a leave this catches the entries the
+// migration's snapshot missed — pushed while it copied, or with their
+// fan-out still in flight when the ring moved — which the drop that
+// follows would otherwise leave short of their set. Iteration is sorted so
+// the transfer schedule is deterministic.
 func (c *Cluster) repair(p *sim.Proc) {
-	holders := make(map[string][]int)
+	// Each routable shard's AIDs, sorted, walked in step: the merge visits
+	// every AID once, in order, with the shards holding it lowest id first,
+	// and allocates per shard rather than per AID.
+	var ids []int
+	var lists [][]string
 	for s := range c.shards {
 		if !c.mem.Routable(s) {
 			continue
 		}
-		wh := c.shards[s].Warehouse()
-		if wh == nil {
-			continue
-		}
-		for _, aid := range wh.AIDs() {
-			holders[aid] = append(holders[aid], s)
+		if wh := c.shards[s].Warehouse(); wh != nil {
+			ids = append(ids, s)
+			lists = append(lists, wh.AIDs())
 		}
 	}
-	aids := make([]string, 0, len(holders))
-	for aid := range holders {
-		aids = append(aids, aid)
-	}
-	sort.Strings(aids)
-	var set [8]int
-	for _, aid := range aids {
-		have := holders[aid]
+	var held, set [8]int
+	for {
+		aid, found := "", false
+		for _, l := range lists {
+			if len(l) > 0 && (!found || l[0] < aid) {
+				aid, found = l[0], true
+			}
+		}
+		if !found {
+			return
+		}
+		have := held[:0]
+		for i, l := range lists {
+			if len(l) > 0 && l[0] == aid {
+				have = append(have, ids[i])
+				lists[i] = l[1:]
+			}
+		}
 		src := c.shards[have[0]].Warehouse()
 		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
 			if containsShard(have, t) {
@@ -224,6 +240,7 @@ func (c *Cluster) repair(p *sim.Proc) {
 			c.stats.Repaired++
 			c.stats.DeltaBytes += delta
 			c.stats.FullBytes += full
+			tw.EnforceCapacity()
 		}
 	}
 }
@@ -299,6 +316,23 @@ func (c *Cluster) fanOut(shard int, aid string) {
 			c.stats.ReplicaCopies++
 			c.stats.ReplicaDelta += delta
 			tw.EnforceCapacity()
+		}
+		// A session keeps the shard it was routed to, so the push may have
+		// landed on a shard that has left the AID's replica set since: once
+		// every member holds the entry, that shard drops its own.
+		members := c.mem.AppendReplicaSet(set[:0], aid)
+		if !c.mem.Routable(shard) || containsShard(members, shard) {
+			return
+		}
+		for _, t := range members {
+			if tw := c.shards[t].Warehouse(); tw == nil {
+				return
+			} else if _, ok := tw.Lookup(aid); !ok {
+				return
+			}
+		}
+		if src.DropEntry(aid) {
+			c.stats.EntriesDropped++
 		}
 	})
 }

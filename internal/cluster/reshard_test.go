@@ -592,3 +592,119 @@ func TestClusterFailShardBouncesQueuedRequests(t *testing.T) {
 		t.Fatalf("dead shard still queues %d request(s)", q)
 	}
 }
+
+// TestClusterPushOutsideReplicaSetLeavesNoOrphan (R=2): a session keeps the
+// shard it was routed to, and two joins while it waits for its code can
+// push that shard out of the AID's replica set. The push then lands there;
+// the fan-out copies it to the set and the stale shard drops its own, so no
+// routable shard outside the set holds the entry.
+func TestClusterPushOutsideReplicaSetLeavesNoOrphan(t *testing.T) {
+	e := sim.NewEngine(31)
+	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 2, 2)
+	app, _ := workload.ByName(workload.NameLinpack)
+	after := NewRingMembers([]int{0, 1, 2, 3}, 0)
+	var aid string
+	var size host.Bytes
+	for i := 0; aid == ""; i++ {
+		size = app.CodeSize() + host.Bytes(i)
+		a := offload.AID(app.Name(), size)
+		if !containsShard(after.AppendSuccessors(nil, a, 2), cl.Owner(a)) {
+			aid = a
+		}
+	}
+	stale := cl.Owner(aid)
+	e.Spawn("pinned", func(p *sim.Proc) {
+		sess, err := cl.Prepare(p, offload.ExecRequest{DeviceID: "dev-1", AID: aid, App: app.Name()})
+		if err != nil {
+			t.Errorf("prepare: %v", err)
+			return
+		}
+		defer sess.Release()
+		cl.AddShard()
+		cl.AddShard()
+		for cl.Epoch() < 2 {
+			p.Sleep(10 * time.Millisecond)
+		}
+		if err := sess.PushCode(p, offload.CodePush{AID: aid, App: app.Name(), Size: size}); err != nil {
+			t.Errorf("push: %v", err)
+		}
+	})
+	e.Run()
+	set := cl.Membership().AppendReplicaSet(nil, aid)
+	for s := 0; s < cl.Shards(); s++ {
+		_, has := cl.Shard(s).Warehouse().Lookup(aid)
+		if want := containsShard(set, s); has != want {
+			t.Errorf("shard %d holds %s: %v, want %v (replica set %v, pushed through shard %d)", s, aid, has, want, set, stale)
+		}
+	}
+}
+
+// TestClusterReshardCompletesReplicaSets (R=2): a join or a leave ends with
+// every cached AID on exactly its replica set, including entries that were
+// short of it when the change began — pushed while the migration's snapshot
+// was being copied, or with their fan-out still in flight. Here sixteen
+// entries sit on their primary alone.
+func TestClusterReshardCompletesReplicaSets(t *testing.T) {
+	for _, change := range []string{"join", "leave"} {
+		e := sim.NewEngine(37)
+		cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 3, 2)
+		app, _ := workload.ByName(workload.NameLinpack)
+		var aids []string
+		e.Spawn("primaries-only", func(p *sim.Proc) {
+			for i := 0; i < 16; i++ {
+				size := app.CodeSize() + host.Bytes(i)
+				aid := offload.AID(app.Name(), size)
+				aids = append(aids, aid)
+				if err := cl.Shard(cl.Owner(aid)).Warehouse().Put(p, aid, app.Name(), size); err != nil {
+					t.Errorf("put %s: %v", aid, err)
+				}
+			}
+		})
+		e.Run()
+		if change == "join" {
+			cl.AddShard()
+		} else {
+			cl.RemoveShard(0)
+		}
+		e.Run()
+		for _, aid := range aids {
+			set := cl.Membership().AppendReplicaSet(nil, aid)
+			for s := 0; s < cl.Shards(); s++ {
+				_, has := cl.Shard(s).Warehouse().Lookup(aid)
+				if want := containsShard(set, s); has != want && cl.Membership().Routable(s) {
+					t.Errorf("after a %s, shard %d holds %s: %v, want %v (replica set %v)", change, s, aid, has, want, set)
+				}
+			}
+		}
+	}
+}
+
+// TestClusterJoinKeepsCapacity (R=1): a join into capacity-bounded
+// warehouses evicts the new shard down to its capacity, and the repair that
+// follows must not copy the evicted entries back past it.
+func TestClusterJoinKeepsCapacity(t *testing.T) {
+	e := sim.NewEngine(41)
+	app, _ := workload.ByName(workload.NameLinpack)
+	cfg := core.DefaultConfig(core.KindRattrap)
+	cfg.WarehouseCapacity = 3 * app.CodeSize() / 2
+	cl := NewReplicated(e, cfg, 2, 1)
+	e.Spawn("primaries", func(p *sim.Proc) {
+		for i := 0; i < 24; i++ {
+			size := app.CodeSize() + host.Bytes(i)
+			aid := offload.AID(app.Name(), size)
+			if err := cl.Shard(cl.Owner(aid)).Warehouse().Put(p, aid, app.Name(), size); err != nil {
+				t.Errorf("put %s: %v", aid, err)
+			}
+		}
+	})
+	e.Run()
+	id := cl.AddShard()
+	e.Run()
+	wh := cl.Shard(id).Warehouse()
+	if wh.Evictions() == 0 {
+		t.Fatal("the join evicted nothing; the test needs a migration past capacity")
+	}
+	if got := wh.StoredBytes(); got > cfg.WarehouseCapacity {
+		t.Errorf("joined shard stores %d B after the join, capacity %d B", got, cfg.WarehouseCapacity)
+	}
+}

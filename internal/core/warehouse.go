@@ -434,3 +434,42 @@ func (w *Warehouse) StoredBytes() host.Bytes { return w.stored }
 
 // ChunkCount reports how many content-addressed blocks the store holds.
 func (w *Warehouse) ChunkCount() int { return len(w.chunks) }
+
+// Audit recounts from the cache table what the warehouse keeps as running
+// books — each block's reference count (the live manifests naming it) and
+// StoredBytes (plain blobs plus the chunk store) — and reports the first
+// disagreement, a block no manifest names, or a named block not stored.
+func (w *Warehouse) Audit() error {
+	refs := make(map[uint64]int, len(w.chunks))
+	var stored host.Bytes
+	for _, e := range w.entries {
+		if !e.chunked {
+			stored += e.Size
+			continue
+		}
+		seen := make(map[uint64]bool, len(e.Hashes))
+		for _, h := range e.Hashes {
+			if !seen[h] {
+				seen[h] = true
+				refs[h]++
+			}
+		}
+	}
+	for h, n := range refs {
+		if c, ok := w.chunks[h]; !ok {
+			return fmt.Errorf("core: warehouse audit: chunk %016x named by %d manifests is not stored", h, n)
+		} else if c.refs != n {
+			return fmt.Errorf("core: warehouse audit: chunk %016x counts %d references, %d manifests name it", h, c.refs, n)
+		}
+	}
+	for h, c := range w.chunks {
+		if refs[h] == 0 {
+			return fmt.Errorf("core: warehouse audit: chunk %016x (%d references) is named by no manifest", h, c.refs)
+		}
+		stored += c.size
+	}
+	if stored != w.stored {
+		return fmt.Errorf("core: warehouse audit: StoredBytes %d, recounted %d", w.stored, stored)
+	}
+	return nil
+}

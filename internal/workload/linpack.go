@@ -158,12 +158,53 @@ var lpPool = sync.Pool{New: func() any { return new(lpScratch) }}
 
 // lpSolve solves Ax=b in place — LU with partial pivoting, eliminating b
 // (passed in x) as it goes, then back substitution — and reports whether A
-// was regular. Row slices are hoisted out of the inner loops (bounds-check
-// elimination); the arithmetic — values, order, pivot choice — is
-// bit-identical to the textbook nested-index form.
+// was regular. The arithmetic — values, order, pivot choice — is
+// bit-identical to the textbook nested-index form: every element receives
+// the same rounded updates `v -= f*u` in the same k order, whichever loop
+// applies them.
+//
+// The factorization is right-looking and blocked, the way LAPACK's getrf
+// delays its updates: each panel of lpPanelWidth columns is factored
+// eagerly over its own columns only (lpPanel), then its U rows and the
+// trailing rows take the panel's updates over the columns to its right in
+// one pass (lpTrailing), so a trailing element is loaded and stored once
+// per panel instead of once per pivot step.
 func lpSolve(a [][]float64, x []float64) bool {
+	if !lpPanels(a, x) {
+		return false
+	}
+	lpBackSubstitute(a, x)
+	return true
+}
+
+// lpPanelWidth is the panel's width, which lpTrailing is written for.
+const lpPanelWidth = 4
+
+// lpPanels is the blocked factorization: lpPanel over each panel, then the
+// panel's delayed updates to everything right of it. An order of four or
+// less is one panel.
+func lpPanels(a [][]float64, x []float64) bool {
 	n := len(a)
-	for k := 0; k < n; k++ {
+	for k0 := 0; k0 < n; k0 += lpPanelWidth {
+		kend := min(k0+lpPanelWidth, n)
+		if !lpPanel(a, x, k0, kend) {
+			return false
+		}
+		if kend < n {
+			lpTrailing(a, k0)
+		}
+	}
+	return true
+}
+
+// lpPanel runs pivot steps k0..kend-1 over columns up to kend: the pivot
+// search, the swap of whole rows (the updates a row still owes to the
+// columns right of the panel travel with its multipliers) and of x, and the
+// elimination of every row below the pivot over the panel's columns. With
+// k0 = 0 and kend = n it is the whole unblocked factorization.
+func lpPanel(a [][]float64, x []float64, k0, kend int) bool {
+	n := len(a)
+	for k := k0; k < kend; k++ {
 		// Pivot.
 		piv := k
 		maxv := math.Abs(a[k][k])
@@ -184,7 +225,7 @@ func lpSolve(a [][]float64, x []float64) bool {
 		ak := a[k]
 		akk := ak[k]
 		xk := x[k]
-		rowK := ak[k+1 : n]
+		rowK := ak[k+1 : kend]
 		m := len(rowK) // reslicing the rows below to m drops their bounds checks
 		// Four rows per pass over the pivot row: one row at a time the loop
 		// is bound by its stores, and rowK[j] is loaded once for four
@@ -218,7 +259,79 @@ func lpSolve(a [][]float64, x []float64) bool {
 			x[i] -= f * xk
 		}
 	}
-	// Back substitution.
+	return true
+}
+
+// lpTrailing applies the factored panel k0..k0+3 to the columns right of
+// it. First its U rows: row k takes the updates of rows k0..k-1, in k
+// order, each of which is final by then. Then every row below the panel:
+// each element is held in a register while it takes the four updates in k
+// order, two rows per pass so that they share the four U loads, and the
+// last row of an odd count alone.
+func lpTrailing(a [][]float64, k0 int) {
+	kend := k0 + lpPanelWidth
+	n := len(a)
+	a0, a1, a2, a3 := a[k0], a[k0+1], a[k0+2], a[k0+3]
+	u0, u1, u2, u3 := a0[kend:n], a1[kend:n], a2[kend:n], a3[kend:n]
+	m := len(u0)
+	u1, u2, u3 = u1[:m], u2[:m], u3[:m]
+	l10 := a1[k0]
+	l20, l21 := a2[k0], a2[k0+1]
+	l30, l31, l32 := a3[k0], a3[k0+1], a3[k0+2]
+	for j, v0 := range u0 {
+		v1 := u1[j]
+		v1 -= l10 * v0
+		u1[j] = v1
+		v2 := u2[j]
+		v2 -= l20 * v0
+		v2 -= l21 * v1
+		u2[j] = v2
+		v3 := u3[j]
+		v3 -= l30 * v0
+		v3 -= l31 * v1
+		v3 -= l32 * v2
+		u3[j] = v3
+	}
+	i := kend
+	for ; i+1 < n; i += 2 {
+		p, q := a[i], a[i+1]
+		p0, p1, p2, p3 := p[k0], p[k0+1], p[k0+2], p[k0+3]
+		q0, q1, q2, q3 := q[k0], q[k0+1], q[k0+2], q[k0+3]
+		rp, rq := p[kend:n][:m], q[kend:n][:m]
+		for j, v0 := range u0 {
+			v1, v2, v3 := u1[j], u2[j], u3[j]
+			vp := rp[j]
+			vp -= p0 * v0
+			vp -= p1 * v1
+			vp -= p2 * v2
+			vp -= p3 * v3
+			rp[j] = vp
+			vq := rq[j]
+			vq -= q0 * v0
+			vq -= q1 * v1
+			vq -= q2 * v2
+			vq -= q3 * v3
+			rq[j] = vq
+		}
+	}
+	if i < n {
+		p := a[i]
+		p0, p1, p2, p3 := p[k0], p[k0+1], p[k0+2], p[k0+3]
+		rp := p[kend:n][:m]
+		for j, v0 := range u0 {
+			vp := rp[j]
+			vp -= p0 * v0
+			vp -= p1 * u1[j]
+			vp -= p2 * u2[j]
+			vp -= p3 * u3[j]
+			rp[j] = vp
+		}
+	}
+}
+
+// lpBackSubstitute solves Ux=y over the factored matrix.
+func lpBackSubstitute(a [][]float64, x []float64) {
+	n := len(a)
 	for i := n - 1; i >= 0; i-- {
 		ai := a[i]
 		xi := x[i]
@@ -227,7 +340,6 @@ func lpSolve(a [][]float64, x []float64) bool {
 		}
 		x[i] = xi / ai[i]
 	}
-	return true
 }
 
 // Execute factorizes A, solves Ax=b, and verifies the residual.
