@@ -41,7 +41,9 @@ race-top:
 # and a second one would need negotiating again. internal/sim starts no
 # goroutine and makes coroutines in one place, the pooled worker's
 # constructor (worker.go): a go statement or a second iter.Pull there would
-# be a goroutine- or coroutine-per-proc path coming back. The event queue is
+# be a goroutine- or coroutine-per-proc path coming back. The workload
+# kernels draw every seeded input from rngSource (rng.go); math/rand's own
+# source appears once, where rng.go recovers its seeding table. The event queue is
 # the typed heap in sim.go: container/heap there would box every event
 # through an interface again. The two go.mod
 # files state the same language version, because benchmark/run.sh refuses to
@@ -52,7 +54,8 @@ race-top:
 # runner, the scenario runner: a faults.New( anywhere else outside tests is a
 # hand-written fleet harness coming back. The realtime protocol is tested in
 # virtual time (virtual_test.go): a wall-clock sleep or timeout belongs only
-# in the pacing driver's tests and the TCP adapter's (tcp_test.go).
+# in the pacing driver's tests, and in the TCP adapter's (tcp_test.go) only
+# as the upper bound of a select.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -94,6 +97,12 @@ lint: vet
 		echo "iter.Pull( in internal/sim outside takeWorker (one pooled coroutine kind, made in one place):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} /rand\.NewSource\(/ && !/^[[:space:]]*\/\// && fn !~ /^func cookedFromMathRand\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/workload/*.go | grep -v '_test.go')); \
+	if [ -n "$$bad" ]; then \
+		echo "rand.NewSource( in internal/workload outside cookedFromMathRand (draw from rngSource, through seededRand):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -n '"container/heap"' $$(ls internal/sim/*.go | grep -v '_test.go') || true); \
 	if [ -n "$$bad" ]; then \
 		echo "container/heap imported in internal/sim (the event queue is the typed eventHeap):"; \
@@ -124,9 +133,10 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \
-		| grep -v -E '^internal/realtime/(driver|tcp)_test\.go:' || true); \
+		| grep -v -E '^internal/realtime/driver_test\.go:' \
+		| grep -v -E '^internal/realtime/tcp_test\.go:[0-9]+:[[:space:]]*case <-time\.After\(' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "wall-clock wait in a realtime protocol test (run it on the virtual transport):"; \
+		echo "wall-clock wait in a realtime test (protocol tests run on the virtual transport; the TCP adapter's use the wall clock only as a select's upper bound):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -134,10 +144,13 @@ lint: vet
 # is one fixed system (a fill-cache hit), linpack-mix the orders 110-149 with
 # distinct seeds that tcp-compute serves (always a miss) — plus the
 # automaton build; then Linpack's factorization alone at seven orders,
-# unblocked against the panel LU that lpSolve runs.
+# unblocked against the panel LU that lpSolve runs; then a reseed and the
+# two input fills (Linpack n = 130, a 160 KB virus target), each on
+# math/rand's source and on rngSource.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels -benchmem ./internal/workload/
 	$(GO) test -run '^$$' -bench BenchmarkLpSolve -cpu 1 -count 3 ./internal/workload/
+	$(GO) test -run '^$$' -bench 'BenchmarkSeed|BenchmarkInputFill' -cpu 1 -count 3 ./internal/workload/
 
 # ns, B and allocations per cold boot + stop of one optimized container on
 # a warmed platform: the layer tcp-cold spends a third of a request in,
@@ -173,7 +186,8 @@ bench-smoke:
 # Short fuzz passes over the wire-frame codec, the content chunker, the
 # scenario decoder, the virus-scan automaton, the task parameter blobs (any
 # app name, any blob, through Registry.Execute) and Linpack's blocked
-# factorization against the textbook loop; ci.sh runs this target.
+# factorization against the textbook loop, and the kernels' random source
+# against math/rand's at any seed; ci.sh runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime 10s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz FuzzChunker -fuzztime 10s ./internal/offload/
@@ -181,6 +195,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAhoCorasick -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzTaskParams -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzLpSolve -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzSourceSeed -fuzztime 10s ./internal/workload/
 
 # bench-stages, bench-boot, bench-autoscale, bench-reshard, bench-faults:
 # regenerate BENCH_<mode>.json at the default seed and exit non-zero if one

@@ -10,6 +10,7 @@ import (
 	"rattrap/internal/core"
 	"rattrap/internal/device"
 	"rattrap/internal/host"
+	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -26,21 +27,25 @@ const (
 	opKinds
 )
 
-// propWorld is one seeded run: a 3-shard cluster at R = 2, twelve size
-// variants of one app (their manifests share the app's library chunks, so
-// blocks carry several references), and in-process device.Clients.
+// propWorld is one seeded run: a 3-shard cluster at R = 2 whose shards run
+// one runtime each, so overlapping requests park in a shard's wait ring;
+// twelve size variants of one app (their manifests share the app's library
+// chunks, so blocks carry several references); and in-process
+// device.Clients.
 type propWorld struct {
-	t      *testing.T
-	seed   int64
-	e      *sim.Engine
-	cl     *Cluster
-	rng    *rand.Rand
-	sizes  []host.Bytes
-	aids   []string
-	served map[string]bool // AIDs some request succeeded for
-	epoch  uint64          // the highest epoch observed
-	reqs   int
-	ran    [opKinds]int
+	t        *testing.T
+	seed     int64
+	e        *sim.Engine
+	cl       *Cluster
+	reg      *obs.Registry
+	rng      *rand.Rand
+	sizes    []host.Bytes
+	aids     []string
+	served   map[string]bool // AIDs some request succeeded for
+	epoch    uint64          // the highest epoch observed
+	reqs     int             // requests started
+	returned int             // requests whose Attempt came back
+	ran      [opKinds]int
 }
 
 func newPropWorld(t *testing.T, seed int64) *propWorld {
@@ -48,7 +53,11 @@ func newPropWorld(t *testing.T, seed int64) *propWorld {
 		t: t, seed: seed, e: sim.NewEngine(seed), rng: rand.New(rand.NewSource(seed)),
 		served: make(map[string]bool),
 	}
-	w.cl = NewReplicated(w.e, core.DefaultConfig(core.KindRattrap), 3, 2)
+	cfg := core.DefaultConfig(core.KindRattrap)
+	cfg.MaxRuntimes = 1
+	w.cl = NewReplicated(w.e, cfg, 3, 2)
+	w.reg = obs.NewRegistry()
+	w.cl.SetObs(w.reg)
 	for i := 0; i < 12; i++ {
 		size := 512*host.KB + host.Bytes(i)
 		w.sizes = append(w.sizes, size)
@@ -91,6 +100,7 @@ func (w *propWorld) request(i int, chunked bool) {
 		if _, err := c.Attempt(p, w.cl, task, w.sizes[i], nil); err == nil {
 			w.served[w.aids[i]] = true
 		}
+		w.returned++
 		w.observeEpoch(fmt.Sprintf("request %d", seq))
 	})
 }
@@ -134,13 +144,43 @@ func (w *propWorld) step(p *sim.Proc) {
 	}
 }
 
-// checkQuiescent checks the books once nothing runs: every shard's chunk
-// references and StoredBytes against a recount, no migration left
-// half-done, and every AID a routable shard holds held on exactly its
-// replica set, min(R, live) shards. An AID some request was served for is
-// held somewhere, unless R shards have failed (R failures can take every
-// copy of an entry).
+// checkParked checks the shards' wait rings: empty on every shard out of
+// the ring at any time, since a retired pool bounces its queue (Prepare
+// reports the rejection) rather than serving it later, and empty on every
+// shard at quiescence.
+func (w *propWorld) checkParked(where string, quiescent bool) {
+	m := w.cl.Membership()
+	for s := 0; s < w.cl.Shards(); s++ {
+		if n := w.cl.Shard(s).QueueLength(); n != 0 && (quiescent || !m.Routable(s)) {
+			w.t.Errorf("seed %d, %s: shard %d is %v with %d requests in its wait ring", w.seed, where, s, m.State(s), n)
+		}
+	}
+}
+
+// queued counts the requests that have waited in some shard's wait ring.
+func (w *propWorld) queued() int64 {
+	var n int64
+	for s := 0; s < w.cl.Shards(); s++ {
+		n += w.reg.Counter(ShardPrefix(s) + "dispatch.queued").Value()
+	}
+	return n
+}
+
+// checkQuiescent checks the books once nothing runs: no request still
+// parked — every one started has returned, no proc is alive, every wait
+// ring is empty — every shard's chunk references and StoredBytes against a
+// recount, no migration left half-done, and every AID a routable shard
+// holds held on exactly its replica set, min(R, live) shards. An AID some
+// request was served for is held somewhere, unless R shards have failed
+// (R failures can take every copy of an entry).
 func (w *propWorld) checkQuiescent(round int) {
+	if w.returned != w.reqs {
+		w.t.Errorf("seed %d, round %d: %d of %d requests never returned", w.seed, round, w.reqs-w.returned, w.reqs)
+	}
+	if n := w.e.LiveProcs(); n != 0 {
+		w.t.Errorf("seed %d, round %d: %d procs alive at quiescence", w.seed, round, n)
+	}
+	w.checkParked(fmt.Sprintf("round %d", round), true)
 	m := w.cl.Membership()
 	holders := make(map[string][]int)
 	for s := 0; s < w.cl.Shards(); s++ {
@@ -178,11 +218,12 @@ func (w *propWorld) checkQuiescent(round int) {
 // Property: over seeded random pushes, chunked pushes, execs, shard joins,
 // removals and failures, interleaved in virtual time with each other and
 // with the migrations they start, the epoch never goes back, and at every
-// quiescent point each AID lives on exactly its replica set and every
-// shard's warehouse books equal a recount.
+// quiescent point no request is left parked, each AID lives on exactly its
+// replica set and every shard's warehouse books equal a recount.
 func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 	const seeds, rounds, opsPerRound = 40, 4, 16
 	var ran [opKinds]int
+	var queued int64
 	for seed := int64(1); seed <= seeds; seed++ {
 		w := newPropWorld(t, seed)
 		for round := 0; round < rounds; round++ {
@@ -190,8 +231,10 @@ func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 				for i := 0; i < opsPerRound; i++ {
 					w.step(p)
 					w.observeEpoch("an op")
+					w.checkParked("an op", false)
 					p.Sleep(time.Duration(w.rng.Intn(300)) * time.Millisecond)
 					w.observeEpoch("a pause")
+					w.checkParked("a pause", false)
 				}
 			})
 			w.e.Run()
@@ -203,8 +246,13 @@ func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 		for k, n := range w.ran {
 			ran[k] += n
 		}
+		queued += w.queued()
 	}
 	if slices.Contains(ran[:], 0) {
 		t.Errorf("ops run by kind (push, chunked push, exec, add, remove, fail): %v; every kind must run", ran)
 	}
+	if queued == 0 {
+		t.Error("no request ever waited in a wait ring; the parked-request checks test nothing")
+	}
+	t.Logf("ops by kind %v, %d requests queued", ran, queued)
 }

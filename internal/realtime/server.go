@@ -62,6 +62,11 @@ type Server struct {
 	closedCh chan struct{} // closed by Close; unblocks admission waits
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup // in-flight connection handlers
+
+	// readerParked, when set before Serve, is called by a connection's
+	// reader each time all PipelineDepth workers are busy and it waits for
+	// one: the observable point tests of Close wait for.
+	readerParked func()
 }
 
 // NewServer builds a platform of the given kind and starts its pacing
@@ -272,6 +277,8 @@ func (h *connHandler) admit(r request) bool {
 		h.nworkers++
 		h.workers.Add(1)
 		go h.worker()
+	} else if h.s.readerParked != nil {
+		h.s.readerParked()
 	}
 	select {
 	case h.work <- r:

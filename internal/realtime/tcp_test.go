@@ -3,6 +3,8 @@ package realtime
 import (
 	"errors"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,6 +34,30 @@ func startServerCfg(t *testing.T, cfg core.Config, opts Options) (*Server, net.L
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close(); ln.Close() })
 	return srv, ln
+}
+
+// waitUntil returns once cond holds, polling it on a goroutine of its own;
+// the wall clock is only its upper bound.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	held, stop := make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	go func() {
+		for !cond() {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+		close(held)
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: not within 10 s", what)
+	}
 }
 
 // waitLatencyCount returns the server's latency-observation count once it
@@ -90,7 +116,9 @@ func TestServerCloseDrainsInflightHandlers(t *testing.T) {
 	}()
 
 	<-inFlight
-	time.Sleep(3 * time.Millisecond) // let the handler enter the platform
+	// The request is in the platform once its runtime starts booting.
+	booting := srv.Metrics().Counter("lifecycle.edge.cold_booting")
+	waitUntil(t, "the handler entering the platform", func() bool { return booting.Value() > 0 })
 
 	closed := make(chan struct{})
 	go func() {
@@ -127,6 +155,9 @@ func TestServerCloseUnblocksAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	parked := make(chan struct{})
+	var once sync.Once
+	srv.readerParked = func() { once.Do(func() { close(parked) }) }
 	go srv.Serve(ln)
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -152,7 +183,11 @@ func TestServerCloseUnblocksAdmission(t *testing.T) {
 	if err := c.Send(execFrame(chess, 1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the reader reach the park
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader never parked on admission")
+	}
 
 	done := make(chan struct{})
 	go func() {

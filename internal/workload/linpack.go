@@ -56,8 +56,9 @@ func (l *Linpack) NewTask(rng *rand.Rand, seq int) Task {
 // lpFill is the memoized expansion of one (seed, n) input system: the
 // n×n matrix followed by the right-hand side, in PRNG draw order. The
 // expansion is a pure function of the seed — reseeding the generator and
-// redrawing n²+n values costs ~40 µs per request at n=64, all of it
-// spent reproducing floats this snapshot already holds.
+// redrawing n²+n values costs ~65 µs per request at n = 130 (one P,
+// BenchmarkInputFill), all of it spent reproducing floats this snapshot
+// already holds.
 type lpFill struct {
 	seed int64
 	n    int
@@ -129,8 +130,7 @@ func lpFillStore(data []float64, seed int64, n int) []float64 {
 // draws the same stream straight off the source.
 func lpGenFill(data []float64, seed int64) {
 	rng := seededRand(seed)
-	defer randPool.Put(rng)
-	src := rng.src
+	src := &rng.src
 	for i := range data {
 		f := float64(src.Int63()) / (1 << 63)
 		for f == 1 {
@@ -138,6 +138,7 @@ func lpGenFill(data []float64, seed int64) {
 		}
 		data[i] = f*2 - 1
 	}
+	randPool.Put(rng)
 }
 
 // lpScratch is the per-solve working set: the input system (fill), one

@@ -62,7 +62,8 @@ type ocrParams struct {
 // read-only afterwards, so every Registry can hold the same instance.
 var sharedOCR = sync.OnceValue(func() *OCR {
 	o := &OCR{}
-	rng := rand.New(rand.NewSource(ocrFontSeed))
+	rng := seededRand(ocrFontSeed)
+	defer randPool.Put(rng)
 	for i := range o.masks {
 		if ocrAlphabet[i] == ' ' { // space stays blank
 			continue

@@ -52,7 +52,8 @@ type virusParams struct {
 // hold the same instance.
 var sharedVirusScan = sync.OnceValue(func() *VirusScan {
 	v := &VirusScan{}
-	rng := rand.New(rand.NewSource(virusSigSeed))
+	rng := seededRand(virusSigSeed)
+	defer randPool.Put(rng)
 	v.sigs = make([][]byte, virusSigCount)
 	for i := range v.sigs {
 		sig := make([]byte, 16+rng.Intn(33))
@@ -118,7 +119,7 @@ func unmark(w uint64) uint64 {
 func (v *VirusScan) fill(target []byte, seed int64, planted, step int) {
 	rng := seededRand(seed)
 	defer randPool.Put(rng)
-	src := rng.src
+	src := &rng.src
 	for i := 0; i < len(target); i += 8 {
 		binary.LittleEndian.PutUint64(target[i:], unmark(src.Uint64()))
 	}

@@ -176,12 +176,13 @@ func (r *Registry) Execute(t Task) (Metrics, error) {
 // that draw straight off it.
 type prng struct {
 	*rand.Rand
-	src rand.Source64
+	src rngSource
 }
 
 var randPool = sync.Pool{New: func() any {
-	src := rand.NewSource(0).(rand.Source64)
-	return &prng{Rand: rand.New(src), src: src}
+	r := new(prng)
+	r.Rand = rand.New(&r.src)
+	return r
 }}
 
 // seededRand takes a generator from randPool and seeds it; the caller puts
