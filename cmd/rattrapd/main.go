@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	rattrapd [-listen :7431] [-platform rattrap|rattrap-wo|vm] [-speed 1] [-max-runtimes 5] [-http :7432] [-pipeline-depth 8] [-shards 4]
+//	rattrapd [-listen :7431] [-platform rattrap|rattrap-wo|vm] [-speed 1] [-max-runtimes 5] [-autoscale [-min-runtimes 1]] [-http :7432] [-pipeline-depth 8] [-shards 4]
 package main
 
 import (
@@ -52,10 +52,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A floor is the autoscaler's and must fit under the ceiling; reject
+	// one that would be ignored or clamped.
+	if *minRuntimes != 0 && !*autoscale {
+		fmt.Fprintln(os.Stderr, "rattrapd: -min-runtimes requires -autoscale")
+		os.Exit(2)
+	}
+	if *minRuntimes > *maxRuntimes {
+		fmt.Fprintf(os.Stderr, "rattrapd: -min-runtimes %d exceeds -max-runtimes %d\n", *minRuntimes, *maxRuntimes)
+		os.Exit(2)
+	}
+
 	cfg := core.DefaultConfig(kind)
 	cfg.MaxRuntimes = *maxRuntimes
 	cfg.MinRuntimes = *minRuntimes
-	cfg.Autoscale.Enabled = *autoscale
+	cfg.Autoscale = *autoscale
 	cfg.TemplateBoot = *templateBoot
 	logger := log.New(os.Stderr, "rattrapd: ", log.LstdFlags)
 	srv := realtime.NewServerOpts(cfg, *speed, logger, realtime.Options{

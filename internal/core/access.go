@@ -43,20 +43,16 @@ type PermTable struct {
 // weaker isolation of OS-level virtualization and guards the shared
 // architecture (Shared Resource Layer, App Warehouse).
 type AccessController struct {
-	threshold int
-	tables    map[string]*PermTable
+	tables map[string]*PermTable
 }
 
 // analysisWork is the CPU spent generating one permission table.
 const analysisWork host.Work = 120
 
 // NewAccessController returns a controller that blocks an app after
-// threshold violations.
-func NewAccessController(threshold int) *AccessController {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	return &AccessController{threshold: threshold, tables: make(map[string]*PermTable)}
+// ViolationThreshold violations.
+func NewAccessController() *AccessController {
+	return &AccessController{tables: make(map[string]*PermTable)}
 }
 
 // Analyze returns the app's permission table, generating it on first sight
@@ -96,7 +92,7 @@ func (ac *AccessController) Check(app string, op Permission) error {
 		return nil
 	}
 	t.Violations++
-	if t.Violations >= ac.threshold {
+	if t.Violations >= ViolationThreshold {
 		t.Blocked = true
 		return fmt.Errorf("%w: %s (violation threshold reached)", ErrAppBlocked, app)
 	}

@@ -15,12 +15,7 @@ func autoscaleTestConfig(minR, maxR int) Config {
 	cfg := DefaultConfig(KindRattrap)
 	cfg.MaxRuntimes = maxR
 	cfg.MinRuntimes = minR
-	cfg.Autoscale = AutoscaleConfig{
-		Enabled:     true,
-		Interval:    100 * time.Millisecond,
-		GrowPerTick: 2,
-		ShrinkAfter: 2,
-	}
+	cfg.Autoscale = true
 	return cfg
 }
 
@@ -315,9 +310,7 @@ func TestAutoscalerMaintainsFloor(t *testing.T) {
 // platform serving from replacement capacity.
 func TestExecFailuresCordonAndReplace(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := autoscaleTestConfig(1, 3)
-	cfg.Autoscale.CordonThreshold = 3
-	pl := New(e, cfg)
+	pl := New(e, autoscaleTestConfig(1, 3))
 
 	var sickCID string
 	pl.SetExecFault(func(p *sim.Proc, id, aid string) error {
@@ -401,9 +394,11 @@ func TestLifecycleCensusInvariant(t *testing.T) {
 func lifecycleCensusStorm(t *testing.T, templateBoot bool) {
 	e := sim.NewEngine(7)
 	cfg := autoscaleTestConfig(0, 4)
-	cfg.Autoscale.CordonThreshold = 2
 	cfg.TemplateBoot = templateBoot
 	pl := New(e, cfg)
+	// Two strikes, not cordonThreshold's three: the template storm's fault
+	// mix then cordons a runtime, so cordon edges are among those checked.
+	pl.ft = newFailureTracker(2)
 
 	edges := 0
 	pl.DB().SetLifecycleHooks(func(from, to Lifecycle) {

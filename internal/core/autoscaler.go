@@ -28,61 +28,36 @@ import (
 //     runtime synchronously while the pool is under it, so fresh
 //     arrivals during a burst are served without waiting for the next
 //     tick. The ceiling rises toward the demand target by at most
-//     GrowPerTick per tick and decays by one once demand passes, so a
+//     growPerTick per tick and decays by one once demand passes, so a
 //     burst must re-earn its capacity.
 //   - loop boots: requests already parked in the wait ring cannot
 //     re-enter the request path, so the tick spawns boots for the
 //     backlog directly and hands the fresh runtimes to the oldest live
 //     waiters.
 //
-// Shrinking is hysteretic: only after ShrinkAfter consecutive ticks of
+// Shrinking is hysteretic: only after shrinkAfter consecutive ticks of
 // surplus does the loop stop one idle runtime per tick (longest-idle
 // first), down to MinRuntimes — with MinRuntimes zero an idle platform
 // scales to nothing and the next request pays one cold boot.
-
-// AutoscaleConfig tunes the elastic pool control loop. The zero value
-// (Enabled false) keeps the paper's static pool semantics: boot on
-// demand up to MaxRuntimes, optionally reap after IdleTimeout.
-type AutoscaleConfig struct {
-	// Enabled turns the control loop on. When on, the loop owns idle
-	// reclamation and Config.IdleTimeout is ignored.
-	Enabled bool
-	// Interval is the virtual-time spacing between control ticks
-	// (default 250ms).
-	Interval time.Duration
-	// GrowPerTick caps how many runtimes one tick may add, bounding
-	// boot storms on a demand spike (default 2).
-	GrowPerTick int
-	// ShrinkAfter is the hysteresis: consecutive surplus ticks before
-	// the loop starts stopping idle runtimes (default 4).
-	ShrinkAfter int
-	// CordonThreshold is how many consecutive failures (boot, exec, or
-	// teardown) cordon a runtime for drain-and-replace. Default 3 when
-	// Enabled; 0 leaves cordoning off (failures are still counted).
-	CordonThreshold int
-	// QueueAlpha is the EWMA weight on the wait-ring depth signal, in
-	// (0, 1]; higher reacts faster (default 0.5).
-	QueueAlpha float64
-}
-
-func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.GrowPerTick <= 0 {
-		c.GrowPerTick = 2
-	}
-	if c.ShrinkAfter <= 0 {
-		c.ShrinkAfter = 4
-	}
-	if c.CordonThreshold <= 0 {
-		c.CordonThreshold = 3
-	}
-	if c.QueueAlpha <= 0 || c.QueueAlpha > 1 {
-		c.QueueAlpha = 0.5
-	}
-	return c
-}
+//
+// The loop's tunables are constants; no caller varies them.
+const (
+	// tickInterval is the virtual-time spacing between control ticks.
+	tickInterval = 200 * time.Millisecond
+	// growPerTick caps how many runtimes one tick may add, bounding boot
+	// storms on a demand spike.
+	growPerTick = 2
+	// shrinkAfter is the hysteresis: consecutive surplus ticks before the
+	// loop starts stopping idle runtimes.
+	shrinkAfter = 4
+	// queueAlpha is the EWMA weight on the wait-ring depth signal; higher
+	// reacts faster.
+	queueAlpha = 0.5
+	// cordonThreshold is how many consecutive failures (boot, exec or
+	// teardown) cordon a runtime for drain-and-replace. Without the
+	// autoscaler cordoning is off (failures are still counted).
+	cordonThreshold = 3
+)
 
 // backlog-drain sizing: the loop aims to clear the smoothed backlog
 // within this many control intervals, assuming each runtime retires one
@@ -97,8 +72,7 @@ const drainWindowTicks = 4
 const bootGiveUp = 8
 
 type autoscaler struct {
-	pl  *Platform
-	cfg AutoscaleConfig
+	pl *Platform
 
 	limit   int     // elastic boot ceiling for the request path
 	qEWMA   float64 // smoothed wait-ring depth
@@ -109,8 +83,8 @@ type autoscaler struct {
 	ticks   int     // lifetime tick count (tests, debugging)
 }
 
-func newAutoscaler(pl *Platform, cfg AutoscaleConfig) *autoscaler {
-	a := &autoscaler{pl: pl, cfg: cfg.withDefaults()}
+func newAutoscaler(pl *Platform) *autoscaler {
+	a := &autoscaler{pl: pl}
 	a.limit = a.floorLimit()
 	return a
 }
@@ -133,7 +107,7 @@ func (pl *Platform) kickScaler() {
 		return
 	}
 	a.pending = true
-	pl.E.After(a.cfg.Interval, a.tick)
+	pl.E.After(tickInterval, a.tick)
 }
 
 // poolCap is the dispatcher's current boot ceiling: the static
@@ -169,7 +143,7 @@ func (a *autoscaler) target() int {
 		if hold <= 0 {
 			hold = 250 * time.Millisecond // no completed holds yet
 		}
-		window := time.Duration(drainWindowTicks) * a.cfg.Interval
+		window := time.Duration(drainWindowTicks) * tickInterval
 		backlog := int((a.qEWMA*float64(hold) + float64(window) - 1) / float64(window))
 		if backlog < 1 {
 			backlog = 1 // a non-empty queue always asks for something
@@ -192,7 +166,7 @@ func (a *autoscaler) tick() {
 	a.ticks++
 
 	qlen := pl.waitQ.len()
-	a.qEWMA += a.cfg.QueueAlpha * (float64(qlen) - a.qEWMA)
+	a.qEWMA += queueAlpha * (float64(qlen) - a.qEWMA)
 	if a.qEWMA < 1e-3 {
 		a.qEWMA = 0
 	}
@@ -209,10 +183,10 @@ func (a *autoscaler) tick() {
 		// the parked backlog the request path cannot see.
 		a.surplus = 0
 		if a.limit < want {
-			a.limit = min(a.limit+a.cfg.GrowPerTick, want)
+			a.limit = min(a.limit+growPerTick, want)
 		}
 		if a.backoff == 0 && a.strikes < bootGiveUp {
-			n := min(want-have, a.cfg.GrowPerTick, a.limit-have)
+			n := min(want-have, growPerTick, a.limit-have)
 			for i := 0; i < n; i++ {
 				a.spawnBoot()
 			}
@@ -221,7 +195,7 @@ func (a *autoscaler) tick() {
 		// Surplus. After the hysteresis window, retire one idle runtime
 		// per tick, longest-idle first.
 		a.surplus++
-		if a.surplus >= a.cfg.ShrinkAfter {
+		if a.surplus >= shrinkAfter {
 			a.stopOneIdle()
 		}
 	default:
@@ -246,7 +220,7 @@ func (a *autoscaler) tick() {
 		(a.limit > a.floorLimit() && a.limit > want)
 	if busy {
 		a.pending = true
-		pl.E.After(a.cfg.Interval, a.tick)
+		pl.E.After(tickInterval, a.tick)
 	}
 }
 

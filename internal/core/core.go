@@ -63,20 +63,20 @@ func (k Kind) String() string {
 // Kinds returns the three platforms in the paper's comparison order.
 func Kinds() []Kind { return []Kind{KindRattrap, KindRattrapWO, KindVM} }
 
-// Config shapes a platform.
+// Config shapes a platform. It holds only what callers vary (every field
+// needs a non-test setter, TestConfigFieldsHaveSetters); what none varies
+// is a constant, or follows Kind like the Dispatcher's policy
+// (newScheduler).
 type Config struct {
 	Kind Kind
 	// MaxRuntimes caps the runtime pool (5 in the paper's experiments).
 	MaxRuntimes int
-	// ViolationThreshold is the access controller's blocking threshold.
-	ViolationThreshold int
-	// KernelRelease is the host kernel version (ACD targets it).
-	KernelRelease string
 	// IdleTimeout, when positive, makes the Monitor & Scheduler reclaim
 	// runtimes idle for that long (freeing their memory and, for
 	// containers, unloading idle ACD modules). Pre-starting/keeping VMs
 	// "inevitably reduces server resource utilization" (§III-B);
 	// reclamation is what makes Rattrap's 2 s boot a just-in-time story.
+	// Ignored under Autoscale: the control loop owns idle reclamation.
 	IdleTimeout time.Duration
 	// MaxQueueDepth, when positive, bounds the Dispatcher's FIFO wait
 	// ring: once that many requests queue for a runtime, further requests
@@ -84,18 +84,15 @@ type Config struct {
 	// hint) instead of queueing unboundedly. 0 keeps the historical
 	// unbounded behaviour.
 	MaxQueueDepth int
-	// Scheduler selects the Dispatcher's slot-selection policy. The zero
-	// value is SchedAffinity, the paper's warehouse-aware dispatch, for
-	// every platform kind.
-	Scheduler SchedulerPolicy
-	// MinRuntimes floors the pool when the autoscaler runs: the control
-	// loop pre-warms and maintains this many runtimes, and shrinking
-	// stops there. 0 allows scale-to-zero. Ignored without Autoscale.
+	// MinRuntimes floors the pool under Autoscale: the control loop
+	// pre-warms and maintains this many runtimes, and shrinking stops
+	// there. 0 allows scale-to-zero. Ignored without Autoscale.
 	MinRuntimes int
-	// Autoscale configures the elastic pool control loop (autoscaler.go).
-	// Disabled (the zero value), pool sizing keeps the paper's static
-	// boot-up-to-MaxRuntimes semantics.
-	Autoscale AutoscaleConfig
+	// Autoscale runs the elastic pool control loop (autoscaler.go), which
+	// also cordons a runtime after cordonThreshold consecutive failures.
+	// Off, pool sizing keeps the paper's static boot-up-to-MaxRuntimes
+	// semantics and no runtime is cordoned.
+	Autoscale bool
 	// CIDPrefix, when set, prefixes every runtime CID this platform mints
 	// (cluster shards use "sN-" so runtime IDs stay unique cluster-wide).
 	CIDPrefix string
@@ -112,17 +109,16 @@ type Config struct {
 	WarehouseCapacity host.Bytes
 }
 
-// DefaultConfig mirrors the paper's experimental setup. The baselines
-// dispatch FIFO: without an App Warehouse there is no cache-hit story, so
-// warehouse-aware dispatch buys them nothing (each runtime still remembers
-// codes its own ClassLoader loaded, but the paper's baselines do not
-// route on that).
+// ViolationThreshold is how many permission violations make the access
+// controller block an app.
+const ViolationThreshold = 3
+
+// KernelRelease is the host kernel version; the ACD modules target it.
+const KernelRelease = "3.18.0"
+
+// DefaultConfig mirrors the paper's experimental setup.
 func DefaultConfig(kind Kind) Config {
-	cfg := Config{Kind: kind, MaxRuntimes: 5, ViolationThreshold: 3, KernelRelease: "3.18.0"}
-	if kind != KindRattrap {
-		cfg.Scheduler = SchedFIFO
-	}
-	return cfg
+	return Config{Kind: kind, MaxRuntimes: 5}
 }
 
 // Memory limits from Table I.
@@ -198,11 +194,11 @@ type Platform struct {
 	execFault func(p *sim.Proc, id, aid string) error
 
 	// scaler is the elastic pool control loop, nil unless
-	// cfg.Autoscale.Enabled (see autoscaler.go).
+	// cfg.Autoscale (see autoscaler.go).
 	scaler *autoscaler
 	// ft tracks per-runtime consecutive failures and drives cordoning
-	// (see failuretracker.go). Always non-nil; with CordonThreshold 0 it
-	// only keeps aggregate totals.
+	// (see failuretracker.go). Always non-nil; without the autoscaler its
+	// threshold is 0 and it only keeps aggregate totals.
 	ft *failureTracker
 	// cordonedLive counts cordoned slots still on the slot list — they
 	// are census-visible but unschedulable, and the autoscaler must not
@@ -264,31 +260,28 @@ func New(e *sim.Engine, cfg Config) *Platform {
 	if cfg.MinRuntimes > cfg.MaxRuntimes {
 		cfg.MinRuntimes = cfg.MaxRuntimes
 	}
-	if cfg.KernelRelease == "" {
-		cfg.KernelRelease = "3.18.0"
-	}
 	srv := host.New(e, host.CloudServer())
 	pl := &Platform{
 		E:            e,
 		Server:       srv,
-		Kernel:       kernel.New(e, srv, cfg.KernelRelease),
+		Kernel:       kernel.New(e, srv, KernelRelease),
 		cfg:          cfg,
 		reg:          workload.NewRegistry(),
 		db:           NewContainerDB(),
-		access:       NewAccessController(cfg.ViolationThreshold),
+		access:       NewAccessController(),
 		fullManifest: image.AndroidX86(),
 		byID:         make(map[string]*slot),
-		sched:        newScheduler(cfg.Scheduler),
+		sched:        newScheduler(cfg.Kind),
 	}
-	// The failure tracker always runs (aggregate totals are cheap);
-	// cordoning needs an explicit threshold, or the autoscaler's default.
-	threshold := cfg.Autoscale.CordonThreshold
-	if threshold <= 0 && cfg.Autoscale.Enabled {
-		threshold = cfg.Autoscale.withDefaults().CordonThreshold
+	// The failure tracker always runs (aggregate totals are cheap); it
+	// cordons only under the autoscaler, which replaces the capacity.
+	threshold := 0
+	if cfg.Autoscale {
+		threshold = cordonThreshold
 	}
 	pl.ft = newFailureTracker(threshold)
-	if cfg.Autoscale.Enabled {
-		pl.scaler = newAutoscaler(pl, cfg.Autoscale)
+	if cfg.Autoscale {
+		pl.scaler = newAutoscaler(pl)
 		if cfg.MinRuntimes > 0 {
 			pl.kickScaler() // pre-warm the floor
 		}

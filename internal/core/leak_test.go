@@ -21,13 +21,15 @@ import (
 // list would otherwise only ever shrink through a later Pick on the same
 // AID) and no page-cache key of the reaped container's private delta.
 func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
-	for _, policy := range []SchedulerPolicy{SchedAffinity, SchedFIFO} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, policy := range []string{"affinity", "fifo"} {
+		t.Run(policy, func(t *testing.T) {
 			e := sim.NewEngine(1)
 			cfg := DefaultConfig(KindRattrap)
-			cfg.Scheduler = policy
 			cfg.IdleTimeout = time.Second
 			pl := New(e, cfg)
+			if policy == "fifo" {
+				pl.sched = &FIFOScheduler{} // the baselines' policy on Rattrap's warehouse
+			}
 			d := mustDevice(t, e, "phone-1")
 			app, _ := workload.ByName(workload.NameLinpack)
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"fmt"
 	"slices"
 )
 
@@ -22,8 +21,6 @@ import (
 // leaves the pool, and then it is dropped eagerly (Forget), because
 // nothing promises a later Pick on its AIDs to discard it.
 type Scheduler interface {
-	// Name labels the policy in configs and documentation.
-	Name() string
 	// Offer indexes a slot that just became idle.
 	Offer(sl *slot)
 	// Add records that the slot's runtime just loaded aid's code.
@@ -37,39 +34,19 @@ type Scheduler interface {
 	Forget(sl *slot)
 }
 
-// SchedulerPolicy names a built-in Scheduler for Config.
-type SchedulerPolicy int
-
-const (
-	// SchedAffinity is the paper's warehouse-aware policy and the default:
-	// prefer an idle runtime whose ClassLoader already holds the requested
-	// code ("saves the time for loading codes"), else the earliest-booted
-	// idle runtime.
-	SchedAffinity SchedulerPolicy = iota
-	// SchedFIFO ignores code placement entirely: always the earliest-booted
-	// idle runtime. The baseline policy for platforms where code affinity
-	// buys nothing — or for measuring what affinity is worth.
-	SchedFIFO
-)
-
-func (p SchedulerPolicy) String() string {
-	switch p {
-	case SchedAffinity:
-		return "affinity"
-	case SchedFIFO:
-		return "fifo"
-	}
-	return fmt.Sprintf("SchedulerPolicy(%d)", int(p))
-}
-
-// newScheduler builds the Scheduler for a policy.
-func newScheduler(p SchedulerPolicy) Scheduler {
-	switch p {
-	case SchedFIFO:
-		return &FIFOScheduler{}
-	default:
+// newScheduler builds the Dispatcher's policy for a platform kind. Rattrap
+// runs the paper's warehouse-aware dispatch: prefer an idle runtime whose
+// ClassLoader already holds the requested code ("saves the time for
+// loading codes"), else the earliest-booted idle runtime. The baselines
+// dispatch FIFO, always the earliest-booted idle runtime: without an App
+// Warehouse there is no cache-hit story, so warehouse-aware dispatch buys
+// them nothing (each runtime still remembers codes its own ClassLoader
+// loaded, but the paper's baselines do not route on that).
+func newScheduler(kind Kind) Scheduler {
+	if kind == KindRattrap {
 		return &AffinityScheduler{holders: make(map[string][]*slot)}
 	}
+	return &FIFOScheduler{}
 }
 
 // AffinityScheduler implements the paper's warehouse-affinity dispatch:
@@ -86,9 +63,6 @@ type AffinityScheduler struct {
 	// runtimes that load them, and a new AID then allocates nothing.
 	spare [][]*slot
 }
-
-// Name implements Scheduler.
-func (s *AffinityScheduler) Name() string { return "affinity" }
 
 // Offer implements Scheduler. A stale idle-heap entry left by an affinity
 // pick "revives" when the slot goes idle again, which is exactly the state
@@ -157,9 +131,6 @@ func (s *AffinityScheduler) Forget(sl *slot) {
 type FIFOScheduler struct {
 	idle slotHeap
 }
-
-// Name implements Scheduler.
-func (s *FIFOScheduler) Name() string { return "fifo" }
 
 // Offer implements Scheduler.
 func (s *FIFOScheduler) Offer(sl *slot) {

@@ -23,8 +23,10 @@ var ErrShardDown = errors.New("cluster: shard down")
 type RetryPolicy struct {
 	MaxAttempts int           // total tries including the first (default 4)
 	BaseDelay   time.Duration // backoff before the first retry (default 200ms)
-	MaxDelay    time.Duration // backoff ceiling (default 5s)
 }
+
+// maxBackoff caps the exponential backoff before jitter.
+const maxBackoff = 5 * time.Second
 
 // WithDefaults fills the zero fields.
 func (rp RetryPolicy) WithDefaults() RetryPolicy {
@@ -33,9 +35,6 @@ func (rp RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if rp.BaseDelay <= 0 {
 		rp.BaseDelay = 200 * time.Millisecond
-	}
-	if rp.MaxDelay <= 0 {
-		rp.MaxDelay = 5 * time.Second
 	}
 	return rp
 }
@@ -56,7 +55,7 @@ func Retryable(err error) bool {
 
 // Backoff decides what follows the attempt'th failed try (1-based): ok is
 // false when cause is permanent or the attempt budget is spent, otherwise
-// delay is BaseDelay doubled per attempt, capped at MaxDelay, with ±25%
+// delay is BaseDelay doubled per attempt, capped at maxBackoff, with ±25%
 // jitter to spread retry herds, floored by an overload rejection's
 // retry-after hint. The jitter source is the caller's so a simulation stays
 // deterministic per seed; it is drawn from only when ok.
@@ -65,8 +64,8 @@ func (rp RetryPolicy) Backoff(attempt int, cause error, rng *rand.Rand) (delay t
 		return 0, false
 	}
 	delay = rp.BaseDelay << uint(attempt-1)
-	if delay > rp.MaxDelay || delay <= 0 {
-		delay = rp.MaxDelay
+	if delay > maxBackoff || delay <= 0 {
+		delay = maxBackoff
 	}
 	delay += time.Duration(float64(delay) * 0.25 * (2*rng.Float64() - 1))
 	var over *OverloadedError

@@ -55,12 +55,12 @@ func TestBackoff(t *testing.T) {
 	if _, ok := rp.Backoff(1, errors.New("permanent"), rng); ok {
 		t.Error("retry granted for a permanent error")
 	}
-	// The cloud's retry-after hint is a floor; MaxDelay is a ceiling.
+	// The cloud's retry-after hint is a floor; maxBackoff is a ceiling.
 	if d, _ := rp.Backoff(1, &OverloadedError{RetryAfter: 3 * time.Second}, rng); d != 3*time.Second {
 		t.Errorf("delay %v ignores the 3s retry-after hint", d)
 	}
-	long := RetryPolicy{MaxAttempts: 64, BaseDelay: time.Second, MaxDelay: 2 * time.Second}
-	if d, _ := long.Backoff(40, transient, rng); d > long.MaxDelay*5/4 {
+	long := RetryPolicy{MaxAttempts: 64, BaseDelay: time.Second}
+	if d, _ := long.Backoff(40, transient, rng); d > maxBackoff*5/4 {
 		t.Errorf("delay %v exceeds the jittered ceiling", d)
 	}
 }

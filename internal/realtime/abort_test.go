@@ -87,7 +87,7 @@ func TestShardedAutoscaleConcurrent(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.MaxRuntimes = 2
 	cfg.MinRuntimes = 0
-	cfg.Autoscale = core.AutoscaleConfig{Enabled: true, Interval: 100 * time.Millisecond}
+	cfg.Autoscale = true
 	srv, ln := startServerCfg(t, cfg, Options{PipelineDepth: 2, Shards: 4})
 	app, _ := workload.ByName(workload.NameLinpack)
 	baseAID := offload.AID(app.Name(), app.CodeSize())

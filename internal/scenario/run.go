@@ -84,10 +84,8 @@ func Run(scn *Scenario) (*Report, error) {
 	cfg.MaxQueueDepth = scn.Platform.MaxQueueDepth
 	cfg.IdleTimeout = scn.Platform.IdleTimeout
 	cfg.TemplateBoot = scn.Platform.TemplateBoot
-	if scn.Platform.Autoscale {
-		cfg.MinRuntimes = scn.Platform.MinRuntimes
-		cfg.Autoscale = core.AutoscaleConfig{Enabled: true, Interval: scn.Platform.Interval}
-	}
+	cfg.MinRuntimes = scn.Platform.MinRuntimes
+	cfg.Autoscale = scn.Platform.Autoscale
 	replicas := scn.Platform.Replicas
 	if replicas < 1 {
 		replicas = 1

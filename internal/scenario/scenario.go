@@ -76,8 +76,7 @@ type PlatformSpec struct {
 	MaxQueueDepth int
 	IdleTimeout   time.Duration
 	Autoscale     bool
-	Interval      time.Duration // autoscale control interval
-	TemplateBoot  bool          // clone runtimes from the captured template
+	TemplateBoot  bool // clone runtimes from the captured template
 	// Replicas is the warehouse replica factor R: every pushed entry fans
 	// out to the R shards clockwise of its AID, so a shard failure loses
 	// no cached code. 1 (the default) is the replica-free PR 5 cluster.
@@ -533,11 +532,7 @@ func (d *decoder) scenario(root *yamlNode) *Scenario {
 
 func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 	ru["platform"] = true
-	spec := PlatformSpec{
-		Kind:        core.KindRattrap,
-		MaxRuntimes: 5,
-		Interval:    200 * time.Millisecond,
-	}
+	spec := PlatformSpec{Kind: core.KindRattrap, MaxRuntimes: 5}
 	n := root.get("platform")
 	if n == nil || d.err != nil {
 		return spec
@@ -563,10 +558,13 @@ func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 	spec.IdleTimeout = d.durVal(n, p, u, "idle_timeout", 0, 0, MaxVirtual)
 	spec.Autoscale = d.boolVal(n, p, u, "autoscale", false)
 	spec.TemplateBoot = d.boolVal(n, p, u, "template_boot", false)
-	spec.Interval = d.durVal(n, p, u, "autoscale_interval", 200*time.Millisecond, time.Millisecond, time.Minute)
 	spec.Replicas = d.intVal(n, p, u, "replicas", 1, 1, MaxShards)
 	if d.err == nil && spec.MinRuntimes > spec.MaxRuntimes {
 		d.fail(n, p, fmt.Sprintf("min_runtimes %d exceeds max_runtimes %d", spec.MinRuntimes, spec.MaxRuntimes))
+	}
+	// The floor is the autoscaler's; without it the key would be inert.
+	if d.err == nil && n.get("min_runtimes") != nil && !spec.Autoscale {
+		d.fail(n.get("min_runtimes"), p+".min_runtimes", "requires platform.autoscale: true")
 	}
 	if d.err == nil {
 		d.checkUnknown(n, p, u)
@@ -587,8 +585,6 @@ func (d *decoder) client(root *yamlNode, path string, ru used) offload.RetryPoli
 	}
 	u := used{}
 	spec.MaxAttempts = d.intVal(n, p, u, "max_attempts", 1, 1, 16)
-	spec.BaseDelay = d.durVal(n, p, u, "base_delay", spec.BaseDelay, time.Millisecond, time.Minute)
-	spec.MaxDelay = d.durVal(n, p, u, "max_delay", spec.MaxDelay, time.Millisecond, time.Hour)
 	if d.err == nil {
 		d.checkUnknown(n, p, u)
 	}

@@ -28,7 +28,7 @@ func TestDecodeDefaults(t *testing.T) {
 	if scn.Platform.MaxRuntimes != 5 || scn.Platform.Autoscale {
 		t.Errorf("platform defaults: %+v", scn.Platform)
 	}
-	if scn.Client.MaxAttempts != 1 || scn.Client.BaseDelay != 200*time.Millisecond || scn.Client.MaxDelay != 5*time.Second {
+	if scn.Client.MaxAttempts != 1 || scn.Client.BaseDelay != 200*time.Millisecond {
 		t.Errorf("client defaults: %+v", scn.Client)
 	}
 	if len(scn.Fleet) != 1 {
@@ -57,11 +57,8 @@ platform:
   min_runtimes: 1
   max_queue_depth: 16
   autoscale: true
-  autoscale_interval: 100ms
 client:
   max_attempts: 3
-  base_delay: 50ms
-  max_delay: 2s
 fleet:
   - cohort: phones
     devices: 100
@@ -168,6 +165,10 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad-arrival", "name: x\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n    arrival: burst\n", "unknown arrival process"},
 		{"dup-cohort", "name: x\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "duplicate cohort name"},
 		{"min-over-max", "name: x\nplatform:\n  max_runtimes: 2\n  min_runtimes: 3\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "min_runtimes 3 exceeds max_runtimes 2"},
+		{"min-without-autoscale", "name: x\nplatform:\n  min_runtimes: 1\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.min_runtimes: requires platform.autoscale"},
+		{"autoscale-interval", "name: x\nplatform:\n  autoscale: true\n  autoscale_interval: 100ms\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.autoscale_interval: unknown key"},
+		{"client-base-delay", "name: x\nclient:\n  base_delay: 50ms\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "client.base_delay: unknown key"},
+		{"client-max-delay", "name: x\nclient:\n  max_delay: 2s\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "client.max_delay: unknown key"},
 		{"unknown-action", minimalScenario + "events:\n  - at: 1s\n    action: reboot\n", "unknown action"},
 		{"unknown-plan", minimalScenario + "events:\n  - at: 1s\n    action: fault-plan\n    plan: gremlins\n", "unknown fault plan"},
 		{"event-unknown-cohort", minimalScenario + "events:\n  - at: 1s\n    action: set-network\n    cohort: ghosts\n    network: 4g\n", `unknown cohort "ghosts"`},
