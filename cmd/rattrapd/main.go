@@ -39,15 +39,8 @@ func main() {
 	shards := flag.Int("shards", 1, "platform shards; apps are consistent-hashed across shards by AID")
 	flag.Parse()
 
-	var kind core.Kind
-	switch *platform {
-	case "rattrap":
-		kind = core.KindRattrap
-	case "rattrap-wo":
-		kind = core.KindRattrapWO
-	case "vm":
-		kind = core.KindVM
-	default:
+	kind, ok := core.KindByName(*platform)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "rattrapd: unknown platform %q\n", *platform)
 		os.Exit(2)
 	}

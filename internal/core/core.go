@@ -63,6 +63,20 @@ func (k Kind) String() string {
 // Kinds returns the three platforms in the paper's comparison order.
 func Kinds() []Kind { return []Kind{KindRattrap, KindRattrapWO, KindVM} }
 
+// KindByName resolves a platform's command-line and scenario name:
+// rattrap, rattrap-wo or vm.
+func KindByName(name string) (Kind, bool) {
+	switch name {
+	case "rattrap":
+		return KindRattrap, true
+	case "rattrap-wo":
+		return KindRattrapWO, true
+	case "vm":
+		return KindVM, true
+	}
+	return 0, false
+}
+
 // Config shapes a platform. It holds only what callers vary (every field
 // needs a non-test setter, TestConfigFieldsHaveSetters); what none varies
 // is a constant, or follows Kind like the Dispatcher's policy

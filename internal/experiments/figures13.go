@@ -199,11 +199,7 @@ func RunObservation4(seed int64) (*Observation4, error) {
 	pl := core.New(e, cfg)
 
 	// 20 mixed requests through one VM, then inspect file access times.
-	rcfg := RunConfig{
-		Kind: core.KindVM, Profile: netsim.LANWiFi(), Devices: 1,
-		RequestsPerDevice: 20, Apps: workloadOrder(), Seed: seed,
-	}
-	_ = rcfg
+	apps := workloadOrder()
 	var runErr error
 	e.Spawn("profiler", func(p *sim.Proc) {
 		dev, err := newDevice(e, "phone-1")
@@ -212,7 +208,7 @@ func RunObservation4(seed int64) (*Observation4, error) {
 			return
 		}
 		for r := 0; r < 20; r++ {
-			appName := workloadOrder()[r%4]
+			appName := apps[r%len(apps)]
 			app, _ := workload.ByName(appName)
 			task := dev.NewTask(app)
 			if _, _, err := dev.Offload(p, task, app.CodeSize(), pl); err != nil {

@@ -2,18 +2,17 @@ package scenario
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 )
 
 // FuzzScenarioDecode pins the decoder's contract on adversarial input:
 // Decode never panics, never hangs, and every rejection is a typed
 // *ParseError or *SchemaError (IsScenarioError). The corpus seeds every
-// checked-in scenario plus a spread of malformed shapes — truncated
-// documents, out-of-range values, unknown event kinds, oversize fleets.
+// checked-in scenario, benchmark/scenarios/ included, plus a spread of
+// malformed shapes — truncated documents, out-of-range values, unknown
+// event kinds, oversize fleets.
 func FuzzScenarioDecode(f *testing.F) {
-	files, _ := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
-	for _, file := range files {
+	for _, file := range checkedInScenarios(f) {
 		if data, err := os.ReadFile(file); err == nil {
 			f.Add(data)
 		}

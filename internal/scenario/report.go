@@ -254,137 +254,107 @@ func (rep *Report) cohortStats(idx int) (string, Stats) {
 	return "", rep.Totals
 }
 
-// evaluate scores one assertion against the built report.
+// evaluate scores one assertion against the built report: census and
+// pool-floor in their own words, every other type by its bound's shape.
 func (r *runner) evaluate(a AssertionSpec, rep *Report) AssertionReport {
-	ar := AssertionReport{Type: a.Kind.String()}
 	name, st := rep.cohortStats(a.Cohort)
-	ar.Cohort = name
+	ar := AssertionReport{Type: string(a.Kind), Cohort: name}
 	switch a.Kind {
-	case AssertSuccessRate:
-		ar.Want = fmt.Sprintf(">= %.4f", a.Min)
-		ar.Got = fmt.Sprintf("%.4f", st.SuccessRate)
-		ar.Pass = st.SuccessRate >= a.Min
-	case AssertP50, AssertP99, AssertMaxLatency:
-		got := st.P50Ms
-		switch a.Kind {
-		case AssertP99:
-			got = st.P99Ms
-		case AssertMaxLatency:
-			got = st.MaxMs
-		}
-		ar.Want = fmt.Sprintf("<= %.1fms", durMs(a.MaxDur))
-		ar.Got = fmt.Sprintf("%.1fms", got)
-		ar.Pass = got <= durMs(a.MaxDur)
 	case AssertCensus:
 		ar.Want = "census == slots on every shard; nothing active/booting/draining/queued"
-		ok := true
+		ar.Got, ar.Pass = "ok", true
 		for _, sp := range rep.Pool.Shards {
 			if !sp.CensusOK {
-				ok = false
 				ar.Got = fmt.Sprintf("shard %d: runtimes=%d idle=%d active=%d booting=%d draining=%d queue=%d",
 					sp.Shard, sp.Runtimes, sp.Idle, sp.Active, sp.Booting, sp.Draining, sp.QueueLen)
+				ar.Pass = false
 				break
 			}
 		}
-		if ok {
-			ar.Got = "ok"
-		}
-		ar.Pass = ok
+		return ar
 	case AssertPoolFloor:
-		min := rep.Pool.Shards[0].Runtimes
-		for _, sp := range rep.Pool.Shards[1:] {
-			if sp.Runtimes < min {
-				min = sp.Runtimes
+		// A shard that failed or left the ring has no pool to keep.
+		min, seen := 0, false
+		for _, sp := range rep.Pool.Shards {
+			if r.cl.Membership().Routable(sp.Shard) && (!seen || sp.Runtimes < min) {
+				min, seen = sp.Runtimes, true
 			}
 		}
 		ar.Want = fmt.Sprintf("every shard >= %d runtimes", int(a.Min))
 		ar.Got = fmt.Sprintf("min shard pool %d", min)
 		ar.Pass = float64(min) >= a.Min
-	case AssertFinalPool:
-		ar.Want = rangeWant(a)
-		ar.Got = fmt.Sprintf("%d", rep.Pool.TotalRuntimes)
-		ar.Pass = inRange(float64(rep.Pool.TotalRuntimes), a)
-	case AssertMinRequests:
-		ar.Want = fmt.Sprintf(">= %d", int(a.Min))
-		ar.Got = fmt.Sprintf("%d", rep.Totals.Arrivals)
-		ar.Pass = float64(rep.Totals.Arrivals) >= a.Min
-	case AssertWarehouseHitRate:
-		total := rep.Pool.WarehouseHits + rep.Pool.WarehouseMisses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(rep.Pool.WarehouseHits) / float64(total)
-		}
+		return ar
+	}
+	def := assertionDefs[a.Kind]
+	v, n := def.measure(r, rep, a, st)
+	switch def.shape {
+	case shapeRate:
 		ar.Want = fmt.Sprintf(">= %.4f", a.Min)
-		ar.Got = fmt.Sprintf("%.4f", rate)
-		ar.Pass = rate >= a.Min
-	case AssertOverloads:
-		ar.Want = rangeWant(a)
-		ar.Got = fmt.Sprintf("%d", rep.Totals.Overloads)
-		ar.Pass = inRange(float64(rep.Totals.Overloads), a)
-	case AssertLiveShards:
-		live := r.cl.Membership().LiveCount()
-		ar.Want = rangeWant(a)
-		ar.Got = fmt.Sprintf("%d", live)
-		ar.Pass = inRange(float64(live), a)
-	case AssertSuccessRateAfter:
-		ar.Want = fmt.Sprintf(">= %.4f after %v", a.Min, a.After)
-		var ac *afterCounter
-		for _, c := range r.afters {
-			if c.at == sim.Time(a.After) {
-				ac = c
-				break
-			}
+		if def.after {
+			ar.Want += fmt.Sprintf(" after %v", a.After)
 		}
-		if ac == nil || ac.arrivals == 0 {
-			ar.Got = "no arrivals after threshold"
-			ar.Pass = false
-			break
+		ar.Got = fmt.Sprintf("%.4f", v)
+		ar.Pass = v >= a.Min
+	case shapeLatency:
+		ar.Want = fmt.Sprintf("<= %.1fms", durMs(a.MaxDur))
+		ar.Got = fmt.Sprintf("%.1fms", v)
+		ar.Pass = v <= durMs(a.MaxDur)
+	case shapeCount:
+		switch {
+		case a.HasMin && a.HasMax:
+			ar.Want = fmt.Sprintf("in [%d, %d]", int(a.Min), int(a.Max))
+		case a.HasMin:
+			ar.Want = fmt.Sprintf(">= %d", int(a.Min))
+		default:
+			ar.Want = fmt.Sprintf("<= %d", int(a.Max))
 		}
-		rate := float64(ac.succeeded) / float64(ac.arrivals)
-		ar.Got = fmt.Sprintf("%.4f over %d requests", rate, ac.arrivals)
-		ar.Pass = rate >= a.Min
-	case AssertBootP50, AssertBootP99:
+		ar.Got = fmt.Sprintf("%d", int(v))
+		ar.Pass = (!a.HasMin || v >= a.Min) && (!a.HasMax || v <= a.Max)
+	}
+	if def.sample != "" {
+		if n == 0 {
+			ar.Got, ar.Pass = def.none, false
+		} else {
+			ar.Got += fmt.Sprintf(" over %d %s", n, def.sample)
+		}
+	}
+	return ar
+}
+
+// warehouseHitRate is hits / (hits+misses) across every shard.
+func warehouseHitRate(_ *runner, rep *Report, _ AssertionSpec, _ Stats) (float64, int) {
+	total := rep.Pool.WarehouseHits + rep.Pool.WarehouseMisses
+	if total == 0 {
+		return 0, 0
+	}
+	return float64(rep.Pool.WarehouseHits) / float64(total), 0
+}
+
+// successAfter is the success rate over the requests arriving at or after
+// a.After, and their count.
+func (r *runner) successAfter(_ *Report, a AssertionSpec, _ Stats) (float64, int) {
+	for _, c := range r.afters {
+		if c.at == sim.Time(a.After) && c.arrivals > 0 {
+			return float64(c.succeeded) / float64(c.arrivals), c.arrivals
+		}
+	}
+	return 0, 0
+}
+
+// bootPercentile measures the pct-th percentile of every shard's boot
+// durations, in ms, and the number of boots.
+func bootPercentile(pct float64) measureFunc {
+	return func(r *runner, _ *Report, _ AssertionSpec, _ Stats) (float64, int) {
 		var boots []float64
 		for i := 0; i < r.cl.Shards(); i++ {
 			for _, d := range r.cl.Shard(i).BootDurations() {
 				boots = append(boots, d.Seconds())
 			}
 		}
-		pct := 50.0
-		if a.Kind == AssertBootP99 {
-			pct = 99
-		}
-		ar.Want = fmt.Sprintf("<= %.1fms", durMs(a.MaxDur))
 		if len(boots) == 0 {
-			ar.Got = "no boots"
-			ar.Pass = false
-			break
+			return 0, 0
 		}
 		sort.Float64s(boots)
-		got := metrics.Percentile(boots, pct) * 1000
-		ar.Got = fmt.Sprintf("%.1fms over %d boots", got, len(boots))
-		ar.Pass = got <= durMs(a.MaxDur)
+		return metrics.Percentile(boots, pct) * 1000, len(boots)
 	}
-	return ar
-}
-
-func rangeWant(a AssertionSpec) string {
-	switch {
-	case a.HasMin && a.HasMax:
-		return fmt.Sprintf("in [%d, %d]", int(a.Min), int(a.Max))
-	case a.HasMin:
-		return fmt.Sprintf(">= %d", int(a.Min))
-	default:
-		return fmt.Sprintf("<= %d", int(a.Max))
-	}
-}
-
-func inRange(v float64, a AssertionSpec) bool {
-	if a.HasMin && v < a.Min {
-		return false
-	}
-	if a.HasMax && v > a.Max {
-		return false
-	}
-	return true
 }

@@ -79,18 +79,7 @@ type afterCounter struct {
 func Run(scn *Scenario) (*Report, error) {
 	r := &runner{e: sim.NewEngine(scn.Seed), scn: scn}
 
-	cfg := core.DefaultConfig(scn.Platform.Kind)
-	cfg.MaxRuntimes = scn.Platform.MaxRuntimes
-	cfg.MaxQueueDepth = scn.Platform.MaxQueueDepth
-	cfg.IdleTimeout = scn.Platform.IdleTimeout
-	cfg.TemplateBoot = scn.Platform.TemplateBoot
-	cfg.MinRuntimes = scn.Platform.MinRuntimes
-	cfg.Autoscale = scn.Platform.Autoscale
-	replicas := scn.Platform.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	r.cl = cluster.NewReplicated(r.e, cfg, scn.Shards, replicas)
+	r.cl = cluster.NewReplicated(r.e, scn.Platform.Config, scn.Shards, scn.Platform.Replicas)
 	for i := 0; i < r.cl.Shards(); i++ {
 		r.installFaultHooks(r.cl.Shard(i))
 	}
@@ -231,7 +220,7 @@ func (r *runner) applyEvent(ev EventSpec) {
 	}
 	r.events = append(r.events, EventReport{
 		AtMs:   durMs(ev.At),
-		Action: ev.Kind.String(),
+		Action: string(ev.Kind),
 		Detail: detail,
 	})
 }

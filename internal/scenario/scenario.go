@@ -68,15 +68,10 @@ type Scenario struct {
 	Assertions  []AssertionSpec
 }
 
-// PlatformSpec shapes every shard's core.Platform.
+// PlatformSpec shapes every shard's core.Platform: the platform keys
+// decode straight into the embedded core.Config.
 type PlatformSpec struct {
-	Kind          core.Kind
-	MaxRuntimes   int
-	MinRuntimes   int
-	MaxQueueDepth int
-	IdleTimeout   time.Duration
-	Autoscale     bool
-	TemplateBoot  bool // clone runtimes from the captured template
+	core.Config
 	// Replicas is the warehouse replica factor R: every pushed entry fans
 	// out to the R shards clockwise of its AID, so a shard failure loses
 	// no cached code. 1 (the default) is the replica-free PR 5 cluster.
@@ -130,65 +125,42 @@ func (c CohortSpec) Rate() float64 {
 	return float64(c.Devices*c.RequestsPerDevice) / c.Duration.Seconds()
 }
 
-// EventKind enumerates the chaos timeline vocabulary.
-type EventKind uint8
+// EventKind enumerates the chaos timeline vocabulary. Each constant is
+// the event's YAML action word, and the word its report row carries.
+type EventKind string
 
 const (
 	// EvSetNetwork flips a cohort's network profile; requests arriving
 	// after the event use the new profile (in-flight ones keep theirs).
-	EvSetNetwork EventKind = iota
+	EvSetNetwork EventKind = "set-network"
 	// EvLoadSpike multiplies a cohort's arrival rate by Factor for
 	// Duration. The cohort's total request count is unchanged — the spike
 	// compresses the remaining schedule, which is exactly a burst.
-	EvLoadSpike
+	EvLoadSpike EventKind = "load-spike"
 	// EvFaultPlan activates a named fault plan on every shard and every
 	// device link, replacing any active plan.
-	EvFaultPlan
+	EvFaultPlan EventKind = "fault-plan"
 	// EvClearFaults deactivates the active fault plan.
-	EvClearFaults
+	EvClearFaults EventKind = "clear-faults"
 	// EvKillShard cordons every runtime on one shard: in-flight requests
 	// finish, then the runtimes drain and the pool rebuilds from cold —
 	// the graceful-chaos analog of power-cycling the shard's node.
-	EvKillShard
+	EvKillShard EventKind = "kill-shard"
 	// EvSetFloor changes every shard's autoscaler floor (MinRuntimes) at
 	// runtime via core.Platform.SetPoolBounds.
-	EvSetFloor
+	EvSetFloor EventKind = "set-floor"
 	// EvAddShard joins a fresh shard to the cluster: it boots, pulls its
 	// vnode ranges as chunk deltas, and is commissioned into the ring —
 	// live elastic capacity, not a restart.
-	EvAddShard
+	EvAddShard EventKind = "add-shard"
 	// EvRemoveShard drains one shard gracefully: it keeps serving while
 	// its entries migrate to their next owners, then leaves the ring.
-	EvRemoveShard
+	EvRemoveShard EventKind = "remove-shard"
 	// EvFailShard crashes one shard: immediately unroutable, in-flight
 	// sessions get ErrShardDown (retryable), and with replicas > 1 the
 	// survivors re-replicate its entries.
-	EvFailShard
+	EvFailShard EventKind = "fail-shard"
 )
-
-func (k EventKind) String() string {
-	switch k {
-	case EvSetNetwork:
-		return "set-network"
-	case EvLoadSpike:
-		return "load-spike"
-	case EvFaultPlan:
-		return "fault-plan"
-	case EvClearFaults:
-		return "clear-faults"
-	case EvKillShard:
-		return "kill-shard"
-	case EvSetFloor:
-		return "set-floor"
-	case EvAddShard:
-		return "add-shard"
-	case EvRemoveShard:
-		return "remove-shard"
-	case EvFailShard:
-		return "fail-shard"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
 
 // EventSpec is one timed chaos action.
 type EventSpec struct {
@@ -203,79 +175,47 @@ type EventSpec struct {
 	Floor  int            // EvSetFloor
 }
 
-// AssertionKind enumerates the end-of-run checks.
-type AssertionKind uint8
+// AssertionKind enumerates the end-of-run checks. Each constant is the
+// assertion's YAML type word, and the word its report row carries;
+// assertionDefs declares how each decodes and what it measures.
+type AssertionKind string
 
 const (
 	// AssertSuccessRate: succeeded/arrivals ≥ Min (optionally per cohort).
-	AssertSuccessRate AssertionKind = iota
+	AssertSuccessRate AssertionKind = "success-rate"
 	// AssertP50 / AssertP99 / AssertMax: latency percentile ≤ MaxDur.
-	AssertP50
-	AssertP99
-	AssertMaxLatency
+	AssertP50        AssertionKind = "p50"
+	AssertP99        AssertionKind = "p99"
+	AssertMaxLatency AssertionKind = "max-latency"
 	// AssertCensus: every shard's lifecycle census matches its slot list —
 	// idle == slots, and no runtime stuck active, booting, or draining
 	// after the engine drained. This is the PR-7 invariant (no stranded
 	// slots, no draining capacity leak) as a scenario gate.
-	AssertCensus
-	// AssertPoolFloor: every shard ends with at least Min runtimes — zero
-	// permanent capacity loss under teardown faults.
-	AssertPoolFloor
+	AssertCensus AssertionKind = "census"
+	// AssertPoolFloor: every shard still in the ring ends with at least
+	// Min runtimes — zero permanent capacity loss under teardown faults.
+	AssertPoolFloor AssertionKind = "pool-floor"
 	// AssertFinalPool: the cluster-wide final pool is within [Min, Max].
-	AssertFinalPool
+	AssertFinalPool AssertionKind = "final-pool"
 	// AssertMinRequests: the fleet generated at least Min arrivals.
-	AssertMinRequests
+	AssertMinRequests AssertionKind = "min-requests"
 	// AssertWarehouseHitRate: warehouse hits / (hits+misses) ≥ Min.
-	AssertWarehouseHitRate
+	AssertWarehouseHitRate AssertionKind = "warehouse-hit-rate"
 	// AssertOverloads: overload rejections observed are within [Min, Max].
-	AssertOverloads
+	AssertOverloads AssertionKind = "overloads"
 	// AssertBootP50 / AssertBootP99: runtime boot duration percentile
 	// across every shard ≤ MaxDur. With template_boot on, this is the
 	// gate that the pool really is cloning rather than cold-booting.
-	AssertBootP50
-	AssertBootP99
+	AssertBootP50 AssertionKind = "boot-p50"
+	AssertBootP99 AssertionKind = "boot-p99"
 	// AssertLiveShards: the final count of routable shards is within
 	// [Min, Max] — did the membership end up where the timeline said.
-	AssertLiveShards
+	AssertLiveShards AssertionKind = "live-shards"
 	// AssertSuccessRateAfter: among requests arriving at or after After,
 	// succeeded/arrivals ≥ Min — the post-chaos recovery gate (a shard
 	// kill early in the soak must not depress the whole-run rate view).
-	AssertSuccessRateAfter
+	AssertSuccessRateAfter AssertionKind = "success-rate-after"
 )
-
-func (k AssertionKind) String() string {
-	switch k {
-	case AssertSuccessRate:
-		return "success-rate"
-	case AssertP50:
-		return "p50"
-	case AssertP99:
-		return "p99"
-	case AssertMaxLatency:
-		return "max-latency"
-	case AssertCensus:
-		return "census"
-	case AssertPoolFloor:
-		return "pool-floor"
-	case AssertFinalPool:
-		return "final-pool"
-	case AssertMinRequests:
-		return "min-requests"
-	case AssertWarehouseHitRate:
-		return "warehouse-hit-rate"
-	case AssertOverloads:
-		return "overloads"
-	case AssertBootP50:
-		return "boot-p50"
-	case AssertBootP99:
-		return "boot-p99"
-	case AssertLiveShards:
-		return "live-shards"
-	case AssertSuccessRateAfter:
-		return "success-rate-after"
-	}
-	return fmt.Sprintf("AssertionKind(%d)", int(k))
-}
 
 // AssertionSpec is one end-of-run check.
 type AssertionSpec struct {
@@ -287,6 +227,81 @@ type AssertionSpec struct {
 	After  time.Duration // AssertSuccessRateAfter: arrival-time cutoff
 	HasMin bool
 	HasMax bool
+}
+
+// boundShape is the form of an assertion's bound, which fixes both how
+// it decodes and how its report row reads.
+type boundShape uint8
+
+const (
+	shapeNone    boundShape = iota // no bound (census)
+	shapeRate                      // min in [0, 1]: ">= 0.9900" / "0.9950"
+	shapeLatency                   // max duration: "<= 250.0ms" / "212.3ms"
+	shapeCount                     // integer min and/or max: "in [1, 4]" / "3"
+)
+
+// countSides says which sides of a shapeCount bound an assertion takes.
+type countSides uint8
+
+const (
+	minOrMax  countSides = iota // min, max or both; at least one
+	minOnly                     // min, required
+	floorOnly                   // min, defaulting to platform.min_runtimes
+)
+
+// measureFunc reads an assertion's value off the finished run; st is the
+// asserted cohort's stats (the fleet's when the assertion has none). n is
+// the sample size behind the value, for the types that report one.
+type measureFunc func(r *runner, rep *Report, a AssertionSpec, st Stats) (v float64, n int)
+
+// assertionDef declares one assertion type.
+type assertionDef struct {
+	shape  boundShape
+	sides  countSides // shapeCount
+	lo, hi int        // shapeCount: the range of min and max
+	cohort bool       // accepts cohort:, else it measures the whole fleet
+	after  bool       // requires after:, and measures arrivals from then on
+	// measure is nil for census and pool-floor, which report in their own
+	// words. When sample is set, Got ends " over <n> <sample>", and a run
+	// with n == 0 fails with Got = none.
+	measure      measureFunc
+	sample, none string
+}
+
+// assertionDefs is the assertion vocabulary: every type the decoder
+// accepts, and all it needs to know to decode and evaluate it.
+var assertionDefs = map[AssertionKind]assertionDef{
+	AssertSuccessRate: {shape: shapeRate, cohort: true, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return st.SuccessRate, 0
+	}},
+	AssertP50: {shape: shapeLatency, cohort: true, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return st.P50Ms, 0
+	}},
+	AssertP99: {shape: shapeLatency, cohort: true, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return st.P99Ms, 0
+	}},
+	AssertMaxLatency: {shape: shapeLatency, cohort: true, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return st.MaxMs, 0
+	}},
+	AssertCensus:    {},
+	AssertPoolFloor: {shape: shapeCount, sides: floorOnly, hi: 1 << 20},
+	AssertFinalPool: {shape: shapeCount, hi: 1 << 20, measure: func(_ *runner, rep *Report, _ AssertionSpec, _ Stats) (float64, int) {
+		return float64(rep.Pool.TotalRuntimes), 0
+	}},
+	AssertMinRequests: {shape: shapeCount, sides: minOnly, lo: 1, hi: MaxTotalArrivals, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return float64(st.Arrivals), 0
+	}},
+	AssertWarehouseHitRate: {shape: shapeRate, measure: warehouseHitRate},
+	AssertOverloads: {shape: shapeCount, hi: MaxTotalArrivals, measure: func(_ *runner, _ *Report, _ AssertionSpec, st Stats) (float64, int) {
+		return float64(st.Overloads), 0
+	}},
+	AssertBootP50: {shape: shapeLatency, measure: bootPercentile(50), sample: "boots", none: "no boots"},
+	AssertBootP99: {shape: shapeLatency, measure: bootPercentile(99), sample: "boots", none: "no boots"},
+	AssertLiveShards: {shape: shapeCount, hi: MaxShards, measure: func(r *runner, _ *Report, _ AssertionSpec, _ Stats) (float64, int) {
+		return float64(r.cl.Membership().LiveCount()), 0
+	}},
+	AssertSuccessRateAfter: {shape: shapeRate, after: true, measure: (*runner).successAfter,
+		sample: "requests", none: "no arrivals after threshold"},
 }
 
 // Load reads and decodes one scenario file.
@@ -355,41 +370,103 @@ func (d *decoder) mapping(n *yamlNode, path string) *yamlNode {
 	return n
 }
 
-func (d *decoder) str(n *yamlNode, path string, u used, key, def string) string {
+// list returns the items of the optional sequence under key: none when it
+// is absent, and a failure when it is not a sequence or holds more than
+// max items.
+func (d *decoder) list(root *yamlNode, path string, ru used, key string, max int) []*yamlNode {
+	ru[key] = true
+	n := root.get(key)
+	if n == nil || d.err != nil {
+		return nil
+	}
+	if n.kind != ySeq {
+		d.fail(n, path+"."+key, "expected a sequence of "+key)
+		return nil
+	}
+	if len(n.items) > max {
+		d.fail(n, path+"."+key, fmt.Sprintf("more than %d %s", max, key))
+		return nil
+	}
+	return n.items
+}
+
+// mappings decodes a sequence of mappings with item, which reads each
+// item's keys through u; a key it leaves unread is an error. The first
+// error ends the walk and yields nil.
+func mappings[T any](d *decoder, items []*yamlNode, path string, item func(n *yamlNode, p string, u used) T) []T {
+	var out []T
+	for i, n := range items {
+		p := fmt.Sprintf("%s[%d]", path, i)
+		if d.mapping(n, p) == nil {
+			return nil
+		}
+		u := used{}
+		v := item(n, p, u)
+		if d.err == nil {
+			d.checkUnknown(n, p, u)
+		}
+		if d.err != nil {
+			return nil
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// Whether a scalar lookup fails on an absent key.
+const (
+	optional = false
+	required = true
+)
+
+// scalar is every accessor's lookup: it marks key consumed and returns its
+// scalar node, or nil when an earlier error stands or the key is absent
+// (failing "required" if req). A non-scalar value fails "expected <what>".
+func (d *decoder) scalar(n *yamlNode, path string, u used, key, what string, req bool) *yamlNode {
 	if d.err != nil || n == nil {
-		return def
+		return nil
 	}
 	u[key] = true
 	v := n.get(key)
 	if v == nil {
-		return def
+		if req {
+			d.fail(n, path+"."+key, "required")
+		}
+		return nil
 	}
 	if v.kind != yScalar {
-		d.fail(v, path+"."+key, "expected a scalar")
+		d.fail(v, path+"."+key, "expected "+what)
+		return nil
+	}
+	return v
+}
+
+// str reads a string; a required one must also be non-empty.
+func (d *decoder) str(n *yamlNode, path string, u used, key, def string, req bool) string {
+	v := d.scalar(n, path, u, key, "a scalar", req)
+	if v == nil {
+		return def
+	}
+	if req && v.scalar == "" {
+		d.fail(n, path+"."+key, "required")
 		return def
 	}
 	return v.scalar
 }
 
-func (d *decoder) requiredStr(n *yamlNode, path string, u used, key string) string {
-	s := d.str(n, path, u, key, "")
-	if d.err == nil && s == "" {
-		d.fail(n, path+"."+key, "required")
+// bounded returns x when it lies in [lo, hi], and otherwise fails at v
+// and returns def.
+func bounded[T int | float64 | time.Duration](d *decoder, v *yamlNode, path string, x, lo, hi, def T) T {
+	if x < lo || x > hi {
+		d.fail(v, path, fmt.Sprintf("%v out of range [%v, %v]", x, lo, hi))
+		return def
 	}
-	return s
+	return x
 }
 
-func (d *decoder) intVal(n *yamlNode, path string, u used, key string, def, lo, hi int) int {
-	if d.err != nil || n == nil {
-		return def
-	}
-	u[key] = true
-	v := n.get(key)
+func (d *decoder) intVal(n *yamlNode, path string, u used, key string, def, lo, hi int, req bool) int {
+	v := d.scalar(n, path, u, key, "an integer", req)
 	if v == nil {
-		return def
-	}
-	if v.kind != yScalar {
-		d.fail(v, path+"."+key, "expected an integer")
 		return def
 	}
 	i, err := strconv.Atoi(v.scalar)
@@ -397,24 +474,12 @@ func (d *decoder) intVal(n *yamlNode, path string, u used, key string, def, lo, 
 		d.fail(v, path+"."+key, fmt.Sprintf("bad integer %q", v.scalar))
 		return def
 	}
-	if i < lo || i > hi {
-		d.fail(v, path+"."+key, fmt.Sprintf("%d out of range [%d, %d]", i, lo, hi))
-		return def
-	}
-	return i
+	return bounded(d, v, path+"."+key, i, lo, hi, def)
 }
 
-func (d *decoder) floatVal(n *yamlNode, path string, u used, key string, def, lo, hi float64) float64 {
-	if d.err != nil || n == nil {
-		return def
-	}
-	u[key] = true
-	v := n.get(key)
+func (d *decoder) floatVal(n *yamlNode, path string, u used, key string, def, lo, hi float64, req bool) float64 {
+	v := d.scalar(n, path, u, key, "a number", req)
 	if v == nil {
-		return def
-	}
-	if v.kind != yScalar {
-		d.fail(v, path+"."+key, "expected a number")
 		return def
 	}
 	f, err := strconv.ParseFloat(v.scalar, 64)
@@ -422,19 +487,11 @@ func (d *decoder) floatVal(n *yamlNode, path string, u used, key string, def, lo
 		d.fail(v, path+"."+key, fmt.Sprintf("bad number %q", v.scalar))
 		return def
 	}
-	if f < lo || f > hi {
-		d.fail(v, path+"."+key, fmt.Sprintf("%g out of range [%g, %g]", f, lo, hi))
-		return def
-	}
-	return f
+	return bounded(d, v, path+"."+key, f, lo, hi, def)
 }
 
 func (d *decoder) boolVal(n *yamlNode, path string, u used, key string, def bool) bool {
-	if d.err != nil || n == nil {
-		return def
-	}
-	u[key] = true
-	v := n.get(key)
+	v := d.scalar(n, path, u, key, "true or false", optional)
 	if v == nil {
 		return def
 	}
@@ -450,17 +507,9 @@ func (d *decoder) boolVal(n *yamlNode, path string, u used, key string, def bool
 
 // durVal parses a duration scalar ("30s", "1h30m"). Bare numbers are
 // rejected: a unitless time is exactly the ambiguity a DSL should refuse.
-func (d *decoder) durVal(n *yamlNode, path string, u used, key string, def, lo, hi time.Duration) time.Duration {
-	if d.err != nil || n == nil {
-		return def
-	}
-	u[key] = true
-	v := n.get(key)
+func (d *decoder) durVal(n *yamlNode, path string, u used, key string, def, lo, hi time.Duration, req bool) time.Duration {
+	v := d.scalar(n, path, u, key, "a duration", req)
 	if v == nil {
-		return def
-	}
-	if v.kind != yScalar {
-		d.fail(v, path+"."+key, "expected a duration")
 		return def
 	}
 	dur, err := time.ParseDuration(v.scalar)
@@ -468,11 +517,7 @@ func (d *decoder) durVal(n *yamlNode, path string, u used, key string, def, lo, 
 		d.fail(v, path+"."+key, fmt.Sprintf("bad duration %q (use Go syntax: 30s, 1m30s)", v.scalar))
 		return def
 	}
-	if dur < lo || dur > hi {
-		d.fail(v, path+"."+key, fmt.Sprintf("%v out of range [%v, %v]", dur, lo, hi))
-		return def
-	}
-	return dur
+	return bounded(d, v, path+"."+key, dur, lo, hi, def)
 }
 
 // profileByName resolves the DSL's network slugs (plus the paper's
@@ -493,7 +538,7 @@ func profileByName(name string) (netsim.Profile, bool) {
 }
 
 func (d *decoder) network(n *yamlNode, path string, u used, key string) netsim.Profile {
-	name := d.requiredStr(n, path, u, key)
+	name := d.str(n, path, u, key, "", required)
 	if d.err != nil {
 		return netsim.Profile{}
 	}
@@ -508,10 +553,10 @@ func (d *decoder) scenario(root *yamlNode) *Scenario {
 	path := "scenario"
 	u := used{}
 	scn := &Scenario{
-		Name:        d.requiredStr(root, path, u, "name"),
-		Description: d.str(root, path, u, "description", ""),
-		Seed:        int64(d.intVal(root, path, u, "seed", 42, 0, 1<<31)),
-		Shards:      d.intVal(root, path, u, "shards", 1, 1, MaxShards),
+		Name:        d.str(root, path, u, "name", "", required),
+		Description: d.str(root, path, u, "description", "", optional),
+		Seed:        int64(d.intVal(root, path, u, "seed", 42, 0, 1<<31, optional)),
+		Shards:      d.intVal(root, path, u, "shards", 1, 1, MaxShards, optional),
 	}
 	scn.Platform = d.platform(root, path, u)
 	scn.Client = d.client(root, path, u)
@@ -532,7 +577,7 @@ func (d *decoder) scenario(root *yamlNode) *Scenario {
 
 func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 	ru["platform"] = true
-	spec := PlatformSpec{Kind: core.KindRattrap, MaxRuntimes: 5}
+	spec := PlatformSpec{Config: core.DefaultConfig(core.KindRattrap), Replicas: 1}
 	n := root.get("platform")
 	if n == nil || d.err != nil {
 		return spec
@@ -542,23 +587,18 @@ func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 		return spec
 	}
 	u := used{}
-	switch kind := d.str(n, p, u, "kind", "rattrap"); kind {
-	case "rattrap":
-		spec.Kind = core.KindRattrap
-	case "rattrap-wo":
-		spec.Kind = core.KindRattrapWO
-	case "vm":
-		spec.Kind = core.KindVM
-	default:
+	kind := d.str(n, p, u, "kind", "rattrap", optional)
+	var ok bool
+	if spec.Kind, ok = core.KindByName(kind); !ok {
 		d.fail(n.get("kind"), p+".kind", fmt.Sprintf("unknown platform kind %q (rattrap, rattrap-wo, vm)", kind))
 	}
-	spec.MaxRuntimes = d.intVal(n, p, u, "max_runtimes", 5, 1, 256)
-	spec.MinRuntimes = d.intVal(n, p, u, "min_runtimes", 0, 0, 256)
-	spec.MaxQueueDepth = d.intVal(n, p, u, "max_queue_depth", 0, 0, 1<<20)
-	spec.IdleTimeout = d.durVal(n, p, u, "idle_timeout", 0, 0, MaxVirtual)
+	spec.MaxRuntimes = d.intVal(n, p, u, "max_runtimes", 5, 1, 256, optional)
+	spec.MinRuntimes = d.intVal(n, p, u, "min_runtimes", 0, 0, 256, optional)
+	spec.MaxQueueDepth = d.intVal(n, p, u, "max_queue_depth", 0, 0, 1<<20, optional)
+	spec.IdleTimeout = d.durVal(n, p, u, "idle_timeout", 0, 0, MaxVirtual, optional)
 	spec.Autoscale = d.boolVal(n, p, u, "autoscale", false)
 	spec.TemplateBoot = d.boolVal(n, p, u, "template_boot", false)
-	spec.Replicas = d.intVal(n, p, u, "replicas", 1, 1, MaxShards)
+	spec.Replicas = d.intVal(n, p, u, "replicas", 1, 1, MaxShards, optional)
 	if d.err == nil && spec.MinRuntimes > spec.MaxRuntimes {
 		d.fail(n, p, fmt.Sprintf("min_runtimes %d exceeds max_runtimes %d", spec.MinRuntimes, spec.MaxRuntimes))
 	}
@@ -584,7 +624,7 @@ func (d *decoder) client(root *yamlNode, path string, ru used) offload.RetryPoli
 		return spec
 	}
 	u := used{}
-	spec.MaxAttempts = d.intVal(n, p, u, "max_attempts", 1, 1, 16)
+	spec.MaxAttempts = d.intVal(n, p, u, "max_attempts", 1, 1, 16, optional)
 	if d.err == nil {
 		d.checkUnknown(n, p, u)
 	}
@@ -609,31 +649,19 @@ func (d *decoder) fleet(root *yamlNode, path string, ru used) []CohortSpec {
 		d.fail(n, path+".fleet", fmt.Sprintf("need 1..%d cohorts, got %d", MaxCohorts, len(n.items)))
 		return nil
 	}
-	var out []CohortSpec
-	for i, item := range n.items {
-		p := fmt.Sprintf("%s.fleet[%d]", path, i)
-		if d.mapping(item, p) == nil {
-			return nil
-		}
-		u := used{}
+	return mappings(d, n.items, path+".fleet", func(item *yamlNode, p string, u used) CohortSpec {
 		c := CohortSpec{
-			Name:              d.requiredStr(item, p, u, "cohort"),
-			Devices:           d.intVal(item, p, u, "devices", 0, 1, MaxCohortDevices),
-			RequestsPerDevice: d.intVal(item, p, u, "requests_per_device", 1, 1, 1000),
+			Name:              d.str(item, p, u, "cohort", "", required),
+			Devices:           d.intVal(item, p, u, "devices", 0, 1, MaxCohortDevices, required),
+			RequestsPerDevice: d.intVal(item, p, u, "requests_per_device", 1, 1, 1000, optional),
 			Network:           d.network(item, p, u, "network"),
-			Variants:          d.intVal(item, p, u, "variants", 1, 1, MaxVariants),
-			Start:             d.durVal(item, p, u, "start", 0, 0, MaxVirtual),
-			Duration:          d.durVal(item, p, u, "duration", 0, time.Millisecond, MaxVirtual),
-			LinpackOrder:      d.intVal(item, p, u, "linpack_order", 0, 0, MaxLinpackOrder),
-		}
-		if d.err == nil && n.items[i].get("devices") == nil {
-			d.fail(item, p+".devices", "required")
-		}
-		if d.err == nil && n.items[i].get("duration") == nil {
-			d.fail(item, p+".duration", "required")
+			Variants:          d.intVal(item, p, u, "variants", 1, 1, MaxVariants, optional),
+			Start:             d.durVal(item, p, u, "start", 0, 0, MaxVirtual, optional),
+			Duration:          d.durVal(item, p, u, "duration", 0, time.Millisecond, MaxVirtual, required),
+			LinpackOrder:      d.intVal(item, p, u, "linpack_order", 0, 0, MaxLinpackOrder, optional),
 		}
 		c.Apps = d.apps(item, p, u)
-		switch arr := d.str(item, p, u, "arrival", "uniform"); arr {
+		switch arr := d.str(item, p, u, "arrival", "uniform", optional); arr {
 		case "uniform":
 			c.Arrival = ArrivalUniform
 		case "poisson":
@@ -641,15 +669,8 @@ func (d *decoder) fleet(root *yamlNode, path string, ru used) []CohortSpec {
 		default:
 			d.fail(item.get("arrival"), p+".arrival", fmt.Sprintf("unknown arrival process %q (uniform, poisson)", arr))
 		}
-		if d.err == nil {
-			d.checkUnknown(item, p, u)
-		}
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, c)
-	}
-	return out
+		return c
+	})
 }
 
 func (d *decoder) apps(n *yamlNode, path string, u used) []string {
@@ -682,7 +703,7 @@ func (d *decoder) apps(n *yamlNode, path string, u used) []string {
 
 // cohortIndex resolves a cohort reference by name.
 func (d *decoder) cohortIndex(n *yamlNode, path string, u used, key string, scn *Scenario) int {
-	name := d.requiredStr(n, path, u, key)
+	name := d.str(n, path, u, key, "", required)
 	if d.err != nil {
 		return -1
 	}
@@ -696,92 +717,49 @@ func (d *decoder) cohortIndex(n *yamlNode, path string, u used, key string, scn 
 }
 
 func (d *decoder) events(root *yamlNode, path string, ru used, scn *Scenario) []EventSpec {
-	ru["events"] = true
-	n := root.get("events")
-	if n == nil || d.err != nil {
-		return nil
-	}
-	if n.kind != ySeq {
-		d.fail(n, path+".events", "expected a sequence of events")
-		return nil
-	}
-	if len(n.items) > MaxEvents {
-		d.fail(n, path+".events", fmt.Sprintf("more than %d events", MaxEvents))
-		return nil
-	}
-	var out []EventSpec
 	adds := 0 // add-shard events decoded so far: they extend the shard id space
-	for i, item := range n.items {
-		p := fmt.Sprintf("%s.events[%d]", path, i)
-		if d.mapping(item, p) == nil {
-			return nil
-		}
-		u := used{}
-		ev := EventSpec{At: d.durVal(item, p, u, "at", 0, 0, MaxVirtual), Cohort: -1}
-		if d.err == nil && item.get("at") == nil {
-			d.fail(item, p+".at", "required")
-		}
-		action := d.requiredStr(item, p, u, "action")
+	return mappings(d, d.list(root, path, ru, "events", MaxEvents), path+".events", func(item *yamlNode, p string, u used) EventSpec {
+		ev := EventSpec{At: d.durVal(item, p, u, "at", 0, 0, MaxVirtual, required), Cohort: -1}
+		ev.Kind = EventKind(d.str(item, p, u, "action", "", required))
 		if d.err != nil {
-			return nil
+			return ev
 		}
-		switch action {
-		case "set-network":
-			ev.Kind = EvSetNetwork
+		switch ev.Kind {
+		case EvSetNetwork:
 			ev.Cohort = d.cohortIndex(item, p, u, "cohort", scn)
 			ev.Net = d.network(item, p, u, "network")
-		case "load-spike":
-			ev.Kind = EvLoadSpike
+		case EvLoadSpike:
 			ev.Cohort = d.cohortIndex(item, p, u, "cohort", scn)
-			ev.Factor = d.floatVal(item, p, u, "factor", 0, 0.01, 1000)
-			if d.err == nil && item.get("factor") == nil {
-				d.fail(item, p+".factor", "required")
-			}
-			ev.Dur = d.durVal(item, p, u, "duration", 0, time.Millisecond, MaxVirtual)
-			if d.err == nil && item.get("duration") == nil {
-				d.fail(item, p+".duration", "required")
-			}
-		case "fault-plan":
-			ev.Kind = EvFaultPlan
-			ev.Plan = d.requiredStr(item, p, u, "plan")
+			ev.Factor = d.floatVal(item, p, u, "factor", 0, 0.01, 1000, required)
+			ev.Dur = d.durVal(item, p, u, "duration", 0, time.Millisecond, MaxVirtual, required)
+		case EvFaultPlan:
+			ev.Plan = d.str(item, p, u, "plan", "", required)
 			if d.err == nil {
 				if _, ok := planByName(ev.Plan, 0); !ok {
 					d.fail(item.get("plan"), p+".plan", fmt.Sprintf("unknown fault plan %q (%s)", ev.Plan, strings.Join(PlanNames(), ", ")))
 				}
 			}
-		case "clear-faults":
-			ev.Kind = EvClearFaults
-		case "kill-shard":
-			ev.Kind = EvKillShard
-			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1)
+		case EvClearFaults:
+		case EvKillShard:
+			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1, optional)
 			if d.err == nil && ev.Shard >= scn.Shards {
 				d.fail(item.get("shard"), p+".shard", fmt.Sprintf("shard %d out of range (scenario has %d)", ev.Shard, scn.Shards))
 			}
-		case "add-shard":
-			ev.Kind = EvAddShard
+		case EvAddShard:
 			adds++
 			if d.err == nil && scn.Shards+adds > MaxShards {
 				d.fail(item, p, fmt.Sprintf("add-shard would exceed %d shards", MaxShards))
 			}
-		case "remove-shard", "fail-shard":
-			if action == "remove-shard" {
-				ev.Kind = EvRemoveShard
-			} else {
-				ev.Kind = EvFailShard
-			}
-			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1)
+		case EvRemoveShard, EvFailShard:
+			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1, optional)
 			// Earlier add-shard events extend the addressable id space:
 			// shard ids are assigned in event order, founding shards first.
 			if d.err == nil && ev.Shard >= scn.Shards+adds {
 				d.fail(item.get("shard"), p+".shard",
 					fmt.Sprintf("shard %d out of range (%d founding + %d added)", ev.Shard, scn.Shards, adds))
 			}
-		case "set-floor":
-			ev.Kind = EvSetFloor
-			ev.Floor = d.intVal(item, p, u, "min_runtimes", 0, 0, 256)
-			if d.err == nil && item.get("min_runtimes") == nil {
-				d.fail(item, p+".min_runtimes", "required")
-			}
+		case EvSetFloor:
+			ev.Floor = d.intVal(item, p, u, "min_runtimes", 0, 0, 256, required)
 			if d.err == nil && !scn.Platform.Autoscale {
 				d.fail(item, p, "set-floor requires platform.autoscale: true")
 			}
@@ -789,161 +767,53 @@ func (d *decoder) events(root *yamlNode, path string, ru used, scn *Scenario) []
 				d.fail(item.get("min_runtimes"), p+".min_runtimes", fmt.Sprintf("floor %d exceeds max_runtimes %d", ev.Floor, scn.Platform.MaxRuntimes))
 			}
 		default:
-			d.fail(item.get("action"), p+".action", fmt.Sprintf("unknown action %q", action))
+			d.fail(item.get("action"), p+".action", fmt.Sprintf("unknown action %q", ev.Kind))
 		}
-		if d.err == nil {
-			d.checkUnknown(item, p, u)
-		}
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, ev)
-	}
-	return out
+		return ev
+	})
 }
 
 func (d *decoder) assertions(root *yamlNode, path string, ru used, scn *Scenario) []AssertionSpec {
-	ru["assertions"] = true
-	n := root.get("assertions")
-	if n == nil || d.err != nil {
-		return nil
-	}
-	if n.kind != ySeq {
-		d.fail(n, path+".assertions", "expected a sequence of assertions")
-		return nil
-	}
-	if len(n.items) > MaxAssertions {
-		d.fail(n, path+".assertions", fmt.Sprintf("more than %d assertions", MaxAssertions))
-		return nil
-	}
-	var out []AssertionSpec
-	for i, item := range n.items {
-		p := fmt.Sprintf("%s.assertions[%d]", path, i)
-		if d.mapping(item, p) == nil {
-			return nil
-		}
-		u := used{}
-		a := AssertionSpec{Cohort: -1}
-		typ := d.requiredStr(item, p, u, "type")
+	return mappings(d, d.list(root, path, ru, "assertions", MaxAssertions), path+".assertions", func(item *yamlNode, p string, u used) AssertionSpec {
+		a := AssertionSpec{Kind: AssertionKind(d.str(item, p, u, "type", "", required)), Cohort: -1}
 		if d.err != nil {
-			return nil
+			return a
 		}
-		needMin := func(lo, hi float64) {
-			a.Min = d.floatVal(item, p, u, "min", 0, lo, hi)
-			a.HasMin = true
-			if d.err == nil && item.get("min") == nil {
-				d.fail(item, p+".min", "required")
+		def, ok := assertionDefs[a.Kind]
+		if !ok {
+			d.fail(item.get("type"), p+".type", fmt.Sprintf("unknown assertion type %q", a.Kind))
+			return a
+		}
+		if def.after {
+			a.After = d.durVal(item, p, u, "after", 0, 0, MaxVirtual, required)
+		}
+		switch def.shape {
+		case shapeRate:
+			a.Min, a.HasMin = d.floatVal(item, p, u, "min", 0, 0, 1, required), true
+		case shapeLatency:
+			a.MaxDur, a.HasMax = d.durVal(item, p, u, "max", 0, time.Microsecond, MaxVirtual, required), true
+		case shapeCount:
+			absent := -1 // below every count's range
+			if def.sides == floorOnly {
+				absent = scn.Platform.MinRuntimes
+			}
+			if m := d.intVal(item, p, u, "min", absent, def.lo, def.hi, def.sides == minOnly); m >= 0 {
+				a.Min, a.HasMin = float64(m), true
+			}
+			if def.sides == minOrMax {
+				if m := d.intVal(item, p, u, "max", -1, def.lo, def.hi, optional); m >= 0 {
+					a.Max, a.HasMax = float64(m), true
+				}
+				if d.err == nil && !a.HasMin && !a.HasMax {
+					d.fail(item, p, fmt.Sprintf("%s needs min and/or max", a.Kind))
+				}
 			}
 		}
-		switch typ {
-		case "success-rate":
-			a.Kind = AssertSuccessRate
-			needMin(0, 1)
-			if item.get("cohort") != nil {
-				a.Cohort = d.cohortIndex(item, p, u, "cohort", scn)
-			}
-		case "p50", "p99", "max-latency":
-			switch typ {
-			case "p50":
-				a.Kind = AssertP50
-			case "p99":
-				a.Kind = AssertP99
-			default:
-				a.Kind = AssertMaxLatency
-			}
-			a.MaxDur = d.durVal(item, p, u, "max", 0, time.Microsecond, MaxVirtual)
-			a.HasMax = true
-			if d.err == nil && item.get("max") == nil {
-				d.fail(item, p+".max", "required")
-			}
-			if item.get("cohort") != nil {
-				a.Cohort = d.cohortIndex(item, p, u, "cohort", scn)
-			}
-		case "census":
-			a.Kind = AssertCensus
-		case "pool-floor":
-			a.Kind = AssertPoolFloor
-			a.Min = float64(d.intVal(item, p, u, "min", scn.Platform.MinRuntimes, 0, 1<<20))
-			a.HasMin = true
-		case "final-pool":
-			a.Kind = AssertFinalPool
-			if item.get("min") != nil {
-				a.Min = float64(d.intVal(item, p, u, "min", 0, 0, 1<<20))
-				a.HasMin = true
-			}
-			if item.get("max") != nil {
-				a.Max = float64(d.intVal(item, p, u, "max", 0, 0, 1<<20))
-				a.HasMax = true
-			}
-			if d.err == nil && !a.HasMin && !a.HasMax {
-				d.fail(item, p, "final-pool needs min and/or max")
-			}
-		case "min-requests":
-			a.Kind = AssertMinRequests
-			a.Min = float64(d.intVal(item, p, u, "min", 0, 1, MaxTotalArrivals))
-			a.HasMin = true
-			if d.err == nil && item.get("min") == nil {
-				d.fail(item, p+".min", "required")
-			}
-		case "boot-p50", "boot-p99":
-			if typ == "boot-p50" {
-				a.Kind = AssertBootP50
-			} else {
-				a.Kind = AssertBootP99
-			}
-			a.MaxDur = d.durVal(item, p, u, "max", 0, time.Microsecond, MaxVirtual)
-			a.HasMax = true
-			if d.err == nil && item.get("max") == nil {
-				d.fail(item, p+".max", "required")
-			}
-		case "warehouse-hit-rate":
-			a.Kind = AssertWarehouseHitRate
-			needMin(0, 1)
-		case "live-shards":
-			a.Kind = AssertLiveShards
-			if item.get("min") != nil {
-				a.Min = float64(d.intVal(item, p, u, "min", 0, 0, MaxShards))
-				a.HasMin = true
-			}
-			if item.get("max") != nil {
-				a.Max = float64(d.intVal(item, p, u, "max", 0, 0, MaxShards))
-				a.HasMax = true
-			}
-			if d.err == nil && !a.HasMin && !a.HasMax {
-				d.fail(item, p, "live-shards needs min and/or max")
-			}
-		case "success-rate-after":
-			a.Kind = AssertSuccessRateAfter
-			a.After = d.durVal(item, p, u, "after", 0, 0, MaxVirtual)
-			if d.err == nil && item.get("after") == nil {
-				d.fail(item, p+".after", "required")
-			}
-			needMin(0, 1)
-		case "overloads":
-			a.Kind = AssertOverloads
-			if item.get("min") != nil {
-				a.Min = float64(d.intVal(item, p, u, "min", 0, 0, MaxTotalArrivals))
-				a.HasMin = true
-			}
-			if item.get("max") != nil {
-				a.Max = float64(d.intVal(item, p, u, "max", 0, 0, MaxTotalArrivals))
-				a.HasMax = true
-			}
-			if d.err == nil && !a.HasMin && !a.HasMax {
-				d.fail(item, p, "overloads needs min and/or max")
-			}
-		default:
-			d.fail(item.get("type"), p+".type", fmt.Sprintf("unknown assertion type %q", typ))
+		if def.cohort && item.get("cohort") != nil {
+			a.Cohort = d.cohortIndex(item, p, u, "cohort", scn)
 		}
-		if d.err == nil {
-			d.checkUnknown(item, p, u)
-		}
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, a)
-	}
-	return out
+		return a
+	})
 }
 
 // crossValidate checks whole-scenario bounds that no single field owns.
@@ -981,40 +851,40 @@ func (d *decoder) crossValidate(root *yamlNode, scn *Scenario) {
 	}
 }
 
+// plans is every fault plan a scenario's fault-plan event can activate,
+// at the given seed: healthy, the standard robustness suite, and the
+// scenario-specific chaos plans.
+func plans(seed int64) []faults.Plan {
+	return append(append([]faults.Plan{faults.Healthy()}, faults.StandardPlans(seed)...),
+		// Every other teardown fails at the guest layer: the repaired
+		// StopRuntime must still reclaim every slot (zero capacity loss).
+		faults.Plan{Name: "teardown-storm", Seed: seed, Rules: []faults.Rule{
+			{Site: faults.SiteTeardown, Kind: faults.Drop, Every: 2},
+		}},
+		// One in five executions fails; success clears strikes, so only
+		// genuinely sick runtimes reach the cordon threshold.
+		faults.Plan{Name: "exec-flaky", Seed: seed, Rules: []faults.Rule{
+			{Site: faults.SiteExec, Kind: faults.Drop, P: 0.2},
+		}},
+	)
+}
+
 // PlanNames lists the fault plans a scenario's fault-plan event can
-// activate: the standard robustness suite plus the scenario-specific
-// chaos plans.
+// activate.
 func PlanNames() []string {
-	names := []string{"healthy"}
-	for _, p := range faults.StandardPlans(0) {
+	var names []string
+	for _, p := range plans(0) {
 		names = append(names, p.Name)
 	}
-	return append(names, "teardown-storm", "exec-flaky")
+	return names
 }
 
 // planByName instantiates a named fault plan at the given seed.
 func planByName(name string, seed int64) (faults.Plan, bool) {
-	if name == "healthy" {
-		return faults.Healthy(), true
-	}
-	for _, p := range faults.StandardPlans(seed) {
+	for _, p := range plans(seed) {
 		if p.Name == name {
 			return p, true
 		}
-	}
-	switch name {
-	case "teardown-storm":
-		// Every other teardown fails at the guest layer: the repaired
-		// StopRuntime must still reclaim every slot (zero capacity loss).
-		return faults.Plan{Name: name, Seed: seed, Rules: []faults.Rule{
-			{Site: faults.SiteTeardown, Kind: faults.Drop, Every: 2},
-		}}, true
-	case "exec-flaky":
-		// One in five executions fails; success clears strikes, so only
-		// genuinely sick runtimes reach the cordon threshold.
-		return faults.Plan{Name: name, Seed: seed, Rules: []faults.Rule{
-			{Site: faults.SiteExec, Kind: faults.Drop, P: 0.2},
-		}}, true
 	}
 	return faults.Plan{}, false
 }

@@ -227,16 +227,27 @@ func TestPlanNamesAllResolve(t *testing.T) {
 	}
 }
 
-// TestCheckedInScenariosValidate decodes every scenario shipped in
-// scenarios/ — the same gate as rattrap-bench -scenario-validate — and
-// pins the floor of twelve named scenarios.
-func TestCheckedInScenariosValidate(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
-	if err != nil {
-		t.Fatal(err)
+// checkedInScenarios lists every scenario file shipped in scenarios/ and
+// benchmark/scenarios/.
+func checkedInScenarios(t testing.TB) []string {
+	var files []string
+	for _, dir := range []string{"scenarios", filepath.Join("benchmark", "scenarios")} {
+		fs, err := filepath.Glob(filepath.Join("..", "..", dir, "*.yaml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, fs...)
 	}
-	if len(files) < 12 {
-		t.Fatalf("only %d checked-in scenarios, want at least 12", len(files))
+	return files
+}
+
+// TestCheckedInScenariosValidate decodes every scenario shipped in
+// scenarios/ and benchmark/scenarios/ — the same gate as make
+// scenario-validate — and pins the floor of fourteen named scenarios.
+func TestCheckedInScenariosValidate(t *testing.T) {
+	files := checkedInScenarios(t)
+	if len(files) < 14 {
+		t.Fatalf("only %d checked-in scenarios, want at least 14", len(files))
 	}
 	names := map[string]bool{}
 	for _, f := range files {
@@ -340,5 +351,43 @@ events:
 	}
 	if rep.Pool.InjectedFaults == 0 || rep.Pool.FaultStats["fs.write:stall"] == 0 {
 		t.Fatalf("slow-fs injected %d faults, stats %v: want fs.write stalls", rep.Pool.InjectedFaults, rep.Pool.FaultStats)
+	}
+}
+
+// TestPoolFloorSkipsShardsOutOfTheRing: a failed shard's pool is retired
+// to zero runtimes, and pool-floor must judge only the shards still in the
+// ring, where the autoscaler keeps the floor.
+func TestPoolFloorSkipsShardsOutOfTheRing(t *testing.T) {
+	scn, err := Decode([]byte(`name: pool-floor-fail-shard
+shards: 2
+platform:
+  autoscale: true
+  min_runtimes: 1
+  replicas: 2
+fleet:
+  - cohort: a
+    devices: 20
+    network: lan-wifi
+    linpack_order: 24
+    duration: 6s
+events:
+  - at: 3s
+    action: fail-shard
+    shard: 1
+assertions:
+  - type: pool-floor
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Pool.Shards[1].Runtimes; got != 0 {
+		t.Fatalf("failed shard 1 ends with %d runtimes, want 0: the case under test did not arise", got)
+	}
+	if a := rep.Assertions[0]; !a.Pass {
+		t.Errorf("pool-floor: want %s, got %s", a.Want, a.Got)
 	}
 }
