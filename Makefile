@@ -55,7 +55,11 @@ race-top:
 # hand-written fleet harness coming back. The realtime protocol is tested in
 # virtual time (virtual_test.go): a wall-clock sleep or timeout belongs only
 # in the pacing driver's tests, and in the TCP adapter's (tcp_test.go) only
-# as the upper bound of a select.
+# as the upper bound of a select. The App Warehouse alone knows where it
+# stages code: a "/warehouse/ path anywhere else is a second copy of its
+# layout. internal/cluster lands a migrated or replicated entry only through
+# copyEntry (import, then capacity): a hand-copied import loop is how a leave
+# once skipped the capacity check.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -130,6 +134,18 @@ lint: vet
 	@bad=$$(grep -rn '"encoding/gob"' --include='*.go' internal/ cmd/ || true); \
 	if [ -n "$$bad" ]; then \
 		echo "encoding/gob imported under internal/ or cmd/ (the flat binary codecs are the only ones):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn '"/warehouse/' --include='*.go' internal/ cmd/ \
+		| grep -v '_test.go' | grep -v '^internal/core/warehouse\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a warehouse path outside internal/core/warehouse.go (the warehouse reads and writes its own layout):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} /\.(ImportEntry|EnforceCapacity)\(/ && fn !~ /^func \(c \*Cluster\) copyEntry\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/cluster/*.go | grep -v '_test.go')); \
+	if [ -n "$$bad" ]; then \
+		echo "ImportEntry( or EnforceCapacity( in internal/cluster outside copyEntry (land entries through copyEntry):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

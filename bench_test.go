@@ -344,7 +344,7 @@ func execVirusScan(b *testing.B, e *sim.Engine, h *host.Host, k *kernel.Kernel, 
 		rt.SetOffloadFS(m)
 	}
 	task := app.NewTask(newBenchRand(), 0)
-	if err := rt.LoadCode(p, task.App, app.CodeSize(), false); err != nil {
+	if err := rt.LoadCode(p, task.App, app.CodeSize()); err != nil {
 		b.Fatal(err)
 	}
 	res, err := rt.Execute(p, task.App, task, reg)

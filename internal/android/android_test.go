@@ -245,7 +245,7 @@ func TestExecuteRunsRealWorkload(t *testing.T) {
 		_, rt := bootOptimized(t, hn, p, "c1", shared)
 		app, _ := workload.ByName(workload.NameLinpack)
 		task := app.NewTask(rng, 0)
-		if err := rt.LoadCode(p, task.App, app.CodeSize(), false); err != nil {
+		if err := rt.LoadCode(p, task.App, app.CodeSize()); err != nil {
 			t.Fatal(err)
 		}
 		res, err := rt.Execute(p, task.App, task, reg)
@@ -287,10 +287,10 @@ func TestCodeLoadCachedPerRuntime(t *testing.T) {
 		_, rt := bootOptimized(t, hn, p, "c1", shared)
 		app, _ := workload.ByName(workload.NameChess)
 		t0 := hn.e.Now()
-		rt.LoadCode(p, "ChessGame", app.CodeSize(), false)
+		rt.LoadCode(p, "ChessGame", app.CodeSize())
 		first := hn.e.Now() - t0
 		t0 = hn.e.Now()
-		rt.LoadCode(p, "ChessGame", app.CodeSize(), false)
+		rt.LoadCode(p, "ChessGame", app.CodeSize())
 		second := hn.e.Now() - t0
 		if first <= 0 {
 			t.Error("first load free")
@@ -312,7 +312,7 @@ func TestTmpfsOffloadIOFasterThanRootfs(t *testing.T) {
 	var exclusive, sharedIO float64
 	hn.e.Spawn("test", func(p *sim.Proc) {
 		_, rt1 := bootOptimized(t, hn, p, "c1", shared)
-		rt1.LoadCode(p, task.App, app.CodeSize(), false)
+		rt1.LoadCode(p, task.App, app.CodeSize())
 		r1, err := rt1.Execute(p, task.App, task, reg) // offload I/O on rootfs upper (disk)
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +320,7 @@ func TestTmpfsOffloadIOFasterThanRootfs(t *testing.T) {
 		exclusive = r1.IOSeconds
 
 		_, rt2 := bootOptimized(t, hn, p, "c2", shared)
-		rt2.LoadCode(p, task.App, app.CodeSize(), false)
+		rt2.LoadCode(p, task.App, app.CodeSize())
 		tmp := unionfs.NewTmpfs("offload-io")
 		m, _ := unionfs.NewMount(hn.h, "offload-io", tmp)
 		rt2.SetOffloadFS(m) // Sharing Offloading I/O on tmpfs
@@ -370,7 +370,7 @@ func TestExecutionDeterministicAcrossEnvironments(t *testing.T) {
 	var out1, out2 string
 	hn.e.Spawn("test", func(p *sim.Proc) {
 		_, vrt := bootVM(t, hn, p, "vm-1")
-		vrt.LoadCode(p, task.App, app.CodeSize(), false)
+		vrt.LoadCode(p, task.App, app.CodeSize())
 		r1, err := vrt.Execute(p, task.App, task, reg)
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +378,7 @@ func TestExecutionDeterministicAcrossEnvironments(t *testing.T) {
 		out1 = r1.Metrics.Output
 
 		_, crt := bootOptimized(t, hn, p, "c1", shared)
-		crt.LoadCode(p, task.App, app.CodeSize(), false)
+		crt.LoadCode(p, task.App, app.CodeSize())
 		r2, err := crt.Execute(p, task.App, task, reg)
 		if err != nil {
 			t.Fatal(err)
@@ -401,11 +401,11 @@ func TestVMExecSlowerThanContainer(t *testing.T) {
 	var vmT, cT float64
 	hn.e.Spawn("test", func(p *sim.Proc) {
 		_, vrt := bootVM(t, hn, p, "vm-1")
-		vrt.LoadCode(p, task.App, app.CodeSize(), false)
+		vrt.LoadCode(p, task.App, app.CodeSize())
 		r1, _ := vrt.Execute(p, task.App, task, reg)
 		vmT = r1.ComputeSeconds + r1.IOSeconds
 		_, crt := bootOptimized(t, hn, p, "c1", shared)
-		crt.LoadCode(p, task.App, app.CodeSize(), false)
+		crt.LoadCode(p, task.App, app.CodeSize())
 		tmp := unionfs.NewTmpfs("oio")
 		m, _ := unionfs.NewMount(hn.h, "oio", tmp)
 		crt.SetOffloadFS(m)

@@ -111,7 +111,7 @@ func TestExecuteOnDownedRuntimeFails(t *testing.T) {
 	hn.e.Spawn("t", func(p *sim.Proc) {
 		_, rt := bootOptimized(t, hn, p, "c1", shared)
 		rt.Shutdown()
-		if err := rt.LoadCode(p, "x", 1000, false); err == nil {
+		if err := rt.LoadCode(p, "x", 1000); err == nil {
 			t.Error("LoadCode on downed runtime succeeded")
 		}
 		rt.Shutdown() // second shutdown is a no-op

@@ -17,33 +17,16 @@ func (r *Runtime) CodeLoaded(aid string) bool {
 	return ok
 }
 
-// CodeCacheKey names, in the host page cache, the reassembled blob of a code
-// the App Warehouse holds only as chunks: there is no staged file to own the
-// residency of LoadCode's read, and whoever drops the code evicts this key.
-func CodeCacheKey(aid string) string { return "code:" + aid }
-
 // LoadCode runs the ClassLoader over a mobile code blob of the given size,
-// blocking p for the dex parse/verify CPU. fromWarehouse adds the read of
-// the blob out of the App Warehouse store; freshly received code is
-// already in memory.
-func (r *Runtime) LoadCode(p *sim.Proc, aid string, size host.Bytes, fromWarehouse bool) error {
+// blocking p for the dex parse/verify CPU. Reading the blob is the caller's
+// to charge: freshly received code is already in memory, and code out of
+// the App Warehouse is read by the warehouse, which knows its layout.
+func (r *Runtime) LoadCode(p *sim.Proc, aid string, size host.Bytes) error {
 	if !r.up {
 		return fmt.Errorf("android: %s: runtime not up", r.env.Name())
 	}
 	if r.CodeLoaded(aid) {
 		return nil
-	}
-	if fromWarehouse {
-		// The warehouse keeps code on the shared offloading layer.
-		path := "/warehouse/" + aid + ".apk"
-		if _, ok := r.offload.Stat(path); ok {
-			if _, _, err := r.offload.Read(p, path, r.env.IOEff()); err != nil {
-				return err
-			}
-		} else {
-			// No staged copy: charge a plain read of the blob.
-			r.env.Host().DiskRead(p, CodeCacheKey(aid), size, true, r.env.IOEff())
-		}
 	}
 	work := classLoadWorkPerMB * host.Work(float64(size)/float64(host.MB))
 	r.env.Host().Compute(p, work, r.env.CPUEff())

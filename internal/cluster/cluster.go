@@ -197,9 +197,7 @@ func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session
 		}
 		return nil, &ShardError{Shard: shard, Err: err}
 	}
-	// Every core session speaks the chunk negotiation (answering
-	// Supported=false when its platform has chunking off).
-	return &shardSession{ChunkedSession: sess.(offload.ChunkedSession), shard: shard, c: c}, nil
+	return &shardSession{Session: sess, shard: shard, c: c}, nil
 }
 
 // shardSession pins a session to the shard that prepared it and tags
@@ -208,7 +206,7 @@ func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session
 // sees it); work already inside the platform completes — the crash model
 // cuts the shard off from new operations, it does not unwind virtual time.
 type shardSession struct {
-	offload.ChunkedSession
+	offload.Session
 	shard int
 	c     *Cluster
 }
@@ -235,7 +233,7 @@ func (s *shardSession) PushCode(p *sim.Proc, push offload.CodePush) error {
 	if err := s.down(); err != nil {
 		return err
 	}
-	return s.pushed(push.AID, s.ChunkedSession.PushCode(p, push))
+	return s.pushed(push.AID, s.Session.PushCode(p, push))
 }
 
 // NegotiateChunks and PushChunks keep a device's delta push working
@@ -244,7 +242,7 @@ func (s *shardSession) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (o
 	if err := s.down(); err != nil {
 		return offload.ChunkNeed{}, err
 	}
-	need, err := s.ChunkedSession.NegotiateChunks(p, offer)
+	need, err := s.Session.NegotiateChunks(p, offer)
 	if err != nil {
 		return need, &ShardError{Shard: s.shard, Err: err}
 	}
@@ -255,14 +253,14 @@ func (s *shardSession) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing
 	if err := s.down(); err != nil {
 		return err
 	}
-	return s.pushed(offer.AID, s.ChunkedSession.PushChunks(p, offer, missing))
+	return s.pushed(offer.AID, s.Session.PushChunks(p, offer, missing))
 }
 
 func (s *shardSession) Execute(p *sim.Proc) (offload.Result, error) {
 	if err := s.down(); err != nil {
 		return offload.Result{}, err
 	}
-	res, err := s.ChunkedSession.Execute(p)
+	res, err := s.Session.Execute(p)
 	if err != nil {
 		// ErrCodeNeeded is part of the Gateway protocol (callers test for
 		// it with errors.Is); wrapping keeps that working while naming the

@@ -169,10 +169,11 @@ func (w *propWorld) queued() int64 {
 // checkQuiescent checks the books once nothing runs: no request still
 // parked — every one started has returned, no proc is alive, every wait
 // ring is empty — every shard's chunk references and StoredBytes against a
-// recount, no migration left half-done, and every AID a routable shard
-// holds held on exactly its replica set, min(R, live) shards. An AID some
-// request was served for is held somewhere, unless R shards have failed
-// (R failures can take every copy of an entry).
+// recount and its warehouse instruments against those books, no migration
+// left half-done, and every AID a routable shard holds held on exactly its
+// replica set, min(R, live) shards. An AID some request was served for is
+// held somewhere, unless R shards have failed (R failures can take every
+// copy of an entry).
 func (w *propWorld) checkQuiescent(round int) {
 	if w.returned != w.reqs {
 		w.t.Errorf("seed %d, round %d: %d of %d requests never returned", w.seed, round, w.reqs-w.returned, w.reqs)
@@ -187,6 +188,12 @@ func (w *propWorld) checkQuiescent(round int) {
 		wh := w.cl.Shard(s).Warehouse()
 		if err := wh.Audit(); err != nil {
 			w.t.Errorf("seed %d, round %d, shard %d: %v", w.seed, round, s, err)
+		}
+		if g := w.reg.Gauge(ShardPrefix(s) + "warehouse.bytes").Value(); g != int64(wh.StoredBytes()) {
+			w.t.Errorf("seed %d, round %d, shard %d: warehouse.bytes reads %d, StoredBytes is %d", w.seed, round, s, g, wh.StoredBytes())
+		}
+		if n := w.reg.Counter(ShardPrefix(s) + "warehouse.evictions").Value(); n != int64(wh.Evictions()) {
+			w.t.Errorf("seed %d, round %d, shard %d: warehouse.evictions reads %d, Evictions is %d", w.seed, round, s, n, wh.Evictions())
 		}
 		if st := m.State(s); st == ShardJoining || st == ShardDraining {
 			w.t.Errorf("seed %d, round %d: shard %d still %v at quiescence", w.seed, round, s, st)
@@ -219,7 +226,8 @@ func (w *propWorld) checkQuiescent(round int) {
 // removals and failures, interleaved in virtual time with each other and
 // with the migrations they start, the epoch never goes back, and at every
 // quiescent point no request is left parked, each AID lives on exactly its
-// replica set and every shard's warehouse books equal a recount.
+// replica set and every shard's warehouse books equal a recount and its
+// instruments.
 func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 	const seeds, rounds, opsPerRound = 40, 4, 16
 	var ran [opKinds]int

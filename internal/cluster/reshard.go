@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"slices"
+
 	"rattrap/internal/core"
+	"rattrap/internal/host"
 	"rattrap/internal/sim"
 )
 
@@ -107,34 +110,9 @@ func (c *Cluster) join(p *sim.Proc, id int) {
 	if c.mem.State(id) != ShardJoining {
 		return
 	}
-	next := c.mem.RingWith(id)
-	r := c.mem.Replicas()
-	target := c.shards[id].Warehouse()
-	if target != nil {
-		for s := range c.shards {
-			if s == id || !c.mem.Routable(s) {
-				continue
-			}
-			src := c.shards[s].Warehouse()
-			if src == nil {
-				continue
-			}
-			var set [8]int
-			ents := src.ExportRange(func(aid string) bool {
-				return containsShard(next.AppendSuccessors(set[:0], aid, r), id)
-			})
-			for _, ent := range ents {
-				delta, full, err := target.ImportEntry(p, ent)
-				if err != nil || full == 0 {
-					continue // import error, or already held (idempotent)
-				}
-				c.stats.EntriesMoved++
-				c.stats.DeltaBytes += delta
-				c.stats.FullBytes += full
-			}
-		}
-		target.EnforceCapacity()
-	}
+	c.handoff(p, c.mem.RingWith(id),
+		func(s int) bool { return s != id && c.mem.Routable(s) },
+		func(t int) bool { return t == id })
 	if c.mem.State(id) != ShardJoining {
 		return // failed during the copy; the imported entries die with it
 	}
@@ -150,26 +128,9 @@ func (c *Cluster) leave(p *sim.Proc, id int) {
 	if c.mem.State(id) != ShardDraining {
 		return
 	}
-	next := c.mem.RingWithout(id)
-	r := c.mem.Replicas()
-	if src := c.shards[id].Warehouse(); src != nil {
-		var set [8]int
-		for _, ent := range src.ExportRange(func(string) bool { return true }) {
-			for _, t := range next.AppendSuccessors(set[:0], ent.AID, r) {
-				tw := c.shards[t].Warehouse()
-				if tw == nil {
-					continue
-				}
-				delta, full, err := tw.ImportEntry(p, ent)
-				if err != nil || full == 0 {
-					continue
-				}
-				c.stats.EntriesMoved++
-				c.stats.DeltaBytes += delta
-				c.stats.FullBytes += full
-			}
-		}
-	}
+	c.handoff(p, c.mem.RingWithout(id),
+		func(s int) bool { return s == id },
+		func(int) bool { return true })
 	if c.mem.State(id) != ShardDraining {
 		return
 	}
@@ -178,6 +139,53 @@ func (c *Cluster) leave(p *sim.Proc, id int) {
 	c.retire(id)
 	c.repair(p)
 	c.dropOrphans()
+}
+
+// handoff is the copy half of a join or a leave: from each shard that from
+// admits, in shard order, every entry whose replica set under next has a
+// member that to admits, in insertion order, lands on each such member.
+func (c *Cluster) handoff(p *sim.Proc, next *Ring, from, to func(shard int) bool) {
+	r := c.mem.Replicas()
+	var set [8]int
+	moving := func(aid string) bool {
+		return slices.ContainsFunc(next.AppendSuccessors(set[:0], aid, r), to)
+	}
+	for s := range c.shards {
+		src := c.shards[s].Warehouse()
+		if src == nil || !from(s) {
+			continue
+		}
+		for _, ent := range src.ExportRange(moving) {
+			for _, t := range next.AppendSuccessors(set[:0], ent.AID, r) {
+				if !to(t) {
+					continue
+				}
+				if delta, full := c.copyEntry(p, t, ent); full > 0 {
+					c.stats.EntriesMoved++
+					c.stats.DeltaBytes += delta
+					c.stats.FullBytes += full
+				}
+			}
+		}
+	}
+}
+
+// copyEntry lands ent in shard t's warehouse, then holds that warehouse to
+// its capacity: the one way a migrated or replicated entry arrives. It
+// returns the delta and full bytes ImportEntry reports; full is 0 when
+// nothing landed (t has no warehouse, already held the entry, or the import
+// failed).
+func (c *Cluster) copyEntry(p *sim.Proc, t int, ent core.ExportedEntry) (delta, full host.Bytes) {
+	tw := c.shards[t].Warehouse()
+	if tw == nil {
+		return 0, 0
+	}
+	delta, full, err := tw.ImportEntry(p, ent)
+	if err != nil || full == 0 {
+		return 0, 0
+	}
+	tw.EnforceCapacity()
+	return delta, full
 }
 
 // repair restores the replica factor after a membership change: every AID
@@ -220,27 +228,22 @@ func (c *Cluster) repair(p *sim.Proc) {
 				lists[i] = l[1:]
 			}
 		}
-		src := c.shards[have[0]].Warehouse()
-		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
-			if containsShard(have, t) {
-				continue
+		missing := slices.DeleteFunc(c.mem.AppendReplicaSet(set[:0], aid), func(t int) bool {
+			return containsShard(have, t)
+		})
+		if len(missing) == 0 {
+			continue
+		}
+		ent, ok := c.shards[have[0]].Warehouse().Export(aid)
+		if !ok {
+			continue
+		}
+		for _, t := range missing {
+			if delta, full := c.copyEntry(p, t, ent); full > 0 {
+				c.stats.Repaired++
+				c.stats.DeltaBytes += delta
+				c.stats.FullBytes += full
 			}
-			tw := c.shards[t].Warehouse()
-			if tw == nil {
-				continue
-			}
-			ent, ok := src.Export(aid)
-			if !ok {
-				continue
-			}
-			delta, full, err := tw.ImportEntry(p, ent)
-			if err != nil || full == 0 {
-				continue
-			}
-			c.stats.Repaired++
-			c.stats.DeltaBytes += delta
-			c.stats.FullBytes += full
-			tw.EnforceCapacity()
 		}
 	}
 }
@@ -305,17 +308,10 @@ func (c *Cluster) fanOut(shard int, aid string) {
 			if t == shard || c.failed[t] {
 				continue
 			}
-			tw := c.shards[t].Warehouse()
-			if tw == nil {
-				continue
+			if delta, full := c.copyEntry(p, t, ent); full > 0 {
+				c.stats.ReplicaCopies++
+				c.stats.ReplicaDelta += delta
 			}
-			delta, full, err := tw.ImportEntry(p, ent)
-			if err != nil || full == 0 {
-				continue
-			}
-			c.stats.ReplicaCopies++
-			c.stats.ReplicaDelta += delta
-			tw.EnforceCapacity()
 		}
 		// A session keeps the shard it was routed to, so the push may have
 		// landed on a shard that has left the AID's replica set since: once

@@ -483,9 +483,9 @@ func TestClusterRemoveShardHandsOff(t *testing.T) {
 // TestClusterChunkedPushThroughRouting: a chunked device keeps its delta
 // push when the gateway is a Cluster. Two shards at R=2, an app family of
 // two code sizes sharing their library prefix: the second member uploads
-// only the chunks the first did not already land (the shard session must
-// be an offload.ChunkedSession for the device to negotiate at all), and
-// the delta push fans out, so the replica holds the new entry too.
+// only the chunks the first did not already land (the shard session
+// forwards the negotiation to the shard's session), and the delta push
+// fans out, so the replica holds the new entry too.
 func TestClusterChunkedPushThroughRouting(t *testing.T) {
 	e := sim.NewEngine(23)
 	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 2, 2)
@@ -706,5 +706,46 @@ func TestClusterJoinKeepsCapacity(t *testing.T) {
 	}
 	if got := wh.StoredBytes(); got > cfg.WarehouseCapacity {
 		t.Errorf("joined shard stores %d B after the join, capacity %d B", got, cfg.WarehouseCapacity)
+	}
+}
+
+// TestClusterLeaveKeepsCapacity (R=1): the shards absorbing a draining
+// shard's entries evict down to their capacity as the entries land, as a
+// join, a repair and a replica fan-out do, instead of staying over it until
+// a device next pushes to them.
+func TestClusterLeaveKeepsCapacity(t *testing.T) {
+	e := sim.NewEngine(43)
+	app, _ := workload.ByName(workload.NameLinpack)
+	cfg := core.DefaultConfig(core.KindRattrap)
+	cfg.WarehouseCapacity = 4 * app.CodeSize()
+	cl := NewReplicated(e, cfg, 3, 1)
+	e.Spawn("primaries", func(p *sim.Proc) {
+		var held [3]int
+		for i := 0; held != [3]int{3, 3, 3}; i++ {
+			size := app.CodeSize() + host.Bytes(i)
+			aid := offload.AID(app.Name(), size)
+			s := cl.Owner(aid)
+			if held[s] == 3 {
+				continue
+			}
+			if err := cl.Shard(s).Warehouse().Put(p, aid, app.Name(), size); err != nil {
+				t.Errorf("put %s: %v", aid, err)
+				return
+			}
+			held[s]++
+		}
+	})
+	e.Run()
+	if !cl.RemoveShard(0) {
+		t.Fatal("shard 0 did not start draining")
+	}
+	e.Run()
+	if cl.MigrationStats().EntriesMoved != 3 {
+		t.Fatalf("the leave moved %d entries, want shard 0's 3", cl.MigrationStats().EntriesMoved)
+	}
+	for s := 1; s < cl.Shards(); s++ {
+		if got := cl.Shard(s).Warehouse().StoredBytes(); got > cfg.WarehouseCapacity {
+			t.Errorf("shard %d stores %d B after the leave, capacity %d B", s, got, cfg.WarehouseCapacity)
+		}
 	}
 }

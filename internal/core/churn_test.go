@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rattrap/internal/android"
 	"rattrap/internal/binder"
 	"rattrap/internal/host"
 	"rattrap/internal/offload"
@@ -89,10 +88,10 @@ func (w *churnWorld) checkQuiescent() error {
 		return fmt.Errorf("warehouse binds code to %d reaped runtimes", n)
 	}
 	// A live entry explains a cached file when a runtime loaded it from a
-	// reassembled blob (android.CodeCacheKey); plain blobs sit on tmpfs.
+	// reassembled blob (codeCacheKey); plain blobs sit on tmpfs.
 	rest := pl.Server.CachedFiles()
 	for aid := range pl.warehouse.entries {
-		if pl.Server.Cached(android.CodeCacheKey(aid)) {
+		if pl.Server.Cached(codeCacheKey(aid)) {
 			rest--
 		}
 	}

@@ -711,14 +711,14 @@ func (s *session) PushCode(p *sim.Proc, push offload.CodePush) error {
 	}
 	if s.pl.warehouse != nil {
 		s.pl.warehouse.BindCID(push.AID, s.sl.id)
-		s.pl.noteWarehouse()
+		s.pl.warehouse.EnforceCapacity()
 	}
 	s.sl.info.Traffic.CodeUp += push.Size
 	s.pushed = true
 	return nil
 }
 
-// NegotiateChunks implements offload.ChunkedSession: answer a device's
+// NegotiateChunks implements offload.Session: answer a device's
 // chunk-hash offer with the subset the warehouse is missing. The offer
 // frame is the opt-in: a device that never sends one pushes full blobs. A
 // Supported=false reply (no warehouse to stage chunks in) tells the
@@ -771,7 +771,7 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 		}
 	}
 	s.pl.warehouse.BindCID(offer.AID, s.sl.id)
-	s.pl.noteWarehouse()
+	s.pl.warehouse.EnforceCapacity()
 	s.sl.info.Traffic.CodeUp += offload.DeltaBytes(offer, missing)
 	s.pushed = true
 	return nil
@@ -780,31 +780,21 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 // loadCode loads aid's code into the slot's runtime (see
 // android.Runtime.LoadCode) and, when the runtime did not hold it yet,
 // indexes the slot as one of the code's holders for affinity dispatch.
+// fromWarehouse first charges the runtime's read of the staged code.
 func (pl *Platform) loadCode(p *sim.Proc, sl *slot, aid string, size host.Bytes, fromWarehouse bool) error {
 	had := sl.rt.CodeLoaded(aid)
-	if err := sl.rt.LoadCode(p, aid, size, fromWarehouse); err != nil {
+	if fromWarehouse && !had {
+		if err := pl.warehouse.load(p, aid, size, sl.env.IOEff()); err != nil {
+			return err
+		}
+	}
+	if err := sl.rt.LoadCode(p, aid, size); err != nil {
 		return err
 	}
 	if !had {
 		pl.sched.Add(sl, aid)
 	}
 	return nil
-}
-
-// noteWarehouse runs capacity enforcement after a staging event and
-// refreshes the warehouse volume instruments.
-func (pl *Platform) noteWarehouse() {
-	if pl.warehouse == nil {
-		return
-	}
-	dropped := pl.warehouse.EnforceCapacity()
-	if pl.om == nil {
-		return
-	}
-	if dropped > 0 {
-		pl.om.whEvictions.Add(int64(dropped))
-	}
-	pl.om.whBytes.Set(int64(pl.warehouse.StoredBytes()))
 }
 
 // Execute runs the task, enforcing the permission table on each workflow

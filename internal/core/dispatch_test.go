@@ -98,7 +98,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := slA.rt.LoadCode(p, "app-A", codeSize, false); err != nil {
+		if err := slA.rt.LoadCode(p, "app-A", codeSize); err != nil {
 			t.Error(err)
 			return
 		}
@@ -111,7 +111,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 			t.Error("dispatcher reused a busy slot")
 			return
 		}
-		if err := slB.rt.LoadCode(p, "app-B", codeSize, false); err != nil {
+		if err := slB.rt.LoadCode(p, "app-B", codeSize); err != nil {
 			t.Error(err)
 			return
 		}

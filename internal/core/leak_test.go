@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"rattrap/internal/android"
 	"rattrap/internal/host"
 	"rattrap/internal/obs"
 	"rattrap/internal/offload"
@@ -157,7 +156,7 @@ func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
 
 // TestDroppedChunkedCodeLeavesPageCache: a chunk-pushed code has no staged
 // blob file, so a runtime loading it caches the reassembled blob under a key
-// of its own (android.CodeCacheKey). The key must leave the page cache with
+// of its own (codeCacheKey). The key must leave the page cache with
 // the warehouse entry; nothing else ever names it again. Distinct AIDs pushed
 // through a capacity-bounded warehouse keep it evicting, and the page cache
 // may then hold one such key per live entry and not one more.
@@ -184,11 +183,11 @@ func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
 			for _, aid := range aids {
 				if _, ok := pl.warehouse.Lookup(aid); ok {
 					live++
-				} else if pl.Server.Cached(android.CodeCacheKey(aid)) {
+				} else if pl.Server.Cached(codeCacheKey(aid)) {
 					t.Errorf("push %d: the page cache still holds the blob of dropped code %s", i, aid)
 				}
 			}
-			if !pl.Server.Cached(android.CodeCacheKey(aids[i])) {
+			if !pl.Server.Cached(codeCacheKey(aids[i])) {
 				t.Errorf("push %d: the loaded blob is not in the page cache; the test observes nothing", i)
 			}
 			switch rest := pl.Server.CachedFiles() - live; {

@@ -15,8 +15,6 @@ type platformMetrics struct {
 	whHits      *obs.Counter // warehouse cache hits (code transfer skipped)
 	whMisses    *obs.Counter // warehouse misses (device must push code)
 	whCoalesced *obs.Counter // requests that waited on another's in-flight push
-	whEvictions *obs.Counter // entries dropped by capacity enforcement
-	whBytes     *obs.Gauge   // staged code volume (dedup'd chunk store counted once)
 
 	boots           *obs.Counter // runtime boots (request path and pre-warm)
 	tmplClones      *obs.Counter // boots satisfied by cloning the template
@@ -67,6 +65,9 @@ func (pl *Platform) SetObs(reg *obs.Registry) { pl.SetObsPrefixed(reg, "") }
 // cluster gateway labels each shard's instruments "shardN." so one shared
 // registry scrape separates the shards.
 func (pl *Platform) SetObsPrefixed(reg *obs.Registry, prefix string) {
+	if pl.warehouse != nil {
+		pl.warehouse.setObs(reg, prefix)
+	}
 	if reg == nil {
 		pl.om = nil
 		pl.db.SetLifecycleHooks(nil, nil)
@@ -77,8 +78,6 @@ func (pl *Platform) SetObsPrefixed(reg *obs.Registry, prefix string) {
 		whHits:          reg.Counter(prefix + "warehouse.hits"),
 		whMisses:        reg.Counter(prefix + "warehouse.misses"),
 		whCoalesced:     reg.Counter(prefix + "warehouse.coalesced_pushes"),
-		whEvictions:     reg.Counter(prefix + "warehouse.evictions"),
-		whBytes:         reg.Gauge(prefix + "warehouse.bytes"),
 		boots:           reg.Counter(prefix + "dispatch.boots"),
 		tmplClones:      reg.Counter(prefix + "dispatch.template_clones"),
 		bootFails:       reg.Counter(prefix + "dispatch.boot_failures"),

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sort"
 
-	"rattrap/internal/android"
 	"rattrap/internal/host"
+	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/unionfs"
@@ -130,6 +130,11 @@ type Warehouse struct {
 	capacity  host.Bytes
 	evictions int
 	seq       int
+
+	// bytesGauge and evictCount mirror stored and evictions into an
+	// observability registry (nil when none is installed).
+	bytesGauge *obs.Gauge
+	evictCount *obs.Counter
 }
 
 // NewWarehouse creates a warehouse staging blobs on store (the shared
@@ -146,6 +151,15 @@ func NewWarehouse(e *sim.Engine, store *unionfs.Mount, capacity host.Bytes) *War
 		byCID:    make(map[string][]string),
 		capacity: capacity,
 	}
+}
+
+// setObs mirrors StoredBytes into reg's warehouse.bytes gauge and counts
+// capacity evictions in its warehouse.evictions counter, both named under
+// prefix; a nil reg stops both.
+func (w *Warehouse) setObs(reg *obs.Registry, prefix string) {
+	w.bytesGauge = reg.Gauge(prefix + "warehouse.bytes")
+	w.evictCount = reg.Counter(prefix + "warehouse.evictions")
+	w.bytesGauge.Set(int64(w.stored))
 }
 
 // Inflight reports whether another session is already transferring this
@@ -204,6 +218,7 @@ func (w *Warehouse) newEntry(aid, app string, size host.Bytes, path string, hash
 	if !chunked {
 		w.stored += size
 	}
+	w.bytesGauge.Set(int64(w.stored))
 }
 
 // Put stages newly received code as one plain blob, blocking p for the
@@ -221,6 +236,23 @@ func (w *Warehouse) Put(p *sim.Proc, aid, app string, size host.Bytes) error {
 }
 
 func chunkPath(h uint64) string { return fmt.Sprintf("/warehouse/chunks/%016x", h) }
+
+// codeCacheKey names, in the host page cache, the reassembled blob of a code
+// the warehouse holds only as chunks: there is no staged file to own the
+// residency of a runtime's read, so dropping the entry evicts this key.
+func codeCacheKey(aid string) string { return "code:" + aid }
+
+// load charges a runtime's read of aid's staged code at the runtime's I/O
+// efficiency eff, blocking p: the plain blob off the store, or the blob
+// reassembled from its chunks, cached under codeCacheKey.
+func (w *Warehouse) load(p *sim.Proc, aid string, size host.Bytes, eff float64) error {
+	if e, ok := w.entries[aid]; ok && !e.chunked {
+		_, _, err := w.store.Read(p, e.Path, eff)
+		return err
+	}
+	w.store.Host().DiskRead(p, codeCacheKey(aid), size, true, eff)
+	return nil
+}
 
 // MissingChunks returns, in offer order, the offered hashes the chunk
 // store does not hold yet (each reported once).
@@ -377,9 +409,10 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 	if !e.chunked {
 		w.stored -= e.Size
 		_ = w.store.Remove(e.Path)
+		w.bytesGauge.Set(int64(w.stored))
 		return
 	}
-	w.store.Host().Evict(android.CodeCacheKey(e.AID))
+	w.store.Host().Evict(codeCacheKey(e.AID))
 	seen := make(map[uint64]bool, len(e.Hashes))
 	for _, h := range e.Hashes {
 		if seen[h] {
@@ -397,6 +430,7 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 			_ = w.store.Remove(chunkPath(h))
 		}
 	}
+	w.bytesGauge.Set(int64(w.stored))
 }
 
 // EnforceCapacity evicts least-recently-bound entries until StoredBytes
@@ -414,6 +448,7 @@ func (w *Warehouse) EnforceCapacity() int {
 		dropped++
 	}
 	w.evictions += dropped
+	w.evictCount.Add(int64(dropped))
 	return dropped
 }
 

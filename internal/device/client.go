@@ -134,7 +134,7 @@ func (a *attempt) pushCode(sess offload.Session, req offload.ExecRequest, codeSi
 	if err := a.down(offload.ControlBytes, "receiving NEED_CODE"); err != nil {
 		return err
 	}
-	if cs, ok := sess.(offload.ChunkedSession); ok && a.Chunked {
+	if a.Chunked {
 		// The negotiation costs one control round trip carrying the packed
 		// hash lists.
 		offer := offload.ChunkOffer{
@@ -146,7 +146,7 @@ func (a *attempt) pushCode(sess offload.Session, req offload.ExecRequest, codeSi
 			return err
 		}
 		a.Traffic.ControlUp += n
-		need, err := cs.NegotiateChunks(a.p, offer)
+		need, err := sess.NegotiateChunks(a.p, offer)
 		if err != nil {
 			return fmt.Errorf("device %s: negotiating chunks: %w", a.ID, err)
 		}
@@ -161,7 +161,7 @@ func (a *attempt) pushCode(sess offload.Session, req offload.ExecRequest, codeSi
 				a.Traffic.CodeUp += delta
 			}
 			start := a.p.E.Now()
-			if err := cs.PushChunks(a.p, offer, need.Missing); err != nil {
+			if err := sess.PushChunks(a.p, offer, need.Missing); err != nil {
 				return fmt.Errorf("device %s: pushing chunks: %w", a.ID, err)
 			}
 			a.waited(&a.Phases.RuntimePreparation, obs.StagePrepare, start)

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,15 @@ func (s *fakeSession) PushCode(p *sim.Proc, push offload.CodePush) error {
 	s.g.pushes = append(s.g.pushes, push)
 	s.g.needCode = false
 	return nil
+}
+
+// NegotiateChunks declines every offer, so a chunked device pushes in full.
+func (s *fakeSession) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offload.ChunkNeed, error) {
+	return offload.ChunkNeed{Seq: offer.Seq, AID: offer.AID}, nil
+}
+
+func (s *fakeSession) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []uint64) error {
+	return fmt.Errorf("fake: %s: chunked push not negotiated", offer.AID)
 }
 
 func (s *fakeSession) Execute(p *sim.Proc) (offload.Result, error) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rattrap/internal/host"
-	"rattrap/internal/sim"
 )
 
 // Content-addressed code chunking: the delta half of the warehouse. A code
@@ -192,20 +191,6 @@ type ChunkNeed struct {
 	AID       string
 	Missing   []uint64
 	Supported bool
-}
-
-// ChunkedSession is a Session that can negotiate a content-addressed delta
-// push instead of a full code transfer.
-type ChunkedSession interface {
-	Session
-	// NegotiateChunks answers an offer with the chunks the server is
-	// missing. A Supported=false reply tells the device to fall back to
-	// PushCode.
-	NegotiateChunks(p *sim.Proc, offer ChunkOffer) (ChunkNeed, error)
-	// PushChunks completes a negotiated delta push: only the missing
-	// chunks were transferred; the warehouse stages them and binds the
-	// reassembled blob under the offer's AID.
-	PushChunks(p *sim.Proc, offer ChunkOffer, missing []uint64) error
 }
 
 // Wire carriers: chunk frames ride the Frame's ExecRequest payload slot

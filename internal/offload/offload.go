@@ -248,13 +248,23 @@ type Gateway interface {
 	Prepare(p *sim.Proc, req ExecRequest) (Session, error)
 }
 
-// Session is one request's binding to a prepared runtime.
+// Session is one request's binding to a prepared runtime. Every session
+// speaks the delta push: one whose platform cannot stage chunks answers
+// NegotiateChunks with Supported=false, and the device pushes in full.
 type Session interface {
 	// NeedCode reports whether the device must push the mobile code
 	// (neither the runtime nor the App Warehouse has it).
 	NeedCode() bool
 	// PushCode delivers the code blob; the platform stores and loads it.
 	PushCode(p *sim.Proc, push CodePush) error
+	// NegotiateChunks answers a chunk offer with the chunks the server is
+	// missing. A Supported=false reply tells the device to fall back to
+	// PushCode.
+	NegotiateChunks(p *sim.Proc, offer ChunkOffer) (ChunkNeed, error)
+	// PushChunks completes a negotiated delta push: only the missing
+	// chunks were transferred; the warehouse stages them and binds the
+	// reassembled blob under the offer's AID.
+	PushChunks(p *sim.Proc, offer ChunkOffer, missing []uint64) error
 	// Execute runs the task and returns the result.
 	Execute(p *sim.Proc) (Result, error)
 	// Release ends the session (the runtime stays warm for reuse).

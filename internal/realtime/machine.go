@@ -366,7 +366,7 @@ func newReqState(m *machine, t transport) *reqState {
 	st := &reqState{m: m, t: t}
 	st.prepare = st.prepareStep
 	st.negotiate = func(p *sim.Proc) {
-		st.need, st.err = st.sess.(offload.ChunkedSession).NegotiateChunks(p, *st.msg.offer)
+		st.need, st.err = st.sess.NegotiateChunks(p, *st.msg.offer)
 	}
 	st.push = st.pushStep
 	st.execute = st.executeStep
@@ -444,12 +444,7 @@ func (st *reqState) exchange() error {
 		// which then stages the negotiated chunks instead of a full blob.
 		st.negotiated, st.missing = nil, nil
 		for st.msg.offer != nil {
-			if _, chunked := st.sess.(offload.ChunkedSession); chunked {
-				st.t.step(m.name, st.negotiate)
-			} else {
-				st.need, st.err = offload.ChunkNeed{Seq: st.msg.offer.Seq, AID: st.msg.offer.AID}, nil
-			}
-			if st.err != nil {
+			if st.t.step(m.name, st.negotiate); st.err != nil {
 				return nil
 			}
 			if st.need.Supported {
@@ -522,7 +517,7 @@ func (st *reqState) prepareStep(p *sim.Proc) {
 
 func (st *reqState) pushStep(p *sim.Proc) {
 	if st.negotiated != nil {
-		st.err = st.sess.(offload.ChunkedSession).PushChunks(p, *st.negotiated, st.missing)
+		st.err = st.sess.PushChunks(p, *st.negotiated, st.missing)
 	} else {
 		st.err = st.sess.PushCode(p, st.msg.push)
 	}
