@@ -59,7 +59,10 @@ race-top:
 # stages code: a "/warehouse/ path anywhere else is a second copy of its
 # layout. internal/cluster lands a migrated or replicated entry only through
 # copyEntry (import, then capacity): a hand-copied import loop is how a leave
-# once skipped the capacity check.
+# once skipped the capacity check. Platform.Audit owns the scheduler's and the
+# warehouse's reverse indexes: a test that type-switches on .sched or reads
+# .byCID is a private copy of the invariants coming back (audit_test.go
+# corrupts them on purpose).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -146,6 +149,12 @@ lint: vet
 		$$(ls internal/cluster/*.go | grep -v '_test.go')); \
 	if [ -n "$$bad" ]; then \
 		echo "ImportEntry( or EnforceCapacity( in internal/cluster outside copyEntry (land entries through copyEntry):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn -E '\.sched\.\(|\.byCID\b' --include='*_test.go' internal/ cmd/ \
+		| grep -v '^internal/core/audit_test\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a test reads the scheduler's or the warehouse's index (check the books through Platform.Audit):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

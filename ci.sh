@@ -13,11 +13,12 @@ go build ./...
 echo "== go test -race"
 # One tier. `make race` keeps the run's output in race.log (git-ignored) and,
 # on a failure, prints the failing tests' lines: a flake that does not
-# reproduce is still on disk. On two Xeon cores the full suite is ~19 s
-# plain and ~109 s under the race detector (uncached, -count=1),
-# internal/experiments' paper sweeps being the critical path (64 s;
-# internal/workload 26 s, internal/cluster and internal/core 12 s each); the
-# per-package budget is several times the slowest package. `make race-top`
+# reproduce is still on disk. On two Xeon cores the full suite is ~17 s
+# plain and ~174 s under the race detector (uncached, after `go clean
+# -testcache`, compiles included), internal/experiments' paper sweeps being
+# the critical path (79 s; internal/workload 33 s, internal/core 14 s,
+# internal/cluster and internal/scenario 13 s each); the per-package budget
+# is several times the slowest package. `make race-top`
 # attributes the experiments package per test; its ten slowest took 68 of
 # its 77 s at the last attribution: the reclamation trace 22.0 s, the
 # parallel-vs-sequential trace and comparison 12.1 + 8.9 s, Figure 11

@@ -26,6 +26,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"rattrap/internal/core"
 	"rattrap/internal/host"
@@ -172,6 +173,39 @@ func (c *Cluster) SetObs(reg *obs.Registry) {
 			pl.SetObs(reg)
 		}
 	}
+}
+
+// Audit runs every shard's audit (its error in a *ShardError) and checks no
+// shard out of the ring has a request parked. With no proc live, no push,
+// fan-out or rebalance is in flight, so no shard may be Joining or Draining
+// and every AID a routable shard holds must be on exactly its replica set.
+func (c *Cluster) Audit() error {
+	quiet := c.e.LiveProcs() == 0
+	var set [8]int
+	for s, pl := range c.shards {
+		if err := pl.Audit(); err != nil {
+			return &ShardError{Shard: s, Err: err}
+		}
+		st, wh := c.mem.State(s), pl.Warehouse()
+		if n := pl.QueueLength(); n != 0 && !c.mem.Routable(s) || quiet && (st == ShardJoining || st == ShardDraining) {
+			return &ShardError{Shard: s, Err: fmt.Errorf("cluster audit: %v with %d requests parked, %d procs live", st, n, c.e.LiveProcs())}
+		}
+		if !quiet || wh == nil || !c.mem.Routable(s) {
+			continue
+		}
+		for _, aid := range wh.AIDs() {
+			members := c.mem.AppendReplicaSet(set[:0], aid)
+			if !slices.Contains(members, s) {
+				return &ShardError{Shard: s, Err: fmt.Errorf("cluster audit: holds %s outside its replica set %v", aid, members)}
+			}
+			for _, t := range members {
+				if _, ok := c.shards[t].Warehouse().Lookup(aid); !ok {
+					return &ShardError{Shard: s, Err: fmt.Errorf("cluster audit: holds %s, and shard %d of its replica set %v does not", aid, t, members)}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Prepare implements offload.Gateway: route the request to the shard

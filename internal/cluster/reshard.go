@@ -286,12 +286,12 @@ func (c *Cluster) retire(id int) {
 	pl.RejectQueued()
 }
 
-// fanOut replicates a freshly pushed entry from its primary to the rest
-// of its replica set, asynchronously (the pushing device does not wait on
-// copies between shards). No-op at R = 1 — the engine sees no new procs,
-// which is what keeps the replica-free goldens byte-identical.
+// fanOut replicates a freshly pushed entry to the rest of its replica set,
+// asynchronously (the pushing device does not wait on copies between
+// shards). No-op at R = 1 on the AID's primary, so the engine sees no new
+// procs and the replica-free goldens stay byte-identical.
 func (c *Cluster) fanOut(shard int, aid string) {
-	if c.mem.Replicas() < 2 {
+	if c.mem.Replicas() < 2 && c.mem.Primary(aid) == shard {
 		return
 	}
 	c.e.Spawn("replicate:"+aid, func(p *sim.Proc) {

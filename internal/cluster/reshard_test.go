@@ -258,14 +258,14 @@ func TestClusterAddShardMigratesOnlyMissingChunks(t *testing.T) {
 		t.Fatal("no entries left their old shard after the join")
 	}
 	// Placement invariant: each AID cached exactly on its replica set.
+	if err := cl.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	movedToNew := 0
 	for _, aid := range aids {
 		owner := cl.Owner(aid)
-		for s := 0; s < cl.Shards(); s++ {
-			_, has := cl.Shard(s).Warehouse().Lookup(aid)
-			if want := s == owner; has != want {
-				t.Fatalf("aid %s: shard %d has=%v, want %v (owner %d)", aid, s, has, want, owner)
-			}
+		if _, has := cl.Shard(owner).Warehouse().Lookup(aid); !has {
+			t.Fatalf("aid %s: its owner, shard %d, does not hold it", aid, owner)
 		}
 		if owner == id {
 			movedToNew++
@@ -534,11 +534,8 @@ func TestClusterChunkedPushThroughRouting(t *testing.T) {
 	if codeUp[1] != want {
 		t.Fatalf("second family member uploaded %d bytes, want the %d-byte delta (full push is %d)", codeUp[1], want, variant)
 	}
-	aid := offload.AID(app.Name(), variant)
-	for _, s := range cl.Membership().AppendReplicaSet(nil, aid) {
-		if _, ok := cl.Shard(s).Warehouse().Lookup(aid); !ok {
-			t.Fatalf("shard %d of %s's replica set does not hold the delta-pushed entry", s, aid)
-		}
+	if err := cl.Audit(); err != nil {
+		t.Fatal(err) // the delta-pushed entry is on its whole replica set
 	}
 	if st := cl.MigrationStats(); st.ReplicaCopies != 2 {
 		t.Fatalf("replica copies = %d, want 2 (one per push): %+v", st.ReplicaCopies, st)
@@ -593,49 +590,53 @@ func TestClusterFailShardBouncesQueuedRequests(t *testing.T) {
 	}
 }
 
-// TestClusterPushOutsideReplicaSetLeavesNoOrphan (R=2): a session keeps the
-// shard it was routed to, and two joins while it waits for its code can
-// push that shard out of the AID's replica set. The push then lands there;
-// the fan-out copies it to the set and the stale shard drops its own, so no
-// routable shard outside the set holds the entry.
+// TestClusterPushOutsideReplicaSetLeavesNoOrphan: a session keeps the shard
+// it was routed to, and two joins while it waits for its code can push that
+// shard out of the AID's replica set. The push then lands there; the fan-out
+// copies it to the set and the stale shard drops its own, so no routable
+// shard outside the set holds the entry — at R = 1 too, where a push that
+// lands on the AID's primary fans out nowhere.
 func TestClusterPushOutsideReplicaSetLeavesNoOrphan(t *testing.T) {
-	e := sim.NewEngine(31)
-	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 2, 2)
-	app, _ := workload.ByName(workload.NameLinpack)
-	after := NewRingMembers([]int{0, 1, 2, 3}, 0)
-	var aid string
-	var size host.Bytes
-	for i := 0; aid == ""; i++ {
-		size = app.CodeSize() + host.Bytes(i)
-		a := offload.AID(app.Name(), size)
-		if !containsShard(after.AppendSuccessors(nil, a, 2), cl.Owner(a)) {
-			aid = a
-		}
-	}
-	stale := cl.Owner(aid)
-	e.Spawn("pinned", func(p *sim.Proc) {
-		sess, err := cl.Prepare(p, offload.ExecRequest{DeviceID: "dev-1", AID: aid, App: app.Name()})
-		if err != nil {
-			t.Errorf("prepare: %v", err)
-			return
-		}
-		defer sess.Release()
-		cl.AddShard()
-		cl.AddShard()
-		for cl.Epoch() < 2 {
-			p.Sleep(10 * time.Millisecond)
-		}
-		if err := sess.PushCode(p, offload.CodePush{AID: aid, App: app.Name(), Size: size}); err != nil {
-			t.Errorf("push: %v", err)
-		}
-	})
-	e.Run()
-	set := cl.Membership().AppendReplicaSet(nil, aid)
-	for s := 0; s < cl.Shards(); s++ {
-		_, has := cl.Shard(s).Warehouse().Lookup(aid)
-		if want := containsShard(set, s); has != want {
-			t.Errorf("shard %d holds %s: %v, want %v (replica set %v, pushed through shard %d)", s, aid, has, want, set, stale)
-		}
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			e := sim.NewEngine(31)
+			cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 2, r)
+			app, _ := workload.ByName(workload.NameLinpack)
+			after := NewRingMembers([]int{0, 1, 2, 3}, 0)
+			var aid string
+			var size host.Bytes
+			for i := 0; aid == ""; i++ {
+				size = app.CodeSize() + host.Bytes(i)
+				a := offload.AID(app.Name(), size)
+				if !containsShard(after.AppendSuccessors(nil, a, r), cl.Owner(a)) {
+					aid = a
+				}
+			}
+			stale := cl.Owner(aid)
+			e.Spawn("pinned", func(p *sim.Proc) {
+				sess, err := cl.Prepare(p, offload.ExecRequest{DeviceID: "dev-1", AID: aid, App: app.Name()})
+				if err != nil {
+					t.Errorf("prepare: %v", err)
+					return
+				}
+				defer sess.Release()
+				cl.AddShard()
+				cl.AddShard()
+				for cl.Epoch() < 2 {
+					p.Sleep(10 * time.Millisecond)
+				}
+				if err := sess.PushCode(p, offload.CodePush{AID: aid, App: app.Name(), Size: size}); err != nil {
+					t.Errorf("push: %v", err)
+				}
+			})
+			e.Run()
+			if err := cl.Audit(); err != nil {
+				t.Errorf("pushed through shard %d: %v", stale, err)
+			}
+			if _, ok := cl.Shard(cl.Owner(aid)).Warehouse().Lookup(aid); !ok {
+				t.Errorf("%s's primary, shard %d, does not hold it (pushed through shard %d)", aid, cl.Owner(aid), stale)
+			}
+		})
 	}
 }
 
@@ -667,13 +668,12 @@ func TestClusterReshardCompletesReplicaSets(t *testing.T) {
 			cl.RemoveShard(0)
 		}
 		e.Run()
+		if err := cl.Audit(); err != nil {
+			t.Errorf("after a %s: %v", change, err)
+		}
 		for _, aid := range aids {
-			set := cl.Membership().AppendReplicaSet(nil, aid)
-			for s := 0; s < cl.Shards(); s++ {
-				_, has := cl.Shard(s).Warehouse().Lookup(aid)
-				if want := containsShard(set, s); has != want && cl.Membership().Routable(s) {
-					t.Errorf("after a %s, shard %d holds %s: %v, want %v (replica set %v)", change, s, aid, has, want, set)
-				}
+			if _, ok := cl.Shard(cl.Owner(aid)).Warehouse().Lookup(aid); !ok {
+				t.Errorf("after a %s, %s's primary does not hold it", change, aid)
 			}
 		}
 	}

@@ -381,8 +381,8 @@ func TestExecFailuresCordonAndReplace(t *testing.T) {
 
 // TestLifecycleCensusInvariant is the property test: under autoscaler
 // churn with injected boot, exec, and teardown faults, every lifecycle
-// edge taken must be in the legal matrix, and between events the live
-// census must always sum to the slot-list length. SetLifecycleHooks is
+// edge taken must be in the legal matrix, and between events the books
+// must always agree (Audit). SetLifecycleHooks is
 // how we observe every single edge (so the test must not also SetObs,
 // which would overwrite the hooks). The template subtest runs the same
 // storm with TemplateBoot on, so clone boots walk the identical FSM.
@@ -459,17 +459,13 @@ func lifecycleCensusStorm(t *testing.T, templateBoot bool) {
 			_ = res
 		})
 	}
-	// The census check runs between events, where the platform's
-	// bookkeeping must be consistent.
-	e.Spawn("census", func(p *sim.Proc) {
+	// The audit runs between events, where the platform's bookkeeping must
+	// be consistent.
+	e.Spawn("audit", func(p *sim.Proc) {
 		for i := 0; i < 1500; i++ {
 			p.Sleep(50 * time.Millisecond)
-			db := pl.DB()
-			sum := db.StateCount(LifecycleBooting) + db.StateCount(LifecycleIdle) +
-				db.StateCount(LifecycleActive) + db.StateCount(LifecycleDraining)
-			if sum != pl.RuntimeCount() || db.Count() != pl.RuntimeCount() {
-				t.Errorf("census drift at %v: states %d, db %d, slots %d",
-					e.Now().Duration(), sum, db.Count(), pl.RuntimeCount())
+			if err := pl.Audit(); err != nil {
+				t.Errorf("at %v: %v", e.Now().Duration(), err)
 				return
 			}
 		}

@@ -45,47 +45,17 @@ func (w *churnWorld) noteRuntimes(t *testing.T) {
 	})
 }
 
-// checkCensus holds at every step: the lifecycle census counts exactly the
-// DB's rows, which are exactly the pool's slots.
-func (w *churnWorld) checkCensus() error {
-	pl := w.pl
-	sum := 0
-	for s := Lifecycle(0); int(s) < numLifecycleStates; s++ {
-		sum += pl.db.StateCount(s)
-	}
-	if sum != pl.db.Count() || pl.db.Count() != pl.slots.n || len(pl.byID) != pl.slots.n {
-		return fmt.Errorf("census %d, DB rows %d, pool %d, CID index %d", sum, pl.db.Count(), pl.slots.n, len(pl.byID))
-	}
-	return nil
-}
-
 // checkQuiescent holds once every request finished and every runtime was
-// reaped: nothing names a reaped slot, the driver is out of the kernel,
-// the page cache holds only what live warehouse entries explain, and every
+// reaped: the books agree (Audit), the pool and its wait ring are empty, the
+// page cache holds only what live warehouse entries explain, and every
 // reaped runtime's binder handle answers dead or bad.
 func (w *churnWorld) checkQuiescent() error {
 	pl := w.pl
-	if err := w.checkCensus(); err != nil {
+	if err := pl.Audit(); err != nil {
 		return err
 	}
-	if pl.slots.n != 0 || pl.waitQ.len() != 0 || pl.cordonedLive != 0 {
-		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters, %d cordoned", pl.slots.n, pl.waitQ.len(), pl.cordonedLive)
-	}
-	if mods := pl.Kernel.Lsmod(); len(mods) != 0 || pl.Kernel.ModuleMemKB() != 0 {
-		return fmt.Errorf("empty pool left modules %v loaded (%d KB)", mods, pl.Kernel.ModuleMemKB())
-	}
-	switch s := pl.sched.(type) {
-	case *AffinityScheduler:
-		if len(s.idle) != 0 || len(s.holders) != 0 {
-			return fmt.Errorf("scheduler names reaped slots: %d idle entries, %d AIDs' holders", len(s.idle), len(s.holders))
-		}
-	case *FIFOScheduler:
-		if len(s.idle) != 0 {
-			return fmt.Errorf("scheduler names reaped slots: %d idle entries", len(s.idle))
-		}
-	}
-	if n := len(pl.warehouse.byCID); n != 0 {
-		return fmt.Errorf("warehouse binds code to %d reaped runtimes", n)
+	if pl.RuntimeCount() != 0 || pl.QueueLength() != 0 {
+		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters", pl.RuntimeCount(), pl.QueueLength())
 	}
 	// A live entry explains a cached file when a runtime loaded it from a
 	// reassembled blob (codeCacheKey); plain blobs sit on tmpfs.
@@ -116,10 +86,9 @@ func (w *churnWorld) checkQuiescent() error {
 // Property: random cold-path churn — requests under new and known AIDs,
 // code pushes (some abandoned, so waiters re-claim them), executes,
 // releases, idle reaps, warehouse drops and cordons, with a warehouse small
-// enough to keep evicting — leaves nothing behind. The census balances at
-// every step; at every quiescent point the Android Container Driver is
-// unloaded, no index names a reaped runtime, the page cache is flat, and
-// binder handles of reaped runtimes are dead.
+// enough to keep evicting — leaves nothing behind. The books agree (Audit)
+// at every step; at every quiescent point the pool is empty, the page cache
+// is flat, and binder handles of reaped runtimes are dead.
 func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 	task := workload.Task{App: app.Name(), Method: "solve", ParamBytes: 500, Params: workload.EncodeLinpackParams(7, 8)}
@@ -225,7 +194,7 @@ func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 						return
 					}
 				}
-				if err := w.checkCensus(); err != nil {
+				if err := pl.Audit(); err != nil {
 					t.Errorf("seed %d, step %d: %v", seed, step, err)
 					return
 				}

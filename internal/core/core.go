@@ -395,6 +395,9 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	sl.info = &RuntimeInfo{CID: id, Kind: pl.cfg.Kind} // born LifecycleCold
 	pl.slots.pushBack(sl, pl.E.Now())
 	pl.byID[id] = sl
+	if pl.om != nil {
+		pl.om.poolSize.Set(int64(pl.slots.n))
+	}
 	pl.db.Put(sl.info)
 	pl.db.Transition(id, LifecycleBooting)
 	start := pl.E.Now()
@@ -522,7 +525,6 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			pl.om.tmplClones.Inc()
 			pl.om.tmplClone.Observe(sl.info.BootTime)
 		}
-		pl.om.poolSize.Set(int64(pl.slots.n))
 	}
 	return sl, nil
 }

@@ -60,15 +60,8 @@ func TestReapedRuntimesLeaveNoIndexEntries(t *testing.T) {
 				t.Fatalf("completed %d of %d rounds", len(cids), rounds)
 			}
 
-			switch s := pl.sched.(type) {
-			case *AffinityScheduler:
-				if len(s.idle) != 0 || len(s.holders) != 0 {
-					t.Errorf("affinity scheduler retains %d idle entries and %d AIDs' holders for reaped runtimes", len(s.idle), len(s.holders))
-				}
-			case *FIFOScheduler:
-				if len(s.idle) != 0 {
-					t.Errorf("fifo scheduler retains %d idle entries for reaped runtimes", len(s.idle))
-				}
+			if err := pl.Audit(); err != nil {
+				t.Error(err)
 			}
 			for i, delta := range deltas {
 				for _, f := range []string{"/data/dalvik-cache/system@offloadruntime.dex", "/data/local.prop", "/data/misc/boot.log"} {

@@ -76,9 +76,8 @@ func TestObsCountersAndSpansConsistent(t *testing.T) {
 	if got := reg.Histogram("stage." + obs.StageBoot).Count(); got != c("dispatch.boots") {
 		t.Fatalf("boot histogram n=%d, boots=%d", got, c("dispatch.boots"))
 	}
-	if reg.Gauge("core.pool_size").Value() != int64(pl.RuntimeCount()) {
-		t.Fatalf("pool_size gauge %d, runtimes %d",
-			reg.Gauge("core.pool_size").Value(), pl.RuntimeCount())
+	if err := pl.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -471,13 +471,21 @@ func (w *Warehouse) StoredBytes() host.Bytes { return w.stored }
 func (w *Warehouse) ChunkCount() int { return len(w.chunks) }
 
 // Audit recounts from the cache table what the warehouse keeps as running
-// books — each block's reference count (the live manifests naming it) and
-// StoredBytes (plain blobs plus the chunk store) — and reports the first
-// disagreement, a block no manifest names, or a named block not stored.
+// books — each block's reference count (the live manifests naming it),
+// StoredBytes (plain blobs plus the chunk store), the reverse CID index and
+// the installed instruments — and reports the first disagreement, a block
+// no manifest names, or a named block not stored.
 func (w *Warehouse) Audit() error {
 	refs := make(map[uint64]int, len(w.chunks))
 	var stored host.Bytes
+	bindings := 0
 	for _, e := range w.entries {
+		for _, cid := range e.CIDs {
+			if !slices.Contains(w.byCID[cid], e.AID) {
+				return fmt.Errorf("core: warehouse audit: %s bound to %s is missing from the reverse index", e.AID, cid)
+			}
+		}
+		bindings += len(e.CIDs)
 		if !e.chunked {
 			stored += e.Size
 			continue
@@ -505,6 +513,21 @@ func (w *Warehouse) Audit() error {
 	}
 	if stored != w.stored {
 		return fmt.Errorf("core: warehouse audit: StoredBytes %d, recounted %d", w.stored, stored)
+	}
+	for cid, aids := range w.byCID {
+		if len(aids) == 0 {
+			return fmt.Errorf("core: warehouse audit: empty reverse-index set left for %s", cid)
+		}
+		bindings -= len(aids)
+	}
+	if bindings != 0 {
+		return fmt.Errorf("core: warehouse audit: reverse index holds %d bindings the entries do not", -bindings)
+	}
+	if w.bytesGauge != nil && w.bytesGauge.Value() != int64(w.stored) {
+		return fmt.Errorf("core: warehouse audit: warehouse.bytes reads %d, StoredBytes %d", w.bytesGauge.Value(), w.stored)
+	}
+	if w.evictCount != nil && w.evictCount.Value() != int64(w.evictions) {
+		return fmt.Errorf("core: warehouse audit: warehouse.evictions reads %d, Evictions %d", w.evictCount.Value(), w.evictions)
 	}
 	return nil
 }

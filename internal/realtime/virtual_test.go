@@ -41,13 +41,17 @@ func newVServer(t *testing.T, seed int64, cfg core.Config, depth int) *vServer {
 func (s *vServer) now() time.Time { return epoch.Add(s.e.Now().Duration()) }
 
 // run drives the engine until nothing is left to happen, then requires a
-// clean teardown: no proc parked, no runtime claimed or request queued on the
-// platform, and no connection holding a slot or a code waiter.
+// clean teardown: no proc parked, the cluster's books in agreement, no
+// runtime claimed or request queued on the platform, and no connection
+// holding a slot or a code waiter.
 func (s *vServer) run() {
 	s.t.Helper()
 	s.e.Run()
 	if n := s.e.LiveProcs(); n != 0 {
 		s.t.Errorf("%d procs still parked after the run", n)
+	}
+	if err := s.pr.cl.Audit(); err != nil {
+		s.t.Error(err)
 	}
 	pl := s.pr.cl.Shard(0)
 	if n, q := pl.DB().StateCount(core.LifecycleActive), pl.QueueLength(); n != 0 || q != 0 {

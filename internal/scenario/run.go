@@ -126,6 +126,9 @@ func Run(scn *Scenario) (*Report, error) {
 	if n := r.e.LiveProcs(); n != 0 {
 		return nil, fmt.Errorf("scenario %q: %d processes still live after the engine drained", scn.Name, n)
 	}
+	if err := r.cl.Audit(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", scn.Name, err)
+	}
 	return r.report(), nil
 }
 

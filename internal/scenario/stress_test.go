@@ -12,8 +12,8 @@ import (
 // chaos-mix scenario stands up a 4-shard autoscaled cluster and, while
 // the fleet injects load, takes a ×10 spike, a shard kill, a lossy fault
 // plan, a network flip, and a floor raise. `go test -race` runs this with
-// full interleaving checks; at the end every shard's lifecycle census
-// must match its slot list exactly.
+// full interleaving checks; Run audits every shard's books, and the file's
+// census assertion (in rep.Pass) requires every slot idle at the end.
 func TestStressChaosMix(t *testing.T) {
 	scn, err := Load(filepath.Join("..", "..", "scenarios", "chaos-mix.yaml"))
 	if err != nil {
@@ -31,11 +31,6 @@ func TestStressChaosMix(t *testing.T) {
 	}
 	if len(rep.Pool.Shards) != 4 {
 		t.Fatalf("pool report has %d shards", len(rep.Pool.Shards))
-	}
-	for _, sh := range rep.Pool.Shards {
-		if !sh.CensusOK {
-			t.Errorf("shard %d census mismatch after chaos: %+v", sh.Shard, sh)
-		}
 	}
 	if rep.Pool.Cordoned == 0 {
 		t.Error("kill-shard cordoned nothing — the chaos never landed")
@@ -64,11 +59,6 @@ func TestStressChaosMixTemplateBoot(t *testing.T) {
 	}
 	if !rep.Pass {
 		t.Errorf("chaos-mix assertions failed with template boot: %+v", rep.Assertions)
-	}
-	for _, sh := range rep.Pool.Shards {
-		if !sh.CensusOK {
-			t.Errorf("shard %d census mismatch after chaos with template boot: %+v", sh.Shard, sh)
-		}
 	}
 }
 
