@@ -62,7 +62,10 @@ race-top:
 # once skipped the capacity check. Platform.Audit owns the scheduler's and the
 # warehouse's reverse indexes: a test that type-switches on .sched or reads
 # .byCID is a private copy of the invariants coming back (audit_test.go
-# corrupts them on purpose).
+# corrupts them on purpose). A cluster hands out its shard's own session,
+# behind the seam core.Platform.SetShard installs: a struct in
+# internal/cluster embedding offload.Session is the per-request session
+# wrapper coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -155,6 +158,11 @@ lint: vet
 		| grep -v '^internal/core/audit_test\.go:' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "a test reads the scheduler's or the warehouse's index (check the books through Platform.Audit):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n -E '^[[:space:]]+\*?offload\.Session[[:space:]]*(//.*)?$$' internal/cluster/*.go || true); \
+	if [ -n "$$bad" ]; then \
+		echo "offload.Session embedded in internal/cluster (return the shard's session; its seam is core.Shard):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

@@ -130,10 +130,18 @@ func NewReplicated(e *sim.Engine, cfg core.Config, n, r int) *Cluster {
 		if n > 1 {
 			scfg.CIDPrefix = CIDPrefix(i)
 		}
-		c.shards = append(c.shards, core.New(e, scfg))
-		c.failed = append(c.failed, false)
+		c.newShard(scfg)
 	}
 	return c
+}
+
+// newShard boots the platform of the next shard slot behind its seam.
+func (c *Cluster) newShard(cfg core.Config) *core.Platform {
+	pl := core.New(c.e, cfg)
+	pl.SetShard(&shardSeam{c: c, id: len(c.shards)})
+	c.shards = append(c.shards, pl)
+	c.failed = append(c.failed, false)
+	return pl
 }
 
 // Shards returns the total shard-slot count, dead slots included (slot i
@@ -210,11 +218,11 @@ func (c *Cluster) Audit() error {
 
 // Prepare implements offload.Gateway: route the request to the shard
 // owning its AID under the current epoch. Errors come back wrapped in
-// *ShardError (unwrapped typed errors intact); the returned session wraps
-// the shard's session the same way and stays pinned to its shard for its
-// whole lifetime — routing changes never migrate an in-flight session, so
-// the PR 2 idempotency window (device, seq) keeps pointing at the dedup
-// state that saw the first attempt.
+// *ShardError (unwrapped typed errors intact). The session is the shard's
+// own, behind the seam the cluster installed on the shard (shardSeam): it
+// stays pinned to its shard for its whole lifetime — routing changes never
+// migrate an in-flight session, so the idempotency window (device, seq)
+// keeps pointing at the dedup state that saw the first attempt.
 func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session, error) {
 	shard := c.mem.Primary(req.AID)
 	if c.failed[shard] {
@@ -231,75 +239,25 @@ func (c *Cluster) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session
 		}
 		return nil, &ShardError{Shard: shard, Err: err}
 	}
-	return &shardSession{Session: sess, shard: shard, c: c}, nil
+	return sess, nil
 }
 
-// shardSession pins a session to the shard that prepared it and tags
-// session-level errors with that shard. If the shard crashes mid-session,
-// further operations fail fast with ErrShardDown (wrapped, so errors.Is
-// sees it); work already inside the platform completes — the crash model
-// cuts the shard off from new operations, it does not unwind virtual time.
-type shardSession struct {
-	offload.Session
-	shard int
-	c     *Cluster
+// shardSeam is the core.Shard the cluster installs on shard id's platform:
+// once the shard crashed its sessions fail fast with ErrShardDown, their
+// errors name the shard, and a push that landed on it fans out to the rest
+// of the AID's replica set.
+type shardSeam struct {
+	c  *Cluster
+	id int
 }
 
-// down reports ErrShardDown once the session's shard has crashed.
-func (s *shardSession) down() error {
-	if s.c.failed[s.shard] {
-		return &ShardError{Shard: s.shard, Err: ErrShardDown}
+func (s *shardSeam) Down() error {
+	if s.c.failed[s.id] {
+		return &ShardError{Shard: s.id, Err: ErrShardDown}
 	}
 	return nil
 }
 
-// pushed tags a failed push with the session's shard; a push that landed
-// fans out to the rest of the AID's replica set.
-func (s *shardSession) pushed(aid string, err error) error {
-	if err != nil {
-		return &ShardError{Shard: s.shard, Err: err}
-	}
-	s.c.fanOut(s.shard, aid)
-	return nil
-}
+func (s *shardSeam) Tag(err error) error { return &ShardError{Shard: s.id, Err: err} }
 
-func (s *shardSession) PushCode(p *sim.Proc, push offload.CodePush) error {
-	if err := s.down(); err != nil {
-		return err
-	}
-	return s.pushed(push.AID, s.Session.PushCode(p, push))
-}
-
-// NegotiateChunks and PushChunks keep a device's delta push working
-// through routing, and the entry it lands replicates like a full push.
-func (s *shardSession) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offload.ChunkNeed, error) {
-	if err := s.down(); err != nil {
-		return offload.ChunkNeed{}, err
-	}
-	need, err := s.Session.NegotiateChunks(p, offer)
-	if err != nil {
-		return need, &ShardError{Shard: s.shard, Err: err}
-	}
-	return need, nil
-}
-
-func (s *shardSession) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []uint64) error {
-	if err := s.down(); err != nil {
-		return err
-	}
-	return s.pushed(offer.AID, s.Session.PushChunks(p, offer, missing))
-}
-
-func (s *shardSession) Execute(p *sim.Proc) (offload.Result, error) {
-	if err := s.down(); err != nil {
-		return offload.Result{}, err
-	}
-	res, err := s.Session.Execute(p)
-	if err != nil {
-		// ErrCodeNeeded is part of the Gateway protocol (callers test for
-		// it with errors.Is); wrapping keeps that working while naming the
-		// shard in the flattened message.
-		return res, &ShardError{Shard: s.shard, Err: err}
-	}
-	return res, nil
-}
+func (s *shardSeam) Pushed(aid string) { s.c.fanOut(s.id, aid) }

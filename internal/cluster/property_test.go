@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,6 +26,7 @@ const (
 	opAddShard
 	opRemoveShard
 	opFailShard
+	opFSFault // the next chunk write on a random live shard fails
 	opKinds
 )
 
@@ -46,16 +49,22 @@ type propWorld struct {
 	reqs     int             // requests started
 	returned int             // requests whose Attempt came back
 	ran      [opKinds]int
+	failNext map[int]bool // shards whose next chunk write fails
+	faulted  int          // chunk writes failed
 }
 
 func newPropWorld(t *testing.T, seed int64) *propWorld {
 	w := &propWorld{
 		t: t, seed: seed, e: sim.NewEngine(seed), rng: rand.New(rand.NewSource(seed)),
-		served: make(map[string]bool),
+		served: make(map[string]bool), failNext: make(map[int]bool),
 	}
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.MaxRuntimes = 1
 	w.cl = NewReplicated(w.e, cfg, 3, 2)
+	for s := 0; s < w.cl.Shards(); s++ {
+		w.hookChunkWrites(s, w.cl.Shard(s))
+	}
+	w.cl.OnShardAdded(w.hookChunkWrites)
 	w.reg = obs.NewRegistry()
 	w.cl.SetObs(w.reg)
 	for i := 0; i < 12; i++ {
@@ -64,6 +73,20 @@ func newPropWorld(t *testing.T, seed int64) *propWorld {
 		w.aids = append(w.aids, offload.AID(workload.NameLinpack, size))
 	}
 	return w
+}
+
+// hookChunkWrites fails shard id's next chunk write once an fs-fault op
+// armed it: a device's delta push, a replica's fan-out or a migration's
+// copy, whichever stages a block there first.
+func (w *propWorld) hookChunkWrites(id int, pl *core.Platform) {
+	pl.OffloadIO().SetFault(func(p *sim.Proc, path string, _ host.Bytes) error {
+		if !w.failNext[id] || !strings.HasPrefix(path, "/warehouse/chunks/") {
+			return nil
+		}
+		w.failNext[id] = false
+		w.faulted++
+		return errors.New("injected chunk write failure")
+	})
 }
 
 // observeEpoch checks the epoch never went back since it was last looked at.
@@ -141,6 +164,9 @@ func (w *propWorld) step(p *sim.Proc) {
 			w.cl.FailShard(victims[w.rng.Intn(len(victims))])
 			w.ran[op]++
 		}
+	case op == opFSFault:
+		w.failNext[live[w.rng.Intn(len(live))]] = true
+		w.ran[op]++
 	}
 }
 
@@ -190,14 +216,17 @@ func (w *propWorld) checkQuiescent(round int) {
 }
 
 // Property: over seeded random pushes, chunked pushes, execs, shard joins,
-// removals and failures, interleaved in virtual time with each other and
-// with the migrations they start, the epoch never goes back, the cluster's
+// removals and failures, and failed chunk writes, interleaved in virtual
+// time with each other and with the migrations they start (a failed write
+// hits whichever staging comes first: a delta push, a fan-out or a
+// migration's copy), the epoch never goes back, the cluster's
 // audit passes after every op and pause, and at every quiescent point no
 // request is left parked and every served AID is still held.
 func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 	const seeds, rounds, opsPerRound = 40, 4, 16
 	var ran [opKinds]int
 	var queued int64
+	faulted := 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		w := newPropWorld(t, seed)
 		for round := 0; round < rounds; round++ {
@@ -221,12 +250,16 @@ func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 			ran[k] += n
 		}
 		queued += w.queued()
+		faulted += w.faulted
 	}
 	if slices.Contains(ran[:], 0) {
-		t.Errorf("ops run by kind (push, chunked push, exec, add, remove, fail): %v; every kind must run", ran)
+		t.Errorf("ops run by kind (push, chunked push, exec, add, remove, fail, fs-fault): %v; every kind must run", ran)
 	}
 	if queued == 0 {
 		t.Error("no request ever waited in a wait ring; the parked-request checks test nothing")
 	}
-	t.Logf("ops by kind %v, %d requests queued", ran, queued)
+	if faulted == 0 {
+		t.Error("no chunk write ever failed; the fs-fault op tests nothing")
+	}
+	t.Logf("ops by kind %v, %d requests queued, %d chunk writes failed", ran, queued, faulted)
 }

@@ -40,9 +40,7 @@ func (c *Cluster) AddShard() int {
 	id := c.mem.Add()
 	scfg := c.cfg
 	scfg.CIDPrefix = CIDPrefix(id)
-	pl := core.New(c.e, scfg)
-	c.shards = append(c.shards, pl)
-	c.failed = append(c.failed, false)
+	pl := c.newShard(scfg)
 	if c.reg != nil {
 		pl.SetObsPrefixed(c.reg, ShardPrefix(id))
 	}
@@ -171,16 +169,21 @@ func (c *Cluster) handoff(p *sim.Proc, next *Ring, from, to func(shard int) bool
 }
 
 // copyEntry lands ent in shard t's warehouse, then holds that warehouse to
-// its capacity: the one way a migrated or replicated entry arrives. It
-// returns the delta and full bytes ImportEntry reports; full is 0 when
-// nothing landed (t has no warehouse, already held the entry, or the import
-// failed).
+// its capacity: the one way a migrated or replicated entry arrives. An
+// import that fails is tried once more (a failed staging leaves nothing
+// behind), so one failed write does not leave the entry short of its
+// replica set. It returns the delta and full bytes ImportEntry reports;
+// full is 0 when nothing landed (t has no warehouse, already held the
+// entry, or both imports failed).
 func (c *Cluster) copyEntry(p *sim.Proc, t int, ent core.ExportedEntry) (delta, full host.Bytes) {
 	tw := c.shards[t].Warehouse()
 	if tw == nil {
 		return 0, 0
 	}
 	delta, full, err := tw.ImportEntry(p, ent)
+	if err != nil {
+		delta, full, err = tw.ImportEntry(p, ent)
+	}
 	if err != nil || full == 0 {
 		return 0, 0
 	}
@@ -229,7 +232,7 @@ func (c *Cluster) repair(p *sim.Proc) {
 			}
 		}
 		missing := slices.DeleteFunc(c.mem.AppendReplicaSet(set[:0], aid), func(t int) bool {
-			return containsShard(have, t)
+			return slices.Contains(have, t)
 		})
 		if len(missing) == 0 {
 			continue
@@ -264,7 +267,7 @@ func (c *Cluster) dropOrphans() {
 			continue
 		}
 		for _, aid := range wh.AIDs() {
-			if !containsShard(c.mem.AppendReplicaSet(set[:0], aid), s) && wh.DropEntry(aid) {
+			if !slices.Contains(c.mem.AppendReplicaSet(set[:0], aid), s) && wh.DropEntry(aid) {
 				c.stats.EntriesDropped++
 			}
 		}
@@ -317,7 +320,7 @@ func (c *Cluster) fanOut(shard int, aid string) {
 		// landed on a shard that has left the AID's replica set since: once
 		// every member holds the entry, that shard drops its own.
 		members := c.mem.AppendReplicaSet(set[:0], aid)
-		if !c.mem.Routable(shard) || containsShard(members, shard) {
+		if !c.mem.Routable(shard) || slices.Contains(members, shard) {
 			return
 		}
 		for _, t := range members {
@@ -331,13 +334,4 @@ func (c *Cluster) fanOut(shard int, aid string) {
 			c.stats.EntriesDropped++
 		}
 	})
-}
-
-func containsShard(set []int, id int) bool {
-	for _, s := range set {
-		if s == id {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -608,7 +609,7 @@ func TestClusterPushOutsideReplicaSetLeavesNoOrphan(t *testing.T) {
 			for i := 0; aid == ""; i++ {
 				size = app.CodeSize() + host.Bytes(i)
 				a := offload.AID(app.Name(), size)
-				if !containsShard(after.AppendSuccessors(nil, a, r), cl.Owner(a)) {
+				if !slices.Contains(after.AppendSuccessors(nil, a, r), cl.Owner(a)) {
 					aid = a
 				}
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -112,7 +113,7 @@ func (r *Ring) AppendSuccessors(dst []int, aid string, n int) []int {
 	base := len(dst)
 	for k := 0; k < len(r.points) && len(dst)-base < n; k++ {
 		p := r.points[(i+k)%len(r.points)]
-		if !containsShard(dst[base:], p.shard) {
+		if !slices.Contains(dst[base:], p.shard) {
 			dst = append(dst, p.shard)
 		}
 	}

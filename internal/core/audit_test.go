@@ -23,6 +23,9 @@ func TestAuditNamesEachCorruptedBook(t *testing.T) {
 		"state.idle reads 7":        func(_ *sim.Proc, pl *Platform) { pl.om.lifeStates[LifecycleIdle].Set(7) },
 		"warehouse.bytes reads 0":   func(_ *sim.Proc, pl *Platform) { pl.warehouse.bytesGauge.Set(0) },
 		"warehouse.evictions reads": func(_ *sim.Proc, pl *Platform) { pl.warehouse.evictCount.Inc() },
+		"store holds /warehouse/chunks/0000000000000007": func(p *sim.Proc, pl *Platform) {
+			_ = pl.offloadIO.Write(p, chunkPath(7), 1, nil, 1)
+		},
 		"empty pool left modules [cac_alarm": func(p *sim.Proc, pl *Platform) {
 			if err := pl.StopAll(p); err != nil || pl.Audit() != nil {
 				t.Errorf("emptying the pool: %v, then %v", err, pl.Audit())

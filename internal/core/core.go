@@ -186,12 +186,14 @@ type Platform struct {
 	bootNext    int
 
 	// Dispatcher state (see dispatch.go): the pool in boot order, a CID
-	// index, the slot-selection policy, and the FIFO wait queue.
-	slots  slotList
-	byID   map[string]*slot
-	sched  Scheduler
-	waitQ  waiterRing
-	nextID int
+	// index, the slot-selection policy, and the FIFO wait queue, closed
+	// for good once RejectQueued ran.
+	slots       slotList
+	byID        map[string]*slot
+	sched       Scheduler
+	waitQ       waiterRing
+	queueClosed bool
+	nextID      int
 
 	// holdEWMA tracks how long slots stay claimed (acquire → release); it
 	// feeds the overload rejection's retry-after hint.
@@ -206,6 +208,8 @@ type Platform struct {
 	// execFault, when set, is consulted before every workload execution
 	// (fault injection); a non-nil return fails the execution.
 	execFault func(p *sim.Proc, id, aid string) error
+
+	shard Shard // the seam of the cluster this is a shard of (SetShard)
 
 	// scaler is the elastic pool control loop, nil unless
 	// cfg.Autoscale (see autoscaler.go).
@@ -252,7 +256,7 @@ type slot struct {
 }
 
 type waiter struct {
-	sig *sim.Signal
+	sig sim.Signal // by value: a queued request is one allocation
 	sl  *slot
 	// aborted is set by the request's abort signal firing while queued;
 	// an aborted waiter is skipped by popLiveWaiter, and if a release won
@@ -369,6 +373,19 @@ func (pl *Platform) SetTeardownFault(fn func(p *sim.Proc, id string) error) {
 func (pl *Platform) SetExecFault(fn func(p *sim.Proc, id, aid string) error) {
 	pl.execFault = fn
 }
+
+// Shard is the seam a cluster installs on each of its platforms: through
+// it a session fails fast once its shard crashed (work already inside the
+// platform completes), tags its errors with the shard, and reports each
+// push that landed, which the cluster fans out to the AID's replicas.
+type Shard interface {
+	Down() error         // non-nil once the shard crashed
+	Tag(err error) error // wraps an operation's error, errors.Is/As intact
+	Pushed(aid string)   // a code push or a delta push landed aid
+}
+
+// SetShard installs the seam of the cluster this platform is a shard of.
+func (pl *Platform) SetShard(sh Shard) { pl.shard = sh }
 
 // BootRuntime boots one runtime outside the request path (pool pre-warm
 // and Table I measurements). The fresh runtime goes straight to the idle
@@ -688,9 +705,34 @@ func (s *session) stageEnd(start sim.Time) (time.Duration, bool) {
 	return (s.pl.E.Now() - start).Duration(), true
 }
 
+// down and seam put a session operation behind the platform's shard seam,
+// if it has one: the operation first returns down's error, then defers
+// seam on its outcome, which tags a failure and reports a push (aid set)
+// that landed.
+func (s *session) down() error {
+	if s.pl.shard == nil {
+		return nil
+	}
+	return s.pl.shard.Down()
+}
+
+func (s *session) seam(aid string, err *error) {
+	switch {
+	case s.pl.shard == nil:
+	case *err != nil:
+		*err = s.pl.shard.Tag(*err)
+	case aid != "":
+		s.pl.shard.Pushed(aid)
+	}
+}
+
 // PushCode receives the code blob: Rattrap stages it in the App Warehouse
 // ("once and for all"), everyone loads it into the runtime's ClassLoader.
-func (s *session) PushCode(p *sim.Proc, push offload.CodePush) error {
+func (s *session) PushCode(p *sim.Proc, push offload.CodePush) (err error) {
+	if err := s.down(); err != nil {
+		return err
+	}
+	defer s.seam(push.AID, &err)
 	if push.AID != s.req.AID {
 		return fmt.Errorf("core: code push AID %s does not match request %s", push.AID, s.req.AID)
 	}
@@ -725,7 +767,11 @@ func (s *session) PushCode(p *sim.Proc, push offload.CodePush) error {
 // frame is the opt-in: a device that never sends one pushes full blobs. A
 // Supported=false reply (no warehouse to stage chunks in) tells the
 // device to fall back to the full PushCode transfer.
-func (s *session) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offload.ChunkNeed, error) {
+func (s *session) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (_ offload.ChunkNeed, err error) {
+	if err := s.down(); err != nil {
+		return offload.ChunkNeed{}, err
+	}
+	defer s.seam("", &err)
 	need := offload.ChunkNeed{Seq: offer.Seq, AID: offer.AID}
 	if offer.AID != s.req.AID {
 		return need, fmt.Errorf("core: chunk offer AID %s does not match request %s", offer.AID, s.req.AID)
@@ -750,7 +796,11 @@ func (s *session) NegotiateChunks(p *sim.Proc, offer offload.ChunkOffer) (offloa
 // crossed the network; the warehouse stages them (in parallel) into the
 // content-addressed store, and the runtime loads the reassembled blob
 // from the warehouse.
-func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []uint64) error {
+func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []uint64) (err error) {
+	if err := s.down(); err != nil {
+		return err
+	}
+	defer s.seam(offer.AID, &err)
 	if offer.AID != s.req.AID {
 		return fmt.Errorf("core: chunk push AID %s does not match request %s", offer.AID, s.req.AID)
 	}
@@ -801,7 +851,11 @@ func (pl *Platform) loadCode(p *sim.Proc, sl *slot, aid string, size host.Bytes,
 
 // Execute runs the task, enforcing the permission table on each workflow
 // that leaves the container.
-func (s *session) Execute(p *sim.Proc) (offload.Result, error) {
+func (s *session) Execute(p *sim.Proc) (_ offload.Result, err error) {
+	if err := s.down(); err != nil {
+		return offload.Result{}, err
+	}
+	defer s.seam("", &err)
 	pl, sl, req := s.pl, s.sl, s.req
 	sp := req.Span()
 	// Warehouse-sourced code load (no device transfer happened).

@@ -132,6 +132,9 @@ func (r *waiterRing) len() int { return r.n }
 // dispatcher could (usefully) serve it.
 var ErrAborted = errors.New("core: request aborted while queued")
 
+// errQueueClosed turns away a request RejectQueued left no queue to wait in.
+var errQueueClosed = errors.New("core: dispatcher queue rejected (pool retired)")
+
 // acquireSlot implements the Dispatcher's allocation policy. sp, when
 // non-nil, receives the boot / queue-wait sub-stage durations of this
 // allocation (virtual time). abort, when non-nil, is the request's
@@ -180,7 +183,11 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		return nil, &offload.OverloadedError{QueueDepth: pl.waitQ.len(), RetryAfter: pl.retryAfterHint()}
 	}
 	// 5. Queue FIFO for the next release.
-	w := &waiter{sig: sim.NewSignal(pl.E)}
+	if pl.queueClosed {
+		return nil, errQueueClosed
+	}
+	w := &waiter{}
+	w.sig.Init(pl.E)
 	if abort != nil {
 		// The callback stays registered on the abort signal for its
 		// lifetime (a few dozen bytes per queued request on the slow
@@ -205,7 +212,7 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		pl.om.queued.Inc()
 		pl.om.queueLen.Set(int64(pl.waitQ.len()))
 	}
-	p.Wait(w.sig)
+	p.Wait(&w.sig)
 	if start >= 0 {
 		d := (pl.E.Now() - start).Duration()
 		sp.Add(obs.StageQueueWait, d)
@@ -224,7 +231,7 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		return nil, ErrAborted
 	}
 	if w.sl == nil {
-		return nil, errors.New("core: dispatcher queue rejected (pool retired)")
+		return nil, errQueueClosed
 	}
 	w.taken = true
 	return w.sl, nil
@@ -291,12 +298,14 @@ func (pl *Platform) popLiveWaiter() *waiter {
 	}
 }
 
-// RejectQueued wakes every request parked in the wait ring without a slot:
-// each one's Prepare returns an error instead of waiting for a release
-// that will never come. A fixed pool whose runtimes have all been cordoned
-// (a retired cluster shard) hands slots to nobody and boots no
+// RejectQueued wakes every request parked in the wait ring without a slot
+// and closes the ring to later ones (a request still in Prepare's access
+// analysis): each one's Prepare returns an error instead of waiting for a
+// release that will never come. A fixed pool whose runtimes have all been
+// cordoned (a retired cluster shard) hands slots to nobody and boots no
 // replacements, so without this its queue would wait forever.
 func (pl *Platform) RejectQueued() {
+	pl.queueClosed = true
 	for w := pl.popLiveWaiter(); w != nil; w = pl.popLiveWaiter() {
 		w.sig.Fire() // w.sl stays nil: acquireSlot reports the rejection
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"rattrap/internal/host"
 	"rattrap/internal/obs"
@@ -13,7 +15,7 @@ import (
 )
 
 // cacheEntry is one row of the warehouse's cache table (Figure 8): the
-// code's AID, its reference (app name), where the blob is staged, and the
+// code's AID, its reference (app name), where a plain blob is staged, and the
 // containers that already loaded it (CIDs) so the Dispatcher can route
 // same-app requests to a runtime that skips code loading.
 type cacheEntry struct {
@@ -114,6 +116,7 @@ type Warehouse struct {
 	entries map[string]*cacheEntry
 	pending map[string]*sim.Signal // in-flight first pushes, by AID
 	chunks  map[uint64]*chunkInfo  // content-addressed block store
+	staging map[uint64]int         // in-flight pushes staging each block, by hash
 	misses  int
 
 	// stored is the running StoredBytes total, adjusted wherever a plain
@@ -148,6 +151,7 @@ func NewWarehouse(e *sim.Engine, store *unionfs.Mount, capacity host.Bytes) *War
 		entries:  make(map[string]*cacheEntry),
 		pending:  make(map[string]*sim.Signal),
 		chunks:   make(map[uint64]*chunkInfo),
+		staging:  make(map[uint64]int),
 		byCID:    make(map[string][]string),
 		capacity: capacity,
 	}
@@ -235,7 +239,28 @@ func (w *Warehouse) Put(p *sim.Proc, aid, app string, size host.Bytes) error {
 	return nil
 }
 
-func chunkPath(h uint64) string { return fmt.Sprintf("/warehouse/chunks/%016x", h) }
+// chunkDir holds the chunk store's blocks, one file per hash.
+const chunkDir = "/warehouse/chunks/"
+
+// chunkPath names block h's file: chunkDir and h in 16 hex digits, encoded
+// in place so the string is the only allocation.
+func chunkPath(h uint64) string {
+	var b [len(chunkDir) + 16]byte
+	copy(b[:], chunkDir)
+	for i := len(b) - 1; i >= len(chunkDir); i-- {
+		b[i] = "0123456789abcdef"[h&15]
+		h >>= 4
+	}
+	return string(b[:])
+}
+
+// chunkStaging is one delta push's parallel block writes: the signal its
+// proc waits on, the writes outstanding and the first that failed.
+type chunkStaging struct {
+	done      sim.Signal
+	remaining int
+	err       error
+}
 
 // codeCacheKey names, in the host page cache, the reassembled blob of a code
 // the warehouse holds only as chunks: there is no staged file to own the
@@ -277,8 +302,10 @@ func (w *Warehouse) MissingChunks(hashes []uint64) []uint64 {
 // chunk-write's time), every offered hash gains a reference, and the
 // entry is recorded as chunked. size/hashes describe the whole blob;
 // missing must be a subset of hashes (fresh hashes from MissingChunks).
-// The whole offer is validated before anything is staged, so a rejected
-// push leaves no orphaned blocks in the store.
+// The whole offer is validated before anything is staged, and a push
+// whose staging fails removes its missing blocks that no entry holds and
+// no other in-flight push is staging, so a failed push leaves no orphaned
+// blocks in the store either.
 func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, hashes, missing []uint64) error {
 	if _, ok := w.entries[aid]; ok {
 		return nil // concurrent push of the same code: keep the first
@@ -310,27 +337,35 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 			return fmt.Errorf("core: warehouse put %s: missing chunk %016x not in offer", aid, h)
 		}
 	}
-	var firstErr error
 	if len(missing) > 0 {
-		done := sim.NewSignal(p.E)
-		remaining := len(missing)
+		st := &chunkStaging{remaining: len(missing)}
+		st.done.Init(p.E)
 		for _, h := range missing {
-			h := h
+			w.staging[h]++
 			sz := span[h]
-			p.E.Spawn("chunk-stage-"+aid, func(cp *sim.Proc) {
-				if err := w.store.Write(cp, chunkPath(h), sz, nil, 1.0); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("core: warehouse chunk %016x: %w", h, err)
+			p.E.Spawn("chunk-stage", func(cp *sim.Proc) {
+				if err := w.store.Write(cp, chunkPath(h), sz, nil, 1.0); err != nil && st.err == nil {
+					st.err = fmt.Errorf("core: warehouse chunk %016x: %w", h, err)
 				}
-				remaining--
-				if remaining == 0 {
-					done.Fire()
+				if st.remaining--; st.remaining == 0 {
+					st.done.Fire()
 				}
 			})
 		}
-		p.Wait(done)
-	}
-	if firstErr != nil {
-		return firstErr
+		p.Wait(&st.done)
+		for _, h := range missing {
+			if w.staging[h]--; w.staging[h] == 0 {
+				delete(w.staging, h)
+			}
+		}
+		if st.err != nil {
+			for _, h := range missing {
+				if _, held := w.chunks[h]; !held && w.staging[h] == 0 {
+					_ = w.store.Remove(chunkPath(h))
+				}
+			}
+			return st.err
+		}
 	}
 	seen := make(map[uint64]bool, len(hashes))
 	for _, h := range hashes {
@@ -345,7 +380,7 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 			w.stored += span[h]
 		}
 	}
-	w.newEntry(aid, app, size, chunkPath(hashes[0]), hashes, true)
+	w.newEntry(aid, app, size, "", hashes, true)
 	return nil
 }
 
@@ -427,7 +462,9 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		if c.refs <= 0 {
 			delete(w.chunks, h)
 			w.stored -= c.size
-			_ = w.store.Remove(chunkPath(h))
+			if w.staging[h] == 0 { // a push staging it again keeps the file
+				_ = w.store.Remove(chunkPath(h))
+			}
 		}
 	}
 	w.bytesGauge.Set(int64(w.stored))
@@ -474,7 +511,9 @@ func (w *Warehouse) ChunkCount() int { return len(w.chunks) }
 // books — each block's reference count (the live manifests naming it),
 // StoredBytes (plain blobs plus the chunk store), the reverse CID index and
 // the installed instruments — and reports the first disagreement, a block
-// no manifest names, or a named block not stored.
+// no manifest names, or a named block not stored; and it checks the chunk
+// table against the store's files: every block has its file, and every
+// file under chunkDir is a block of the table or one a push is staging.
 func (w *Warehouse) Audit() error {
 	refs := make(map[uint64]int, len(w.chunks))
 	var stored host.Bytes
@@ -513,6 +552,21 @@ func (w *Warehouse) Audit() error {
 	}
 	if stored != w.stored {
 		return fmt.Errorf("core: warehouse audit: StoredBytes %d, recounted %d", w.stored, stored)
+	}
+	for h := range w.chunks {
+		if _, ok := w.store.Stat(chunkPath(h)); !ok {
+			return fmt.Errorf("core: warehouse audit: chunk %016x has no file in the store", h)
+		}
+	}
+	for _, f := range w.store.List() {
+		name, ok := strings.CutPrefix(f.Path, chunkDir)
+		if !ok {
+			continue
+		}
+		h, err := strconv.ParseUint(name, 16, 64)
+		if _, held := w.chunks[h]; err != nil || !held && w.staging[h] == 0 {
+			return fmt.Errorf("core: warehouse audit: the store holds %s, which is neither a chunk of the table nor being staged", f.Path)
+		}
 	}
 	for cid, aids := range w.byCID {
 		if len(aids) == 0 {

@@ -61,6 +61,92 @@ func TestPutChunkedRejectsDegenerateOffers(t *testing.T) {
 // A hash already in the store naming a block of a different size is a
 // collision: re-referencing it would silently alias two distinct chunks,
 // so PutChunked must refuse before mutating anything.
+// chunkFiles lists the hashes of the blocks the store holds a file for.
+func chunkFiles(t *testing.T, w *Warehouse) []uint64 {
+	t.Helper()
+	var hs []uint64
+	for _, f := range w.store.List() {
+		var h uint64
+		if _, err := fmt.Sscanf(f.Path, "/warehouse/chunks/%x", &h); err == nil {
+			hs = append(hs, h)
+		}
+	}
+	slices.Sort(hs)
+	return hs
+}
+
+// TestFailedChunkStagingLeavesNoOrphans: a delta push whose staging fails
+// part way takes back the blocks it landed. It used to leave them in the
+// store with no entry naming them, and the warehouse's audit, which read
+// only the chunk table, passed. In the second case another push stages a
+// shared block concurrently and is still staging when the first one fails,
+// so the block must stay for it.
+func TestFailedChunkStagingLeavesNoOrphans(t *testing.T) {
+	size := 3 * offload.ChunkSize
+	cases := []struct {
+		name    string
+		pushes  [][]uint64 // each push's manifest: all of it is missing
+		failing uint64     // its write fails
+		stalled uint64     // its write stalls for a second first
+		want    []uint64   // the blocks held after all pushes returned
+	}{
+		{"single push", [][]uint64{{11, 12, 13}}, 12, 0, nil},
+		{"concurrent pushes sharing a block", [][]uint64{{11, 12, 13}, {11, 14, 15}}, 12, 15, []uint64{11, 14, 15}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			w := newTestWarehouse(t, e, 0)
+			w.store.SetFault(func(p *sim.Proc, path string, _ host.Bytes) error {
+				switch path {
+				case chunkPath(tc.failing):
+					return fmt.Errorf("injected write failure")
+				case chunkPath(tc.stalled):
+					p.Sleep(time.Second)
+				}
+				return nil
+			})
+			errs := 0
+			for i, hashes := range tc.pushes {
+				e.Spawn("push", func(p *sim.Proc) {
+					if err := w.PutChunked(p, fmt.Sprintf("aid-%d", i), "App", size, hashes, hashes); err != nil {
+						errs++
+					}
+				})
+			}
+			e.Run()
+			if errs != 1 {
+				t.Fatalf("%d pushes failed, want 1", errs)
+			}
+			if got := chunkFiles(t, w); !slices.Equal(got, tc.want) {
+				t.Errorf("store holds chunk files %x after the pushes, want %x", got, tc.want)
+			}
+			if w.ChunkCount() != len(tc.want) || w.StoredBytes() != host.Bytes(len(tc.want))*offload.ChunkSize {
+				t.Errorf("%d chunks, %d bytes stored, want %d chunks", w.ChunkCount(), w.StoredBytes(), len(tc.want))
+			}
+			if err := w.Audit(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestChunkPathMatchesSprintfForm: the in-place hex encoding names a block
+// exactly as fmt.Sprintf("/warehouse/chunks/%016x", h) did, and allocates
+// only the string it returns.
+func TestChunkPathMatchesSprintfForm(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		h := r.Uint64() >> r.Intn(64)
+		if got, want := chunkPath(h), fmt.Sprintf("/warehouse/chunks/%016x", h); got != want {
+			t.Fatalf("chunkPath(%#x) = %s, Sprintf form %s", h, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = chunkPath(0xdeadbeefcafef00d) }); n > 1 {
+		t.Fatalf("chunkPath allocates %.1f times, want at most 1 (the returned string)", n)
+	}
+}
+
 func TestPutChunkedDetectsSizeCollisions(t *testing.T) {
 	e := sim.NewEngine(2)
 	w := newTestWarehouse(t, e, 0)

@@ -60,7 +60,7 @@ func TestExchangeTable(t *testing.T) {
 				// re-claim loses it.
 				other := Client{ID: "other", Link: netsim.NewLink(e, netsim.LANWiFi())}
 				claimed := sim.NewSignal(e)
-				other.Link.SetFault(func(p *sim.Proc, op string, n host.Bytes) error {
+				other.Link.SetFault(other.ID, func(p *sim.Proc, op, _ string, n host.Bytes) error {
 					switch {
 					case source != coalesced && source != reclaim:
 					case op == faults.SiteDownload && !claimed.Fired():

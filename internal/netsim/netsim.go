@@ -83,20 +83,23 @@ type Stats struct {
 // sleep p to stall the operation; returning a non-nil error fails it (the
 // link charges half the nominal time, modeling a mid-transfer loss, and
 // propagates the error). The op is one of faults.SiteConnect/SiteUpload/
-// SiteDownload ("net.connect", "net.upload", "net.download").
-type FaultHook func(p *sim.Proc, op string, size host.Bytes) error
+// SiteDownload ("net.connect", "net.upload", "net.download"); target is
+// the device the link belongs to, as SetFault was given it.
+type FaultHook func(p *sim.Proc, op, target string, size host.Bytes) error
 
 // Link is one device's path to the cloud under a given profile.
 type Link struct {
-	e     *sim.Engine
-	prof  Profile
-	stats Stats
-	fault FaultHook
+	e      *sim.Engine
+	prof   Profile
+	stats  Stats
+	fault  FaultHook
+	target string
 }
 
-// SetFault installs a fault hook (nil removes it). The scenario runner
-// wires every arrival's link to its active fault plan.
-func (l *Link) SetFault(h FaultHook) { l.fault = h }
+// SetFault installs a fault hook (nil removes it) for the link of device
+// target. One hook serves every link: the scenario runner wires each
+// arrival's link to its active fault plan with the same function.
+func (l *Link) SetFault(target string, h FaultHook) { l.target, l.fault = target, h }
 
 // NewLink creates a link on engine e.
 func NewLink(e *sim.Engine, prof Profile) *Link {
@@ -134,7 +137,7 @@ func (l *Link) applyFault(p *sim.Proc, op string, size host.Bytes, nominal time.
 	if l.fault == nil {
 		return nil
 	}
-	if err := l.fault(p, op, size); err != nil {
+	if err := l.fault(p, op, l.target, size); err != nil {
 		l.stats.Faults++
 		p.Sleep(l.jittered(nominal / 2))
 		return err

@@ -182,7 +182,7 @@ func TestFaultHookDropsAndStalls(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewLink(e, Profile{Name: "test", RTT: 0, UpMbps: 8, DownMbps: 8})
 	dropNext := false
-	l.SetFault(func(p *sim.Proc, op string, size host.Bytes) error {
+	l.SetFault("dev", func(p *sim.Proc, op, target string, size host.Bytes) error {
 		if dropNext && op == "net.upload" {
 			dropNext = false
 			return errDropped

@@ -3,6 +3,7 @@ package offload
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"rattrap/internal/host"
 )
@@ -113,14 +114,20 @@ func SyntheticManifest(app string, size host.Bytes) []uint64 {
 	uniq := (n + 7) / 8
 	shared := n - uniq
 	out := make([]uint64, n)
+	// Each seed is the bytes of fmt.Sprintf("%s:lib:%d", app, i) or
+	// fmt.Sprintf("%s:%d:uniq:%d", app, size, i), built on the stack: a
+	// manifest is derived for every simulated code push, and the hash list
+	// is the one allocation it needs.
+	var buf [64]byte
 	for i := range out {
-		var seed string
+		seed := append(buf[:0], app...)
 		if i < shared {
-			seed = fmt.Sprintf("%s:lib:%d", app, i)
+			seed = append(seed, ":lib:"...)
 		} else {
-			seed = fmt.Sprintf("%s:%d:uniq:%d", app, size, i)
+			seed = strconv.AppendInt(append(seed, ':'), int64(size), 10)
+			seed = append(seed, ":uniq:"...)
 		}
-		out[i] = ChunkHash([]byte(seed))
+		out[i] = ChunkHash(strconv.AppendInt(seed, int64(i), 10))
 	}
 	return out
 }

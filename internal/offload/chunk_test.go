@@ -2,7 +2,10 @@ package offload
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rattrap/internal/host"
@@ -86,6 +89,50 @@ func TestSyntheticManifestFamilySharing(t *testing.T) {
 	// Determinism: same inputs, same manifest.
 	if !reflect.DeepEqual(a, SyntheticManifest(app, 5*host.MB)) {
 		t.Fatal("manifest not deterministic")
+	}
+}
+
+// refManifest is SyntheticManifest as it was written first: one Sprintf
+// seed per chunk.
+func refManifest(app string, size host.Bytes) []uint64 {
+	n := ChunkCount(size)
+	if n == 0 {
+		return nil
+	}
+	shared := n - (n+7)/8
+	out := make([]uint64, n)
+	for i := range out {
+		seed := fmt.Sprintf("%s:%d:uniq:%d", app, size, i)
+		if i < shared {
+			seed = fmt.Sprintf("%s:lib:%d", app, i)
+		}
+		out[i] = ChunkHash([]byte(seed))
+	}
+	return out
+}
+
+// TestSyntheticManifestMatchesSprintfForm: the stack-built seeds hash to
+// the Sprintf form's manifest for several apps — a long name that outgrows
+// the stack buffer among them — at sizes from one short chunk to hundreds
+// of chunks, so both the shared and the unique chunks and multi-digit
+// indexes and sizes are covered; and a manifest allocates only its hash
+// list.
+func TestSyntheticManifestMatchesSprintfForm(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	apps := []string{"", "Linpack", "ChessGame", "Ünïcode-app", strings.Repeat("VeryLongAppName", 8)}
+	sizes := []host.Bytes{0, 1, ChunkSize - 1, ChunkSize, ChunkSize + 1, 9 * ChunkSize, 152 * host.KB, 2300*host.KB + 3}
+	for i := 0; i < 40; i++ {
+		sizes = append(sizes, host.Bytes(r.Int63n(int64(40*host.MB))))
+	}
+	for _, app := range apps {
+		for _, size := range sizes {
+			if got, want := SyntheticManifest(app, size), refManifest(app, size); !reflect.DeepEqual(got, want) {
+				t.Fatalf("SyntheticManifest(%q, %d) = %x, Sprintf form %x", app, size, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = SyntheticManifest("Linpack", 2*host.MB+7) }); n > 1 {
+		t.Fatalf("SyntheticManifest allocates %.1f times, want at most 1 (the hash list)", n)
 	}
 }
 

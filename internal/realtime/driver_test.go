@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -303,6 +304,26 @@ func TestDriverZeroTimeDoLatency(t *testing.T) {
 	}
 	if el := time.Since(start); el > 100*time.Millisecond {
 		t.Fatalf("100 zero-time Do calls took %v; inject latency looks tick-quantized", el)
+	}
+}
+
+// TestDriverDoAllocs: a Do allocates only its sim.Proc, because the proc
+// body and the completion channel come from a pool. An unstarted driver
+// drains a zero-time Do on the caller, so the count is Do's alone. Under
+// the race detector sync.Pool drops Puts at random, so the fence skips.
+func TestDriverDoAllocs(t *testing.T) {
+	var pool sync.Pool
+	for i := 0; i < 64; i++ {
+		if pool.Put(new(int)); pool.Get() == nil {
+			t.Skip("sync.Pool is dropping Puts (race detector)")
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pool slots
+	d := NewDriver(sim.NewEngine(1), 1)
+	noop := func(*sim.Proc) {}
+	d.Do("warm", noop)
+	if n := testing.AllocsPerRun(1000, func() { d.Do("noop", noop) }); n > 1 {
+		t.Fatalf("a Do allocates %.1f objects, want 1 (the proc)", n)
 	}
 }
 

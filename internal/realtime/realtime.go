@@ -274,33 +274,44 @@ func (d *Driver) Stop() {
 // timer fired. An idle driver holds at zero.
 func (d *Driver) TimerWakeups() int64 { return d.timerWakeups.Load() }
 
-// donePool recycles completion channels across Do calls. A channel is
-// signalled with a buffered send (not a close), received exactly once,
-// and is then empty again — safe to reuse.
-var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+// completion is a Do call's proc body, run (bound once, by the pool), and
+// the channel its end is signalled on with a buffered send, received once
+// and then empty again: pooled, a Do allocates only the proc.
+type completion struct {
+	fn  func(p *sim.Proc)
+	run func(p *sim.Proc)
+	ch  chan struct{}
+}
+
+var completions = sync.Pool{New: func() any {
+	c := &completion{ch: make(chan struct{}, 1)}
+	c.run = func(p *sim.Proc) {
+		defer func() { c.ch <- struct{}{} }()
+		c.fn(p)
+	}
+	return c
+}}
 
 // Do runs fn as a simulated process and waits for it to complete. The
 // process runs under the driver's pacing, so its virtual-time costs (boots,
 // transfers, compute) take real time; work that is due immediately —
 // including fn itself and everything it does in zero virtual time — is
 // drained synchronously on the calling goroutine. The critical section
-// covers exactly the engine interaction (closure setup stays outside it),
-// and the completion channel comes from a pool, not a per-call make.
+// covers exactly the engine interaction, and the proc's body and
+// completion channel come from a pool.
 func (d *Driver) Do(name string, fn func(p *sim.Proc)) {
-	ch := donePool.Get().(chan struct{})
-	run := func(p *sim.Proc) {
-		defer func() { ch <- struct{}{} }()
-		fn(p)
-	}
+	c := completions.Get().(*completion)
+	c.fn = fn
 	d.mu.Lock()
-	d.e.Spawn(name, run)
+	d.e.Spawn(name, c.run)
 	d.advanceLocked()
 	d.mu.Unlock()
 	// The spawned proc may have scheduled future events; make the loop
 	// re-plan its sleep around them.
 	d.kick()
-	<-ch
-	donePool.Put(ch)
+	<-c.ch
+	c.fn = nil
+	completions.Put(c)
 }
 
 // Now returns the engine's current virtual time, advancing the engine to

@@ -28,12 +28,10 @@ type cohortState struct {
 	taskRng *rand.Rand
 	profile netsim.Profile
 	mult    float64
-	apps    []workload.App
-	// procName names every request proc of the cohort, and params is the
-	// pinned linpack_order blob (nil when unpinned): both are the same for
-	// every arrival, so they are built once.
+	apps    []workload.App // Linpack pinned to linpack_order when set
+	// procName names every request proc of the cohort: it is the same for
+	// every arrival, so it is built once.
 	procName string
-	params   []byte
 
 	arrivals  int
 	succeeded int
@@ -51,10 +49,12 @@ type runner struct {
 	cl  *cluster.Cluster
 
 	// inj is the active fault injector, nil when none. The shard and link
-	// hooks are closures over the runner, so activating a plan mid-run
+	// hooks call the runner's fault, so activating a plan mid-run
 	// immediately affects in-flight links and future boots/teardowns.
-	inj     *faults.Injector
-	retired map[string]int // "site:kind" counts of plans since replaced or cleared
+	// linkFault is fault bound once, the hook of every arrival's link.
+	inj       *faults.Injector
+	linkFault netsim.FaultHook
+	retired   map[string]int // "site:kind" counts of plans since replaced or cleared
 
 	cohorts []*cohortState
 	events  []EventReport
@@ -78,6 +78,7 @@ type afterCounter struct {
 // byte-identical report on every run, on every machine.
 func Run(scn *Scenario) (*Report, error) {
 	r := &runner{e: sim.NewEngine(scn.Seed), scn: scn}
+	r.linkFault = r.fault
 
 	r.cl = cluster.NewReplicated(r.e, scn.Platform.Config, scn.Shards, scn.Platform.Replicas)
 	for i := 0; i < r.cl.Shards(); i++ {
@@ -103,13 +104,13 @@ func Run(scn *Scenario) (*Report, error) {
 			mult:     1,
 			procName: c.Name + ".request",
 		}
-		if c.LinpackOrder > 0 {
-			cs.params = workload.EncodeLinpackParams(scn.Seed, c.LinpackOrder)
-		}
 		for _, name := range c.Apps {
 			app, err := workload.ByName(name)
 			if err != nil {
 				return nil, err // unreachable: Decode validated the names
+			}
+			if name == workload.NameLinpack && c.LinpackOrder > 0 {
+				app = workload.PinnedLinpack(scn.Seed, c.LinpackOrder)
 			}
 			cs.apps = append(cs.apps, app)
 		}
@@ -258,16 +259,13 @@ func (r *runner) spawnRequest(cs *cohortState, k int) {
 	r.e.Spawn(cs.procName, func(p *sim.Proc) {
 		dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
 		link := netsim.NewLink(r.e, prof)
-		link.SetFault(func(p *sim.Proc, op string, size host.Bytes) error { return r.fault(p, op, dev, size) })
+		link.SetFault(dev, r.linkFault)
 		app := cs.apps[k%len(cs.apps)]
 		// Distinct code sizes make distinct AIDs: variants spread one
 		// app's traffic over Variants consistent-hash placements.
 		codeSize := app.CodeSize() + host.Bytes(k%cs.spec.Variants)
 		seq := k / cs.spec.Devices // unique per device: the idempotency key half
 		task := app.NewTask(cs.taskRng, seq)
-		if cs.params != nil && task.App == workload.NameLinpack {
-			task.Params = cs.params // shared: nothing downstream writes a task's params
-		}
 		err := r.offload(p, cs, device.Client{ID: dev, Link: link}, task, codeSize)
 		if err == nil {
 			cs.succeeded++

@@ -54,8 +54,10 @@ func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
 // full size; the sites and what each lost are in DESIGN.md, "Where a
 // simulated request allocates". It was 25.8 until a boot stopped
 // allocating its Binder nodes, module records and device handles one by
-// one (DESIGN.md, "Cold path").
-const simArrivalAllocs = 24.9
+// one (DESIGN.md, "Cold path"), and 23.9 until the code push, the arrival
+// and the shard session stopped allocating per chunk, per link hook and
+// per session wrapper (DESIGN.md, "Where a simulated request allocates").
+const simArrivalAllocs = 17.4
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,

@@ -371,6 +371,11 @@ type sigWaiter struct {
 // NewSignal returns an unfired signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
 
+// Init makes s an unfired signal bound to e: a signal embedded by value in
+// a longer-lived struct costs no allocation of its own. A signal must not
+// be copied once initialized.
+func (s *Signal) Init(e *Engine) { *s = Signal{e: e} }
+
 // Fired reports whether Fire has been called.
 func (s *Signal) Fired() bool { return s.fired }
 

@@ -18,10 +18,19 @@ import (
 // Execute really factorizes an n×n system and checks the residual; the
 // analytic flop count (2/3·n³ + 2·n²) scaled by linpackOpsPerFlop models a
 // phone-scale problem (~1650×1650).
-type Linpack struct{}
+type Linpack struct {
+	pinned []byte // every task's params blob, when set (PinnedLinpack)
+}
 
 // NewLinpack returns the Linpack benchmark.
 func NewLinpack() *Linpack { return &Linpack{} }
+
+// PinnedLinpack returns a Linpack whose every task shares the blob of the
+// order-n system of seed (nothing downstream writes a task's params). Its
+// NewTask still makes the two draws, so the rng stream goes on as it would.
+func PinnedLinpack(seed int64, n int) *Linpack {
+	return &Linpack{pinned: EncodeLinpackParams(seed, n)}
+}
 
 // Calibration constants: Table II gives a 152 KB APK and under 1 KB of
 // migrated data per request; the flop scale makes a typical solve cost
@@ -44,11 +53,15 @@ func (l *Linpack) CodeSize() host.Bytes { return linpackCodeSize }
 // NewTask draws a request: a random system of order 110–149.
 func (l *Linpack) NewTask(rng *rand.Rand, seq int) Task {
 	p := linpackParams{Seed: rng.Int63(), N: 110 + rng.Intn(40)}
+	params := l.pinned
+	if params == nil {
+		params = encodeParams(p)
+	}
 	return Task{
 		App:        NameLinpack,
 		Method:     "solve",
 		Seq:        seq,
-		Params:     encodeParams(p),
+		Params:     params,
 		ParamBytes: linpackParamBytes,
 	}
 }
