@@ -65,7 +65,10 @@ race-top:
 # corrupts them on purpose). A cluster hands out its shard's own session,
 # behind the seam core.Platform.SetShard installs: a struct in
 # internal/cluster embedding offload.Session is the per-request session
-# wrapper coming back.
+# wrapper coming back. A realtime connection runs its reader (the accept
+# loop's handler) and its request workers, and each sends what it makes under
+# the connection's send lock: any other go statement in server.go is a writer
+# goroutine, and a hand-off per reply, coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -163,6 +166,14 @@ lint: vet
 	@bad=$$(grep -n -E '^[[:space:]]+\*?offload\.Session[[:space:]]*(//.*)?$$' internal/cluster/*.go || true); \
 	if [ -n "$$bad" ]; then \
 		echo "offload.Session embedded in internal/cluster (return the shard's session; its seam is core.Shard):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk '/^func /{fn=$$0} /^[[:space:]]*go[[:space:]]/ \
+		&& !(fn ~ /^func \(s \*Server\) Serve\(/ && /go func\(\) \{$$/) \
+		&& !(fn ~ /^func \(h \*connHandler\) admit\(/ && /go h\.worker\(\)$$/) {print FILENAME":"FNR": "$$0}' \
+		internal/realtime/server.go); \
+	if [ -n "$$bad" ]; then \
+		echo "go statement in internal/realtime/server.go beyond the accept loop's handler and the request workers (frames leave on the goroutine that made them, under the send lock):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

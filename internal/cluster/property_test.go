@@ -26,7 +26,9 @@ const (
 	opAddShard
 	opRemoveShard
 	opFailShard
-	opFSFault // the next chunk write on a random live shard fails
+	opFSFault   // the next chunk write on a random live shard fails
+	opCordon    // a random runtime of a random live shard is cordoned
+	opSetBounds // a random live shard's pool bounds are set, min <= max in 0..2
 	opKinds
 )
 
@@ -167,6 +169,15 @@ func (w *propWorld) step(p *sim.Proc) {
 	case op == opFSFault:
 		w.failNext[live[w.rng.Intn(len(live))]] = true
 		w.ran[op]++
+	case op == opCordon:
+		pl := w.cl.Shard(live[w.rng.Intn(len(live))])
+		if rts := pl.DB().List(); len(rts) > 0 && pl.CordonRuntime(rts[w.rng.Intn(len(rts))].CID) {
+			w.ran[op]++
+		}
+	case op == opSetBounds:
+		maxR := w.rng.Intn(3)
+		w.cl.Shard(live[w.rng.Intn(len(live))]).SetPoolBounds(w.rng.Intn(maxR+1), maxR)
+		w.ran[op]++
 	}
 }
 
@@ -216,12 +227,13 @@ func (w *propWorld) checkQuiescent(round int) {
 }
 
 // Property: over seeded random pushes, chunked pushes, execs, shard joins,
-// removals and failures, and failed chunk writes, interleaved in virtual
-// time with each other and with the migrations they start (a failed write
-// hits whichever staging comes first: a delta push, a fan-out or a
-// migration's copy), the epoch never goes back, the cluster's
-// audit passes after every op and pause, and at every quiescent point no
-// request is left parked and every served AID is still held.
+// removals and failures, failed chunk writes, cordoned runtimes and changed
+// pool bounds, interleaved in virtual time with each other and with the
+// migrations they start (a failed write hits whichever staging comes
+// first: a delta push, a fan-out or a migration's copy), the epoch never
+// goes back, the cluster's audit passes after every op and pause, and at
+// every quiescent point no request is left parked and every served AID is
+// still held.
 func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 	const seeds, rounds, opsPerRound = 40, 4, 16
 	var ran [opKinds]int
@@ -253,7 +265,7 @@ func TestPropertyReplicasAndChunkBooks(t *testing.T) {
 		faulted += w.faulted
 	}
 	if slices.Contains(ran[:], 0) {
-		t.Errorf("ops run by kind (push, chunked push, exec, add, remove, fail, fs-fault): %v; every kind must run", ran)
+		t.Errorf("ops run by kind (push, chunked push, exec, add, remove, fail, fs-fault, cordon, set-bounds): %v; every kind must run", ran)
 	}
 	if queued == 0 {
 		t.Error("no request ever waited in a wait ring; the parked-request checks test nothing")

@@ -140,9 +140,9 @@ var recvBufPool = sync.Pool{New: func() any {
 const maxPooledBuf = 64 << 10
 
 // Conn frames protocol messages over a byte stream. Conn methods are not
-// safe for concurrent use: pipelined callers must funnel all Sends through
-// one writer goroutine and all Recvs through one reader goroutine (the
-// two directions are independent).
+// safe for concurrent use: pipelined callers must serialize all Sends (one
+// goroutine, or one lock) and funnel all Recvs through one reader goroutine
+// (the two directions are independent).
 type Conn struct {
 	r        *bufio.Reader
 	w        io.Writer
@@ -249,9 +249,9 @@ const sendCoalesceLimit = 32 << 10
 
 // CoalesceSends switches the send side to explicit flushing: framed
 // messages accumulate in memory and reach the stream only on FlushSend
-// (or when the pending buffer hits sendCoalesceLimit). A reply path that
-// drains a queue can batch every result that is already waiting into one
-// syscall. Single-sender connections only, and the sender owns the flush
+// (or when the pending buffer hits sendCoalesceLimit). A reply path whose
+// senders queue for it can batch every result that is already waiting into
+// one syscall. Sends must be serialized, and the senders own the flush
 // schedule — a frame is not on the wire until FlushSend returns.
 func (c *Conn) CoalesceSends() { c.coalesce = true }
 

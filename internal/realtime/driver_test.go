@@ -255,6 +255,41 @@ func TestDriverYieldsThroughShortWaits(t *testing.T) {
 	}
 }
 
+// TestDriverKicksOnlyAStalePlan: a Do wakes the loop only when it leaves an
+// event earlier than the one the loop is sleeping toward. On an idle loop,
+// zero-time Dos leave nothing, so they cost their own clock read each and
+// no loop pass; a Do whose proc sleeps moves the next deadline from +∞ to
+// the sleep's end, so it costs one pass (two reads) that arms one timer.
+func TestDriverKicksOnlyAStalePlan(t *testing.T) {
+	e := sim.NewEngine(1)
+	fc := newFakeClock()
+	d := NewDriver(e, 1)
+	d.clk = fc
+	d.Start()
+	defer d.Stop()
+	// Start reads the clock once and the idle loop's first pass once.
+	waitUntil(t, "the idle loop has made its first pass", func() bool { n, _ := fc.calls(); return n >= 2 })
+
+	const zeroTime = 20
+	for i := 0; i < zeroTime; i++ {
+		d.Do("warehouse-hit", func(*sim.Proc) {})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Do("sleeper", func(p *sim.Proc) { p.Sleep(time.Second) })
+	}()
+	waitUntil(t, "the loop has armed a timer for the sleep", func() bool { return fc.armed() == 1 })
+	time.Sleep(20 * time.Millisecond) // room for any pass a stray kick would cause
+	want := 2 + zeroTime + 1 + 2
+	if nows, timers := fc.calls(); nows != want || timers != 1 {
+		t.Fatalf("%d zero-time Dos and one sleeping Do made %d clock reads and armed %d timers; want %d and 1 (every Do's own read, one loop pass)",
+			zeroTime, nows-2, timers, want-2)
+	}
+	fc.Advance(time.Second)
+	<-done
+}
+
 // TestDriverPacesInlineSleeps: sim.Proc.Sleep advances the engine's clock
 // itself when nothing is queued before its wake-up, but never past the
 // instant the driver's RunUntil allows — so at speed 1, on the real clock,

@@ -45,7 +45,7 @@ var (
 
 // transport is what the connection machine needs from the world it runs in.
 // The TCP adapter (server.go) runs steps through the pacing Driver, waits on
-// channels and wall timers, and queues frames for a writer goroutine; the
+// channels and wall timers, and sends frames on the emitting goroutine; the
 // virtual adapter in virtual_test.go runs the same machine on a bare engine,
 // with its deadlines as engine events.
 type transport interface {

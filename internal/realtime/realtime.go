@@ -12,13 +12,15 @@
 // virtual instant into a wall deadline, and sleeps on a timer armed for
 // exactly that deadline (a deadline nearer than a sleep can resolve is
 // not slept towards: the loop yields and looks again, see yieldBelow).
-// Injecting work wakes the loop immediately, and
-// the injector itself drains all work that is already due — so a request
+// The injector itself drains all work that is already due — so a request
 // whose engine-side cost is zero virtual time (e.g. a warehouse-hit
 // dispatch) completes synchronously on the caller's goroutine with no
-// timer involved at all. When the engine is idle and nothing is being
-// injected, the driver holds no timer and performs no wakeups: idle CPU
-// is zero.
+// timer involved at all — and then wakes the loop only if the loop's plan
+// has gone stale: the engine's next event is now earlier than the instant
+// the loop is sleeping toward. Otherwise the loop's own wake-up comes
+// first, and it re-plans then. When the engine is idle and nothing is
+// being injected, the driver holds no timer and performs no wakeups: idle
+// CPU is zero.
 //
 // # Engine ownership
 //
@@ -32,6 +34,7 @@
 package realtime
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -152,6 +155,11 @@ type Driver struct {
 	// (useful for demos that would otherwise wait out a 30 s VM boot).
 	speed float64
 
+	// plan is the virtual instant the loop last planned to wake at, +∞ once
+	// it found the engine idle (zero before its first pass, which plans
+	// anyway); guarded by mu. A Do kicks the loop only when it leaves an
+	// event earlier than this.
+	plan     sim.Time
 	wake     chan struct{} // capacity 1: kicks the loop to re-plan its sleep
 	stop     chan struct{}
 	done     chan struct{}
@@ -206,6 +214,15 @@ func (d *Driver) advanceLocked() {
 	d.e.RunUntil(target)
 }
 
+// nextLocked is the engine's next event time, +∞ when it has none. Callers
+// must hold d.mu.
+func (d *Driver) nextLocked() sim.Time {
+	if next, ok := d.e.NextEventAt(); ok {
+		return next
+	}
+	return math.MaxInt64
+}
+
 // loop is the event-driven pacer: advance, peek the next event, sleep
 // until exactly its wall deadline (or until an inject re-plans it).
 func (d *Driver) loop() {
@@ -213,12 +230,13 @@ func (d *Driver) loop() {
 	for {
 		d.mu.Lock()
 		d.advanceLocked()
-		next, ok := d.e.NextEventAt()
+		d.plan = d.nextLocked()
+		next := d.plan
 		d.mu.Unlock()
 
 		var timerC <-chan time.Time // nil (blocks forever) while idle
 		var cancel func()
-		if ok {
+		if next != math.MaxInt64 {
 			// started/speed/clk are immutable after Start, so the deadline
 			// math needs no lock.
 			wait := d.wallDeadline(next).Sub(d.clk.Now())
@@ -256,7 +274,8 @@ func (d *Driver) loop() {
 }
 
 // kick wakes the loop so it re-plans its sleep after the event queue
-// changed. The channel has capacity 1; a pending kick already covers us.
+// gained an earlier event. The channel has capacity 1; a pending kick
+// already covers us.
 func (d *Driver) kick() {
 	select {
 	case d.wake <- struct{}{}:
@@ -298,17 +317,19 @@ var completions = sync.Pool{New: func() any {
 // including fn itself and everything it does in zero virtual time — is
 // drained synchronously on the calling goroutine. The critical section
 // covers exactly the engine interaction, and the proc's body and
-// completion channel come from a pool.
+// completion channel come from a pool. The loop is woken only when the
+// drain left an event earlier than the one it is sleeping toward.
 func (d *Driver) Do(name string, fn func(p *sim.Proc)) {
 	c := completions.Get().(*completion)
 	c.fn = fn
 	d.mu.Lock()
 	d.e.Spawn(name, c.run)
 	d.advanceLocked()
+	stale := d.nextLocked() < d.plan
 	d.mu.Unlock()
-	// The spawned proc may have scheduled future events; make the loop
-	// re-plan its sleep around them.
-	d.kick()
+	if stale {
+		d.kick()
+	}
 	<-c.ch
 	c.fn = nil
 	completions.Put(c)

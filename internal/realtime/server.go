@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rattrap/internal/cluster"
@@ -49,8 +50,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the TCP adapter of the connection machine (machine.go): it
-// accepts connections, runs each one's reader, request workers and writer
-// as goroutines, paces the engine with a Driver, and bounds reads and writes
+// accepts connections, runs each one's reader and request workers as
+// goroutines, paces the engine with a Driver, and bounds reads and writes
 // with wall-clock socket deadlines. All cross-goroutine access to the
 // cluster goes through drv.Do.
 type Server struct {
@@ -135,7 +136,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		go func() {
 			defer s.untrack(conn)
 			defer conn.Close()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) {
+			if err := s.newConnHandler(conn).run(); err != nil && !errors.Is(err, io.EOF) {
 				s.log.Printf("conn %s: %v", conn.RemoteAddr(), err)
 			}
 		}()
@@ -182,60 +183,52 @@ func (s *Server) Close() {
 	s.drv.Stop()
 }
 
-// handle serves one device connection: this goroutine is the reader, up to
-// PipelineDepth worker goroutines run its requests, and one writer goroutine
-// owns the send side of the codec. Responses may leave out of order; clients
-// match them by Result.Seq.
-func (s *Server) handle(conn net.Conn) error {
-	h := &connHandler{
-		s:          s,
-		conn:       conn,
-		c:          offload.NewConn(conn),
-		work:       make(chan request),
-		out:        make(chan outMsg, s.depth+2),
-		connDone:   make(chan struct{}),
-		writerDone: make(chan struct{}),
-	}
+// newConnHandler sets up one device connection: run's goroutine is its
+// reader, up to PipelineDepth worker goroutines run its requests, and each
+// of them sends the frames it makes. Responses may leave out of order;
+// clients match them by Result.Seq.
+func (s *Server) newConnHandler(conn net.Conn) *connHandler {
+	h := &connHandler{s: s, conn: conn, c: offload.NewConn(conn),
+		work: make(chan request), connDone: make(chan struct{})}
+	h.c.CoalesceSends()
 	h.m = newMachine(s.protocol, &tcpPort{h: h}, time.Now)
-	return h.run()
+	return h
 }
 
-// connHandler is one connection's goroutines and the channels between them.
+// connHandler is one connection's goroutines and what they share.
 type connHandler struct {
 	s    *Server
 	conn net.Conn
 	c    *offload.Conn
 	m    *machine
 
-	work       chan request  // reader -> workers; unbuffered, so a send is a free pipeline slot
-	out        chan outMsg   // reader and workers -> writer
-	connDone   chan struct{} // closed when the reader exits; fails code waits
-	writerDone chan struct{} // closed when the writer exits
+	work     chan request  // reader -> workers; unbuffered, so a send is a free pipeline slot
+	connDone chan struct{} // closed when the reader exits; fails code waits
 
 	workers  sync.WaitGroup
 	nworkers int // workers started so far; reader only
 
-	errOnce sync.Once
-	err     error
+	// sendMu owns the codec's send side and err; senders counts the
+	// goroutines in send, so the last one in line knows it is.
+	sendMu  sync.Mutex
+	senders atomic.Int32
+	err     error // the first failed send or fatal message; later frames are dropped
 }
 
 // run owns the shutdown sequence: when the reader exits (read error,
 // protocol violation, or server close), connDone fails the workers' code
-// waits and the machine fires its abort signal, the workers drain through
-// the platform and exit on the closed work queue, and only then is the
-// writer's queue closed — every queued frame gets its send attempt.
+// waits and the machine fires its abort signal, and the workers drain
+// through the platform and exit on the closed work queue. Every frame
+// leaves inside its sender's send, so nothing is queued behind them.
 func (h *connHandler) run() error {
-	go h.writer()
 	loopErr := h.read()
 	close(h.connDone)
 	h.m.close()
 	close(h.work)
 	h.workers.Wait()
-	close(h.out)
-	<-h.writerDone
 	if h.err != nil {
-		// A worker or the writer failed first; the reader's error is just
-		// the fallout of the conn being torn down under it.
+		// A send failed or a fatal message went first; the reader's error is
+		// just the fallout of the conn being torn down under it.
 		return h.err
 	}
 	return loopErr
@@ -298,60 +291,43 @@ func (h *connHandler) worker() {
 	}
 }
 
-// writer is the connection's single sender. On the first send failure, or
-// after a fatal message, it tears the connection down and drains
-// (discarding) the rest of the queue so workers never block on a dead
-// writer.
-//
-// Sends coalesce: the connection buffers framed replies and the writer
-// flushes when the queue goes empty, so a burst of pipelined results leaves
-// in one syscall instead of one per reply — and before any teardown, so a
-// farewell frame and every reply queued ahead of it reach the device. The
-// write deadline is armed per message, so it also covers the flush, which is
-// where the bytes are written.
-func (h *connHandler) writer() {
-	defer close(h.writerDone)
-	h.c.CoalesceSends()
-	broken := false
-	for m := range h.out {
-		if broken {
-			continue
-		}
-		h.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		var err error
-		if m.isResult {
-			err = h.c.SendResult(&m.res)
-		} else if m.frame.Kind != "" {
-			err = h.c.Send(m.frame)
-		}
-		if err == nil && (len(h.out) == 0 || m.fatal != "") {
-			err = h.c.FlushSend()
-		}
-		if err != nil {
-			h.fail(err)
-			broken = true
-			continue
-		}
-		h.s.delivered(&m, time.Now())
+// send puts m on the wire from the goroutine that made it: the reader's or
+// a worker's. Sends coalesce: frames are buffered, and the last sender in
+// line flushes, so a burst of pipelined results leaves in one syscall
+// instead of one per reply. A fatal message flushes too, then records its
+// error and closes the socket, which unblocks the reader's pending read;
+// so does a failed send. Either way the farewell and every frame sent
+// ahead of it have had their write, and later frames are dropped. The
+// write deadline is armed per message, so it also covers the flush, which
+// is where the bytes are written.
+func (h *connHandler) send(m *outMsg) {
+	h.senders.Add(1)
+	h.sendMu.Lock()
+	defer h.sendMu.Unlock()
+	last := h.senders.Add(-1) == 0
+	if h.err != nil {
+		return
+	}
+	h.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	var err error
+	if m.isResult {
+		err = h.c.SendResult(&m.res)
+	} else if m.frame.Kind != "" {
+		err = h.c.Send(m.frame)
+	}
+	if err == nil && (last || m.fatal != "") {
+		err = h.c.FlushSend()
+	}
+	if err == nil {
+		h.s.delivered(m, time.Now())
 		if m.fatal != "" {
-			h.fail(errors.New(m.fatal))
-			broken = true
+			err = errors.New(m.fatal)
 		}
 	}
-	if !broken {
-		// The queue can close between a skipped flush and the next
-		// receive; nothing pending survives past the loop.
-		_ = h.c.FlushSend()
-	}
-}
-
-// fail records the connection's first fatal error and closes the socket,
-// which unblocks the reader's pending read. Safe from any goroutine.
-func (h *connHandler) fail(err error) {
-	h.errOnce.Do(func() {
+	if err != nil {
 		h.err = err
 		h.conn.Close()
-	})
+	}
 }
 
 // tcpPort is the machine's transport on a TCP connection: one for the
@@ -363,7 +339,7 @@ type tcpPort struct {
 
 func (w *tcpPort) step(name string, fn func(*sim.Proc)) { w.h.s.drv.Do(name, fn) }
 
-func (w *tcpPort) emit(m outMsg) { w.h.out <- m }
+func (w *tcpPort) emit(m outMsg) { w.h.send(&m) }
 
 // waitCode waits on a wall timer: at the benchmark's speed of 1e6 a virtual
 // deadline would be over in microseconds.

@@ -14,7 +14,7 @@ import (
 	"rattrap/internal/workload"
 )
 
-// Tests of the TCP adapter itself: the accept loop, Close, the writer and
+// Tests of the TCP adapter itself: the accept loop, Close, the send side and
 // the wall-clock deadline plumbing. The protocol it carries is tested on
 // the virtual transport (virtual_test.go).
 
@@ -61,9 +61,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 }
 
 // waitLatencyCount returns the server's latency-observation count once it
-// has reached want, or after five seconds if it never does. The connection
-// writer observes a request's latency (and counts its result) just *after*
-// flushing the result frame, so a client can have its reply in hand before
+// has reached want, or after five seconds if it never does. A connection's
+// send observes a request's latency (and counts its result) just *after*
+// sending the result frame, so a client can have its reply in hand before
 // the count moves. It polls between waits of a tenth of a virtual second on
 // the server's own paced driver.
 func waitLatencyCount(srv *Server, want int64) int64 {
@@ -202,27 +202,31 @@ func TestServerCloseUnblocksAdmission(t *testing.T) {
 }
 
 // TestWriterFlushesBeforeTeardown: a fatal message tears the connection
-// down only after the frames queued ahead of it, and its own farewell, have
-// reached the device. The writer used to close the socket with both still
-// in its coalescing buffer, losing the farewell and replies it had already
-// counted as sent.
+// down only after the frames sent ahead of it, and its own farewell, have
+// reached the device. A sender that is not last in line leaves its frame
+// in the coalescing buffer; the farewell must flush it rather than close
+// the socket over it, and a frame sent after the farewell is dropped.
 func TestWriterFlushesBeforeTeardown(t *testing.T) {
 	srv := NewServer(core.DefaultConfig(core.KindRattrap), 200, nil)
 	defer srv.Close()
 	server, client := net.Pipe()
 	defer client.Close()
-	h := &connHandler{s: srv, conn: server, c: offload.NewConn(server),
-		out: make(chan outMsg, 3), writerDone: make(chan struct{})}
-	h.out <- outMsg{res: offload.Result{Seq: 1, Output: "first"}, isResult: true}
-	h.out <- farewell("realtime: expected exec, got hello")
-	h.out <- outMsg{res: offload.Result{Seq: 2, Output: "second"}, isResult: true}
-	close(h.out)
-	go h.writer()
+	h := srv.newConnHandler(server)
+	bye := farewell("realtime: expected exec, got hello")
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		h.senders.Add(1) // another sender in line: the first result stays buffered
+		h.send(&outMsg{res: offload.Result{Seq: 1, Output: "first"}, isResult: true})
+		h.send(&bye)
+		h.send(&outMsg{res: offload.Result{Seq: 2, Output: "second"}, isResult: true})
+		h.senders.Add(-1)
+	}()
 
 	c := offload.NewConn(client)
 	f, err := c.Recv()
 	if err != nil || f.Kind != offload.KindResult || f.Result.Seq != 1 {
-		t.Fatalf("first frame: %+v, %v; want the result queued ahead of the farewell", f, err)
+		t.Fatalf("first frame: %+v, %v; want the result sent ahead of the farewell", f, err)
 	}
 	f, err = c.Recv()
 	if err != nil || f.Kind != offload.KindResult || f.Result.Code != offload.CodeProtocol {
@@ -231,7 +235,58 @@ func TestWriterFlushesBeforeTeardown(t *testing.T) {
 	if f, err := c.Recv(); err == nil {
 		t.Fatalf("frame %+v after the farewell, want the connection closed", f)
 	}
-	<-h.writerDone
+	<-sent
+	if h.err == nil {
+		t.Fatal("the farewell left no error behind to end the connection with")
+	}
+}
+
+// TestConcurrentSendsAllArrive: PipelineDepth workers reply at once, each
+// on its own goroutine. Whoever is last in line flushes, so every reply
+// reaches the device and nothing is left in the coalescing buffer once the
+// senders are done: the device reads them all before the close.
+func TestConcurrentSendsAllArrive(t *testing.T) {
+	const depth, each = 4, 50
+	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 200, nil, Options{PipelineDepth: depth})
+	defer srv.Close()
+	server, client := net.Pipe()
+	defer client.Close()
+	h := srv.newConnHandler(server)
+
+	got := make(chan map[int]bool, 1)
+	go func() {
+		seen := make(map[int]bool)
+		c := offload.NewConn(client)
+		for {
+			f, err := c.Recv()
+			if err != nil {
+				got <- seen
+				return
+			}
+			seen[f.Result.Seq] = true
+		}
+	}()
+	var workers sync.WaitGroup
+	for w := 0; w < srv.depth; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			for i := 0; i < each; i++ {
+				h.send(&outMsg{res: offload.Result{Seq: w*each + i + 1}, isResult: true})
+			}
+		}(w)
+	}
+	workers.Wait()
+	server.Close() // a frame still buffered now would never arrive
+	seen := <-got
+	for seq := 1; seq <= depth*each; seq++ {
+		if !seen[seq] {
+			t.Fatalf("%d of %d replies arrived; seq %d is missing", len(seen), depth*each, seq)
+		}
+	}
+	if h.err != nil {
+		t.Fatalf("send failed: %v", h.err)
+	}
 }
 
 // TestTCPCodeWaitDeadline: on TCP a code wait ends on the wall clock — a
