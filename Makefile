@@ -24,11 +24,12 @@ race:
 	fi; \
 	exit $$status
 
-# The ten slowest tests of internal/experiments under the race detector,
-# seconds first: the package is most of what `make race` costs, so this is
-# where a cut to -race time starts (ci.sh records the last attribution).
+# The ten slowest tests of cmd/rattrap-bench (the paper oracle) and
+# internal/experiments under the race detector, seconds first: the two are
+# most of what `make race` costs, so this is where a cut to -race time
+# starts (ci.sh records the last attribution).
 race-top:
-	$(GO) test -race -v -count 1 -timeout 8m ./internal/experiments 2>&1 \
+	$(GO) test -race -v -count 1 -timeout 8m ./cmd/rattrap-bench ./internal/experiments 2>&1 \
 		| sed -n -E 's/^--- (PASS|FAIL|SKIP): ([^ ]+) \(([0-9.]+)s\)$$/\3 \2 \1/p' \
 		| sort -rn | head -10
 

@@ -9,7 +9,6 @@ import (
 	"rattrap/internal/image"
 	"rattrap/internal/kernel"
 	"rattrap/internal/sim"
-	"rattrap/internal/trace"
 )
 
 // newBenchRand returns the deterministic task generator for benchmarks.
@@ -25,6 +24,3 @@ func loadACD(e *sim.Engine, k *kernel.Kernel, p *sim.Proc) error {
 func bootCustomized(p *sim.Proc, c *container.Container, shared *image.Image) (*android.Runtime, error) {
 	return android.Boot(p, c, android.BootConfig{Image: shared, Customized: true})
 }
-
-// traceDefault returns the default trace configuration at the bench seed.
-func traceDefault() trace.Config { return trace.DefaultConfig(benchSeed) }

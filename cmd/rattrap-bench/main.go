@@ -1,15 +1,19 @@
 // Command rattrap-bench is the virtual-time half of the evaluation. Without
 // flags it is the paper oracle: every table and figure of the paper's
-// evaluation, regenerated from the simulated testbed. With a mode flag it
-// writes one BENCH_<mode>.json report and exits non-zero if one of the
-// mode's gates fails. Nothing here reads the wall clock, so every output is
-// a function of the seed: `go test ./cmd/rattrap-bench` holds the reports
-// against the checked-in files and ci.sh holds the oracle against
-// testdata/oracle.golden. Wall-clock numbers come from benchmark/.
+// evaluation, regenerated from the simulated testbed
+// (experiments.RunOracle, each run made once). -claims renders
+// EXPERIMENTS.md from experiments.Claims measured over the same oracle and
+// exits non-zero if a claim leaves its band. With a mode flag it writes one
+// BENCH_<mode>.json report and exits non-zero if one of the mode's gates
+// fails. Nothing here reads the wall clock, so every output is a function of
+// the seed: `go test ./cmd/rattrap-bench` holds the claims, the reports,
+// EXPERIMENTS.md and testdata/oracle.golden against what the commit
+// generates at seed 42. Wall-clock numbers come from benchmark/.
 //
 // Usage:
 //
 //	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]   # paper oracle; -out adds a .txt and a .csv per table
+//	rattrap-bench -claims [-seed N] > EXPERIMENTS.md   # the paper's claims against the oracle, failures as exit status
 //	rattrap-bench -stages|-boot|-autoscale|-reshard|-faults [-seed N] [-out dir]   # one BENCH_<mode>.json, gates as exit status
 //	rattrap-bench -scenario scenarios/baseline.yaml [-out dir]   # run one chaos scenario, assertions as exit status
 //	rattrap-bench -scenario-validate scenarios   # parse-and-check scenario files without running
@@ -22,9 +26,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"rattrap/internal/experiments"
-	"rattrap/internal/metrics"
 )
 
 // A mode is one JSON report. run builds it at a seed, prints its human
@@ -43,115 +48,43 @@ var modes = []mode{
 	{"faults", "scenarios/fault-sweep.yaml as a suite: every standard fault plan, single attempt vs retries", faultsSuite.run},
 }
 
-// An artifact is one figure or table of the paper, selected by -fig or
-// -table; the slice order is the order the oracle prints them in.
-type artifact struct {
-	fig, table, name string
-	tables           func(seed int64) ([]*metrics.Table, error)
+// selectArtefacts returns the artefacts -fig and -table name, every one
+// when both are empty, and an error listing the valid names for a name
+// that is not one.
+func selectArtefacts(fig, table string) ([]experiments.Artefact, error) {
+	var out []experiments.Artefact
+	var figs, tables []string
+	for _, a := range experiments.Artefacts {
+		if a.Fig != "" {
+			figs = append(figs, a.Fig)
+		}
+		if a.Table != "" {
+			tables = append(tables, a.Table)
+		}
+		if (fig == "" && table == "") || (fig != "" && a.Fig == fig) || (table != "" && a.Table == table) {
+			out = append(out, a)
+		}
+	}
+	if fig != "" && !slices.Contains(figs, fig) {
+		return nil, fmt.Errorf("-fig %s: no such figure (one of %s)", fig, strings.Join(figs, ", "))
+	}
+	if table != "" && !slices.Contains(tables, table) {
+		return nil, fmt.Errorf("-table %s: no such table (one of %s)", table, strings.Join(tables, ", "))
+	}
+	return out, nil
 }
 
-// tabled adapts an experiment whose result renders itself.
-func tabled[R interface{ Tables() []*metrics.Table }](run func(int64) (R, error)) func(int64) ([]*metrics.Table, error) {
-	return func(seed int64) ([]*metrics.Table, error) {
-		r, err := run(seed)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	}
-}
-
-func artifacts() []artifact {
-	// Figure 9 and Table II are two views of one comparison run.
-	var comparison *experiments.Comparison
-	compared := func(view func(*experiments.Comparison) []*metrics.Table) func(int64) ([]*metrics.Table, error) {
-		return func(seed int64) ([]*metrics.Table, error) {
-			if comparison == nil {
-				c, err := experiments.RunComparison(seed)
-				if err != nil {
-					return nil, err
-				}
-				comparison = c
-			}
-			return view(comparison), nil
-		}
-	}
-	return []artifact{
-		{fig: "1", name: "figure 1", tables: tabled(experiments.RunFigure1)},
-		{fig: "2", name: "figure 2", tables: tabled(experiments.RunFigure2)},
-		{fig: "3", name: "figure 3", tables: tabled(experiments.RunFigure3)},
-		{fig: "obs4", name: "observation 4", tables: tabled(experiments.RunObservation4)},
-		{table: "1", name: "table I", tables: tabled(experiments.RunTableI)},
-		{fig: "9", name: "figure 9", tables: compared((*experiments.Comparison).Figure9Tables)},
-		{table: "2", name: "table II", tables: compared((*experiments.Comparison).TableIITables)},
-		{fig: "10", name: "figure 10", tables: tabled(experiments.RunFigure10)},
-		{fig: "11", name: "figure 11", tables: tabled(experiments.RunFigure11)},
-	}
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "rattrap-bench: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
-	seed := flag.Int64("seed", 42, "simulation seed (results are deterministic per seed)")
-	fig := flag.String("fig", "", "figure to regenerate: 1, 2, 3, 9, 10, 11 or obs4")
-	table := flag.String("table", "", "table to regenerate: 1 or 2")
-	out := flag.String("out", "", "directory for BENCH_*.json (default: the working directory) and for a .txt and .csv per oracle table")
-	selected := make([]*bool, len(modes))
-	for i, m := range modes {
-		selected[i] = flag.Bool(m.name, false, "write BENCH_"+m.name+".json: "+m.help)
-	}
-	scen := flag.String("scenario", "", "run one YAML chaos scenario and write BENCH_scenario.json (exit 1 on failed assertions)")
-	scenValidate := flag.String("scenario-validate", "", "parse and validate a scenario file or every *.yaml in a directory, without running")
-	flag.Parse()
-
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return err
-		}
-	}
-	if *scenValidate != "" {
-		return runScenarioValidate(*scenValidate)
-	}
-	if *scen != "" {
-		rep, gate := runScenario(os.Stdout, *scen)
-		return finish("scenario", rep, gate, *out)
-	}
-	ranMode := false
-	for i, m := range modes {
-		if !*selected[i] {
-			continue
-		}
-		ranMode = true
-		rep, gate := m.run(os.Stdout, *seed)
-		if err := finish(m.name, rep, gate, *out); err != nil {
-			return err
-		}
-	}
-	if ranMode {
-		return nil
-	}
-
-	all := *fig == "" && *table == ""
-	for _, a := range artifacts() {
-		if !(all || (a.fig != "" && a.fig == *fig) || (a.table != "" && a.table == *table)) {
-			continue
-		}
-		tabs, err := a.tables(*seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.name, err)
-		}
-		for _, tb := range tabs {
+// printOracle writes the artefacts' tables to w, and a .txt and a .csv
+// per table under dir unless dir is empty.
+func printOracle(w io.Writer, o *experiments.Oracle, as []experiments.Artefact, dir string) error {
+	for _, a := range as {
+		for _, tb := range a.Tables(o) {
 			text := tb.Render()
-			fmt.Println(text)
-			if *out == "" {
+			fmt.Fprintln(w, text)
+			if dir == "" {
 				continue
 			}
-			base := filepath.Join(*out, tb.Slug())
+			base := filepath.Join(dir, tb.Slug())
 			if err := os.WriteFile(base+".txt", []byte(text), 0o644); err != nil {
 				return err
 			}
@@ -161,6 +94,72 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "rattrap-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("rattrap-bench", flag.ExitOnError)
+	seed := fs.Int64("seed", 42, "simulation seed (results are deterministic per seed)")
+	fig := fs.String("fig", "", "figure to regenerate: 1, 2, 3, 9, 10, 11 or obs4")
+	table := fs.String("table", "", "table to regenerate: 1 or 2")
+	claims := fs.Bool("claims", false, "render EXPERIMENTS.md: the paper's claims measured over the oracle (exit 1 if one leaves its band)")
+	out := fs.String("out", "", "directory for BENCH_*.json (default: the working directory) and for a .txt and .csv per oracle table")
+	selected := make([]*bool, len(modes))
+	for i, m := range modes {
+		selected[i] = fs.Bool(m.name, false, "write BENCH_"+m.name+".json: "+m.help)
+	}
+	scen := fs.String("scenario", "", "run one YAML chaos scenario and write BENCH_scenario.json (exit 1 on failed assertions)")
+	scenValidate := fs.String("scenario-validate", "", "parse and validate a scenario file or every *.yaml in a directory, without running")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return err
+		}
+	}
+	if *scenValidate != "" {
+		return runScenarioValidate(w, *scenValidate)
+	}
+	if *scen != "" {
+		rep, gate := runScenario(w, *scen)
+		return finish(w, "scenario", rep, gate, *out)
+	}
+	ranMode := false
+	for i, m := range modes {
+		if !*selected[i] {
+			continue
+		}
+		ranMode = true
+		rep, gate := m.run(w, *seed)
+		if err := finish(w, m.name, rep, gate, *out); err != nil {
+			return err
+		}
+	}
+	if ranMode {
+		return nil
+	}
+
+	as, err := selectArtefacts(*fig, *table)
+	if err != nil {
+		return err
+	}
+	o, err := experiments.RunOracle(*seed)
+	if err != nil {
+		return err
+	}
+	if *claims {
+		fmt.Fprint(w, experiments.RenderClaims(o))
+		return experiments.Check(o, experiments.Claims)
+	}
+	return printOracle(w, o, as, *out)
 }
 
 // marshalReport is the one encoding of every BENCH_*.json.
@@ -175,7 +174,7 @@ func marshalReport(rep any) ([]byte, error) {
 // finish writes a mode's report, when it produced one, to
 // BENCH_<name>.json under dir (the working directory when dir is empty)
 // and returns the mode's gate error.
-func finish(name string, rep any, gate error, dir string) error {
+func finish(w io.Writer, name string, rep any, gate error, dir string) error {
 	if rep != nil {
 		buf, err := marshalReport(rep)
 		if err != nil {
@@ -185,7 +184,7 @@ func finish(name string, rep any, gate error, dir string) error {
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report in %s\n", path)
+		fmt.Fprintf(w, "report in %s\n", path)
 	}
 	if gate != nil {
 		return fmt.Errorf("%s: %w", name, gate)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"rattrap/internal/experiments"
 	"rattrap/internal/scenario"
 )
 
@@ -31,6 +32,12 @@ func checkMode(m mode, want []byte) error {
 	if err != nil {
 		return err
 	}
+	return differs("BENCH_"+m.name+".json", got, want, "make bench-"+m.name)
+}
+
+// differs compares a generated file with its checked-in bytes and names the
+// first line that differs and the command that regenerates the file.
+func differs(file string, got, want []byte, regen string) error {
 	if bytes.Equal(got, want) {
 		return nil
 	}
@@ -45,9 +52,9 @@ func checkMode(m mode, want []byte) error {
 		}
 		return "<end of file>"
 	}
-	return fmt.Errorf("BENCH_%s.json differs from what this commit generates, first at line %d: checked in %q, generated %q; "+
-		"if the change is intended, regenerate with `make bench-%s` and review the diff",
-		m.name, n+1, line(wantLines), line(gotLines), m.name)
+	return fmt.Errorf("%s differs from what this commit generates, first at line %d: checked in %q, generated %q; "+
+		"if the change is intended, regenerate with `%s` and review the diff",
+		file, n+1, line(wantLines), line(gotLines), regen)
 }
 
 // TestCheckedInReports walks the mode table the command dispatches on:
@@ -65,6 +72,72 @@ func TestCheckedInReports(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestPaperOracle runs the paper oracle once at goldenSeed and holds it to
+// the paper's claims, one subtest per artefact, each failure naming the
+// claim, its value and its band. It also byte-compares the two files
+// generated from the oracle: testdata/oracle.golden, every table and figure
+// as the command prints them, and EXPERIMENTS.md, the claims rendered by
+// -claims.
+func TestPaperOracle(t *testing.T) {
+	o, err := experiments.RunOracle(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range experiments.Artefacts {
+		t.Run(a.Name, func(t *testing.T) {
+			var cs []experiments.Claim
+			for _, c := range experiments.Claims {
+				if c.Artefact == a.Name {
+					cs = append(cs, c)
+				}
+			}
+			if err := experiments.Check(o, cs); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	var tables bytes.Buffer
+	if err := printOracle(&tables, o, experiments.Artefacts, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name, path, regen string
+		got               []byte
+	}{
+		{"oracle.golden", filepath.Join("testdata", "oracle.golden"),
+			"go run ./cmd/rattrap-bench > cmd/rattrap-bench/testdata/oracle.golden", tables.Bytes()},
+		{"EXPERIMENTS.md", filepath.Join("..", "..", "EXPERIMENTS.md"),
+			"go run ./cmd/rattrap-bench -claims > EXPERIMENTS.md", []byte(experiments.RenderClaims(o))},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			want, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatalf("%v (generate it with `%s`)", err, f.regen)
+			}
+			if err := differs(f.name, f.got, want, f.regen); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestUnknownArtefactIsRejected: a mistyped -fig or -table fails before
+// anything runs, and the error lists the valid names.
+func TestUnknownArtefactIsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "7"}, "-fig 7: no such figure (one of 1, 2, 3, obs4, 9, 10, 11)"},
+		{[]string{"-table", "3"}, "-table 3: no such table (one of 1, 2)"},
+		{[]string{"-fig", "1", "-table", "3"}, "-table 3: no such table (one of 1, 2)"},
+	} {
+		if err := run(tc.args, io.Discard); err == nil || err.Error() != tc.want {
+			t.Errorf("rattrap-bench %s: got %v, want %q", strings.Join(tc.args, " "), err, tc.want)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func runScenario(w io.Writer, path string) (any, error) {
 // *.yaml under a directory, without running anything. A malformed
 // checked-in scenario fails the build here rather than surprising the
 // next person who runs it.
-func runScenarioValidate(target string) error {
+func runScenarioValidate(w io.Writer, target string) error {
 	info, err := os.Stat(target)
 	if err != nil {
 		return err
@@ -82,11 +82,11 @@ func runScenarioValidate(target string) error {
 	for _, f := range files {
 		scn, err := scenario.Load(f)
 		if err != nil {
-			fmt.Printf("FAIL %s: %v\n", f, err)
+			fmt.Fprintf(w, "FAIL %s: %v\n", f, err)
 			bad++
 			continue
 		}
-		fmt.Printf("ok   %s: %q — %d cohorts, %d events, %d assertions\n",
+		fmt.Fprintf(w, "ok   %s: %q — %d cohorts, %d events, %d assertions\n",
 			f, scn.Name, len(scn.Fleet), len(scn.Events), len(scn.Assertions))
 	}
 	if bad > 0 {

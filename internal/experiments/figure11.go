@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"rattrap/internal/core"
 	"rattrap/internal/device"
@@ -26,7 +27,6 @@ type Figure11 struct {
 	// (paper: 11.5% / 50.8% / 54.0%).
 	Above3 map[core.Kind]float64
 	Kinds  []core.Kind
-	Events int
 }
 
 // traceProfiles maps trace devices to network scenarios: real users sit on
@@ -37,23 +37,11 @@ func traceProfiles() []netsim.Profile {
 	}
 }
 
-// RunFigure11 replays the default LiveLab-style trace on each platform.
-func RunFigure11(seed int64) (*Figure11, error) {
-	return RunTrace(trace.DefaultConfig(seed))
-}
-
-// RunTrace replays an arbitrary trace configuration on each platform
-// (cmd/rattrap-trace exposes this for custom scales).
-func RunTrace(tcfg trace.Config) (*Figure11, error) {
-	return RunTraceOpts(tcfg, nil)
-}
-
-// RunTraceOpts is RunTrace with a platform-config hook (e.g. enabling the
-// Monitor & Scheduler's idle reclamation to study just-in-time
-// provisioning). mod may be called from concurrent replays, one per
-// platform; it receives a per-replay Config copy and must not mutate
-// shared state.
-func RunTraceOpts(tcfg trace.Config, mod func(*core.Config)) (*Figure11, error) {
+// RunTrace replays the trace tcfg generates, open loop, on each platform.
+// A positive idleTimeout has the Monitor & Scheduler reclaim runtimes idle
+// that long (core.Config.IdleTimeout): Rattrap's 2 s boot turns that into
+// just-in-time provisioning, while the VM cloud's sessions start cold.
+func RunTrace(tcfg trace.Config, idleTimeout time.Duration) (*Figure11, error) {
 	events, err := trace.Generate(tcfg)
 	if err != nil {
 		return nil, err
@@ -64,14 +52,13 @@ func RunTraceOpts(tcfg trace.Config, mod func(*core.Config)) (*Figure11, error) 
 		FailureRate: make(map[core.Kind]float64),
 		Above3:      make(map[core.Kind]float64),
 		Kinds:       []core.Kind{core.KindRattrap, core.KindRattrapWO, core.KindVM},
-		Events:      len(events),
 	}
 	// One replay per platform; each builds its own engine and devices, so
 	// the three run concurrently on the RunCells pool (events are shared
 	// read-only input).
 	perKind := make([][]float64, len(f.Kinds))
 	err = RunCells(len(f.Kinds), func(i int) error {
-		speedups, err := replay(seed, f.Kinds[i], events, mod)
+		speedups, err := replay(seed, f.Kinds[i], events, idleTimeout)
 		if err != nil {
 			return fmt.Errorf("figure 11 (%v): %w", f.Kinds[i], err)
 		}
@@ -95,12 +82,10 @@ func RunTraceOpts(tcfg trace.Config, mod func(*core.Config)) (*Figure11, error) 
 // ChessGame speedups. "For fair comparison, we use a separate experiment
 // to obtain the local execution time for calculating speedup" — local
 // times come from the reference registry, not the loaded server.
-func replay(seed int64, kind core.Kind, events []trace.Event, mod func(*core.Config)) ([]float64, error) {
+func replay(seed int64, kind core.Kind, events []trace.Event, idleTimeout time.Duration) ([]float64, error) {
 	e := sim.NewEngine(seed)
 	cfg := core.DefaultConfig(kind)
-	if mod != nil {
-		mod(&cfg)
-	}
+	cfg.IdleTimeout = idleTimeout
 	pl := core.New(e, cfg)
 	profiles := traceProfiles()
 	refReg := workload.NewRegistry()
@@ -172,6 +157,3 @@ func (f *Figure11) Tables() []*metrics.Table {
 	}
 	return []*metrics.Table{tb, sum}
 }
-
-// Render formats the CDF and summary.
-func (f *Figure11) Render() string { return renderTables(f.Tables()) }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"rattrap/internal/core"
@@ -14,25 +13,24 @@ import (
 	"rattrap/internal/workload"
 )
 
-// Figure1 reproduces "Phase details and offloading speedups when running
-// different workloads with the existing cloud platform. The first 20
-// offloading requests are investigated": per-workload request phase
-// breakdowns against the VM-based cloud over LAN WiFi.
-type Figure1 struct {
+// Characterization holds the four VM-cloud runs of §III, one per workload
+// over LAN WiFi, that Figures 1, 2 and 3 are three views of.
+type Characterization struct {
 	PerWorkload map[string]*RunResult
 	Order       []string
 }
 
-// RunFigure1 executes the §III-B characterization. The four per-workload
-// runs are independent simulations and run on the RunCells worker pool.
-func RunFigure1(seed int64) (*Figure1, error) {
-	f := &Figure1{PerWorkload: make(map[string]*RunResult), Order: workloadOrder()}
+// RunCharacterization executes the §III-B characterization. The four
+// per-workload runs are independent simulations and run on the RunCells
+// worker pool.
+func RunCharacterization(seed int64) (*Characterization, error) {
+	f := &Characterization{PerWorkload: make(map[string]*RunResult), Order: workloadOrder()}
 	results := make([]*RunResult, len(f.Order))
 	err := RunCells(len(f.Order), func(i int) error {
 		app := f.Order[i]
 		r, err := Run(DefaultRun(core.KindVM, netsim.LANWiFi(), app, seed))
 		if err != nil {
-			return fmt.Errorf("figure 1 (%s): %w", app, err)
+			return fmt.Errorf("characterization (%s): %w", app, err)
 		}
 		results[i] = r
 		return nil
@@ -50,8 +48,11 @@ func workloadOrder() []string {
 	return []string{workload.NameOCR, workload.NameChess, workload.NameVirusScan, workload.NameLinpack}
 }
 
-// Tables builds one sub-table per workload, requests in start order.
-func (f *Figure1) Tables() []*metrics.Table {
+// Figure1Tables reproduces "Phase details and offloading speedups when
+// running different workloads with the existing cloud platform. The first
+// 20 offloading requests are investigated": one sub-table per workload,
+// requests in start order.
+func (f *Characterization) Figure1Tables() []*metrics.Table {
 	var out []*metrics.Table
 	for _, app := range f.Order {
 		r := f.PerWorkload[app]
@@ -77,28 +78,10 @@ func (f *Figure1) Tables() []*metrics.Table {
 	return out
 }
 
-// Render formats the sub-tables.
-func (f *Figure1) Render() string { return renderTables(f.Tables()) }
-
-// Figure2 reproduces "System load in offloading process of different
-// applications": per-second server CPU utilization and disk I/O timelines
-// during the Figure 1 runs.
-type Figure2 struct {
-	PerWorkload map[string]*RunResult
-	Order       []string
-}
-
-// RunFigure2 executes the server-load characterization.
-func RunFigure2(seed int64) (*Figure2, error) {
-	f1, err := RunFigure1(seed)
-	if err != nil {
-		return nil, fmt.Errorf("figure 2: %w", err)
-	}
-	return &Figure2{PerWorkload: f1.PerWorkload, Order: f1.Order}, nil
-}
-
-// Tables builds 10-second-bucket averages of the per-second series.
-func (f *Figure2) Tables() []*metrics.Table {
+// Figure2Tables reproduces "System load in offloading process of different
+// applications": the per-second server CPU utilization and disk I/O
+// timelines, averaged over 10-second buckets.
+func (f *Characterization) Figure2Tables() []*metrics.Table {
 	var out []*metrics.Table
 	for _, app := range f.Order {
 		r := f.PerWorkload[app]
@@ -120,28 +103,10 @@ func (f *Figure2) Tables() []*metrics.Table {
 	return out
 }
 
-// Render formats the sub-tables.
-func (f *Figure2) Render() string { return renderTables(f.Tables()) }
-
-// Figure3 reproduces "Composition of migrated data with different
-// workloads": per-VM upload composition (mobile code / files+parameters /
-// control messages), normalized per VM.
-type Figure3 struct {
-	PerWorkload map[string]*RunResult
-	Order       []string
-}
-
-// RunFigure3 executes the duplicate-code-transfer characterization.
-func RunFigure3(seed int64) (*Figure3, error) {
-	f1, err := RunFigure1(seed)
-	if err != nil {
-		return nil, fmt.Errorf("figure 3: %w", err)
-	}
-	return &Figure3{PerWorkload: f1.PerWorkload, Order: f1.Order}, nil
-}
-
-// Tables builds each VM's composition fractions.
-func (f *Figure3) Tables() []*metrics.Table {
+// Figure3Tables reproduces "Composition of migrated data with different
+// workloads": each VM's upload composition (mobile code / files+parameters
+// / control messages).
+func (f *Characterization) Figure3Tables() []*metrics.Table {
 	var out []*metrics.Table
 	for _, app := range f.Order {
 		r := f.PerWorkload[app]
@@ -164,12 +129,9 @@ func (f *Figure3) Tables() []*metrics.Table {
 	return out
 }
 
-// Render formats the sub-tables.
-func (f *Figure3) Render() string { return renderTables(f.Tables()) }
-
 // CodeFraction returns mobile code's share of a workload's per-VM upload,
 // averaged over VMs — ">50% for ChessGame and Linpack" in Observation 3.
-func (f *Figure3) CodeFraction(app string) float64 {
+func (f *Characterization) CodeFraction(app string) float64 {
 	r := f.PerWorkload[app]
 	var fracs []float64
 	for _, info := range r.Runtimes {
@@ -255,9 +217,6 @@ func (o *Observation4) Tables() []*metrics.Table {
 	return []*metrics.Table{tb}
 }
 
-// Render formats the observation.
-func (o *Observation4) Render() string { return renderTables(o.Tables()) }
-
 // TableI reproduces "Overheads of code runtime environments".
 type TableI struct {
 	Rows []TableIRow
@@ -324,19 +283,4 @@ func (t *TableI) Tables() []*metrics.Table {
 			fmt.Sprintf("%dMB", r.MemoryMB), fmt.Sprintf("%dvCPU", r.VCPUs), disk)
 	}
 	return []*metrics.Table{tb}
-}
-
-// Render formats Table I.
-func (t *TableI) Render() string { return renderTables(t.Tables()) }
-
-// renderTables joins table renders with blank lines.
-func renderTables(ts []*metrics.Table) string {
-	var b strings.Builder
-	for i, tb := range ts {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(tb.Render())
-	}
-	return b.String()
 }

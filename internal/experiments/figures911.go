@@ -79,42 +79,6 @@ func (c *Comparison) Figure9Tables() []*metrics.Table {
 	return out
 }
 
-// Figure9Render formats the sub-tables.
-func (c *Comparison) Figure9Render() string { return renderTables(c.Figure9Tables()) }
-
-// PrepSpeedup returns mean VM runtime-preparation time divided by the
-// platform's (the 4.14–4.71x and 16.29–16.98x numbers).
-func (c *Comparison) PrepSpeedup(app string, kind core.Kind) float64 {
-	_, _, vp, _ := c.Runs[app][core.KindVM].MeanPhases()
-	_, _, p, _ := c.Runs[app][kind].MeanPhases()
-	if p == 0 {
-		return 0
-	}
-	return vp / p
-}
-
-// ComputeSpeedup returns mean VM computation time divided by the
-// platform's (1.02–1.13x W/O, 1.05–1.40x Rattrap).
-func (c *Comparison) ComputeSpeedup(app string, kind core.Kind) float64 {
-	_, _, _, ve := c.Runs[app][core.KindVM].MeanPhases()
-	_, _, _, e := c.Runs[app][kind].MeanPhases()
-	if e == 0 {
-		return 0
-	}
-	return ve / e
-}
-
-// TransferSpeedup returns mean VM data-transfer time divided by the
-// platform's (1.17–2.04x for Rattrap; ≈1 for W/O).
-func (c *Comparison) TransferSpeedup(app string, kind core.Kind) float64 {
-	_, vt, _, _ := c.Runs[app][core.KindVM].MeanPhases()
-	_, t, _, _ := c.Runs[app][kind].MeanPhases()
-	if t == 0 {
-		return 0
-	}
-	return vt / t
-}
-
 // TableIITables builds "Total number of data transmitted with different
 // benchmarks": download/upload KB per workload per platform.
 func (c *Comparison) TableIITables() []*metrics.Table {
@@ -132,14 +96,6 @@ func (c *Comparison) TableIITables() []*metrics.Table {
 		tb.AddRow(app, "upload", cell(core.KindRattrap, true), cell(core.KindRattrapWO, true), cell(core.KindVM, true))
 	}
 	return []*metrics.Table{tb}
-}
-
-// TableIIRender formats Table II.
-func (c *Comparison) TableIIRender() string { return renderTables(c.TableIITables()) }
-
-// Upload returns one Table II upload cell in KB.
-func (c *Comparison) Upload(app string, kind core.Kind) float64 {
-	return float64(c.Runs[app][kind].DeviceTraffic.Up()) / 1024
 }
 
 // Figure10 reproduces "Average power consumption of offloading requests in
@@ -223,25 +179,4 @@ func (f *Figure10) Tables() []*metrics.Table {
 		out = append(out, tb)
 	}
 	return out
-}
-
-// Render formats the sub-figures.
-func (f *Figure10) Render() string { return renderTables(f.Tables()) }
-
-// EnergyAdvantage returns VM energy divided by Rattrap energy for a cell —
-// the paper's "Rattrap outperforms VM by 1.37x with ChessGame".
-func (f *Figure10) EnergyAdvantage(app, profile string) float64 {
-	r := f.Norm[app][profile][core.KindRattrap]
-	v := f.Norm[app][profile][core.KindVM]
-	if r == 0 {
-		return 0
-	}
-	return v / r
-}
-
-// WarehouseStats exposes the Rattrap run's warehouse totals for one
-// workload (entries should be 1: code transferred "once and for all").
-func (c *Comparison) WarehouseStats(app string) (entries, hits int) {
-	r := c.Runs[app][core.KindRattrap]
-	return r.WarehouseEntries, r.WarehouseHits
 }

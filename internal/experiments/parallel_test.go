@@ -2,12 +2,23 @@ package experiments
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rattrap/internal/metrics"
 	"rattrap/internal/trace"
 )
+
+// render joins the tables' text.
+func render(tables []*metrics.Table) string {
+	var b strings.Builder
+	for _, tb := range tables {
+		b.WriteString(tb.Render())
+	}
+	return b.String()
+}
 
 // withWorkers runs fn with the sweep worker count pinned, restoring the
 // default afterwards.
@@ -84,14 +95,14 @@ func TestParallelComparisonMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq = c.Figure9Render() + "\n" + c.TableIIRender()
+		seq = render(append(c.Figure9Tables(), c.TableIITables()...))
 	})
 	withWorkers(t, 8, func() {
 		c, err := RunComparison(11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par = c.Figure9Render() + "\n" + c.TableIIRender()
+		par = render(append(c.Figure9Tables(), c.TableIITables()...))
 	})
 	if seq != par {
 		t.Fatalf("parallel comparison diverged from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
@@ -101,24 +112,24 @@ func TestParallelComparisonMatchesSequential(t *testing.T) {
 // TestParallelTraceMatchesSequential: same golden gate for the trace
 // replay (Figure 11), whose three platform replays share the generated
 // event list read-only. A scaled-down trace keeps the double run fast;
-// the full-scale replay is covered by TestFigure11ReproducesPaper.
+// the full-scale replay is the oracle's.
 func TestParallelTraceMatchesSequential(t *testing.T) {
 	tcfg := trace.DefaultConfig(11)
 	tcfg.Duration = 20 * time.Minute
 	var seq, par string
 	withWorkers(t, 1, func() {
-		f, err := RunTrace(tcfg)
+		f, err := RunTrace(tcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq = f.Render()
+		seq = render(f.Tables())
 	})
 	withWorkers(t, 3, func() {
-		f, err := RunTrace(tcfg)
+		f, err := RunTrace(tcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par = f.Render()
+		par = render(f.Tables())
 	})
 	if seq != par {
 		t.Fatalf("parallel trace replay diverged from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq, par)

@@ -3,25 +3,20 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"rattrap/internal/core"
-	"rattrap/internal/trace"
 	"rattrap/internal/workload"
 )
 
 // TestRendersContainEveryRow exercises the text renderers end to end on
 // one shared run (they are the harness's user-visible output).
 func TestRendersContainEveryRow(t *testing.T) {
-	f3, err := RunFigure3(seed)
+	f, err := RunCharacterization(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := &Figure1{PerWorkload: f3.PerWorkload, Order: f3.Order}
-	f2 := &Figure2{PerWorkload: f3.PerWorkload, Order: f3.Order}
-
-	out1 := f1.Render()
-	for _, app := range f3.Order {
+	out1 := render(f.Figure1Tables())
+	for _, app := range f.Order {
 		if !strings.Contains(out1, "Figure 1("+app+")") {
 			t.Errorf("figure 1 render missing %s", app)
 		}
@@ -29,11 +24,11 @@ func TestRendersContainEveryRow(t *testing.T) {
 	if !strings.Contains(out1, "FAIL") {
 		t.Error("figure 1 render shows no offloading failures")
 	}
-	out2 := f2.Render()
+	out2 := render(f.Figure2Tables())
 	if !strings.Contains(out2, "CPU(%)") || !strings.Contains(out2, "read(MB/s)") {
 		t.Error("figure 2 render missing columns")
 	}
-	out3 := f3.Render()
+	out3 := render(f.Figure3Tables())
 	if !strings.Contains(out3, "code frac") || !strings.Contains(out3, "vm-1") {
 		t.Errorf("figure 3 render incomplete:\n%s", out3)
 	}
@@ -50,13 +45,22 @@ func TestFigure10Render(t *testing.T) {
 		Profiles: []string{"LAN WiFi"},
 		Kinds:    []core.Kind{core.KindRattrap, core.KindRattrapWO, core.KindVM},
 	}
-	out := f.Render()
+	out := render(f.Tables())
 	if !strings.Contains(out, "Local") || !strings.Contains(out, "0.150") {
 		t.Fatalf("render:\n%s", out)
 	}
-	if adv := f.EnergyAdvantage(workload.NameChess, "LAN WiFi"); adv < 3.4 || adv > 3.5 {
-		t.Fatalf("advantage = %v, want 0.52/0.15", adv)
+	// The energy advantage is the fig10.advantage claim's measure.
+	const id = "fig10.advantage." + workload.NameChess + ".lan"
+	for _, c := range Claims {
+		if c.ID != id {
+			continue
+		}
+		if adv := c.Measure(&Oracle{Figure10: f}); adv < 3.4 || adv > 3.5 {
+			t.Fatalf("advantage = %v, want 0.52/0.15", adv)
+		}
+		return
 	}
+	t.Fatalf("no claim %s", id)
 }
 
 func TestObservation4Render(t *testing.T) {
@@ -64,38 +68,10 @@ func TestObservation4Render(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := o.Render()
+	out := render(o.Tables())
 	for _, want := range []string{"771", "68.", "87."} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTraceWithReclamationDegradesVMMost(t *testing.T) {
-	// The just-in-time ablation: with idle reclamation on, the VM cloud's
-	// failure rate explodes while Rattrap stays moderate.
-	run := func(idle bool) (*Figure11, error) {
-		var mod func(*core.Config)
-		if idle {
-			mod = func(c *core.Config) { c.IdleTimeout = 2 * time.Minute }
-		}
-		return RunTraceOpts(trace.DefaultConfig(seed), mod)
-	}
-	warm, err := run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.FailureRate[core.KindVM] <= warm.FailureRate[core.KindVM] {
-		t.Errorf("reclamation did not hurt the VM cloud: %.2f vs %.2f",
-			cold.FailureRate[core.KindVM], warm.FailureRate[core.KindVM])
-	}
-	if cold.FailureRate[core.KindVM] < 2*cold.FailureRate[core.KindRattrap] {
-		t.Errorf("VM cold-session failures (%.2f) should dwarf Rattrap's (%.2f)",
-			cold.FailureRate[core.KindVM], cold.FailureRate[core.KindRattrap])
 	}
 }

@@ -2,9 +2,9 @@
 // table and figure of the paper (§III and §VI). Every runner assembles a
 // deterministic simulation — cloud platform, five devices, a request
 // schedule — executes it on the discrete-event engine, and reduces the
-// records to the rows/series the paper reports. Absolute numbers depend on
-// the calibrated substrate; the shapes (who wins, by what factor, where
-// crossovers fall) are asserted in this package's tests.
+// records to the rows/series the paper reports. RunOracle makes every run
+// once. Absolute numbers depend on the calibrated substrate; the shapes (who
+// wins, by what factor, where crossovers fall) are the rows of Claims.
 package experiments
 
 import (
@@ -213,39 +213,6 @@ func (r *RunResult) MeanPhases() (conn, transfer, prep, comp float64) {
 		es = append(es, rec.Phases.ComputationExecution.Seconds())
 	}
 	return metrics.Mean(cs), metrics.Mean(ts), metrics.Mean(ps), metrics.Mean(es)
-}
-
-// Speedups lists per-request speedups (errors excluded).
-func (r *RunResult) Speedups() []float64 {
-	var out []float64
-	for _, rec := range r.Records {
-		if rec.Err == "" && rec.Offloaded {
-			out = append(out, rec.Speedup)
-		}
-	}
-	return out
-}
-
-// FailureRate is the fraction of requests that did not beat local
-// execution.
-func (r *RunResult) FailureRate() float64 {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	n, offloaded := 0, 0
-	for _, rec := range r.Records {
-		if !rec.Offloaded {
-			continue // the framework chose local execution: not a failure
-		}
-		offloaded++
-		if rec.Failed() {
-			n++
-		}
-	}
-	if offloaded == 0 {
-		return 0
-	}
-	return float64(n) / float64(offloaded)
 }
 
 // MeanEnergyNormalized is mean offload energy divided by mean local energy
