@@ -69,7 +69,10 @@ race-top:
 # wrapper coming back. A realtime connection runs its reader (the accept
 # loop's handler) and its request workers, and each sends what it makes under
 # the connection's send lock: any other go statement in server.go is a writer
-# goroutine, and a hand-off per reply, coming back.
+# goroutine, and a hand-off per reply, coming back. The experiments read a
+# request's local time from the device's estimate, whose kernel run rides the
+# task to the cloud: a workload.NewRegistry( in internal/experiments is a
+# reference run of every task, and a second local-time model, coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -175,6 +178,12 @@ lint: vet
 		internal/realtime/server.go); \
 	if [ -n "$$bad" ]; then \
 		echo "go statement in internal/realtime/server.go beyond the accept loop's handler and the request workers (frames leave on the goroutine that made them, under the send lock):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'workload\.NewRegistry(' --include='*.go' internal/experiments/ \
+		| grep -v '_test.go' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a workload registry in internal/experiments (a request's local time is its device's estimate, est.LocalTime):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

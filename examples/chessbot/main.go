@@ -40,23 +40,18 @@ func main() {
 		)
 		e.Spawn("game", func(p *sim.Proc) {
 			for i := 0; i < moves; i++ {
-				task := phone.NewTask(app)
 				// The framework decides per move whether the cloud is
 				// worth it on this network.
-				offloaded, ph, res, err := phone.MaybeOffload(p, task, app.CodeSize(), platform)
+				est, ph, res, err := phone.MaybeOffload(p, phone.NewTask(app), app.CodeSize(), platform)
 				if err != nil {
 					log.Fatal(err)
 				}
-				if offloaded {
+				if est.ShouldOffload() {
 					offloads++
 					total += ph.Response()
 				}
 				lastMove = res.Output
 				// What the same move would have cost on the handset.
-				est, err := phone.Estimate(task, app.CodeSize())
-				if err != nil {
-					log.Fatal(err)
-				}
 				localOnly += est.LocalEnergyJ
 			}
 		})

@@ -35,7 +35,8 @@ func fleet(t *testing.T, e *sim.Engine, gw offload.Gateway, apps []string, devic
 			for r := 0; r < requests; r++ {
 				app, _ := workload.ByName(apps[(i+r)%len(apps)])
 				start := e.Now()
-				off, ph, res, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), gw)
+				est, ph, res, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), gw)
+				off := est.ShouldOffload()
 				fmt.Fprintf(&b, "%s #%d %s start=%d end=%d off=%v ph=%+v out=%q rerr=%q err=%v\n",
 					dev.Name, r, app.Name(), start, e.Now(), off, ph, res.Output, res.Err, err)
 				if off {

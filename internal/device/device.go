@@ -132,15 +132,11 @@ type Estimate struct {
 // idles *and* keeps the radio active for longer than it would compute.)
 func (e Estimate) ShouldOffload() bool { return e.OffloadTime < e.LocalTime }
 
-// Estimate predicts offload cost for a task from the link profile and the
+// estimate predicts offload cost for a task from the link profile and the
 // task's wire sizes, with a profiling-based prediction of its computation
-// (the device has executed this app locally before; MAUI-style frameworks
-// keep exactly this history).
-func (d *Device) Estimate(task workload.Task, codeSize host.Bytes) (Estimate, error) {
-	m, err := d.reg.Execute(task)
-	if err != nil {
-		return Estimate{}, err
-	}
+// from m, the task's own metrics (the device has executed this app locally
+// before; MAUI-style frameworks keep exactly this history).
+func (d *Device) estimate(task workload.Task, m workload.Metrics) Estimate {
 	devCfg := d.H.Config()
 	localSecs := float64(m.Work)/devCfg.CoreMops +
 		float64(m.IORead+m.IOWrite)/float64(host.MB)/devCfg.DiskSeqMBps
@@ -157,7 +153,7 @@ func (d *Device) Estimate(task workload.Task, codeSize host.Bytes) (Estimate, er
 	offSecs := conn + up + down + cloud + prof.RTT.Seconds()
 	offTime := time.Duration(offSecs * float64(time.Second))
 
-	est := Estimate{
+	return Estimate{
 		LocalTime:    local,
 		LocalEnergyJ: power.LocalEnergy(local),
 		OffloadTime:  offTime,
@@ -171,24 +167,25 @@ func (d *Device) Estimate(task workload.Task, codeSize host.Bytes) (Estimate, er
 			DownAirtime: time.Duration(down * float64(time.Second)),
 		}),
 	}
-	return est, nil
 }
 
 // MaybeOffload runs the framework's decision: it offloads through gw when
-// predicted beneficial, otherwise executes locally. It reports which path
-// ran.
-func (d *Device) MaybeOffload(p *sim.Proc, task workload.Task, codeSize host.Bytes, gw offload.Gateway) (offloaded bool, ph offload.Phases, res offload.Result, err error) {
-	est, err := d.Estimate(task, codeSize)
+// predicted beneficial, otherwise executes locally, and returns the
+// estimate it decided on (est.ShouldOffload() says which path ran). The
+// task's kernel runs once, for the estimate; its metrics ride the task as
+// its workload.Precomputed, so the local path and the cloud reuse them. A
+// kernel error is returned with the zero Estimate, before either path runs.
+func (d *Device) MaybeOffload(p *sim.Proc, task workload.Task, codeSize host.Bytes, gw offload.Gateway) (est Estimate, ph offload.Phases, res offload.Result, err error) {
+	m, err := d.reg.Execute(task)
 	if err != nil {
-		return false, ph, res, err
+		return Estimate{}, ph, res, err
 	}
+	task.SetPrecomputed(&workload.Precomputed{Metrics: m})
+	est = d.estimate(task, m)
 	if !est.ShouldOffload() {
-		_, m, lerr := d.ExecuteLocal(p, task)
-		if lerr != nil {
-			return false, ph, res, lerr
-		}
-		return false, ph, offload.Result{Output: m.Output, ResultBytes: m.ResultBytes}, nil
+		_, m, err = d.ExecuteLocal(p, task)
+		return est, ph, offload.Result{Output: m.Output, ResultBytes: m.ResultBytes}, err
 	}
 	ph, res, err = d.Offload(p, task, codeSize, gw)
-	return true, ph, res, err
+	return est, ph, res, err
 }

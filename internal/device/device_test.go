@@ -23,11 +23,13 @@ type fakeGateway struct {
 	prepared int
 	pushes   []offload.CodePush
 	released int
+	pre      *workload.Precomputed // of the last prepared request's task
 }
 
 func (g *fakeGateway) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Session, error) {
 	p.Sleep(g.prepDelay)
 	g.prepared++
+	g.pre = req.Task().Precomputed()
 	return &fakeSession{g: g, req: req}, nil
 }
 
@@ -174,16 +176,16 @@ func TestDecisionPrefersLocalOnTerribleNetworks(t *testing.T) {
 	// VirusScan moves megabytes: on 3G's 0.38 Mbps upstream the estimate
 	// must keep it local.
 	app, _ := workload.ByName(workload.NameVirusScan)
-	var offloaded bool
+	var est Estimate
 	e.Spawn("t", func(p *sim.Proc) {
 		var err error
-		offloaded, _, _, err = d.MaybeOffload(p, d.NewTask(app), app.CodeSize(), gw)
+		est, _, _, err = d.MaybeOffload(p, d.NewTask(app), app.CodeSize(), gw)
 		if err != nil {
 			t.Error(err)
 		}
 	})
 	e.Run()
-	if offloaded {
+	if est.ShouldOffload() {
 		t.Fatal("decision engine offloaded a 4.5MB transfer over 0.38Mbps 3G")
 	}
 	if gw.prepared != 0 {
@@ -197,13 +199,16 @@ func TestDecisionOffloadsComputeOnLAN(t *testing.T) {
 	gw := newFake(e)
 	gw.prepDelay = 0
 	app, _ := workload.ByName(workload.NameLinpack)
-	var offloaded bool
+	var est Estimate
 	e.Spawn("t", func(p *sim.Proc) {
-		offloaded, _, _, _ = d.MaybeOffload(p, d.NewTask(app), app.CodeSize(), gw)
+		est, _, _, _ = d.MaybeOffload(p, d.NewTask(app), app.CodeSize(), gw)
 	})
 	e.Run()
-	if !offloaded {
+	if !est.ShouldOffload() {
 		t.Fatal("decision engine kept pure compute local on LAN WiFi")
+	}
+	if gw.pre == nil {
+		t.Fatal("the offloaded task carries no Precomputed: the cloud runs the estimate's kernel again")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"rattrap/internal/core"
 	"rattrap/internal/host"
+	"rattrap/internal/workload"
 )
 
 // TestClaimsNameTheirID evaluates the claims over doctored oracles, with no
@@ -42,6 +43,20 @@ func TestClaimsNameTheirID(t *testing.T) {
 			Kinds:       []core.Kind{r, wo, vm},
 		}}
 	}
+	figure10 := func(rattrapChess float64) *Oracle {
+		r, wo, vm := core.KindRattrap, core.KindRattrapWO, core.KindVM
+		f := &Figure10{Norm: make(map[string]map[string]map[core.Kind]float64),
+			Profiles: []string{"LAN WiFi", "3G"}, Kinds: []core.Kind{r, wo, vm}}
+		for _, app := range workload.Apps() {
+			f.Order = append(f.Order, app.Name())
+			f.Norm[app.Name()] = map[string]map[core.Kind]float64{
+				"LAN WiFi": {r: 0.15, wo: 0.38, vm: 0.52},
+				"3G":       {r: 1, wo: 1, vm: 1}, // run locally on every platform
+			}
+		}
+		f.Norm[workload.NameChess]["LAN WiFi"][r] = rattrapChess
+		return &Oracle{Figure10: f}
+	}
 	for _, tc := range []struct {
 		name, artefact string
 		good, bad      *Oracle
@@ -51,6 +66,10 @@ func TestClaimsNameTheirID(t *testing.T) {
 			"table1.setup.vm = 14.91 s, band 25–33 s",
 			"table1.setup-speedup.wo = 2.23x, band 3.5–5x",
 			"table1.setup-speedup.rattrap = 8.6x, band 13–20x",
+		}},
+		{"Rattrap chess energy near the VM", "Figure 10", figure10(0.15), figure10(0.45), []string{
+			"fig10.order = -0.070, band > 0",
+			"fig10.advantage.ChessGame.lan = 1.16x, band ≥ 1.2x",
 		}},
 		{"Rattrap fails more often than the VM", "Figure 11", figure11(0), figure11(0.10), []string{
 			"fig11.failure.rattrap = 10.0%, band 0–3%",

@@ -26,9 +26,9 @@ func goldenRun(t *testing.T, seed int64) string {
 	}
 	var b strings.Builder
 	for _, rec := range res.Records {
-		fmt.Fprintf(&b, "%s/%s #%d start=%d end=%d ph=%+v off=%v err=%q energy=%.9f\n",
+		fmt.Fprintf(&b, "%s/%s #%d start=%d end=%d ph=%+v off=%v err=%q energy=%.9f local=%d speedup=%.9f local-energy=%.9f\n",
 			rec.Device, rec.App, rec.Index, rec.Start, rec.End, rec.Phases,
-			rec.Offloaded, rec.Err, rec.EnergyJ)
+			rec.Offloaded, rec.Err, rec.EnergyJ, rec.Local, rec.Speedup, rec.LocalEnergyJ)
 		for _, sr := range rec.Span.Stages() {
 			fmt.Fprintf(&b, "  %s %d\n", sr.Stage, sr.Dur.Nanoseconds())
 		}

@@ -81,14 +81,13 @@ func RunTrace(tcfg trace.Config, idleTimeout time.Duration) (*Figure11, error) {
 // replay runs the trace open-loop against one platform and returns the
 // ChessGame speedups. "For fair comparison, we use a separate experiment
 // to obtain the local execution time for calculating speedup" — local
-// times come from the reference registry, not the loaded server.
+// times are the device's estimate, not the loaded server.
 func replay(seed int64, kind core.Kind, events []trace.Event, idleTimeout time.Duration) ([]float64, error) {
 	e := sim.NewEngine(seed)
 	cfg := core.DefaultConfig(kind)
 	cfg.IdleTimeout = idleTimeout
 	pl := core.New(e, cfg)
 	profiles := traceProfiles()
-	refReg := workload.NewRegistry()
 
 	devices := make([]*device.Device, len(profiles))
 	for i := range devices {
@@ -111,22 +110,19 @@ func replay(seed int64, kind core.Kind, events []trace.Event, idleTimeout time.D
 					runErr = err
 					return
 				}
-				task := dev.NewTask(app)
-				m, err := refReg.Execute(task)
-				if err != nil {
-					runErr = err
+				est, ph, _, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), pl)
+				if err != nil && !est.ShouldOffload() {
+					runErr = err // the task's kernel failed
 					return
 				}
-				local := localTime(m)
-				offloaded, ph, _, err := dev.MaybeOffload(p, task, app.CodeSize(), pl)
-				if ev.App != workload.NameChess || !offloaded {
+				if ev.App != workload.NameChess || !est.ShouldOffload() {
 					return // the paper presents the ChessGame CDF
 				}
 				if err != nil {
 					speedups = append(speedups, 0) // hard failure
 					return
 				}
-				speedups = append(speedups, float64(local)/float64(ph.Response()))
+				speedups = append(speedups, float64(est.LocalTime)/float64(ph.Response()))
 			})
 		})
 	}

@@ -13,12 +13,10 @@ import (
 
 	"rattrap/internal/core"
 	"rattrap/internal/device"
-	"rattrap/internal/host"
 	"rattrap/internal/metrics"
 	"rattrap/internal/netsim"
 	"rattrap/internal/obs"
 	"rattrap/internal/offload"
-	"rattrap/internal/power"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
@@ -106,15 +104,6 @@ func newDevice(e *sim.Engine, name string) (*device.Device, error) {
 	return device.New(e, name, netsim.LANWiFi())
 }
 
-// localTime models running the task on the reference handset: its work at
-// device speed plus its I/O on device flash.
-func localTime(m workload.Metrics) time.Duration {
-	cfg := host.MobileDevice("ref")
-	secs := float64(m.Work)/cfg.CoreMops +
-		float64(m.IORead+m.IOWrite)/float64(host.MB)/cfg.DiskSeqMBps
-	return time.Duration(secs * float64(time.Second))
-}
-
 // Run executes the experiment.
 func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Devices <= 0 || cfg.RequestsPerDevice <= 0 || len(cfg.Apps) == 0 {
@@ -132,7 +121,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	// Fig. 2's server timelines (ServerCPU, ServerIORead, ServerIOWrite).
 	pl.Server.RecordTimelines()
-	refReg := workload.NewRegistry() // reference executions for local time
 
 	res := &RunResult{Cfg: cfg}
 	var runErr error
@@ -148,23 +136,19 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			for r := 0; r < cfg.RequestsPerDevice; r++ {
 				appName := cfg.Apps[r%len(cfg.Apps)]
 				app, _ := workload.ByName(appName)
-				task := dev.NewTask(app)
-				m, err := refReg.Execute(task)
-				if err != nil {
-					runErr = err
+				rec := RequestRecord{Device: dev.Name, App: appName, Index: r, Start: e.Now()}
+				before := dev.Meter.Joules
+				est, ph, result, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), pl)
+				offloaded := est.ShouldOffload()
+				if err != nil && !offloaded {
+					runErr = err // the task's kernel failed
 					return
 				}
-				local := localTime(m)
-				rec := RequestRecord{
-					Device: dev.Name, App: appName, Index: r,
-					Start: e.Now(), Local: local,
-					LocalEnergyJ: power.LocalEnergy(local),
-				}
-				before := dev.Meter.Joules
-				offloaded, ph, result, err := dev.MaybeOffload(p, task, app.CodeSize(), pl)
 				rec.End = e.Now()
 				rec.Phases = ph
 				rec.Offloaded = offloaded
+				rec.Local = est.LocalTime
+				rec.LocalEnergyJ = est.LocalEnergyJ
 				if offloaded {
 					rec.Span = dev.LastSpan()
 				}
@@ -172,7 +156,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 				if err != nil {
 					rec.Err = err.Error()
 				} else if resp := ph.Response(); offloaded && resp > 0 {
-					rec.Speedup = float64(local) / float64(resp)
+					rec.Speedup = float64(est.LocalTime) / float64(resp)
 					rec.Err = result.Err
 				}
 				res.Records = append(res.Records, rec)

@@ -167,24 +167,6 @@ func (c CDF) FractionBelow(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Points samples the CDF at n evenly spaced x positions across the data
-// range, for plotting as "x value, cumulative fraction" rows.
-func (c CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		if n == 1 {
-			x = hi
-		}
-		out = append(out, [2]float64{x, c.At(x)})
-	}
-	return out
-}
-
 // Table renders aligned plain-text tables for the harness output.
 type Table struct {
 	Title   string

@@ -49,20 +49,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][1] != 0.5 { // at x=0: P(X<=0) = 0.5
-		t.Fatalf("first point = %v", pts[0])
-	}
-	if pts[10][0] != 10 || pts[10][1] != 1 {
-		t.Fatalf("last point = %v", pts[10])
-	}
-}
-
 // Property: CDF is monotone and bounded in [0,1].
 func TestPropertyCDFMonotone(t *testing.T) {
 	f := func(xs []float64, probes []float64) bool {

@@ -64,10 +64,11 @@ type ExecRequest struct {
 
 	// pre carries an ahead-of-time execution of the request's task (see
 	// workload.Precomputed). Unexported for the same reason as span: it is
-	// cloud-internal and never on the wire. The realtime server runs the
+	// in-process only and never on the wire. The realtime server runs the
 	// real computation on the request's worker goroutine — outside the
 	// serialized engine — and the runtime returns this result instead of
-	// recomputing under the engine lock.
+	// recomputing under the engine lock; a simulated device attaches the
+	// run its offload estimate already made.
 	pre *workload.Precomputed
 
 	// abort is the request's cancellation signal: when it fires, a
@@ -79,7 +80,8 @@ type ExecRequest struct {
 }
 
 // NewExecRequest is the request that offloads task from deviceID; the AID
-// follows from the app and the size of its code.
+// follows from the app and the size of its code. The task's precomputed
+// outcome, if it has one, rides along.
 func NewExecRequest(deviceID string, task workload.Task, codeSize host.Bytes) ExecRequest {
 	return ExecRequest{
 		DeviceID:      deviceID,
@@ -92,6 +94,7 @@ func NewExecRequest(deviceID string, task workload.Task, codeSize host.Bytes) Ex
 		FileBytes:     task.FileBytes,
 		RoundTrips:    task.RoundTrips,
 		InteractBytes: task.InteractBytes,
+		pre:           task.Precomputed(),
 	}
 }
 

@@ -112,24 +112,3 @@ func Generate(cfg Config) ([]Event, error) {
 	})
 	return events, nil
 }
-
-// FilterApp returns only the events for one app (Figure 11 presents
-// ChessGame).
-func FilterApp(events []Event, app string) []Event {
-	var out []Event
-	for _, ev := range events {
-		if ev.App == app {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// CountByApp tallies events per app.
-func CountByApp(events []Event) map[string]int {
-	m := make(map[string]int)
-	for _, ev := range events {
-		m[ev.App]++
-	}
-	return m
-}

@@ -3,8 +3,6 @@ package trace
 import (
 	"testing"
 	"time"
-
-	"rattrap/internal/workload"
 )
 
 func TestGenerateSortedAndBounded(t *testing.T) {
@@ -57,7 +55,10 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateCoversAllApps(t *testing.T) {
 	events, _ := Generate(DefaultConfig(3))
-	counts := CountByApp(events)
+	counts := make(map[string]int)
+	for _, ev := range events {
+		counts[ev.App]++
+	}
 	for _, app := range DefaultConfig(0).Apps {
 		if counts[app] == 0 {
 			t.Errorf("app %s never appears", app)
@@ -95,19 +96,6 @@ func TestBurstiness(t *testing.T) {
 	}
 	if long == 0 {
 		t.Error("no inter-session gaps")
-	}
-}
-
-func TestFilterApp(t *testing.T) {
-	events, _ := Generate(DefaultConfig(2))
-	chess := FilterApp(events, workload.NameChess)
-	if len(chess) == 0 {
-		t.Fatal("no chess events")
-	}
-	for _, ev := range chess {
-		if ev.App != workload.NameChess {
-			t.Fatalf("filter leaked %s", ev.App)
-		}
 	}
 }
 

@@ -72,6 +72,9 @@ type Precomputed struct {
 // executing the task then returns it instead of running the app again.
 func (t *Task) SetPrecomputed(p *Precomputed) { t.pre = p }
 
+// Precomputed returns the attached outcome, nil when there is none.
+func (t Task) Precomputed() *Precomputed { return t.pre }
+
 // UploadBytes is the modeled size of everything the request pushes to the
 // cloud except mobile code.
 func (t Task) UploadBytes() host.Bytes { return t.ParamBytes + t.FileBytes }
