@@ -20,18 +20,18 @@ echo "== go test -race"
 # One tier. `make race` keeps the run's output in race.log (git-ignored) and,
 # on a failure, prints the failing tests' lines: a flake that does not
 # reproduce is still on disk. On two Xeon cores the full suite is ~17 s
-# plain and 126-128 s under the race detector (uncached test results, warm
-# build cache; 161-167 s before a request's kernel ran once, in alternated
-# pairs). cmd/rattrap-bench is still the critical path (50 s beside the other
-# packages, 95-99 s before; internal/workload 33-34 s, internal/core
-# 24-29 s, internal/experiments 16-19 s, internal/cluster 17-19 s); the
-# per-package budget is several times the slowest package. `make race-top`
-# attributes cmd/rattrap-bench and internal/experiments per test: the paper
-# oracle (TestPaperOracle, every table, figure and claim once) takes 32 s
-# alone (66-69 s before) and 38.5 s beside internal/experiments, the
-# parallel-vs-sequential comparison and trace pins 7.2 + 6.0 s, the faults
-# determinism run 5.7 s, the BENCH_*.json reports 5.3 s and the suite gate
-# regressions 3.2 s.
+# plain and 101-118 s under the race detector (uncached test results, warm
+# build cache, four alternated pairs; 123-147 s before image paths were built
+# once per process and a layer kept its size). cmd/rattrap-bench is still the
+# critical path (38-42 s beside the other packages, 50-58 s before;
+# internal/workload 30-37 s, internal/core 19-25 s, internal/cluster 14-16 s,
+# internal/experiments 11-14 s); the per-package budget is several times the
+# slowest package. `make race-top` attributes cmd/rattrap-bench and
+# internal/experiments per test: the paper oracle (TestPaperOracle, every
+# table, figure and claim once) takes 25-26 s beside internal/experiments
+# (33-34 s before), the faults determinism run 5.2 s, the trace and
+# parallel-vs-sequential pins 4.6 + 4.3 s, the BENCH_*.json reports 4.3 s and
+# the suite gate regressions 2.8 s.
 make race
 
 echo "== benchmark module (nested: root go build/test do not reach it)"

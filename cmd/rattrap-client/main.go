@@ -179,9 +179,10 @@ func main() {
 		os.Exit(2)
 	}
 	rng := rand.New(rand.NewSource(*seed))
+	code := offload.CodePush{AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name(), Size: app.CodeSize()}
 	reqs := make([]offload.ExecRequest, max(*n, 0))
 	for i := range reqs {
-		reqs[i] = offload.NewExecRequest(*deviceID, app.NewTask(rng, i), app.CodeSize())
+		reqs[i] = offload.NewExecRequest(*deviceID, app.NewTask(rng, i), code.AID)
 	}
 	o := &offloader{
 		dial:     func() (net.Conn, error) { return net.Dial("tcp", *server) },
@@ -189,7 +190,7 @@ func main() {
 		depth:    *pipeline,
 		policy:   offload.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}.WithDefaults(),
 		rng:      rng,
-		code:     offload.CodePush{AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name(), Size: app.CodeSize()},
+		code:     code,
 		out:      os.Stdout,
 	}
 	if err := o.run(reqs); err != nil {

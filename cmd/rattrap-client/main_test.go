@@ -69,7 +69,7 @@ func TestRetryAnswersFromDedupWindow(t *testing.T) {
 		}
 		requests := func(from, to int) (reqs []offload.ExecRequest) {
 			for seq := from; seq < to; seq++ {
-				reqs = append(reqs, offload.NewExecRequest(o.deviceID, app.NewTask(rng, seq), app.CodeSize()))
+				reqs = append(reqs, offload.NewExecRequest(o.deviceID, app.NewTask(rng, seq), o.code.AID))
 			}
 			return reqs
 		}

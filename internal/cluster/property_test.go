@@ -44,8 +44,7 @@ type propWorld struct {
 	cl       *Cluster
 	reg      *obs.Registry
 	rng      *rand.Rand
-	sizes    []host.Bytes
-	aids     []string
+	codes    []offload.Code
 	served   map[string]bool // AIDs some request succeeded for
 	epoch    uint64          // the highest epoch observed
 	reqs     int             // requests started
@@ -70,9 +69,7 @@ func newPropWorld(t *testing.T, seed int64) *propWorld {
 	w.reg = obs.NewRegistry()
 	w.cl.SetObs(w.reg)
 	for i := 0; i < 12; i++ {
-		size := 512*host.KB + host.Bytes(i)
-		w.sizes = append(w.sizes, size)
-		w.aids = append(w.aids, offload.AID(workload.NameLinpack, size))
+		w.codes = append(w.codes, offload.CodeOf(workload.NameLinpack, 512*host.KB+host.Bytes(i)))
 	}
 	return w
 }
@@ -122,8 +119,8 @@ func (w *propWorld) request(i int, chunked bool) {
 			App: workload.NameLinpack, Method: "solve", Seq: seq,
 			Params: workload.EncodeLinpackParams(int64(seq), 8), ParamBytes: 500,
 		}
-		if _, err := c.Attempt(p, w.cl, task, w.sizes[i], nil); err == nil {
-			w.served[w.aids[i]] = true
+		if _, err := c.Attempt(p, w.cl, task, w.codes[i], nil); err == nil {
+			w.served[w.codes[i].AID] = true
 		}
 		w.returned++
 		w.observeEpoch(fmt.Sprintf("request %d", seq))
@@ -134,8 +131,8 @@ func (w *propWorld) request(i int, chunked bool) {
 // Live shard, and the cluster stops growing at eight slots.
 func (w *propWorld) step(p *sim.Proc) {
 	var fresh, served []int
-	for i, aid := range w.aids {
-		if w.served[aid] {
+	for i, code := range w.codes {
+		if w.served[code.AID] {
 			served = append(served, i)
 		} else {
 			fresh = append(fresh, i)

@@ -379,13 +379,13 @@ func TestDeviceRetrySurvivesShardFailure(t *testing.T) {
 	e := sim.NewEngine(13)
 	cl := NewReplicated(e, core.DefaultConfig(core.KindRattrap), 3, 2)
 	app, _ := workload.ByName(workload.NameLinpack)
-	size := app.CodeSize()
-	primary := cl.Owner(offload.AID(app.Name(), size))
+	code := offload.CodeOf(app.Name(), app.CodeSize())
+	primary := cl.Owner(code.AID)
 	c := device.Client{ID: "phone-1", Link: netsim.NewLink(e, netsim.LANWiFi())}
 	rng := rand.New(rand.NewSource(13))
 
 	e.Spawn("first", func(p *sim.Proc) {
-		if _, err := c.Attempt(p, cl, app.NewTask(rng, 0), size, nil); err != nil {
+		if _, err := c.Attempt(p, cl, app.NewTask(rng, 0), code, nil); err != nil {
 			t.Errorf("first offload: %v", err)
 		}
 	})
@@ -398,7 +398,7 @@ func TestDeviceRetrySurvivesShardFailure(t *testing.T) {
 		task, rp := app.NewTask(rng, 1), offload.RetryPolicy{}.WithDefaults()
 		for attempt := 1; ; attempt++ {
 			var err error
-			x, err = c.Attempt(p, crashAfterPrepare{cl, primary}, task, size, nil)
+			x, err = c.Attempt(p, crashAfterPrepare{cl, primary}, task, code, nil)
 			codeUp += x.Traffic.CodeUp
 			if err == nil {
 				return

@@ -71,7 +71,7 @@ func TestStopRuntimeTeardownFaultReclaimsSlot(t *testing.T) {
 	pl.SetTeardownFault(func(p *sim.Proc, id string) error { return faultErr })
 
 	e.Spawn("t", func(p *sim.Proc) {
-		sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+		sl, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -97,7 +97,7 @@ func TestStopRuntimeTeardownFaultReclaimsSlot(t *testing.T) {
 		// Capacity restored: the 1-slot pool can boot a fresh runtime.
 		// Before the fix this booted nothing (slots.n was still 1) and the
 		// request parked forever.
-		sl2, err := pl.acquireSlot(p, "app-A", nil, nil)
+		sl2, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Errorf("acquire after failed teardown: %v", err)
 			return
@@ -155,7 +155,7 @@ func TestAbortQueuedWaiter(t *testing.T) {
 
 	var holder *slot
 	e.Spawn("holder", func(p *sim.Proc) {
-		sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+		sl, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -165,7 +165,7 @@ func TestAbortQueuedWaiter(t *testing.T) {
 	var aborted error
 	e.At(sim.Time(3*time.Second), func() {
 		e.Spawn("victim", func(p *sim.Proc) {
-			_, aborted = pl.acquireSlot(p, "app-A", nil, abort)
+			_, aborted = pl.acquire(p, "app-A", nil, abort)
 		})
 	})
 	e.At(sim.Time(4*time.Second), func() {
@@ -181,7 +181,7 @@ func TestAbortQueuedWaiter(t *testing.T) {
 			if st := holder.info.State; st != LifecycleIdle {
 				t.Errorf("slot after release = %s, want idle", st)
 			}
-			sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+			sl, err := pl.acquire(p, "app-A", nil, nil)
 			if err != nil || sl != holder {
 				t.Errorf("live acquire after abort = %v, %v; want the idle slot", sl, err)
 				return
@@ -211,7 +211,7 @@ func TestAbortAfterHandoffReReleases(t *testing.T) {
 
 	var holder *slot
 	e.Spawn("holder", func(p *sim.Proc) {
-		sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+		sl, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -221,7 +221,7 @@ func TestAbortAfterHandoffReReleases(t *testing.T) {
 	var aborted error
 	e.At(sim.Time(3*time.Second), func() {
 		e.Spawn("victim", func(p *sim.Proc) {
-			_, aborted = pl.acquireSlot(p, "app-A", nil, abort)
+			_, aborted = pl.acquire(p, "app-A", nil, abort)
 		})
 	})
 	// Same virtual instant, in event order: the abort fires (queueing its

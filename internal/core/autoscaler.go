@@ -79,13 +79,17 @@ type autoscaler struct {
 	surplus int     // consecutive ticks with capacity above target
 	backoff int     // ticks the grow path still sits out after a failed boot
 	strikes int     // consecutive failed loop boots (bootGiveUp)
-	pending bool    // a tick event is scheduled
+	pending bool    // timer is armed
 	ticks   int     // lifetime tick count (tests, debugging)
+	// timer runs tick; pending keeps it armed at most once at a time, so
+	// one timer serves every tick of the platform's life.
+	timer *sim.Timer
 }
 
 func newAutoscaler(pl *Platform) *autoscaler {
 	a := &autoscaler{pl: pl}
 	a.limit = a.floorLimit()
+	a.timer = pl.E.NewTimer(a.tick)
 	return a
 }
 
@@ -107,7 +111,7 @@ func (pl *Platform) kickScaler() {
 		return
 	}
 	a.pending = true
-	pl.E.After(tickInterval, a.tick)
+	a.timer.After(tickInterval)
 }
 
 // poolCap is the dispatcher's current boot ceiling: the static
@@ -220,7 +224,7 @@ func (a *autoscaler) tick() {
 		(a.limit > a.floorLimit() && a.limit > want)
 	if busy {
 		a.pending = true
-		pl.E.After(tickInterval, a.tick)
+		a.timer.After(tickInterval)
 	}
 }
 

@@ -29,7 +29,7 @@ func BenchmarkDispatcherAcquire(b *testing.B) {
 	e.Spawn("warm", func(p *sim.Proc) {
 		held := make([]*slot, pool)
 		for i := 0; i < pool; i++ {
-			sl, err := pl.acquireSlot(p, aids[i], nil, nil)
+			sl, err := pl.acquire(p, aids[i], nil, nil)
 			if err != nil {
 				b.Error(err)
 				return
@@ -52,7 +52,7 @@ func BenchmarkDispatcherAcquire(b *testing.B) {
 	b.ResetTimer()
 	e.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			sl, err := pl.acquireSlot(p, aids[i%pool], nil, nil)
+			sl, err := pl.acquire(p, aids[i%pool], nil, nil)
 			if err != nil {
 				b.Error(err)
 				return

@@ -58,10 +58,10 @@ func (w *churnWorld) checkQuiescent() error {
 		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters", pl.RuntimeCount(), pl.QueueLength())
 	}
 	// A live entry explains a cached file when a runtime loaded it from a
-	// reassembled blob (codeCacheKey); plain blobs sit on tmpfs.
+	// reassembled blob (the entry's page); plain blobs sit on tmpfs.
 	rest := pl.Server.CachedFiles()
-	for aid := range pl.warehouse.entries {
-		if pl.Server.Cached(codeCacheKey(aid)) {
+	for _, e := range pl.warehouse.entries {
+		if pl.Server.CachedPage(&e.page) {
 			rest--
 		}
 	}

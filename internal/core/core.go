@@ -256,7 +256,7 @@ type slot struct {
 }
 
 type waiter struct {
-	sig sim.Signal // by value: a queued request is one allocation
+	sig sim.Signal // by value: a waiter lives in its request's queuedSession
 	sl  *slot
 	// aborted is set by the request's abort signal firing while queued;
 	// an aborted waiter is skipped by popLiveWaiter, and if a release won
@@ -636,11 +636,19 @@ func (pl *Platform) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Sessi
 	if tbl.Blocked {
 		return nil, fmt.Errorf("%w: %s: %w", ErrBlocked, req.App, ErrAppBlocked)
 	}
-	sl, err := pl.acquireSlot(p, req.AID, req.Span(), req.Abort())
+	sl, queue, err := pl.acquireSlot(p, req.AID, req.Span(), req.Abort())
+	var s *session
+	if queue {
+		q := &queuedSession{session: session{pl: pl, req: req}}
+		sl, err = pl.waitSlot(p, &q.seat, req.Span(), req.Abort())
+		s = &q.session
+	} else {
+		s = &session{pl: pl, req: req}
+	}
 	if err != nil {
 		return nil, err
 	}
-	s := &session{pl: pl, sl: sl, req: req}
+	s.sl = sl
 	s.needCode = !sl.rt.CodeLoaded(req.AID)
 	if s.needCode && pl.warehouse != nil {
 		switch {
@@ -680,6 +688,14 @@ type session struct {
 	pushed   bool
 	claimed  bool        // this session owns the in-flight push for its AID
 	waitPush *sim.Signal // fires when another session's push lands
+}
+
+// queuedSession is the session of a request that had to wait for a slot,
+// with its seat in the wait ring, so a queued request allocates one object.
+// A request served at once gets a plain session, a size class smaller.
+type queuedSession struct {
+	session
+	seat waiter
 }
 
 // NeedCode reports whether the device must transfer the mobile code.

@@ -135,15 +135,14 @@ var ErrAborted = errors.New("core: request aborted while queued")
 // errQueueClosed turns away a request RejectQueued left no queue to wait in.
 var errQueueClosed = errors.New("core: dispatcher queue rejected (pool retired)")
 
-// acquireSlot implements the Dispatcher's allocation policy. sp, when
-// non-nil, receives the boot / queue-wait sub-stage durations of this
-// allocation (virtual time). abort, when non-nil, is the request's
-// cancellation signal: if it fires while the request is parked in the
-// wait ring, the wait ends with ErrAborted instead of occupying a queue
-// seat (and eventually a slot) for a caller that is gone.
-func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *sim.Signal) (*slot, error) {
+// acquireSlot implements the Dispatcher's allocation policy up to the
+// wait ring: it returns a slot, an error, or queue set when the request
+// must wait for a release (waitSlot). sp, when non-nil, receives the boot
+// sub-stage duration of this allocation (virtual time). abort, when
+// non-nil, is the request's cancellation signal.
+func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *sim.Signal) (_ *slot, queue bool, _ error) {
 	if abort != nil && abort.Fired() {
-		return nil, ErrAborted
+		return nil, false, ErrAborted
 	}
 	// 1.–2. Idle runtime, best one first: the Scheduler prefers a runtime
 	//    that already loaded this code (cache-table CID affinity: "saves
@@ -153,7 +152,7 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		if affinity && pl.om != nil {
 			pl.om.affinityHits.Inc()
 		}
-		return sl, nil
+		return sl, false, nil
 	}
 	// 3. Grow the pool — up to the static MaxRuntimes, or up to the
 	//    autoscaler's elastic boot ceiling when the control loop runs.
@@ -170,7 +169,7 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 				sp.Add(obs.StageTemplateClone, d) // sub-stage view of the boot
 			}
 		}
-		return sl, err
+		return sl, false, err
 	}
 	// 4. Bounded admission: with the wait ring at its configured depth,
 	//    reject with a typed overload error and a retry-after hint rather
@@ -180,13 +179,21 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		if pl.om != nil {
 			pl.om.overloadRejects.Inc()
 		}
-		return nil, &offload.OverloadedError{QueueDepth: pl.waitQ.len(), RetryAfter: pl.retryAfterHint()}
+		return nil, false, &offload.OverloadedError{QueueDepth: pl.waitQ.len(), RetryAfter: pl.retryAfterHint()}
 	}
 	// 5. Queue FIFO for the next release.
 	if pl.queueClosed {
-		return nil, errQueueClosed
+		return nil, false, errQueueClosed
 	}
-	w := &waiter{}
+	return nil, true, nil
+}
+
+// waitSlot parks a request acquireSlot could not serve in the wait ring,
+// on w, until a release hands it a slot. sp, when non-nil, receives the
+// queue-wait sub-stage. If abort fires while the request is parked, the
+// wait ends with ErrAborted instead of occupying a queue seat (and
+// eventually a slot) for a caller that is gone.
+func (pl *Platform) waitSlot(p *sim.Proc, w *waiter, sp *obs.Span, abort *sim.Signal) (*slot, error) {
 	w.sig.Init(pl.E)
 	if abort != nil {
 		// The callback stays registered on the abort signal for its

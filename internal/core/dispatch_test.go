@@ -6,10 +6,21 @@ import (
 	"time"
 
 	"rattrap/internal/host"
+	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
 )
+
+// acquire is Prepare's dispatch without a session: acquireSlot, then
+// waitSlot on a waiter of its own when the request must queue.
+func (pl *Platform) acquire(p *sim.Proc, aid string, sp *obs.Span, abort *sim.Signal) (*slot, error) {
+	sl, queue, err := pl.acquireSlot(p, aid, sp, abort)
+	if queue {
+		return pl.waitSlot(p, new(waiter), sp, abort)
+	}
+	return sl, err
+}
 
 func TestWaiterRingFIFO(t *testing.T) {
 	var r waiterRing
@@ -93,7 +104,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 	pl := New(e, cfg)
 	codeSize := 4 * host.MB
 	e.Spawn("t", func(p *sim.Proc) {
-		slA, err := pl.acquireSlot(p, "app-A", nil, nil)
+		slA, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -102,7 +113,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		slB, err := pl.acquireSlot(p, "app-B", nil, nil) // slA busy: boots a second slot
+		slB, err := pl.acquire(p, "app-B", nil, nil) // slA busy: boots a second slot
 		if err != nil {
 			t.Error(err)
 			return
@@ -119,7 +130,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 		pl.releaseSlot(slB) // indexed under app-B
 
 		// Affinity routes app-A back to slA while it lives...
-		got, err := pl.acquireSlot(p, "app-A", nil, nil)
+		got, err := pl.acquire(p, "app-A", nil, nil)
 		if err != nil || got != slA {
 			t.Errorf("affinity pick = %v, %v; want %s", got, err, slA.id)
 			return
@@ -132,7 +143,7 @@ func TestDispatcherAffinityIndexSkipsStoppedRuntime(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err = pl.acquireSlot(p, "app-A", nil, nil)
+		got, err = pl.acquire(p, "app-A", nil, nil)
 		if err != nil {
 			t.Error(err)
 			return

@@ -109,7 +109,7 @@ func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
 				for round := 0; round < 6; round++ {
 					faulty = round > 2
 					before := pl.Server.CachedFiles()
-					sl, err := pl.acquireSlot(p, "app-A", nil, nil)
+					sl, err := pl.acquire(p, "app-A", nil, nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -148,11 +148,11 @@ func TestStoppedRuntimesLeaveNoPageCacheKeys(t *testing.T) {
 }
 
 // TestDroppedChunkedCodeLeavesPageCache: a chunk-pushed code has no staged
-// blob file, so a runtime loading it caches the reassembled blob under a key
-// of its own (codeCacheKey). The key must leave the page cache with
-// the warehouse entry; nothing else ever names it again. Distinct AIDs pushed
-// through a capacity-bounded warehouse keep it evicting, and the page cache
-// may then hold one such key per live entry and not one more.
+// blob file, so a runtime loading it caches the reassembled blob in a page
+// its warehouse entry owns. The page must leave the page cache with the
+// entry; nothing else ever reaches it again. Distinct AIDs pushed through a
+// capacity-bounded warehouse keep it evicting, and the page cache may then
+// hold one such page per live entry and not one more.
 func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig(KindRattrap)
@@ -162,7 +162,7 @@ func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
 	d.EnableChunkedPush(true)
 	app, _ := workload.ByName(workload.NameLinpack)
 
-	var aids []string
+	var pushed []*cacheEntry
 	e.Spawn("flow", func(p *sim.Proc) {
 		steady := -1
 		for i := 0; i < 40; i++ {
@@ -171,16 +171,16 @@ func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			aids = append(aids, offload.AID(app.Name(), size))
+			pushed = append(pushed, pl.warehouse.entries[offload.AID(app.Name(), size)])
 			live := 0
-			for _, aid := range aids {
-				if _, ok := pl.warehouse.Lookup(aid); ok {
+			for _, en := range pushed {
+				if cur, ok := pl.warehouse.entries[en.AID]; ok && cur == en {
 					live++
-				} else if pl.Server.Cached(codeCacheKey(aid)) {
-					t.Errorf("push %d: the page cache still holds the blob of dropped code %s", i, aid)
+				} else if pl.Server.CachedPage(&en.page) {
+					t.Errorf("push %d: the page cache still holds the blob of dropped code %s", i, en.AID)
 				}
 			}
-			if !pl.Server.Cached(codeCacheKey(aids[i])) {
+			if !pl.Server.CachedPage(&pushed[i].page) {
 				t.Errorf("push %d: the loaded blob is not in the page cache; the test observes nothing", i)
 			}
 			switch rest := pl.Server.CachedFiles() - live; {
@@ -194,6 +194,46 @@ func TestDroppedChunkedCodeLeavesPageCache(t *testing.T) {
 	e.Run()
 	if n := pl.warehouse.Evictions(); n < 10 {
 		t.Fatalf("the warehouse evicted %d entries; the test needs it to keep evicting", n)
+	}
+}
+
+// TestLoadOfDroppedChunkedCodeWarmsNothing: a runtime's read of a chunked
+// code's reassembled blob blocks on the disk. An entry dropped while it
+// blocks has had its page evicted already, and the read's return must not
+// make it resident again: nothing would ever evict it after that.
+func TestLoadOfDroppedChunkedCodeWarmsNothing(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		e := sim.NewEngine(1)
+		pl := New(e, DefaultConfig(KindRattrap))
+		w := pl.warehouse
+		size := 4 * offload.ChunkSize
+		aid := offload.AID("app", size)
+		var en *cacheEntry
+		e.Spawn("load", func(p *sim.Proc) {
+			hashes := offload.SyntheticManifest("app", size)
+			if err := w.PutChunked(p, aid, "app", size, hashes, w.MissingChunks(hashes)); err != nil {
+				t.Error(err)
+				return
+			}
+			en = w.entries[aid]
+			if drop { // runs while the read below waits on the disk
+				e.Spawn("drop", func(*sim.Proc) { w.dropEntry(en) })
+			}
+			start := e.Now()
+			if err := w.load(p, aid, size, 1.0); err != nil {
+				t.Error(err)
+			}
+			if e.Now() == start {
+				t.Error("the load did not block; the test observes nothing")
+			}
+		})
+		e.Run()
+		if en == nil {
+			t.Fatal("no entry was pushed")
+		}
+		if resident := pl.Server.CachedPage(&en.page); resident == drop {
+			t.Errorf("dropped mid-read: %v; the blob's page is resident: %v", drop, resident)
+		}
 	}
 }
 

@@ -31,6 +31,10 @@ type cacheEntry struct {
 	// instead of a private blob (chunked=true).
 	Hashes  []uint64
 	chunked bool
+	// page is the residency, in the store host's page cache, of the blob
+	// runtimes reassemble from a chunked entry's blocks: no staged file
+	// owns it, so the entry does, and dropping the entry evicts it.
+	page host.Page
 
 	// lastBound/seq order entries for least-recently-bound eviction: the
 	// virtual time a container last loaded the code, with the insertion
@@ -262,20 +266,27 @@ type chunkStaging struct {
 	err       error
 }
 
-// codeCacheKey names, in the host page cache, the reassembled blob of a code
-// the warehouse holds only as chunks: there is no staged file to own the
-// residency of a runtime's read, so dropping the entry evicts this key.
-func codeCacheKey(aid string) string { return "code:" + aid }
-
 // load charges a runtime's read of aid's staged code at the runtime's I/O
 // efficiency eff, blocking p: the plain blob off the store, or the blob
-// reassembled from its chunks, cached under codeCacheKey.
+// reassembled from its chunks, resident in the entry's page once read.
 func (w *Warehouse) load(p *sim.Proc, aid string, size host.Bytes, eff float64) error {
-	if e, ok := w.entries[aid]; ok && !e.chunked {
+	e, ok := w.entries[aid]
+	if ok && !e.chunked {
 		_, _, err := w.store.Read(p, e.Path, eff)
 		return err
 	}
-	w.store.Host().DiskRead(p, codeCacheKey(aid), size, true, eff)
+	h := w.store.Host()
+	if ok && h.CachedPage(&e.page) {
+		h.DiskReadPage(p, &e.page, size, true, eff) // served from memory
+		return nil
+	}
+	h.DiskReadPage(p, nil, size, true, eff) // off the disk, warming nothing yet
+	// The read blocked: the entry may have been dropped meanwhile (its page
+	// evicted, not to be made resident again) or dropped and pushed anew,
+	// in which case the blob just read is the new entry's.
+	if e, ok := w.entries[aid]; ok && e.chunked {
+		h.WarmPage(&e.page)
+	}
 	return nil
 }
 
@@ -447,7 +458,7 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		w.bytesGauge.Set(int64(w.stored))
 		return
 	}
-	w.store.Host().Evict(codeCacheKey(e.AID))
+	w.store.Host().EvictPage(&e.page)
 	seen := make(map[uint64]bool, len(e.Hashes))
 	for _, h := range e.Hashes {
 		if seen[h] {

@@ -56,15 +56,16 @@ type attempt struct {
 // abandoned), execute, download the result. Every phase accumulation is
 // mirrored into sp as a top-level stage, and sp rides the request so the
 // platform's sub-stages land in it; nil disables both. A failed attempt
-// still reports what it spent.
-func (c Client) Attempt(p *sim.Proc, gw offload.Gateway, task workload.Task, codeSize host.Bytes, sp *obs.Span) (Exchange, error) {
+// still reports what it spent. code is the task's code blob
+// (offload.CodeOf its app and code size).
+func (c Client) Attempt(p *sim.Proc, gw offload.Gateway, task workload.Task, code offload.Code, sp *obs.Span) (Exchange, error) {
 	a := attempt{Client: c, p: p, sp: sp}
-	err := a.run(gw, task, codeSize)
+	err := a.run(gw, task, code)
 	return a.Exchange, err
 }
 
-func (a *attempt) run(gw offload.Gateway, task workload.Task, codeSize host.Bytes) error {
-	req := offload.NewExecRequest(a.ID, task, codeSize)
+func (a *attempt) run(gw offload.Gateway, task workload.Task, code offload.Code) error {
+	req := offload.NewExecRequest(a.ID, task, code.AID)
 	req.SetSpan(a.sp)
 
 	// A fault while connecting burned the attempt's setup time (accounted
@@ -94,7 +95,7 @@ func (a *attempt) run(gw offload.Gateway, task workload.Task, codeSize host.Byte
 
 	// Duplicate code transfer happens only when the cloud asks for it.
 	if sess.NeedCode() {
-		if err := a.pushCode(sess, req, codeSize); err != nil {
+		if err := a.pushCode(sess, req, code.Size); err != nil {
 			return err
 		}
 	}
@@ -110,7 +111,7 @@ func (a *attempt) run(gw offload.Gateway, task workload.Task, codeSize host.Byte
 		}
 		// The push this session was waiting on aborted and the cloud handed
 		// the claim to us: supply the code, then execute.
-		if err := a.pushCode(sess, req, codeSize); err != nil {
+		if err := a.pushCode(sess, req, code.Size); err != nil {
 			return err
 		}
 	}

@@ -24,6 +24,7 @@ import (
 func TestExchangeTable(t *testing.T) {
 	app, _ := workload.ByName(workload.NameLinpack)
 	size := app.CodeSize()
+	code := offload.CodeOf(app.Name(), size)
 	const (
 		upFront   = "code asked up front"
 		hit       = "warehouse hit"
@@ -87,19 +88,19 @@ func TestExchangeTable(t *testing.T) {
 					}
 					switch source {
 					case hit:
-						if _, err := other.Attempt(p, pl, task(0), size, nil); err != nil {
+						if _, err := other.Attempt(p, pl, task(0), code, nil); err != nil {
 							t.Errorf("%s: other device: %v", name, err)
 						}
 					case coalesced, reclaim:
 						e.Spawn("other", func(p *sim.Proc) {
-							if _, err := other.Attempt(p, pl, task(0), size, nil); (err != nil) != (source == reclaim) {
+							if _, err := other.Attempt(p, pl, task(0), code, nil); (err != nil) != (source == reclaim) {
 								t.Errorf("%s: other device: %v", name, err)
 							}
 						})
 						p.Wait(claimed)
 					}
 					start := e.Now()
-					x, err = subject.Attempt(p, pl, task(1), size, sp)
+					x, err = subject.Attempt(p, pl, task(1), code, sp)
 					elapsed = (e.Now() - start).Duration()
 				})
 				e.Run()

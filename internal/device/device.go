@@ -109,7 +109,7 @@ func (d *Device) Offload(p *sim.Proc, task workload.Task, codeSize host.Bytes, g
 		sp = obs.NewSpan()
 		d.lastSpan = sp
 	}
-	x, err := Client{ID: d.Name, Link: d.Link, Chunked: d.chunked}.Attempt(p, gw, task, codeSize, sp)
+	x, err := Client{ID: d.Name, Link: d.Link, Chunked: d.chunked}.Attempt(p, gw, task, offload.CodeOf(task.App, codeSize), sp)
 	d.traffic.Add(x.Traffic)
 	if err == nil {
 		d.Meter.AddOffload(d.Radio, x.OffloadBreakdown, reqStart.Duration(), d.E.Now().Duration())

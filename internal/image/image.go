@@ -18,6 +18,8 @@ package image
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"rattrap/internal/host"
 	"rattrap/internal/unionfs"
@@ -64,7 +66,30 @@ type FileRef struct {
 // AndroidX86 returns the full Android-x86 4.4 r2 image. The category sizes
 // reproduce the paper's measurements exactly: total 1126 MB (≈1.1 GB),
 // /system 985 MB (87.4%), never-accessed 771 MB (68.4%).
-func AndroidX86() Manifest {
+func AndroidX86() Manifest { return stock()[0].own() }
+
+// stock is AndroidX86, its ForContainer and its Customized, each with its
+// file lists, built once per process: every platform starts from the same
+// three images.
+var stock = sync.OnceValue(func() [3]Manifest {
+	full := androidX86()
+	return [3]Manifest{full, full.forContainer(), full.customized()}
+})
+
+// own returns m with a Cats slice of its own, so a caller that edits a
+// category does not edit the stock image.
+func (m Manifest) own() Manifest {
+	m.Cats = slices.Clone(m.Cats)
+	return m
+}
+
+// isStock reports whether m describes the stock full image.
+func (m Manifest) isStock() bool {
+	full := stock()[0]
+	return m.Name == full.Name && slices.Equal(m.Cats, full.Cats)
+}
+
+func androidX86() Manifest {
 	return withFileLists(Manifest{
 		Name: "android-x86-4.4-r2",
 		Cats: []Category{
@@ -98,6 +123,13 @@ func withFileLists(m Manifest) Manifest {
 // kernel and need no boot/recovery partitions. This is the non-optimized
 // Cloud Android Container rootfs (1.02 GB in Table I).
 func (m Manifest) ForContainer() Manifest {
+	if m.isStock() {
+		return stock()[1].own()
+	}
+	return m.forContainer()
+}
+
+func (m Manifest) forContainer() Manifest {
 	out := Manifest{Name: m.Name + "-container"}
 	for _, c := range m.Cats {
 		if !c.VMOnly {
@@ -113,6 +145,13 @@ func (m Manifest) ForContainer() Manifest {
 // direct returns by the modified runtime. The result is the shared-layer
 // content for optimized Cloud Android Containers.
 func (m Manifest) Customized() Manifest {
+	if m.isStock() {
+		return stock()[2].own()
+	}
+	return m.customized()
+}
+
+func (m Manifest) customized() Manifest {
 	out := Manifest{Name: m.Name + "-custom"}
 	for _, c := range m.Cats {
 		if c.VMOnly || c.Strippable || c.UIService {
@@ -164,9 +203,38 @@ func (m Manifest) StrippableBytes() host.Bytes {
 	return t
 }
 
-// filePath names the i-th file of a category.
-func filePath(c Category, i int) string {
-	return fmt.Sprintf("%s/%s_%04d%s", c.Dir, c.Name, i, c.Ext)
+// paths holds each category's file paths, built once per process under one
+// lock: every platform lays out the same images, and formatting their ~1 300
+// paths anew was most of what building a layer cost. The key is what a path
+// is made of.
+var paths struct {
+	sync.Mutex
+	m map[pathKey][]string
+}
+
+type pathKey struct {
+	dir, name, ext string
+	files          int
+}
+
+// categoryPaths returns the paths of c's files in index order. The list is
+// shared: callers must not modify it.
+func categoryPaths(c Category) []string {
+	k := pathKey{c.Dir, c.Name, c.Ext, c.Files}
+	paths.Lock()
+	defer paths.Unlock()
+	ps, ok := paths.m[k]
+	if !ok {
+		ps = make([]string, c.Files)
+		for i := range ps {
+			ps[i] = fmt.Sprintf("%s/%s_%04d%s", c.Dir, c.Name, i, c.Ext)
+		}
+		if paths.m == nil {
+			paths.m = make(map[pathKey][]string)
+		}
+		paths.m[k] = ps
+	}
+	return ps
 }
 
 // fileSize returns the size of the i-th file: an even split with the
@@ -179,8 +247,8 @@ func fileSize(c Category, i int) host.Bytes {
 	return base
 }
 
-func fileRef(c Category, i int) FileRef {
-	return FileRef{Path: filePath(c, i), Size: fileSize(c, i)}
+func fileRef(path string, size host.Bytes) FileRef {
+	return FileRef{Path: path, Size: size}
 }
 
 // Image is a Manifest materialized as a layer, with the manifest's working
@@ -196,13 +264,13 @@ type Image struct {
 // BuildLayer materializes the manifest as a unionfs layer.
 func (m Manifest) BuildLayer(name string, readOnly bool) *Image {
 	l := unionfs.NewLayer(name, readOnly)
-	add := func(c Category, i int) unionfs.Ref {
-		return l.AddFile(filePath(c, i), fileSize(c, i), nil)
+	add := func(path string, size host.Bytes) unionfs.Ref {
+		return l.AddFile(path, size, nil)
 	}
 	for _, c := range m.Cats {
 		if c.Strippable { // outside the working set; workingSet adds the rest
-			for i := 0; i < c.Files; i++ {
-				add(c, i)
+			for i, p := range categoryPaths(c) {
+				add(p, fileSize(c, i))
 			}
 		}
 	}
@@ -211,13 +279,14 @@ func (m Manifest) BuildLayer(name string, readOnly bool) *Image {
 }
 
 // workingSet calls file once for every file of every non-strippable
-// category, in category then index order, and splits the results in two.
+// category, in category then index order, with the file's path and size,
+// and splits the results in two.
 // boot is what a boot of the image reads: the first BootFrac of each
 // category (UI services included when present, i.e. a full, non-customized
 // boot). onDemand is the rest, interleaved round-robin across categories so
 // the post-boot scan's load is even. Both are non-nil even when empty: to a
 // Manifest nil means "not built".
-func workingSet[T any](cats []Category, file func(c Category, i int) T) (boot, onDemand []T) {
+func workingSet[T any](cats []Category, file func(path string, size host.Bytes) T) (boot, onDemand []T) {
 	boot, onDemand = []T{}, []T{}
 	var perCat [][]T
 	for _, c := range cats {
@@ -226,8 +295,8 @@ func workingSet[T any](cats []Category, file func(c Category, i int) T) (boot, o
 		}
 		n := int(float64(c.Files)*c.BootFrac + 0.5)
 		var rest []T
-		for i := 0; i < c.Files; i++ {
-			if f := file(c, i); i < n {
+		for i, p := range categoryPaths(c) {
+			if f := file(p, fileSize(c, i)); i < n {
 				boot = append(boot, f)
 			} else {
 				rest = append(rest, f)

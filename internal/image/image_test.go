@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rattrap/internal/host"
 	"rattrap/internal/unionfs"
@@ -248,6 +249,50 @@ func TestFileListsBuiltOnce(t *testing.T) {
 	wantBoot, wantOnDemand := referenceLists(lit)
 	if !reflect.DeepEqual(lit.BootFiles(), wantBoot) || !reflect.DeepEqual(lit.OnDemandFiles(), wantOnDemand) {
 		t.Fatal("a Manifest literal enumerates different files than its constructor-built twin")
+	}
+}
+
+// TestStockImagesBuiltOnce: AndroidX86, its ForContainer and its
+// Customized are built once per process. A call copies the category list
+// and nothing else, every call hands out the same file lists, a caller that
+// edits its categories edits neither the stock image nor what the next
+// caller gets, and two layers built from one manifest share every path.
+func TestStockImagesBuiltOnce(t *testing.T) {
+	for name, build := range map[string]func() Manifest{
+		"AndroidX86":   AndroidX86,
+		"ForContainer": func() Manifest { return AndroidX86().ForContainer() },
+		"Customized":   func() Manifest { return AndroidX86().Customized() },
+	} {
+		a, b := build(), build()
+		if &a.BootFiles()[0] != &b.BootFiles()[0] || &a.OnDemandFiles()[0] != &b.OnDemandFiles()[0] {
+			t.Errorf("%s: two calls built two sets of file lists", name)
+		}
+		if &a.Cats[0] == &b.Cats[0] {
+			t.Errorf("%s: two calls share one category list", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { build() }); allocs > 2 {
+			t.Errorf("%s allocates %.0f objects, want at most 2 (a category list per manifest made)", name, allocs)
+		}
+	}
+
+	edited := AndroidX86()
+	edited.Cats[1].Files = 7 // framework, which both derived images keep
+	if AndroidX86().Cats[1].Files == 7 {
+		t.Fatal("editing a caller's categories edited the stock image")
+	}
+	stock := map[string]Manifest{"ForContainer": AndroidX86().ForContainer(), "Customized": AndroidX86().Customized()}
+	for name, d := range map[string]Manifest{"ForContainer": edited.ForContainer(), "Customized": edited.Customized()} {
+		if c, _ := d.Category("framework"); c.Files != 7 || len(d.BootFiles()) == len(stock[name].BootFiles()) {
+			t.Fatalf("%s of an edited manifest was served the stock image", name)
+		}
+	}
+
+	m := AndroidX86().Customized()
+	x, y := m.BuildLayer("x", true), m.BuildLayer("y", true)
+	for i, r := range x.Boot {
+		if unsafe.StringData(r.Path()) != unsafe.StringData(y.Boot[i].Path()) {
+			t.Fatalf("Boot[%d] (%s): two layers hold two copies of the path", i, r.Path())
+		}
 	}
 }
 

@@ -103,10 +103,18 @@ func (l *Link) SetFault(target string, h FaultHook) { l.target, l.fault = target
 
 // NewLink creates a link on engine e.
 func NewLink(e *sim.Engine, prof Profile) *Link {
+	l := MakeLink(e, prof)
+	return &l
+}
+
+// MakeLink is NewLink as a value, for a link embedded in a longer-lived
+// object (a simulated arrival holds its proc and its link in one
+// allocation). A link must not be copied once in use.
+func MakeLink(e *sim.Engine, prof Profile) Link {
 	if prof.UpMbps <= 0 || prof.DownMbps <= 0 {
 		panic(fmt.Sprintf("netsim: profile %q has non-positive bandwidth", prof.Name))
 	}
-	return &Link{e: e, prof: prof}
+	return Link{e: e, prof: prof}
 }
 
 // Profile returns the link's scenario.

@@ -41,6 +41,19 @@ func AID(app string, codeSize host.Bytes) string {
 	return string(out[:])
 }
 
+// Code names one mobile code blob: its AID and the bytes a full push moves.
+// A caller that offloads the same blob again and again keeps its Code
+// rather than hashing the AID per request.
+type Code struct {
+	AID  string
+	Size host.Bytes
+}
+
+// CodeOf is app's code blob of size bytes.
+func CodeOf(app string, size host.Bytes) Code {
+	return Code{AID: AID(app, size), Size: size}
+}
+
 // ExecRequest asks the cloud to run one offloaded task.
 type ExecRequest struct {
 	DeviceID string
@@ -79,13 +92,13 @@ type ExecRequest struct {
 	abort *sim.Signal
 }
 
-// NewExecRequest is the request that offloads task from deviceID; the AID
-// follows from the app and the size of its code. The task's precomputed
-// outcome, if it has one, rides along.
-func NewExecRequest(deviceID string, task workload.Task, codeSize host.Bytes) ExecRequest {
+// NewExecRequest is the request that offloads task from deviceID, whose
+// code is the blob aid names (AID of the app and its code size). The
+// task's precomputed outcome, if it has one, rides along.
+func NewExecRequest(deviceID string, task workload.Task, aid string) ExecRequest {
 	return ExecRequest{
 		DeviceID:      deviceID,
-		AID:           AID(task.App, codeSize),
+		AID:           aid,
 		App:           task.App,
 		Method:        task.Method,
 		Seq:           task.Seq,

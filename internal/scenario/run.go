@@ -32,6 +32,11 @@ type cohortState struct {
 	// procName names every request proc of the cohort: it is the same for
 	// every arrival, so it is built once.
 	procName string
+	// codes holds the code blob of each (app, variant) pair, at
+	// app*Variants+variant, filled the first time an arrival needs it: a
+	// cohort offloads a few thousand blobs at most, and hashing each AID
+	// once is what the App Warehouse's "once per app" asks of the device.
+	codes []offload.Code
 
 	arrivals  int
 	succeeded int
@@ -103,6 +108,7 @@ func Run(scn *Scenario) (*Report, error) {
 			profile:  c.Network,
 			mult:     1,
 			procName: c.Name + ".request",
+			codes:    make([]offload.Code, len(c.Apps)*c.Variants),
 		}
 		for _, name := range c.Apps {
 			app, err := workload.ByName(name)
@@ -253,35 +259,56 @@ func (r *runner) spawnGenerator(cs *cohortState) {
 // spawnRequest runs one arrival's offload exchange as its own proc, through
 // a bare device.Client on a fresh link.
 func (r *runner) spawnRequest(cs *cohortState, k int) {
-	arrived := r.e.Now()
-	prof := cs.profile
 	cs.arrivals++
-	r.e.Spawn(cs.procName, func(p *sim.Proc) {
-		dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
-		link := netsim.NewLink(r.e, prof)
-		link.SetFault(dev, r.linkFault)
-		app := cs.apps[k%len(cs.apps)]
-		// Distinct code sizes make distinct AIDs: variants spread one
-		// app's traffic over Variants consistent-hash placements.
-		codeSize := app.CodeSize() + host.Bytes(k%cs.spec.Variants)
-		seq := k / cs.spec.Devices // unique per device: the idempotency key half
-		task := app.NewTask(cs.taskRng, seq)
-		err := r.offload(p, cs, device.Client{ID: dev, Link: link}, task, codeSize)
-		if err == nil {
-			cs.succeeded++
-			cs.latencies = append(cs.latencies, (r.e.Now() - arrived).Duration().Seconds())
-		} else {
-			cs.failed++
-		}
-		for _, ac := range r.afters {
-			if arrived >= ac.at {
-				ac.arrivals++
-				if err == nil {
-					ac.succeeded++
-				}
+	a := &arrival{r: r, cs: cs, k: k, arrived: r.e.Now(), link: netsim.MakeLink(r.e, cs.profile)}
+	r.e.Start(&a.Proc, cs.procName, a)
+}
+
+// arrival is one request in flight: its proc, its link and what its body
+// reads, in the one allocation an arrival makes for them.
+type arrival struct {
+	sim.Proc
+	link    netsim.Link
+	r       *runner
+	cs      *cohortState
+	k       int
+	arrived sim.Time
+}
+
+// Run is the arrival's proc body.
+func (a *arrival) Run(p *sim.Proc) {
+	r, cs, k := a.r, a.cs, a.k
+	dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
+	a.link.SetFault(dev, r.linkFault)
+	task := cs.apps[k%len(cs.apps)].NewTask(cs.taskRng, k/cs.spec.Devices) // seq: unique per device, the idempotency key half
+	err := r.offload(p, cs, device.Client{ID: dev, Link: &a.link}, task, cs.code(k))
+	if err == nil {
+		cs.succeeded++
+		cs.latencies = append(cs.latencies, (r.e.Now() - a.arrived).Duration().Seconds())
+	} else {
+		cs.failed++
+	}
+	for _, ac := range r.afters {
+		if a.arrived >= ac.at {
+			ac.arrivals++
+			if err == nil {
+				ac.succeeded++
 			}
 		}
-	})
+	}
+}
+
+// code is the code blob arrival k offloads. Distinct code sizes make
+// distinct AIDs: variants spread one app's traffic over Variants
+// consistent-hash placements.
+func (cs *cohortState) code(k int) offload.Code {
+	i, v := k%len(cs.apps), k%cs.spec.Variants
+	c := &cs.codes[i*cs.spec.Variants+v]
+	if c.AID == "" {
+		app := cs.apps[i]
+		*c = offload.CodeOf(app.Name(), app.CodeSize()+host.Bytes(v))
+	}
+	return *c
 }
 
 // deviceID names the i-th device of a cohort ("<cohort>-d<i>") with one
@@ -295,9 +322,9 @@ func deviceID(cohort string, i int) string {
 // offload drives one request under the scenario's retry policy. Jitter
 // comes from the engine source: the engine serializes procs, so the draw
 // order — and hence the schedule — is deterministic.
-func (r *runner) offload(p *sim.Proc, cs *cohortState, c device.Client, task workload.Task, codeSize host.Bytes) error {
+func (r *runner) offload(p *sim.Proc, cs *cohortState, c device.Client, task workload.Task, code offload.Code) error {
 	for attempt := 1; ; attempt++ {
-		_, err := c.Attempt(p, r.cl, task, codeSize, nil)
+		_, err := c.Attempt(p, r.cl, task, code, nil)
 		if err == nil {
 			return nil
 		}

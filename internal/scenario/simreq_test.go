@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -33,9 +36,9 @@ func simChurn(tb testing.TB, k int) *Scenario {
 	return scn
 }
 
-// runCounted runs scn and reports its arrivals and the heap objects the
-// run allocated.
-func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
+// runCounted runs scn and returns its report and the heap objects the run
+// allocated.
+func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs uint64) {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -44,8 +47,15 @@ func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return rep.Totals.Arrivals, after.Mallocs - before.Mallocs
+	return rep, after.Mallocs - before.Mallocs
 }
+
+// simChurnFifthReport is the SHA-256 of the JSON report (as reportBytes
+// renders it) of sim-churn shrunk five times at the file's seed. The
+// benchmark only compares its own repeats with one another, so this is
+// where a change to the simulated request path that moves a virtual
+// result shows.
+const simChurnFifthReport = "d17dd43fc61fac7038a9e7cce73088c6619f4524d8fb062919de9fb7e2d028d5"
 
 // simArrivalAllocs is what one arrival of sim-churn shrunk five times
 // allocates, the cluster's set-up and the timeline's migrations included
@@ -54,14 +64,18 @@ func runCounted(tb testing.TB, scn *Scenario) (arrivals int, mallocs uint64) {
 // full size; the sites and what each lost are in DESIGN.md, "Where a
 // simulated request allocates". It was 25.8 until a boot stopped
 // allocating its Binder nodes, module records and device handles one by
-// one (DESIGN.md, "Cold path"), and 23.9 until the code push, the arrival
-// and the shard session stopped allocating per chunk, per link hook and
-// per session wrapper (DESIGN.md, "Where a simulated request allocates").
-const simArrivalAllocs = 17.4
+// one (DESIGN.md, "Cold path"), 23.9 until the code push, the arrival and
+// the shard session stopped allocating per chunk, per link hook and per
+// session wrapper, and 17.4 until what is per code, per image or per timer
+// was built once: an AID per code variant, image paths per process, one
+// autoscaler timer, the arrival's proc, body and link as one object, and
+// a queued request's session and waiter as one object.
+const simArrivalAllocs = 10.4
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,
 // dispatch, the code push and its replica fan-out, the solve and the log.
+// The same run's report is held to simChurnFifthReport.
 func TestSimArrivalAllocs(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
@@ -69,11 +83,18 @@ func TestSimArrivalAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pool slots
 	scn := simChurn(t, 5)
 	runCounted(t, simChurn(t, 50)) // grows the worker pool and the solve's caches
-	arrivals, mallocs := runCounted(t, scn)
-	per := float64(mallocs) / float64(arrivals)
-	t.Logf("%.2f allocations per arrival over %d arrivals", per, arrivals)
+	rep, mallocs := runCounted(t, scn)
+	per := float64(mallocs) / float64(rep.Totals.Arrivals)
+	t.Logf("%.2f allocations per arrival over %d arrivals", per, rep.Totals.Arrivals)
 	if per > simArrivalAllocs+1 {
-		t.Fatalf("a sim-churn arrival allocates %.2f objects, fence is %.1f + 1", per, simArrivalAllocs)
+		t.Errorf("a sim-churn arrival allocates %.2f objects, fence is %.1f + 1", per, simArrivalAllocs)
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(append(buf, '\n'))); sum != simChurnFifthReport {
+		t.Errorf("sim-churn shrunk five times reports %s, pinned %s: a virtual result moved", sum, simChurnFifthReport)
 	}
 }
 

@@ -14,7 +14,7 @@
 // only between Engine switching to it and the Proc parking again, so at most
 // one of them executes at any instant, no locking is needed in model code
 // and results are reproducible. The coroutines are pooled workers (see
-// worker.go): a proc borrows one from its start event until its function
+// worker.go): a proc borrows one from its start event until its body
 // returns.
 package sim
 
@@ -168,6 +168,33 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.At(e.now+Time(d), fn)
 }
 
+// Timer is a callback queued again each time it is armed, on an event of
+// its own: a loop that re-arms itself whenever it fires costs one Timer,
+// not an event (and a method value) per At.
+type Timer struct {
+	e  *Engine
+	ev Event
+}
+
+// NewTimer returns an unarmed timer on e that runs fn when it fires.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	t := &Timer{e: e}
+	t.ev.fn, t.ev.index = fn, -1
+	return t
+}
+
+// After arms t to fire d after the current virtual time. An armed timer
+// (queued, not yet fired) must not be armed again.
+func (t *Timer) After(d time.Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	if t.ev.index >= 0 {
+		panic("sim: timer armed twice")
+	}
+	t.e.schedule(&t.ev, t.e.now+Time(d))
+}
+
 // step pops and runs the next event. It reports false when no events remain.
 func (e *Engine) step() bool {
 	for len(e.events) > 0 {
@@ -246,15 +273,15 @@ func (e *Engine) LiveProcs() int { return e.procs }
 
 // Proc is a simulated process: a coroutine that can block in virtual time.
 // All Proc methods must be called from the Proc's own coroutine (that is,
-// from within the function passed to Spawn or functions it calls).
+// from within the body passed to Spawn or Start, or functions it calls).
 type Proc struct {
 	E    *Engine
 	Name string
-	// fn is the proc's function; nil once it has returned, which is what
-	// marks the proc done (and lets go of whatever the closure captured).
-	fn func(*Proc)
-	// w is the pooled coroutine running fn: nil until the start event
-	// fires and again once fn has returned.
+	// body is what the proc runs; nil once it has returned, which is what
+	// marks the proc done (and lets go of whatever the body holds).
+	body Body
+	// w is the pooled coroutine running body: nil until the start event
+	// fires and again once body has returned.
 	w *worker
 	// ev is the one event the proc needs at a time: its start event, then
 	// the wake-up of each park (a Sleep's, a fired Signal's, a Resource
@@ -264,14 +291,36 @@ type Proc struct {
 	ev Event
 }
 
+// Body is what a proc runs. Spawn takes a plain function; Start takes any
+// Body, so a caller can keep a proc, its state and its body in one object.
+type Body interface {
+	Run(p *Proc)
+}
+
+// bodyFunc is Spawn's plain function as a Body.
+type bodyFunc func(*Proc)
+
+func (f bodyFunc) Run(p *Proc) { f(p) }
+
 // Spawn starts fn as a simulated process at the current virtual time.
 // fn begins executing when the engine dispatches its start event.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{E: e, Name: name, fn: fn}
+	p := new(Proc)
+	e.Start(p, name, bodyFunc(fn))
+	return p
+}
+
+// Start is Spawn into a Proc the caller owns (typically embedded in the
+// object that is also body), which must not be live: a proc and its state
+// then cost one allocation between them.
+func (e *Engine) Start(p *Proc, name string, body Body) {
+	if p.body != nil {
+		panic(fmt.Sprintf("sim: Start of live proc %q", p.Name))
+	}
+	*p = Proc{E: e, Name: name, body: body}
 	p.ev.proc = p
 	e.procs++
 	e.schedule(&p.ev, e.now)
-	return p
 }
 
 // dispatch switches to the proc's coroutine and returns when the proc parks
@@ -304,7 +353,7 @@ func (p *Proc) park() {
 // finish marks the proc done and detaches it from its worker. It runs on
 // the worker's coroutine, before control returns to the engine.
 func (p *Proc) finish() {
-	p.fn = nil
+	p.body = nil
 	p.w = nil
 	p.E.procs--
 }
@@ -335,8 +384,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Done reports whether the proc's function has returned.
-func (p *Proc) Done() bool { return p.fn == nil }
+// Done reports whether the proc's body has returned.
+func (p *Proc) Done() bool { return p.body == nil }
 
 // Wait blocks the proc until the signal fires. If the signal has already
 // fired, Wait returns immediately.

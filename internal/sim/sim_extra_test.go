@@ -206,3 +206,90 @@ func TestNextEventAt(t *testing.T) {
 		t.Fatalf("now = %v, want 3s", e.Now())
 	}
 }
+
+// counted is a proc and its state in one object, started with Start.
+type counted struct {
+	Proc
+	runs  int
+	woken Time
+}
+
+func (c *counted) Run(p *Proc) {
+	c.runs++
+	p.Sleep(time.Second)
+	c.woken = p.E.Now()
+}
+
+// TestStartRunsABodyInPlace: Start runs a Body in a Proc the caller owns,
+// exactly as Spawn would run a function, and allocates nothing of its own;
+// starting a live proc again panics.
+func TestStartRunsABodyInPlace(t *testing.T) {
+	e := NewEngine(1)
+	c := &counted{}
+	e.Start(&c.Proc, "counted", c)
+	if c.Done() || e.LiveProcs() != 1 {
+		t.Fatalf("a started proc is done (%v) or not live (%d live)", c.Done(), e.LiveProcs())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("starting a live proc again did not panic")
+			}
+		}()
+		e.Start(&c.Proc, "again", c)
+	}()
+	e.Run()
+	if c.runs != 1 || c.woken != Time(time.Second) || !c.Done() || e.LiveProcs() != 0 {
+		t.Fatalf("runs %d, woken at %v, done %v, %d live", c.runs, c.woken, c.Done(), e.LiveProcs())
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		*c = counted{}
+		e.Start(&c.Proc, "counted", c)
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("Start + Run of an owned proc allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestTimerRearms: a timer fires once per arming, at the armed instant and
+// in seq order with other events, can be re-armed from its own callback
+// without allocating, and panics when armed twice.
+func TestTimerRearms(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	var tm *Timer
+	n := 0
+	tm = e.NewTimer(func() {
+		fired = append(fired, e.Now())
+		if n++; n < 3 {
+			tm.After(time.Second)
+		}
+	})
+	e.After(time.Second, func() { fired = append(fired, -1) }) // queued first: fires first
+	tm.After(time.Second)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("arming an armed timer did not panic")
+			}
+		}()
+		tm.After(time.Second)
+	}()
+	e.Run()
+	want := []Time{-1, Time(time.Second), Time(2 * time.Second), Time(3 * time.Second)}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	quiet := e.NewTimer(func() {})
+	if allocs := testing.AllocsPerRun(20, func() {
+		quiet.After(time.Millisecond)
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("arming and firing a timer allocates %.0f objects, want 0", allocs)
+	}
+}

@@ -80,7 +80,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	w.yield = yield
 	var p *Proc
 	defer func() {
-		// p is still set only when its function left by a panic or
+		// p is still set only when its body left by a panic or
 		// runtime.Goexit (t.Fatal in a test). Either way the coroutine is
 		// over and iter.Pull carries the exit to whoever called next: the
 		// goroutine inside Run. It would re-raise a panic there without
@@ -96,7 +96,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	}()
 	for {
 		p, w.p = w.p, nil
-		p.fn(p)
+		p.body.Run(p)
 		p.finish()
 		p = nil
 		if !yield(struct{}{}) {

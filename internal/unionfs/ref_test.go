@@ -25,13 +25,13 @@ type refWorld struct {
 
 func (w *refWorld) logf(format string, a ...any) { w.log = append(w.log, fmt.Sprintf(format, a...)) }
 
-// state appends what a read may leave behind: every file's access marks and
+// state appends what a read may leave behind: every file's access mark and
 // its residency on both hosts, and both caches' sizes.
 func (w *refWorld) state() {
 	for _, l := range w.layers {
 		for _, p := range l.Paths() {
 			n := l.files[p]
-			w.logf("  %s:%s accessed=%v at=%v cached=%v/%v", l.name, p, n.accessed, n.lastAccess,
+			w.logf("  %s:%s accessed=%v cached=%v/%v", l.name, p, n.accessed,
 				l.CachedOn(w.hosts[0], p), l.CachedOn(w.hosts[1], p))
 		}
 	}

@@ -7,7 +7,7 @@
 //
 // Reads and writes are timed through the owning host: disk-backed layers
 // pay HDD cost (with page caching), tmpfs layers move at memory bandwidth.
-// Every file records its last access time, which is how the §III-E
+// Every file records whether it was ever read, which is how the §III-E
 // redundancy profiling (Observation 4: 68.4% of the OS never touched) is
 // reproduced.
 package unionfs
@@ -31,10 +31,9 @@ type File struct {
 }
 
 type node struct {
-	size       host.Bytes
-	data       []byte // optional real content (code blobs, small files)
-	accessed   bool
-	lastAccess sim.Time
+	size     host.Bytes
+	data     []byte // optional real content (code blobs, small files)
+	accessed bool
 	// page is the residency of the file's blocks in the host page cache. It
 	// belongs to this layer's copy of the file, so two containers reading
 	// the same shared-layer file share cache and a private copy shares none.
@@ -68,6 +67,10 @@ type Layer struct {
 	// lens has bit len(p)%64 set for every path p files has ever held (see
 	// lookup).
 	lens uint64
+	// size is the sum of files' sizes, kept where files changes (put and
+	// Mount.Remove), so Size is O(1): a W/O runtime's disk usage is asked
+	// for on every request and sums a whole rootfs.
+	size host.Bytes
 }
 
 // NewLayer creates a disk-backed layer. readOnly layers reject writes
@@ -103,10 +106,16 @@ func (l *Layer) AddFile(p string, size host.Bytes, data []byte) Ref {
 	return Ref{l: l, n: n, path: p}
 }
 
-// put stores n as the layer's copy of clean path p.
-func (l *Layer) put(p string, n *node) {
+// put stores n as the layer's copy of clean path p and returns the copy it
+// replaced, if any.
+func (l *Layer) put(p string, n *node) (old *node) {
+	if old = l.files[p]; old != nil {
+		l.size -= old.size
+	}
 	l.files[p] = n
+	l.size += n.size
 	l.lens |= 1 << (len(p) % 64)
+	return old
 }
 
 // lookup returns the layer's copy of clean path p. A layer holds few
@@ -139,13 +148,7 @@ func (l *Layer) Has(p string) bool {
 func (l *Layer) FileCount() int { return len(l.files) }
 
 // Size returns the total bytes stored in the layer.
-func (l *Layer) Size() host.Bytes {
-	var total host.Bytes
-	for _, n := range l.files {
-		total += n.size
-	}
-	return total
-}
+func (l *Layer) Size() host.Bytes { return l.size }
 
 // AccessedSize returns total bytes of files that have been read at least
 // once, and NeverAccessedSize the complement.
@@ -166,7 +169,6 @@ func (l *Layer) NeverAccessedSize() host.Bytes { return l.Size() - l.AccessedSiz
 func (l *Layer) ResetAccess() {
 	for _, n := range l.files {
 		n.accessed = false
-		n.lastAccess = 0
 	}
 }
 
@@ -207,9 +209,10 @@ func (l *Layer) Snapshot(name string) *Layer {
 		files:    make(map[string]*node, len(l.files)),
 		wh:       maps.Clone(l.wh),
 		lens:     l.lens,
+		size:     l.size,
 	}
 	for p, n := range l.files {
-		s.files[p] = &node{size: n.size, data: n.data, accessed: n.accessed, lastAccess: n.lastAccess}
+		s.files[p] = &node{size: n.size, data: n.data, accessed: n.accessed}
 	}
 	return s
 }
@@ -424,7 +427,6 @@ func (m *Mount) ReadRef(proc *sim.Proc, r Ref, efficiency float64) (host.Bytes, 
 // one visible through m.
 func (m *Mount) read(proc *sim.Proc, l *Layer, n *node, efficiency float64) (host.Bytes, []byte, error) {
 	n.accessed = true
-	n.lastAccess = proc.E.Now()
 	if l.inMemory {
 		m.h.MemCopy(proc, n.size)
 	} else {
@@ -460,11 +462,9 @@ func (m *Mount) Write(proc *sim.Proc, p string, size host.Bytes, data []byte, ef
 		m.h.WarmPage(m.page(nn))
 	}
 	delete(upper.wh, p)
-	nn.lastAccess = proc.E.Now() // after the I/O above
-	if old := upper.files[p]; old != nil {
+	if old := upper.put(p, nn); old != nil {
 		m.h.EvictPage(&old.page) // the replaced version's pages are freed
 	}
-	upper.put(p, nn)
 	return nil
 }
 
@@ -480,8 +480,9 @@ func (m *Mount) Remove(p string) error {
 	}
 	if n := upper.files[p]; n != nil {
 		m.h.EvictPage(&n.page) // a deleted file's pages are freed
+		upper.size -= n.size
+		delete(upper.files, p)
 	}
-	delete(upper.files, p)
 	// Still visible through a lower layer? Whiteout.
 	for _, l := range m.layers[1:] {
 		if _, ok := l.files[p]; ok {
