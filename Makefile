@@ -262,10 +262,11 @@ fuzz:
 bench-%:
 	$(GO) run ./cmd/rattrap-bench -$*
 
-# Validates every checked-in scenario file, the benchmark's included
-# (syntax + schema, no run).
+# Validates every checked-in scenario file, the regress files and the
+# benchmark's included (syntax + schema, no run).
 scenario-validate:
 	$(GO) run ./cmd/rattrap-bench -scenario-validate scenarios
+	$(GO) run ./cmd/rattrap-bench -scenario-validate scenarios/regress
 	$(GO) run ./cmd/rattrap-bench -scenario-validate benchmark/scenarios
 
 # Runs one scenario end to end and writes BENCH_scenario.json (pinned for

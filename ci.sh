@@ -34,6 +34,11 @@ echo "== go test -race"
 # the suite gate regressions 2.8 s.
 make race
 
+echo "== cluster property over 5000 seeded scenario files (tier-1 draws 300)"
+# ~17 s on two Xeon cores. A failure prints the seed's file shrunk to its
+# failing core; fix the bug and check the file in under scenarios/regress/.
+go test ./internal/scenario -run '^TestPropertyReplicasAndChunkBooks$' -count 1 -seeds 5000
+
 echo "== benchmark module (nested: root go build/test do not reach it)"
 make bench-smoke
 

@@ -188,9 +188,14 @@ func (m *Membership) Commission(id int) {
 
 // BeginDrain marks a Live shard Draining. Routing (and the epoch) are
 // unchanged — the shard keeps serving its ranges while they migrate out,
-// which is the read-your-writes half of the handoff protocol.
+// which is the read-your-writes half of the handoff protocol. The last
+// Live shard is refused: its ranges would have no owner to move to.
 func (m *Membership) BeginDrain(id int) bool {
-	if m.State(id) != ShardLive {
+	others := false
+	for s, st := range m.states {
+		others = others || s != id && st == ShardLive
+	}
+	if m.State(id) != ShardLive || !others {
 		return false
 	}
 	m.states[id] = ShardDraining

@@ -54,7 +54,7 @@ func (c *Cluster) AddShard() int {
 // RemoveShard begins a graceful leave: the shard keeps serving (Draining
 // is routable) while its entries migrate to their next owners, then drops
 // out of the ring and drains its pool. Returns false if the shard is not
-// currently Live.
+// currently Live, or is the last Live shard (BeginDrain).
 func (c *Cluster) RemoveShard(id int) bool {
 	if id < 0 || id >= len(c.shards) || !c.mem.BeginDrain(id) {
 		return false
@@ -252,10 +252,13 @@ func (c *Cluster) repair(p *sim.Proc) {
 }
 
 // dropOrphans removes, from every routable shard, entries whose replica
-// set no longer includes it — the "only moved ranges transfer" guarantee's
-// other half: moved ranges also leave their old home. An in-flight session
-// whose entry is dropped underneath it degrades to ErrCodeNeeded and the
-// device re-pushes; nothing breaks, one transfer is wasted.
+// set no longer includes it and whose every member holds them — the "only
+// moved ranges transfer" guarantee's other half: moved ranges also leave
+// their old home. An entry that landed after the repair before it listed
+// the shards' AIDs stays until its fan-out has copied it to the set. An
+// in-flight session whose entry is dropped underneath it degrades to
+// ErrCodeNeeded and the device re-pushes; nothing breaks, one transfer is
+// wasted.
 func (c *Cluster) dropOrphans() {
 	var set [8]int
 	for s := range c.shards {
@@ -267,11 +270,24 @@ func (c *Cluster) dropOrphans() {
 			continue
 		}
 		for _, aid := range wh.AIDs() {
-			if !slices.Contains(c.mem.AppendReplicaSet(set[:0], aid), s) && wh.DropEntry(aid) {
+			members := c.mem.AppendReplicaSet(set[:0], aid)
+			if !slices.Contains(members, s) && c.heldBy(aid, members) && wh.DropEntry(aid) {
 				c.stats.EntriesDropped++
 			}
 		}
 	}
+}
+
+// heldBy reports whether every shard in shards holds aid.
+func (c *Cluster) heldBy(aid string, shards []int) bool {
+	for _, t := range shards {
+		if tw := c.shards[t].Warehouse(); tw == nil {
+			return false
+		} else if _, ok := tw.Lookup(aid); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // retire winds a dead or drained shard's pool down: every runtime is
@@ -306,32 +322,38 @@ func (c *Cluster) fanOut(shard int, aid string) {
 		if !ok {
 			return
 		}
-		var set [8]int
-		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
-			if t == shard || c.failed[t] {
-				continue
+		// A copy can stall, and a membership change meanwhile can put a
+		// shard into the set that the repair it started has already
+		// passed: the set is read again until the epoch holds still.
+		var set, buf [8]int
+		landed := append(buf[:0], shard)
+		for epoch := c.mem.Epoch(); ; epoch = c.mem.Epoch() {
+			for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
+				if t == shard || c.failed[t] {
+					continue
+				}
+				if delta, full := c.copyEntry(p, t, ent); full > 0 {
+					c.stats.ReplicaCopies++
+					c.stats.ReplicaDelta += delta
+					landed = append(landed, t)
+				}
 			}
-			if delta, full := c.copyEntry(p, t, ent); full > 0 {
-				c.stats.ReplicaCopies++
-				c.stats.ReplicaDelta += delta
+			if c.mem.Epoch() == epoch {
+				break
 			}
 		}
-		// A session keeps the shard it was routed to, so the push may have
-		// landed on a shard that has left the AID's replica set since: once
-		// every member holds the entry, that shard drops its own.
+		// A session keeps the shard it was routed to, and a copy the shard
+		// it was started for, so the entry may have landed on shards that
+		// have left its replica set since: once every member holds the
+		// entry, each of those drops its own.
 		members := c.mem.AppendReplicaSet(set[:0], aid)
-		if !c.mem.Routable(shard) || slices.Contains(members, shard) {
+		if !c.heldBy(aid, members) {
 			return
 		}
-		for _, t := range members {
-			if tw := c.shards[t].Warehouse(); tw == nil {
-				return
-			} else if _, ok := tw.Lookup(aid); !ok {
-				return
+		for _, s := range landed {
+			if c.mem.Routable(s) && !slices.Contains(members, s) && c.shards[s].Warehouse().DropEntry(aid) {
+				c.stats.EntriesDropped++
 			}
-		}
-		if src.DropEntry(aid) {
-			c.stats.EntriesDropped++
 		}
 	})
 }

@@ -265,6 +265,9 @@ type waiter struct {
 	// taken marks the handoff complete: the waiter's proc resumed and
 	// accepted the slot, so a late abort no longer concerns the queue.
 	taken bool
+	// err is why a waiter woken without a slot gets none: nil when the
+	// ring was closed (errQueueClosed), else the failed boot it waited on.
+	err error
 }
 
 // New assembles a platform on a fresh cloud server.
@@ -429,7 +432,14 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			pl.om.bootFails.Inc()
 		}
 		pl.noteFailure(id, FailBoot)
-		return nil, fmt.Errorf("core: booting %s: %w", id, err)
+		err = fmt.Errorf("core: booting %s: %w", id, err)
+		if pl.scaler == nil && pl.slots.n == 0 {
+			// A fixed pool left with no runtime has nothing to release to
+			// its parked requests: each fails with this boot's error, as a
+			// request that booted for itself would, and its retry boots.
+			pl.wakeQueued(err)
+		}
+		return nil, err
 	}
 
 	if pl.bootFault != nil {

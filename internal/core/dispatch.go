@@ -238,6 +238,9 @@ func (pl *Platform) waitSlot(p *sim.Proc, w *waiter, sp *obs.Span, abort *sim.Si
 		return nil, ErrAborted
 	}
 	if w.sl == nil {
+		if w.err != nil {
+			return nil, w.err
+		}
 		return nil, errQueueClosed
 	}
 	w.taken = true
@@ -313,8 +316,15 @@ func (pl *Platform) popLiveWaiter() *waiter {
 // replacements, so without this its queue would wait forever.
 func (pl *Platform) RejectQueued() {
 	pl.queueClosed = true
+	pl.wakeQueued(nil)
+}
+
+// wakeQueued wakes every request parked in the wait ring without a slot:
+// each one's Prepare returns err, or errQueueClosed when err is nil.
+func (pl *Platform) wakeQueued(err error) {
 	for w := pl.popLiveWaiter(); w != nil; w = pl.popLiveWaiter() {
-		w.sig.Fire() // w.sl stays nil: acquireSlot reports the rejection
+		w.err = err
+		w.sig.Fire() // w.sl stays nil: waitSlot reports the error
 	}
 	if pl.om != nil {
 		pl.om.queueLen.Set(int64(pl.waitQ.len()))

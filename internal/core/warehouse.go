@@ -239,6 +239,15 @@ func (w *Warehouse) Put(p *sim.Proc, aid, app string, size host.Bytes) error {
 	if err := w.store.Write(p, path, size, nil, 1.0); err != nil {
 		return fmt.Errorf("core: warehouse put %s: %w", aid, err)
 	}
+	// The write blocked: a push, a fan-out or an import of the same code
+	// may have landed meanwhile. Keep the first, and the blob only if it
+	// is the first's.
+	if e, ok := w.entries[aid]; ok {
+		if e.chunked {
+			_ = w.store.Remove(path)
+		}
+		return nil
+	}
 	w.newEntry(aid, app, size, path, nil, false)
 	return nil
 }
@@ -316,7 +325,10 @@ func (w *Warehouse) MissingChunks(hashes []uint64) []uint64 {
 // The whole offer is validated before anything is staged, and a push
 // whose staging fails removes its missing blocks that no entry holds and
 // no other in-flight push is staging, so a failed push leaves no orphaned
-// blocks in the store either.
+// blocks in the store either; so does one that finds, once its blocks are
+// written, that the same code landed meanwhile. A block the offer counted
+// as held that has left the store since is refused with an error wrapping
+// offload.ErrCodeNeeded: the pusher negotiates again.
 func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, hashes, missing []uint64) error {
 	if _, ok := w.entries[aid]; ok {
 		return nil // concurrent push of the same code: keep the first
@@ -370,12 +382,19 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 			}
 		}
 		if st.err != nil {
-			for _, h := range missing {
-				if _, held := w.chunks[h]; !held && w.staging[h] == 0 {
-					_ = w.store.Remove(chunkPath(h))
-				}
-			}
+			w.unstage(missing)
 			return st.err
+		}
+		if _, ok := w.entries[aid]; ok {
+			w.unstage(missing) // the same code landed during the writes: keep the first
+			return nil
+		}
+	}
+	for _, h := range hashes {
+		if _, held := w.chunks[h]; !held && !slices.Contains(missing, h) {
+			w.unstage(missing)
+			return fmt.Errorf("core: warehouse put %s: chunk %016x left the store after it was offered: %w",
+				aid, h, offload.ErrCodeNeeded)
 		}
 	}
 	seen := make(map[uint64]bool, len(hashes))
@@ -393,6 +412,16 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 	}
 	w.newEntry(aid, app, size, "", hashes, true)
 	return nil
+}
+
+// unstage removes the blocks of missing that a put wrote and did not record
+// and that no entry holds and no other in-flight push is staging.
+func (w *Warehouse) unstage(missing []uint64) {
+	for _, h := range missing {
+		if _, held := w.chunks[h]; !held && w.staging[h] == 0 {
+			_ = w.store.Remove(chunkPath(h))
+		}
+	}
 }
 
 // BindCID records that a container loaded the code (the AID→CID mapping

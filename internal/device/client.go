@@ -136,25 +136,29 @@ func (a *attempt) pushCode(sess offload.Session, req offload.ExecRequest, codeSi
 		return err
 	}
 	if a.Chunked {
-		// The negotiation costs one control round trip carrying the packed
-		// hash lists.
 		offer := offload.ChunkOffer{
 			AID: req.AID, App: req.App, Size: codeSize, Seq: req.Seq,
 			Hashes: offload.SyntheticManifest(req.App, codeSize),
 		}
-		n := packedBytes(offer.Hashes)
-		if err := a.up(n, "offering chunks"); err != nil {
-			return err
-		}
-		a.Traffic.ControlUp += n
-		need, err := sess.NegotiateChunks(a.p, offer)
-		if err != nil {
-			return fmt.Errorf("device %s: negotiating chunks: %w", a.ID, err)
-		}
-		if err := a.down(packedBytes(need.Missing), "receiving chunk needs"); err != nil {
-			return err
-		}
-		if need.Supported {
+		// The negotiation costs one control round trip carrying the packed
+		// hash lists. A push the cloud refuses with ErrCodeNeeded (a block
+		// it counted as held left its store meanwhile) negotiates again.
+		for {
+			n := packedBytes(offer.Hashes)
+			if err := a.up(n, "offering chunks"); err != nil {
+				return err
+			}
+			a.Traffic.ControlUp += n
+			need, err := sess.NegotiateChunks(a.p, offer)
+			if err != nil {
+				return fmt.Errorf("device %s: negotiating chunks: %w", a.ID, err)
+			}
+			if err := a.down(packedBytes(need.Missing), "receiving chunk needs"); err != nil {
+				return err
+			}
+			if !need.Supported {
+				break
+			}
 			if delta := offload.DeltaBytes(offer, need.Missing); delta > 0 {
 				if err := a.up(delta, "uploading chunk delta"); err != nil {
 					return err
@@ -162,11 +166,14 @@ func (a *attempt) pushCode(sess offload.Session, req offload.ExecRequest, codeSi
 				a.Traffic.CodeUp += delta
 			}
 			start := a.p.E.Now()
-			if err := sess.PushChunks(a.p, offer, need.Missing); err != nil {
+			err = sess.PushChunks(a.p, offer, need.Missing)
+			if err != nil && !errors.Is(err, offload.ErrCodeNeeded) {
 				return fmt.Errorf("device %s: pushing chunks: %w", a.ID, err)
 			}
 			a.waited(&a.Phases.RuntimePreparation, obs.StagePrepare, start)
-			return nil
+			if err == nil {
+				return nil
+			}
 		}
 	}
 	if err := a.up(codeSize, "uploading code"); err != nil {

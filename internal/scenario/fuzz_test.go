@@ -79,9 +79,13 @@ func FuzzScenarioDecode(f *testing.F) {
 		if total > MaxTotalArrivals {
 			t.Errorf("accepted %d total arrivals", total)
 		}
+		adds := 0
 		for _, ev := range scn.Events {
-			if ev.Kind == EvKillShard && ev.Shard >= scn.Shards {
-				t.Errorf("accepted kill-shard %d with %d shards", ev.Shard, scn.Shards)
+			if ev.Kind == EvAddShard {
+				adds++
+			}
+			if ev.Kind == EvKillShard && ev.Shard >= scn.Shards+adds {
+				t.Errorf("accepted kill-shard %d with %d shards and %d added before it", ev.Shard, scn.Shards, adds)
 			}
 			if ev.Kind == EvFaultPlan {
 				if _, ok := planByName(ev.Plan, scn.Seed); !ok {

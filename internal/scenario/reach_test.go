@@ -8,10 +8,10 @@ import (
 )
 
 // reachFleet is a fleet that passes through every fault site: WAN-WiFi
-// devices connect, upload and download; OCR stages its input image through
-// the offloading-I/O mount (fs.write); every request executes (exec); and
-// with a 500 ms idle timeout the pool boots and reaps runtimes all run long
-// (boot, teardown).
+// devices connect, upload and download; OCR's input image and delta pushes'
+// chunks go through the offloading-I/O mount (fs.write); every request
+// executes (exec); and with a 500 ms idle timeout the pool boots and reaps
+// runtimes all run long (boot, teardown).
 const reachFleet = `name: reach
 seed: 42
 shards: 1
@@ -28,6 +28,7 @@ fleet:
     network: wan-wifi
     apps: [OCR, Linpack]
     linpack_order: 24
+    chunked_push: true
     arrival: uniform
     duration: 30s
 `

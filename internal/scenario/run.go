@@ -37,6 +37,9 @@ type cohortState struct {
 	// cohort offloads a few thousand blobs at most, and hashing each AID
 	// once is what the App Warehouse's "once per app" asks of the device.
 	codes []offload.Code
+	// served marks, at the same index, the codes some request succeeded
+	// for: finish requires their primaries to hold them still.
+	served []bool
 
 	arrivals  int
 	succeeded int
@@ -68,6 +71,10 @@ type runner struct {
 	// arriving at or past the threshold are scored separately, so a
 	// mid-run membership event can be gated on post-event health alone.
 	afters []*afterCounter
+
+	// lostAll is set when a fail-shard took the last Live shard: every copy
+	// of the cached code may have gone with it.
+	lostAll bool
 }
 
 type afterCounter struct {
@@ -82,6 +89,17 @@ type afterCounter struct {
 // contains only virtual-time quantities — so the same file produces a
 // byte-identical report on every run, on every machine.
 func Run(scn *Scenario) (*Report, error) {
+	r, err := newRunner(scn)
+	if err != nil {
+		return nil, err
+	}
+	r.e.Run()
+	return r.finish()
+}
+
+// newRunner builds scn's cluster and cohorts on a fresh engine and
+// schedules its timeline, ready for the engine to run.
+func newRunner(scn *Scenario) (*runner, error) {
 	r := &runner{e: sim.NewEngine(scn.Seed), scn: scn}
 	r.linkFault = r.fault
 
@@ -109,6 +127,7 @@ func Run(scn *Scenario) (*Report, error) {
 			mult:     1,
 			procName: c.Name + ".request",
 			codes:    make([]offload.Code, len(c.Apps)*c.Variants),
+			served:   make([]bool, len(c.Apps)*c.Variants),
 		}
 		for _, name := range c.Apps {
 			app, err := workload.ByName(name)
@@ -128,15 +147,48 @@ func Run(scn *Scenario) (*Report, error) {
 		ev := ev
 		r.e.At(sim.Time(ev.At), func() { r.applyEvent(ev) })
 	}
+	return r, nil
+}
 
-	r.e.Run()
+// finish checks a run the engine drained and reports it: no proc is left,
+// the cluster's audit passes, and every AID a request was served for is
+// still held by its primary.
+func (r *runner) finish() (*Report, error) {
 	if n := r.e.LiveProcs(); n != 0 {
-		return nil, fmt.Errorf("scenario %q: %d processes still live after the engine drained", scn.Name, n)
+		return nil, fmt.Errorf("scenario %q: %d processes still live after the engine drained", r.scn.Name, n)
 	}
 	if err := r.cl.Audit(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", scn.Name, err)
+		return nil, fmt.Errorf("scenario %q: %w", r.scn.Name, err)
+	}
+	if err := r.checkServed(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", r.scn.Name, err)
 	}
 	return r.report(), nil
+}
+
+// checkServed requires the primary of every AID some request was served
+// for to hold it, unless the crash model lets the code go: R failed shards
+// can take every copy of an entry, and so can a fail-shard that took the
+// last Live shard.
+func (r *runner) checkServed() error {
+	if r.lostAll || r.cl.MigrationStats().Failures >= r.cl.Membership().Replicas() {
+		return nil
+	}
+	for _, cs := range r.cohorts {
+		for i, code := range cs.codes {
+			if !cs.served[i] {
+				continue
+			}
+			wh := r.cl.Shard(r.cl.Owner(code.AID)).Warehouse()
+			if wh == nil {
+				return nil // a platform without a warehouse holds no code
+			}
+			if _, ok := wh.Lookup(code.AID); !ok {
+				return fmt.Errorf("%s was served and is held nowhere", code.AID)
+			}
+		}
+	}
+	return nil
 }
 
 // fault consults the runner's *current* injector at one operation; every
@@ -218,21 +270,37 @@ func (r *runner) applyEvent(ev EventSpec) {
 		}
 	case EvFailShard:
 		if r.cl.FailShard(ev.Shard) {
+			r.lostAll = r.lostAll || !r.anyLive()
 			detail = fmt.Sprintf("shard %d down (epoch %d)", ev.Shard, r.cl.Epoch())
 		} else {
 			detail = fmt.Sprintf("shard %d already down", ev.Shard)
 		}
 	case EvSetFloor:
-		for i := 0; i < r.cl.Shards(); i++ {
-			r.cl.Shard(i).SetPoolBounds(ev.Floor, r.scn.Platform.MaxRuntimes)
-		}
+		maxR := r.scn.Platform.MaxRuntimes
 		detail = fmt.Sprintf("min_runtimes=%d", ev.Floor)
+		if ev.HasMax {
+			maxR = ev.MaxRuntimes
+			detail += fmt.Sprintf(" max_runtimes=%d", maxR)
+		}
+		for i := 0; i < r.cl.Shards(); i++ {
+			r.cl.Shard(i).SetPoolBounds(ev.Floor, maxR)
+		}
 	}
 	r.events = append(r.events, EventReport{
 		AtMs:   durMs(ev.At),
 		Action: string(ev.Kind),
 		Detail: detail,
 	})
+}
+
+// anyLive reports whether some shard is still Live.
+func (r *runner) anyLive() bool {
+	for s := 0; s < r.cl.Shards(); s++ {
+		if r.cl.Membership().State(s) == cluster.ShardLive {
+			return true
+		}
+	}
+	return false
 }
 
 // spawnGenerator starts a cohort's arrival process: one proc that sleeps
@@ -281,8 +349,10 @@ func (a *arrival) Run(p *sim.Proc) {
 	dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
 	a.link.SetFault(dev, r.linkFault)
 	task := cs.apps[k%len(cs.apps)].NewTask(cs.taskRng, k/cs.spec.Devices) // seq: unique per device, the idempotency key half
-	err := r.offload(p, cs, device.Client{ID: dev, Link: &a.link}, task, cs.code(k))
+	ci := cs.code(k)
+	err := r.offload(p, cs, device.Client{ID: dev, Link: &a.link, Chunked: cs.spec.ChunkedPush}, task, cs.codes[ci])
 	if err == nil {
+		cs.served[ci] = true
 		cs.succeeded++
 		cs.latencies = append(cs.latencies, (r.e.Now() - a.arrived).Duration().Seconds())
 	} else {
@@ -298,17 +368,17 @@ func (a *arrival) Run(p *sim.Proc) {
 	}
 }
 
-// code is the code blob arrival k offloads. Distinct code sizes make
-// distinct AIDs: variants spread one app's traffic over Variants
-// consistent-hash placements.
-func (cs *cohortState) code(k int) offload.Code {
+// code is the index in codes of the code blob arrival k offloads, filled
+// in on first use. Distinct code sizes make distinct AIDs: variants spread
+// one app's traffic over Variants consistent-hash placements.
+func (cs *cohortState) code(k int) int {
 	i, v := k%len(cs.apps), k%cs.spec.Variants
 	c := &cs.codes[i*cs.spec.Variants+v]
 	if c.AID == "" {
 		app := cs.apps[i]
 		*c = offload.CodeOf(app.Name(), app.CodeSize()+host.Bytes(v))
 	}
-	return *c
+	return i*cs.spec.Variants + v
 }
 
 // deviceID names the i-th device of a cohort ("<cohort>-d<i>") with one

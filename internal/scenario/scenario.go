@@ -118,6 +118,9 @@ type CohortSpec struct {
 	// cost, and therefore scenario wall-time at a million devices,
 	// a declared quantity.
 	LinpackOrder int
+	// ChunkedPush makes the cohort's devices push code as a chunk offer
+	// and the delta the warehouse is missing (device.Client.Chunked).
+	ChunkedPush bool
 }
 
 // Rate is the cohort's mean arrival rate in requests per second.
@@ -146,8 +149,9 @@ const (
 	// finish, then the runtimes drain and the pool rebuilds from cold —
 	// the graceful-chaos analog of power-cycling the shard's node.
 	EvKillShard EventKind = "kill-shard"
-	// EvSetFloor changes every shard's autoscaler floor (MinRuntimes) at
-	// runtime via core.Platform.SetPoolBounds.
+	// EvSetFloor changes every shard's pool bounds at runtime via
+	// core.Platform.SetPoolBounds: the autoscaler floor (MinRuntimes) and,
+	// when the event names one, the ceiling (MaxRuntimes).
 	EvSetFloor EventKind = "set-floor"
 	// EvAddShard joins a fresh shard to the cluster: it boots, pulls its
 	// vnode ranges as chunk deltas, and is commissioned into the ring —
@@ -173,6 +177,10 @@ type EventSpec struct {
 	Plan   string         // EvFaultPlan
 	Shard  int            // EvKillShard, EvRemoveShard, EvFailShard
 	Floor  int            // EvSetFloor
+	// MaxRuntimes is EvSetFloor's ceiling when HasMax; without it the
+	// event restores platform.max_runtimes.
+	MaxRuntimes int
+	HasMax      bool
 }
 
 // AssertionKind enumerates the end-of-run checks. Each constant is the
@@ -659,6 +667,7 @@ func (d *decoder) fleet(root *yamlNode, path string, ru used) []CohortSpec {
 			Start:             d.durVal(item, p, u, "start", 0, 0, MaxVirtual, optional),
 			Duration:          d.durVal(item, p, u, "duration", 0, time.Millisecond, MaxVirtual, required),
 			LinpackOrder:      d.intVal(item, p, u, "linpack_order", 0, 0, MaxLinpackOrder, optional),
+			ChunkedPush:       d.boolVal(item, p, u, "chunked_push", false),
 		}
 		c.Apps = d.apps(item, p, u)
 		switch arr := d.str(item, p, u, "arrival", "uniform", optional); arr {
@@ -740,17 +749,12 @@ func (d *decoder) events(root *yamlNode, path string, ru used, scn *Scenario) []
 				}
 			}
 		case EvClearFaults:
-		case EvKillShard:
-			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1, optional)
-			if d.err == nil && ev.Shard >= scn.Shards {
-				d.fail(item.get("shard"), p+".shard", fmt.Sprintf("shard %d out of range (scenario has %d)", ev.Shard, scn.Shards))
-			}
 		case EvAddShard:
 			adds++
 			if d.err == nil && scn.Shards+adds > MaxShards {
 				d.fail(item, p, fmt.Sprintf("add-shard would exceed %d shards", MaxShards))
 			}
-		case EvRemoveShard, EvFailShard:
+		case EvKillShard, EvRemoveShard, EvFailShard:
 			ev.Shard = d.intVal(item, p, u, "shard", 0, 0, MaxShards-1, optional)
 			// Earlier add-shard events extend the addressable id space:
 			// shard ids are assigned in event order, founding shards first.
@@ -759,12 +763,20 @@ func (d *decoder) events(root *yamlNode, path string, ru used, scn *Scenario) []
 					fmt.Sprintf("shard %d out of range (%d founding + %d added)", ev.Shard, scn.Shards, adds))
 			}
 		case EvSetFloor:
-			ev.Floor = d.intVal(item, p, u, "min_runtimes", 0, 0, 256, required)
-			if d.err == nil && !scn.Platform.Autoscale {
-				d.fail(item, p, "set-floor requires platform.autoscale: true")
+			// Either bound may be left out, and is then the platform
+			// block's; only the floor is the autoscaler's.
+			hasMin := item.get("min_runtimes") != nil
+			ev.HasMax = item.get("max_runtimes") != nil
+			if !hasMin && !ev.HasMax {
+				d.fail(item, p, "set-floor needs min_runtimes and/or max_runtimes")
 			}
-			if d.err == nil && ev.Floor > scn.Platform.MaxRuntimes {
-				d.fail(item.get("min_runtimes"), p+".min_runtimes", fmt.Sprintf("floor %d exceeds max_runtimes %d", ev.Floor, scn.Platform.MaxRuntimes))
+			ev.MaxRuntimes = d.intVal(item, p, u, "max_runtimes", scn.Platform.MaxRuntimes, 0, 256, optional)
+			ev.Floor = d.intVal(item, p, u, "min_runtimes", scn.Platform.MinRuntimes, 0, 256, optional)
+			if d.err == nil && hasMin && !scn.Platform.Autoscale {
+				d.fail(item, p, "set-floor's min_runtimes requires platform.autoscale: true")
+			}
+			if d.err == nil && hasMin && ev.Floor > ev.MaxRuntimes {
+				d.fail(item.get("min_runtimes"), p+".min_runtimes", fmt.Sprintf("floor %d exceeds max_runtimes %d", ev.Floor, ev.MaxRuntimes))
 			}
 		default:
 			d.fail(item.get("action"), p+".action", fmt.Sprintf("unknown action %q", ev.Kind))
@@ -865,6 +877,13 @@ func plans(seed int64) []faults.Plan {
 		// genuinely sick runtimes reach the cordon threshold.
 		faults.Plan{Name: "exec-flaky", Seed: seed, Rules: []faults.Rule{
 			{Site: faults.SiteExec, Kind: faults.Drop, P: 0.2},
+		}},
+		// The first block written into the warehouse's chunk store fails,
+		// whichever staging writes it: a device's delta push, a replica's
+		// fan-out or a migration's copy. The target is the store's
+		// directory name, as only the warehouse spells out its paths.
+		faults.Plan{Name: "chunk-write-fail", Seed: seed, Rules: []faults.Rule{
+			{Site: faults.SiteFSWrite, Target: "/chunks/", Kind: faults.Drop, Every: 1, MaxHits: 1},
 		}},
 	)
 }

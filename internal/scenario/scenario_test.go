@@ -174,6 +174,10 @@ func TestDecodeErrors(t *testing.T) {
 		{"event-unknown-cohort", minimalScenario + "events:\n  - at: 1s\n    action: set-network\n    cohort: ghosts\n    network: 4g\n", `unknown cohort "ghosts"`},
 		{"shard-out-of-range", minimalScenario + "events:\n  - at: 1s\n    action: kill-shard\n    shard: 3\n", "shard 3 out of range"},
 		{"floor-without-autoscale", minimalScenario + "events:\n  - at: 1s\n    action: set-floor\n    min_runtimes: 2\n", "requires platform.autoscale"},
+		{"floor-no-bounds", minimalScenario + "events:\n  - at: 1s\n    action: set-floor\n", "needs min_runtimes and/or max_runtimes"},
+		{"floor-max-range", minimalScenario + "events:\n  - at: 1s\n    action: set-floor\n    max_runtimes: 257\n", "max_runtimes: 257 out of range"},
+		{"kill-added-out-of-range", minimalScenario + "events:\n  - at: 1s\n    action: add-shard\n  - at: 2s\n    action: kill-shard\n    shard: 2\n", "shard 2 out of range (1 founding + 1 added)"},
+		{"chunked-push-bool", "name: x\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n    chunked_push: yes\n", "fleet[0].chunked_push: expected true or false"},
 		{"unknown-assertion", minimalScenario + "assertions:\n  - type: vibes\n", "unknown assertion type"},
 		{"success-rate-no-min", minimalScenario + "assertions:\n  - type: success-rate\n", "min: required"},
 		{"success-rate-range", minimalScenario + "assertions:\n  - type: success-rate\n    min: 1.5\n", "min"},
@@ -227,11 +231,11 @@ func TestPlanNamesAllResolve(t *testing.T) {
 	}
 }
 
-// checkedInScenarios lists every scenario file shipped in scenarios/ and
-// benchmark/scenarios/.
+// checkedInScenarios lists every scenario file shipped in scenarios/,
+// scenarios/regress/ and benchmark/scenarios/.
 func checkedInScenarios(t testing.TB) []string {
 	var files []string
-	for _, dir := range []string{"scenarios", filepath.Join("benchmark", "scenarios")} {
+	for _, dir := range []string{"scenarios", filepath.Join("scenarios", "regress"), filepath.Join("benchmark", "scenarios")} {
 		fs, err := filepath.Glob(filepath.Join("..", "..", dir, "*.yaml"))
 		if err != nil {
 			t.Fatal(err)
@@ -322,35 +326,6 @@ assertions:
 	if rep.Cohorts[1].Stats.P50Ms <= rep.Cohorts[0].Stats.P50Ms {
 		t.Errorf("4G cohort p50 %.1fms not above LAN p50 %.1fms",
 			rep.Cohorts[1].Stats.P50Ms, rep.Cohorts[0].Stats.P50Ms)
-	}
-}
-
-// TestSlowFSPlanReachesOffloadIO: a fault plan's fs.write rules reach the
-// shared offloading-I/O mount, where OCR stages its input image. The runner
-// used to wire boot, teardown, exec and link faults but not this one, so
-// slow-fs validated and then injected nothing.
-func TestSlowFSPlanReachesOffloadIO(t *testing.T) {
-	scn, err := Decode([]byte(`name: slow-fs
-fleet:
-  - cohort: scanners
-    devices: 10
-    network: lan-wifi
-    apps: [OCR]
-    duration: 5s
-events:
-  - at: 0s
-    action: fault-plan
-    plan: slow-fs
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pool.InjectedFaults == 0 || rep.Pool.FaultStats["fs.write:stall"] == 0 {
-		t.Fatalf("slow-fs injected %d faults, stats %v: want fs.write stalls", rep.Pool.InjectedFaults, rep.Pool.FaultStats)
 	}
 }
 

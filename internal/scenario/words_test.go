@@ -17,7 +17,7 @@ var wordKeys = map[string][]string{
 	"load-spike":         {"cohort: a", "factor: 2", "duration: 100ms"},
 	"fault-plan":         {"plan: healthy"},
 	"kill-shard":         {"shard: 1"},
-	"set-floor":          {"min_runtimes: 1"},
+	"set-floor":          {"min_runtimes: 1", "max_runtimes: 1"},
 	"remove-shard":       {"shard: 1"},
 	"fail-shard":         {"shard: 1"},
 	"success-rate":       {"min: 0"},
