@@ -329,6 +329,35 @@ assertions:
 	}
 }
 
+// TestSlowFSPlanReachesOffloadIO: a fault plan's fs.write rules reach the
+// shared offloading-I/O mount, where OCR stages its input image. The runner
+// used to wire boot, teardown, exec and link faults but not this one, so
+// slow-fs validated and then injected nothing.
+func TestSlowFSPlanReachesOffloadIO(t *testing.T) {
+	scn, err := Decode([]byte(`name: slow-fs
+fleet:
+  - cohort: scanners
+    devices: 10
+    network: lan-wifi
+    apps: [OCR]
+    duration: 5s
+events:
+  - at: 0s
+    action: fault-plan
+    plan: slow-fs
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pool.InjectedFaults == 0 || rep.Pool.FaultStats["fs.write:stall"] == 0 {
+		t.Fatalf("slow-fs injected %d faults, stats %v: want fs.write stalls", rep.Pool.InjectedFaults, rep.Pool.FaultStats)
+	}
+}
+
 // TestPoolFloorSkipsShardsOutOfTheRing: a failed shard's pool is retired
 // to zero runtimes, and pool-floor must judge only the shards still in the
 // ring, where the autoscaler keeps the floor.
