@@ -15,7 +15,7 @@
 //	rattrap-bench [-seed N] [-fig 1|2|3|9|10|11|obs4] [-table 1|2] [-out dir]   # paper oracle; -out adds a .txt and a .csv per table
 //	rattrap-bench -claims [-seed N] > EXPERIMENTS.md   # the paper's claims against the oracle, failures as exit status
 //	rattrap-bench -stages|-boot|-autoscale|-reshard|-faults [-seed N] [-out dir]   # one BENCH_<mode>.json, gates as exit status
-//	rattrap-bench -scenario scenarios/baseline.yaml [-out dir]   # run one chaos scenario, assertions as exit status
+//	rattrap-bench -scenario scenarios/baseline.yaml [-out dir]   # run one chaos scenario, assertions as exit status; BENCH_scenario.json only under -out
 //	rattrap-bench -scenario-validate scenarios   # parse-and-check scenario files without running
 package main
 
@@ -114,7 +114,7 @@ func run(args []string, w io.Writer) error {
 	for i, m := range modes {
 		selected[i] = fs.Bool(m.name, false, "write BENCH_"+m.name+".json: "+m.help)
 	}
-	scen := fs.String("scenario", "", "run one YAML chaos scenario and write BENCH_scenario.json (exit 1 on failed assertions)")
+	scen := fs.String("scenario", "", "run one YAML chaos scenario (exit 1 on failed assertions); with -out, write its BENCH_scenario.json there")
 	scenValidate := fs.String("scenario-validate", "", "parse and validate a scenario file or every *.yaml in a directory, without running")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,6 +130,11 @@ func run(args []string, w io.Writer) error {
 	}
 	if *scen != "" {
 		rep, gate := runScenario(w, *scen)
+		if *out == "" {
+			// Replaying a file writes no report: the BENCH_scenario.json in
+			// the working directory is the pinned baseline's.
+			rep = nil
+		}
 		return finish(w, "scenario", rep, gate, *out)
 	}
 	ranMode := false

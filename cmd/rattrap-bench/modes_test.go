@@ -124,6 +124,41 @@ func TestPaperOracle(t *testing.T) {
 	}
 }
 
+// TestScenarioWritesOnlyUnderOut: replaying a scenario file writes no
+// report unless -out names a directory, so a replay from the repository
+// root leaves the pinned BENCH_scenario.json alone.
+func TestScenarioWritesOnlyUnderOut(t *testing.T) {
+	file, err := filepath.Abs(filepath.Join(scenarioDir, "regress", "copy-fails-twice.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd, out := t.TempDir(), t.TempDir()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if err := run([]string{"-scenario", file}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(cwd); err != nil || len(left) != 0 {
+		t.Errorf("a replay without -out left %v in the working directory (%v)", left, err)
+	}
+	if err := run([]string{"-scenario", file, "-out", out}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "BENCH_scenario.json")); err != nil {
+		t.Errorf("a replay with -out wrote no report: %v", err)
+	}
+}
+
 // TestUnknownArtefactIsRejected: a mistyped -fig or -table fails before
 // anything runs, and the error lists the valid names.
 func TestUnknownArtefactIsRejected(t *testing.T) {

@@ -96,6 +96,10 @@ type Runtime struct {
 	executed int
 
 	up bool
+
+	// scan is the post-boot background scan's proc, which the runtime owns:
+	// starting it costs no allocation.
+	scan bgScan
 }
 
 // Boot brings up Android inside env, blocking p for the whole sequence of
@@ -210,19 +214,31 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 	// core OS files over the first minute of uptime. This — not the
 	// request path — is what leaves only the strippable set untouched in
 	// the §III-E profiling.
-	p.E.Spawn(env.Name()+"-bgscan", func(bp *sim.Proc) {
-		bp.Sleep(2 * time.Second)
-		for _, f := range cfg.Image.OnDemand {
-			if !r.up {
-				return
-			}
-			if _, _, err := env.FS().ReadRef(bp, f, env.IOEff()); err != nil {
-				return // runtime torn down mid-scan
-			}
-			bp.Sleep(400 * time.Millisecond)
-		}
-	})
+	r.scan.r = r
+	p.E.Start(&r.scan.Proc, "bgscan", &r.scan)
 	return r, nil
+}
+
+// bgScan is a booted runtime's post-boot background initialization: after
+// two seconds it reads the image's on-demand files, one every 400 ms, until
+// it has read them all or the runtime goes down.
+type bgScan struct {
+	sim.Proc
+	r *Runtime
+}
+
+func (s *bgScan) Run(p *sim.Proc) {
+	r := s.r
+	p.Sleep(2 * time.Second)
+	for _, f := range r.cfg.Image.OnDemand {
+		if !r.up {
+			return
+		}
+		if _, _, err := r.env.FS().ReadRef(p, f, r.env.IOEff()); err != nil {
+			return // runtime torn down mid-scan
+		}
+		p.Sleep(400 * time.Millisecond)
+	}
 }
 
 // Template is a captured boot: the process census, memory footprint and

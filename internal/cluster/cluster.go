@@ -27,6 +27,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"rattrap/internal/core"
 	"rattrap/internal/host"
@@ -105,8 +106,21 @@ type Cluster struct {
 	queue []func(p *sim.Proc)
 	busy  bool
 
+	// repairRetry queues a repair repairRetryDelay after a copy failed: the
+	// entry it was landing stays short of its replica set, and nothing else
+	// restores it until the membership changes. One timer, armed at most
+	// once at a time; a repair whose own copy fails arms it again. unlanded
+	// holds the entries those copies were landing, for the repair to land
+	// from: the shards that held them may have failed or left by then.
+	repairRetry *sim.Timer
+	unlanded    []core.ExportedEntry
+
 	stats MigrationStats
 }
+
+// repairRetryDelay is how long after a failed copy the cluster repairs
+// again.
+const repairRetryDelay = time.Second
 
 // NewReplicated builds an n-shard cluster on engine e whose warehouse
 // entries fan out to r replicas (r clamped to [1, n]). Every shard gets an
@@ -125,6 +139,12 @@ func NewReplicated(e *sim.Engine, cfg core.Config, n, r int) *Cluster {
 		r = n
 	}
 	c := &Cluster{e: e, cfg: cfg, mem: NewMembership(n, 0, r)}
+	c.repairRetry = e.NewTimer(func() {
+		c.enqueue(func(p *sim.Proc) {
+			c.repair(p)
+			c.dropOrphans() // the copies repair lands may leave others outside the set
+		})
+	})
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		if n > 1 {
@@ -184,11 +204,12 @@ func (c *Cluster) SetObs(reg *obs.Registry) {
 }
 
 // Audit runs every shard's audit (its error in a *ShardError) and checks no
-// shard out of the ring has a request parked. With no proc live, no push,
-// fan-out or rebalance is in flight, so no shard may be Joining or Draining
-// and every AID a routable shard holds must be on exactly its replica set.
+// shard out of the ring has a request parked. With no proc live and no
+// repair waiting to retry a failed copy, no push, fan-out or rebalance is in
+// flight, so no shard may be Joining or Draining and every AID a routable
+// shard holds must be on exactly its replica set.
 func (c *Cluster) Audit() error {
-	quiet := c.e.LiveProcs() == 0
+	quiet := c.e.LiveProcs() == 0 && !c.repairRetry.Armed()
 	var set [8]int
 	for s, pl := range c.shards {
 		if err := pl.Audit(); err != nil {

@@ -172,9 +172,10 @@ func (c *Cluster) handoff(p *sim.Proc, next *Ring, from, to func(shard int) bool
 // its capacity: the one way a migrated or replicated entry arrives. An
 // import that fails is tried once more (a failed staging leaves nothing
 // behind), so one failed write does not leave the entry short of its
-// replica set. It returns the delta and full bytes ImportEntry reports;
-// full is 0 when nothing landed (t has no warehouse, already held the
-// entry, or both imports failed).
+// replica set; when the second fails too, the cluster repairs again after
+// repairRetryDelay. It returns the delta and full bytes ImportEntry
+// reports; full is 0 when nothing landed (t has no warehouse, already held
+// the entry, or both imports failed).
 func (c *Cluster) copyEntry(p *sim.Proc, t int, ent core.ExportedEntry) (delta, full host.Bytes) {
 	tw := c.shards[t].Warehouse()
 	if tw == nil {
@@ -184,21 +185,45 @@ func (c *Cluster) copyEntry(p *sim.Proc, t int, ent core.ExportedEntry) (delta, 
 	if err != nil {
 		delta, full, err = tw.ImportEntry(p, ent)
 	}
-	if err != nil || full == 0 {
+	if err != nil {
+		c.unlanded = append(c.unlanded, ent)
+		if !c.repairRetry.Armed() {
+			c.repairRetry.After(repairRetryDelay)
+		}
+		return 0, 0
+	}
+	if full == 0 {
 		return 0, 0
 	}
 	tw.EnforceCapacity()
 	return delta, full
 }
 
-// repair restores the replica factor after a membership change: every AID
-// held by fewer shards than its replica set asks for is re-copied from a
-// surviving holder. After a join or a leave this catches the entries the
-// migration's snapshot missed — pushed while it copied, or with their
-// fan-out still in flight when the ring moved — which the drop that
-// follows would otherwise leave short of their set. Iteration is sorted so
-// the transfer schedule is deterministic.
+// repair restores the replica factor after a membership change, and
+// repairRetryDelay after a copy failed: every AID held by fewer shards than
+// its replica set asks for is re-copied from a surviving holder. After a
+// join or a leave this catches the entries the migration's snapshot missed
+// — pushed while it copied, or with their fan-out still in flight when the
+// ring moved — which the drop that follows would otherwise leave short of
+// their set. The entries of failed copies are landed first, from the
+// copies' own exports, as a fan-out lands its entry after its source
+// failed. Iteration is sorted so the transfer schedule is deterministic.
 func (c *Cluster) repair(p *sim.Proc) {
+	var held, set [8]int
+	unlanded := c.unlanded
+	c.unlanded = nil
+	for _, ent := range unlanded {
+		for _, t := range c.mem.AppendReplicaSet(set[:0], ent.AID) {
+			if c.failed[t] {
+				continue
+			}
+			if delta, full := c.copyEntry(p, t, ent); full > 0 {
+				c.stats.Repaired++
+				c.stats.DeltaBytes += delta
+				c.stats.FullBytes += full
+			}
+		}
+	}
 	// Each routable shard's AIDs, sorted, walked in step: the merge visits
 	// every AID once, in order, with the shards holding it lowest id first,
 	// and allocates per shard rather than per AID.
@@ -213,7 +238,6 @@ func (c *Cluster) repair(p *sim.Proc) {
 			lists = append(lists, wh.AIDs())
 		}
 	}
-	var held, set [8]int
 	for {
 		aid, found := "", false
 		for _, l := range lists {
@@ -307,53 +331,66 @@ func (c *Cluster) retire(id int) {
 
 // fanOut replicates a freshly pushed entry to the rest of its replica set,
 // asynchronously (the pushing device does not wait on copies between
-// shards). No-op at R = 1 on the AID's primary, so the engine sees no new
-// procs and the replica-free goldens stay byte-identical.
+// shards), on the proc of a replication record. No-op at R = 1 on the AID's
+// primary, so the engine sees no new procs and the replica-free goldens
+// stay byte-identical.
 func (c *Cluster) fanOut(shard int, aid string) {
 	if c.mem.Replicas() < 2 && c.mem.Primary(aid) == shard {
 		return
 	}
-	c.e.Spawn("replicate:"+aid, func(p *sim.Proc) {
-		src := c.shards[shard].Warehouse()
-		if src == nil || c.failed[shard] {
-			return
-		}
-		ent, ok := src.Export(aid)
-		if !ok {
-			return
-		}
-		// A copy can stall, and a membership change meanwhile can put a
-		// shard into the set that the repair it started has already
-		// passed: the set is read again until the epoch holds still.
-		var set, buf [8]int
-		landed := append(buf[:0], shard)
-		for epoch := c.mem.Epoch(); ; epoch = c.mem.Epoch() {
-			for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
-				if t == shard || c.failed[t] {
-					continue
-				}
-				if delta, full := c.copyEntry(p, t, ent); full > 0 {
-					c.stats.ReplicaCopies++
-					c.stats.ReplicaDelta += delta
-					landed = append(landed, t)
-				}
+	f := &replication{c: c, shard: shard, aid: aid}
+	c.e.Start(&f.Proc, "replicate", f)
+}
+
+// replication is one fan-out: its proc and the entry it copies.
+type replication struct {
+	sim.Proc
+	c     *Cluster
+	shard int // where the entry was pushed
+	aid   string
+}
+
+func (f *replication) Run(p *sim.Proc) {
+	c, shard, aid := f.c, f.shard, f.aid
+	src := c.shards[shard].Warehouse()
+	if src == nil || c.failed[shard] {
+		return
+	}
+	ent, ok := src.Export(aid)
+	if !ok {
+		return
+	}
+	// A copy can stall, and a membership change meanwhile can put a
+	// shard into the set that the repair it started has already
+	// passed: the set is read again until the epoch holds still.
+	var set, buf [8]int
+	landed := append(buf[:0], shard)
+	for epoch := c.mem.Epoch(); ; epoch = c.mem.Epoch() {
+		for _, t := range c.mem.AppendReplicaSet(set[:0], aid) {
+			if t == shard || c.failed[t] {
+				continue
 			}
-			if c.mem.Epoch() == epoch {
-				break
-			}
-		}
-		// A session keeps the shard it was routed to, and a copy the shard
-		// it was started for, so the entry may have landed on shards that
-		// have left its replica set since: once every member holds the
-		// entry, each of those drops its own.
-		members := c.mem.AppendReplicaSet(set[:0], aid)
-		if !c.heldBy(aid, members) {
-			return
-		}
-		for _, s := range landed {
-			if c.mem.Routable(s) && !slices.Contains(members, s) && c.shards[s].Warehouse().DropEntry(aid) {
-				c.stats.EntriesDropped++
+			if delta, full := c.copyEntry(p, t, ent); full > 0 {
+				c.stats.ReplicaCopies++
+				c.stats.ReplicaDelta += delta
+				landed = append(landed, t)
 			}
 		}
-	})
+		if c.mem.Epoch() == epoch {
+			break
+		}
+	}
+	// A session keeps the shard it was routed to, and a copy the shard
+	// it was started for, so the entry may have landed on shards that
+	// have left its replica set since: once every member holds the
+	// entry, each of those drops its own.
+	members := c.mem.AppendReplicaSet(set[:0], aid)
+	if !c.heldBy(aid, members) {
+		return
+	}
+	for _, s := range landed {
+		if c.mem.Routable(s) && !slices.Contains(members, s) && c.shards[s].Warehouse().DropEntry(aid) {
+			c.stats.EntriesDropped++
+		}
+	}
 }

@@ -109,10 +109,11 @@ func BenchmarkColdBoot(b *testing.B) {
 // context with its service slab and sized registry, the handle slab, the
 // slot and its records. It was 70 while every registration allocated its
 // node, every module load rebuilt its record, key and shared-state map, and
-// every device open its own handle (DESIGN.md, "Cold path"). The fence
-// leaves room for two more; a table rebuilt per boot or a key built per
-// file read costs tens.
-const coldBootAllocs = 35
+// every device open its own handle (DESIGN.md, "Cold path"), and 35 while
+// the post-boot scan was spawned with a name, a closure and a proc of its
+// own (the runtime owns it now). The fence leaves room for two more; a
+// table rebuilt per boot or a key built per file read costs tens.
+const coldBootAllocs = 32
 
 func TestColdBootAllocs(t *testing.T) {
 	e, pl := coldBootPlatform(t)

@@ -253,6 +253,7 @@ type slot struct {
 	viaTemplate bool     // booted by cloning the runtime template
 	inIdle      bool     // has a live entry in the scheduler's idle heap
 	codes       []string // AIDs the scheduler indexes this slot under (Add)
+	reap        reaper   // its idle reclamation (scheduleReap)
 }
 
 type waiter struct {

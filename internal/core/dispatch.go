@@ -365,20 +365,35 @@ func (pl *Platform) releaseSlot(sl *slot) {
 }
 
 // scheduleReap arms a reclamation check for a slot that just went idle.
-// The check fires IdleTimeout later and stops the runtime only if it is
-// still registered, still idle, and untouched since.
+// The check fires IdleTimeout later and stops the runtime, on the slot's
+// own reap proc, only if it is still registered, still idle, and untouched
+// since. A reap already live for the slot has not started yet (a started
+// one has moved the slot out of idle): it was armed for the same release,
+// runs first, and leaves a second one nothing to do.
 func (pl *Platform) scheduleReap(sl *slot, asOf sim.Time) {
 	pl.E.After(pl.cfg.IdleTimeout, func() {
-		if !slotIdle(sl) || sl.info.LastUsed != asOf {
+		if !slotIdle(sl) || sl.info.LastUsed != asOf || !sl.reap.Done() {
 			return
 		}
-		pl.E.Spawn("reap:"+sl.id, func(p *sim.Proc) {
-			// Re-check: the slot may have been claimed between the event
-			// firing and the proc starting.
-			if !slotIdle(sl) || sl.info.LastUsed != asOf {
-				return
-			}
-			_ = pl.StopRuntime(p, sl.id)
-		})
+		sl.reap.pl, sl.reap.sl, sl.reap.asOf = pl, sl, asOf
+		pl.E.Start(&sl.reap.Proc, "reap", &sl.reap)
 	})
+}
+
+// reaper is a slot's idle reclamation proc; the slot owns it, so at most one
+// is live per slot and starting it allocates nothing.
+type reaper struct {
+	sim.Proc
+	pl   *Platform
+	sl   *slot
+	asOf sim.Time // the release the reap was armed for
+}
+
+func (r *reaper) Run(p *sim.Proc) {
+	// Re-check: the slot may have been claimed between the event firing and
+	// the proc starting.
+	if !slotIdle(r.sl) || r.sl.info.LastUsed != r.asOf {
+		return
+	}
+	_ = r.pl.StopRuntime(p, r.sl.id)
 }

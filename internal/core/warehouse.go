@@ -268,11 +268,35 @@ func chunkPath(h uint64) string {
 }
 
 // chunkStaging is one delta push's parallel block writes: the signal its
-// proc waits on, the writes outstanding and the first that failed.
+// proc waits on, the writes outstanding and the first that failed, and the
+// writes themselves, whose procs it owns.
 type chunkStaging struct {
 	done      sim.Signal
 	remaining int
 	err       error
+	w         *Warehouse
+	writes    []chunkWrite
+	// one backs writes when a single block is missing, as it mostly is:
+	// the staging is then the one allocation.
+	one [1]chunkWrite
+}
+
+// chunkWrite is one block a staging writes, on its own proc.
+type chunkWrite struct {
+	sim.Proc
+	st   *chunkStaging
+	hash uint64
+	size host.Bytes
+}
+
+func (c *chunkWrite) Run(p *sim.Proc) {
+	st := c.st
+	if err := st.w.store.Write(p, chunkPath(c.hash), c.size, nil, 1.0); err != nil && st.err == nil {
+		st.err = fmt.Errorf("core: warehouse chunk %016x: %w", c.hash, err)
+	}
+	if st.remaining--; st.remaining == 0 {
+		st.done.Fire()
+	}
 }
 
 // load charges a runtime's read of aid's staged code at the runtime's I/O
@@ -361,19 +385,17 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 		}
 	}
 	if len(missing) > 0 {
-		st := &chunkStaging{remaining: len(missing)}
+		st := &chunkStaging{remaining: len(missing), w: w}
+		st.writes = st.one[:]
+		if len(missing) > 1 {
+			st.writes = make([]chunkWrite, len(missing))
+		}
 		st.done.Init(p.E)
-		for _, h := range missing {
+		for i, h := range missing {
 			w.staging[h]++
-			sz := span[h]
-			p.E.Spawn("chunk-stage", func(cp *sim.Proc) {
-				if err := w.store.Write(cp, chunkPath(h), sz, nil, 1.0); err != nil && st.err == nil {
-					st.err = fmt.Errorf("core: warehouse chunk %016x: %w", h, err)
-				}
-				if st.remaining--; st.remaining == 0 {
-					st.done.Fire()
-				}
-			})
+			c := &st.writes[i]
+			c.st, c.hash, c.size = st, h, span[h]
+			p.E.Start(&c.Proc, "chunk-stage", c)
 		}
 		p.Wait(&st.done)
 		for _, h := range missing {

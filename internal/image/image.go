@@ -263,7 +263,11 @@ type Image struct {
 
 // BuildLayer materializes the manifest as a unionfs layer.
 func (m Manifest) BuildLayer(name string, readOnly bool) *Image {
-	l := unionfs.NewLayer(name, readOnly)
+	files := 0
+	for _, c := range m.Cats {
+		files += c.Files
+	}
+	l := unionfs.NewSizedLayer(name, readOnly, files)
 	add := func(path string, size host.Bytes) unionfs.Ref {
 		return l.AddFile(path, size, nil)
 	}

@@ -22,6 +22,9 @@ type PipelineClient struct {
 	onRes   func(Result)
 	pending map[int]struct{}
 	err     error
+	// exec is the request Submit is sending: the frame points at it here,
+	// so the request does not escape to the heap once per Submit.
+	exec ExecRequest
 }
 
 // NewPipelineClient wraps an established protocol connection. depth < 1
@@ -56,7 +59,10 @@ func (p *PipelineClient) Submit(req ExecRequest) error {
 	for p.err == nil && len(p.pending) >= p.depth {
 		p.step()
 	}
-	if err := p.send(Frame{Kind: KindExec, Exec: &req}); err != nil {
+	p.exec = req
+	err := p.send(Frame{Kind: KindExec, Exec: &p.exec})
+	p.exec = ExecRequest{} // the frame is encoded: let go of the params
+	if err != nil {
 		return err
 	}
 	p.pending[req.Seq] = struct{}{}

@@ -280,23 +280,41 @@ func (m *machine) route(seq int, msg codeMsg) bool {
 		ch = m.codeWait[seq]
 	}
 	m.dropCodeWait(seq)
-	ch <- msg // the waiter's own buffered channel, now unregistered: never blocks
+	ch <- msg // the waiter's buffered channel, now unregistered and empty: never blocks
 	return true
 }
 
-// registerCodeWait installs a waiter for the next code-exchange frame for
-// seq. It is registered before whatever frame prompts the device (NEED_CODE
-// or a chunk-need reply) is emitted, so the answer can never race past it.
-func (m *machine) registerCodeWait(seq int) (chan codeMsg, error) {
-	ch := make(chan codeMsg, 1)
+// registerCodeWait installs ch, the worker's own, as the waiter for the next
+// code-exchange frame for seq. It is registered before whatever frame
+// prompts the device (NEED_CODE or a chunk-need reply) is emitted, so the
+// answer can never race past it. A worker reuses its channel for every
+// wait: route sends under m.mu to a waiter it unregisters in the same
+// critical section, and a waiter that gives up unregisters and drains under
+// m.mu too (giveUpCodeWait), so a frame routed to one wait is never read by
+// the next.
+func (m *machine) registerCodeWait(seq int, ch chan codeMsg) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.codeWait[seq]; dup {
-		return nil, fmt.Errorf("realtime: duplicate in-flight seq %d awaiting code", seq)
+		return fmt.Errorf("realtime: duplicate in-flight seq %d awaiting code", seq)
 	}
 	m.codeWait[seq] = ch
 	m.codeFIFO = append(m.codeFIFO, seq)
-	return ch, nil
+	return nil
+}
+
+// giveUpCodeWait unregisters seq's waiter ch and drops a frame route sent
+// it before the waiter gave up.
+func (m *machine) giveUpCodeWait(seq int, ch chan codeMsg) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.codeWait[seq] == ch {
+		m.dropCodeWait(seq)
+	}
+	select {
+	case <-ch:
+	default:
+	}
 }
 
 // dropCodeWait removes seq's waiter; m.mu must be held.
@@ -334,8 +352,9 @@ func errorResult(err error) offload.Result {
 // the steps bound to it once, so serving a request boxes no captured local
 // and builds no closure.
 type reqState struct {
-	m *machine
-	t transport // the worker's
+	m    *machine
+	t    transport    // the worker's
+	code chan codeMsg // every code wait of the worker's requests; capacity 1
 	reqVars
 
 	prepare, negotiate, push, execute, release func(*sim.Proc)
@@ -346,7 +365,7 @@ type reqVars struct {
 	req   offload.ExecRequest
 	key   dedupKey
 	start time.Time
-	sp    *obs.Span
+	sp    obs.Span // the request's stages; zeroed with the rest by serve
 	pre   workload.Precomputed
 
 	sess offload.Session
@@ -363,7 +382,7 @@ type reqVars struct {
 }
 
 func newReqState(m *machine, t transport) *reqState {
-	st := &reqState{m: m, t: t}
+	st := &reqState{m: m, t: t, code: make(chan codeMsg, 1)}
 	st.prepare = st.prepareStep
 	st.negotiate = func(p *sim.Proc) {
 		st.need, st.err = st.sess.NegotiateChunks(p, *st.msg.offer)
@@ -384,10 +403,10 @@ func (st *reqState) serve(r request) {
 		key: dedupKey{dev: m.dev, aid: r.req.AID, seq: r.req.Seq}}
 	// The platform records its dispatcher, warehouse and runtime sub-stages
 	// (virtual time) into the request's span, folded into server.stage.*
-	// once the result is sent. Only this worker and the steps it runs touch
-	// the span, so no lock is needed.
-	st.sp = obs.NewSpan()
-	st.req.SetSpan(st.sp)
+	// when the result is sent, inside emit. Only this worker and the steps
+	// it runs touch the span, so no lock is needed, and nothing reads it
+	// once emit has returned: the next request reuses it.
+	st.req.SetSpan(&st.sp)
 	// Run the real computation here, before entering the serialized engine:
 	// apps are deterministic in the task parameters, so the dispatch charges
 	// the modeled virtual cost and returns this result. This also consumes
@@ -413,7 +432,7 @@ func (st *reqState) serve(r request) {
 		res = errorResult(st.err)
 	}
 	res.Seq = st.req.Seq
-	st.t.emit(outMsg{res: res, isResult: true, start: st.start, span: st.sp})
+	st.t.emit(outMsg{res: res, isResult: true, start: st.start, span: &st.sp})
 }
 
 // exchange is the slow path: the device must transfer the mobile code first
@@ -431,12 +450,12 @@ func (st *reqState) exchange() error {
 		}
 	}()
 	for !st.done {
-		ch, err := m.registerCodeWait(st.req.Seq)
-		if err != nil {
+		if err := m.registerCodeWait(st.req.Seq, st.code); err != nil {
 			return err
 		}
 		st.t.emit(outMsg{frame: offload.Frame{Kind: offload.KindNeedCode, NeedCode: &offload.NeedCode{Seq: st.req.Seq, AID: st.req.AID}}})
-		if st.msg, err = st.wait(ch); err != nil {
+		var err error
+		if st.msg, err = st.wait(); err != nil {
 			return err
 		}
 		// Delta-push negotiation: answer chunk offers with the warehouse's
@@ -450,11 +469,11 @@ func (st *reqState) exchange() error {
 			if st.need.Supported {
 				st.negotiated, st.missing = st.msg.offer, st.need.Missing
 			}
-			if ch, err = m.registerCodeWait(st.req.Seq); err != nil {
+			if err = m.registerCodeWait(st.req.Seq, st.code); err != nil {
 				return err
 			}
 			st.t.emit(outMsg{frame: offload.ChunkNeedFrame(&st.need)})
-			if st.msg, err = st.wait(ch); err != nil {
+			if st.msg, err = st.wait(); err != nil {
 				return err
 			}
 		}
@@ -466,17 +485,16 @@ func (st *reqState) exchange() error {
 	return nil
 }
 
-// wait bounds a code wait by the read timeout and the request's budget.
-func (st *reqState) wait(ch <-chan codeMsg) (codeMsg, error) {
+// wait bounds the worker's code wait by the read timeout and the request's
+// budget.
+func (st *reqState) wait() (codeMsg, error) {
 	deadline := st.start.Add(requestTimeout)
 	if d := st.m.clock().Add(readTimeout); d.Before(deadline) {
 		deadline = d
 	}
-	msg, err := st.t.waitCode(ch, deadline)
+	msg, err := st.t.waitCode(st.code, deadline)
 	if err != nil {
-		st.m.mu.Lock()
-		st.m.dropCodeWait(st.req.Seq)
-		st.m.mu.Unlock()
+		st.m.giveUpCodeWait(st.req.Seq, st.code)
 		return codeMsg{}, fmt.Errorf("realtime: seq %d: %w", st.req.Seq, err)
 	}
 	return msg, nil

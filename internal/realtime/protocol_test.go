@@ -3,7 +3,9 @@ package realtime
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -335,4 +337,67 @@ func TestVirtualRunsReplayByteForByte(t *testing.T) {
 			t.Fatalf("seed %d: the transcript does not depend on the seed", seed)
 		}
 	}
+}
+
+// warehouseHitAllocs is what one warehouse hit allocates served end to end
+// through a worker's reqState: the core session, the request's until its
+// Release, and Linpack's output string, the result's. Both outlive the step
+// that makes them. It was 3 while serve made a span per request.
+const warehouseHitAllocs = 2
+
+// TestWarehouseHitAllocs fences a warm request on the virtual transport:
+// decode to result frame minus the read, on one worker's reqState, with the
+// result encoded and delivered (latency, span fold). The frames go to a
+// discarding codec, as the fence counts the server alone. Under the race
+// detector sync.Pool drops Puts at random, so the fence skips.
+func TestWarehouseHitAllocs(t *testing.T) {
+	var pool sync.Pool
+	for i := 0; i < 64; i++ {
+		if pool.Put(new(int)); pool.Get() == nil {
+			t.Skip("sync.Pool is dropping Puts (race detector)")
+		}
+	}
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	c := &vConn{s: s, sc: offload.NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(nil), io.Discard})}
+	c.m = newMachine(s.pr, nil, s.now)
+	c.m.dev, c.m.name = "probe-dev", "device:probe-dev"
+	app, _ := workload.ByName(workload.NameLinpack)
+	req := offload.ExecRequest{AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name(), Method: "solve",
+		Params: workload.EncodeLinpackParams(42, 8), ParamBytes: 500}
+	var allocs float64
+	s.e.Spawn("worker", func(p *sim.Proc) {
+		// The first request boots a runtime and stages the code; every
+		// later one is a warehouse hit on the runtime it left idle.
+		sess, err := s.pr.cl.Prepare(p, req)
+		if err == nil && sess.NeedCode() {
+			err = sess.PushCode(p, offload.CodePush{AID: req.AID, App: req.App, Size: app.CodeSize()})
+		}
+		if err == nil {
+			_, err = sess.Execute(p)
+			sess.Release()
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w := &vPort{c: c, p: p}
+		c.m.t, w.st = w, newReqState(c.m, w)
+		serve := func() {
+			req.Seq++
+			w.st.serve(request{req: req, start: s.now()})
+			if w.st.err != nil || w.st.res.Err != "" {
+				t.Errorf("seq %d: %v %q", req.Seq, w.st.err, w.st.res.Err)
+			}
+		}
+		serve() // grows what stays grown: the window, the stage histograms
+		allocs = testing.AllocsPerRun(500, serve)
+	})
+	s.e.Run()
+	if allocs > warehouseHitAllocs {
+		t.Fatalf("a warehouse hit allocates %.1f objects, fence is %d (the session and the Linpack output)", allocs, warehouseHitAllocs)
+	}
+	t.Logf("a warehouse hit allocates %.1f objects", allocs)
 }

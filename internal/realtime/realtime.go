@@ -293,22 +293,23 @@ func (d *Driver) Stop() {
 // timer fired. An idle driver holds at zero.
 func (d *Driver) TimerWakeups() int64 { return d.timerWakeups.Load() }
 
-// completion is a Do call's proc body, run (bound once, by the pool), and
-// the channel its end is signalled on with a buffered send, received once
-// and then empty again: pooled, a Do allocates only the proc.
+// completion is one Do call: the proc it runs in, the body that proc runs
+// (the completion itself) and the channel its end is signalled on with a
+// buffered send, received once and then empty again. Pooled, a Do
+// allocates nothing: the proc is started again in place.
 type completion struct {
-	fn  func(p *sim.Proc)
-	run func(p *sim.Proc)
-	ch  chan struct{}
+	sim.Proc
+	fn func(p *sim.Proc)
+	ch chan struct{}
+}
+
+func (c *completion) Run(p *sim.Proc) {
+	defer func() { c.ch <- struct{}{} }()
+	c.fn(p)
 }
 
 var completions = sync.Pool{New: func() any {
-	c := &completion{ch: make(chan struct{}, 1)}
-	c.run = func(p *sim.Proc) {
-		defer func() { c.ch <- struct{}{} }()
-		c.fn(p)
-	}
-	return c
+	return &completion{ch: make(chan struct{}, 1)}
 }}
 
 // Do runs fn as a simulated process and waits for it to complete. The
@@ -316,14 +317,16 @@ var completions = sync.Pool{New: func() any {
 // transfers, compute) take real time; work that is due immediately —
 // including fn itself and everything it does in zero virtual time — is
 // drained synchronously on the calling goroutine. The critical section
-// covers exactly the engine interaction, and the proc's body and
-// completion channel come from a pool. The loop is woken only when the
-// drain left an event earlier than the one it is sleeping toward.
+// covers exactly the engine interaction, and the proc, its body and its
+// completion channel are one pooled object. The proc finishes under the
+// driver's mutex before any later Do can take the object from the pool and
+// start it again. The loop is woken only when the drain left an event
+// earlier than the one it is sleeping toward.
 func (d *Driver) Do(name string, fn func(p *sim.Proc)) {
 	c := completions.Get().(*completion)
 	c.fn = fn
 	d.mu.Lock()
-	d.e.Spawn(name, c.run)
+	d.e.Start(&c.Proc, name, c)
 	d.advanceLocked()
 	stale := d.nextLocked() < d.plan
 	d.mu.Unlock()

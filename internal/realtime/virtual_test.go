@@ -196,9 +196,9 @@ func (w *vPort) step(name string, fn func(*sim.Proc)) {
 		return
 	}
 	_, stored := w.c.s.pr.dedup.lookup(w.st.key)
-	runs := stageCount(w.st.sp, obs.StageRun)
+	runs := stageCount(&w.st.sp, obs.StageRun)
 	fn(w.p)
-	if stored && stageCount(w.st.sp, obs.StageRun) > runs {
+	if stored && stageCount(&w.st.sp, obs.StageRun) > runs {
 		w.c.s.violations = append(w.c.s.violations, fmt.Sprintf(
 			"%v: %+v executed in step %s with its result in the window", w.c.s.e.Now(), w.st.key, name))
 	}

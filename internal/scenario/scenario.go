@@ -878,12 +878,15 @@ func plans(seed int64) []faults.Plan {
 		faults.Plan{Name: "exec-flaky", Seed: seed, Rules: []faults.Rule{
 			{Site: faults.SiteExec, Kind: faults.Drop, P: 0.2},
 		}},
-		// The first block written into the warehouse's chunk store fails,
-		// whichever staging writes it: a device's delta push, a replica's
-		// fan-out or a migration's copy. The target is the store's
-		// directory name, as only the warehouse spells out its paths.
+		// Every third block written into the warehouse's chunk store fails,
+		// four times in all, whichever staging writes it: a device's delta
+		// push, a replica's fan-out or a migration's copy. A three-block
+		// Linpack copy then fails both its imports, so the entry stays
+		// short until the cluster repairs again; the cap lets the repair
+		// land. The target is the store's directory name, as only the
+		// warehouse spells out its paths.
 		faults.Plan{Name: "chunk-write-fail", Seed: seed, Rules: []faults.Rule{
-			{Site: faults.SiteFSWrite, Target: "/chunks/", Kind: faults.Drop, Every: 1, MaxHits: 1},
+			{Site: faults.SiteFSWrite, Target: "/chunks/", Kind: faults.Drop, Every: 3, MaxHits: 4},
 		}},
 	)
 }

@@ -66,11 +66,15 @@ const simChurnFifthReport = "d17dd43fc61fac7038a9e7cce73088c6619f4524d8fb062919d
 // allocating its Binder nodes, module records and device handles one by
 // one (DESIGN.md, "Cold path"), 23.9 until the code push, the arrival and
 // the shard session stopped allocating per chunk, per link hook and per
-// session wrapper, and 17.4 until what is per code, per image or per timer
+// session wrapper, 17.4 until what is per code, per image or per timer
 // was built once: an AID per code variant, image paths per process, one
 // autoscaler timer, the arrival's proc, body and link as one object, and
-// a queued request's session and waiter as one object.
-const simArrivalAllocs = 10.4
+// a queued request's session and waiter as one object, and 10.4 until the
+// post-boot scan, the idle reap, a staging's chunk writes and a fan-out ran
+// on procs their records own instead of spawned ones, each with a closure
+// and most with a name built per spawn (a staging holds a single write
+// inline).
+const simArrivalAllocs = 9.5
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,

@@ -189,11 +189,14 @@ func (t *Timer) After(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if t.ev.index >= 0 {
+	if t.Armed() {
 		panic("sim: timer armed twice")
 	}
 	t.e.schedule(&t.ev, t.e.now+Time(d))
 }
+
+// Armed reports whether t is queued: armed and not yet fired.
+func (t *Timer) Armed() bool { return t.ev.index >= 0 }
 
 // step pops and runs the next event. It reports false when no events remain.
 func (e *Engine) step() bool {

@@ -75,8 +75,12 @@ type Layer struct {
 
 // NewLayer creates a disk-backed layer. readOnly layers reject writes
 // through any mount.
-func NewLayer(name string, readOnly bool) *Layer {
-	return &Layer{name: name, readOnly: readOnly, files: make(map[string]*node)}
+func NewLayer(name string, readOnly bool) *Layer { return NewSizedLayer(name, readOnly, 0) }
+
+// NewSizedLayer is NewLayer with room for files files before its table
+// grows: a layer built from a manifest knows how many it will hold.
+func NewSizedLayer(name string, readOnly bool, files int) *Layer {
+	return &Layer{name: name, readOnly: readOnly, files: make(map[string]*node, files)}
 }
 
 // NewTmpfs creates an in-memory (tmpfs) layer. Its content occupies RAM and
