@@ -56,9 +56,11 @@ race-top:
 # hand-written fleet harness coming back. The realtime protocol is tested in
 # virtual time (virtual_test.go): a wall-clock sleep or timeout belongs only
 # in the pacing driver's tests, and in the TCP adapter's (tcp_test.go) only
-# as the upper bound of a select. The App Warehouse alone knows where it
-# stages code: a "/warehouse/ path anywhere else is a second copy of its
-# layout. internal/cluster lands a migrated or replicated entry only through
+# as the upper bound of a select. The App Warehouse stages code in one
+# format, content-addressed blocks named by chunkPath under chunkDir: a
+# "/warehouse/ path anywhere but chunkDir's declaration, a store write
+# outside writeChunk or a store removal of another path is a second format
+# (the plain blob, once) or a second copy of the layout coming back. internal/cluster lands a migrated or replicated entry only through
 # copyEntry (import, then capacity): a hand-copied import loop is how a leave
 # once skipped the capacity check. Platform.Audit owns the scheduler's and the
 # warehouse's reverse indexes: a test that type-switches on .sched or reads
@@ -154,9 +156,16 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"/warehouse/' --include='*.go' internal/ cmd/ \
-		| grep -v '_test.go' | grep -v '^internal/core/warehouse\.go:' || true); \
+		| grep -v '_test.go' | grep -v -E '^internal/core/warehouse\.go:[0-9]+:const chunkDir = "/warehouse/chunks/"$$' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "a warehouse path outside internal/core/warehouse.go (the warehouse reads and writes its own layout):"; \
+		echo "a warehouse path other than chunkDir (the warehouse stages one format: chunkPath's blocks under chunkDir):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$( (awk 'FNR==1{fn=""} /^func /{fn=$$0} /\.store\.Write\(/ && fn !~ /^func \(w \*Warehouse\) writeChunk\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/core/*.go | grep -v '_test.go'); \
+		grep -n -E '\.store\.Remove\(' $$(ls internal/core/*.go | grep -v '_test.go') | grep -v -E '\.store\.Remove\((chunkPath\(h\)|c\.path)\)') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a warehouse store write outside writeChunk, or a removal of a path other than a block's (the warehouse stages one format):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(awk 'FNR==1{fn=""} /^func /{fn=$$0} /\.(ImportEntry|EnforceCapacity)\(/ && fn !~ /^func \(c \*Cluster\) copyEntry\(/ {print FILENAME":"FNR": "$$0}' \

@@ -641,6 +641,13 @@ func TestClusterPushOutsideReplicaSetLeavesNoOrphan(t *testing.T) {
 	}
 }
 
+// landCode lands aid's code in wh as a full push lands it: the whole blob
+// under its synthetic manifest, through the import path.
+func landCode(p *sim.Proc, wh *core.Warehouse, aid, app string, size host.Bytes) error {
+	_, _, err := wh.ImportEntry(p, core.ExportedEntry{AID: aid, App: app, Size: size, Hashes: offload.SyntheticManifest(app, size)})
+	return err
+}
+
 // TestClusterReshardCompletesReplicaSets (R=2): a join or a leave ends with
 // every cached AID on exactly its replica set, including entries that were
 // short of it when the change began — pushed while the migration's snapshot
@@ -657,8 +664,8 @@ func TestClusterReshardCompletesReplicaSets(t *testing.T) {
 				size := app.CodeSize() + host.Bytes(i)
 				aid := offload.AID(app.Name(), size)
 				aids = append(aids, aid)
-				if err := cl.Shard(cl.Owner(aid)).Warehouse().Put(p, aid, app.Name(), size); err != nil {
-					t.Errorf("put %s: %v", aid, err)
+				if err := landCode(p, cl.Shard(cl.Owner(aid)).Warehouse(), aid, app.Name(), size); err != nil {
+					t.Errorf("land %s: %v", aid, err)
 				}
 			}
 		})
@@ -693,8 +700,8 @@ func TestClusterJoinKeepsCapacity(t *testing.T) {
 		for i := 0; i < 24; i++ {
 			size := app.CodeSize() + host.Bytes(i)
 			aid := offload.AID(app.Name(), size)
-			if err := cl.Shard(cl.Owner(aid)).Warehouse().Put(p, aid, app.Name(), size); err != nil {
-				t.Errorf("put %s: %v", aid, err)
+			if err := landCode(p, cl.Shard(cl.Owner(aid)).Warehouse(), aid, app.Name(), size); err != nil {
+				t.Errorf("land %s: %v", aid, err)
 			}
 		}
 	})
@@ -718,7 +725,11 @@ func TestClusterLeaveKeepsCapacity(t *testing.T) {
 	e := sim.NewEngine(43)
 	app, _ := workload.ByName(workload.NameLinpack)
 	cfg := core.DefaultConfig(core.KindRattrap)
-	cfg.WarehouseCapacity = 4 * app.CodeSize()
+	// The entries are one app at nearby sizes, sharing the library blocks:
+	// room for the library and three and a half size-salted tails holds a
+	// shard's three and no more.
+	tail := app.CodeSize() % offload.ChunkSize
+	cfg.WarehouseCapacity = app.CodeSize() + 5*tail/2
 	cl := NewReplicated(e, cfg, 3, 1)
 	e.Spawn("primaries", func(p *sim.Proc) {
 		var held [3]int
@@ -729,8 +740,8 @@ func TestClusterLeaveKeepsCapacity(t *testing.T) {
 			if held[s] == 3 {
 				continue
 			}
-			if err := cl.Shard(s).Warehouse().Put(p, aid, app.Name(), size); err != nil {
-				t.Errorf("put %s: %v", aid, err)
+			if err := landCode(p, cl.Shard(s).Warehouse(), aid, app.Name(), size); err != nil {
+				t.Errorf("land %s: %v", aid, err)
 				return
 			}
 			held[s]++
@@ -744,9 +755,14 @@ func TestClusterLeaveKeepsCapacity(t *testing.T) {
 	if cl.MigrationStats().EntriesMoved != 3 {
 		t.Fatalf("the leave moved %d entries, want shard 0's 3", cl.MigrationStats().EntriesMoved)
 	}
+	evictions := 0
 	for s := 1; s < cl.Shards(); s++ {
 		if got := cl.Shard(s).Warehouse().StoredBytes(); got > cfg.WarehouseCapacity {
 			t.Errorf("shard %d stores %d B after the leave, capacity %d B", s, got, cfg.WarehouseCapacity)
 		}
+		evictions += cl.Shard(s).Warehouse().Evictions()
+	}
+	if evictions == 0 {
+		t.Error("the leave evicted nothing; the test needs entries landing past capacity")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"rattrap/internal/host"
 	"rattrap/internal/obs"
@@ -182,5 +183,86 @@ func TestWarmRequestAllocs(t *testing.T) {
 	t.Logf("a warm request allocates %.0f objects", allocs)
 	if allocs > warmRequestAllocs {
 		t.Fatalf("a warm request allocates %.0f objects, fence is %d", allocs, warmRequestAllocs)
+	}
+}
+
+// coldPushAllocs is what one cold request allocates on an instrumented
+// platform whose idle runtimes reap at once and whose warehouse holds one
+// blob: Prepare boots a runtime, PushCode lands a never-seen AID's code,
+// EnforceCapacity evicts the entry before it, Execute runs a Linpack
+// order-8 solve and Release leaves the runtime to its reap. The boot and
+// the reap's stop are 31 of them (the layer coldBootAllocs fences). The
+// other 12 are the session; the push claim's signal; the manifest, the
+// path and the file node of its one new block (the size-salted tail: the
+// library blocks are held) and the cache entry; the binding's CID list and
+// reverse-index set; the scheduler's list of the slot's codes and the
+// runtime's table of loaded code; and the idle reap's event and closure.
+// The evicted entry's block leaves under the path it was written at. A
+// plain blob staged by its own path was 42, and the manifest the 43rd.
+const coldPushAllocs = 43
+
+func TestColdPushAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	app, _ := workload.ByName(workload.NameLinpack)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.IdleTimeout = time.Nanosecond
+	cfg.WarehouseCapacity = app.CodeSize()
+	pl := New(e, cfg)
+	pl.SetObs(obs.NewRegistry())
+	task := workload.Task{App: app.Name(), Method: "solve", ParamBytes: 500, Params: workload.EncodeLinpackParams(42, 8)}
+	m, err := workload.NewRegistry().Execute(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := &workload.Precomputed{Metrics: m}
+	// Every request's AID is built beforehand, as the wire decodes it
+	// before the platform sees it.
+	const runs = 200
+	sizes := make([]host.Bytes, runs+2)
+	aids := make([]string, runs+2)
+	for i := range aids {
+		sizes[i] = app.CodeSize() + host.Bytes(i)
+		aids[i] = offload.AID(app.Name(), sizes[i])
+	}
+	next := 0
+	serve := func(p *sim.Proc) {
+		size, aid := sizes[next], aids[next]
+		next++
+		req := offload.ExecRequest{DeviceID: "probe-dev", AID: aid, App: task.App, Method: task.Method,
+			Params: task.Params, ParamBytes: task.ParamBytes, Seq: next}
+		req.SetPrecomputed(pre)
+		sess, err := pl.Prepare(p, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !sess.NeedCode() {
+			t.Errorf("%s: a never-seen AID needs no code", aid)
+		} else if err := sess.PushCode(p, offload.CodePush{AID: aid, App: req.App, Size: size}); err != nil {
+			t.Error(err)
+		} else if res, err := sess.Execute(p); err != nil || res.Err != "" {
+			t.Errorf("%v %q", err, res.Err)
+		}
+		sess.Release()
+		p.Sleep(time.Millisecond) // the idle runtime reaps
+	}
+	var allocs float64
+	e.Spawn("fence", func(p *sim.Proc) {
+		serve(p) // the first one grows what stays grown
+		allocs = testing.AllocsPerRun(runs, func() { serve(p) })
+	})
+	e.Run()
+	if t.Failed() {
+		return
+	}
+	if n := pl.warehouse.Evictions(); n < runs {
+		t.Fatalf("%d evictions over %d cold pushes; every push must evict the one before", n, runs+2)
+	}
+	if n := pl.DB().StateCount(LifecycleIdle) + pl.DB().StateCount(LifecycleActive); n != 0 {
+		t.Fatalf("%d runtimes left unreaped", n)
+	}
+	t.Logf("a cold request allocates %.2f objects", allocs)
+	if allocs > coldPushAllocs {
+		t.Fatalf("a cold request allocates %.2f objects, fence is %d", allocs, coldPushAllocs)
 	}
 }

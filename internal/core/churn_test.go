@@ -58,7 +58,7 @@ func (w *churnWorld) checkQuiescent() error {
 		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters", pl.RuntimeCount(), pl.QueueLength())
 	}
 	// A live entry explains a cached file when a runtime loaded it from a
-	// reassembled blob (the entry's page); plain blobs sit on tmpfs.
+	// reassembled blob (the entry's page); its blocks sit on tmpfs.
 	rest := pl.Server.CachedFiles()
 	for _, e := range pl.warehouse.entries {
 		if pl.Server.CachedPage(&e.page) {
@@ -104,7 +104,11 @@ func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 		cfg := DefaultConfig(KindRattrap)
 		cfg.MaxRuntimes = 3
 		cfg.IdleTimeout = idle
-		cfg.WarehouseCapacity = 6 * app.CodeSize()
+		// Every AID here is one app at a nearby size: its blobs share the
+		// library blocks and differ in a size-salted tail. Room for the
+		// library and six tails keeps the warehouse evicting as often as
+		// six whole blobs did before entries shared blocks.
+		cfg.WarehouseCapacity = app.CodeSize() + 5*(app.CodeSize()%offload.ChunkSize)
 		w := &churnWorld{pl: New(e, cfg), handles: map[*binder.Context]uint32{}, seen: map[*slot]bool{}, steady: -1}
 		pl := w.pl
 		rng := rand.New(rand.NewSource(seed))

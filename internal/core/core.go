@@ -754,7 +754,8 @@ func (s *session) seam(aid string, err *error) {
 }
 
 // PushCode receives the code blob: Rattrap stages it in the App Warehouse
-// ("once and for all"), everyone loads it into the runtime's ClassLoader.
+// ("once and for all") under its synthetic manifest, everyone loads it into
+// the runtime's ClassLoader.
 func (s *session) PushCode(p *sim.Proc, push offload.CodePush) (err error) {
 	if err := s.down(); err != nil {
 		return err
@@ -763,30 +764,7 @@ func (s *session) PushCode(p *sim.Proc, push offload.CodePush) (err error) {
 	if push.AID != s.req.AID {
 		return fmt.Errorf("core: code push AID %s does not match request %s", push.AID, s.req.AID)
 	}
-	sp := s.req.Span()
-	stageStart := s.stageStart(sp)
-	if s.pl.warehouse != nil {
-		if err := s.pl.warehouse.Put(p, push.AID, push.App, push.Size); err != nil {
-			return err
-		}
-		s.pl.warehouse.settle(push.AID)
-	}
-	if err := s.pl.loadCode(p, s.sl, push.AID, push.Size, false); err != nil {
-		return err
-	}
-	if d, on := s.stageEnd(stageStart); on {
-		sp.Add(obs.StageCodeStage, d)
-		if s.pl.om != nil {
-			s.pl.om.codeStage.Observe(d)
-		}
-	}
-	if s.pl.warehouse != nil {
-		s.pl.warehouse.BindCID(push.AID, s.sl.id)
-		s.pl.warehouse.EnforceCapacity()
-	}
-	s.sl.info.Traffic.CodeUp += push.Size
-	s.pushed = true
-	return nil
+	return s.stage(p, offload.ChunkOffer{AID: push.AID, App: push.App, Size: push.Size}, nil, true)
 }
 
 // NegotiateChunks implements offload.Session: answer a device's
@@ -834,24 +812,51 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 	if s.pl.warehouse == nil {
 		return fmt.Errorf("core: %s: chunked push not negotiated", offer.AID)
 	}
+	return s.stage(p, offer, missing, false)
+}
+
+// stage lands pushed code in the App Warehouse, if there is one, and loads
+// it into the session's runtime. A full push carried the whole blob, which
+// lands under its synthetic manifest and loads as it arrived; a delta push
+// carried offer's missing blocks, and the runtime reads the reassembled
+// blob from the warehouse. The two differ in the span stage they record
+// and in the code bytes they book.
+func (s *session) stage(p *sim.Proc, offer offload.ChunkOffer, missing []uint64, full bool) error {
+	wh := s.pl.warehouse
 	sp := s.req.Span()
 	stageStart := s.stageStart(sp)
-	if err := s.pl.warehouse.PutChunked(p, offer.AID, offer.App, offer.Size, offer.Hashes, missing); err != nil {
+	if wh != nil {
+		var err error
+		if full {
+			_, err = wh.land(p, offer.AID, offer.App, offer.Size, offload.SyntheticManifest(offer.App, offer.Size))
+		} else {
+			err = wh.PutChunked(p, offer.AID, offer.App, offer.Size, offer.Hashes, missing)
+		}
+		if err != nil {
+			return err
+		}
+		wh.settle(offer.AID)
+	}
+	if err := s.pl.loadCode(p, s.sl, offer.AID, offer.Size, !full); err != nil {
 		return err
 	}
-	s.pl.warehouse.settle(offer.AID)
-	if err := s.pl.loadCode(p, s.sl, offer.AID, offer.Size, true); err != nil {
-		return err
+	kind, codeUp := obs.StageChunkStage, offload.DeltaBytes(offer, missing)
+	if full {
+		kind, codeUp = obs.StageCodeStage, offer.Size
 	}
 	if d, on := s.stageEnd(stageStart); on {
-		sp.Add(obs.StageChunkStage, d)
-		if s.pl.om != nil {
-			s.pl.om.chunkStage.Observe(d)
+		sp.Add(kind, d)
+		if om := s.pl.om; om != nil && full {
+			om.codeStage.Observe(d)
+		} else if om != nil {
+			om.chunkStage.Observe(d)
 		}
 	}
-	s.pl.warehouse.BindCID(offer.AID, s.sl.id)
-	s.pl.warehouse.EnforceCapacity()
-	s.sl.info.Traffic.CodeUp += offload.DeltaBytes(offer, missing)
+	if wh != nil {
+		wh.BindCID(offer.AID, s.sl.id)
+		wh.EnforceCapacity()
+	}
+	s.sl.info.Traffic.CodeUp += codeUp
 	s.pushed = true
 	return nil
 }
@@ -863,9 +868,7 @@ func (s *session) PushChunks(p *sim.Proc, offer offload.ChunkOffer, missing []ui
 func (pl *Platform) loadCode(p *sim.Proc, sl *slot, aid string, size host.Bytes, fromWarehouse bool) error {
 	had := sl.rt.CodeLoaded(aid)
 	if fromWarehouse && !had {
-		if err := pl.warehouse.load(p, aid, size, sl.env.IOEff()); err != nil {
-			return err
-		}
+		pl.warehouse.load(p, aid, size, sl.env.IOEff())
 	}
 	if err := sl.rt.LoadCode(p, aid, size); err != nil {
 		return err

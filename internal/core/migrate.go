@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"rattrap/internal/host"
-	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 )
 
@@ -16,9 +15,8 @@ import (
 // app family whose library chunks already replicated over costs a few
 // size-salted tail blocks, not the whole blob.
 
-// ExportedEntry is one warehouse row in transferable form: the manifest
-// is always present (plain-blob entries get their synthetic manifest), so
-// the importing side can run chunk negotiation uniformly.
+// ExportedEntry is one warehouse row in transferable form: its manifest,
+// which the importing side negotiates chunk by chunk.
 type ExportedEntry struct {
 	AID    string
 	App    string
@@ -26,16 +24,9 @@ type ExportedEntry struct {
 	Hashes []uint64
 }
 
-// export puts one warehouse row in transferable form. Entries staged as
-// plain blobs get their synthetic manifest — the import side stores them
-// chunked, which is lossless here because chunk content is synthetic
-// everywhere in the simulation.
+// export puts one warehouse row in transferable form.
 func (e *cacheEntry) export() ExportedEntry {
-	hashes := e.Hashes
-	if !e.chunked {
-		hashes = offload.SyntheticManifest(e.App, e.Size)
-	}
-	return ExportedEntry{AID: e.AID, App: e.App, Size: e.Size, Hashes: hashes}
+	return ExportedEntry{AID: e.AID, App: e.App, Size: e.Size, Hashes: e.Hashes}
 }
 
 // Export returns aid's entry in transferable form, if the warehouse holds
@@ -66,19 +57,17 @@ func (w *Warehouse) ExportRange(match func(aid string) bool) []ExportedEntry {
 }
 
 // ImportEntry lands an exported entry in this warehouse, blocking p for
-// the chunk writes. It is the server half of the anti-entropy exchange:
-// MissingChunks decides what actually transfers, PutChunked stages it.
-// Returns the delta bytes written and the full-blob size (what a naive
-// whole-blob copy would have moved); an AID already present imports as
-// (0, 0, nil) — idempotent, so overlapping rebalances converge.
+// the chunk writes. It is the server half of the anti-entropy exchange,
+// landed as a device's full push is (land): MissingChunks decides what
+// actually transfers, PutChunked stages it. Returns the delta bytes written
+// and the full-blob size (what a naive whole-blob copy would have moved);
+// an AID already present imports as (0, 0, nil) — idempotent, so
+// overlapping rebalances converge.
 func (w *Warehouse) ImportEntry(p *sim.Proc, ent ExportedEntry) (delta, full host.Bytes, err error) {
 	if _, ok := w.entries[ent.AID]; ok {
 		return 0, 0, nil
 	}
-	missing := w.MissingChunks(ent.Hashes)
-	offer := offload.ChunkOffer{AID: ent.AID, App: ent.App, Size: ent.Size, Hashes: ent.Hashes}
-	delta = offload.DeltaBytes(offer, missing)
-	if err := w.PutChunked(p, ent.AID, ent.App, ent.Size, ent.Hashes, missing); err != nil {
+	if delta, err = w.land(p, ent.AID, ent.App, ent.Size, ent.Hashes); err != nil {
 		return 0, 0, err
 	}
 	return delta, ent.Size, nil

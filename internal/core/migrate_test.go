@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"rattrap/internal/host"
@@ -8,24 +9,24 @@ import (
 	"rattrap/internal/sim"
 )
 
-// TestExportImportRoundTrip: ExportRange hands back manifests (synthetic
-// ones for plain-blob entries), ImportEntry lands them chunked with delta
-// accounting, and a second import of the same AID is an idempotent no-op.
+// TestExportImportRoundTrip: ExportRange hands back the manifest a full
+// push landed under, ImportEntry lands it with delta accounting, and a
+// second import of the same AID is an idempotent no-op.
 func TestExportImportRoundTrip(t *testing.T) {
 	e := sim.NewEngine(21)
 	src := newTestWarehouse(t, e, 0)
 	dst := newTestWarehouse(t, e, 0)
 	e.Spawn("test", func(p *sim.Proc) {
 		size := 5*offload.ChunkSize + 101
-		if err := src.Put(p, "aid-plain", "App", size); err != nil {
-			t.Fatalf("put: %v", err)
+		if err := fullPush(p, src, "aid-full", "App", size); err != nil {
+			t.Fatalf("full push: %v", err)
 		}
 		ents := src.ExportRange(func(string) bool { return true })
-		if len(ents) != 1 || ents[0].AID != "aid-plain" {
+		if len(ents) != 1 || ents[0].AID != "aid-full" {
 			t.Fatalf("export: %+v", ents)
 		}
-		if len(ents[0].Hashes) != offload.ChunkCount(size) {
-			t.Fatalf("plain entry exported %d hashes, want %d", len(ents[0].Hashes), offload.ChunkCount(size))
+		if want := offload.SyntheticManifest("App", size); !slices.Equal(ents[0].Hashes, want) {
+			t.Fatalf("full push exported manifest %x, want %x", ents[0].Hashes, want)
 		}
 		delta, full, err := dst.ImportEntry(p, ents[0])
 		if err != nil {
@@ -34,7 +35,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		if full != size || delta == 0 || delta > full {
 			t.Fatalf("import accounting: delta=%d full=%d size=%d", delta, full, size)
 		}
-		if _, ok := dst.Lookup("aid-plain"); !ok {
+		if _, ok := dst.Lookup("aid-full"); !ok {
 			t.Fatal("imported entry missing")
 		}
 		if d2, f2, err := dst.ImportEntry(p, ents[0]); err != nil || d2 != 0 || f2 != 0 {

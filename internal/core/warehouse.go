@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -15,25 +16,22 @@ import (
 )
 
 // cacheEntry is one row of the warehouse's cache table (Figure 8): the
-// code's AID, its reference (app name), where a plain blob is staged, and the
+// code's AID, its reference (app name), its chunk manifest, and the
 // containers that already loaded it (CIDs) so the Dispatcher can route
 // same-app requests to a runtime that skips code loading.
 type cacheEntry struct {
 	AID  string
 	App  string
 	Size host.Bytes
-	Path string
 	CIDs []string // unordered; a container appears once
 	Hits int
 
-	// Hashes is the entry's chunk manifest when it arrived via a delta
-	// push; such entries own references into the shared chunk store
-	// instead of a private blob (chunked=true).
-	Hashes  []uint64
-	chunked bool
+	// Hashes is the entry's chunk manifest: the entry holds one reference to
+	// each distinct block it names in the shared chunk store.
+	Hashes []uint64
 	// page is the residency, in the store host's page cache, of the blob
-	// runtimes reassemble from a chunked entry's blocks: no staged file
-	// owns it, so the entry does, and dropping the entry evicts it.
+	// runtimes reassemble from the entry's blocks: no staged file owns it,
+	// so the entry does, and dropping the entry evicts it.
 	page host.Page
 
 	// lastBound/seq order entries for least-recently-bound eviction: the
@@ -100,31 +98,33 @@ func (h evictOrder) fix(i int, s evictSlot) {
 	h.set(i, s)
 }
 
-// chunkInfo is one content-addressed block of the chunk store: its size
-// and how many cache entries reference it.
+// chunkInfo is one content-addressed block of the chunk store: its size,
+// how many cache entries reference it, and its file, named once when the
+// block is written.
 type chunkInfo struct {
 	size host.Bytes
 	refs int
+	path string
 }
 
 // Warehouse is the App Warehouse (§IV-D): the mobile code cache that
 // eliminates duplicate code transfer. Code arrives once — with an app's
 // first offloading request, "once and for all" — and later requests
-// reference it by AID instead of re-uploading. Chunked entries go
-// further: their blocks are content-addressed, so app families sharing
-// libraries store (and transfer) each common block exactly once across
+// reference it by AID instead of re-uploading. Every entry is a manifest
+// of content-addressed blocks, so app families sharing libraries store
+// (and, pushing deltas, transfer) each common block exactly once across
 // AIDs.
 type Warehouse struct {
 	e       *sim.Engine
 	store   *unionfs.Mount
 	entries map[string]*cacheEntry
 	pending map[string]*sim.Signal // in-flight first pushes, by AID
-	chunks  map[uint64]*chunkInfo  // content-addressed block store
+	chunks  map[uint64]chunkInfo   // content-addressed block store
 	staging map[uint64]int         // in-flight pushes staging each block, by hash
 	misses  int
 
-	// stored is the running StoredBytes total, adjusted wherever a plain
-	// blob or a chunk enters or leaves the store. byCID is the reverse of
+	// stored is the running StoredBytes total, adjusted wherever a chunk
+	// enters or leaves the store. byCID is the reverse of
 	// the entries' CID lists — container → AIDs it loaded — so a stopping
 	// container unbinds in time proportional to what it loaded, not to the
 	// size of the cache table.
@@ -154,7 +154,7 @@ func NewWarehouse(e *sim.Engine, store *unionfs.Mount, capacity host.Bytes) *War
 		store:    store,
 		entries:  make(map[string]*cacheEntry),
 		pending:  make(map[string]*sim.Signal),
-		chunks:   make(map[uint64]*chunkInfo),
+		chunks:   make(map[uint64]chunkInfo),
 		staging:  make(map[uint64]int),
 		byCID:    make(map[string][]string),
 		capacity: capacity,
@@ -187,7 +187,8 @@ func (w *Warehouse) Claim(e *sim.Engine, aid string) {
 	}
 }
 
-// settle fires and clears a pending claim (after Put, or on abort).
+// settle fires and clears a pending claim (once the push landed, or on
+// abort).
 func (w *Warehouse) settle(aid string) {
 	if sig, ok := w.pending[aid]; ok {
 		delete(w.pending, aid)
@@ -211,45 +212,18 @@ func (w *Warehouse) Lookup(aid string) (*cacheEntry, bool) {
 	return e, ok
 }
 
-// newEntry records a staged blob in the cache table.
-func (w *Warehouse) newEntry(aid, app string, size host.Bytes, path string, hashes []uint64, chunked bool) {
+// newEntry records a staged manifest in the cache table.
+func (w *Warehouse) newEntry(aid, app string, size host.Bytes, hashes []uint64) {
 	w.seq++
 	e := &cacheEntry{
-		AID: aid, App: app, Size: size, Path: path,
+		AID: aid, App: app, Size: size,
 		Hashes:    hashes,
-		chunked:   chunked,
 		lastBound: w.e.Now(),
 		seq:       w.seq,
 	}
 	w.entries[aid] = e
 	w.order.push(e)
-	if !chunked {
-		w.stored += size
-	}
 	w.bytesGauge.Set(int64(w.stored))
-}
-
-// Put stages newly received code as one plain blob, blocking p for the
-// store write.
-func (w *Warehouse) Put(p *sim.Proc, aid, app string, size host.Bytes) error {
-	if _, ok := w.entries[aid]; ok {
-		return nil // concurrent push of the same code: keep the first
-	}
-	path := "/warehouse/" + aid + ".apk"
-	if err := w.store.Write(p, path, size, nil, 1.0); err != nil {
-		return fmt.Errorf("core: warehouse put %s: %w", aid, err)
-	}
-	// The write blocked: a push, a fan-out or an import of the same code
-	// may have landed meanwhile. Keep the first, and the blob only if it
-	// is the first's.
-	if e, ok := w.entries[aid]; ok {
-		if e.chunked {
-			_ = w.store.Remove(path)
-		}
-		return nil
-	}
-	w.newEntry(aid, app, size, path, nil, false)
-	return nil
 }
 
 // chunkDir holds the chunk store's blocks, one file per hash.
@@ -267,8 +241,8 @@ func chunkPath(h uint64) string {
 	return string(b[:])
 }
 
-// chunkStaging is one delta push's parallel block writes: the signal its
-// proc waits on, the writes outstanding and the first that failed, and the
+// chunkStaging is one push's parallel block writes: the signal its proc
+// waits on, the writes outstanding and the first that failed, and the
 // writes themselves, whose procs it owns.
 type chunkStaging struct {
 	done      sim.Signal
@@ -276,57 +250,61 @@ type chunkStaging struct {
 	err       error
 	w         *Warehouse
 	writes    []chunkWrite
-	// one backs writes when a single block is missing, as it mostly is:
-	// the staging is then the one allocation.
-	one [1]chunkWrite
 }
 
-// chunkWrite is one block a staging writes, on its own proc.
+// chunkWrite is one block a staging writes, on its own proc, to its path.
 type chunkWrite struct {
 	sim.Proc
 	st   *chunkStaging
 	hash uint64
 	size host.Bytes
+	path string
 }
 
 func (c *chunkWrite) Run(p *sim.Proc) {
 	st := c.st
-	if err := st.w.store.Write(p, chunkPath(c.hash), c.size, nil, 1.0); err != nil && st.err == nil {
-		st.err = fmt.Errorf("core: warehouse chunk %016x: %w", c.hash, err)
+	if err := st.w.writeChunk(p, c.hash, c.size, c.path); err != nil && st.err == nil {
+		st.err = err
 	}
 	if st.remaining--; st.remaining == 0 {
 		st.done.Fire()
 	}
 }
 
-// load charges a runtime's read of aid's staged code at the runtime's I/O
-// efficiency eff, blocking p: the plain blob off the store, or the blob
-// reassembled from its chunks, resident in the entry's page once read.
-func (w *Warehouse) load(p *sim.Proc, aid string, size host.Bytes, eff float64) error {
-	e, ok := w.entries[aid]
-	if ok && !e.chunked {
-		_, _, err := w.store.Read(p, e.Path, eff)
-		return err
+// writeChunk writes block h, n bytes, to its file at path, blocking p.
+func (w *Warehouse) writeChunk(p *sim.Proc, h uint64, n host.Bytes, path string) error {
+	if err := w.store.Write(p, path, n, nil, 1.0); err != nil {
+		return fmt.Errorf("core: warehouse chunk %016x: %w", h, err)
 	}
+	return nil
+}
+
+// load charges a runtime's read of aid's staged code at the runtime's I/O
+// efficiency eff, blocking p: the blob reassembled from its chunks,
+// resident in the entry's page once read.
+func (w *Warehouse) load(p *sim.Proc, aid string, size host.Bytes, eff float64) {
 	h := w.store.Host()
-	if ok && h.CachedPage(&e.page) {
+	if e, ok := w.entries[aid]; ok && h.CachedPage(&e.page) {
 		h.DiskReadPage(p, &e.page, size, true, eff) // served from memory
-		return nil
+		return
 	}
 	h.DiskReadPage(p, nil, size, true, eff) // off the disk, warming nothing yet
 	// The read blocked: the entry may have been dropped meanwhile (its page
 	// evicted, not to be made resident again) or dropped and pushed anew,
 	// in which case the blob just read is the new entry's.
-	if e, ok := w.entries[aid]; ok && e.chunked {
+	if e, ok := w.entries[aid]; ok {
 		h.WarmPage(&e.page)
 	}
-	return nil
 }
 
 // MissingChunks returns, in offer order, the offered hashes the chunk
 // store does not hold yet (each reported once).
 func (w *Warehouse) MissingChunks(hashes []uint64) []uint64 {
-	var missing []uint64
+	return w.appendMissing(nil, hashes)
+}
+
+// appendMissing appends MissingChunks(hashes) to dst.
+func (w *Warehouse) appendMissing(dst, hashes []uint64) []uint64 {
 	seen := make(map[uint64]bool, len(hashes))
 	for _, h := range hashes {
 		if seen[h] {
@@ -334,25 +312,44 @@ func (w *Warehouse) MissingChunks(hashes []uint64) []uint64 {
 		}
 		seen[h] = true
 		if _, ok := w.chunks[h]; !ok {
-			missing = append(missing, h)
+			dst = append(dst, h)
 		}
 	}
-	return missing
+	return dst
 }
 
-// PutChunked stages a delta push: the chunks in missing are written into
-// the content-addressed store in parallel (each is an independent block;
-// staging them concurrently is what makes a wide delta land in one
-// chunk-write's time), every offered hash gains a reference, and the
-// entry is recorded as chunked. size/hashes describe the whole blob;
-// missing must be a subset of hashes (fresh hashes from MissingChunks).
-// The whole offer is validated before anything is staged, and a push
-// whose staging fails removes its missing blocks that no entry holds and
-// no other in-flight push is staging, so a failed push leaves no orphaned
-// blocks in the store either; so does one that finds, once its blocks are
-// written, that the same code landed meanwhile. A block the offer counted
-// as held that has left the store since is refused with an error wrapping
-// offload.ErrCodeNeeded: the pusher negotiates again.
+// land stages a whole blob under aid: the blocks of its manifest hashes
+// the store lacks are written (MissingChunks, then PutChunked), the rest
+// referenced. It is how a full push and an imported entry arrive. Its
+// caller holds every block, so a block counted as held that leaves the
+// store during the writes is written in a further round instead of
+// failing the landing. It returns the bytes written.
+func (w *Warehouse) land(p *sim.Proc, aid, app string, size host.Bytes, hashes []uint64) (host.Bytes, error) {
+	var written host.Bytes
+	for {
+		var buf [4]uint64
+		missing := w.appendMissing(buf[:0], hashes)
+		err := w.PutChunked(p, aid, app, size, hashes, missing)
+		written += offload.DeltaBytes(offload.ChunkOffer{Size: size, Hashes: hashes}, missing)
+		if !errors.Is(err, offload.ErrCodeNeeded) {
+			return written, err
+		}
+	}
+}
+
+// PutChunked stages a push: the chunks in missing are written into the
+// content-addressed store — a single block on p itself, several in
+// parallel (each is an independent block; staging them concurrently is
+// what makes a wide delta land in one chunk-write's time) — every offered
+// hash gains a reference, and the entry is recorded. size/hashes describe
+// the whole blob; missing must be a subset of hashes (fresh hashes from
+// MissingChunks). The whole offer is validated before anything is staged,
+// and a push whose staging fails removes its missing blocks that no entry
+// holds and no other in-flight push is staging, so a failed push leaves no
+// orphaned blocks in the store either; so does one that finds, once its
+// blocks are written, that the same code landed meanwhile. A block the
+// offer counted as held that has left the store since is refused with an
+// error wrapping offload.ErrCodeNeeded: the pusher negotiates again.
 func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, hashes, missing []uint64) error {
 	if _, ok := w.entries[aid]; ok {
 		return nil // concurrent push of the same code: keep the first
@@ -384,28 +381,36 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 			return fmt.Errorf("core: warehouse put %s: missing chunk %016x not in offer", aid, h)
 		}
 	}
+	// path names the one missing block's file; st holds several's.
+	var path string
+	var st *chunkStaging
 	if len(missing) > 0 {
-		st := &chunkStaging{remaining: len(missing), w: w}
-		st.writes = st.one[:]
-		if len(missing) > 1 {
-			st.writes = make([]chunkWrite, len(missing))
-		}
-		st.done.Init(p.E)
-		for i, h := range missing {
+		for _, h := range missing {
 			w.staging[h]++
-			c := &st.writes[i]
-			c.st, c.hash, c.size = st, h, span[h]
-			p.E.Start(&c.Proc, "chunk-stage", c)
 		}
-		p.Wait(&st.done)
+		var err error
+		if len(missing) == 1 {
+			path = chunkPath(missing[0])
+			err = w.writeChunk(p, missing[0], span[missing[0]], path)
+		} else {
+			st = &chunkStaging{remaining: len(missing), w: w, writes: make([]chunkWrite, len(missing))}
+			st.done.Init(p.E)
+			for i, h := range missing {
+				c := &st.writes[i]
+				c.st, c.hash, c.size, c.path = st, h, span[h], chunkPath(h)
+				p.E.Start(&c.Proc, "chunk-stage", c)
+			}
+			p.Wait(&st.done)
+			err = st.err
+		}
 		for _, h := range missing {
 			if w.staging[h]--; w.staging[h] == 0 {
 				delete(w.staging, h)
 			}
 		}
-		if st.err != nil {
+		if err != nil {
 			w.unstage(missing)
-			return st.err
+			return err
 		}
 		if _, ok := w.entries[aid]; ok {
 			w.unstage(missing) // the same code landed during the writes: keep the first
@@ -427,12 +432,16 @@ func (w *Warehouse) PutChunked(p *sim.Proc, aid, app string, size host.Bytes, ha
 		seen[h] = true
 		if c, ok := w.chunks[h]; ok {
 			c.refs++
-		} else {
-			w.chunks[h] = &chunkInfo{size: span[h], refs: 1}
-			w.stored += span[h]
+			w.chunks[h] = c
+			continue
 		}
+		if st != nil {
+			path = st.writes[slices.Index(missing, h)].path
+		}
+		w.chunks[h] = chunkInfo{size: span[h], refs: 1, path: path}
+		w.stored += span[h]
 	}
-	w.newEntry(aid, app, size, "", hashes, true)
+	w.newEntry(aid, app, size, hashes)
 	return nil
 }
 
@@ -491,8 +500,7 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 
 // dropEntry removes an entry and releases its chunk references; blocks
 // with no remaining referents leave the store with it, and so do the cached
-// pages of the blob runtimes reassembled from them (a plain blob's go when
-// its staged file is removed).
+// pages of the blob runtimes reassembled from them.
 func (w *Warehouse) dropEntry(e *cacheEntry) {
 	delete(w.entries, e.AID)
 	w.order.remove(e.heapIdx)
@@ -502,12 +510,6 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		} else {
 			delete(w.byCID, cid)
 		}
-	}
-	if !e.chunked {
-		w.stored -= e.Size
-		_ = w.store.Remove(e.Path)
-		w.bytesGauge.Set(int64(w.stored))
-		return
 	}
 	w.store.Host().EvictPage(&e.page)
 	seen := make(map[uint64]bool, len(e.Hashes))
@@ -520,13 +522,14 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 		if !ok {
 			continue
 		}
-		c.refs--
-		if c.refs <= 0 {
-			delete(w.chunks, h)
-			w.stored -= c.size
-			if w.staging[h] == 0 { // a push staging it again keeps the file
-				_ = w.store.Remove(chunkPath(h))
-			}
+		if c.refs--; c.refs > 0 {
+			w.chunks[h] = c
+			continue
+		}
+		delete(w.chunks, h)
+		w.stored -= c.size
+		if w.staging[h] == 0 { // a push staging it again keeps the file
+			_ = w.store.Remove(c.path)
 		}
 	}
 	w.bytesGauge.Set(int64(w.stored))
@@ -562,8 +565,8 @@ func (w *Warehouse) Stats() (entries, hits, misses int) {
 	return len(w.entries), hits, w.misses
 }
 
-// StoredBytes is the total staged code volume: plain blobs plus the
-// deduplicated chunk store — a block shared by many AIDs is counted once.
+// StoredBytes is the total staged code volume: the deduplicated chunk
+// store, where a block shared by many AIDs is counted once.
 func (w *Warehouse) StoredBytes() host.Bytes { return w.stored }
 
 // ChunkCount reports how many content-addressed blocks the store holds.
@@ -571,11 +574,12 @@ func (w *Warehouse) ChunkCount() int { return len(w.chunks) }
 
 // Audit recounts from the cache table what the warehouse keeps as running
 // books — each block's reference count (the live manifests naming it),
-// StoredBytes (plain blobs plus the chunk store), the reverse CID index and
-// the installed instruments — and reports the first disagreement, a block
-// no manifest names, or a named block not stored; and it checks the chunk
-// table against the store's files: every block has its file, and every
-// file under chunkDir is a block of the table or one a push is staging.
+// StoredBytes (the chunk store), the reverse CID index and the installed
+// instruments — and reports the first disagreement, a block no manifest
+// names, or a named block not stored; and it checks the chunk table against
+// the store's files: every block has its file, at the path chunkPath names,
+// and every file under chunkDir is a block of the table or one a push is
+// staging.
 func (w *Warehouse) Audit() error {
 	refs := make(map[uint64]int, len(w.chunks))
 	var stored host.Bytes
@@ -587,10 +591,6 @@ func (w *Warehouse) Audit() error {
 			}
 		}
 		bindings += len(e.CIDs)
-		if !e.chunked {
-			stored += e.Size
-			continue
-		}
 		seen := make(map[uint64]bool, len(e.Hashes))
 		for _, h := range e.Hashes {
 			if !seen[h] {
@@ -615,8 +615,11 @@ func (w *Warehouse) Audit() error {
 	if stored != w.stored {
 		return fmt.Errorf("core: warehouse audit: StoredBytes %d, recounted %d", w.stored, stored)
 	}
-	for h := range w.chunks {
-		if _, ok := w.store.Stat(chunkPath(h)); !ok {
+	for h, c := range w.chunks {
+		if c.path != chunkPath(h) {
+			return fmt.Errorf("core: warehouse audit: chunk %016x records its file as %q", h, c.path)
+		}
+		if _, ok := w.store.Stat(c.path); !ok {
 			return fmt.Errorf("core: warehouse audit: chunk %016x has no file in the store", h)
 		}
 	}

@@ -24,6 +24,13 @@ func newTestWarehouse(t *testing.T, e *sim.Engine, capacity host.Bytes) *Warehou
 	return NewWarehouse(e, m, capacity)
 }
 
+// fullPush lands a whole blob as a device's full push does: under its
+// synthetic manifest, writing the blocks the store lacks.
+func fullPush(p *sim.Proc, w *Warehouse, aid, app string, size host.Bytes) error {
+	_, err := w.land(p, aid, app, size, offload.SyntheticManifest(app, size))
+	return err
+}
+
 // PutChunked must reject degenerate offers up front — an empty manifest
 // used to panic on hashes[0], and a missing hash outside the offer used
 // to abort mid-staging, leaking refcount-less blocks into the store.
@@ -131,6 +138,49 @@ func TestFailedChunkStagingLeavesNoOrphans(t *testing.T) {
 	}
 }
 
+// TestLandingRewritesABlockThatLeft: a full push writes only the blocks
+// the store lacks and counts on the rest. When the one entry holding those
+// leaves while the push writes its own, the blocks go with it; the pusher
+// holds the whole blob, so the landing writes them in a second round
+// instead of failing the push, and books both rounds' bytes.
+func TestLandingRewritesABlockThatLeft(t *testing.T) {
+	e := sim.NewEngine(1)
+	w := newTestWarehouse(t, e, 0)
+	size := 3*offload.ChunkSize - 100 // two library blocks and a tail, at size+1 too
+	first, second := offload.SyntheticManifest("App", size), offload.SyntheticManifest("App", size+1)
+	w.store.SetFault(func(_ *sim.Proc, path string, _ host.Bytes) error {
+		if path == chunkPath(second[2]) {
+			w.DropEntry("aid-1") // while the tail is written, the library leaves
+		}
+		return nil
+	})
+	e.Spawn("push", func(p *sim.Proc) {
+		if err := fullPush(p, w, "aid-1", "App", size); err != nil {
+			t.Fatal(err)
+		}
+		delta, full, err := w.ImportEntry(p, ExportedEntry{AID: "aid-2", App: "App", Size: size + 1, Hashes: second})
+		if err != nil {
+			t.Fatalf("the landing failed: %v", err)
+		}
+		if want := 2*offload.ChunkSpan(size+1, 2) + 2*offload.ChunkSize; delta != want || full != size+1 {
+			t.Errorf("landing booked %d of %d bytes, want %d: the tail twice and the library once", delta, full, want)
+		}
+	})
+	e.Run()
+	if _, ok := w.Lookup("aid-1"); ok {
+		t.Fatal("the first entry was not dropped; the test observes nothing")
+	}
+	if !slices.Equal(first[:2], second[:2]) {
+		t.Fatal("the two sizes share no library blocks; the test observes nothing")
+	}
+	if got := chunkFiles(t, w); len(got) != 3 || w.ChunkCount() != 3 {
+		t.Errorf("store holds %d chunk files and %d chunks after the landing, want 3", len(got), w.ChunkCount())
+	}
+	if err := w.Audit(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestChunkPathMatchesSprintfForm: the in-place hex encoding names a block
 // exactly as fmt.Sprintf("/warehouse/chunks/%016x", h) did, and allocates
 // only the string it returns.
@@ -200,7 +250,7 @@ func checkWarehouseBooks(w *Warehouse, model map[string]map[string]bool) error {
 	return nil
 }
 
-// Property: over a seeded random sequence of plain and chunked pushes,
+// Property: over a seeded random sequence of full and delta pushes,
 // binds, unbinds, drops, capacity evictions and export/import between two
 // warehouses, the O(1) books always equal the from-scratch answers.
 func TestPropertyWarehouseBooksMatchRecomputation(t *testing.T) {
@@ -221,8 +271,8 @@ func TestPropertyWarehouseBooksMatchRecomputation(t *testing.T) {
 				size := host.Bytes(1+rng.Intn(40)) * 100 * host.KB
 				switch op := rng.Intn(10); {
 				case op < 2:
-					if err := w.Put(p, aid, app, size); err != nil {
-						t.Errorf("put: %v", err)
+					if err := fullPush(p, w, aid, app, size); err != nil {
+						t.Errorf("full push: %v", err)
 					}
 				case op < 4:
 					hashes := offload.SyntheticManifest(app, size)
@@ -320,7 +370,7 @@ func checkEvictOrder(w *Warehouse) error {
 }
 
 // Property: the eviction heap evicts exactly what the O(n) scan did. Two
-// worlds on engines of their own run one seeded op list — plain and chunked
+// worlds on engines of their own run one seeded op list — full and delta
 // pushes, binds (bursts of them at one virtual instant, so lastBound ties
 // and seq decides), imports from a peer, drops and capacity enforcement —
 // one enforcing through the heap, the other through the scan. After every
@@ -356,14 +406,16 @@ func TestPropertyEvictionOrderMatchesScan(t *testing.T) {
 		}
 		run := func(viaHeap bool) *world {
 			e := sim.NewEngine(seed)
-			wd := &world{w: newTestWarehouse(t, e, 8*host.MB), peer: newTestWarehouse(t, e, 0)}
+			// The ops name 30 distinct blobs, whose deduplicated blocks
+			// come to about 3 MB: 1 MB keeps every seed evicting.
+			wd := &world{w: newTestWarehouse(t, e, host.MB), peer: newTestWarehouse(t, e, 0)}
 			e.Spawn("ops", func(p *sim.Proc) {
 				for step, o := range ops {
 					w := wd.w
 					switch {
 					case o.kind < 2:
-						if err := w.Put(p, o.aid, o.app, o.size); err != nil {
-							t.Errorf("put: %v", err)
+						if err := fullPush(p, w, o.aid, o.app, o.size); err != nil {
+							t.Errorf("full push: %v", err)
 						}
 					case o.kind < 3:
 						hashes := offload.SyntheticManifest(o.app, o.size)
@@ -373,8 +425,8 @@ func TestPropertyEvictionOrderMatchesScan(t *testing.T) {
 					case o.kind < 6:
 						w.BindCID(o.aid, o.cid)
 					case o.kind < 7:
-						if err := wd.peer.Put(p, o.aid, o.app, o.size); err != nil {
-							t.Errorf("peer put: %v", err)
+						if err := fullPush(p, wd.peer, o.aid, o.app, o.size); err != nil {
+							t.Errorf("peer full push: %v", err)
 						}
 						if ent, ok := wd.peer.Export(o.aid); ok {
 							if _, _, err := w.ImportEntry(p, ent); err != nil {

@@ -3,6 +3,7 @@ package offload
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"rattrap/internal/host"
@@ -161,20 +162,12 @@ func UnpackHashes(b []byte) ([]uint64, error) {
 }
 
 // DeltaBytes sums the payload bytes of the missing chunks of an offer —
-// what a delta push actually moves over the network.
+// what a delta push actually moves over the network. A hash the offer does
+// not name counts nothing.
 func DeltaBytes(offer ChunkOffer, missing []uint64) host.Bytes {
-	if len(missing) == 0 {
-		return 0
-	}
-	idx := make(map[uint64]host.Bytes, len(offer.Hashes))
-	for i, h := range offer.Hashes {
-		if _, ok := idx[h]; !ok {
-			idx[h] = ChunkSpan(offer.Size, i)
-		}
-	}
 	var total host.Bytes
 	for _, h := range missing {
-		total += idx[h]
+		total += ChunkSpan(offer.Size, slices.Index(offer.Hashes, h))
 	}
 	return total
 }

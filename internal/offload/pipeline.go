@@ -22,9 +22,11 @@ type PipelineClient struct {
 	onRes   func(Result)
 	pending map[int]struct{}
 	err     error
-	// exec is the request Submit is sending: the frame points at it here,
-	// so the request does not escape to the heap once per Submit.
+	// exec is the request Submit is sending and push the code step is
+	// answering a NEED_CODE with: the frames point at them here, so neither
+	// escapes to the heap once per request.
 	exec ExecRequest
+	push CodePush
 }
 
 // NewPipelineClient wraps an established protocol connection. depth < 1
@@ -101,11 +103,11 @@ func (p *PipelineClient) step() {
 		if f.NeedCode != nil {
 			need = *f.NeedCode
 		}
-		var push CodePush
-		if push, p.err = p.code(need); p.err == nil {
-			push.Seq = need.Seq
-			p.send(Frame{Kind: KindCode, Code: &push})
+		if p.push, p.err = p.code(need); p.err == nil {
+			p.push.Seq = need.Seq
+			p.send(Frame{Kind: KindCode, Code: &p.push})
 		}
+		p.push = CodePush{} // the frame is encoded: let go of the strings
 	case f.Kind != KindResult:
 		p.err = fmt.Errorf("offload: unexpected %s frame from the cloud", f.Kind)
 	case f.Result.Code == CodeProtocol:

@@ -373,8 +373,10 @@ type reqVars struct {
 	err  error // of the last step; the request's, once done
 	done bool  // answered: Prepare failed, or the result is in res
 
-	// The code exchange: the frame that answered NEED_CODE, and the offer a
-	// delta push negotiated with what the warehouse said it lacks.
+	// The code exchange: the NEED_CODE frame's payload, the frame that
+	// answered it, and the offer a delta push negotiated with what the
+	// warehouse said it lacks.
+	needCode   offload.NeedCode
 	msg        codeMsg
 	negotiated *offload.ChunkOffer
 	missing    []uint64
@@ -453,7 +455,8 @@ func (st *reqState) exchange() error {
 		if err := m.registerCodeWait(st.req.Seq, st.code); err != nil {
 			return err
 		}
-		st.t.emit(outMsg{frame: offload.Frame{Kind: offload.KindNeedCode, NeedCode: &offload.NeedCode{Seq: st.req.Seq, AID: st.req.AID}}})
+		st.needCode = offload.NeedCode{Seq: st.req.Seq, AID: st.req.AID}
+		st.t.emit(outMsg{frame: offload.Frame{Kind: offload.KindNeedCode, NeedCode: &st.needCode}})
 		var err error
 		if st.msg, err = st.wait(); err != nil {
 			return err

@@ -351,11 +351,8 @@ const warehouseHitAllocs = 2
 // discarding codec, as the fence counts the server alone. Under the race
 // detector sync.Pool drops Puts at random, so the fence skips.
 func TestWarehouseHitAllocs(t *testing.T) {
-	var pool sync.Pool
-	for i := 0; i < 64; i++ {
-		if pool.Put(new(int)); pool.Get() == nil {
-			t.Skip("sync.Pool is dropping Puts (race detector)")
-		}
+	if !poolKeeps() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
 	}
 	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
 	c := &vConn{s: s, sc: offload.NewConn(struct {
@@ -400,4 +397,203 @@ func TestWarehouseHitAllocs(t *testing.T) {
 		t.Fatalf("a warehouse hit allocates %.1f objects, fence is %d (the session and the Linpack output)", allocs, warehouseHitAllocs)
 	}
 	t.Logf("a warehouse hit allocates %.1f objects", allocs)
+}
+
+// coldExchangeAllocs is what the cold code exchange allocates between a
+// device's PipelineClient and a worker's reqState, platform aside: the exec
+// frame, the NEED_CODE frame, the code frame that answers it and the result
+// frame. It was 2 while the NEED_CODE payload and the client's CodePush
+// were built per exchange; the worker's reqState and the client now own
+// them.
+const coldExchangeAllocs = 0
+
+// TestColdExchangeAllocs fences the cold exchange on the virtual transport:
+// a device proc runs a PipelineClient and a server proc a worker's reqState
+// over in-memory links, and every exec is answered with NEED_CODE. The
+// session under the worker wants the code every time and does nothing with
+// it, so the count is the protocol's alone. Under the race detector
+// sync.Pool drops Puts at random (the pinned read buffers), so the fence
+// skips.
+func TestColdExchangeAllocs(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	s := newVServer(t, 1, core.DefaultConfig(core.KindRattrap), 1)
+	up, down := &procLink{}, &procLink{}
+	sc := offload.NewConn(struct {
+		io.Reader
+		io.Writer
+	}{up, down})
+	m := newMachine(s.pr, nil, s.now)
+	sess := &codeOnlySession{res: offload.Result{Output: "ok"}}
+	s.e.Spawn("server", func(p *sim.Proc) {
+		up.reader = p
+		port := &exchangePort{p: p, sc: sc, m: m}
+		m.t = port
+		st := newReqState(m, port)
+		for {
+			r, admit, err := m.recv(sc)
+			if err != nil {
+				return // the device hung up
+			}
+			if !admit {
+				continue // the hello
+			}
+			st.reqVars = reqVars{req: r.req, start: r.start,
+				key: dedupKey{dev: m.dev, aid: r.req.AID, seq: r.req.Seq}}
+			st.sess = sess
+			if err := st.exchange(); err != nil || st.err != nil {
+				t.Errorf("seq %d: %v %v", r.req.Seq, err, st.err)
+				return
+			}
+			st.res.Seq = st.req.Seq
+			port.emit(outMsg{res: st.res, isResult: true})
+			r.pin.Release()
+		}
+	})
+	app, _ := workload.ByName(workload.NameLinpack)
+	req := offload.ExecRequest{AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name(), Method: "solve",
+		Params: workload.EncodeLinpackParams(42, 8), ParamBytes: 500}
+	var allocs float64
+	s.e.Spawn("device", func(p *sim.Proc) {
+		down.reader = p
+		results := 0
+		pc := offload.NewPipelineClient(offload.NewConn(struct {
+			io.Reader
+			io.Writer
+		}{down, up}), 1, func(need offload.NeedCode) (offload.CodePush, error) {
+			return offload.CodePush{AID: need.AID, App: app.Name(), Size: app.CodeSize()}, nil
+		}, func(res offload.Result) {
+			if res.Output == "ok" {
+				results++
+			}
+		})
+		exchange := func() {
+			req.Seq++
+			if err := pc.Submit(req); err != nil {
+				t.Error(err)
+			} else if err := pc.Flush(); err != nil {
+				t.Error(err)
+			}
+		}
+		if pc.Hello("probe-dev") == nil {
+			exchange() // grows what stays grown: the window, the code-wait table
+			allocs = testing.AllocsPerRun(200, exchange)
+		}
+		up.hangUp()
+		if results != 202 || sess.pushes != 202 {
+			t.Errorf("%d results and %d code pushes for 202 cold exchanges", results, sess.pushes)
+		}
+	})
+	s.e.Run()
+	t.Logf("a cold exchange allocates %.1f objects", allocs)
+	if allocs > coldExchangeAllocs {
+		t.Fatalf("a cold exchange allocates %.1f objects, fence is %d", allocs, coldExchangeAllocs)
+	}
+}
+
+// codeOnlySession is a session that wants the code every time, counts the
+// pushes and answers Execute with res: the cold exchange with no platform
+// under it.
+type codeOnlySession struct {
+	res    offload.Result
+	pushes int
+}
+
+func (s *codeOnlySession) NeedCode() bool { return true }
+func (s *codeOnlySession) PushCode(*sim.Proc, offload.CodePush) error {
+	s.pushes++
+	return nil
+}
+func (s *codeOnlySession) NegotiateChunks(*sim.Proc, offload.ChunkOffer) (offload.ChunkNeed, error) {
+	return offload.ChunkNeed{}, nil
+}
+func (s *codeOnlySession) PushChunks(*sim.Proc, offload.ChunkOffer, []uint64) error { return nil }
+func (s *codeOnlySession) Execute(*sim.Proc) (offload.Result, error)                { return s.res, nil }
+func (s *codeOnlySession) Release()                                                 {}
+
+// exchangePort is the machine's transport for the exchange fence: steps
+// run on the server's proc, frames leave on its codec, and a code wait
+// reads the device's next frame itself, as the connection's reader would.
+type exchangePort struct {
+	p  *sim.Proc
+	sc *offload.Conn
+	m  *machine
+}
+
+func (w *exchangePort) step(_ string, fn func(*sim.Proc)) { fn(w.p) }
+
+func (w *exchangePort) emit(m outMsg) {
+	if m.isResult {
+		_ = w.sc.SendResult(&m.res)
+	} else if m.frame.Kind != "" {
+		_ = w.sc.Send(m.frame)
+	}
+}
+
+func (w *exchangePort) waitCode(ch <-chan codeMsg, _ time.Time) (codeMsg, error) {
+	for {
+		select {
+		case msg := <-ch:
+			return msg, nil
+		default:
+		}
+		if _, _, err := w.m.recv(w.sc); err != nil {
+			return codeMsg{}, err
+		}
+	}
+}
+
+// procLink is one direction of an in-memory connection read by a proc: a
+// read of an empty link parks the reader until the other side writes or
+// hangs up. Its signal is re-armed for every wait, so waiting allocates
+// nothing.
+type procLink struct {
+	buf    bytes.Buffer
+	reader *sim.Proc
+	ready  sim.Signal
+	parked bool
+	closed bool
+}
+
+func (l *procLink) Read(b []byte) (int, error) {
+	for l.buf.Len() == 0 {
+		if l.closed {
+			return 0, io.EOF
+		}
+		l.ready.Init(l.reader.E)
+		l.parked = true
+		l.reader.Wait(&l.ready)
+	}
+	return l.buf.Read(b)
+}
+
+func (l *procLink) Write(b []byte) (int, error) {
+	l.buf.Write(b)
+	l.wake()
+	return len(b), nil
+}
+
+func (l *procLink) hangUp() {
+	l.closed = true
+	l.wake()
+}
+
+func (l *procLink) wake() {
+	if l.parked {
+		l.parked = false
+		l.ready.Fire()
+	}
+}
+
+// poolKeeps reports whether sync.Pool hands back what was put: under the
+// race detector it drops Puts at random.
+func poolKeeps() bool {
+	var pool sync.Pool
+	for i := 0; i < 64; i++ {
+		if pool.Put(new(int)); pool.Get() == nil {
+			return false
+		}
+	}
+	return true
 }
