@@ -233,9 +233,11 @@ bench-kernels:
 # 13.4 us, 4416 B, 35 allocs after (median of six). 32 allocs and 4496 B
 # once the post-boot scan runs on a proc its runtime owns (time unchanged:
 # 20.7 us on both sides, medians of six alternated runs on a busier
-# two-core Xeon host).
+# two-core Xeon host). 17 allocs and 3808 B once a boot allocates one
+# object per part of a runtime (medians of six: 21.6 -> 17.2 us on the
+# busier host). The target prints the six runs such a median is of.
 bench-coldboot:
-	$(GO) test -run '^$$' -bench BenchmarkColdBoot -benchmem -cpu 1 ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkColdBoot -benchmem -cpu 1 -count 6 ./internal/core/
 
 # ns, B and allocations per proc life, parked Wait and queued Acquire: what
 # the benchmark's sim.spawn_ns / sim.signal_wait_ns probes time, plus the

@@ -162,8 +162,7 @@ func execVirusScan(b *testing.B, e *sim.Engine, h *host.Host, k *kernel.Kernel, 
 	b.Helper()
 	shared := image.AndroidX86().Customized().BuildLayer("shared-android", true)
 	shared.Layer.WarmCacheOn(h)
-	c, err := container.Create(p, h, k, container.DefaultConfig("abl", 96),
-		unionfs.NewLayer("abl-delta", false), shared.Layer)
+	c, err := container.Create(p, h, k, container.DefaultConfig("abl", 96), shared.Layer)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,12 +34,16 @@ const (
 	DevAshmem    = "/dev/ashmem"
 )
 
-var requiredDevices = []string{DevBinder, DevAlarm, DevLogMain, DevLogEvents, DevAshmem}
+var requiredDevices = [...]string{DevBinder, DevAlarm, DevLogMain, DevLogEvents, DevAshmem}
+
+// NumRequiredDevices is len(RequiredDevices()): a runtime holds one handle
+// per required device in an array of this length.
+const NumRequiredDevices = len(requiredDevices)
 
 // RequiredDevices lists every device an Android boot needs. A container
 // whose namespace cannot open all of them fails to start Android. The list
 // is shared: callers must not modify it.
-func RequiredDevices() []string { return requiredDevices }
+func RequiredDevices() []string { return requiredDevices[:] }
 
 // Modules returns the Android Container Driver built for the given kernel
 // release (the paper targets Linux 3.18.0). The engine parameterizes the

@@ -63,10 +63,10 @@ func TestBinderPerNamespace(t *testing.T) {
 		LoadAll(p, k, Modules(e, k.Release()))
 		ns1, ns2 := k.NewNamespace("c1"), k.NewNamespace("c2")
 		var h1, h2 kernel.Handle
-		if err := k.Open(ns1, DevBinder, &h1); err != nil {
+		if err := k.Open(&ns1, DevBinder, &h1); err != nil {
 			t.Fatal(err)
 		}
-		k.Open(ns2, DevBinder, &h2)
+		k.Open(&ns2, DevBinder, &h2)
 		c1 := h1.State().(*binder.Context)
 		c2 := h2.State().(*binder.Context)
 		c1.Register("offloadcontroller", func(code uint32, d []byte) ([]byte, error) { return d, nil })
@@ -83,7 +83,7 @@ func TestUnloadAllBlockedByOpenHandles(t *testing.T) {
 		LoadAll(p, k, Modules(e, k.Release()))
 		ns := k.NewNamespace("c1")
 		var h kernel.Handle
-		k.Open(ns, DevBinder, &h)
+		k.Open(&ns, DevBinder, &h)
 		if err := UnloadAll(k); !errors.Is(err, kernel.ErrModuleInUse) {
 			t.Errorf("err = %v, want ErrModuleInUse", err)
 		}

@@ -72,11 +72,19 @@ type Logger struct {
 	dropped  int
 	n        int // entries buffered
 	// buf holds the entries back to back from head, wrapping at its end.
-	// It grows toward capBytes as the log fills and is reused from then
-	// on: evicting an entry advances head, it frees nothing.
+	// It starts as first, grows toward capBytes as the log fills and is
+	// reused from then on: evicting an entry advances head, it frees
+	// nothing.
 	buf  []byte
 	head int
+	// first is the ring until it outgrows it: a runtime's boot and its
+	// first request log about 220 bytes, so the logger a container's
+	// namespace makes holds them without allocating again.
+	first [firstRing]byte
 }
+
+// firstRing is the ring a logger starts with.
+const firstRing = 256
 
 // logHeader is an entry's fixed overhead: its tag and message lengths.
 const logHeader = 8
@@ -86,7 +94,9 @@ func NewLogger(capBytes int) *Logger {
 	if capBytes <= 0 {
 		panic("acd: logger capacity must be positive")
 	}
-	return &Logger{capBytes: capBytes}
+	l := &Logger{capBytes: capBytes}
+	l.buf = l.first[:min(capBytes, firstRing)]
+	return l
 }
 
 // Write appends an entry whose message is the concatenation of msg,
@@ -165,7 +175,7 @@ func (l *Logger) evict() {
 // grow resizes the ring to hold at least need bytes (never more than
 // capBytes), laying the entries out from the start again.
 func (l *Logger) grow(need int) {
-	grown := make([]byte, min(l.capBytes, max(need, 2*len(l.buf), 512)))
+	grown := make([]byte, min(l.capBytes, max(need, 2*len(l.buf))))
 	if n := copy(grown, l.buf[l.head:min(len(l.buf), l.head+l.used)]); n < l.used {
 		copy(grown[n:], l.buf[:l.used-n])
 	}

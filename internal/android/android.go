@@ -85,7 +85,7 @@ type Runtime struct {
 	env    Env
 	cfg    BootConfig
 	binder *binder.Context
-	devs   []kernel.Handle // one slab, parallel to acd.RequiredDevices
+	devs   [acd.NumRequiredDevices]kernel.Handle // parallel to acd.RequiredDevices
 	logger *acd.Logger
 
 	procs    []Process
@@ -96,6 +96,11 @@ type Runtime struct {
 	executed int
 
 	up bool
+
+	// procBuf backs procs through a customized boot's whole census: three
+	// daemons, zygote, installd, ten services and the offload controller.
+	// A full boot's outgrows it once.
+	procBuf [16]Process
 
 	// scan is the post-boot background scan's proc, which the runtime owns:
 	// starting it costs no allocation.
@@ -125,9 +130,7 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 		return nil, err
 	}
 	initSpec := initDaemons(cfg.Customized)
-	// The whole census: the daemons, zygote, installd, the services and the
-	// offload controller.
-	r.procs = make([]Process, 0, len(initSpec)+2+len(services(cfg.Customized))+1)
+	r.procs = r.procBuf[:0]
 	for _, d := range initSpec {
 		h.Compute(p, d.cpu, env.BootCPUEff())
 		if err := r.grow(d.name, d.mem); err != nil {
@@ -290,7 +293,7 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 		return nil, fmt.Errorf("android: %s: clone: %w", env.Name(), err)
 	}
 	r.memMB = tmpl.memMB
-	r.procs = append([]Process(nil), tmpl.procs...)
+	r.procs = append(r.procBuf[:0], tmpl.procs...)
 	h.Compute(p, cloneThawWork, env.BootCPUEff())
 
 	r.binder.Reserve(len(services(tmpl.cfg.Customized)) + 1)
@@ -315,9 +318,7 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 // namespace and picks out the driver state the runtime talks to; stage names
 // the caller in the error.
 func (r *Runtime) openDevices(stage string) error {
-	devices := acd.RequiredDevices()
-	r.devs = make([]kernel.Handle, len(devices))
-	for i, dev := range devices {
+	for i, dev := range acd.RequiredDevices() {
 		hnd := &r.devs[i]
 		if err := r.env.OpenDevice(dev, hnd); err != nil {
 			r.closeDevices()
@@ -396,12 +397,12 @@ func (r *Runtime) SetOffloadFS(m *unionfs.Mount) { r.offload = m }
 // OffloadFS returns where offloading I/O currently lands.
 func (r *Runtime) OffloadFS() *unionfs.Mount { return r.offload }
 
-// closeDevices closes the opened handles; unopened ones refuse harmlessly.
+// closeDevices closes the opened handles; unopened and already closed ones
+// refuse harmlessly.
 func (r *Runtime) closeDevices() {
 	for i := range r.devs {
 		r.devs[i].Close()
 	}
-	r.devs = nil
 }
 
 func (r *Runtime) teardown() {

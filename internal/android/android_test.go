@@ -58,7 +58,7 @@ func bootWO(t *testing.T, hn *harness, p *sim.Proc, name string) (*container.Con
 	// pages are cache-resident (as on the measured testbed).
 	rootfs := manifest.BuildLayer("rootfs:"+name, true)
 	rootfs.Layer.WarmCacheOn(hn.h)
-	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 128), unionfs.NewLayer(name+"-delta", false), rootfs.Layer)
+	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 128), rootfs.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func bootOptimized(t *testing.T, hn *harness, p *sim.Proc, name string, shared *
 	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
 		t.Fatal(err)
 	}
-	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 96), unionfs.NewLayer(name+"-delta", false), shared.Layer)
+	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 96), shared.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestContainerBootFailsWithoutACD(t *testing.T) {
 	rootfs := image.AndroidX86().ForContainer().BuildLayer("rootfs", true)
 	var bootErr error
 	hn.e.Spawn("test", func(p *sim.Proc) {
-		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("c1", 128), unionfs.NewLayer("d", false), rootfs.Layer)
+		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("c1", 128), rootfs.Layer)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"rattrap/internal/android"
 	"rattrap/internal/container"
 	"rattrap/internal/sim"
-	"rattrap/internal/unionfs"
 )
 
 func TestBootFailsUnderTightMemoryLimit(t *testing.T) {
@@ -23,8 +22,7 @@ func TestBootFailsUnderTightMemoryLimit(t *testing.T) {
 		if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
 			t.Fatal(err)
 		}
-		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("tiny", 48),
-			unionfs.NewLayer("tiny-delta", false), shared.Layer)
+		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("tiny", 48), shared.Layer)
 		if err != nil {
 			t.Fatal(err)
 		}

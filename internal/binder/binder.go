@@ -52,27 +52,57 @@ type Stats struct {
 }
 
 // Context is one Binder device instance: the service-manager registry plus
-// a handle table (handle h names handles[h-1]). Nodes come from slab.
+// a handle table (handle h names handles[h-1]). The registry is the node
+// slab itself: a boot registers a fixed table of about ten services, which a
+// scan finds faster than a map is built. A node never moves — a Register
+// past the slab's capacity starts a new slab and keeps the full one in
+// older — and an unregistered node stays where it was, marked dead, for the
+// handles that still name it.
 type Context struct {
-	services map[string]*Service
-	handles  []*Service
-	slab     []Service
-	stats    Stats
+	slab    []Service
+	older   [][]Service // full slabs, oldest first; nil until a Register outgrows a Reserve
+	handles []*Service
+	stats   Stats
+	// firstHandles backs handles until it outgrows it: a runtime's requests
+	// transact with the offload controller alone.
+	firstHandles [4]*Service
 }
 
 // NewContext returns an empty Binder context (as created when the binder
 // module initializes a device namespace).
-func NewContext() *Context { return &Context{} }
+func NewContext() *Context {
+	c := &Context{}
+	c.handles = c.firstHandles[:0]
+	return c
+}
 
-// Reserve sizes the registry and the node slab for n more registrations, so
-// a boot registering its fixed service table allocates nothing more.
+// Reserve sizes the node slab for n more registrations, so a boot
+// registering its fixed service table allocates nothing more.
 func (c *Context) Reserve(n int) {
-	if c.services == nil {
-		c.services = make(map[string]*Service, n)
+	if cap(c.slab)-len(c.slab) >= n {
+		return
 	}
-	if cap(c.slab)-len(c.slab) < n {
-		c.slab = make([]Service, 0, n)
+	if len(c.slab) > 0 {
+		c.older = append(c.older, c.slab)
 	}
+	c.slab = make([]Service, 0, n)
+}
+
+// find returns the live node registered as name, or nil.
+func (c *Context) find(name string) *Service {
+	for i := range c.slab {
+		if s := &c.slab[i]; !s.dead && s.name == name {
+			return s
+		}
+	}
+	for _, slab := range c.older {
+		for i := range slab {
+			if s := &slab[i]; !s.dead && s.name == name {
+				return s
+			}
+		}
+	}
+	return nil
 }
 
 // Register adds a named service, as servicemanager.addService would.
@@ -83,26 +113,23 @@ func (c *Context) Register(name string, h TxnHandler) (*Service, error) {
 	if h == nil {
 		return nil, ErrNilTransactFn
 	}
-	if _, ok := c.services[name]; ok {
+	if c.find(name) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
-	if len(c.slab) == cap(c.slab) { // replaced, not grown: nodes keep their addresses
+	if len(c.slab) == cap(c.slab) {
 		c.Reserve(max(4, cap(c.slab)))
 	}
 	c.slab = append(c.slab, Service{name: name, handler: h})
-	s := &c.slab[len(c.slab)-1]
-	c.services[name] = s
-	return s, nil
+	return &c.slab[len(c.slab)-1], nil
 }
 
 // Unregister removes a service and marks it dead; pending handles to it
 // start returning ErrDeadBinder and death recipients fire.
 func (c *Context) Unregister(name string) error {
-	s, ok := c.services[name]
-	if !ok {
+	s := c.find(name)
+	if s == nil {
 		return fmt.Errorf("%w: %s", ErrNoService, name)
 	}
-	delete(c.services, name)
 	s.dead = true
 	for _, fn := range s.deathFn {
 		fn()
@@ -114,8 +141,8 @@ func (c *Context) Unregister(name string) error {
 // Lookup resolves a service name to a handle (servicemanager.getService).
 func (c *Context) Lookup(name string) (uint32, error) {
 	c.stats.Lookups++
-	s, ok := c.services[name]
-	if !ok {
+	s := c.find(name)
+	if s == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNoService, name)
 	}
 	if s.handle == 0 {
@@ -152,8 +179,8 @@ func (c *Context) Call(service string, code uint32, data []byte) ([]byte, error)
 
 // LinkToDeath registers fn to run when the named service dies.
 func (c *Context) LinkToDeath(name string, fn func()) error {
-	s, ok := c.services[name]
-	if !ok {
+	s := c.find(name)
+	if s == nil {
 		return fmt.Errorf("%w: %s", ErrNoService, name)
 	}
 	s.deathFn = append(s.deathFn, fn)
@@ -162,11 +189,22 @@ func (c *Context) LinkToDeath(name string, fn func()) error {
 
 // Services lists registered service names, sorted.
 func (c *Context) Services() []string {
-	out := make([]string, 0, len(c.services))
-	for n := range c.services {
-		out = append(out, n)
+	out := make([]string, 0, len(c.slab))
+	for _, slab := range c.older {
+		out = appendLive(out, slab)
 	}
+	out = appendLive(out, c.slab)
 	sort.Strings(out)
+	return out
+}
+
+// appendLive appends the names of slab's live nodes to out.
+func appendLive(out []string, slab []Service) []string {
+	for i := range slab {
+		if !slab[i].dead {
+			out = append(out, slab[i].name)
+		}
+	}
 	return out
 }
 

@@ -27,8 +27,9 @@ func TestRegisterLookupTransact(t *testing.T) {
 func TestDuplicateRegistration(t *testing.T) {
 	c := NewContext()
 	c.Register("svc", echo)
-	if _, err := c.Register("svc", echo); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("err = %v, want ErrDuplicate", err)
+	_, err := c.Register("svc", echo)
+	if !errors.Is(err, ErrDuplicate) || err.Error() != "binder: service already registered: svc" {
+		t.Fatalf("err = %v, want ErrDuplicate naming svc", err)
 	}
 }
 
@@ -175,11 +176,11 @@ func TestPropertyEchoRoundTrip(t *testing.T) {
 }
 
 // registerAllocs is what a context costs to stand up with a boot's service
-// table reserved: the context, the registry map sized for 11 (four objects)
-// and the node slab. Before the slab it was the context and its two maps,
-// then one node per service and four map growths: 18 for the customized
-// table's 11.
-const registerAllocs = 6
+// table reserved: the context and the node slab, which is also the registry.
+// It was 6 while a registry map sized for 11 (four objects) indexed the
+// slab, and before the slab the context and its two maps, then one node per
+// service and four map growths: 18 for the customized table's 11.
+const registerAllocs = 2
 
 // ctxSink keeps the measured context on the heap, as a namespace's driver
 // state is.
@@ -203,6 +204,29 @@ func TestRegisterAllocs(t *testing.T) {
 	t.Logf("a context with %d services registered allocates %.0f objects", len(names), allocs)
 	if allocs > registerAllocs {
 		t.Fatalf("a context with %d services registered allocates %.0f objects, fence is %d", len(names), allocs, registerAllocs)
+	}
+}
+
+// A runtime's requests transact with a service or two: the first handles a
+// context hands out live in the context itself, so a context that has
+// served its first calls still costs registerAllocs.
+func TestFirstLookupsAllocNothing(t *testing.T) {
+	names := []string{"offloadcontroller", "activity", "package", "alarm"}
+	allocs := testing.AllocsPerRun(100, func() {
+		c := NewContext()
+		c.Reserve(len(names))
+		for _, n := range names {
+			c.Register(n, echo)
+		}
+		for _, n := range names {
+			if _, err := c.Call(n, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctxSink = c
+	})
+	if allocs > registerAllocs {
+		t.Fatalf("a context after its first %d calls has allocated %.0f objects, fence is %d", len(names), allocs, registerAllocs)
 	}
 }
 
@@ -230,5 +254,110 @@ func TestRegisterPastReserveKeepsNodes(t *testing.T) {
 		if h != uint32(i+1) {
 			t.Fatalf("lookup %d got handle %d, want %d", i, h, i+1)
 		}
+	}
+}
+
+// A name unregistered is free again: the new node is a different one, the
+// old handle stays dead, and a fresh Lookup reaches the new node.
+func TestReRegisterAfterUnregister(t *testing.T) {
+	c := NewContext()
+	old, _ := c.Register("svc", echo)
+	h1, _ := c.Lookup("svc")
+	if err := c.Unregister("svc"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Register("svc", func(uint32, []byte) ([]byte, error) { return []byte("new"), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s == old {
+		t.Fatal("re-registration reused the dead node")
+	}
+	if _, err := c.Register("svc", echo); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("second registration of a live name: err = %v, want ErrDuplicate", err)
+	}
+	if _, err := c.Transact(h1, 0, nil); !errors.Is(err, ErrDeadBinder) {
+		t.Fatalf("old handle: err = %v, want ErrDeadBinder", err)
+	}
+	h2, err := c.Lookup("svc")
+	if err != nil || h2 == h1 {
+		t.Fatalf("lookup after re-registration = %d, %v; want a handle other than %d", h2, err, h1)
+	}
+	if reply, err := c.Transact(h2, 0, nil); err != nil || string(reply) != "new" {
+		t.Fatalf("new handle: %q, %v", reply, err)
+	}
+}
+
+// A dead name resolves like one never registered.
+func TestDeadNameIsGone(t *testing.T) {
+	c := NewContext()
+	c.Register("svc", echo)
+	c.Register("other", echo)
+	if err := c.Unregister("svc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lookup("svc"); !errors.Is(err, ErrNoService) {
+		t.Fatalf("Lookup: err = %v, want ErrNoService", err)
+	}
+	if err := c.LinkToDeath("svc", func() {}); !errors.Is(err, ErrNoService) {
+		t.Fatalf("LinkToDeath: err = %v, want ErrNoService", err)
+	}
+	if err := c.Unregister("svc"); !errors.Is(err, ErrNoService) {
+		t.Fatalf("second Unregister: err = %v, want ErrNoService", err)
+	}
+	if _, err := c.Call("svc", 0, nil); !errors.Is(err, ErrNoService) {
+		t.Fatalf("Call: err = %v, want ErrNoService", err)
+	}
+}
+
+// Services lists live names only, sorted, across every slab.
+func TestServicesSkipsDeadAcrossSlabs(t *testing.T) {
+	c := NewContext()
+	c.Reserve(2)
+	for _, n := range []string{"zygote", "activity", "package", "alarm", "power"} {
+		c.Register(n, echo)
+	}
+	c.Unregister("activity") // in the first slab
+	c.Unregister("power")    // in the current one
+	got := fmt.Sprint(c.Services())
+	if want := "[alarm package zygote]"; got != want {
+		t.Fatalf("services = %s, want %s", got, want)
+	}
+	if empty := NewContext().Services(); empty == nil || len(empty) != 0 {
+		t.Fatalf("an empty context lists %#v, want an empty list", empty)
+	}
+}
+
+// Every node, in the first slab or a later one, resolves to itself after a
+// Reserve replaced the slab: found by name, at the address Register gave.
+func TestReserveKeepsEveryNodeResolvable(t *testing.T) {
+	c := NewContext()
+	c.Reserve(3)
+	nodes := map[string]*Service{}
+	for i := 0; i < 3; i++ {
+		n := fmt.Sprintf("first-%d", i)
+		nodes[n], _ = c.Register(n, echo)
+	}
+	c.Reserve(5) // the slab is full: a new one, the first kept
+	for i := 0; i < 7; i++ {
+		n := fmt.Sprintf("later-%d", i) // outgrows the second slab too
+		nodes[n], _ = c.Register(n, echo)
+	}
+	for n, s := range nodes {
+		if got := c.find(n); got != s {
+			t.Fatalf("%s resolves to %p, registered at %p", n, got, s)
+		}
+		if err := c.LinkToDeath(n, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(n, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(c.Services()); got != len(nodes) {
+		t.Fatalf("%d services listed, %d registered", got, len(nodes))
+	}
+	if _, err := c.Register("first-1", echo); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("a name in a full slab registered twice: %v", err)
 	}
 }

@@ -72,14 +72,18 @@ const (
 // ErrMemLimit is returned when an allocation would exceed the cgroup limit.
 var ErrMemLimit = errors.New("container: cgroup memory limit exceeded")
 
-// Container is one OS container. It implements android.Env.
+// Container is one OS container. It implements android.Env. It holds its
+// device namespace, its union mount and the mount's writable upper layer —
+// the container's private delta, named after it — by value: they live and
+// die with the container, so creating one is one allocation, not six.
 type Container struct {
 	h   *host.Host
 	k   *kernel.Kernel
 	cfg Config
 
-	ns    *kernel.Namespace
-	fs    *unionfs.Mount
+	ns    kernel.Namespace
+	fs    unionfs.Mount
+	upper unionfs.Layer
 	state State
 
 	memUsedMB  int
@@ -88,9 +92,9 @@ type Container struct {
 }
 
 // Create builds a container on h: namespaces, cgroups, a device namespace
-// in k, and a union rootfs of upper over lowers. It blocks p for the
-// setup time.
-func Create(p *sim.Proc, h *host.Host, k *kernel.Kernel, cfg Config, upper *unionfs.Layer, lowers ...*unionfs.Layer) (*Container, error) {
+// in k, and a union rootfs of a fresh private delta over lowers. It blocks
+// p for the setup time.
+func Create(p *sim.Proc, h *host.Host, k *kernel.Kernel, cfg Config, lowers ...*unionfs.Layer) (*Container, error) {
 	if cfg.MemLimitMB <= 0 {
 		return nil, fmt.Errorf("container %s: memory limit %d MB", cfg.Name, cfg.MemLimitMB)
 	}
@@ -99,18 +103,14 @@ func Create(p *sim.Proc, h *host.Host, k *kernel.Kernel, cfg Config, upper *unio
 	}
 	start := p.E.Now()
 	p.Sleep(createDelay)
-	fs, err := unionfs.NewMount(h, cfg.Name, upper, lowers...)
-	if err != nil {
+	c := &Container{h: h, k: k, cfg: cfg, ns: k.NewNamespace(cfg.Name)}
+	c.upper.Init(cfg.Name, false)
+	if err := c.fs.Init(h, cfg.Name, &c.upper, lowers...); err != nil {
 		return nil, fmt.Errorf("container %s: %w", cfg.Name, err)
 	}
 	p.Sleep(mountDelay)
-	c := &Container{
-		h: h, k: k, cfg: cfg,
-		ns:         k.NewNamespace(cfg.Name),
-		fs:         fs,
-		state:      StateRunning,
-		createTime: (p.E.Now() - start).Duration(),
-	}
+	c.state = StateRunning
+	c.createTime = (p.E.Now() - start).Duration()
 	return c, nil
 }
 
@@ -124,11 +124,11 @@ const (
 )
 
 // Clone builds a container as a copy-on-write twin of src at template
-// capture time: a fresh writable upper over tmpl (a unionfs Snapshot of
+// capture time: a fresh private delta over tmpl (a unionfs Snapshot of
 // src's upper) and src's shared lower stack. src may already be stopped —
 // only its mount recipe and host/kernel bindings are read. It blocks p
 // for the (cheap) clone setup time.
-func Clone(p *sim.Proc, src *Container, cfg Config, upper, tmpl *unionfs.Layer) (*Container, error) {
+func Clone(p *sim.Proc, src *Container, cfg Config, tmpl *unionfs.Layer) (*Container, error) {
 	if cfg.MemLimitMB <= 0 {
 		return nil, fmt.Errorf("container %s: memory limit %d MB", cfg.Name, cfg.MemLimitMB)
 	}
@@ -137,18 +137,14 @@ func Clone(p *sim.Proc, src *Container, cfg Config, upper, tmpl *unionfs.Layer) 
 	}
 	start := p.E.Now()
 	p.Sleep(cloneCreateDelay)
-	fs, err := src.fs.CloneFrom(cfg.Name, upper, tmpl)
-	if err != nil {
+	c := &Container{h: src.h, k: src.k, cfg: cfg, ns: src.k.NewNamespace(cfg.Name)}
+	c.upper.Init(cfg.Name, false)
+	if err := c.fs.InitClone(&src.fs, cfg.Name, &c.upper, tmpl); err != nil {
 		return nil, fmt.Errorf("container %s: %w", cfg.Name, err)
 	}
 	p.Sleep(cloneMountDelay)
-	c := &Container{
-		h: src.h, k: src.k, cfg: cfg,
-		ns:         src.k.NewNamespace(cfg.Name),
-		fs:         fs,
-		state:      StateRunning,
-		createTime: (p.E.Now() - start).Duration(),
-	}
+	c.state = StateRunning
+	c.createTime = (p.E.Now() - start).Duration()
 	return c, nil
 }
 
@@ -159,7 +155,7 @@ func (c *Container) Name() string { return c.cfg.Name }
 func (c *Container) Host() *host.Host { return c.h }
 
 // FS returns the container's root filesystem view.
-func (c *Container) FS() *unionfs.Mount { return c.fs }
+func (c *Container) FS() *unionfs.Mount { return &c.fs }
 
 // OpenDevice opens a /dev node through the container's device namespace
 // into h.
@@ -167,7 +163,7 @@ func (c *Container) OpenDevice(dev string, h *kernel.Handle) error {
 	if c.state != StateRunning {
 		return fmt.Errorf("container %s: not running", c.cfg.Name)
 	}
-	return c.k.Open(c.ns, dev, h)
+	return c.k.Open(&c.ns, dev, h)
 }
 
 // CPUEff returns the steady-state CPU efficiency.
@@ -226,7 +222,7 @@ func (c *Container) CreateTime() time.Duration { return c.createTime }
 
 // DiskUsageBytes is the container's private disk footprint: its writable
 // upper layer only. Shared lower layers are charged once, platform-wide.
-func (c *Container) DiskUsageBytes() host.Bytes { return c.fs.Upper().Size() }
+func (c *Container) DiskUsageBytes() host.Bytes { return c.upper.Size() }
 
 // Stop shuts the container down, releasing any memory still charged.
 func (c *Container) Stop(p *sim.Proc) error {
@@ -238,7 +234,7 @@ func (c *Container) Stop(p *sim.Proc) error {
 		c.h.FreeMem(c.memUsedMB)
 		c.memUsedMB = 0
 	}
-	c.fs.Upper().DropCacheOn(c.h) // the private delta is never read again
+	c.upper.DropCacheOn(c.h) // the private delta is never read again
 	c.state = StateStopped
 	return nil
 }

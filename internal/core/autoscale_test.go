@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -513,5 +514,94 @@ func TestPoolUsageIntegratesPoolSize(t *testing.T) {
 	if peak != 2 || pl.RuntimeCount() != 1 || later-stopped != 5 {
 		t.Fatalf("after one stop: peak %d, pool %d, %v runtime-seconds over 5 s (want 2, 1, 5)",
 			peak, pl.RuntimeCount(), later-stopped)
+	}
+}
+
+// A slot owns its autoscaler stop, so a second stop decided before the first
+// has started is the same proc, run once for the later decision: the victim
+// stops once, and a release between the decisions does not save it from
+// the second. A release after the only decision does.
+func TestSecondStopBeforeFirstStarts(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.IdleTimeout = 0 // no reaps: only the decisions below stop runtimes
+	pl := New(e, cfg)
+	pl.SetObs(obs.NewRegistry())
+	a := &autoscaler{pl: pl} // decides by hand, with no control loop
+	stops := func() int64 { return pl.om.asStops.Value() }
+	claimAndRelease := func(p *sim.Proc) {
+		sl, err := pl.acquire(p, "aid", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.releaseSlot(sl)
+	}
+	e.Spawn("t", func(p *sim.Proc) {
+		old, err := pl.BootRuntime(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		young, err := pl.BootRuntime(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time.Second)
+		a.stopOneIdle()
+		a.stopOneIdle()
+		if st := pl.byID[old.CID].stop; st == nil || st.Done() || pl.byID[young.CID].stop != nil {
+			t.Fatal("two decisions did not both pick the longest-idle runtime")
+		}
+		p.Sleep(time.Second)
+		if pl.byID[old.CID] != nil || pl.byID[young.CID] == nil || stops() != 1 {
+			t.Fatalf("after two decisions: old live %v, young live %v, %d stops; want one stop of the old",
+				pl.byID[old.CID] != nil, pl.byID[young.CID] != nil, stops())
+		}
+
+		a.stopOneIdle()
+		claimAndRelease(p)
+		p.Sleep(time.Second)
+		if pl.byID[young.CID] == nil || stops() != 1 {
+			t.Fatal("a runtime released after the decision to stop it was stopped")
+		}
+
+		a.stopOneIdle()
+		claimAndRelease(p)
+		a.stopOneIdle()
+		p.Sleep(time.Second)
+		if pl.byID[young.CID] != nil || stops() != 2 {
+			t.Fatalf("a decision after the release did not stop the runtime: %d stops", stops())
+		}
+	})
+	e.Run()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("leaked procs: %d", e.LiveProcs())
+	}
+}
+
+// A drain decided twice before it starts stops the runtime once.
+func TestSecondDrainBeforeFirstStarts(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.IdleTimeout = 0
+	pl := New(e, cfg)
+	e.Spawn("t", func(p *sim.Proc) {
+		info, err := pl.BootRuntime(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl := pl.byID[info.CID]
+		pl.CordonRuntime(info.CID) // idle: drains at once
+		pl.drainSlot(sl)
+		if sl.drain == nil || sl.drain.Done() {
+			t.Fatal("no drain live after the cordon")
+		}
+		p.Sleep(time.Second)
+		if pl.byID[info.CID] != nil || !sl.drain.Done() {
+			t.Fatal("the cordoned runtime was not drained")
+		}
+	})
+	e.Run()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("leaked procs: %d", e.LiveProcs())
 	}
 }

@@ -255,8 +255,8 @@ func (a *autoscaler) spawnBoot() {
 }
 
 // stopOneIdle retires the longest-idle schedulable runtime, if the pool
-// is above its floor. The stop runs on its own proc; the re-check there
-// mirrors scheduleReap — the slot may have been claimed between the
+// is above its floor. The stop runs on the slot's own proc; the re-check
+// there mirrors scheduleReap — the slot may have been claimed between the
 // decision and the proc running.
 func (a *autoscaler) stopOneIdle() {
 	pl := a.pl
@@ -275,15 +275,37 @@ func (a *autoscaler) stopOneIdle() {
 	if victim == nil {
 		return
 	}
-	asOf := victim.info.LastUsed
-	pl.E.Spawn("autoscale-stop:"+victim.id, func(p *sim.Proc) {
-		if !slotIdle(victim) || victim.info.LastUsed != asOf {
-			return
-		}
-		if pl.StopRuntime(p, victim.id) == nil && pl.om != nil {
-			pl.om.asStops.Inc()
-		}
-	})
+	// A stop still live for the victim has not started (a started one has
+	// moved the slot out of idle), so it runs for this decision: its
+	// re-check is against the latest release.
+	if victim.stop == nil {
+		victim.stop = &idleStop{pl: pl, sl: victim}
+	}
+	st := victim.stop
+	st.asOf = victim.info.LastUsed
+	if st.Done() {
+		pl.E.Start(&st.Proc, "autoscale-stop", st)
+	}
+}
+
+// idleStop is a slot's autoscaler retirement proc. The slot owns it, as it
+// owns its reaper, but makes it at its first stop decision: most runtimes
+// never get one, and a boot should not pay for it.
+type idleStop struct {
+	sim.Proc
+	pl   *Platform
+	sl   *slot
+	asOf sim.Time // the release the stop was decided for
+}
+
+func (s *idleStop) Run(p *sim.Proc) {
+	pl, sl := s.pl, s.sl
+	if !slotIdle(sl) || sl.info.LastUsed != s.asOf {
+		return
+	}
+	if pl.StopRuntime(p, sl.id) == nil && pl.om != nil {
+		pl.om.asStops.Inc()
+	}
 }
 
 // offerBooted places a freshly booted (LifecycleActive) runtime: the

@@ -239,7 +239,7 @@ type slot struct {
 	rt    *android.Runtime
 	ctr   *container.Container
 	vmach *vm.VM
-	info  *RuntimeInfo
+	info  RuntimeInfo // the ContainerDB's record of the runtime, which the DB holds by pointer
 	// rootfs is a KindRattrapWO container's private copy of the base
 	// image (nil otherwise): warmed into the page cache at boot under keys
 	// no other runtime shares, so it leaves the cache with the slot.
@@ -247,13 +247,15 @@ type slot struct {
 
 	acquiredAt sim.Time // when the current claim started (hold-time EWMA)
 
-	prev, next  *slot    // pl.slots linkage
-	removed     bool     // unlinked from the pool; index entries are stale
-	cordoned    bool     // unschedulable; drains once idle (failuretracker.go)
-	viaTemplate bool     // booted by cloning the runtime template
-	inIdle      bool     // has a live entry in the scheduler's idle heap
-	codes       []string // AIDs the scheduler indexes this slot under (Add)
-	reap        reaper   // its idle reclamation (scheduleReap)
+	prev, next  *slot     // pl.slots linkage
+	removed     bool      // unlinked from the pool; index entries are stale
+	cordoned    bool      // unschedulable; drains once idle (failuretracker.go)
+	viaTemplate bool      // booted by cloning the runtime template
+	inIdle      bool      // has a live entry in the scheduler's idle heap
+	codes       []string  // AIDs the scheduler indexes this slot under (Add)
+	reap        reaper    // its idle reclamation (scheduleReap)
+	stop        *idleStop // its autoscaler retirement (stopOneIdle), made by the first
+	drain       *drainer  // its drain once cordoned (drainSlot), made by the first
 }
 
 type waiter struct {
@@ -412,14 +414,14 @@ func (pl *Platform) BootRuntime(p *sim.Proc) (*RuntimeInfo, error) {
 func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 	pl.nextID++
 	id := pl.cid(pl.nextID)
-	sl := &slot{id: id, seq: pl.nextID, acquiredAt: pl.E.Now()}
-	sl.info = &RuntimeInfo{CID: id, Kind: pl.cfg.Kind} // born LifecycleCold
+	sl := &slot{id: id, seq: pl.nextID, acquiredAt: pl.E.Now(),
+		info: RuntimeInfo{CID: id, Kind: pl.cfg.Kind}} // born LifecycleCold
 	pl.slots.pushBack(sl, pl.E.Now())
 	pl.byID[id] = sl
 	if pl.om != nil {
 		pl.om.poolSize.Set(int64(pl.slots.n))
 	}
-	pl.db.Put(sl.info)
+	pl.db.Put(&sl.info)
 	pl.db.Transition(id, LifecycleBooting)
 	start := pl.E.Now()
 
@@ -482,8 +484,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			sl.rootfs = rootfs.Layer
 			sl.rootfs.WarmCacheOn(pl.Server)
 			c, err = container.Create(p, pl.Server, pl.Kernel,
-				container.DefaultConfig(id, memLimitWO),
-				unionfs.NewLayer(id+"-delta", false), sl.rootfs)
+				container.DefaultConfig(id, memLimitWO), sl.rootfs)
 			bc = android.BootConfig{Image: rootfs}
 		case pl.cfg.TemplateBoot && pl.tmpl != nil:
 			// Template fast path: COW-clone the captured boot instead of
@@ -491,13 +492,11 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			// delta over the frozen template upper, so its disk charge is
 			// only what it writes from here on.
 			c, err = container.Clone(p, pl.tmplSrc,
-				container.DefaultConfig(id, memLimitOpt),
-				unionfs.NewLayer(id+"-delta", false), pl.tmplLayer)
+				container.DefaultConfig(id, memLimitOpt), pl.tmplLayer)
 			sl.viaTemplate = true
 		default:
 			c, err = container.Create(p, pl.Server, pl.Kernel,
-				container.DefaultConfig(id, memLimitOpt),
-				unionfs.NewLayer(id+"-delta", false), pl.shared.Layer)
+				container.DefaultConfig(id, memLimitOpt), pl.shared.Layer)
 			bc = android.BootConfig{Image: pl.shared, Customized: true}
 		}
 		if err != nil {

@@ -121,24 +121,42 @@ func (pl *Platform) Cordoned() int { return pl.ft.cordons }
 // FailureCount returns the aggregate count of one failure kind.
 func (pl *Platform) FailureCount(k FailureKind) int { return pl.ft.total(k) }
 
-// drainSlot stops an idle cordoned runtime on its own proc (StopRuntime
-// sleeps through guest teardown, so it cannot run inside the caller's
-// event). Cordoned slots are invisible to the scheduler, so nothing can
-// claim the slot between the spawn and the proc running; the re-check
-// guards against a concurrent StopAll.
+// drainSlot stops an idle cordoned runtime on the slot's own proc
+// (StopRuntime sleeps through guest teardown, so it cannot run inside the
+// caller's event). Cordoned slots are invisible to the scheduler, so nothing
+// can claim the slot between the start and the proc running; the re-check
+// guards against a concurrent StopAll. A drain already live for the slot
+// leaves a second one nothing to do: it has not started, or it has moved
+// the slot out of idle.
 // When the last schedulable runtime of a fixed pool drains out from under
 // queued requests, nothing would release to them again (an autoscaler
 // would boot capacity), so the drain proc boots their replacement.
 func (pl *Platform) drainSlot(sl *slot) {
-	pl.E.Spawn("drain:"+sl.id, func(p *sim.Proc) {
-		if sl.removed || sl.info.State != LifecycleIdle {
-			return
+	if sl.drain == nil {
+		sl.drain = &drainer{pl: pl, sl: sl}
+	}
+	if sl.drain.Done() {
+		pl.E.Start(&sl.drain.Proc, "drain", sl.drain)
+	}
+}
+
+// drainer is a cordoned slot's drain proc, which the slot owns from its
+// first drain on.
+type drainer struct {
+	sim.Proc
+	pl *Platform
+	sl *slot
+}
+
+func (d *drainer) Run(p *sim.Proc) {
+	pl, sl := d.pl, d.sl
+	if sl.removed || sl.info.State != LifecycleIdle {
+		return
+	}
+	_ = pl.StopRuntime(p, sl.id) // teardown failures recorded by the tracker
+	if pl.scaler == nil && pl.waitQ.len() > 0 && pl.schedulable() == 0 && pl.slots.n < pl.poolCap() {
+		if sl, err := pl.bootSlot(p); err == nil {
+			pl.releaseSlot(sl) // hands it to the oldest live waiter
 		}
-		_ = pl.StopRuntime(p, sl.id) // teardown failures recorded by the tracker
-		if pl.scaler == nil && pl.waitQ.len() > 0 && pl.schedulable() == 0 && pl.slots.n < pl.poolCap() {
-			if sl, err := pl.bootSlot(p); err == nil {
-				pl.releaseSlot(sl) // hands it to the oldest live waiter
-			}
-		}
-	})
+	}
 }

@@ -233,12 +233,16 @@ const chunkDir = "/warehouse/chunks/"
 // in place so the string is the only allocation.
 func chunkPath(h uint64) string {
 	var b [len(chunkDir) + 16]byte
-	copy(b[:], chunkDir)
-	for i := len(b) - 1; i >= len(chunkDir); i-- {
-		b[i] = "0123456789abcdef"[h&15]
-		h >>= 4
+	return string(appendChunkPath(b[:0], h))
+}
+
+// appendChunkPath appends chunkPath(h) to b.
+func appendChunkPath(b []byte, h uint64) []byte {
+	b = append(b, chunkDir...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[h>>shift&15])
 	}
-	return string(b[:])
+	return b
 }
 
 // chunkStaging is one push's parallel block writes: the signal its proc
@@ -581,9 +585,12 @@ func (w *Warehouse) ChunkCount() int { return len(w.chunks) }
 // and every file under chunkDir is a block of the table or one a push is
 // staging.
 func (w *Warehouse) Audit() error {
-	refs := make(map[uint64]int, len(w.chunks))
+	// refs[h].n counts the manifests naming h; last is the entry that
+	// counted it last, so a manifest naming a block twice counts it once.
+	type tally struct{ n, last int }
+	refs := make(map[uint64]tally, len(w.chunks))
 	var stored host.Bytes
-	bindings := 0
+	bindings, entry := 0, 0
 	for _, e := range w.entries {
 		for _, cid := range e.CIDs {
 			if !slices.Contains(w.byCID[cid], e.AID) {
@@ -591,23 +598,22 @@ func (w *Warehouse) Audit() error {
 			}
 		}
 		bindings += len(e.CIDs)
-		seen := make(map[uint64]bool, len(e.Hashes))
+		entry++
 		for _, h := range e.Hashes {
-			if !seen[h] {
-				seen[h] = true
-				refs[h]++
+			if t := refs[h]; t.last != entry {
+				refs[h] = tally{t.n + 1, entry}
 			}
 		}
 	}
-	for h, n := range refs {
+	for h, t := range refs {
 		if c, ok := w.chunks[h]; !ok {
-			return fmt.Errorf("core: warehouse audit: chunk %016x named by %d manifests is not stored", h, n)
-		} else if c.refs != n {
-			return fmt.Errorf("core: warehouse audit: chunk %016x counts %d references, %d manifests name it", h, c.refs, n)
+			return fmt.Errorf("core: warehouse audit: chunk %016x named by %d manifests is not stored", h, t.n)
+		} else if c.refs != t.n {
+			return fmt.Errorf("core: warehouse audit: chunk %016x counts %d references, %d manifests name it", h, c.refs, t.n)
 		}
 	}
 	for h, c := range w.chunks {
-		if refs[h] == 0 {
+		if refs[h].n == 0 {
 			return fmt.Errorf("core: warehouse audit: chunk %016x (%d references) is named by no manifest", h, c.refs)
 		}
 		stored += c.size
@@ -615,23 +621,30 @@ func (w *Warehouse) Audit() error {
 	if stored != w.stored {
 		return fmt.Errorf("core: warehouse audit: StoredBytes %d, recounted %d", w.stored, stored)
 	}
+	var path [len(chunkDir) + 16]byte
 	for h, c := range w.chunks {
-		if c.path != chunkPath(h) {
+		if c.path != string(appendChunkPath(path[:0], h)) {
 			return fmt.Errorf("core: warehouse audit: chunk %016x records its file as %q", h, c.path)
 		}
 		if _, ok := w.store.Stat(c.path); !ok {
 			return fmt.Errorf("core: warehouse audit: chunk %016x has no file in the store", h)
 		}
 	}
-	for _, f := range w.store.List() {
-		name, ok := strings.CutPrefix(f.Path, chunkDir)
+	// Every write through the store lands in its upper layer. The stray
+	// reported is the least, so the report does not depend on map order.
+	stray := ""
+	w.store.Upper().Walk(func(p string) {
+		name, ok := strings.CutPrefix(p, chunkDir)
 		if !ok {
-			continue
+			return
 		}
 		h, err := strconv.ParseUint(name, 16, 64)
-		if _, held := w.chunks[h]; err != nil || !held && w.staging[h] == 0 {
-			return fmt.Errorf("core: warehouse audit: the store holds %s, which is neither a chunk of the table nor being staged", f.Path)
+		if _, held := w.chunks[h]; (err != nil || !held && w.staging[h] == 0) && (stray == "" || p < stray) {
+			stray = p
 		}
+	})
+	if stray != "" {
+		return fmt.Errorf("core: warehouse audit: the store holds %s, which is neither a chunk of the table nor being staged", stray)
 	}
 	for cid, aids := range w.byCID {
 		if len(aids) == 0 {

@@ -197,6 +197,43 @@ func TestChunkPathMatchesSprintfForm(t *testing.T) {
 	}
 }
 
+// Audit's allocations do not grow with the store: it checks each block's
+// recorded path against one built on the stack and walks the store's files
+// in place. It built every block's path and listed the store, and a scenario's
+// closing Cluster.Audit paid for each block it held.
+func TestAuditAllocsIndependentOfBlocks(t *testing.T) {
+	allocs := func(entries int) (float64, int) {
+		e := sim.NewEngine(1)
+		w := newTestWarehouse(t, e, 0)
+		var a float64
+		e.Spawn("test", func(p *sim.Proc) {
+			for i := 0; i < entries; i++ {
+				app := fmt.Sprintf("app-%d", i)
+				size := 8 * offload.ChunkSize
+				if err := fullPush(p, w, offload.AID(app, size), app, size); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := w.Audit(); err != nil {
+				t.Error(err)
+			}
+			a = testing.AllocsPerRun(20, func() { _ = w.Audit() })
+		})
+		e.Run()
+		return a, w.ChunkCount()
+	}
+	small, n := allocs(12)
+	large, n4 := allocs(48)
+	t.Logf("Audit allocates %.0f objects over %d blocks and %.0f over %d", small, n, large, n4)
+	if n4 != 4*n {
+		t.Fatalf("%d blocks and %d, want the second store four times the first", n, n4)
+	}
+	if large != small {
+		t.Fatalf("Audit allocates %.0f objects over %d blocks and %.0f over %d; it must not grow with the store", small, n, large, n4)
+	}
+}
+
 func TestPutChunkedDetectsSizeCollisions(t *testing.T) {
 	e := sim.NewEngine(2)
 	w := newTestWarehouse(t, e, 0)

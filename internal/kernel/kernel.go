@@ -73,9 +73,22 @@ type loadedModule struct {
 
 // Namespace is a device namespace: one per container, multiplexing
 // namespaced pseudo devices so each container sees private driver state.
+// Its table is fixed and held inline, so a namespace is a value its
+// container embeds: a boot opens the same four namespaced devices every
+// time, and a table that grows would cost a boot allocations for nothing.
 type Namespace struct {
 	name  string
-	state map[string]any // device path -> per-namespace state
+	state [maxNamespaced]nsState // opened devices, in open order; dev "" ends it
+}
+
+// maxNamespaced is how many namespaced devices one namespace can open: the
+// Android Container Driver's four (Binder, Alarm and the two log streams).
+const maxNamespaced = 4
+
+// nsState is one namespaced device's private state within a namespace.
+type nsState struct {
+	dev   string
+	state any
 }
 
 // Name returns the namespace identifier.
@@ -192,9 +205,21 @@ func (k *Kernel) HasDevice(dev string) bool {
 	return ok
 }
 
-// NewNamespace creates a device namespace for a container.
-func (k *Kernel) NewNamespace(name string) *Namespace {
-	return &Namespace{name: name, state: make(map[string]any)}
+// NewNamespace creates a device namespace for a container. Open takes it
+// by pointer: the namespace must stay where it is once a device is open.
+func (k *Kernel) NewNamespace(name string) Namespace {
+	return Namespace{name: name}
+}
+
+// stateOf returns dev's entry in the table, or the free entry after the last
+// one, or nil when the table is full.
+func (ns *Namespace) stateOf(dev string) *nsState {
+	for i := range ns.state {
+		if e := &ns.state[i]; e.dev == dev || e.dev == "" {
+			return e
+		}
+	}
+	return nil
 }
 
 // Handle is an open device descriptor, in storage the caller owns.
@@ -224,12 +249,17 @@ func (k *Kernel) Open(ns *Namespace, dev string, h *Handle) error {
 		if ns == nil {
 			return fmt.Errorf("kernel: device %s requires a device namespace", dev)
 		}
-		if s, ok := ns.state[dev]; ok {
-			state = s
-		} else if spec.New != nil {
-			state = spec.New()
-			ns.state[dev] = state
+		e := ns.stateOf(dev)
+		switch {
+		case e == nil:
+			return fmt.Errorf("kernel: namespace %s: no room for %s: it holds %d namespaced devices, the most", ns.name, dev, maxNamespaced)
+		case e.dev == "":
+			e.dev = dev
+			if spec.New != nil {
+				e.state = spec.New()
+			}
 		}
+		state = e.state
 	} else {
 		state = lm.shared[i]
 	}

@@ -69,7 +69,7 @@ func TestOpenWithoutModuleIsENODEV(t *testing.T) {
 	e, k := newHarness()
 	ns := k.NewNamespace("c1")
 	e.Spawn("init", func(p *sim.Proc) {
-		if err := k.Open(ns, "/dev/binder", new(Handle)); !errors.Is(err, ErrNoDevice) {
+		if err := k.Open(&ns, "/dev/binder", new(Handle)); !errors.Is(err, ErrNoDevice) {
 			t.Errorf("err = %v, want ErrNoDevice", err)
 		}
 	})
@@ -84,10 +84,10 @@ func TestNamespaceIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var h1, h2, h1b Handle
-		if err := k.Open(ns1, "/dev/binder", &h1); err != nil {
+		if err := k.Open(&ns1, "/dev/binder", &h1); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.Open(ns2, "/dev/binder", &h2); err != nil {
+		if err := k.Open(&ns2, "/dev/binder", &h2); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct per-namespace state.
@@ -96,7 +96,7 @@ func TestNamespaceIsolation(t *testing.T) {
 			t.Error("namespaces share driver state")
 		}
 		// Same namespace reopens the same state.
-		k.Open(ns1, "/dev/binder", &h1b)
+		k.Open(&ns1, "/dev/binder", &h1b)
 		if len(h1b.State().(map[string]int)) != 1 {
 			t.Error("reopen in same namespace lost state")
 		}
@@ -114,8 +114,8 @@ func TestSharedDeviceState(t *testing.T) {
 	e.Spawn("init", func(p *sim.Proc) {
 		k.Load(p, m)
 		var h1, h2 Handle
-		k.Open(ns1, "/dev/ashmem", &h1)
-		k.Open(ns2, "/dev/ashmem", &h2)
+		k.Open(&ns1, "/dev/ashmem", &h1)
+		k.Open(&ns2, "/dev/ashmem", &h2)
 		h1.State().(map[string]int)["region"] = 1
 		if h2.State().(map[string]int)["region"] != 1 {
 			t.Error("non-namespaced device state not shared")
@@ -130,7 +130,7 @@ func TestUnloadRefcounting(t *testing.T) {
 	e.Spawn("init", func(p *sim.Proc) {
 		k.Load(p, binderLikeModule())
 		var h Handle
-		k.Open(ns, "/dev/binder", &h)
+		k.Open(&ns, "/dev/binder", &h)
 		if err := k.Unload("test_binder"); !errors.Is(err, ErrModuleInUse) {
 			t.Errorf("unload with open handle: err = %v, want ErrModuleInUse", err)
 		}
@@ -267,7 +267,7 @@ func TestReloadAfterUnload(t *testing.T) {
 			t.Fatal(err)
 		}
 		var h Handle
-		if err := k.Open(ns, "/dev/ashmem", &h); err != nil {
+		if err := k.Open(&ns, "/dev/ashmem", &h); err != nil {
 			t.Fatal(err)
 		}
 		first := h.State()
@@ -282,13 +282,13 @@ func TestReloadAfterUnload(t *testing.T) {
 		if err := k.Unload(m.Name); !errors.Is(err, ErrNoModule) {
 			t.Errorf("second unload: err = %v, want ErrNoModule", err)
 		}
-		if err := k.Open(ns, "/dev/ashmem", &h); !errors.Is(err, ErrNoDevice) {
+		if err := k.Open(&ns, "/dev/ashmem", &h); !errors.Is(err, ErrNoDevice) {
 			t.Errorf("open after unload: err = %v, want ErrNoDevice", err)
 		}
 		if err := k.Load(p, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.Open(ns, "/dev/ashmem", &h); err != nil {
+		if err := k.Open(&ns, "/dev/ashmem", &h); err != nil {
 			t.Fatal(err)
 		}
 		if h.State() == first {
@@ -303,6 +303,54 @@ func TestReloadAfterUnload(t *testing.T) {
 		}
 		if !k.HasDevice("/dev/other") || k.HasDevice("/dev/ashmem") || k.ModuleMemKB() != 5 {
 			t.Errorf("a new spec under an old name kept the old record")
+		}
+	})
+	e.Run()
+}
+
+// A namespace's table is fixed: it opens maxNamespaced namespaced devices,
+// reopening one returns the state it made, and one device more fails without
+// disturbing the others. Reopening allocates nothing.
+func TestNamespaceTable(t *testing.T) {
+	e, k := newHarness()
+	made := 0
+	m := &Module{Name: "many", VerMagic: "3.18.0", SizeKB: 1}
+	for i := 0; i <= maxNamespaced; i++ {
+		m.Devices = append(m.Devices, DeviceSpec{Name: "/dev/ns" + string(rune('a'+i)), Namespaced: true,
+			New: func() any { made++; return new(int) }})
+	}
+	ns := k.NewNamespace("c1")
+	e.Spawn("init", func(p *sim.Proc) {
+		if err := k.Load(p, m); err != nil {
+			t.Fatal(err)
+		}
+		states := make([]any, maxNamespaced)
+		var h Handle
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := range states {
+				if err := k.Open(&ns, m.Devices[i].Name, &h); err != nil {
+					t.Fatal(err)
+				}
+				states[i] = h.State()
+				h.Close()
+			}
+		})
+		// AllocsPerRun runs the body twice; the second run reopens.
+		if made != maxNamespaced {
+			t.Fatalf("%d states made for %d devices opened twice", made, maxNamespaced)
+		}
+		if allocs != 0 {
+			t.Errorf("reopening %d devices allocates %.0f objects", maxNamespaced, allocs)
+		}
+		last := m.Devices[maxNamespaced].Name
+		if err := k.Open(&ns, last, &h); err == nil {
+			t.Fatalf("namespace opened %s past its %d entries", last, maxNamespaced)
+		}
+		for i, want := range states {
+			if err := k.Open(&ns, m.Devices[i].Name, &h); err != nil || h.State() != want {
+				t.Fatalf("%s after a refused open: %v, state moved %v", m.Devices[i].Name, err, h.State() != want)
+			}
+			h.Close()
 		}
 	})
 	e.Run()

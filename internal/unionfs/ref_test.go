@@ -142,7 +142,7 @@ func (w *refWorld) run(rng *rand.Rand, steps int, byRef bool) {
 				// are refs into a read-only layer above the shared one.
 				tmpl := w.m.Upper().Snapshot(fmt.Sprintf("tmpl%d", i))
 				upper := NewLayer(fmt.Sprintf("upper%d", i), false)
-				w.m, _ = w.m.CloneFrom(fmt.Sprintf("clone%d", i), upper, tmpl)
+				w.m, _ = cloneOf(w.m, fmt.Sprintf("clone%d", i), upper, tmpl)
 				w.layers = append(w.layers, tmpl, upper)
 				for _, q := range tmpl.Paths() {
 					r, _ := tmpl.Ref(q)

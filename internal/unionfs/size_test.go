@@ -66,7 +66,7 @@ func TestLayerSizeIsTheSumOfItsFiles(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						op += ", remounted as a clone's template"
 						fresh := NewLayer(fmt.Sprintf("upper-%d", i), false)
-						if m, err = m.CloneFrom(fmt.Sprintf("clone-%d", i), fresh, snap); err != nil {
+						if m, err = cloneOf(m, fmt.Sprintf("clone-%d", i), fresh, snap); err != nil {
 							t.Error(err)
 							return
 						}

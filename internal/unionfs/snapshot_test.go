@@ -41,7 +41,7 @@ func TestSnapshotCloneCOW(t *testing.T) {
 	if !tmpl.ReadOnly() {
 		t.Fatal("snapshot is not read-only")
 	}
-	clone, err := src.CloneFrom("clone", NewLayer("clone-delta", false), tmpl)
+	clone, err := cloneOf(src, "clone", NewLayer("clone-delta", false), tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSnapshotFrozenAgainstSourceWrites(t *testing.T) {
 	h := newTestHost(e)
 	src, upper, _ := buildBootedMount(t, e, h)
 	tmpl := upper.Snapshot("template")
-	clone, err := src.CloneFrom("clone", NewLayer("clone-delta", false), tmpl)
+	clone, err := cloneOf(src, "clone", NewLayer("clone-delta", false), tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCloneAccountingCountsSharedOnce(t *testing.T) {
 	var clones []*Mount
 	for i := 0; i < 3; i++ {
 		u := NewLayer("clone-delta", false)
-		c, err := src.CloneFrom("clone", u, tmpl)
+		c, err := cloneOf(src, "clone", u, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,4 +172,14 @@ func TestCloneAccountingCountsSharedOnce(t *testing.T) {
 	if naive <= total {
 		t.Fatalf("naive per-clone sum %d should exceed deduplicated total %d", naive, total)
 	}
+}
+
+// cloneOf is src's clone in a mount of its own, as a container makes one
+// in storage it owns.
+func cloneOf(src *Mount, name string, upper, tmpl *Layer) (*Mount, error) {
+	m := new(Mount)
+	if err := m.InitClone(src, name, upper, tmpl); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -83,6 +83,12 @@ func NewSizedLayer(name string, readOnly bool, files int) *Layer {
 	return &Layer{name: name, readOnly: readOnly, files: make(map[string]*node, files)}
 }
 
+// Init makes l an empty disk-backed layer in storage the caller owns, as
+// NewLayer would: a container holds its private delta by value.
+func (l *Layer) Init(name string, readOnly bool) {
+	*l = Layer{name: name, readOnly: readOnly, files: make(map[string]*node)}
+}
+
 // NewTmpfs creates an in-memory (tmpfs) layer. Its content occupies RAM and
 // moves at memory bandwidth.
 func NewTmpfs(name string) *Layer {
@@ -188,6 +194,13 @@ func (l *Layer) SizeUnder(prefix string) host.Bytes {
 	return total
 }
 
+// Walk calls fn with every path the layer holds, in no particular order.
+func (l *Layer) Walk(fn func(path string)) {
+	for p := range l.files {
+		fn(p)
+	}
+}
+
 // Paths returns all paths in the layer, sorted (deterministic iteration).
 func (l *Layer) Paths() []string {
 	out := make([]string, 0, len(l.files))
@@ -260,6 +273,10 @@ type Mount struct {
 	layers   []*Layer // [0] = upper, rest lower in priority order
 	directIO bool
 	fault    FaultHook
+	// stack backs layers when the stack fits, as every mount the platform
+	// makes does (a clone's is the deepest: delta, template, shared
+	// layer), so a Mount must not be copied once initialized.
+	stack [3]*Layer
 }
 
 // SetFault installs a write fault hook (nil removes it). The scenario
@@ -275,35 +292,44 @@ func (m *Mount) SetDirectIO(v bool) { m.directIO = v }
 // NewMount assembles a union mount on h. upper must be writable; it is the
 // container's private delta. lowers are searched in order after upper.
 func NewMount(h *host.Host, name string, upper *Layer, lowers ...*Layer) (*Mount, error) {
-	if upper == nil {
-		return nil, fmt.Errorf("unionfs: mount %q: nil upper layer", name)
-	}
-	if upper.readOnly {
-		return nil, fmt.Errorf("unionfs: mount %q: upper layer %q is read-only", name, upper.name)
-	}
-	layers := make([]*Layer, 0, 1+len(lowers))
-	layers = append(append(layers, upper), lowers...)
-	return &Mount{h: h, name: name, layers: layers}, nil
-}
-
-// CloneFrom assembles a COW clone of this mount: a fresh writable upper
-// over tmpl (a Snapshot of this mount's upper at capture time) followed by
-// this mount's existing lower stack. Clones share every byte below their
-// upper — the template and the shared lowers are charged once host-wide —
-// and writes land only in the clone's own upper. Whiteouts frozen into
-// tmpl keep hiding lower-layer files for the clone, exactly as they did
-// for the source mount at capture time.
-func (m *Mount) CloneFrom(name string, upper, tmpl *Layer) (*Mount, error) {
-	if tmpl == nil {
-		return nil, fmt.Errorf("unionfs: clone %q: nil template layer", name)
-	}
-	lowers := append([]*Layer{tmpl}, m.layers[1:]...)
-	nm, err := NewMount(m.h, name, upper, lowers...)
-	if err != nil {
+	m := new(Mount)
+	if err := m.Init(h, name, upper, lowers...); err != nil {
 		return nil, err
 	}
-	nm.directIO = m.directIO
-	return nm, nil
+	return m, nil
+}
+
+// Init assembles a union mount in storage the caller owns, as NewMount
+// would: a container holds its mount by value.
+func (m *Mount) Init(h *host.Host, name string, upper *Layer, lowers ...*Layer) error {
+	if upper == nil {
+		return fmt.Errorf("unionfs: mount %q: nil upper layer", name)
+	}
+	if upper.readOnly {
+		return fmt.Errorf("unionfs: mount %q: upper layer %q is read-only", name, upper.name)
+	}
+	*m = Mount{h: h, name: name}
+	m.layers = append(append(m.stack[:0], upper), lowers...)
+	return nil
+}
+
+// InitClone assembles, in storage the caller owns, a COW clone of src: a
+// fresh writable upper over tmpl (a Snapshot of src's upper at capture time)
+// followed by src's existing lower stack. Clones share every byte below
+// their upper — the template and the shared lowers are charged once
+// host-wide — and writes land only in the clone's own upper. Whiteouts
+// frozen into tmpl keep hiding lower-layer files for the clone, exactly as
+// they did for the source mount at capture time.
+func (m *Mount) InitClone(src *Mount, name string, upper, tmpl *Layer) error {
+	if tmpl == nil {
+		return fmt.Errorf("unionfs: clone %q: nil template layer", name)
+	}
+	if err := m.Init(src.h, name, upper, tmpl); err != nil {
+		return err
+	}
+	m.layers = append(m.layers, src.layers[1:]...)
+	m.directIO = src.directIO
+	return nil
 }
 
 // Name returns the mount identifier.

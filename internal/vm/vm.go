@@ -65,7 +65,7 @@ type VM struct {
 	cfg Config
 
 	guestKernel *kernel.Kernel
-	ns          *kernel.Namespace
+	ns          kernel.Namespace
 	fs          *unionfs.Mount
 	disk        *image.Image // the private disk image Create built
 
@@ -147,7 +147,7 @@ func (v *VM) OpenDevice(dev string, h *kernel.Handle) error {
 	if !v.running {
 		return fmt.Errorf("vm %s: not running", v.cfg.Name)
 	}
-	return v.guestKernel.Open(v.ns, dev, h)
+	return v.guestKernel.Open(&v.ns, dev, h)
 }
 
 // CPUEff returns the steady-state CPU efficiency.
