@@ -78,7 +78,10 @@ race-top:
 # A realtime request allocates only what outlives it: Driver.Do starts the
 # proc its pooled completion embeds, and a worker's reqState owns the span
 # its requests record into, so a .Spawn( or an obs.NewSpan( in non-test
-# internal/realtime is a per-request proc or span coming back.
+# internal/realtime is a per-request proc or span coming back. A
+# workload.Memo runs each distinct task once for the simulation harnesses
+# (internal/scenario, internal/experiments): anywhere else in non-test code
+# it would let the serving path skip the kernels tcp-compute measures.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -197,6 +200,12 @@ lint: vet
 		| grep -v '_test.go' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "a workload registry in internal/experiments (a request's local time is its device's estimate, est.LocalTime):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn -E 'workload\.(NewMemo\(|Memo\b)' --include='*.go' internal/ cmd/ \
+		| grep -v '_test.go' | grep -v -E '^internal/(scenario|experiments)/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a task memo outside the simulation harnesses (the serving path runs every kernel):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E '\.Spawn\(|obs\.NewSpan\(' $$(ls internal/realtime/*.go | grep -v '_test.go') || true); \

@@ -110,7 +110,9 @@ func replay(seed int64, kind core.Kind, events []trace.Event, idleTimeout time.D
 					runErr = err
 					return
 				}
-				est, ph, _, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), pl)
+				task := dev.NewTask(app)
+				tasks.Attach(&task)
+				est, ph, _, err := dev.MaybeOffload(p, task, app.CodeSize(), pl)
 				if err != nil && !est.ShouldOffload() {
 					runErr = err // the task's kernel failed
 					return

@@ -173,6 +173,7 @@ func RunObservation4(seed int64) (*Observation4, error) {
 			appName := apps[r%len(apps)]
 			app, _ := workload.ByName(appName)
 			task := dev.NewTask(app)
+			tasks.Attach(&task)
 			if _, _, err := dev.Offload(p, task, app.CodeSize(), pl); err != nil {
 				runErr = err
 				return

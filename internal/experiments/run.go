@@ -99,6 +99,13 @@ type RunResult struct {
 	WarehouseEntries, WarehouseHits int
 }
 
+// tasks runs each distinct task of the experiments' runs once per process:
+// the oracle replays the same seeded tasks across platforms, networks and
+// artefacts, and nine in ten of its kernel runs repeated an earlier one.
+// A device's estimate and the cloud runtime both take the task's shared
+// outcome as its Precomputed.
+var tasks = workload.NewMemo()
+
 // newDevice creates a LAN-attached device (the common case in runners).
 func newDevice(e *sim.Engine, name string) (*device.Device, error) {
 	return device.New(e, name, netsim.LANWiFi())
@@ -138,7 +145,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 				app, _ := workload.ByName(appName)
 				rec := RequestRecord{Device: dev.Name, App: appName, Index: r, Start: e.Now()}
 				before := dev.Meter.Joules
-				est, ph, result, err := dev.MaybeOffload(p, dev.NewTask(app), app.CodeSize(), pl)
+				task := dev.NewTask(app)
+				tasks.Attach(&task)
+				est, ph, result, err := dev.MaybeOffload(p, task, app.CodeSize(), pl)
 				offloaded := est.ShouldOffload()
 				if err != nil && !offloaded {
 					runErr = err // the task's kernel failed

@@ -67,6 +67,11 @@ type runner struct {
 	cohorts []*cohortState
 	events  []EventReport
 
+	// tasks runs each distinct task's kernel once per run: every arrival of
+	// a pinned-Linpack cohort solves the same system, and the cloud runtime
+	// takes the one outcome as the task's Precomputed.
+	tasks *workload.Memo
+
 	// afters holds one counter per success-rate-after assertion: requests
 	// arriving at or past the threshold are scored separately, so a
 	// mid-run membership event can be gated on post-event health alone.
@@ -100,7 +105,7 @@ func Run(scn *Scenario) (*Report, error) {
 // newRunner builds scn's cluster and cohorts on a fresh engine and
 // schedules its timeline, ready for the engine to run.
 func newRunner(scn *Scenario) (*runner, error) {
-	r := &runner{e: sim.NewEngine(scn.Seed), scn: scn}
+	r := &runner{e: sim.NewEngine(scn.Seed), scn: scn, tasks: workload.NewMemo()}
 	r.linkFault = r.fault
 
 	r.cl = cluster.NewReplicated(r.e, scn.Platform.Config, scn.Shards, scn.Platform.Replicas)
@@ -349,6 +354,7 @@ func (a *arrival) Run(p *sim.Proc) {
 	dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
 	a.link.SetFault(dev, r.linkFault)
 	task := cs.apps[k%len(cs.apps)].NewTask(cs.taskRng, k/cs.spec.Devices) // seq: unique per device, the idempotency key half
+	r.tasks.Attach(&task)
 	ci := cs.code(k)
 	err := r.offload(p, cs, device.Client{ID: dev, Link: &a.link, Chunked: cs.spec.ChunkedPush}, task, cs.codes[ci])
 	if err == nil {

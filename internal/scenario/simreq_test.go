@@ -76,12 +76,16 @@ const simChurnFifthReport = "e7e995ae34617fb4349e76829a39976d556dfa03161d493678d
 // inline). It was 9.5 until every warehouse entry became a manifest: an
 // export no longer derives a synthetic one, a landing reads its missing
 // blocks into a stack buffer, and a single missing block is written on the
-// landing's own proc, with no staging record.
-const simArrivalAllocs = 8.5
+// landing's own proc, with no staging record. It was 8.5 until the runner
+// ran each distinct task's kernel once (workload.Memo): every arrival
+// solved the same pinned system again, and the solve built its Output
+// string each time.
+const simArrivalAllocs = 7.5
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,
-// dispatch, the code push and its replica fan-out, the solve and the log.
+// dispatch, the code push and its replica fan-out, the task's memoized
+// outcome and the log.
 // The same run's report is held to simChurnFifthReport.
 func TestSimArrivalAllocs(t *testing.T) {
 	if !poolKeeps() {
@@ -102,6 +106,27 @@ func TestSimArrivalAllocs(t *testing.T) {
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(append(buf, '\n'))); sum != simChurnFifthReport {
 		t.Errorf("sim-churn shrunk five times reports %s, pinned %s: a virtual result moved", sum, simChurnFifthReport)
+	}
+}
+
+// TestSimChurnRunsOneKernel: every sim-churn arrival solves the same pinned
+// system, so a run's memo runs its kernel once, and the outcome every
+// arrival's runtime was handed is still the kernel's when the run ends.
+func TestSimChurnRunsOneKernel(t *testing.T) {
+	r, err := newRunner(simChurn(t, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.e.Run()
+	rep, err := r.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.tasks.Runs(); n != 1 {
+		t.Errorf("%d arrivals ran %d kernels, want 1", rep.Totals.Arrivals, n)
+	}
+	if err := r.tasks.Check(); err != nil {
+		t.Error(err)
 	}
 }
 

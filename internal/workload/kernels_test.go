@@ -846,7 +846,8 @@ func affordable(app string, blob []byte) bool {
 
 // FuzzTaskParams: whatever app name and parameter blob come off the wire,
 // Registry.Execute returns — an error with no Metrics beside it, or Metrics
-// that a second execution reproduces exactly.
+// that a second execution reproduces exactly — and a Memo attaches that
+// same outcome.
 func FuzzTaskParams(f *testing.F) {
 	for _, k := range kernelTasks() {
 		if strings.Contains(k.label, "/") || strings.HasSuffix(k.label, "#0") {
@@ -855,12 +856,18 @@ func FuzzTaskParams(f *testing.F) {
 	}
 	f.Add("Minesweeper", EncodeLinpackParams(1, 8))
 	reg := NewRegistry()
+	memo := NewMemo()
 	f.Fuzz(func(t *testing.T, app string, blob []byte) {
 		if !affordable(app, blob) {
 			t.Skip("in range but too large for a fuzz pass")
 		}
 		task := Task{App: app, Params: blob}
 		m, err := reg.Execute(task)
+		memoized := task
+		memo.Attach(&memoized)
+		if pre := memoized.Precomputed(); !sameOutcome(m, err, pre.Metrics, pre.Err) {
+			t.Fatalf("%s %x: memo holds %+v, %v; Execute returns %+v, %v", app, blob, pre.Metrics, pre.Err, m, err)
+		}
 		if err != nil {
 			if m != (Metrics{}) {
 				t.Fatalf("%s %x: error %v beside Metrics %+v", app, blob, err, m)
