@@ -12,9 +12,10 @@ import (
 const oracleTasks = 590
 
 // TestOracleRunsEachDistinctTaskOnce runs the oracle on a fresh memo: it
-// runs one kernel per distinct task, and every outcome it handed out,
-// which the devices, platforms and runtimes held all run long, still
-// equals a fresh run of its task's kernel.
+// stores, and runs the kernel of, each distinct task once, and every
+// outcome it handed out, which the devices, platforms and runtimes held
+// all run long, still equals a fresh run of its task's kernel. It swaps
+// the package's memo, so it runs serially with the package's other tests.
 func TestOracleRunsEachDistinctTaskOnce(t *testing.T) {
 	old := tasks
 	tasks = workload.NewMemo()
@@ -22,8 +23,8 @@ func TestOracleRunsEachDistinctTaskOnce(t *testing.T) {
 	if _, err := RunOracle(42); err != nil {
 		t.Fatal(err)
 	}
-	if n := tasks.Runs(); n != oracleTasks {
-		t.Errorf("RunOracle(42) ran %d kernels, want one per distinct task: %d", n, oracleTasks)
+	if n := tasks.Len(); n != oracleTasks {
+		t.Errorf("RunOracle(42) stored %d tasks, want %d distinct ones", n, oracleTasks)
 	}
 	if err := tasks.Check(); err != nil {
 		t.Error(err)

@@ -103,7 +103,10 @@ type RunResult struct {
 // the oracle replays the same seeded tasks across platforms, networks and
 // artefacts, and nine in ten of its kernel runs repeated an earlier one.
 // A device's estimate and the cloud runtime both take the task's shared
-// outcome as its Precomputed.
+// outcome as its Precomputed. Every outcome is the kernel's, so what a run
+// reports does not depend on which earlier run filled the memo; how many
+// kernels it runs does. A test that swaps in a fresh memo to count them
+// must not run beside another test of the package (none calls t.Parallel).
 var tasks = workload.NewMemo()
 
 // newDevice creates a LAN-attached device (the common case in runners).

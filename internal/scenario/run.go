@@ -29,6 +29,11 @@ type cohortState struct {
 	profile netsim.Profile
 	mult    float64
 	apps    []workload.App // Linpack pinned to linpack_order when set
+	// pinned is the pinned Linpack in apps, nil when none: every task it
+	// draws is the same, so its arrivals take their outcome from the
+	// runner's memo. Other apps draw fresh params per arrival and run
+	// their kernels in the cloud runtime.
+	pinned workload.App
 	// procName names every request proc of the cohort: it is the same for
 	// every arrival, so it is built once.
 	procName string
@@ -67,8 +72,8 @@ type runner struct {
 	cohorts []*cohortState
 	events  []EventReport
 
-	// tasks runs each distinct task's kernel once per run: every arrival of
-	// a pinned-Linpack cohort solves the same system, and the cloud runtime
+	// tasks runs a pinned cohort's kernel once per run: every arrival of a
+	// pinned-Linpack cohort solves the same system, and the cloud runtime
 	// takes the one outcome as the task's Precomputed.
 	tasks *workload.Memo
 
@@ -141,6 +146,7 @@ func newRunner(scn *Scenario) (*runner, error) {
 			}
 			if name == workload.NameLinpack && c.LinpackOrder > 0 {
 				app = workload.PinnedLinpack(scn.Seed, c.LinpackOrder)
+				cs.pinned = app
 			}
 			cs.apps = append(cs.apps, app)
 		}
@@ -353,8 +359,11 @@ func (a *arrival) Run(p *sim.Proc) {
 	r, cs, k := a.r, a.cs, a.k
 	dev := deviceID(cs.spec.Name, k%cs.spec.Devices)
 	a.link.SetFault(dev, r.linkFault)
-	task := cs.apps[k%len(cs.apps)].NewTask(cs.taskRng, k/cs.spec.Devices) // seq: unique per device, the idempotency key half
-	r.tasks.Attach(&task)
+	app := cs.apps[k%len(cs.apps)]
+	task := app.NewTask(cs.taskRng, k/cs.spec.Devices) // seq: unique per device, the idempotency key half
+	if app == cs.pinned {
+		r.tasks.Attach(&task)
+	}
 	ci := cs.code(k)
 	err := r.offload(p, cs, device.Client{ID: dev, Link: &a.link, Chunked: cs.spec.ChunkedPush}, task, cs.codes[ci])
 	if err == nil {

@@ -122,11 +122,32 @@ func TestSimChurnRunsOneKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.tasks.Runs(); n != 1 {
-		t.Errorf("%d arrivals ran %d kernels, want 1", rep.Totals.Arrivals, n)
+	if n := r.tasks.Len(); n != 1 {
+		t.Errorf("%d arrivals stored %d tasks, want 1", rep.Totals.Arrivals, n)
 	}
 	if err := r.tasks.Check(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoHoldsOnlyPinnedTasks: mixed-apps' office cohort draws fresh
+// params for all four apps, Linpack among them, and its cellular cohort
+// pins Linpack, so the run's memo holds the one pinned task and no other.
+func TestMemoHoldsOnlyPinnedTasks(t *testing.T) {
+	scn, err := Load(filepath.Join("..", "..", "scenarios", "mixed-apps.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRunner(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.e.Run()
+	if _, err := r.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.tasks.Len(); n != 1 {
+		t.Errorf("mixed-apps stored %d tasks, want its one pinned task", n)
 	}
 }
 

@@ -856,7 +856,6 @@ func FuzzTaskParams(f *testing.F) {
 	}
 	f.Add("Minesweeper", EncodeLinpackParams(1, 8))
 	reg := NewRegistry()
-	memo := NewMemo()
 	f.Fuzz(func(t *testing.T, app string, blob []byte) {
 		if !affordable(app, blob) {
 			t.Skip("in range but too large for a fuzz pass")
@@ -864,7 +863,7 @@ func FuzzTaskParams(f *testing.F) {
 		task := Task{App: app, Params: blob}
 		m, err := reg.Execute(task)
 		memoized := task
-		memo.Attach(&memoized)
+		NewMemo().Attach(&memoized) // a fresh memo a pass: a fuzz run outgrows memoMax
 		if pre := memoized.Precomputed(); !sameOutcome(m, err, pre.Metrics, pre.Err) {
 			t.Fatalf("%s %x: memo holds %+v, %v; Execute returns %+v, %v", app, blob, pre.Metrics, pre.Err, m, err)
 		}

@@ -3,13 +3,11 @@ package workload
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// memoMax bounds a Memo's entries. A harness replays a few hundred
-// distinct tasks; a cohort drawing fresh params per request would
-// otherwise grow it by one entry per arrival, so past the bound a task is
-// computed and not stored.
+// memoMax bounds a Memo's entries. The harnesses attach only tasks that
+// repeat, a few hundred distinct ones; past the bound Attach leaves a task
+// alone, and Registry.Execute runs its kernel as it would without a memo.
 const memoMax = 4096
 
 // Memo runs each distinct task's kernel once and hands every task with the
@@ -22,7 +20,6 @@ type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]map[string]*memoEntry // by (App, Method), then Params
 	n       int
-	runs    atomic.Int64
 }
 
 type memoKey struct{ app, method string }
@@ -37,7 +34,7 @@ func NewMemo() *Memo { return &Memo{entries: make(map[memoKey]map[string]*memoEn
 
 // Attach sets t's Precomputed to the outcome of its kernel, running the
 // kernel if no earlier task had t's key. The outcome is shared: nothing
-// may write through it.
+// may write through it. A full memo attaches nothing to a new key.
 func (m *Memo) Attach(t *Task) {
 	k := memoKey{t.App, t.Method}
 	m.mu.Lock()
@@ -46,8 +43,6 @@ func (m *Memo) Attach(t *Task) {
 	if e == nil {
 		if m.n >= memoMax {
 			m.mu.Unlock()
-			pre := m.run(*t)
-			t.SetPrecomputed(&pre)
 			return
 		}
 		if byParams == nil {
@@ -59,14 +54,8 @@ func (m *Memo) Attach(t *Task) {
 		m.n++
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.pre = m.run(*t) })
+	e.once.Do(func() { e.pre = execute(*t) })
 	t.SetPrecomputed(&e.pre)
-}
-
-// run counts and executes one kernel run.
-func (m *Memo) run(t Task) Precomputed {
-	m.runs.Add(1)
-	return execute(t)
 }
 
 // execute runs t's kernel through the package's shared apps.
@@ -79,21 +68,35 @@ func execute(t Task) Precomputed {
 	return Precomputed{Metrics: met, Err: err}
 }
 
-// Runs is how many kernels the memo has run.
-func (m *Memo) Runs() int64 { return m.runs.Load() }
+// Len is how many distinct tasks the memo holds, each of whose kernels ran
+// once. It is a test hook.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n
+}
 
 // Check reruns the kernel of every stored task and reports the first whose
 // stored outcome differs from the fresh one: an outcome some holder wrote
-// through after it was attached. Call it once the harness is done.
+// through after it was attached. It is a test hook, to call once every
+// Attach has returned.
 func (m *Memo) Check() error {
+	type stored struct {
+		task Task
+		pre  *Precomputed
+	}
+	var all []stored
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for k, byParams := range m.entries {
 		for params, e := range byParams {
-			fresh := execute(Task{App: k.app, Method: k.method, Params: []byte(params)})
-			if e.pre.Metrics != fresh.Metrics || fmt.Sprint(e.pre.Err) != fmt.Sprint(fresh.Err) {
-				return fmt.Errorf("workload: memo holds %+v for %s.%s %x, its kernel gives %+v", e.pre, k.app, k.method, params, fresh)
-			}
+			all = append(all, stored{Task{App: k.app, Method: k.method, Params: []byte(params)}, &e.pre})
+		}
+	}
+	m.mu.Unlock()
+	for _, s := range all {
+		fresh := execute(s.task)
+		if s.pre.Metrics != fresh.Metrics || fmt.Sprint(s.pre.Err) != fmt.Sprint(fresh.Err) {
+			return fmt.Errorf("workload: memo holds %+v for %s.%s %x, its kernel gives %+v", *s.pre, s.task.App, s.task.Method, s.task.Params, fresh)
 		}
 	}
 	return nil
