@@ -23,8 +23,8 @@ type churnWorld struct {
 	// offload controller was looked up under, kept past the runtime's stop.
 	handles map[*binder.Context]uint32
 	seen    map[*slot]bool
-	// steady is the page cache less what live warehouse entries explain, at
-	// the first quiescent point after a boot; every later one must match.
+	// steady is the page cache's file count at the first quiescent point
+	// after a boot; every later one must match.
 	steady int
 }
 
@@ -47,8 +47,9 @@ func (w *churnWorld) noteRuntimes(t *testing.T) {
 
 // checkQuiescent holds once every request finished and every runtime was
 // reaped: the books agree (Audit), the pool and its wait ring are empty, the
-// page cache holds only what live warehouse entries explain, and every
-// reaped runtime's binder handle answers dead or bad.
+// page cache is as it was at the first such point (warehouse entries add
+// nothing to it: their blocks sit on tmpfs), and every reaped runtime's
+// binder handle answers dead or bad.
 func (w *churnWorld) checkQuiescent() error {
 	pl := w.pl
 	if err := pl.Audit(); err != nil {
@@ -57,14 +58,7 @@ func (w *churnWorld) checkQuiescent() error {
 	if pl.RuntimeCount() != 0 || pl.QueueLength() != 0 {
 		return fmt.Errorf("quiescent pool holds %d runtimes, %d waiters", pl.RuntimeCount(), pl.QueueLength())
 	}
-	// A live entry explains a cached file when a runtime loaded it from a
-	// reassembled blob (the entry's page); its blocks sit on tmpfs.
 	rest := pl.Server.CachedFiles()
-	for _, e := range pl.warehouse.entries {
-		if pl.Server.CachedPage(&e.page) {
-			rest--
-		}
-	}
 	switch {
 	case len(w.seen) == 0:
 		// Nothing has booted: the driver's .ko files, which a platform's
@@ -72,7 +66,7 @@ func (w *churnWorld) checkQuiescent() error {
 	case w.steady < 0:
 		w.steady = rest
 	case rest != w.steady:
-		return fmt.Errorf("page cache holds %d files besides live entries, %d at the first quiescent point", rest, w.steady)
+		return fmt.Errorf("page cache holds %d files, %d at the first quiescent point", rest, w.steady)
 	}
 	for ctx, h := range w.handles {
 		reply, err := ctx.Transact(h, 1, nil)

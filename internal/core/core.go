@@ -867,7 +867,7 @@ func (s *session) stage(p *sim.Proc, offer offload.ChunkOffer, missing []uint64,
 func (pl *Platform) loadCode(p *sim.Proc, sl *slot, aid string, size host.Bytes, fromWarehouse bool) error {
 	had := sl.rt.CodeLoaded(aid)
 	if fromWarehouse && !had {
-		pl.warehouse.load(p, aid, size, sl.env.IOEff())
+		pl.warehouse.load(p, size, sl.env.IOEff())
 	}
 	if err := sl.rt.LoadCode(p, aid, size); err != nil {
 		return err

@@ -29,10 +29,6 @@ type cacheEntry struct {
 	// Hashes is the entry's chunk manifest: the entry holds one reference to
 	// each distinct block it names in the shared chunk store.
 	Hashes []uint64
-	// page is the residency, in the store host's page cache, of the blob
-	// runtimes reassemble from the entry's blocks: no staged file owns it,
-	// so the entry does, and dropping the entry evicts it.
-	page host.Page
 
 	// lastBound/seq order entries for least-recently-bound eviction: the
 	// virtual time a container last loaded the code, with the insertion
@@ -283,22 +279,11 @@ func (w *Warehouse) writeChunk(p *sim.Proc, h uint64, n host.Bytes, path string)
 	return nil
 }
 
-// load charges a runtime's read of aid's staged code at the runtime's I/O
-// efficiency eff, blocking p: the blob reassembled from its chunks,
-// resident in the entry's page once read.
-func (w *Warehouse) load(p *sim.Proc, aid string, size host.Bytes, eff float64) {
-	h := w.store.Host()
-	if e, ok := w.entries[aid]; ok && h.CachedPage(&e.page) {
-		h.DiskReadPage(p, &e.page, size, true, eff) // served from memory
-		return
-	}
-	h.DiskReadPage(p, nil, size, true, eff) // off the disk, warming nothing yet
-	// The read blocked: the entry may have been dropped meanwhile (its page
-	// evicted, not to be made resident again) or dropped and pushed anew,
-	// in which case the blob just read is the new entry's.
-	if e, ok := w.entries[aid]; ok {
-		h.WarmPage(&e.page)
-	}
+// load charges a runtime's read of staged code, size bytes, at the
+// runtime's I/O efficiency eff, blocking p. The blocks sit on the store's
+// layer, so that layer charges the read of the blob reassembled from them.
+func (w *Warehouse) load(p *sim.Proc, size host.Bytes, eff float64) {
+	w.store.ReadUpper(p, size, eff)
 }
 
 // MissingChunks returns, in offer order, the offered hashes the chunk
@@ -503,8 +488,7 @@ func (w *Warehouse) CIDsFor(aid string) []string {
 }
 
 // dropEntry removes an entry and releases its chunk references; blocks
-// with no remaining referents leave the store with it, and so do the cached
-// pages of the blob runtimes reassembled from them.
+// with no remaining referents leave the store with it.
 func (w *Warehouse) dropEntry(e *cacheEntry) {
 	delete(w.entries, e.AID)
 	w.order.remove(e.heapIdx)
@@ -515,7 +499,6 @@ func (w *Warehouse) dropEntry(e *cacheEntry) {
 			delete(w.byCID, cid)
 		}
 	}
-	w.store.Host().EvictPage(&e.page)
 	seen := make(map[uint64]bool, len(e.Hashes))
 	for _, h := range e.Hashes {
 		if seen[h] {

@@ -181,6 +181,54 @@ func TestLandingRewritesABlockThatLeft(t *testing.T) {
 	}
 }
 
+// TestWarehouseLoadIsATmpfsCopy: a staged code's blocks sit on the
+// in-memory offloading layer, so a runtime's load of it, first or again, is
+// one tmpfs copy of the blob: it reads nothing off the disk and caches
+// nothing, and neither does dropping the entry after. A first load was
+// charged as a disk read, and the entry kept a page cached for the blob.
+func TestWarehouseLoadIsATmpfsCopy(t *testing.T) {
+	e := sim.NewEngine(1)
+	w := newTestWarehouse(t, e, 0)
+	h := w.store.Host()
+	h.RecordTimelines()
+	size := 3*offload.ChunkSize + 100
+	e.Spawn("load", func(p *sim.Proc) {
+		if err := fullPush(p, w, "aid-1", "App", size); err != nil {
+			t.Fatal(err)
+		}
+		t0 := e.Now()
+		h.MemCopy(p, size)
+		copyTime := e.Now() - t0
+		if copyTime == 0 {
+			t.Fatal("the blob copies in no time; the test observes nothing")
+		}
+		cached := h.CachedFiles()
+		for _, load := range []string{"first", "hit"} {
+			t0 = e.Now()
+			w.load(p, size, 0.5)
+			if took := e.Now() - t0; took != copyTime {
+				t.Errorf("%s load took %v, want the tmpfs copy's %v", load, took.Duration(), copyTime.Duration())
+			}
+			if n := h.CachedFiles(); n != cached {
+				t.Errorf("%s load: page cache holds %d files, %d before", load, n, cached)
+			}
+		}
+		w.DropEntry("aid-1")
+		if n := h.CachedFiles(); n != cached {
+			t.Errorf("dropped entry: page cache holds %d files, %d before", n, cached)
+		}
+	})
+	e.Run()
+	for i, mbps := range h.DiskReadMBps(0, e.Now()+1, time.Millisecond) {
+		if mbps != 0 {
+			t.Fatalf("the disk read %.1f MB/s in millisecond %d; the blocks are on tmpfs", mbps, i)
+		}
+	}
+	if err := w.Audit(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestChunkPathMatchesSprintfForm: the in-place hex encoding names a block
 // exactly as fmt.Sprintf("/warehouse/chunks/%016x", h) did, and allocates
 // only the string it returns.

@@ -55,7 +55,7 @@ func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs uint64) {
 // benchmark only compares its own repeats with one another, so this is
 // where a change to the simulated request path that moves a virtual
 // result shows.
-const simChurnFifthReport = "e7e995ae34617fb4349e76829a39976d556dfa03161d493678db0d116a8b14c6"
+const simChurnFifthReport = "258ab17cafe715e2ce114b7ef0ba79f1dc9d60d2cfef8b2e1204fd19da42953d"
 
 // simArrivalAllocs is what one arrival of sim-churn shrunk five times
 // allocates, the cluster's set-up and the timeline's migrations included

@@ -457,12 +457,26 @@ func (m *Mount) ReadRef(proc *sim.Proc, r Ref, efficiency float64) (host.Bytes, 
 // one visible through m.
 func (m *Mount) read(proc *sim.Proc, l *Layer, n *node, efficiency float64) (host.Bytes, []byte, error) {
 	n.accessed = true
-	if l.inMemory {
-		m.h.MemCopy(proc, n.size)
-	} else {
-		m.h.DiskReadPage(proc, m.page(n), n.size, true, efficiency)
-	}
+	m.charge(proc, l, m.page(n), n.size, efficiency)
 	return n.size, n.data, nil
+}
+
+// ReadUpper blocks proc for a read of size bytes the upper layer holds in
+// no one file (a blob reassembled from several), charged by that layer's
+// medium; no page caches them.
+func (m *Mount) ReadUpper(proc *sim.Proc, size host.Bytes, efficiency float64) {
+	m.charge(proc, m.layers[0], nil, size, efficiency)
+}
+
+// charge blocks proc for a read of size bytes held in l: a memory copy on
+// tmpfs, otherwise a disk read through the page cache at pg (nil bypasses
+// it). It is the one place a read's cost is decided.
+func (m *Mount) charge(proc *sim.Proc, l *Layer, pg *host.Page, size host.Bytes, efficiency float64) {
+	if l.inMemory {
+		m.h.MemCopy(proc, size)
+	} else {
+		m.h.DiskReadPage(proc, pg, size, true, efficiency)
+	}
 }
 
 // Write creates or replaces p with size bytes (and optional content),
@@ -478,11 +492,7 @@ func (m *Mount) Write(proc *sim.Proc, p string, size host.Bytes, data []byte, ef
 	upper := m.layers[0]
 	if l, n, ok := m.resolve(p); ok && l != upper {
 		// Copy-up: read the lower copy, then write the new version.
-		if l.inMemory {
-			m.h.MemCopy(proc, n.size)
-		} else {
-			m.h.DiskReadPage(proc, m.page(n), n.size, true, efficiency)
-		}
+		m.charge(proc, l, m.page(n), n.size, efficiency)
 	}
 	nn := &node{size: size, data: data, accessed: true}
 	if upper.inMemory {
