@@ -16,7 +16,7 @@ func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(benchSeed)) }
 
 // loadACD inserts the Android Container Driver.
 func loadACD(e *sim.Engine, k *kernel.Kernel, p *sim.Proc) error {
-	return acd.LoadAll(p, k, acd.Modules(e, k.Release()))
+	return acd.LoadAll(p, k, acd.Modules(k.Release()))
 }
 
 // bootCustomized boots the customized Android on a container mounted over

@@ -19,20 +19,24 @@ done
 echo "== go test -race"
 # One tier. `make race` keeps the run's output in race.log (git-ignored) and,
 # on a failure, prints the failing tests' lines: a flake that does not
-# reproduce is still on disk. On two Xeon cores the full suite is ~17 s
-# plain and 101-118 s under the race detector (uncached test results, warm
-# build cache, four alternated pairs; 123-147 s before image paths were built
-# once per process and a layer kept its size). cmd/rattrap-bench is still the
-# critical path (38-42 s beside the other packages, 50-58 s before;
-# internal/workload 30-37 s, internal/core 19-25 s, internal/cluster 14-16 s,
-# internal/experiments 11-14 s); the per-package budget is several times the
-# slowest package. `make race-top` attributes cmd/rattrap-bench and
-# internal/experiments per test: the paper oracle (TestPaperOracle, every
-# table, figure and claim once) takes 25-26 s beside internal/experiments
-# (33-34 s before), the faults determinism run 5.2 s, the trace and
-# parallel-vs-sequential pins 4.6 + 4.3 s, the BENCH_*.json reports 4.3 s and
-# the suite gate regressions 2.8 s.
+# reproduce is still on disk. On two Xeon cores the full suite is ~15 s
+# plain and 83-93 s under the race detector (uncached test results, warm
+# build cache; 91 s in the last timed run). internal/workload is the
+# critical path (31-35 s beside the other packages: its kernel sweeps run at
+# full size, ROADMAP item 5), then internal/core and internal/experiments
+# (16-20 s each) and internal/scenario (8-12 s). cmd/rattrap-bench is 8-11 s
+# since the paper oracle runs each distinct task's kernel once (38-42 s
+# before). The per-package budget is several times the slowest package.
+# `make race-top` attributes cmd/rattrap-bench and internal/experiments per
+# test.
 make race
+
+echo "== go test -race -count=50 over internal/realtime and internal/cluster"
+# Their tests run real goroutines against each other, so a schedule-dependent
+# failure shows there once in tens of runs, not in one `make race`.
+# 6 min 20 s on two Xeon cores (the two packages side by side: 364 s and
+# 379 s), warm build cache.
+make stress
 
 echo "== cluster property over 5000 seeded scenario files (tier-1 draws 300)"
 # ~17 s on two Xeon cores. A failure prints the seed's file shrunk to its

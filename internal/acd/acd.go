@@ -6,6 +6,13 @@
 // them, so the package works on any hardware platform; devices appear only
 // while the modules are loaded, and Binder/Alarm/Logger are multiplexed
 // per container through device namespaces.
+//
+// What the model reads of a driver is its presence (a boot without one of
+// its devices fails), its loading (a .ko read, module_init CPU, resident
+// memory, refcounts held by open handles) and its namespacing. Only Binder
+// carries driver state — a per-namespace binder.Context the runtime's
+// services register on. Alarm, Logger and Ashmem charge nothing while a
+// runtime holds them open, so their devices are stateless nodes.
 package acd
 
 import (
@@ -46,10 +53,9 @@ const NumRequiredDevices = len(requiredDevices)
 func RequiredDevices() []string { return requiredDevices[:] }
 
 // Modules returns the Android Container Driver built for the given kernel
-// release (the paper targets Linux 3.18.0). The engine parameterizes the
-// Alarm driver, whose timers fire in virtual time. The specs are immutable:
-// a platform builds them once and hands the same list to every LoadAll.
-func Modules(e *sim.Engine, release string) []*kernel.Module {
+// release (the paper targets Linux 3.18.0). The specs are immutable: a
+// platform builds them once and hands the same list to every LoadAll.
+func Modules(release string) []*kernel.Module {
 	return []*kernel.Module{
 		{
 			Name:     ModBinder,
@@ -66,7 +72,7 @@ func Modules(e *sim.Engine, release string) []*kernel.Module {
 			SizeKB:   24,
 			LoadCost: 1,
 			Devices: []kernel.DeviceSpec{
-				{Name: DevAlarm, Namespaced: true, New: func() any { return NewAlarm(e) }},
+				{Name: DevAlarm, Namespaced: true},
 			},
 		},
 		{
@@ -75,8 +81,8 @@ func Modules(e *sim.Engine, release string) []*kernel.Module {
 			SizeKB:   32,
 			LoadCost: 1,
 			Devices: []kernel.DeviceSpec{
-				{Name: DevLogMain, Namespaced: true, New: func() any { return NewLogger(256 * 1024) }},
-				{Name: DevLogEvents, Namespaced: true, New: func() any { return NewLogger(256 * 1024) }},
+				{Name: DevLogMain, Namespaced: true},
+				{Name: DevLogEvents, Namespaced: true},
 			},
 		},
 		{
@@ -86,7 +92,7 @@ func Modules(e *sim.Engine, release string) []*kernel.Module {
 			LoadCost: 1,
 			Devices: []kernel.DeviceSpec{
 				// Ashmem regions are kernel-global; processes share them by fd.
-				{Name: DevAshmem, Namespaced: false, New: func() any { return NewAshmem() }},
+				{Name: DevAshmem, Namespaced: false},
 			},
 		},
 	}

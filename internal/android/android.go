@@ -86,7 +86,6 @@ type Runtime struct {
 	cfg    BootConfig
 	binder *binder.Context
 	devs   [acd.NumRequiredDevices]kernel.Handle // parallel to acd.RequiredDevices
-	logger *acd.Logger
 
 	procs    []Process
 	memMB    int
@@ -138,7 +137,6 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	r.log("init", "daemons started")
 
 	// Stage 2: zygote preload — reads the boot working set (framework
 	// jars, core libraries) through the union filesystem and burns
@@ -155,7 +153,6 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 		r.teardown()
 		return nil, err
 	}
-	r.log("zygote", "preloaded classes and resources")
 
 	// Stage 3: package manager scan (dexopt bookkeeping).
 	h.Compute(p, packageScanWork(cfg.Customized), env.BootCPUEff())
@@ -190,7 +187,6 @@ func Boot(p *sim.Proc, env Env, cfg BootConfig) (*Runtime, error) {
 		r.teardown()
 		return nil, err
 	}
-	r.log("offloadcontroller", "ready")
 
 	// Boot writes: dalvik-cache for the runtime package, properties,
 	// logs. This is the container's private on-disk delta — Table I's
@@ -307,7 +303,6 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 		r.teardown()
 		return nil, fmt.Errorf("android: %s: %w", env.Name(), err)
 	}
-	r.log("offloadcontroller", "thawed from template")
 
 	r.bootTime = (p.E.Now() - start).Duration()
 	r.up = true
@@ -315,8 +310,8 @@ func CloneBoot(p *sim.Proc, env Env, tmpl *Template) (*Runtime, error) {
 }
 
 // openDevices opens every Android device through the environment's device
-// namespace and picks out the driver state the runtime talks to; stage names
-// the caller in the error.
+// namespace and picks out the Binder context, the one driver state the
+// runtime talks to; stage names the caller in the error.
 func (r *Runtime) openDevices(stage string) error {
 	for i, dev := range acd.RequiredDevices() {
 		hnd := &r.devs[i]
@@ -324,11 +319,8 @@ func (r *Runtime) openDevices(stage string) error {
 			r.closeDevices()
 			return fmt.Errorf("android: %s: %s: opening %s: %w", r.env.Name(), stage, dev, err)
 		}
-		switch dev {
-		case acd.DevBinder:
+		if dev == acd.DevBinder {
 			r.binder = hnd.State().(*binder.Context)
-		case acd.DevLogMain:
-			r.logger = hnd.State().(*acd.Logger)
 		}
 	}
 	return nil
@@ -341,14 +333,6 @@ func (r *Runtime) grow(proc string, mb int) error {
 	r.memMB += mb
 	r.procs = append(r.procs, Process{Name: proc, MemMB: mb})
 	return nil
-}
-
-// log writes one logcat line whose message is msg's parts concatenated
-// (see acd.Logger.Write).
-func (r *Runtime) log(tag string, msg ...string) {
-	if r.logger != nil {
-		r.logger.Write(tag, msg...)
-	}
 }
 
 // CallService performs a Binder transaction against a named service in

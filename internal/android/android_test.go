@@ -50,7 +50,7 @@ func bootVM(t *testing.T, hn *harness, p *sim.Proc, name string) (*vm.VM, *andro
 // rootfs, stock Android, ACD loaded.
 func bootWO(t *testing.T, hn *harness, p *sim.Proc, name string) (*container.Container, *android.Runtime) {
 	t.Helper()
-	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
+	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.k.Release())); err != nil {
 		t.Fatal(err)
 	}
 	manifest := image.AndroidX86().ForContainer()
@@ -73,7 +73,7 @@ func bootWO(t *testing.T, hn *harness, p *sim.Proc, name string) (*container.Con
 // shared layer.
 func bootOptimized(t *testing.T, hn *harness, p *sim.Proc, name string, shared *image.Image) (*container.Container, *android.Runtime) {
 	t.Helper()
-	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
+	if err := acd.LoadAll(p, hn.k, acd.Modules(hn.k.Release())); err != nil {
 		t.Fatal(err)
 	}
 	c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig(name, 96), shared.Layer)

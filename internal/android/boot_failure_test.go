@@ -8,8 +8,60 @@ import (
 	"rattrap/internal/acd"
 	"rattrap/internal/android"
 	"rattrap/internal/container"
+	"rattrap/internal/kernel"
 	"rattrap/internal/sim"
 )
+
+// TestBootNeedsEveryDriverModule: each of the Android Container Driver's
+// four modules is required on its own. With the other three loaded, a boot
+// fails with ErrNoDevice naming a device of the missing module, leaves no
+// host memory behind, and closes the handles it had opened, so the loaded
+// modules unload.
+func TestBootNeedsEveryDriverModule(t *testing.T) {
+	mods := acd.Modules("3.18.0")
+	for _, missing := range mods {
+		t.Run(missing.Name, func(t *testing.T) {
+			hn := newHarness()
+			shared := sharedLayer(hn)
+			var bootErr error
+			hn.e.Spawn("t", func(p *sim.Proc) {
+				for _, m := range mods {
+					if m == missing {
+						continue
+					}
+					if err := hn.k.Load(p, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("c1", 96), shared.Layer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, bootErr = android.Boot(p, c, android.BootConfig{Image: shared, Customized: true})
+			})
+			hn.e.Run()
+			if !errors.Is(bootErr, kernel.ErrNoDevice) {
+				t.Fatalf("boot without %s: err = %v, want ErrNoDevice", missing.Name, bootErr)
+			}
+			named := false
+			for _, d := range missing.Devices {
+				named = named || strings.Contains(bootErr.Error(), d.Name)
+			}
+			if !named {
+				t.Errorf("boot without %s: %q names none of its devices", missing.Name, bootErr)
+			}
+			if n := hn.h.MemUsedMB(); n != 0 {
+				t.Errorf("boot without %s leaked %d MB on the host", missing.Name, n)
+			}
+			if err := acd.UnloadAll(hn.k); err != nil {
+				t.Errorf("UnloadAll after a boot without %s: %v", missing.Name, err)
+			}
+			if mods := hn.k.Lsmod(); len(mods) != 0 {
+				t.Errorf("modules left loaded: %v", mods)
+			}
+		})
+	}
+}
 
 func TestBootFailsUnderTightMemoryLimit(t *testing.T) {
 	// A 48 MB cgroup cannot hold the customized runtime (≈96 MB): the boot
@@ -19,7 +71,7 @@ func TestBootFailsUnderTightMemoryLimit(t *testing.T) {
 	shared := sharedLayer(hn)
 	var bootErr error
 	hn.e.Spawn("t", func(p *sim.Proc) {
-		if err := acd.LoadAll(p, hn.k, acd.Modules(hn.e, hn.k.Release())); err != nil {
+		if err := acd.LoadAll(p, hn.k, acd.Modules(hn.k.Release())); err != nil {
 			t.Fatal(err)
 		}
 		c, err := container.Create(p, hn.h, hn.k, container.DefaultConfig("tiny", 48), shared.Layer)

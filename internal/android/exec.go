@@ -31,7 +31,6 @@ func (r *Runtime) LoadCode(p *sim.Proc, aid string, size host.Bytes) error {
 	work := classLoadWorkPerMB * host.Work(float64(size)/float64(host.MB))
 	r.env.Host().Compute(p, work, r.env.CPUEff())
 	r.loaded[aid] = size
-	r.log("ClassLoader", "loaded ", aid)
 	return nil
 }
 
@@ -152,7 +151,6 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	h.Compute(p, binderTxnWork, r.env.CPUEff())
 
 	r.executed++
-	r.log("offload", "task ", task.App, ".", task.Method, " done: ", m.Output)
 	return ExecResult{Metrics: m, ComputeSeconds: computeSec, IOSeconds: ioSec}, nil
 }
 

@@ -109,21 +109,22 @@ func BenchmarkColdBoot(b *testing.B) {
 // runtime once: the slot (its DB record inside), its CID and the record copy
 // BootRuntime returns; the container (its device namespace, union mount and
 // private delta inside), the delta's file table and that table's first
-// group, and the file nodes of the three boot writes; the namespace's driver
-// state — the Binder context and its node slab, which is also the service
-// registry, the Alarm and the two Loggers (their first rings inside) — and
-// the Ashmem the driver load makes; the Runtime (its device handles and
-// process census inside) and its table of loaded code. It was 70 while every
-// registration allocated its node, every module load rebuilt its record, key
-// and shared-state map, and every device open its own handle (DESIGN.md,
-// "Cold path"); 35 while the post-boot scan was spawned with a name, a
-// closure and a proc of its own; and 32 while the Binder registry and the
-// namespace's state table were maps, the container's namespace, mount, layer
-// stack and delta were objects of their own, core named the delta, the slot
-// and its record were two objects, and the handles, the census and the first
-// log ring had arrays of their own. The fence leaves room for two more; a
-// table rebuilt per boot or a key built per file read costs tens.
-const coldBootAllocs = 17
+// group, and the file nodes of the three boot writes; the namespace's one
+// driver state, the Binder context, and its node slab, which is also the
+// service registry; the Runtime (its device handles and process census
+// inside) and its table of loaded code. It was 70 while every registration
+// allocated its node, every module load rebuilt its record, key and
+// shared-state map, and every device open its own handle (DESIGN.md, "Cold
+// path"); 35 while the post-boot scan was spawned with a name, a closure and
+// a proc of its own; 32 while the Binder registry and the namespace's state
+// table were maps, the container's namespace, mount, layer stack and delta
+// were objects of their own, core named the delta, the slot and its record
+// were two objects, and the handles, the census and the first log ring had
+// arrays of their own; and 17 while the namespace held an Alarm and two
+// logcat rings and the driver load made an Ashmem table, none of which the
+// model read. The fence leaves room for two more; a table rebuilt per boot
+// or a key built per file read costs tens.
+const coldBootAllocs = 13
 
 func TestColdBootAllocs(t *testing.T) {
 	e, pl := coldBootPlatform(t)
@@ -200,19 +201,19 @@ func TestWarmRequestAllocs(t *testing.T) {
 // blob: Prepare boots a runtime, PushCode lands a never-seen AID's code,
 // EnforceCapacity evicts the entry before it, Execute runs a Linpack
 // order-8 solve and Release leaves the runtime to its reap. The boot and
-// the reap's stop are 15 of them: coldBootAllocs but the record copy
-// BootRuntime returns and the Ashmem (each boot starts while the runtime
-// before it still stops, so the driver stays loaded). The other 12 are the
+// the reap's stop are 12 of them: coldBootAllocs but the record copy
+// BootRuntime returns. The other 12 are the
 // session; the push claim's signal; the manifest, the path and the file node
 // of its one new block (the size-salted tail: the library blocks are held)
 // and the cache entry; the binding's CID list and reverse-index set; the
 // scheduler's list of the slot's codes and the first group of the runtime's
 // table of loaded code; and the idle reap's event and closure. The evicted
-// entry's block leaves under the path it was written at. It was 43 while a
-// boot was 15 objects more (see coldBootAllocs) and the first transaction
-// grew the Binder handle table; a plain blob staged by its own path was 42,
-// and the manifest the 43rd.
-const coldPushAllocs = 27
+// entry's block leaves under the path it was written at. It was 27 while a
+// boot made an Alarm and two logcat rings; 43 while a boot was 15 objects
+// more (see coldBootAllocs) and the first transaction grew the Binder handle
+// table; a plain blob staged by its own path was 42, and the manifest the
+// 43rd.
+const coldPushAllocs = 24
 
 func TestColdPushAllocs(t *testing.T) {
 	e := sim.NewEngine(1)

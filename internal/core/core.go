@@ -311,7 +311,7 @@ func New(e *sim.Engine, cfg Config) *Platform {
 		}
 	}
 	pl.contManifest = pl.fullManifest.ForContainer()
-	pl.acdModules = acd.Modules(e, pl.Kernel.Release())
+	pl.acdModules = acd.Modules(pl.Kernel.Release())
 	if cfg.Kind == KindRattrap {
 		// Shared Resource Layer: the customized /system, stored once and
 		// mounted read-only under every container, its boot working set

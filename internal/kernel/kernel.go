@@ -38,11 +38,13 @@ type StateFactory func() any
 type DeviceSpec struct {
 	// Name is the /dev path, e.g. "/dev/binder".
 	Name string
-	// Namespaced devices get independent state per device namespace
-	// (Binder, Alarm, Logger in the paper); non-namespaced devices share
-	// one state kernel-wide.
+	// Namespaced devices are multiplexed per device namespace (Binder,
+	// Alarm, Logger in the paper): each namespace that opens one takes an
+	// entry of its table, holding its own state if New makes any.
+	// Non-namespaced devices share one state kernel-wide.
 	Namespaced bool
-	// New creates driver state. May be nil for stateless devices.
+	// New creates driver state. It is nil for stateless devices — in the
+	// Android Container Driver, every device but Binder.
 	New StateFactory
 }
 
@@ -82,7 +84,8 @@ type Namespace struct {
 }
 
 // maxNamespaced is how many namespaced devices one namespace can open: the
-// Android Container Driver's four (Binder, Alarm and the two log streams).
+// Android Container Driver's four (Binder, Alarm and the two log streams),
+// of which only Binder's entry holds driver state.
 const maxNamespaced = 4
 
 // nsState is one namespaced device's private state within a namespace.

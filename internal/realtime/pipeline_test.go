@@ -172,7 +172,15 @@ func TestConnWorkersBoundedByDepth(t *testing.T) {
 			t.Errorf("depth %d: %d request workers on the idle connection, want 1..%d", depth, n, depth)
 		}
 		srv.Close()
-		if n := connWorkers(); n != 0 {
+		// Close waits for every worker's deferred workers.Done, which runs
+		// before the goroutine has left the stack connWorkers reads: yield
+		// until the ones that returned are gone, a bounded number of times.
+		n := connWorkers()
+		for i := 0; n != 0 && i < 1000; i++ {
+			runtime.Gosched()
+			n = connWorkers()
+		}
+		if n != 0 {
 			t.Errorf("depth %d: %d request workers survive Close", depth, n)
 		}
 	}

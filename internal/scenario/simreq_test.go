@@ -36,9 +36,9 @@ func simChurn(tb testing.TB, k int) *Scenario {
 	return scn
 }
 
-// runCounted runs scn and returns its report and the heap objects the run
-// allocated.
-func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs uint64) {
+// runCounted runs scn and returns its report and the heap objects and bytes
+// the run allocated.
+func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs, bytes uint64) {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -47,7 +47,7 @@ func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs uint64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return rep, after.Mallocs - before.Mallocs
+	return rep, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // simChurnFifthReport is the SHA-256 of the JSON report (as reportBytes
@@ -82,11 +82,18 @@ const simChurnFifthReport = "258ab17cafe715e2ce114b7ef0ba79f1dc9d60d2cfef8b2e120
 // string each time.
 const simArrivalAllocs = 7.5
 
+// simArrivalBytes is the heap bytes (MemStats.TotalAlloc) one arrival of the
+// same run allocates; the fence leaves it 10 %. It was 1 637 while every
+// runtime's namespace held two logcat rings that its boot, each code load
+// and each finished task wrote a line into, a warm runtime's ring doubling
+// toward 256 KiB.
+const simArrivalBytes = 1330
+
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,
-// dispatch, the code push and its replica fan-out, the task's memoized
-// outcome and the log.
-// The same run's report is held to simChurnFifthReport.
+// dispatch, the code push and its replica fan-out and the task's memoized
+// outcome, in objects and in bytes. The same run's report is held to
+// simChurnFifthReport.
 func TestSimArrivalAllocs(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool is dropping Puts (race detector)")
@@ -94,11 +101,15 @@ func TestSimArrivalAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one set of pool slots
 	scn := simChurn(t, 5)
 	runCounted(t, simChurn(t, 50)) // grows the worker pool and the solve's caches
-	rep, mallocs := runCounted(t, scn)
+	rep, mallocs, bytes := runCounted(t, scn)
 	per := float64(mallocs) / float64(rep.Totals.Arrivals)
-	t.Logf("%.2f allocations per arrival over %d arrivals", per, rep.Totals.Arrivals)
+	perB := float64(bytes) / float64(rep.Totals.Arrivals)
+	t.Logf("%.2f allocations, %.0f bytes per arrival over %d arrivals", per, perB, rep.Totals.Arrivals)
 	if per > simArrivalAllocs+1 {
 		t.Errorf("a sim-churn arrival allocates %.2f objects, fence is %.1f + 1", per, simArrivalAllocs)
+	}
+	if perB > simArrivalBytes*1.1 {
+		t.Errorf("a sim-churn arrival allocates %.0f bytes, fence is %d + 10 %%", perB, simArrivalBytes)
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

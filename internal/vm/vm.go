@@ -104,7 +104,7 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 	// modules inserted during guest kernel init (their cost is part of
 	// the boot the VM pays anyway).
 	gk := kernel.New(e, h, "3.10.0-android")
-	if err := acd.LoadAll(p, gk, acd.Modules(e, gk.Release())); err != nil {
+	if err := acd.LoadAll(p, gk, acd.Modules(gk.Release())); err != nil {
 		h.FreeMem(cfg.MemMB)
 		return nil, fmt.Errorf("vm %s: guest kernel: %w", cfg.Name, err)
 	}
