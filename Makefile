@@ -97,6 +97,9 @@ stress:
 # module's .ko (kernel/kernel.go, a host file under no container's mount),
 # an app's database streaming (android/exec.go, data the task names only by
 # size) and local execution (device/device.go, the handset's own storage).
+# The paper's experiments run the paper preset: core.ServingConfig( is for
+# the daemon, the boot suite's template cell and scenario files only, so the
+# oracle (internal/experiments, examples/) never boots from a template.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -230,6 +233,13 @@ lint: vet
 		| grep -v -E '^internal/device/device\.go:[0-9]+:[[:space:]]*d\.H\.DiskRead\(p, "", io, ' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "an I/O charge outside internal/host and internal/unionfs (the layer that holds the bytes charges their read):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'ServingConfig(' --include='*.go' internal/ cmd/ examples/ \
+		| grep -v '_test.go' | grep -v -E '^(cmd/rattrapd/|cmd/rattrap-bench/boot\.go:|internal/scenario/)' \
+		| grep -v -E '^internal/core/core\.go:[0-9]+:func ServingConfig\(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "the serving preset outside rattrapd, the boot suite and the scenario decoder (the paper's experiments run core.DefaultConfig):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E '\.Spawn\(|obs\.NewSpan\(' $$(ls internal/realtime/*.go | grep -v '_test.go') || true); \

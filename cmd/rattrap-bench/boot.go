@@ -8,7 +8,6 @@ import (
 	"rattrap/internal/core"
 	"rattrap/internal/device"
 	"rattrap/internal/host"
-	"rattrap/internal/netsim"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -60,11 +59,11 @@ type bootReport struct {
 }
 
 func runBoot(w io.Writer, seed int64) (any, error) {
-	cold, err := bootCellRun(seed, false)
+	cold, err := bootCellRun(seed, core.DefaultConfig(core.KindRattrap))
 	if err != nil {
 		return nil, fmt.Errorf("cold cell: %w", err)
 	}
-	tmpl, err := bootCellRun(seed, true)
+	tmpl, err := bootCellRun(seed, core.ServingConfig(core.KindRattrap))
 	if err != nil {
 		return nil, fmt.Errorf("template cell: %w", err)
 	}
@@ -109,12 +108,11 @@ func meanMaxNs(ds []time.Duration) (mean, longest int64) {
 }
 
 // bootCellRun boots bootBenchRuntimes runtimes back to back on a fresh
-// Rattrap platform and returns their durations in boot order.
-func bootCellRun(seed int64, templateBoot bool) ([]time.Duration, error) {
+// platform of cfg (the paper preset boots cold, the serving preset clones
+// its template) and returns their durations in boot order.
+func bootCellRun(seed int64, cfg core.Config) ([]time.Duration, error) {
 	e := sim.NewEngine(seed)
-	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.MaxRuntimes = bootBenchRuntimes
-	cfg.TemplateBoot = templateBoot
 	pl := core.New(e, cfg)
 	var bootErr error
 	e.Spawn("boot-bench", func(p *sim.Proc) {
@@ -137,8 +135,8 @@ func bootCellRun(seed int64, templateBoot bool) ([]time.Duration, error) {
 }
 
 // deltaCellRun pushes an app family (same app, two code sizes sharing
-// their library prefix) from two chunked devices and reports the bytes
-// the second push actually moved.
+// their library prefix) from two clients offering chunks and reports the
+// bytes the second push actually moved.
 func deltaCellRun(seed int64) (*deltaCell, error) {
 	e := sim.NewEngine(seed)
 	pl := core.New(e, core.DefaultConfig(core.KindRattrap))
@@ -150,27 +148,16 @@ func deltaCellRun(seed int64) (*deltaCell, error) {
 	var runErr error
 	var deltaUp host.Bytes
 	e.Spawn("delta-bench", func(p *sim.Proc) {
-		d1, err := device.New(e, "phone-1", netsim.LANWiFi())
-		if err != nil {
-			runErr = err
-			return
+		// In process (no link): the bench counts bytes, not time.
+		for i, size := range []host.Bytes{deltaFamilyBase, deltaFamilyVariant} {
+			task := app.NewTask(e.Rand(), 0)
+			x, err := device.Client{ID: fmt.Sprintf("phone-%d", i+1), Chunked: true}.Attempt(p, pl, task, offload.CodeOf(task.App, size), nil)
+			if err != nil {
+				runErr = err
+				return
+			}
+			deltaUp = x.Traffic.CodeUp
 		}
-		d2, err := device.New(e, "phone-2", netsim.LANWiFi())
-		if err != nil {
-			runErr = err
-			return
-		}
-		d1.EnableChunkedPush(true)
-		d2.EnableChunkedPush(true)
-		if _, _, err := d1.Offload(p, d1.NewTask(app), deltaFamilyBase, pl); err != nil {
-			runErr = err
-			return
-		}
-		if _, _, err := d2.Offload(p, d2.NewTask(app), deltaFamilyVariant, pl); err != nil {
-			runErr = err
-			return
-		}
-		deltaUp = d2.Traffic().CodeUp
 	})
 	e.Run()
 	if runErr != nil {

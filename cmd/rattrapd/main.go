@@ -3,6 +3,13 @@
 // boots, execution) is paced against the wall clock; -speed scales it for
 // demos (e.g. -speed 10 makes a 30 s VM boot take 3 s).
 //
+// The daemon runs the serving preset (core.ServingConfig): under -platform
+// rattrap later boots COW-clone the first one's captured template, and
+// each shard rejects a request with a retry-after hint once 2 x
+// -max-runtimes requests wait for a runtime. The paper's experiments run
+// the paper preset in simulation (rattrap-bench); neither mechanism has a
+// switch of its own.
+//
 // With -http the daemon also serves an observability endpoint:
 // GET /metrics (plain text; ?format=json for JSON; ?hist=NAME&q=0.99 for
 // one quantile) and the standard /debug/pprof profiles.
@@ -30,10 +37,9 @@ func main() {
 	listen := flag.String("listen", ":7431", "listen address")
 	platform := flag.String("platform", "rattrap", "platform kind: rattrap, rattrap-wo or vm")
 	speed := flag.Float64("speed", 1, "virtual-time speedup factor")
-	maxRuntimes := flag.Int("max-runtimes", 5, "runtime pool cap")
+	maxRuntimes := flag.Int("max-runtimes", 5, "runtime pool cap; each shard queues up to twice this many requests")
 	minRuntimes := flag.Int("min-runtimes", 0, "runtime pool floor under -autoscale (0 = scale to zero)")
 	autoscale := flag.Bool("autoscale", false, "run the elastic pool control loop per shard (grow/shrink between -min-runtimes and -max-runtimes from queue pressure)")
-	templateBoot := flag.Bool("template-boot", false, "snapshot the first full boot and satisfy later boots by COW-cloning the template")
 	httpAddr := flag.String("http", "", "observability listen address (/metrics, /debug/pprof); empty disables")
 	pipelineDepth := flag.Int("pipeline-depth", 1, "exec requests one connection may have in flight (1 = serial)")
 	shards := flag.Int("shards", 1, "platform shards; apps are consistent-hashed across shards by AID")
@@ -56,11 +62,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := core.DefaultConfig(kind)
+	cfg := core.ServingConfig(kind)
 	cfg.MaxRuntimes = *maxRuntimes
 	cfg.MinRuntimes = *minRuntimes
 	cfg.Autoscale = *autoscale
-	cfg.TemplateBoot = *templateBoot
 	logger := log.New(os.Stderr, "rattrapd: ", log.LstdFlags)
 	srv := realtime.NewServerOpts(cfg, *speed, logger, realtime.Options{
 		PipelineDepth: *pipelineDepth,

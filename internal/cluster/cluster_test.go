@@ -78,9 +78,8 @@ func TestRingSingleShard(t *testing.T) {
 // matches offload.ErrOverloaded.
 func TestShardErrorRoundTrip(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := core.DefaultConfig(core.KindRattrap)
-	cfg.MaxRuntimes = 1
-	cfg.MaxQueueDepth = 1
+	cfg := core.ServingConfig(core.KindRattrap)
+	cfg.MaxRuntimes = 1 // the serving preset's wait ring holds 2 × 1
 	cl := NewReplicated(e, cfg, 2, 1)
 
 	app, err := workload.ByName(workload.NameLinpack)
@@ -90,9 +89,9 @@ func TestShardErrorRoundTrip(t *testing.T) {
 	aid := offload.AID(app.Name(), app.CodeSize())
 	shard := cl.Owner(aid)
 
-	// Three requests race for the owning shard's single booting runtime:
-	// one boots, one queues (MaxQueueDepth 1), one must be rejected.
-	errs := make([]error, 3)
+	// Four requests race for the owning shard's single booting runtime:
+	// one boots, two queue (the ring's bound), one must be rejected.
+	errs := make([]error, 4)
 	for i := range errs {
 		i := i
 		e.Spawn(fmt.Sprintf("dev-%d", i), func(p *sim.Proc) {
@@ -106,15 +105,9 @@ func TestShardErrorRoundTrip(t *testing.T) {
 	}
 	e.Run()
 
-	var rejected error
-	for _, err := range errs {
-		if err != nil {
-			rejected = err
-			break
-		}
-	}
-	if rejected == nil {
-		t.Fatalf("no request was rejected: %v", errs)
+	rejected := errs[3]
+	if rejected == nil || errs[0] != nil || errs[1] != nil || errs[2] != nil {
+		t.Fatalf("want only the fourth request rejected: %v", errs)
 	}
 	var se *ShardError
 	if !errors.As(rejected, &se) {

@@ -505,11 +505,12 @@ func TestClusterChunkedPushThroughRouting(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d.EnableChunkedPush(true)
-			if _, _, err := d.Offload(p, d.NewTask(app), size, cl); err != nil {
+			task := d.NewTask(app)
+			x, err := device.Client{ID: d.Name, Link: d.Link, Chunked: true}.Attempt(p, cl, task, offload.CodeOf(task.App, size), nil)
+			if err != nil {
 				t.Error(err)
 			}
-			codeUp[i] = d.Traffic().CodeUp
+			codeUp[i] = x.Traffic.CodeUp
 		})
 		e.Run() // quiesce: the push's replica copy lands before the next member
 	}

@@ -386,16 +386,16 @@ func TestExecFailuresCordonAndReplace(t *testing.T) {
 // must always agree (Audit). SetLifecycleHooks is
 // how we observe every single edge (so the test must not also SetObs,
 // which would overwrite the hooks). The template subtest runs the same
-// storm with TemplateBoot on, so clone boots walk the identical FSM.
+// storm under the serving preset, so clone boots walk the identical FSM.
 func TestLifecycleCensusInvariant(t *testing.T) {
 	t.Run("cold", func(t *testing.T) { lifecycleCensusStorm(t, false) })
 	t.Run("template", func(t *testing.T) { lifecycleCensusStorm(t, true) })
 }
 
-func lifecycleCensusStorm(t *testing.T, templateBoot bool) {
+func lifecycleCensusStorm(t *testing.T, serving bool) {
 	e := sim.NewEngine(7)
 	cfg := autoscaleTestConfig(0, 4)
-	cfg.TemplateBoot = templateBoot
+	cfg.serving = serving
 	pl := New(e, cfg)
 	// Two strikes, not cordonThreshold's three: the template storm's fault
 	// mix then cordons a runtime, so cordon edges are among those checked.

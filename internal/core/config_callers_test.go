@@ -11,17 +11,18 @@ import (
 )
 
 // TestConfigFieldsHaveSetters keeps knobs from creeping back: every
-// exported field of core.Config and offload.RetryPolicy must be set by
-// non-test code somewhere under cmd/, internal/, examples/ or benchmark/.
-// A field only tests set is a constant in disguise. A setter is an F: key
-// in a composite literal of the struct's own type, or an assignment
-// x.F = … (matched by field name alone: the check parses, it does not
-// type-check).
+// exported field of core.Config, offload.RetryPolicy and realtime.Options
+// must be set by non-test code somewhere under cmd/, internal/, examples/
+// or benchmark/. A field only tests set is a constant in disguise. A
+// setter is an F: key in a composite literal of the struct's own type, or
+// an assignment x.F = … (matched by field name alone: the check parses,
+// it does not type-check).
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	root := filepath.Join("..", "..")
 	structs := map[string][]string{
 		"core.Config":         exportedFields(t, filepath.Join(root, "internal", "core", "core.go"), "Config"),
 		"offload.RetryPolicy": exportedFields(t, filepath.Join(root, "internal", "offload", "retry.go"), "RetryPolicy"),
+		"realtime.Options":    exportedFields(t, filepath.Join(root, "internal", "realtime", "server.go"), "Options"),
 	}
 
 	assigned := map[string]bool{} // field names on the left of an assignment

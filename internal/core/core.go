@@ -92,12 +92,6 @@ type Config struct {
 	// reclamation is what makes Rattrap's 2 s boot a just-in-time story.
 	// Ignored under Autoscale: the control loop owns idle reclamation.
 	IdleTimeout time.Duration
-	// MaxQueueDepth, when positive, bounds the Dispatcher's FIFO wait
-	// ring: once that many requests queue for a runtime, further requests
-	// are rejected with offload.OverloadedError (carrying a retry-after
-	// hint) instead of queueing unboundedly. 0 keeps the historical
-	// unbounded behaviour.
-	MaxQueueDepth int
 	// MinRuntimes floors the pool under Autoscale: the control loop
 	// pre-warms and maintains this many runtimes, and shrinking stops
 	// there. 0 allows scale-to-zero. Ignored without Autoscale.
@@ -110,17 +104,12 @@ type Config struct {
 	// CIDPrefix, when set, prefixes every runtime CID this platform mints
 	// (cluster shards use "sN-" so runtime IDs stay unique cluster-wide).
 	CIDPrefix string
-	// TemplateBoot enables zygote-style template cloning (KindRattrap
-	// only): the first full boot is snapshotted at its post-driver-load,
-	// post-zygote point — a frozen union upper layer plus the booted
-	// process image — and every later boot COW-clones that template
-	// instead of re-running the Figure 6 sequence. Off (the default),
-	// every boot takes the cold path and existing goldens are untouched.
-	TemplateBoot bool
 	// WarehouseCapacity bounds the warehouse's staged code volume; once
 	// StoredBytes exceeds it, least-recently-bound entries are evicted.
 	// 0 (the default) keeps the historical unbounded behaviour.
 	WarehouseCapacity host.Bytes
+
+	serving bool // template boot and a bounded wait ring; see ServingConfig
 }
 
 // ViolationThreshold is how many permission violations make the access
@@ -133,6 +122,19 @@ const KernelRelease = "3.18.0"
 // DefaultConfig mirrors the paper's experimental setup.
 func DefaultConfig(kind Kind) Config {
 	return Config{Kind: kind, MaxRuntimes: 5}
+}
+
+// ServingConfig is DefaultConfig plus the two serving mechanisms, and the
+// only way to turn them on: template boot (KindRattrap only: the first
+// boot's post-zygote state — frozen union upper layer plus process image
+// — is captured, and every later boot COW-clones it instead of re-running
+// the Figure 6 sequence), and a wait ring of 2 × MaxRuntimes (the current
+// ceiling, so it follows SetPoolBounds), past which a request is rejected
+// with offload.OverloadedError and a retry-after hint instead of queueing.
+func ServingConfig(kind Kind) Config {
+	c := DefaultConfig(kind)
+	c.serving = true
+	return c
 }
 
 // Memory limits from Table I.
@@ -169,7 +171,7 @@ type Platform struct {
 	shared    *image.Image   // Rattrap: Shared Resource Layer (/system), the customized OS
 	offloadIO *unionfs.Mount // Rattrap: shared in-memory offloading I/O
 
-	// Template-boot state (cfg.TemplateBoot): the first full boot leaves
+	// Template-boot state (ServingConfig): the first full boot leaves
 	// behind a frozen upper-layer snapshot, the source mount to clone the
 	// union recipe from, and the captured process image. All nil until
 	// that first boot completes.
@@ -486,7 +488,7 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 			c, err = container.Create(p, pl.Server, pl.Kernel,
 				container.DefaultConfig(id, memLimitWO), sl.rootfs)
 			bc = android.BootConfig{Image: rootfs}
-		case pl.cfg.TemplateBoot && pl.tmpl != nil:
+		case pl.cfg.serving && pl.tmpl != nil:
 			// Template fast path: COW-clone the captured boot instead of
 			// re-running it. The clone's union mount stacks a fresh empty
 			// delta over the frozen template upper, so its disk charge is
@@ -514,8 +516,8 @@ func (pl *Platform) bootSlot(p *sim.Proc) (*slot, error) {
 		}
 		if pl.cfg.Kind == KindRattrap {
 			rt.SetOffloadFS(pl.offloadIO)
-			if pl.cfg.TemplateBoot && pl.tmpl == nil {
-				// First full boot under template mode: freeze it. The
+			if pl.cfg.serving && pl.tmpl == nil {
+				// First full boot under the serving preset: freeze it. The
 				// snapshot deep-copies the upper layer's metadata (sharing
 				// only file payloads), so later writes by this runtime never
 				// leak into its clones.

@@ -171,11 +171,11 @@ func (pl *Platform) acquireSlot(p *sim.Proc, aid string, sp *obs.Span, abort *si
 		}
 		return sl, false, err
 	}
-	// 4. Bounded admission: with the wait ring at its configured depth,
-	//    reject with a typed overload error and a retry-after hint rather
-	//    than queueing unboundedly — a flood of flaky clients must not pin
-	//    unbounded memory on the cloud side.
-	if pl.cfg.MaxQueueDepth > 0 && pl.waitQ.len() >= pl.cfg.MaxQueueDepth {
+	// 4. Bounded admission (ServingConfig): with the wait ring at twice
+	//    the pool's ceiling, reject with a typed overload error and a
+	//    retry-after hint rather than queueing unboundedly — a flood of
+	//    flaky clients must not pin unbounded memory on the cloud side.
+	if pl.cfg.serving && pl.waitQ.len() >= 2*pl.cfg.MaxRuntimes {
 		if pl.om != nil {
 			pl.om.overloadRejects.Inc()
 		}

@@ -11,22 +11,23 @@ import (
 )
 
 // TestBoundedAdmissionRejectsWithRetryAfter pins the dispatcher's overload
-// behavior: with the pool capped and the wait ring at MaxQueueDepth, a
-// further Prepare is rejected with a typed OverloadedError carrying a
-// positive retry-after hint, instead of queueing unboundedly.
+// behavior under the serving preset: with the pool capped and the wait
+// ring at 2 × MaxRuntimes, a further Prepare is rejected with a typed
+// OverloadedError carrying a positive retry-after hint, instead of
+// queueing unboundedly.
 func TestBoundedAdmissionRejectsWithRetryAfter(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := DefaultConfig(KindRattrap)
+	cfg := ServingConfig(KindRattrap)
 	cfg.MaxRuntimes = 1
-	cfg.MaxQueueDepth = 1
 	pl := New(e, cfg)
 	app, _ := workload.ByName(workload.NameLinpack)
 	aid := offload.AID(app.Name(), app.CodeSize())
 	req := offload.ExecRequest{DeviceID: "phone-a", AID: aid, App: app.Name(), Method: "run"}
 
 	var holder offload.Session
-	var queuedErr, rejectedErr error
-	queuedDone := false
+	var queuedErr [2]error
+	var rejectedErr error
+	queuedDone := 0
 	e.Spawn("holder", func(p *sim.Proc) {
 		s, err := pl.Prepare(p, req)
 		if err != nil {
@@ -37,18 +38,20 @@ func TestBoundedAdmissionRejectsWithRetryAfter(t *testing.T) {
 		p.Sleep(30 * time.Second) // pin the only slot
 		s.Release()
 	})
-	e.Spawn("queued", func(p *sim.Proc) {
-		p.Sleep(5 * time.Second) // after the holder owns the slot
-		var s offload.Session
-		s, queuedErr = pl.Prepare(p, req) // occupies the single queue seat
-		queuedDone = true
-		if s != nil {
-			s.Release()
-		}
-	})
+	for i := range queuedErr {
+		e.Spawn("queued", func(p *sim.Proc) {
+			p.Sleep(5 * time.Second) // after the holder owns the slot
+			var s offload.Session
+			s, queuedErr[i] = pl.Prepare(p, req) // takes one of the two queue seats
+			queuedDone++
+			if s != nil {
+				s.Release()
+			}
+		})
+	}
 	e.Spawn("rejected", func(p *sim.Proc) {
-		p.Sleep(10 * time.Second) // after the queue seat is taken
-		if queuedDone {
+		p.Sleep(10 * time.Second) // after the queue seats are taken
+		if queuedDone > 0 {
 			t.Error("queued request completed before the holder released")
 		}
 		_, rejectedErr = pl.Prepare(p, req)
@@ -58,14 +61,16 @@ func TestBoundedAdmissionRejectsWithRetryAfter(t *testing.T) {
 	if holder == nil {
 		t.Fatal("holder never acquired a slot")
 	}
-	if queuedErr != nil {
-		t.Fatalf("queued request should eventually win the slot: %v", queuedErr)
+	for _, err := range queuedErr {
+		if err != nil {
+			t.Fatalf("queued request should eventually win the slot: %v", err)
+		}
 	}
-	if !queuedDone {
-		t.Fatal("queued request never completed")
+	if queuedDone != 2 {
+		t.Fatalf("%d of 2 queued requests completed", queuedDone)
 	}
 	if rejectedErr == nil {
-		t.Fatal("third request admitted past MaxQueueDepth")
+		t.Fatal("fourth request admitted past the 2 × MaxRuntimes wait ring")
 	}
 	if !errors.Is(rejectedErr, offload.ErrOverloaded) {
 		t.Fatalf("rejection = %v, want ErrOverloaded", rejectedErr)
@@ -74,16 +79,17 @@ func TestBoundedAdmissionRejectsWithRetryAfter(t *testing.T) {
 	if !errors.As(rejectedErr, &over) {
 		t.Fatalf("rejection %v does not unwrap to *OverloadedError", rejectedErr)
 	}
-	if over.QueueDepth != 1 {
-		t.Errorf("QueueDepth = %d, want 1", over.QueueDepth)
+	if over.QueueDepth != 2 {
+		t.Errorf("QueueDepth = %d, want 2", over.QueueDepth)
 	}
 	if over.RetryAfter <= 0 {
 		t.Errorf("RetryAfter = %v, want positive hint", over.RetryAfter)
 	}
 }
 
-// TestUnboundedQueueWhenDepthUnset pins backward compatibility: with
-// MaxQueueDepth zero the dispatcher queues without limit, as before.
+// TestUnboundedQueueWhenDepthUnset pins the paper preset's dispatcher:
+// under DefaultConfig it queues without limit, here four requests behind
+// one runtime, twice the serving preset's bound.
 func TestUnboundedQueueWhenDepthUnset(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig(KindRattrap)
@@ -104,6 +110,62 @@ func TestUnboundedQueueWhenDepthUnset(t *testing.T) {
 	e.Run()
 	if completed != 5 {
 		t.Fatalf("completed = %d, want all 5 queued and served", completed)
+	}
+}
+
+// TestServingBoundFollowsPoolCeiling: the serving preset's wait ring holds
+// 2 × MaxRuntimes requests, read at admission, so raising the ceiling with
+// SetPoolBounds raises the bound with it. With one runtime held, two
+// requests queue and a third is turned away at depth 2; once the ceiling
+// is 2 and a second runtime is held, two more queue and the next is turned
+// away at depth 4.
+func TestServingBoundFollowsPoolCeiling(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := ServingConfig(KindRattrap)
+	cfg.MaxRuntimes = 1
+	pl := New(e, cfg)
+	req, _ := linpackReq("phone")
+	hold := func(at time.Duration) {
+		e.Spawn("holder", func(p *sim.Proc) {
+			p.Sleep(at)
+			s, err := pl.Prepare(p, req)
+			if err != nil {
+				t.Errorf("holder at %v: %v", at, err)
+				return
+			}
+			p.Sleep(time.Minute)
+			s.Release()
+		})
+	}
+	errs := make([]error, 6) // three requests at 5 s, three at 20 s
+	for i := range errs {
+		e.Spawn("request", func(p *sim.Proc) {
+			p.Sleep(time.Duration(5+15*(i/3))*time.Second + time.Duration(i)*time.Millisecond)
+			s, err := pl.Prepare(p, req)
+			errs[i] = err
+			if s != nil {
+				s.Release()
+			}
+		})
+	}
+	hold(0)
+	e.Spawn("raise", func(p *sim.Proc) {
+		p.Sleep(10 * time.Second)
+		pl.SetPoolBounds(0, 2)
+	})
+	hold(11 * time.Second)
+	e.Run()
+
+	for i, err := range errs {
+		var over *offload.OverloadedError
+		switch {
+		case i%3 < 2 && err != nil:
+			t.Errorf("request %d: %v, want it queued and served", i, err)
+		case i%3 == 2 && !errors.As(err, &over):
+			t.Errorf("request %d: %v, want an overload rejection", i, err)
+		case i%3 == 2 && over.QueueDepth != 2*(1+i/3):
+			t.Errorf("request %d turned away at depth %d, want %d", i, over.QueueDepth, 2*(1+i/3))
+		}
 	}
 }
 

@@ -35,8 +35,6 @@ type Device struct {
 
 	spans    bool      // collect a per-request span on each Offload
 	lastSpan *obs.Span // span of the most recent Offload attempt
-
-	chunked bool // Client.Chunked of every exchange; see EnableChunkedPush
 }
 
 // New creates a device on engine e attached to the given network scenario.
@@ -74,11 +72,6 @@ func (d *Device) EnableSpans(on bool) { d.spans = on }
 // nil when spans are disabled or no offload has run yet.
 func (d *Device) LastSpan() *obs.Span { return d.lastSpan }
 
-// EnableChunkedPush toggles the delta code push (Client.Chunked). Off (the
-// default), every push is a full blob and the exchange is byte-for-byte the
-// historical one.
-func (d *Device) EnableChunkedPush(on bool) { d.chunked = on }
-
 // Traffic returns the device's cumulative migrated-data accounting.
 func (d *Device) Traffic() offload.Traffic { return d.traffic }
 
@@ -100,8 +93,9 @@ func (d *Device) ExecuteLocal(p *sim.Proc, task workload.Task) (time.Duration, w
 }
 
 // Offload runs the task on the cloud through gw, returning the phase
-// breakdown and the result. The exchange itself is Client.Attempt; energy
-// and traffic are accounted on the device.
+// breakdown and the result. The exchange itself is Client.Attempt, pushing
+// code whole as the paper's devices do (a Client with Chunked offers
+// chunks); energy and traffic are accounted on the device.
 func (d *Device) Offload(p *sim.Proc, task workload.Task, codeSize host.Bytes, gw offload.Gateway) (offload.Phases, offload.Result, error) {
 	reqStart := d.E.Now()
 	var sp *obs.Span
@@ -109,7 +103,7 @@ func (d *Device) Offload(p *sim.Proc, task workload.Task, codeSize host.Bytes, g
 		sp = obs.NewSpan()
 		d.lastSpan = sp
 	}
-	x, err := Client{ID: d.Name, Link: d.Link, Chunked: d.chunked}.Attempt(p, gw, task, offload.CodeOf(task.App, codeSize), sp)
+	x, err := Client{ID: d.Name, Link: d.Link}.Attempt(p, gw, task, offload.CodeOf(task.App, codeSize), sp)
 	d.traffic.Add(x.Traffic)
 	if err == nil {
 		d.Meter.AddOffload(d.Radio, x.OffloadBreakdown, reqStart.Duration(), d.E.Now().Duration())

@@ -41,10 +41,11 @@ type DeviceSpec struct {
 	// Namespaced devices are multiplexed per device namespace (Binder,
 	// Alarm, Logger in the paper): each namespace that opens one takes an
 	// entry of its table, holding its own state if New makes any.
-	// Non-namespaced devices share one state kernel-wide.
+	// Non-namespaced devices are shared kernel-wide and carry no state.
 	Namespaced bool
-	// New creates driver state. It is nil for stateless devices — in the
-	// Android Container Driver, every device but Binder.
+	// New creates a namespaced device's per-namespace state. It is nil for
+	// stateless devices — in the Android Container Driver, every device
+	// but Binder — and Load refuses it on a non-namespaced one.
 	New StateFactory
 }
 
@@ -69,8 +70,7 @@ type loadedModule struct {
 	spec   *Module
 	key    string // page-cache key of the .ko file
 	loaded bool
-	refs   int   // open handles across all namespaces
-	shared []any // non-namespaced devices' state, by index into spec.Devices
+	refs   int // open handles across all namespaces
 }
 
 // Namespace is a device namespace: one per container, multiplexing
@@ -137,9 +137,12 @@ func (k *Kernel) Load(p *sim.Proc, m *Module) error {
 		if _, ok := k.devices[d.Name]; ok {
 			return fmt.Errorf("%w: %s", ErrDeviceExists, d.Name)
 		}
+		if !d.Namespaced && d.New != nil {
+			return fmt.Errorf("kernel: module %s: device %s is not namespaced, so it carries no state", m.Name, d.Name)
+		}
 	}
 	if lm == nil || lm.spec != m {
-		lm = &loadedModule{spec: m, key: "ko:" + m.Name, shared: make([]any, len(m.Devices))}
+		lm = &loadedModule{spec: m, key: "ko:" + m.Name}
 		k.modules[m.Name] = lm
 	}
 	// Read the .ko (a small contiguous file) and run module_init.
@@ -151,11 +154,8 @@ func (k *Kernel) Load(p *sim.Proc, m *Module) error {
 		return fmt.Errorf("%w: %s", ErrModuleLoaded, m.Name)
 	}
 	lm.loaded = true
-	for i, d := range m.Devices {
+	for _, d := range m.Devices {
 		k.devices[d.Name] = lm
-		if !d.Namespaced && d.New != nil {
-			lm.shared[i] = d.New()
-		}
 	}
 	k.memKB += m.SizeKB
 	return nil
@@ -175,7 +175,6 @@ func (k *Kernel) Unload(name string) error {
 	for _, d := range lm.spec.Devices {
 		delete(k.devices, d.Name)
 	}
-	clear(lm.shared)
 	lm.loaded = false
 	k.memKB -= lm.spec.SizeKB
 	return nil
@@ -236,7 +235,7 @@ type Handle struct {
 // Open opens dev within ns into h. It returns ErrNoDevice when no loaded
 // module provides the device — the failure a container hits when the
 // Android Container Driver is absent. Namespaced devices lazily create
-// per-namespace state; shared devices return the module-wide state.
+// per-namespace state; shared devices have none.
 func (k *Kernel) Open(ns *Namespace, dev string, h *Handle) error {
 	lm, ok := k.devices[dev]
 	if !ok {
@@ -263,8 +262,6 @@ func (k *Kernel) Open(ns *Namespace, dev string, h *Handle) error {
 			}
 		}
 		state = e.state
-	} else {
-		state = lm.shared[i]
 	}
 	lm.refs++
 	*h = Handle{mod: lm, dev: dev, state: state, open: true}

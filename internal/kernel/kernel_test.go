@@ -104,21 +104,34 @@ func TestNamespaceIsolation(t *testing.T) {
 	e.Run()
 }
 
-func TestSharedDeviceState(t *testing.T) {
+// A non-namespaced device (Ashmem's) is one node every namespace opens,
+// holding no state; Load refuses a state factory on one.
+func TestSharedDeviceCarriesNoState(t *testing.T) {
 	e, k := newHarness()
-	m := &Module{
-		Name: "test_ashmem", VerMagic: "3.18.0", SizeKB: 28,
-		Devices: []DeviceSpec{{Name: "/dev/ashmem", Namespaced: false, New: func() any { return map[string]int{} }}},
-	}
 	ns1, ns2 := k.NewNamespace("c1"), k.NewNamespace("c2")
 	e.Spawn("init", func(p *sim.Proc) {
-		k.Load(p, m)
-		var h1, h2 Handle
-		k.Open(&ns1, "/dev/ashmem", &h1)
-		k.Open(&ns2, "/dev/ashmem", &h2)
-		h1.State().(map[string]int)["region"] = 1
-		if h2.State().(map[string]int)["region"] != 1 {
-			t.Error("non-namespaced device state not shared")
+		stateful := &Module{Name: "test_ashmem", VerMagic: "3.18.0", SizeKB: 28,
+			Devices: []DeviceSpec{{Name: "/dev/ashmem", New: func() any { return map[string]int{} }}}}
+		if err := k.Load(p, stateful); err == nil || k.HasDevice("/dev/ashmem") {
+			t.Fatalf("a non-namespaced device with a state factory loaded (err %v)", err)
+		}
+		m := &Module{Name: "test_ashmem", VerMagic: "3.18.0", SizeKB: 28,
+			Devices: []DeviceSpec{{Name: "/dev/ashmem"}}}
+		if err := k.Load(p, m); err != nil {
+			t.Fatal(err)
+		}
+		for _, ns := range []*Namespace{&ns1, &ns2, nil} {
+			var h Handle
+			if err := k.Open(ns, "/dev/ashmem", &h); err != nil {
+				t.Fatal(err)
+			}
+			if h.State() != nil {
+				t.Errorf("shared device carries state %v", h.State())
+			}
+			h.Close()
+		}
+		if err := k.Unload("test_ashmem"); err != nil {
+			t.Error(err)
 		}
 	})
 	e.Run()
@@ -205,7 +218,7 @@ func TestLoadTakesTime(t *testing.T) {
 }
 
 // acdLikeModules mirrors the Android Container Driver's shape: four modules,
-// five devices, one of them kernel-global with state made at load.
+// five devices, one of them kernel-global and stateless.
 func acdLikeModules() []*Module {
 	state := func() any { return new(int) }
 	return []*Module{
@@ -216,16 +229,16 @@ func acdLikeModules() []*Module {
 		{Name: "m_logger", VerMagic: "3.18.0", SizeKB: 32, LoadCost: 1,
 			Devices: []DeviceSpec{{Name: "/dev/log/main", Namespaced: true, New: state}, {Name: "/dev/log/events", Namespaced: true, New: state}}},
 		{Name: "m_ashmem", VerMagic: "3.18.0", SizeKB: 28, LoadCost: 1,
-			Devices: []DeviceSpec{{Name: "/dev/ashmem", New: state}}},
+			Devices: []DeviceSpec{{Name: "/dev/ashmem"}}},
 	}
 }
 
 // loadUnloadAllocs is what inserting and removing the four modules costs
-// once the kernel has seen them: the kernel-global device's fresh state, and
-// nothing else. It was 13 for the load alone while every load concatenated
-// the .ko's page-cache key and rebuilt the module's record and an empty
-// shared-state map.
-const loadUnloadAllocs = 1
+// once the kernel has seen them: nothing. It was 13 for the load alone while
+// every load concatenated the .ko's page-cache key and rebuilt the module's
+// record and an empty shared-state map, and 1 while the kernel-global
+// device still made state at load.
+const loadUnloadAllocs = 0
 
 func TestLoadUnloadAllocs(t *testing.T) {
 	e, k := newHarness()
@@ -256,8 +269,8 @@ func TestLoadUnloadAllocs(t *testing.T) {
 
 // A record kept across an unload must behave like no record: the module is
 // gone from Loaded, Lsmod, the device table and the memory count, a reload
-// builds fresh kernel-global state, and a different spec under the same
-// name replaces the record.
+// serves its device again, and a different spec under the same name
+// replaces the record.
 func TestReloadAfterUnload(t *testing.T) {
 	e, k := newHarness()
 	m := acdLikeModules()[3]
@@ -270,7 +283,6 @@ func TestReloadAfterUnload(t *testing.T) {
 		if err := k.Open(&ns, "/dev/ashmem", &h); err != nil {
 			t.Fatal(err)
 		}
-		first := h.State()
 		h.Close()
 		if err := k.Unload(m.Name); err != nil {
 			t.Fatal(err)
@@ -290,9 +302,6 @@ func TestReloadAfterUnload(t *testing.T) {
 		}
 		if err := k.Open(&ns, "/dev/ashmem", &h); err != nil {
 			t.Fatal(err)
-		}
-		if h.State() == first {
-			t.Error("a reload kept the previous load's kernel-global state")
 		}
 		h.Close()
 		k.Unload(m.Name)

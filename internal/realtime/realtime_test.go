@@ -78,7 +78,7 @@ func runClient(t *testing.T, addr, deviceID string, app workload.App, seq int) (
 
 func TestServerEndToEndOverTCP(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
-	srv := NewServer(cfg, 200, log.New(testWriter{t}, "rattrapd: ", 0)) // 200x time for a fast boot
+	srv := NewServerOpts(cfg, 200, log.New(testWriter{t}, "rattrapd: ", 0), Options{}) // 200x time for a fast boot
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -122,7 +122,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 // TestServerRecordsLatency: every exec request lands one observation in
 // the server's latency histogram.
 func TestServerRecordsLatency(t *testing.T) {
-	srv := NewServer(core.DefaultConfig(core.KindRattrap), 500, nil)
+	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 500, nil, Options{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

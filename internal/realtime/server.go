@@ -70,13 +70,9 @@ type Server struct {
 	readerParked func()
 }
 
-// NewServer builds a platform of the given kind and starts its pacing
-// driver with default Options. speed scales virtual time (1 = real time).
-func NewServer(cfg core.Config, speed float64, logger *log.Logger) *Server {
-	return NewServerOpts(cfg, speed, logger, Options{})
-}
-
-// NewServerOpts is NewServer with explicit Options.
+// NewServerOpts builds a cluster of platforms of cfg and starts its
+// pacing driver. speed scales virtual time (1 = real time); the zero
+// Options serve one shard at pipeline depth 1.
 func NewServerOpts(cfg core.Config, speed float64, logger *log.Logger, opts Options) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)

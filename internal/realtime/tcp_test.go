@@ -79,7 +79,7 @@ func waitLatencyCount(srv *Server, want int64) int64 {
 // stops the driver — otherwise the handler's deferred release would race
 // a dead driver.
 func TestServerCloseDrainsInflightHandlers(t *testing.T) {
-	srv := NewServer(core.DefaultConfig(core.KindRattrap), 200, nil)
+	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 200, nil, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestServerCloseUnblocksAdmission(t *testing.T) {
 // in the coalescing buffer; the farewell must flush it rather than close
 // the socket over it, and a frame sent after the farewell is dropped.
 func TestWriterFlushesBeforeTeardown(t *testing.T) {
-	srv := NewServer(core.DefaultConfig(core.KindRattrap), 200, nil)
+	srv := NewServerOpts(core.DefaultConfig(core.KindRattrap), 200, nil, Options{})
 	defer srv.Close()
 	server, client := net.Pipe()
 	defer client.Close()

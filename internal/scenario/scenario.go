@@ -68,8 +68,10 @@ type Scenario struct {
 	Assertions  []AssertionSpec
 }
 
-// PlatformSpec shapes every shard's core.Platform: the platform keys
-// decode straight into the embedded core.Config.
+// PlatformSpec shapes every shard's core.Platform: platform.preset picks
+// core.DefaultConfig (paper, the default) or core.ServingConfig (serving),
+// and the other platform keys decode straight into the embedded
+// core.Config.
 type PlatformSpec struct {
 	core.Config
 	// Replicas is the warehouse replica factor R: every pushed entry fans
@@ -212,7 +214,7 @@ const (
 	// AssertOverloads: overload rejections observed are within [Min, Max].
 	AssertOverloads AssertionKind = "overloads"
 	// AssertBootP50 / AssertBootP99: runtime boot duration percentile
-	// across every shard ≤ MaxDur. With template_boot on, this is the
+	// across every shard ≤ MaxDur. Under preset: serving, this is the
 	// gate that the pool really is cloning rather than cold-booting.
 	AssertBootP50 AssertionKind = "boot-p50"
 	AssertBootP99 AssertionKind = "boot-p99"
@@ -596,16 +598,22 @@ func (d *decoder) platform(root *yamlNode, path string, ru used) PlatformSpec {
 	}
 	u := used{}
 	kind := d.str(n, p, u, "kind", "rattrap", optional)
-	var ok bool
-	if spec.Kind, ok = core.KindByName(kind); !ok {
+	k, ok := core.KindByName(kind)
+	if !ok {
 		d.fail(n.get("kind"), p+".kind", fmt.Sprintf("unknown platform kind %q (rattrap, rattrap-wo, vm)", kind))
+	}
+	switch preset := d.str(n, p, u, "preset", "paper", optional); preset {
+	case "paper":
+		spec.Config = core.DefaultConfig(k)
+	case "serving":
+		spec.Config = core.ServingConfig(k)
+	default:
+		d.fail(n.get("preset"), p+".preset", fmt.Sprintf("unknown preset %q (paper, serving)", preset))
 	}
 	spec.MaxRuntimes = d.intVal(n, p, u, "max_runtimes", 5, 1, 256, optional)
 	spec.MinRuntimes = d.intVal(n, p, u, "min_runtimes", 0, 0, 256, optional)
-	spec.MaxQueueDepth = d.intVal(n, p, u, "max_queue_depth", 0, 0, 1<<20, optional)
 	spec.IdleTimeout = d.durVal(n, p, u, "idle_timeout", 0, 0, MaxVirtual, optional)
 	spec.Autoscale = d.boolVal(n, p, u, "autoscale", false)
-	spec.TemplateBoot = d.boolVal(n, p, u, "template_boot", false)
 	spec.Replicas = d.intVal(n, p, u, "replicas", 1, 1, MaxShards, optional)
 	if d.err == nil && spec.MinRuntimes > spec.MaxRuntimes {
 		d.fail(n, p, fmt.Sprintf("min_runtimes %d exceeds max_runtimes %d", spec.MinRuntimes, spec.MaxRuntimes))

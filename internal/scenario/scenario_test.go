@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rattrap/internal/core"
 )
 
 const minimalScenario = `name: mini
@@ -25,8 +27,8 @@ func TestDecodeDefaults(t *testing.T) {
 	if scn.Name != "mini" || scn.Seed != 42 || scn.Shards != 1 {
 		t.Errorf("header: %+v", scn)
 	}
-	if scn.Platform.MaxRuntimes != 5 || scn.Platform.Autoscale {
-		t.Errorf("platform defaults: %+v", scn.Platform)
+	if scn.Platform.Config != core.DefaultConfig(core.KindRattrap) {
+		t.Errorf("platform defaults: %+v, want the paper preset", scn.Platform)
 	}
 	if scn.Client.MaxAttempts != 1 || scn.Client.BaseDelay != 200*time.Millisecond {
 		t.Errorf("client defaults: %+v", scn.Client)
@@ -54,8 +56,8 @@ shards: 4
 platform:
   kind: rattrap
   max_runtimes: 8
+  preset: serving
   min_runtimes: 1
-  max_queue_depth: 16
   autoscale: true
 client:
   max_attempts: 3
@@ -109,6 +111,11 @@ assertions:
 	}
 	if scn.Seed != 7 || scn.Shards != 4 {
 		t.Errorf("header: seed %d shards %d", scn.Seed, scn.Shards)
+	}
+	want := core.ServingConfig(core.KindRattrap)
+	want.MaxRuntimes, want.MinRuntimes, want.Autoscale = 8, 1, true
+	if scn.Platform.Config != want {
+		t.Errorf("platform: %+v, want the serving preset with the keys' bounds", scn.Platform.Config)
 	}
 	c := scn.Fleet[0]
 	if c.Arrival != ArrivalPoisson || c.Variants != 16 || c.LinpackOrder != 48 || c.Start != time.Second {
@@ -166,6 +173,9 @@ func TestDecodeErrors(t *testing.T) {
 		{"dup-cohort", "name: x\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "duplicate cohort name"},
 		{"min-over-max", "name: x\nplatform:\n  max_runtimes: 2\n  min_runtimes: 3\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "min_runtimes 3 exceeds max_runtimes 2"},
 		{"min-without-autoscale", "name: x\nplatform:\n  min_runtimes: 1\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.min_runtimes: requires platform.autoscale"},
+		{"bogus-preset", "name: x\nplatform:\n  preset: bogus\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", `platform.preset: unknown preset "bogus" (paper, serving)`},
+		{"template-boot-key", "name: x\nplatform:\n  template_boot: true\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.template_boot: unknown key"},
+		{"max-queue-depth-key", "name: x\nplatform:\n  max_queue_depth: 2\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.max_queue_depth: unknown key"},
 		{"autoscale-interval", "name: x\nplatform:\n  autoscale: true\n  autoscale_interval: 100ms\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "platform.autoscale_interval: unknown key"},
 		{"client-base-delay", "name: x\nclient:\n  base_delay: 50ms\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "client.base_delay: unknown key"},
 		{"client-max-delay", "name: x\nclient:\n  max_delay: 2s\nfleet:\n  - cohort: a\n    devices: 1\n    network: lan-wifi\n    duration: 1s\n", "client.max_delay: unknown key"},

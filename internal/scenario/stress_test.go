@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -43,22 +44,32 @@ func TestStressChaosMix(t *testing.T) {
 	}
 }
 
-// TestStressChaosMixTemplateBoot reruns the chaos-mix stress with
-// template cloning forced on: the same spike, shard kill, fault plan,
-// network flip, and floor raise must leave a clean census when every
-// boot after the capture is a COW clone.
+// TestStressChaosMixTemplateBoot reruns the chaos-mix stress under the
+// serving preset: the same spike, shard kill, fault plan, network flip,
+// and floor raise must leave a clean census when every boot after the
+// capture is a COW clone and each shard sheds past 2 × max_runtimes
+// waiting requests (the client's retries keep every assertion).
 func TestStressChaosMixTemplateBoot(t *testing.T) {
-	scn, err := Load(filepath.Join("..", "..", "scenarios", "chaos-mix.yaml"))
+	src, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "chaos-mix.yaml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scn.Platform.TemplateBoot = true
+	if bytes.Count(src, []byte("\nplatform:\n")) != 1 {
+		t.Fatal("chaos-mix.yaml has no single platform mapping to add the preset to")
+	}
+	scn, err := Decode(bytes.Replace(src, []byte("\nplatform:\n"), []byte("\nplatform:\n  preset: serving\n"), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Run(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Pass {
 		t.Errorf("chaos-mix assertions failed with template boot: %+v", rep.Assertions)
+	}
+	if rep.Totals.Overloads == 0 {
+		t.Error("no request was shed: the serving preset's wait ring never filled")
 	}
 }
 
