@@ -397,8 +397,9 @@ func lifecycleCensusStorm(t *testing.T, serving bool) {
 	cfg := autoscaleTestConfig(0, 4)
 	cfg.serving = serving
 	pl := New(e, cfg)
-	// Two strikes, not cordonThreshold's three: the template storm's fault
-	// mix then cordons a runtime, so cordon edges are among those checked.
+	// Two strikes, not cordonThreshold's three, and every exec on the
+	// first-booted runtime fails: its second request cordons it, so drains
+	// are among the edges checked.
 	pl.ft = newFailureTracker(2)
 
 	edges := 0
@@ -409,11 +410,15 @@ func lifecycleCensusStorm(t *testing.T, serving bool) {
 		}
 	}, nil)
 
-	// Deterministic fault mix: every 5th boot, every 7th exec, every 3rd
-	// teardown fails.
+	// Deterministic fault mix: every 5th boot, every 7th exec, every exec
+	// on the first-booted runtime and every 3rd teardown fail.
 	boots, execs, stops := 0, 0, 0
+	first := ""
 	pl.SetBootFault(func(p *sim.Proc, id string) error {
 		boots++
+		if first == "" {
+			first = id
+		}
 		if boots%5 == 0 {
 			return errors.New("boot fault")
 		}
@@ -421,7 +426,7 @@ func lifecycleCensusStorm(t *testing.T, serving bool) {
 	})
 	pl.SetExecFault(func(p *sim.Proc, id, aid string) error {
 		execs++
-		if execs%7 == 0 {
+		if execs%7 == 0 || id == first {
 			return errors.New("exec fault")
 		}
 		return nil
@@ -475,6 +480,9 @@ func lifecycleCensusStorm(t *testing.T, serving bool) {
 	if edges == 0 {
 		t.Fatal("no lifecycle edges observed; the property test proved nothing")
 	}
+	if pl.Cordoned() == 0 {
+		t.Fatal("no runtime cordoned; the storm checked no drain")
+	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("leaked procs: %d", e.LiveProcs())
 	}
@@ -517,7 +525,7 @@ func TestPoolUsageIntegratesPoolSize(t *testing.T) {
 	}
 }
 
-// A slot owns its autoscaler stop, so a second stop decided before the first
+// A slot owns one stop proc, so a second stop decided before the first
 // has started is the same proc, run once for the later decision: the victim
 // stops once, and a release between the decisions does not save it from
 // the second. A release after the only decision does.
@@ -548,7 +556,7 @@ func TestSecondStopBeforeFirstStarts(t *testing.T) {
 		p.Sleep(time.Second)
 		a.stopOneIdle()
 		a.stopOneIdle()
-		if st := pl.byID[old.CID].stop; st == nil || st.Done() || pl.byID[young.CID].stop != nil {
+		if pl.byID[old.CID].stop.Done() || !pl.byID[young.CID].stop.Done() {
 			t.Fatal("two decisions did not both pick the longest-idle runtime")
 		}
 		p.Sleep(time.Second)
@@ -591,16 +599,95 @@ func TestSecondDrainBeforeFirstStarts(t *testing.T) {
 		}
 		sl := pl.byID[info.CID]
 		pl.CordonRuntime(info.CID) // idle: drains at once
-		pl.drainSlot(sl)
-		if sl.drain == nil || sl.drain.Done() {
+		pl.armStop(sl, false)
+		if sl.stop.Done() {
 			t.Fatal("no drain live after the cordon")
 		}
 		p.Sleep(time.Second)
-		if pl.byID[info.CID] != nil || !sl.drain.Done() {
+		if pl.byID[info.CID] != nil || !sl.stop.Done() {
 			t.Fatal("the cordoned runtime was not drained")
 		}
 	})
 	e.Run()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("leaked procs: %d", e.LiveProcs())
+	}
+}
+
+// A reap whose proc has started but not yet run, then a cordon of its slot:
+// the cordon finds the slot's one stop proc live and starts nothing, and
+// that proc drains the slot although a cordoned slot is not idle to a
+// reap. The runtime stops once and no proc is left.
+func TestCordonAfterReapStarts(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.IdleTimeout = time.Second
+	pl := New(e, cfg)
+	teardowns := 0
+	pl.SetTeardownFault(func(p *sim.Proc, id string) error { teardowns++; return nil })
+	e.Spawn("t", func(p *sim.Proc) {
+		sl, err := pl.acquire(p, "aid", nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pl.releaseSlot(sl) // arms the reap for a second from now
+		e.After(cfg.IdleTimeout, func() {
+			// After the reap's timer, before its proc runs.
+			if sl.stop.Done() {
+				t.Error("no reap live at its timeout")
+			}
+			pl.CordonRuntime(sl.id)
+		})
+		p.Sleep(2 * cfg.IdleTimeout)
+		if pl.RuntimeCount() != 0 || teardowns != 1 || !sl.stop.Done() {
+			t.Errorf("after reap and cordon: %d runtimes, %d teardowns, stop live %v; want 0, 1, false",
+				pl.RuntimeCount(), teardowns, !sl.stop.Done())
+		}
+	})
+	e.Run()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("leaked procs: %d", e.LiveProcs())
+	}
+}
+
+// A runtime cordoned while it boots for no one (a shard retired under its
+// backlog boot, the cordon of every runtime and then RejectQueued) drains
+// once the boot completes, instead of parking idle, unschedulable and
+// never stopped.
+func TestRuntimeCordonedWhileBootingDrains(t *testing.T) {
+	e := sim.NewEngine(1)
+	pl := New(e, autoscaleTestConfig(0, 2))
+	req, _ := linpackReq("phone")
+	e.Spawn("holder", func(p *sim.Proc) {
+		s, err := pl.Prepare(p, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(time.Minute)
+		s.Release()
+	})
+	e.Spawn("parked", func(p *sim.Proc) {
+		p.Sleep(10 * time.Second)
+		if _, err := pl.Prepare(p, req); err == nil {
+			t.Error("a request parked on a retired pool was served")
+		}
+	})
+	e.Spawn("retire", func(p *sim.Proc) {
+		p.Sleep(10*time.Second + 2*tickInterval) // the backlog boot is under way
+		if pl.DB().StateCount(LifecycleBooting) != 1 {
+			t.Error("no backlog boot under way")
+		}
+		for _, ri := range pl.DB().List() {
+			pl.CordonRuntime(ri.CID)
+		}
+		pl.RejectQueued()
+	})
+	e.Run()
+	if pl.RuntimeCount() != 0 || pl.Cordoned() != 2 {
+		t.Errorf("after the retire: %d runtimes, %d cordoned; want 0 and 2", pl.RuntimeCount(), pl.Cordoned())
+	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("leaked procs: %d", e.LiveProcs())
 	}

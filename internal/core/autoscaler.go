@@ -30,10 +30,10 @@ import (
 //     tick. The ceiling rises toward the demand target by at most
 //     growPerTick per tick and decays by one once demand passes, so a
 //     burst must re-earn its capacity.
-//   - loop boots: requests already parked in the wait ring cannot
-//     re-enter the request path, so the tick spawns boots for the
-//     backlog directly and hands the fresh runtimes to the oldest live
-//     waiters.
+//   - backlog boots: requests already parked in the wait ring cannot
+//     re-enter the request path, so the tick starts boots for the
+//     backlog directly (backlogBoot), which hand the fresh runtimes to
+//     the oldest live waiters.
 //
 // Shrinking is hysteretic: only after shrinkAfter consecutive ticks of
 // surplus does the loop stop one idle runtime per tick (longest-idle
@@ -64,7 +64,7 @@ const (
 // request per hold-time.
 const drainWindowTicks = 4
 
-// bootGiveUp is how many consecutive failed loop boots park the grow
+// bootGiveUp is how many consecutive failed backlog boots park the grow
 // path. Without it a platform whose boots always fail (persistent
 // injected fault, broken image) would retry every tick forever — and in
 // virtual time that means Engine.Run never terminates. A later kick
@@ -78,7 +78,7 @@ type autoscaler struct {
 	qEWMA   float64 // smoothed wait-ring depth
 	surplus int     // consecutive ticks with capacity above target
 	backoff int     // ticks the grow path still sits out after a failed boot
-	strikes int     // consecutive failed loop boots (bootGiveUp)
+	strikes int     // consecutive failed backlog boots (bootGiveUp)
 	pending bool    // timer is armed
 	ticks   int     // lifetime tick count (tests, debugging)
 	// timer runs tick; pending keeps it armed at most once at a time, so
@@ -192,7 +192,7 @@ func (a *autoscaler) tick() {
 		if a.backoff == 0 && a.strikes < bootGiveUp {
 			n := min(want-have, growPerTick, a.limit-have)
 			for i := 0; i < n; i++ {
-				a.spawnBoot()
+				pl.backlogBoot()
 			}
 		}
 	case have > want:
@@ -228,36 +228,24 @@ func (a *autoscaler) tick() {
 	}
 }
 
-// spawnBoot starts one loop-initiated boot on its own proc. The fresh
-// runtime goes to the oldest live waiter, or to the idle pool.
-func (a *autoscaler) spawnBoot() {
-	pl := a.pl
-	pl.E.Spawn("autoscale-boot", func(p *sim.Proc) {
-		if pl.slots.n >= pl.cfg.MaxRuntimes {
-			return // request-path boots got there first
-		}
-		sl, err := pl.bootSlot(p)
-		if err != nil {
-			// bootSlot already recorded the failure and removed the
-			// provisional slot; back the grow path off linearly and make
-			// sure a tick comes around to retry.
-			a.strikes++
-			a.backoff = min(a.strikes, bootGiveUp)
-			pl.kickScaler()
-			return
-		}
-		a.strikes = 0
-		if pl.om != nil {
-			pl.om.asBoots.Inc()
-		}
-		pl.offerBooted(sl)
-	})
+// noteBoot books one backlog boot's outcome. A failure (bootSlot already
+// recorded it and removed the provisional slot) backs the grow path off
+// linearly and makes sure a tick comes around to retry.
+func (a *autoscaler) noteBoot(err error) {
+	if err != nil {
+		a.strikes++
+		a.backoff = min(a.strikes, bootGiveUp)
+		a.pl.kickScaler()
+		return
+	}
+	a.strikes = 0
+	if a.pl.om != nil {
+		a.pl.om.asBoots.Inc()
+	}
 }
 
 // stopOneIdle retires the longest-idle schedulable runtime, if the pool
-// is above its floor. The stop runs on the slot's own proc; the re-check
-// there mirrors scheduleReap — the slot may have been claimed between the
-// decision and the proc running.
+// is above its floor.
 func (a *autoscaler) stopOneIdle() {
 	pl := a.pl
 	if pl.schedulable() <= pl.cfg.MinRuntimes {
@@ -272,60 +260,9 @@ func (a *autoscaler) stopOneIdle() {
 			victim = sl
 		}
 	})
-	if victim == nil {
-		return
+	if victim != nil {
+		pl.armStop(victim, true)
 	}
-	// A stop still live for the victim has not started (a started one has
-	// moved the slot out of idle), so it runs for this decision: its
-	// re-check is against the latest release.
-	if victim.stop == nil {
-		victim.stop = &idleStop{pl: pl, sl: victim}
-	}
-	st := victim.stop
-	st.asOf = victim.info.LastUsed
-	if st.Done() {
-		pl.E.Start(&st.Proc, "autoscale-stop", st)
-	}
-}
-
-// idleStop is a slot's autoscaler retirement proc. The slot owns it, as it
-// owns its reaper, but makes it at its first stop decision: most runtimes
-// never get one, and a boot should not pay for it.
-type idleStop struct {
-	sim.Proc
-	pl   *Platform
-	sl   *slot
-	asOf sim.Time // the release the stop was decided for
-}
-
-func (s *idleStop) Run(p *sim.Proc) {
-	pl, sl := s.pl, s.sl
-	if !slotIdle(sl) || sl.info.LastUsed != s.asOf {
-		return
-	}
-	if pl.StopRuntime(p, sl.id) == nil && pl.om != nil {
-		pl.om.asStops.Inc()
-	}
-}
-
-// offerBooted places a freshly booted (LifecycleActive) runtime: the
-// oldest live waiter gets it directly — it stays active through the
-// handoff, exactly like a release-to-waiter — otherwise it parks idle.
-// Unlike releaseSlot this records no hold time: boot duration is not a
-// request hold and must not poison the retry-after EWMA.
-func (pl *Platform) offerBooted(sl *slot) {
-	sl.info.LastUsed = pl.E.Now()
-	if w := pl.popLiveWaiter(); w != nil {
-		w.sl = sl
-		sl.acquiredAt = pl.E.Now()
-		if pl.om != nil {
-			pl.om.queueLen.Set(int64(pl.waitQ.len()))
-		}
-		w.sig.Fire()
-		return
-	}
-	pl.db.Transition(sl.id, LifecycleIdle)
-	pl.sched.Offer(sl)
 }
 
 // SetPoolBounds retunes the pool's sizing bounds at runtime — the
@@ -333,9 +270,10 @@ func (pl *Platform) offerBooted(sl *slot) {
 // reservation ahead of an anticipated burst). Values are clamped sane
 // (maxR at least 1, 0 <= minR <= maxR) and a control tick is kicked so an
 // enlarged floor starts pre-warming immediately rather than waiting for
-// the next demand edge. Without the autoscaler the new MaxRuntimes still
-// bounds the request path's boot ceiling; MinRuntimes stays inert, as
-// documented on Config.
+// the next demand edge. Without the autoscaler the new MaxRuntimes bounds
+// the request path's boot ceiling, and a raised one boots at once for the
+// requests already parked in the wait ring (refill); MinRuntimes stays
+// inert, as documented on Config.
 func (pl *Platform) SetPoolBounds(minR, maxR int) {
 	if maxR < 1 {
 		maxR = 1
@@ -349,4 +287,5 @@ func (pl *Platform) SetPoolBounds(minR, maxR int) {
 	pl.cfg.MinRuntimes = minR
 	pl.cfg.MaxRuntimes = maxR
 	pl.kickScaler()
+	pl.refill()
 }

@@ -249,15 +249,13 @@ type slot struct {
 
 	acquiredAt sim.Time // when the current claim started (hold-time EWMA)
 
-	prev, next  *slot     // pl.slots linkage
-	removed     bool      // unlinked from the pool; index entries are stale
-	cordoned    bool      // unschedulable; drains once idle (failuretracker.go)
-	viaTemplate bool      // booted by cloning the runtime template
-	inIdle      bool      // has a live entry in the scheduler's idle heap
-	codes       []string  // AIDs the scheduler indexes this slot under (Add)
-	reap        reaper    // its idle reclamation (scheduleReap)
-	stop        *idleStop // its autoscaler retirement (stopOneIdle), made by the first
-	drain       *drainer  // its drain once cordoned (drainSlot), made by the first
+	prev, next  *slot    // pl.slots linkage
+	removed     bool     // unlinked from the pool; index entries are stale
+	cordoned    bool     // unschedulable; drains once idle (failuretracker.go)
+	viaTemplate bool     // booted by cloning the runtime template
+	inIdle      bool     // has a live entry in the scheduler's idle heap
+	codes       []string // AIDs the scheduler indexes this slot under (Add)
+	stop        stopper  // its one way out of the pool: idle reap, autoscaler shrink or drain (armStop)
 }
 
 type waiter struct {
@@ -396,15 +394,15 @@ type Shard interface {
 func (pl *Platform) SetShard(sh Shard) { pl.shard = sh }
 
 // BootRuntime boots one runtime outside the request path (pool pre-warm
-// and Table I measurements). The fresh runtime goes straight to the idle
-// pool; the returned record is a copy (the live one belongs to the DB).
+// and Table I measurements). The fresh runtime is placed like a released
+// one: the oldest parked request takes it, or it goes to the idle pool.
+// The returned record is a copy (the live one belongs to the DB).
 func (pl *Platform) BootRuntime(p *sim.Proc) (*RuntimeInfo, error) {
 	sl, err := pl.bootSlot(p)
 	if err != nil {
 		return nil, err
 	}
-	pl.db.Transition(sl.id, LifecycleIdle)
-	pl.sched.Offer(sl)
+	pl.place(sl, true)
 	return sl.info.clone(), nil
 }
 

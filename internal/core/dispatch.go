@@ -334,17 +334,23 @@ func (pl *Platform) wakeQueued(err error) {
 func (pl *Platform) releaseSlot(sl *slot) {
 	sl.info.LastUsed = pl.E.Now()
 	pl.noteHold((pl.E.Now() - sl.acquiredAt).Duration())
-	if sl.cordoned {
-		// A cordoned runtime takes no further work: no waiter handoff, no
-		// Offer back to the scheduler — park it idle and drain it.
-		pl.db.Transition(sl.id, LifecycleIdle)
-		pl.drainSlot(sl)
-		pl.kickScaler() // replacement capacity may be needed
-		return
+	pl.place(sl, !sl.cordoned)
+}
+
+// place puts a runtime that has just come free, released by a request or
+// fresh from a boot, where it serves next: with serve, the oldest live
+// waiter takes it, still LifecycleActive; otherwise it parks idle, to drain
+// if cordoned, else for the scheduler, and its idle reclamation starts. A
+// cordoned runtime released by a request takes no further work (serve
+// false); one cordoned while booting still serves the request it booted
+// for. place records no hold time: a boot is not a request hold and must
+// not inflate the retry-after EWMA.
+func (pl *Platform) place(sl *slot, serve bool) {
+	var w *waiter
+	if serve {
+		w = pl.popLiveWaiter()
 	}
-	if w := pl.popLiveWaiter(); w != nil {
-		// Hand the slot straight to the queued request: it stays
-		// LifecycleActive through the handoff (no idle edge).
+	if w != nil {
 		w.sl = sl
 		sl.acquiredAt = pl.E.Now()
 		if pl.om != nil {
@@ -354,9 +360,14 @@ func (pl *Platform) releaseSlot(sl *slot) {
 		return
 	}
 	pl.db.Transition(sl.id, LifecycleIdle)
+	if sl.cordoned {
+		pl.armStop(sl, false)
+		pl.kickScaler() // replacement capacity may be needed
+		return
+	}
 	pl.sched.Offer(sl)
 	// Idle reclamation: the autoscaler owns it when running (hysteretic
-	// shrink toward MinRuntimes); otherwise the legacy per-slot reap.
+	// shrink toward MinRuntimes); otherwise the per-slot reap.
 	if pl.scaler != nil {
 		pl.kickScaler()
 	} else if pl.cfg.IdleTimeout > 0 {
@@ -364,36 +375,85 @@ func (pl *Platform) releaseSlot(sl *slot) {
 	}
 }
 
-// scheduleReap arms a reclamation check for a slot that just went idle.
-// The check fires IdleTimeout later and stops the runtime, on the slot's
-// own reap proc, only if it is still registered, still idle, and untouched
-// since. A reap already live for the slot has not started yet (a started
-// one has moved the slot out of idle): it was armed for the same release,
-// runs first, and leaves a second one nothing to do.
+// scheduleReap arms a reclamation check for a slot that just went idle:
+// IdleTimeout later, a slot still idle and untouched since the release at
+// asOf is stopped.
 func (pl *Platform) scheduleReap(sl *slot, asOf sim.Time) {
 	pl.E.After(pl.cfg.IdleTimeout, func() {
-		if !slotIdle(sl) || sl.info.LastUsed != asOf || !sl.reap.Done() {
-			return
+		if slotIdle(sl) && sl.info.LastUsed == asOf {
+			pl.armStop(sl, false)
 		}
-		sl.reap.pl, sl.reap.sl, sl.reap.asOf = pl, sl, asOf
-		pl.E.Start(&sl.reap.Proc, "reap", &sl.reap)
 	})
 }
 
-// reaper is a slot's idle reclamation proc; the slot owns it, so at most one
-// is live per slot and starting it allocates nothing.
-type reaper struct {
-	sim.Proc
-	pl   *Platform
-	sl   *slot
-	asOf sim.Time // the release the reap was armed for
+// armStop takes an idle runtime out of the pool, for an idle reap, an
+// autoscaler shrink (byScaler) or a cordoned runtime's drain, on the slot's
+// stop proc (StopRuntime sleeps through teardown, so not in the caller's
+// event). A stop already live has not started (a started one has moved the
+// slot out of idle), so it runs for this decision instead.
+func (pl *Platform) armStop(sl *slot, byScaler bool) {
+	st := &sl.stop
+	st.asOf, st.byScaler = sl.info.LastUsed, byScaler
+	if st.Done() {
+		st.pl, st.sl = pl, sl
+		pl.E.Start(&st.Proc, "stop", st)
+	}
 }
 
-func (r *reaper) Run(p *sim.Proc) {
-	// Re-check: the slot may have been claimed between the event firing and
-	// the proc starting.
-	if !slotIdle(r.sl) || r.sl.info.LastUsed != r.asOf {
+// stopper is a slot's one way out of the pool; the slot owns it, so at
+// most one is live per slot and starting it allocates nothing.
+type stopper struct {
+	sim.Proc
+	pl       *Platform
+	sl       *slot
+	asOf     sim.Time // the release the stop was decided for
+	byScaler bool     // an autoscaler shrink, which asStops counts
+}
+
+// Run stops the runtime if it is still registered and idle, and cordoned
+// or untouched since the decision (a claim may have come between). A
+// cordon after the decision found this proc live and started none, so the
+// slot drains here.
+func (s *stopper) Run(p *sim.Proc) {
+	pl, sl := s.pl, s.sl
+	if sl.removed || sl.info.State != LifecycleIdle || !sl.cordoned && sl.info.LastUsed != s.asOf {
 		return
 	}
-	_ = r.pl.StopRuntime(p, r.sl.id)
+	if pl.StopRuntime(p, sl.id) == nil && s.byScaler && !sl.cordoned && pl.om != nil {
+		pl.om.asStops.Inc()
+	}
+	pl.refill()
+}
+
+// refill boots in a fixed pool, for the requests parked in the wait ring,
+// as many runtimes as the room under the ceiling takes (boots in flight
+// count): they cannot re-enter the request path, so capacity that opens
+// outside a release would otherwise go to the next arrival. The autoscaler
+// sizes its own backlog boots (tick). A failed boot refills nothing, so a
+// persistent boot fault cannot loop.
+func (pl *Platform) refill() {
+	if pl.scaler != nil {
+		return
+	}
+	n := min(pl.cfg.MaxRuntimes-pl.slots.n, pl.waitQ.len()-pl.db.StateCount(LifecycleBooting))
+	for ; n > 0; n-- {
+		pl.backlogBoot()
+	}
+}
+
+// backlogBoot boots one runtime, on a proc of its own, for the requests
+// parked in the wait ring, and places it.
+func (pl *Platform) backlogBoot() {
+	pl.E.Spawn("backlog-boot", func(p *sim.Proc) {
+		if pl.slots.n >= pl.cfg.MaxRuntimes {
+			return // request-path boots got there first
+		}
+		sl, err := pl.bootSlot(p)
+		if pl.scaler != nil {
+			pl.scaler.noteBoot(err)
+		}
+		if err == nil {
+			pl.place(sl, true)
+		}
+	})
 }

@@ -1,15 +1,12 @@
 package core
 
-import "rattrap/internal/sim"
-
 // This file is the health half of the elastic-pool subsystem
 // (autoscaler.go is the capacity half): a per-runtime failure tracker
 // that turns repeated boot/exec/teardown failures into a cordon — the
 // runtime stops taking work, drains through the lifecycle FSM's
-// idle→draining→reclaimed edge, and the autoscaler boots replacement
-// capacity. A single flaky runtime (bad host placement, corrupted
-// layer, leaking guest) otherwise keeps winning dispatches and failing
-// them forever.
+// idle→draining→reclaimed edge, and replacement capacity boots. A single
+// flaky runtime (bad host placement, corrupted layer, leaking guest)
+// otherwise keeps winning dispatches and failing them forever.
 
 // FailureKind classifies a runtime failure for the tracker.
 type FailureKind uint8
@@ -83,8 +80,9 @@ func (pl *Platform) noteFailure(cid string, k FailureKind) {
 }
 
 // cordon marks a runtime unschedulable: the scheduler stops picking it
-// (slotIdle excludes cordoned slots), releaseSlot stops handing it to
-// waiters or offering it back, and once idle it drains on its own proc.
+// (slotIdle excludes cordoned slots), place stops handing it to waiters or
+// offering it back, and once idle it drains on the slot's stop proc. In a
+// fixed pool the drain boots the parked requests' replacement (refill).
 func (pl *Platform) cordon(cid string) {
 	sl := pl.byID[cid]
 	if sl == nil || sl.cordoned {
@@ -98,7 +96,7 @@ func (pl *Platform) cordon(cid string) {
 		pl.om.cordons.Inc()
 	}
 	if sl.info.State == LifecycleIdle {
-		pl.drainSlot(sl)
+		pl.armStop(sl, false)
 	}
 	pl.kickScaler()
 }
@@ -120,43 +118,3 @@ func (pl *Platform) Cordoned() int { return pl.ft.cordons }
 
 // FailureCount returns the aggregate count of one failure kind.
 func (pl *Platform) FailureCount(k FailureKind) int { return pl.ft.total(k) }
-
-// drainSlot stops an idle cordoned runtime on the slot's own proc
-// (StopRuntime sleeps through guest teardown, so it cannot run inside the
-// caller's event). Cordoned slots are invisible to the scheduler, so nothing
-// can claim the slot between the start and the proc running; the re-check
-// guards against a concurrent StopAll. A drain already live for the slot
-// leaves a second one nothing to do: it has not started, or it has moved
-// the slot out of idle.
-// When the last schedulable runtime of a fixed pool drains out from under
-// queued requests, nothing would release to them again (an autoscaler
-// would boot capacity), so the drain proc boots their replacement.
-func (pl *Platform) drainSlot(sl *slot) {
-	if sl.drain == nil {
-		sl.drain = &drainer{pl: pl, sl: sl}
-	}
-	if sl.drain.Done() {
-		pl.E.Start(&sl.drain.Proc, "drain", sl.drain)
-	}
-}
-
-// drainer is a cordoned slot's drain proc, which the slot owns from its
-// first drain on.
-type drainer struct {
-	sim.Proc
-	pl *Platform
-	sl *slot
-}
-
-func (d *drainer) Run(p *sim.Proc) {
-	pl, sl := d.pl, d.sl
-	if sl.removed || sl.info.State != LifecycleIdle {
-		return
-	}
-	_ = pl.StopRuntime(p, sl.id) // teardown failures recorded by the tracker
-	if pl.scaler == nil && pl.waitQ.len() > 0 && pl.schedulable() == 0 && pl.slots.n < pl.poolCap() {
-		if sl, err := pl.bootSlot(p); err == nil {
-			pl.releaseSlot(sl) // hands it to the oldest live waiter
-		}
-	}
-}

@@ -116,15 +116,19 @@ func TestUnboundedQueueWhenDepthUnset(t *testing.T) {
 // TestServingBoundFollowsPoolCeiling: the serving preset's wait ring holds
 // 2 × MaxRuntimes requests, read at admission, so raising the ceiling with
 // SetPoolBounds raises the bound with it. With one runtime held, two
-// requests queue and a third is turned away at depth 2; once the ceiling
-// is 2 and a second runtime is held, two more queue and the next is turned
-// away at depth 4.
+// requests queue and a third is turned away at depth 2. Raising the
+// ceiling to 2 boots at once for the two parked requests, which are served
+// on the new runtime before a holder arriving a second later takes it.
+// With both runtimes held, four queue and the next is turned away at
+// depth 4.
 func TestServingBoundFollowsPoolCeiling(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := ServingConfig(KindRattrap)
 	cfg.MaxRuntimes = 1
 	pl := New(e, cfg)
 	req, _ := linpackReq("phone")
+	const raise, late = 10 * time.Second, 11 * time.Second
+	var lateServed sim.Time
 	hold := func(at time.Duration) {
 		e.Spawn("holder", func(p *sim.Proc) {
 			p.Sleep(at)
@@ -133,16 +137,22 @@ func TestServingBoundFollowsPoolCeiling(t *testing.T) {
 				t.Errorf("holder at %v: %v", at, err)
 				return
 			}
+			if at == late {
+				lateServed = e.Now()
+			}
 			p.Sleep(time.Minute)
 			s.Release()
 		})
 	}
-	errs := make([]error, 6) // three requests at 5 s, three at 20 s
-	for i := range errs {
+	// Three requests at 5 s, five at 20 s.
+	wave := []int{0, 0, 0, 1, 1, 1, 1, 1}
+	errs := make([]error, len(wave))
+	served := make([]sim.Time, len(wave))
+	for i, w := range wave {
 		e.Spawn("request", func(p *sim.Proc) {
-			p.Sleep(time.Duration(5+15*(i/3))*time.Second + time.Duration(i)*time.Millisecond)
+			p.Sleep(time.Duration(5+15*w)*time.Second + time.Duration(i)*time.Millisecond)
 			s, err := pl.Prepare(p, req)
-			errs[i] = err
+			errs[i], served[i] = err, e.Now()
 			if s != nil {
 				s.Release()
 			}
@@ -150,22 +160,77 @@ func TestServingBoundFollowsPoolCeiling(t *testing.T) {
 	}
 	hold(0)
 	e.Spawn("raise", func(p *sim.Proc) {
-		p.Sleep(10 * time.Second)
+		p.Sleep(raise)
 		pl.SetPoolBounds(0, 2)
 	})
-	hold(11 * time.Second)
+	hold(late)
 	e.Run()
 
 	for i, err := range errs {
 		var over *offload.OverloadedError
+		depth := 2 * (1 + wave[i])
+		last := i == len(wave)-1 || wave[i+1] != wave[i]
 		switch {
-		case i%3 < 2 && err != nil:
+		case !last && err != nil:
 			t.Errorf("request %d: %v, want it queued and served", i, err)
-		case i%3 == 2 && !errors.As(err, &over):
+		case last && !errors.As(err, &over):
 			t.Errorf("request %d: %v, want an overload rejection", i, err)
-		case i%3 == 2 && over.QueueDepth != 2*(1+i/3):
-			t.Errorf("request %d turned away at depth %d, want %d", i, over.QueueDepth, 2*(1+i/3))
+		case last && over.QueueDepth != depth:
+			t.Errorf("request %d turned away at depth %d, want %d", i, over.QueueDepth, depth)
 		}
+	}
+	for i := 0; i < 2; i++ {
+		if served[i] < sim.Time(raise) || served[i] >= lateServed {
+			t.Errorf("request %d queued at 5 s served at %v, want after the raise at %v and before the holder arriving at %v (served at %v)",
+				i, served[i].Duration(), raise, late, lateServed.Duration())
+		}
+	}
+}
+
+// TestDrainReplacementRecordsNoHold: a fixed pool's only runtime, cordoned
+// while requests are parked, drains once its holder releases it, and a
+// replacement boots for them. The replacement's boot is no request hold,
+// so the hold-time EWMA behind the overload hint stays what the holder's
+// release left.
+func TestDrainReplacementRecordsNoHold(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := ServingConfig(KindRattrap)
+	cfg.MaxRuntimes = 1
+	pl := New(e, cfg)
+	req, _ := linpackReq("phone")
+	var cordoned string
+	var before time.Duration
+	e.Spawn("holder", func(p *sim.Proc) {
+		s, err := pl.Prepare(p, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(time.Second)
+		cordoned = pl.DB().List()[0].CID
+		pl.CordonRuntime(cordoned)
+		s.Release()
+		before = pl.holdEWMA
+	})
+	at := make([]time.Duration, 2) // the EWMA each parked request is served under
+	for i := range at {
+		e.Spawn("parked", func(p *sim.Proc) {
+			p.Sleep(500*time.Millisecond + time.Duration(i)*time.Millisecond)
+			s, err := pl.Prepare(p, req)
+			if err != nil {
+				t.Errorf("parked request %d: %v", i, err)
+				return
+			}
+			at[i] = pl.holdEWMA
+			s.Release()
+		})
+	}
+	e.Run()
+	if before <= 0 || at[0] != before || at[1] != before {
+		t.Errorf("hold EWMA %v after the holder's release, %v and %v as the parked requests are served", before, at[0], at[1])
+	}
+	if l := pl.DB().List(); len(l) != 1 || l[0].CID == cordoned || pl.Cordoned() != 1 {
+		t.Errorf("pool after the drain: %d runtimes, %d cordoned; want one replacement for %s", len(l), pl.Cordoned(), cordoned)
 	}
 }
 

@@ -55,7 +55,7 @@ func runCounted(tb testing.TB, scn *Scenario) (rep *Report, mallocs, bytes uint6
 // benchmark only compares its own repeats with one another, so this is
 // where a change to the simulated request path that moves a virtual
 // result shows.
-const simChurnFifthReport = "258ab17cafe715e2ce114b7ef0ba79f1dc9d60d2cfef8b2e1204fd19da42953d"
+const simChurnFifthReport = "6753cdd04a7c52ab84e4d6ae3b8e77c5b74d7f8372778df2e7e73497f5a1b9ec"
 
 // simArrivalAllocs is what one arrival of sim-churn shrunk five times
 // allocates, the cluster's set-up and the timeline's migrations included
