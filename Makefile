@@ -105,6 +105,10 @@ stress:
 # The paper's experiments run the paper preset: core.ServingConfig( is for
 # the daemon, the boot suite's template cell and scenario files only, so the
 # oracle (internal/experiments, examples/) never boots from a template.
+# A request's session is a value in its runtime's slot, open from Prepare to
+# Release: a &session{, a new(session) or a queuedSession in non-test
+# internal/core is a per-request session, and a warm request's allocation,
+# coming back.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -250,6 +254,11 @@ lint: vet
 	@bad=$$(grep -n -E '\.Spawn\(|obs\.NewSpan\(' $$(ls internal/realtime/*.go | grep -v '_test.go') || true); \
 	if [ -n "$$bad" ]; then \
 		echo "a per-request proc or span in internal/realtime coming back (start the completion's own proc; record into the worker's reqState span):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n -E '&session\{|new\(session\)|queuedSession' $$(ls internal/core/*.go | grep -v '_test.go') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a per-request session in internal/core (a request's session is its slot's, sl.sess):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n -E 'time\.(Sleep|After)\(' internal/realtime/*_test.go \

@@ -4,10 +4,12 @@ import "fmt"
 
 // Audit recounts the platform's books and reports the first disagreement;
 // each check holds between any two engine events. The census sums to the
-// DB's rows, which are the pooled slots, each in the CID index; cordonedLive
-// counts the cordoned ones; the scheduler and the warehouse's CID index name
-// only pooled slots; Warehouse.Audit passes; an empty container pool has no
-// driver module loaded; and installed instruments read what the books hold.
+// DB's rows, which are the pooled slots, each in the CID index; a pooled
+// slot with an open session is active (a runtime leaves the pool idle or
+// booting, so no unpooled one holds one); cordonedLive counts the cordoned
+// ones; the scheduler and the warehouse's CID index name only pooled slots;
+// Warehouse.Audit passes; an empty container pool has no driver module
+// loaded; and installed instruments read what the books hold.
 func (pl *Platform) Audit() error {
 	sum, cordoned := 0, 0
 	for _, n := range pl.db.states {
@@ -19,6 +21,9 @@ func (pl *Platform) Audit() error {
 	for sl := pl.slots.head; sl != nil; sl = sl.next {
 		if pl.byID[sl.id] != sl {
 			return fmt.Errorf("core audit: pooled runtime %s is not in the CID index", sl.id)
+		}
+		if sl.sess.pl != nil && !sl.sess.released && sl.info.State != LifecycleActive {
+			return fmt.Errorf("core audit: runtime %s is %s with an open session", sl.id, sl.info.State)
 		}
 		if sl.cordoned {
 			cordoned++

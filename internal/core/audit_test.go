@@ -17,6 +17,7 @@ func TestAuditNamesEachCorruptedBook(t *testing.T) {
 	aid := func(pl *Platform) string { return pl.warehouse.AIDs()[0] }
 	for book, corrupt := range map[string]func(*sim.Proc, *Platform){
 		"cordonedLive":              func(_ *sim.Proc, pl *Platform) { pl.cordonedLive++ },
+		"idle with an open session": func(_ *sim.Proc, pl *Platform) { pl.slots.head.sess.released = false }, // a Release that forgot its flag
 		"binds code to s-gone":      func(_ *sim.Proc, pl *Platform) { pl.warehouse.byCID["s-gone"] = []string{aid(pl)} },
 		"scheduler names s-gone":    func(_ *sim.Proc, pl *Platform) { pl.sched.Add(&slot{id: "s-gone"}, aid(pl)) },
 		"core.pool_size reads 7":    func(_ *sim.Proc, pl *Platform) { pl.om.poolSize.Set(7) },

@@ -143,11 +143,12 @@ func TestColdBootAllocs(t *testing.T) {
 // platform — Prepare, Execute and Release of a Linpack order-8 solve whose
 // code the runtime holds, its outcome precomputed and a span attached, as
 // the realtime server hands core a decoded request (the body of the
-// benchmark's core.warm_request_allocs): the span (its stages inline) and
-// the session. It was 3 while the stage list was a second object, and 7
-// while the grant list was built per request and the runtime's log line was
-// concatenated into a ring that re-grew its array as the log churned.
-const warmRequestAllocs = 2
+// benchmark's core.warm_request_allocs): the span (its stages inline). It
+// was 3 while the stage list was a second object, and 7 while the grant list
+// was built per request and the runtime's log line was concatenated into a
+// ring that re-grew its array as the log churned. It was 2 until the session
+// became a value in its runtime's slot.
+const warmRequestAllocs = 1
 
 func TestWarmRequestAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -202,18 +203,18 @@ func TestWarmRequestAllocs(t *testing.T) {
 // EnforceCapacity evicts the entry before it, Execute runs a Linpack
 // order-8 solve and Release leaves the runtime to its reap. The boot and
 // the reap's stop are 12 of them: coldBootAllocs but the record copy
-// BootRuntime returns. The other 12 are the
-// session; the push claim's signal; the manifest, the path and the file node
-// of its one new block (the size-salted tail: the library blocks are held)
-// and the cache entry; the binding's CID list and reverse-index set; the
-// scheduler's list of the slot's codes and the first group of the runtime's
-// table of loaded code; and the idle reap's event and closure. The evicted
-// entry's block leaves under the path it was written at. It was 27 while a
-// boot made an Alarm and two logcat rings; 43 while a boot was 15 objects
-// more (see coldBootAllocs) and the first transaction grew the Binder handle
-// table; a plain blob staged by its own path was 42, and the manifest the
-// 43rd.
-const coldPushAllocs = 24
+// BootRuntime returns. The other 11 are the push claim's signal; the
+// manifest, the path and the file node of its one new block (the
+// size-salted tail: the library blocks are held) and the cache entry; the
+// binding's CID list and reverse-index set; the scheduler's list of the
+// slot's codes and the first group of the runtime's table of loaded code;
+// and the idle reap's event and closure. The evicted entry's block leaves
+// under the path it was written at. It was 27 while a boot made an Alarm
+// and two logcat rings; 43 while a boot was 15 objects more (see
+// coldBootAllocs) and the first transaction grew the Binder handle table; a
+// plain blob staged by its own path was 42, and the manifest the 43rd. It
+// was 24 until the session became a value in the slot the boot allocates.
+const coldPushAllocs = 23
 
 func TestColdPushAllocs(t *testing.T) {
 	e := sim.NewEngine(1)

@@ -256,10 +256,11 @@ type slot struct {
 	inIdle      bool     // has a live entry in the scheduler's idle heap
 	codes       []string // AIDs the scheduler indexes this slot under (Add)
 	stop        stopper  // its one way out of the pool: idle reap, autoscaler shrink or drain (armStop)
+	sess        session  // open from Prepare to Release; the last request's, released, until the next Prepare
 }
 
 type waiter struct {
-	sig sim.Signal // by value: a waiter lives in its request's queuedSession
+	sig sim.Signal // by value: a queued request allocates only its waiter
 	sl  *slot
 	// aborted is set by the request's abort signal firing while queued;
 	// an aborted waiter is skipped by popLiveWaiter, and if a release won
@@ -647,18 +648,14 @@ func (pl *Platform) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Sessi
 		return nil, fmt.Errorf("%w: %s: %w", ErrBlocked, req.App, ErrAppBlocked)
 	}
 	sl, queue, err := pl.acquireSlot(p, req.AID, req.Span(), req.Abort())
-	var s *session
 	if queue {
-		q := &queuedSession{session: session{pl: pl, req: req}}
-		sl, err = pl.waitSlot(p, &q.seat, req.Span(), req.Abort())
-		s = &q.session
-	} else {
-		s = &session{pl: pl, req: req}
+		sl, err = pl.waitSlot(p, &waiter{}, req.Span(), req.Abort())
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.sl = sl
+	sl.sess = session{pl: pl, sl: sl, req: req}
+	s := &sl.sess
 	s.needCode = !sl.rt.CodeLoaded(req.AID)
 	if s.needCode && pl.warehouse != nil {
 		switch {
@@ -688,7 +685,9 @@ func (pl *Platform) Prepare(p *sim.Proc, req offload.ExecRequest) (offload.Sessi
 	return s, nil
 }
 
-// session binds one request to a prepared runtime.
+// session binds one request to a prepared runtime. It is a value in the
+// runtime's slot: a slot holds at most one open session, from Prepare to
+// Release, so the next request on the runtime reuses it.
 type session struct {
 	pl       *Platform
 	sl       *slot
@@ -698,14 +697,6 @@ type session struct {
 	pushed   bool
 	claimed  bool        // this session owns the in-flight push for its AID
 	waitPush *sim.Signal // fires when another session's push lands
-}
-
-// queuedSession is the session of a request that had to wait for a slot,
-// with its seat in the wait ring, so a queued request allocates one object.
-// A request served at once gets a plain session, a size class smaller.
-type queuedSession struct {
-	session
-	seat waiter
 }
 
 // NeedCode reports whether the device must transfer the mobile code.
@@ -970,7 +961,7 @@ func (s *session) Execute(p *sim.Proc) (_ offload.Result, err error) {
 }
 
 // Release returns the runtime to the pool (or hands it to a queued
-// request).
+// request), whose Prepare reuses the session.
 func (s *session) Release() {
 	if s.released {
 		return

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rattrap/internal/host"
 	"rattrap/internal/obs"
@@ -245,5 +247,100 @@ func TestScheduleReapReclaimsUntouchedIdle(t *testing.T) {
 	if pl.Kernel.Loaded("binder") {
 		// StopRuntime unloads the ACD when the last container dies.
 		t.Fatal("ACD still loaded after the pool emptied")
+	}
+}
+
+// TestSessionBelongsToItsSlot: a request's session is a value in its
+// runtime's slot, so two requests served one after the other on the same
+// runtime get the same session, each open only between its Prepare and
+// its Release.
+func TestSessionBelongsToItsSlot(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.MaxRuntimes = 1
+	pl := New(e, cfg)
+	app, _ := workload.ByName(workload.NameLinpack)
+	req := offload.ExecRequest{DeviceID: "d", AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name()}
+	e.Spawn("two-requests", func(p *sim.Proc) {
+		var sessions [2]offload.Session
+		for i := range sessions {
+			sess, err := pl.Prepare(p, req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := pl.Audit(); err != nil {
+				t.Errorf("request %d open: %v", i, err)
+			}
+			sess.Release()
+			sessions[i] = sess
+		}
+		if sessions[0] != sessions[1] || sessions[0] != &pl.slots.head.sess {
+			t.Errorf("the runtime's two requests got sessions %p and %p, its slot holds %p", sessions[0], sessions[1], &pl.slots.head.sess)
+		}
+		if err := pl.Audit(); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Run()
+}
+
+// TestQueuedRequestAllocatesOnlyItsWaiter: two requests take turns on one
+// runtime, each Prepare parked until the other's Release hands the runtime
+// over, so every request after the first is queued and served by a
+// release. Each allocates one object, its seat in the wait ring, and only
+// its bytes: the session is the slot's.
+func TestQueuedRequestAllocatesOnlyItsWaiter(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(KindRattrap)
+	cfg.MaxRuntimes = 1
+	pl := New(e, cfg)
+	pl.SetObs(obs.NewRegistry())
+	app, _ := workload.ByName(workload.NameLinpack)
+	req := offload.ExecRequest{DeviceID: "d", AID: offload.AID(app.Name(), app.CodeSize()), App: app.Name()}
+	serve := func(p *sim.Proc) {
+		sess, err := pl.Prepare(p, req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if sess.NeedCode() {
+			if err := sess.PushCode(p, offload.CodePush{AID: req.AID, App: req.App, Size: app.CodeSize()}); err != nil {
+				t.Error(err)
+			}
+		}
+		p.Sleep(time.Millisecond) // hold the runtime while the other request parks
+		sess.Release()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	const rounds = 200
+	done := false
+	e.Spawn("other", func(p *sim.Proc) {
+		for !done {
+			serve(p)
+		}
+	})
+	var before, after runtime.MemStats
+	var queued int64
+	e.Spawn("fence", func(p *sim.Proc) {
+		serve(p) // the first one boots, pushes and grows the wait ring
+		queued = -pl.om.queued.Value()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			serve(p)
+		}
+		runtime.ReadMemStats(&after)
+		queued += pl.om.queued.Value()
+		done = true
+	})
+	e.Run()
+	if queued != 2*rounds {
+		t.Fatalf("%d of the %d requests measured queued", queued, 2*rounds)
+	}
+	objects := float64(after.Mallocs-before.Mallocs) / (2 * rounds)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (2 * rounds)
+	t.Logf("a queued request allocates %.2f objects, %.0f bytes", objects, bytes)
+	if size := unsafe.Sizeof(waiter{}); objects > 1.05 || bytes > 1.05*float64(size) {
+		t.Fatalf("a queued request allocates %.2f objects, %.0f bytes; its waiter is one, %d bytes", objects, bytes, size)
 	}
 }

@@ -283,6 +283,8 @@ type Session interface {
 	PushChunks(p *sim.Proc, offer ChunkOffer, missing []uint64) error
 	// Execute runs the task and returns the result.
 	Execute(p *sim.Proc) (Result, error)
-	// Release ends the session (the runtime stays warm for reuse).
+	// Release ends the session (the runtime stays warm for reuse). After
+	// Release returns the caller must not use the session or call Release
+	// again: the platform reuses it for the runtime's next request.
 	Release()
 }

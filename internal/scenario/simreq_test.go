@@ -79,15 +79,17 @@ const simChurnFifthReport = "6753cdd04a7c52ab84e4d6ae3b8e77c5b74d7f8372778df2e7e
 // landing's own proc, with no staging record. It was 8.5 until the runner
 // ran each distinct task's kernel once (workload.Memo): every arrival
 // solved the same pinned system again, and the solve built its Output
-// string each time.
-const simArrivalAllocs = 7.5
+// string each time. It was 6.60 (fenced at 7.5) until a request's session became a value
+// in its runtime's slot: every request allocated one.
+const simArrivalAllocs = 6.14
 
 // simArrivalBytes is the heap bytes (MemStats.TotalAlloc) one arrival of the
 // same run allocates; the fence leaves it 10 %. It was 1 637 while every
 // runtime's namespace held two logcat rings that its boot, each code load
 // and each finished task wrote a line into, a warm runtime's ring doubling
-// toward 256 KiB.
-const simArrivalBytes = 1330
+// toward 256 KiB. It was 1 321 until a request's session became a value in
+// its runtime's slot, and a queued request allocated it with its waiter.
+const simArrivalBytes = 1136
 
 // TestSimArrivalAllocs fences the allocations of one simulated request
 // end to end: the arrival proc and its link, the device exchange, routing,

@@ -473,9 +473,11 @@ var perftAtParent = [20]int64{
 	22650, 23328, 17344, 46197, 4416, 53971, 34918, 39008, 13554, 37950,
 }
 
+// TestChessKingTrackingAndPerft walks the first perftPositions positions
+// (all 20 without -race).
 func TestChessKingTrackingAndPerft(t *testing.T) {
 	var cov chessCoverage
-	for i, want := range perftAtParent {
+	for i, want := range perftAtParent[:perftPositions] {
 		b := perftPosition(int64(i + 1))
 		if got := perftChecked(t, b, 3, &cov); got != want {
 			t.Errorf("position %d: perft(3) = %d, parent counted %d", i+1, got, want)
@@ -610,13 +612,13 @@ func lpAgainstRef(a [][]float64, x []float64, ra [][]float64, rx []float64) stri
 // Orders 2…160: one panel up to order 4, then every panel count up to
 // 40, last panels one to four columns wide, an even and
 // an odd number of trailing rows under each panel, and tcp-compute's
-// orders 110–149. Execute's Output is checked for every system up to order
-// 67 and for the first seed beyond (the race detector makes each solve
-// ten times dearer).
+// orders 110–149; under -race only up to lpMaxOrder. Execute's Output is
+// checked for every system up to order 67 and for the first seed beyond
+// (the race detector makes each solve ten times dearer).
 func TestLinpackBlockedEliminationEqualsRolled(t *testing.T) {
 	l := NewLinpack()
 	swaps := 0
-	for n := 2; n <= 160; n++ {
+	for n := 2; n <= lpMaxOrder; n++ {
 		for k, seed := range []int64{1, -7, 1 << 40} {
 			fill, a, x := lpSystem(seed, n)
 			rng := rand.New(rand.NewSource(seed))
@@ -656,7 +658,7 @@ func TestLinpackBlockedEliminationEqualsRolled(t *testing.T) {
 		}
 	}
 	if swaps == 0 {
-		t.Error("no pivot swap in 477 systems")
+		t.Errorf("no pivot swap in %d systems", 3*(lpMaxOrder-1))
 	}
 }
 
