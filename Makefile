@@ -53,9 +53,9 @@ stress:
 # be a goroutine- or coroutine-per-proc path coming back. A runtime enters
 # the pool through .bootSlot( at three sites, the request path and the one
 # backlog boot (dispatch.go) and BootRuntime (core.go), and leaves through
-# .StopRuntime( at two, the slot's one stop proc (dispatch.go) and StopAll
-# (core.go): another site is a private reap, drain or replacement boot,
-# which once stranded a fixed pool's parked requests, coming back. The workload
+# .StopRuntime( at one, the slot's one stop proc (dispatch.go): another site
+# is a private reap, drain or replacement boot, which once stranded a fixed
+# pool's parked requests, coming back. The workload
 # kernels draw every seeded input from rngSource (rng.go); math/rand's own
 # source appears once, where rng.go recovers its seeding table. The event queue is
 # the typed heap in sim.go: container/heap there would box every event
@@ -123,8 +123,8 @@ lint: vet
 	@sites=$$(grep -rn -E '\.(bootSlot|StopRuntime)\(' --include='*.go' internal/ cmd/ | grep -v '_test.go'); \
 	boots=$$(echo "$$sites" | grep -c -E '^internal/core/(core|dispatch)\.go:.*\.bootSlot\('); \
 	stops=$$(echo "$$sites" | grep -c -E '^internal/core/(core|dispatch)\.go:.*\.StopRuntime\('); \
-	if [ "$$(echo "$$sites" | wc -l)" != 5 ] || [ "$$boots" != 3 ] || [ "$$stops" != 2 ]; then \
-		echo "a runtime enters the pool only through the request path, BootRuntime and backlogBoot, and leaves only through StopAll and the slot's stop proc (use BootRuntime/CordonRuntime):"; \
+	if [ "$$(echo "$$sites" | wc -l)" != 4 ] || [ "$$boots" != 3 ] || [ "$$stops" != 1 ]; then \
+		echo "a runtime enters the pool only through the request path, BootRuntime and backlogBoot, and leaves only through the slot's stop proc (use BootRuntime/CordonRuntime):"; \
 		echo "$$sites"; exit 1; \
 	fi
 	@bad=$$(grep -rn -E 'NewRing(Members)?\(' --include='*.go' internal/ cmd/ \

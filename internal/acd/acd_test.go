@@ -23,9 +23,12 @@ func TestLoadAllProvidesRequiredDevices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dev := range RequiredDevices() {
-			if !k.HasDevice(dev) {
-				t.Errorf("device %s missing after LoadAll", dev)
+			ns := k.NewNamespace("c-" + dev)
+			var h kernel.Handle
+			if err := k.Open(&ns, dev, &h); err != nil {
+				t.Errorf("device %s missing after LoadAll: %v", dev, err)
 			}
+			h.Close()
 		}
 		// Idempotent.
 		if err := LoadAll(p, k, Modules(k.Release())); err != nil {

@@ -13,7 +13,6 @@ package android
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"rattrap/internal/acd"
@@ -347,9 +346,6 @@ func (r *Runtime) CallService(name string, code uint32, data []byte) ([]byte, er
 	return r.binder.Call(name, code, data)
 }
 
-// Binder exposes the runtime's Binder context (its device namespace view).
-func (r *Runtime) Binder() *binder.Context { return r.binder }
-
 // BootTime reports how long Boot took.
 func (r *Runtime) BootTime() time.Duration { return r.bootTime }
 
@@ -408,11 +404,4 @@ func (r *Runtime) Shutdown() {
 	}
 	_ = r.binder.Unregister("offloadcontroller")
 	r.teardown()
-}
-
-// Describe summarizes the runtime for logs and the Container DB.
-func (r *Runtime) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: boot=%v mem=%dMB procs=%d", r.env.Name(), r.bootTime, r.memMB, len(r.procs))
-	return b.String()
 }

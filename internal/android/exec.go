@@ -153,21 +153,3 @@ func (r *Runtime) Execute(p *sim.Proc, aid string, task workload.Task, reg *work
 	r.executed++
 	return ExecResult{Metrics: m, ComputeSeconds: computeSec, IOSeconds: ioSec}, nil
 }
-
-// TouchOnDemand lazily faults in i-th of the image's on-demand core files
-// (class loading and dlopen during offloaded execution). A booted runtime's
-// background scan walks the same list on its own, which is how the
-// Observation-4 access profile converges to "everything except the
-// strippable set"; this is the one-file step for a caller that wants a
-// touch at a time of its choosing.
-func (r *Runtime) TouchOnDemand(p *sim.Proc, idx int) error {
-	files := r.cfg.Image.OnDemand
-	if len(files) == 0 {
-		return nil
-	}
-	_, _, err := r.env.FS().ReadRef(p, files[idx%len(files)], r.env.IOEff())
-	return err
-}
-
-// OnDemandCount reports how many on-demand files the image has.
-func (r *Runtime) OnDemandCount() int { return len(r.cfg.Image.OnDemand) }

@@ -14,7 +14,6 @@ package binder
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Errors returned by Binder operations.
@@ -37,7 +36,6 @@ type Service struct {
 	handler TxnHandler
 	handle  uint32 // 0 until the first Lookup hands one out
 	dead    bool
-	deathFn []func()
 }
 
 // Name returns the service's registered name.
@@ -124,17 +122,13 @@ func (c *Context) Register(name string, h TxnHandler) (*Service, error) {
 }
 
 // Unregister removes a service and marks it dead; pending handles to it
-// start returning ErrDeadBinder and death recipients fire.
+// start returning ErrDeadBinder.
 func (c *Context) Unregister(name string) error {
 	s := c.find(name)
 	if s == nil {
 		return fmt.Errorf("%w: %s", ErrNoService, name)
 	}
 	s.dead = true
-	for _, fn := range s.deathFn {
-		fn()
-	}
-	s.deathFn = nil
 	return nil
 }
 
@@ -175,37 +169,6 @@ func (c *Context) Call(service string, code uint32, data []byte) ([]byte, error)
 		return nil, err
 	}
 	return c.Transact(h, code, data)
-}
-
-// LinkToDeath registers fn to run when the named service dies.
-func (c *Context) LinkToDeath(name string, fn func()) error {
-	s := c.find(name)
-	if s == nil {
-		return fmt.Errorf("%w: %s", ErrNoService, name)
-	}
-	s.deathFn = append(s.deathFn, fn)
-	return nil
-}
-
-// Services lists registered service names, sorted.
-func (c *Context) Services() []string {
-	out := make([]string, 0, len(c.slab))
-	for _, slab := range c.older {
-		out = appendLive(out, slab)
-	}
-	out = appendLive(out, c.slab)
-	sort.Strings(out)
-	return out
-}
-
-// appendLive appends the names of slab's live nodes to out.
-func appendLive(out []string, slab []Service) []string {
-	for i := range slab {
-		if !slab[i].dead {
-			out = append(out, slab[i].name)
-		}
-	}
-	return out
 }
 
 // Stats returns accumulated activity counters.

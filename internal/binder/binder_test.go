@@ -67,29 +67,6 @@ func TestHandleReuse(t *testing.T) {
 	}
 }
 
-func TestDeadBinderAndDeathRecipient(t *testing.T) {
-	c := NewContext()
-	c.Register("svc", echo)
-	h, _ := c.Lookup("svc")
-	died := false
-	if err := c.LinkToDeath("svc", func() { died = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Unregister("svc"); err != nil {
-		t.Fatal(err)
-	}
-	if !died {
-		t.Fatal("death recipient did not fire")
-	}
-	if _, err := c.Transact(h, 0, nil); !errors.Is(err, ErrDeadBinder) {
-		t.Fatalf("err = %v, want ErrDeadBinder", err)
-	}
-	// The name is free for re-registration.
-	if _, err := c.Register("svc", echo); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnregisterMissing(t *testing.T) {
 	c := NewContext()
 	if err := c.Unregister("ghost"); !errors.Is(err, ErrNoService) {
@@ -128,20 +105,6 @@ func TestStats(t *testing.T) {
 	s := c.Stats()
 	if s.Transactions != 2 || s.BytesIn != 5 || s.BytesOut != 12 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestServicesSorted(t *testing.T) {
-	c := NewContext()
-	for _, n := range []string{"zygote", "activity", "package"} {
-		c.Register(n, echo)
-	}
-	got := c.Services()
-	want := []string{"activity", "package", "zygote"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("services = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -299,9 +262,6 @@ func TestDeadNameIsGone(t *testing.T) {
 	if _, err := c.Lookup("svc"); !errors.Is(err, ErrNoService) {
 		t.Fatalf("Lookup: err = %v, want ErrNoService", err)
 	}
-	if err := c.LinkToDeath("svc", func() {}); !errors.Is(err, ErrNoService) {
-		t.Fatalf("LinkToDeath: err = %v, want ErrNoService", err)
-	}
 	if err := c.Unregister("svc"); !errors.Is(err, ErrNoService) {
 		t.Fatalf("second Unregister: err = %v, want ErrNoService", err)
 	}
@@ -310,7 +270,8 @@ func TestDeadNameIsGone(t *testing.T) {
 	}
 }
 
-// Services lists live names only, sorted, across every slab.
+// A dead node is skipped in every slab: its name resolves to nothing, the
+// live ones around it still resolve.
 func TestServicesSkipsDeadAcrossSlabs(t *testing.T) {
 	c := NewContext()
 	c.Reserve(2)
@@ -319,12 +280,11 @@ func TestServicesSkipsDeadAcrossSlabs(t *testing.T) {
 	}
 	c.Unregister("activity") // in the first slab
 	c.Unregister("power")    // in the current one
-	got := fmt.Sprint(c.Services())
-	if want := "[alarm package zygote]"; got != want {
-		t.Fatalf("services = %s, want %s", got, want)
-	}
-	if empty := NewContext().Services(); empty == nil || len(empty) != 0 {
-		t.Fatalf("an empty context lists %#v, want an empty list", empty)
+	for _, n := range []string{"zygote", "activity", "package", "alarm", "power"} {
+		dead := n == "activity" || n == "power"
+		if _, err := c.Lookup(n); dead != errors.Is(err, ErrNoService) {
+			t.Fatalf("Lookup(%s): err = %v, dead = %v", n, err, dead)
+		}
 	}
 }
 
@@ -347,15 +307,9 @@ func TestReserveKeepsEveryNodeResolvable(t *testing.T) {
 		if got := c.find(n); got != s {
 			t.Fatalf("%s resolves to %p, registered at %p", n, got, s)
 		}
-		if err := c.LinkToDeath(n, func() {}); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := c.Call(n, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := len(c.Services()); got != len(nodes) {
-		t.Fatalf("%d services listed, %d registered", got, len(nodes))
 	}
 	if _, err := c.Register("first-1", echo); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("a name in a full slab registered twice: %v", err)

@@ -17,10 +17,19 @@ import (
 // aid) — two rings built with the same parameters agree on every key, and
 // a different shard count produces a different (but still deterministic)
 // mapping for at least one key.
+// newRing builds a ring of shards 0..n-1 with DefaultVnodes points each.
+func newRing(n int) *Ring {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return NewRingMembers(ids, 0)
+}
+
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(4, 0), NewRing(4, 0)
+	a, b := newRing(4), newRing(4)
 	moved := false
-	three := NewRing(3, 0)
+	three := newRing(3)
 	for i := 0; i < 256; i++ {
 		aid := fmt.Sprintf("app-%d", i)
 		if a.Owner(aid) != b.Owner(aid) {
@@ -43,7 +52,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingSpread(t *testing.T) {
 	const keys = 256
 	for _, shards := range []int{2, 4, 8} {
-		r := NewRing(shards, 0)
+		r := newRing(shards)
 		counts := make([]int, shards)
 		for i := 0; i < keys; i++ {
 			counts[r.Owner(fmt.Sprintf("9e107d9d372bb6826bd81d3542a419d6#d%d", i))]++
@@ -63,7 +72,7 @@ func TestRingSpread(t *testing.T) {
 
 // TestRingSingleShard: every AID maps to shard 0.
 func TestRingSingleShard(t *testing.T) {
-	r := NewRing(1, 0)
+	r := newRing(1)
 	for i := 0; i < 64; i++ {
 		if s := r.Owner(fmt.Sprintf("k%d", i)); s != 0 {
 			t.Fatalf("1-shard ring sent %d to shard %d", i, s)

@@ -12,6 +12,7 @@ import (
 	"rattrap/internal/device"
 	"rattrap/internal/host"
 	"rattrap/internal/netsim"
+	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
 	"rattrap/internal/workload"
@@ -21,7 +22,7 @@ import (
 // the heap. The old hashString32 went through hash.Hash32, whose
 // Write([]byte(s)) conversion escaped and allocated on every route.
 func TestRingOwnerZeroAlloc(t *testing.T) {
-	r := NewRing(4, 0)
+	r := newRing(4)
 	aids := make([]string, 64)
 	for i := range aids {
 		aids[i] = fmt.Sprintf("9e107d9d372bb6826bd81d3542a419d6#d%d", i)
@@ -40,7 +41,7 @@ func TestRingOwnerZeroAlloc(t *testing.T) {
 // BenchmarkRingOwner is the perf half of the zero-alloc gate; run with
 // -benchmem to see 0 allocs/op.
 func BenchmarkRingOwner(b *testing.B) {
-	r := NewRing(8, 0)
+	r := newRing(8)
 	aids := make([]string, 256)
 	for i := range aids {
 		aids[i] = fmt.Sprintf("9e107d9d372bb6826bd81d3542a419d6#d%d", i)
@@ -77,7 +78,7 @@ func TestRingHashMatchesStdlib(t *testing.T) {
 func TestRingJoinMovesOnlyItsShare(t *testing.T) {
 	const keys = 100_000
 	for _, n := range []int{2, 4, 8} {
-		before, after := NewRing(n, 0), NewRing(n+1, 0)
+		before, after := newRing(n), newRing(n+1)
 		moved := 0
 		for i := 0; i < keys; i++ {
 			aid := fmt.Sprintf("9e107d9d372bb6826bd81d3542a419d6#t%d", i)
@@ -697,6 +698,8 @@ func TestClusterJoinKeepsCapacity(t *testing.T) {
 	cfg := core.DefaultConfig(core.KindRattrap)
 	cfg.WarehouseCapacity = 3 * app.CodeSize() / 2
 	cl := NewReplicated(e, cfg, 2, 1)
+	reg := obs.NewRegistry()
+	cl.SetObs(reg)
 	e.Spawn("primaries", func(p *sim.Proc) {
 		for i := 0; i < 24; i++ {
 			size := app.CodeSize() + host.Bytes(i)
@@ -710,7 +713,7 @@ func TestClusterJoinKeepsCapacity(t *testing.T) {
 	id := cl.AddShard()
 	e.Run()
 	wh := cl.Shard(id).Warehouse()
-	if wh.Evictions() == 0 {
+	if reg.Counter(ShardPrefix(id)+"warehouse.evictions").Value() == 0 {
 		t.Fatal("the join evicted nothing; the test needs a migration past capacity")
 	}
 	if got := wh.StoredBytes(); got > cfg.WarehouseCapacity {
@@ -732,6 +735,8 @@ func TestClusterLeaveKeepsCapacity(t *testing.T) {
 	tail := app.CodeSize() % offload.ChunkSize
 	cfg.WarehouseCapacity = app.CodeSize() + 5*tail/2
 	cl := NewReplicated(e, cfg, 3, 1)
+	reg := obs.NewRegistry()
+	cl.SetObs(reg)
 	e.Spawn("primaries", func(p *sim.Proc) {
 		var held [3]int
 		for i := 0; held != [3]int{3, 3, 3}; i++ {
@@ -756,12 +761,12 @@ func TestClusterLeaveKeepsCapacity(t *testing.T) {
 	if cl.MigrationStats().EntriesMoved != 3 {
 		t.Fatalf("the leave moved %d entries, want shard 0's 3", cl.MigrationStats().EntriesMoved)
 	}
-	evictions := 0
+	evictions := int64(0)
 	for s := 1; s < cl.Shards(); s++ {
 		if got := cl.Shard(s).Warehouse().StoredBytes(); got > cfg.WarehouseCapacity {
 			t.Errorf("shard %d stores %d B after the leave, capacity %d B", s, got, cfg.WarehouseCapacity)
 		}
-		evictions += cl.Shard(s).Warehouse().Evictions()
+		evictions += reg.Counter(ShardPrefix(s) + "warehouse.evictions").Value()
 	}
 	if evictions == 0 {
 		t.Error("the leave evicted nothing; the test needs entries landing past capacity")

@@ -30,19 +30,6 @@ type ringPoint struct {
 // stay within a few percent of even for realistic AID counts.
 const DefaultVnodes = 128
 
-// NewRing builds a ring of n shards (n >= 1, ids 0..n-1) with vnodes
-// points each. vnodes <= 0 selects DefaultVnodes.
-func NewRing(n, vnodes int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return NewRingMembers(ids, vnodes)
-}
-
 // NewRingMembers builds a ring over an explicit member set — the form the
 // versioned Membership layer uses, where shard ids are stable across
 // joins and leaves and therefore not necessarily dense. An empty member

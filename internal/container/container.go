@@ -86,9 +86,7 @@ type Container struct {
 	upper unionfs.Layer
 	state State
 
-	memUsedMB  int
-	memPeakMB  int
-	createTime time.Duration
+	memUsedMB int
 }
 
 // Create builds a container on h: namespaces, cgroups, a device namespace
@@ -101,7 +99,6 @@ func Create(p *sim.Proc, h *host.Host, k *kernel.Kernel, cfg Config, lowers ...*
 	if cfg.CPUEff <= 0 || cfg.CPUEff > 1 || cfg.IOEff <= 0 || cfg.IOEff > 1 {
 		return nil, fmt.Errorf("container %s: bad efficiencies %v/%v", cfg.Name, cfg.CPUEff, cfg.IOEff)
 	}
-	start := p.E.Now()
 	p.Sleep(createDelay)
 	c := &Container{h: h, k: k, cfg: cfg, ns: k.NewNamespace(cfg.Name)}
 	c.upper.Init(cfg.Name, false)
@@ -110,7 +107,6 @@ func Create(p *sim.Proc, h *host.Host, k *kernel.Kernel, cfg Config, lowers ...*
 	}
 	p.Sleep(mountDelay)
 	c.state = StateRunning
-	c.createTime = (p.E.Now() - start).Duration()
 	return c, nil
 }
 
@@ -135,7 +131,6 @@ func Clone(p *sim.Proc, src *Container, cfg Config, tmpl *unionfs.Layer) (*Conta
 	if cfg.CPUEff <= 0 || cfg.CPUEff > 1 || cfg.IOEff <= 0 || cfg.IOEff > 1 {
 		return nil, fmt.Errorf("container %s: bad efficiencies %v/%v", cfg.Name, cfg.CPUEff, cfg.IOEff)
 	}
-	start := p.E.Now()
 	p.Sleep(cloneCreateDelay)
 	c := &Container{h: src.h, k: src.k, cfg: cfg, ns: src.k.NewNamespace(cfg.Name)}
 	c.upper.Init(cfg.Name, false)
@@ -144,7 +139,6 @@ func Clone(p *sim.Proc, src *Container, cfg Config, tmpl *unionfs.Layer) (*Conta
 	}
 	p.Sleep(cloneMountDelay)
 	c.state = StateRunning
-	c.createTime = (p.E.Now() - start).Duration()
 	return c, nil
 }
 
@@ -190,9 +184,6 @@ func (c *Container) AllocMem(mb int) error {
 		return fmt.Errorf("container %s: %w", c.cfg.Name, err)
 	}
 	c.memUsedMB += mb
-	if c.memUsedMB > c.memPeakMB {
-		c.memPeakMB = c.memUsedMB
-	}
 	return nil
 }
 
@@ -205,20 +196,11 @@ func (c *Container) FreeMem(mb int) {
 	c.h.FreeMem(mb)
 }
 
-// MemUsedMB returns the container's resident memory.
-func (c *Container) MemUsedMB() int { return c.memUsedMB }
-
-// MemPeakMB returns the container's peak resident memory.
-func (c *Container) MemPeakMB() int { return c.memPeakMB }
-
 // MemLimitMB returns the configured cgroup limit.
 func (c *Container) MemLimitMB() int { return c.cfg.MemLimitMB }
 
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
-
-// CreateTime reports how long Create took.
-func (c *Container) CreateTime() time.Duration { return c.createTime }
 
 // DiskUsageBytes is the container's private disk footprint: its writable
 // upper layer only. Shared lower layers are charged once, platform-wide.

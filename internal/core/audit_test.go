@@ -28,7 +28,7 @@ func TestAuditNamesEachCorruptedBook(t *testing.T) {
 			_ = pl.offloadIO.Write(p, chunkPath(7), 1, nil, 1)
 		},
 		"empty pool left modules [cac_alarm": func(p *sim.Proc, pl *Platform) {
-			if err := pl.StopAll(p); err != nil || pl.Audit() != nil {
+			if err := stopAll(p, pl); err != nil || pl.Audit() != nil {
 				t.Errorf("emptying the pool: %v, then %v", err, pl.Audit())
 			}
 			_ = acd.LoadAll(p, pl.Kernel, pl.acdModules)

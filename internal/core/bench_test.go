@@ -270,7 +270,7 @@ func TestColdPushAllocs(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := pl.warehouse.Evictions(); n < runs {
+	if n := pl.warehouse.evictions; n < runs {
 		t.Fatalf("%d evictions over %d cold pushes; every push must evict the one before", n, runs+2)
 	}
 	if n := pl.DB().StateCount(LifecycleIdle) + pl.DB().StateCount(LifecycleActive); n != 0 {

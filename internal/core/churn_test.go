@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rattrap/internal/android"
 	"rattrap/internal/binder"
 	"rattrap/internal/host"
 	"rattrap/internal/offload"
@@ -19,37 +20,30 @@ import (
 type churnWorld struct {
 	pl       *Platform
 	inflight int
-	// reaped binder views: every runtime's context and the handle its
-	// offload controller was looked up under, kept past the runtime's stop.
-	handles map[*binder.Context]uint32
-	seen    map[*slot]bool
+	// every runtime booted, kept past its stop.
+	rts  []*android.Runtime
+	seen map[*slot]bool
 	// steady is the page cache's file count at the first quiescent point
 	// after a boot; every later one must match.
 	steady int
 }
 
-// noteRuntimes records the binder view of every runtime not seen before.
-func (w *churnWorld) noteRuntimes(t *testing.T) {
+// noteRuntimes records every runtime not seen before.
+func (w *churnWorld) noteRuntimes() {
 	w.pl.slots.each(func(sl *slot) {
 		if w.seen[sl] || sl.rt == nil {
 			return
 		}
 		w.seen[sl] = true
-		ctx := sl.rt.Binder()
-		h, err := ctx.Lookup("offloadcontroller")
-		if err != nil {
-			t.Errorf("%s: offload controller not registered: %v", sl.id, err)
-			return
-		}
-		w.handles[ctx] = h
+		w.rts = append(w.rts, sl.rt)
 	})
 }
 
 // checkQuiescent holds once every request finished and every runtime was
 // reaped: the books agree (Audit), the pool and its wait ring are empty, the
 // page cache is as it was at the first such point (warehouse entries add
-// nothing to it: their blocks sit on tmpfs), and every reaped runtime's
-// binder handle answers dead or bad.
+// nothing to it: their blocks sit on tmpfs), and no reaped runtime's offload
+// controller answers in its Binder context any more.
 func (w *churnWorld) checkQuiescent() error {
 	pl := w.pl
 	if err := pl.Audit(); err != nil {
@@ -68,10 +62,9 @@ func (w *churnWorld) checkQuiescent() error {
 	case rest != w.steady:
 		return fmt.Errorf("page cache holds %d files, %d at the first quiescent point", rest, w.steady)
 	}
-	for ctx, h := range w.handles {
-		reply, err := ctx.Transact(h, 1, nil)
-		if !errors.Is(err, binder.ErrDeadBinder) && !errors.Is(err, binder.ErrBadHandle) {
-			return fmt.Errorf("a reaped runtime's handle %d answered %q, %v", h, reply, err)
+	for _, rt := range w.rts {
+		if reply, err := rt.CallService("offloadcontroller", 1, nil); !errors.Is(err, binder.ErrNoService) {
+			return fmt.Errorf("a reaped runtime's offload controller answered %q, %v", reply, err)
 		}
 	}
 	return nil
@@ -103,7 +96,7 @@ func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 		// library and six tails keeps the warehouse evicting as often as
 		// six whole blobs did before entries shared blocks.
 		cfg.WarehouseCapacity = app.CodeSize() + 5*(app.CodeSize()%offload.ChunkSize)
-		w := &churnWorld{pl: New(e, cfg), handles: map[*binder.Context]uint32{}, seen: map[*slot]bool{}, steady: -1}
+		w := &churnWorld{pl: New(e, cfg), seen: map[*slot]bool{}, steady: -1}
 		pl := w.pl
 		rng := rand.New(rand.NewSource(seed))
 		var aids []string
@@ -125,7 +118,7 @@ func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 				return
 			}
 			defer sess.Release()
-			w.noteRuntimes(t)
+			w.noteRuntimes()
 			if sess.NeedCode() && (abandon || !push(p, sess, aid, size)) {
 				return
 			}
@@ -203,10 +196,10 @@ func TestPropertyColdChurnLeavesNothingBehind(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if len(w.handles) == 0 {
+		if len(w.rts) == 0 {
 			t.Fatalf("seed %d booted nothing; the test observes nothing", seed)
 		}
-		evictions += pl.warehouse.Evictions()
+		evictions += pl.warehouse.evictions
 		cordons += pl.Cordoned()
 		reclaims += len(w.seen)
 	}

@@ -341,17 +341,6 @@ func (pl *Platform) DB() *ContainerDB { return pl.db }
 // Warehouse returns the App Warehouse (nil for baselines).
 func (pl *Platform) Warehouse() *Warehouse { return pl.warehouse }
 
-// Access returns the access controller.
-func (pl *Platform) Access() *AccessController { return pl.access }
-
-// SharedLayer returns the Shared Resource Layer (nil for baselines).
-func (pl *Platform) SharedLayer() *unionfs.Layer {
-	if pl.shared == nil {
-		return nil
-	}
-	return pl.shared.Layer
-}
-
 // OffloadIO returns the shared in-memory offloading mount (nil for
 // baselines).
 func (pl *Platform) OffloadIO() *unionfs.Mount { return pl.offloadIO }
@@ -1025,18 +1014,6 @@ func (pl *Platform) StopRuntime(p *sim.Proc, cid string) error {
 	}
 	if terr != nil {
 		return fmt.Errorf("core: stopping %s: %w", cid, terr)
-	}
-	return nil
-}
-
-// StopAll stops every idle runtime.
-func (pl *Platform) StopAll(p *sim.Proc) error {
-	ids := make([]string, 0, pl.slots.n)
-	pl.slots.each(func(sl *slot) { ids = append(ids, sl.id) })
-	for _, id := range ids {
-		if err := pl.StopRuntime(p, id); err != nil {
-			return err
-		}
 	}
 	return nil
 }

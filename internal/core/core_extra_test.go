@@ -55,7 +55,7 @@ func TestTotalDiskBytesCountsSharedOnce(t *testing.T) {
 		if delta <= 0 || delta > 10*host.MB {
 			t.Fatalf("second container added %d MB of disk, want only its delta", delta/host.MB)
 		}
-		if one < pl.SharedLayer().Size() {
+		if one < pl.shared.Layer.Size() {
 			t.Fatal("total disk does not include the shared layer")
 		}
 	})
@@ -102,7 +102,7 @@ func TestAbandonedCodePushWakesWaiters(t *testing.T) {
 func TestPrepareAfterBlockedIsRejected(t *testing.T) {
 	e, pl := newPlatform(KindRattrap)
 	e.Spawn("t", func(p *sim.Proc) {
-		tbl := pl.Access().Analyze(p, pl.Server, "Malware", nil)
+		tbl := pl.access.Analyze(p, pl.Server, "Malware", nil)
 		tbl.Blocked = true
 		_, err := pl.Prepare(p, offload.ExecRequest{AID: "x", App: "Malware"})
 		if err == nil {

@@ -187,7 +187,7 @@ func TestWarehouseEliminatesDuplicateCodeTransfer(t *testing.T) {
 		if entries != 1 || hits < 1 {
 			t.Errorf("warehouse entries=%d hits=%d", entries, hits)
 		}
-		if cids := pl.Warehouse().CIDsFor(aid); len(cids) != 2 {
+		if cids := pl.warehouse.entries[aid].CIDs; len(cids) != 2 {
 			t.Errorf("CIDs for %s = %v, want both runtimes", aid, cids)
 		}
 	})
@@ -319,7 +319,7 @@ func TestAccessControllerViolationsBlockApp(t *testing.T) {
 	e.Spawn("t", func(p *sim.Proc) {
 		// Seed a hostile permission table: analysis concluded this app may
 		// execute nothing.
-		pl.Access().Analyze(p, pl.Server, app.Name(), nil)
+		pl.access.Analyze(p, pl.Server, app.Name(), nil)
 		d := mustDeviceIn(t, e, "phone-1")
 		var lastErr string
 		for i := 0; i < 4; i++ {
@@ -352,6 +352,19 @@ func TestAccessControllerViolationsBlockApp(t *testing.T) {
 	e.Run()
 }
 
+// stopAll stops every runtime in the pool, as an operator draining the
+// platform by hand would.
+func stopAll(p *sim.Proc, pl *Platform) error {
+	var ids []string
+	pl.slots.each(func(sl *slot) { ids = append(ids, sl.id) })
+	for _, id := range ids {
+		if err := pl.StopRuntime(p, id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestStopAllUnloadsACD(t *testing.T) {
 	e, pl := newPlatform(KindRattrap)
 	d := mustDevice(t, e, "phone-1")
@@ -361,7 +374,7 @@ func TestStopAllUnloadsACD(t *testing.T) {
 		t.Fatal("ACD not loaded while container runs")
 	}
 	e.Spawn("stop", func(p *sim.Proc) {
-		if err := pl.StopAll(p); err != nil {
+		if err := stopAll(p, pl); err != nil {
 			t.Error(err)
 		}
 	})

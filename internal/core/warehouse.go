@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -476,17 +475,6 @@ func (w *Warehouse) UnbindCID(cid string) {
 	delete(w.byCID, cid)
 }
 
-// CIDsFor returns containers holding the code, sorted for determinism.
-func (w *Warehouse) CIDsFor(aid string) []string {
-	e, ok := w.entries[aid]
-	if !ok {
-		return nil
-	}
-	out := slices.Clone(e.CIDs)
-	sort.Strings(out)
-	return out
-}
-
 // dropEntry removes an entry and releases its chunk references; blocks
 // with no remaining referents leave the store with it.
 func (w *Warehouse) dropEntry(e *cacheEntry) {
@@ -540,9 +528,6 @@ func (w *Warehouse) EnforceCapacity() int {
 	w.evictCount.Add(int64(dropped))
 	return dropped
 }
-
-// Evictions reports how many entries capacity enforcement has dropped.
-func (w *Warehouse) Evictions() int { return w.evictions }
 
 // Stats summarizes cache behaviour.
 func (w *Warehouse) Stats() (entries, hits, misses int) {
@@ -642,7 +627,7 @@ func (w *Warehouse) Audit() error {
 		return fmt.Errorf("core: warehouse audit: warehouse.bytes reads %d, StoredBytes %d", w.bytesGauge.Value(), w.stored)
 	}
 	if w.evictCount != nil && w.evictCount.Value() != int64(w.evictions) {
-		return fmt.Errorf("core: warehouse audit: warehouse.evictions reads %d, Evictions %d", w.evictCount.Value(), w.evictions)
+		return fmt.Errorf("core: warehouse audit: warehouse.evictions reads %d, the warehouse counted %d", w.evictCount.Value(), w.evictions)
 	}
 	return nil
 }

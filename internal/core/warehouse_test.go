@@ -311,8 +311,8 @@ func TestPutChunkedDetectsSizeCollisions(t *testing.T) {
 
 // checkWarehouseBooks compares the incremental bookkeeping with
 // from-scratch recomputations: chunk references, the running byte total and
-// the reverse CID index (Audit), and CIDsFor against a model whose unbind
-// walks every entry the way UnbindCID used to.
+// the reverse CID index (Audit), and each entry's CIDs against a model
+// whose unbind walks every entry the way UnbindCID used to.
 func checkWarehouseBooks(w *Warehouse, model map[string]map[string]bool) error {
 	if err := w.Audit(); err != nil {
 		return err
@@ -328,8 +328,13 @@ func checkWarehouseBooks(w *Warehouse, model map[string]map[string]bool) error {
 			want = append(want, cid)
 		}
 		sort.Strings(want)
-		if got := w.CIDsFor(aid); !slices.Equal(got, want) {
-			return fmt.Errorf("CIDsFor(%s) = %v, full-walk model says %v", aid, got, want)
+		var got []string
+		if e := w.entries[aid]; e != nil {
+			got = slices.Clone(e.CIDs)
+			sort.Strings(got)
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("CIDs of %s = %v, full-walk model says %v", aid, got, want)
 		}
 	}
 	return nil
@@ -399,7 +404,7 @@ func TestPropertyWarehouseBooksMatchRecomputation(t *testing.T) {
 			}
 		})
 		e.Run()
-		if ws[0].Evictions() == 0 {
+		if ws[0].evictions == 0 {
 			t.Errorf("seed %d: the bounded warehouse never evicted", seed)
 		}
 	}
@@ -535,7 +540,7 @@ func TestPropertyEvictionOrderMatchesScan(t *testing.T) {
 							t.Errorf("seed %d, step %d: %v", seed, step, err)
 						}
 					}
-					wd.log = append(wd.log, fmt.Sprint(w.AIDs(), w.Evictions()))
+					wd.log = append(wd.log, fmt.Sprint(w.AIDs(), w.evictions))
 					p.Sleep(o.sleep)
 				}
 			})
@@ -551,7 +556,7 @@ func TestPropertyEvictionOrderMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d, step %d: heap world %s, scan world %s", seed, step, heapWorld.log[step], scanWorld.log[step])
 			}
 		}
-		if heapWorld.w.Evictions() == 0 {
+		if heapWorld.w.evictions == 0 {
 			t.Errorf("seed %d: nothing was evicted; the test observes nothing", seed)
 		}
 	}

@@ -91,7 +91,6 @@ type Host struct {
 	diskWrite *sim.CountSeries
 
 	memUsedMB int
-	memPeakMB int
 
 	// The page cache: a Page is resident here while its tag is cacheGen, so
 	// DropCaches retires every page by advancing it. cached counts the
@@ -155,20 +154,6 @@ func (h *Host) Compute(p *sim.Proc, work Work, efficiency float64) {
 	h.cpu.Acquire(p, 1)
 	p.Sleep(d)
 	h.cpu.Release(1)
-}
-
-// ComputeOn occupies n cores (a parallel region) for the same duration.
-func (h *Host) ComputeOn(p *sim.Proc, cores int, work Work, efficiency float64) {
-	if work <= 0 {
-		return
-	}
-	if cores <= 0 || cores > h.cfg.Cores {
-		panic(fmt.Sprintf("host: %d cores of %d", cores, h.cfg.Cores))
-	}
-	d := time.Duration(float64(work) / (h.cfg.CoreMops * efficiency * float64(cores)) * float64(time.Second))
-	h.cpu.Acquire(p, cores)
-	p.Sleep(d)
-	h.cpu.Release(cores)
 }
 
 // DiskRead reads size bytes, blocking p. key names the data for page
@@ -307,13 +292,6 @@ func (h *Host) WarmCache(key string) {
 	h.WarmPage(pg)
 }
 
-// Evict is EvictPage by key. A key that is not resident, the empty key
-// included, is a no-op.
-func (h *Host) Evict(key string) {
-	h.EvictPage(h.named[key])
-	delete(h.named, key)
-}
-
 // DropCaches empties the page cache (echo 3 > /proc/sys/vm/drop_caches):
 // every Page tagged with the old generation stops being resident.
 func (h *Host) DropCaches() {
@@ -333,9 +311,6 @@ func (h *Host) AllocMem(mb int) error {
 			h.cfg.Name, h.memUsedMB, mb, h.cfg.MemMB)
 	}
 	h.memUsedMB += mb
-	if h.memUsedMB > h.memPeakMB {
-		h.memPeakMB = h.memUsedMB
-	}
 	return nil
 }
 
@@ -349,9 +324,6 @@ func (h *Host) FreeMem(mb int) {
 
 // MemUsedMB returns currently reserved DRAM in MiB.
 func (h *Host) MemUsedMB() int { return h.memUsedMB }
-
-// MemPeakMB returns the high-water mark of reserved DRAM in MiB.
-func (h *Host) MemPeakMB() int { return h.memPeakMB }
 
 // CPUUtilization returns per-bucket CPU utilization in percent over
 // [from, to), one value per width.

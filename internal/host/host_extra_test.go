@@ -8,24 +8,6 @@ import (
 	"rattrap/internal/sim"
 )
 
-func TestComputeOnParallelRegion(t *testing.T) {
-	e := sim.NewEngine(1)
-	h := New(e, Config{Name: "m", Cores: 4, CoreMops: 100, MemMB: 1024, DiskSeqMBps: 100, DiskRandIOPS: 100, MemBWMBps: 1000})
-	var par, seq time.Duration
-	e.Spawn("w", func(p *sim.Proc) {
-		t0 := e.Now()
-		h.ComputeOn(p, 4, 400, 1.0) // 400 mops over 4 cores = 1s
-		par = (e.Now() - t0).Duration()
-		t0 = e.Now()
-		h.Compute(p, 400, 1.0) // 4s on one core
-		seq = (e.Now() - t0).Duration()
-	})
-	e.Run()
-	if par != time.Second || seq != 4*time.Second {
-		t.Fatalf("parallel %v / sequential %v, want 1s / 4s", par, seq)
-	}
-}
-
 func TestEfficiencyValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	h := New(e, CloudServer())

@@ -103,13 +103,8 @@ func TestDropCaches(t *testing.T) {
 	if !h.Cached("f") {
 		t.Fatal("WarmCache did not cache")
 	}
-	h.WarmCache("g")
-	h.Evict("f")
-	if h.Cached("f") || !h.Cached("g") {
-		t.Fatal("Evict must drop exactly its key")
-	}
 	h.DropCaches()
-	if h.Cached("g") {
+	if h.Cached("f") {
 		t.Fatal("DropCaches left file cached")
 	}
 }
@@ -177,9 +172,6 @@ func TestMemAccounting(t *testing.T) {
 	h.FreeMem(500)
 	if h.MemUsedMB() != 500 {
 		t.Fatalf("used = %d, want 500", h.MemUsedMB())
-	}
-	if h.MemPeakMB() != 1000 {
-		t.Fatalf("peak = %d, want 1000", h.MemPeakMB())
 	}
 }
 

@@ -11,14 +11,12 @@
 //
 // A Manifest is a recipe: BuildLayer materializes it as an Image — a unionfs
 // layer plus resolved handles on what a boot and subsequent offloading
-// execution read, which BootFiles/OnDemandFiles enumerate by path. Sizes are
-// per category with even per-file split, so the aggregate numbers above are
-// exact while individual files stay plausible.
+// execution read. Sizes are per category with even per-file split, so the
+// aggregate numbers above are exact while individual files stay plausible.
 package image
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"rattrap/internal/host"
@@ -51,46 +49,13 @@ type Category struct {
 type Manifest struct {
 	Name string
 	Cats []Category
-	// boot and onDemand are the BootFiles/OnDemandFiles enumerations. The
-	// constructors below build them once: every boot of the image walks
-	// the same few hundred paths, so callers share these read-only.
-	boot, onDemand []FileRef
-}
-
-// FileRef names one file and its size.
-type FileRef struct {
-	Path string
-	Size host.Bytes
 }
 
 // AndroidX86 returns the full Android-x86 4.4 r2 image. The category sizes
 // reproduce the paper's measurements exactly: total 1126 MB (≈1.1 GB),
 // /system 985 MB (87.4%), never-accessed 771 MB (68.4%).
-func AndroidX86() Manifest { return stock()[0].own() }
-
-// stock is AndroidX86, its ForContainer and its Customized, each with its
-// file lists, built once per process: every platform starts from the same
-// three images.
-var stock = sync.OnceValue(func() [3]Manifest {
-	full := androidX86()
-	return [3]Manifest{full, full.forContainer(), full.customized()}
-})
-
-// own returns m with a Cats slice of its own, so a caller that edits a
-// category does not edit the stock image.
-func (m Manifest) own() Manifest {
-	m.Cats = slices.Clone(m.Cats)
-	return m
-}
-
-// isStock reports whether m describes the stock full image.
-func (m Manifest) isStock() bool {
-	full := stock()[0]
-	return m.Name == full.Name && slices.Equal(m.Cats, full.Cats)
-}
-
-func androidX86() Manifest {
-	return withFileLists(Manifest{
+func AndroidX86() Manifest {
+	return Manifest{
 		Name: "android-x86-4.4-r2",
 		Cats: []Category{
 			{Name: "boot", Dir: "/boot", Ext: ".img", Files: 62, Total: 82 * host.MB, VMOnly: true, BootFrac: 0.2},
@@ -107,36 +72,20 @@ func androidX86() Manifest {
 			{Name: "data", Dir: "/data", Ext: ".db", Files: 40, Total: 45 * host.MB, BootFrac: 0.3},
 			{Name: "binetc", Dir: "/etc", Ext: "", Files: 60, Total: 14 * host.MB, BootFrac: 1.0},
 		},
-	})
-}
-
-// withFileLists fills in m's file enumerations. Capacities are clipped to
-// the lengths so a caller appending to a returned list gets a copy instead
-// of writing into the shared array.
-func withFileLists(m Manifest) Manifest {
-	boot, onDemand := workingSet(m.Cats, fileRef)
-	m.boot, m.onDemand = boot[:len(boot):len(boot)], onDemand[:len(onDemand):len(onDemand)]
-	return m
+	}
 }
 
 // ForContainer drops the VM-only categories: containers share the host
 // kernel and need no boot/recovery partitions. This is the non-optimized
 // Cloud Android Container rootfs (1.02 GB in Table I).
 func (m Manifest) ForContainer() Manifest {
-	if m.isStock() {
-		return stock()[1].own()
-	}
-	return m.forContainer()
-}
-
-func (m Manifest) forContainer() Manifest {
 	out := Manifest{Name: m.Name + "-container"}
 	for _, c := range m.Cats {
 		if !c.VMOnly {
 			out.Cats = append(out.Cats, c)
 		}
 	}
-	return withFileLists(out)
+	return out
 }
 
 // Customized applies the §IV-B3 OS customization: strippable categories
@@ -145,13 +94,6 @@ func (m Manifest) forContainer() Manifest {
 // direct returns by the modified runtime. The result is the shared-layer
 // content for optimized Cloud Android Containers.
 func (m Manifest) Customized() Manifest {
-	if m.isStock() {
-		return stock()[2].own()
-	}
-	return m.customized()
-}
-
-func (m Manifest) customized() Manifest {
 	out := Manifest{Name: m.Name + "-custom"}
 	for _, c := range m.Cats {
 		if c.VMOnly || c.Strippable || c.UIService {
@@ -159,7 +101,7 @@ func (m Manifest) customized() Manifest {
 		}
 		out.Cats = append(out.Cats, c)
 	}
-	return withFileLists(out)
+	return out
 }
 
 // Category returns the named category.
@@ -186,17 +128,6 @@ func (m Manifest) SystemBytes() host.Bytes {
 	var t host.Bytes
 	for _, c := range m.Cats {
 		if len(c.Dir) >= 7 && c.Dir[:7] == "/system" {
-			t += c.Total
-		}
-	}
-	return t
-}
-
-// StrippableBytes is the size of categories never accessed by offloading.
-func (m Manifest) StrippableBytes() host.Bytes {
-	var t host.Bytes
-	for _, c := range m.Cats {
-		if c.Strippable {
 			t += c.Total
 		}
 	}
@@ -247,13 +178,12 @@ func fileSize(c Category, i int) host.Bytes {
 	return base
 }
 
-func fileRef(path string, size host.Bytes) FileRef {
-	return FileRef{Path: path, Size: size}
-}
-
 // Image is a Manifest materialized as a layer, with the manifest's working
-// set resolved against it: Boot[i] is the layer's copy of BootFiles()[i] and
-// OnDemand[i] of OnDemandFiles()[i]. Every runtime that boots from the layer
+// set (see workingSet) resolved against it: Boot holds the files a boot
+// reads and OnDemand the rest of the working set, which the post-boot
+// background scan (media scanner, background dexopt, lazy class loads)
+// touches over the first minute of uptime; that is why Observation 4 finds
+// exactly the strippable set untouched. Every runtime that boots from the layer
 // reads through these handles, so the paths are looked up when the layer is
 // built and never again.
 type Image struct {
@@ -288,10 +218,8 @@ func (m Manifest) BuildLayer(name string, readOnly bool) *Image {
 // boot is what a boot of the image reads: the first BootFrac of each
 // category (UI services included when present, i.e. a full, non-customized
 // boot). onDemand is the rest, interleaved round-robin across categories so
-// the post-boot scan's load is even. Both are non-nil even when empty: to a
-// Manifest nil means "not built".
+// the post-boot scan's load is even.
 func workingSet[T any](cats []Category, file func(path string, size host.Bytes) T) (boot, onDemand []T) {
-	boot, onDemand = []T{}, []T{}
 	var perCat [][]T
 	for _, c := range cats {
 		if c.Strippable {
@@ -321,36 +249,4 @@ func workingSet[T any](cats []Category, file func(path string, size host.Bytes) 
 		perCat = kept
 	}
 	return boot, onDemand
-}
-
-// BootFiles enumerates the files a boot of this image reads (see
-// workingSet). The list is shared: callers must not modify its elements.
-func (m Manifest) BootFiles() []FileRef {
-	if m.boot == nil { // a Manifest literal built outside this package
-		boot, _ := workingSet(m.Cats, fileRef)
-		return boot
-	}
-	return m.boot
-}
-
-// OnDemandFiles enumerates the non-strippable files a boot does not read.
-// The post-boot background scan (media scanner, background dexopt, lazy
-// class loads) touches them over the first minute of uptime, which is why
-// Observation 4 finds exactly the strippable set untouched. The list is
-// shared: callers must not modify its elements.
-func (m Manifest) OnDemandFiles() []FileRef {
-	if m.onDemand == nil { // a Manifest literal built outside this package
-		_, onDemand := workingSet(m.Cats, fileRef)
-		return onDemand
-	}
-	return m.onDemand
-}
-
-// BootBytes is the total size of BootFiles.
-func (m Manifest) BootBytes() host.Bytes {
-	var t host.Bytes
-	for _, f := range m.BootFiles() {
-		t += f.Size
-	}
-	return t
 }

@@ -11,6 +11,29 @@ import (
 	"rattrap/internal/unionfs"
 )
 
+// strippableBytes is the size of m's categories never accessed by
+// offloading.
+func strippableBytes(m Manifest) host.Bytes {
+	var t host.Bytes
+	for _, c := range m.Cats {
+		if c.Strippable {
+			t += c.Total
+		}
+	}
+	return t
+}
+
+// fileRef names one file of a working set and its size.
+type fileRef struct {
+	Path string
+	Size host.Bytes
+}
+
+// fileLists is m's working set by path, split as BuildLayer splits it.
+func fileLists(m Manifest) (boot, onDemand []fileRef) {
+	return workingSet(m.Cats, func(p string, size host.Bytes) fileRef { return fileRef{p, size} })
+}
+
 func TestPaperComposition(t *testing.T) {
 	m := AndroidX86()
 	// Entire OS ≈ 1.1 GB.
@@ -26,10 +49,10 @@ func TestPaperComposition(t *testing.T) {
 		t.Fatalf("/system fraction = %.3f, want ≈0.874", frac)
 	}
 	// 771 MB (68.4%) never accessed by offloading.
-	if got := m.StrippableBytes(); got != 771*host.MB {
+	if got := strippableBytes(m); got != 771*host.MB {
 		t.Fatalf("strippable = %d MB, want 771", got/host.MB)
 	}
-	never := float64(m.StrippableBytes()) / float64(m.TotalBytes())
+	never := float64(strippableBytes(m)) / float64(m.TotalBytes())
 	if never < 0.68 || never > 0.69 {
 		t.Fatalf("never-accessed fraction = %.3f, want ≈0.684", never)
 	}
@@ -78,7 +101,7 @@ func TestCustomizedKeepsOnlyCore(t *testing.T) {
 	}
 	// Accessed set = total - strippable = 355 MB ≈ 31.6% of the image.
 	full := AndroidX86()
-	accessed := full.TotalBytes() - full.StrippableBytes()
+	accessed := full.TotalBytes() - strippableBytes(full)
 	if accessed != 355*host.MB {
 		t.Fatalf("accessed set = %d MB, want 355", accessed/host.MB)
 	}
@@ -99,12 +122,12 @@ func TestBuildLayerExactSizes(t *testing.T) {
 	if l.Size() != m.TotalBytes() {
 		t.Fatalf("layer size %d != manifest %d", l.Size(), m.TotalBytes())
 	}
-	wantFiles := 0
 	for _, c := range m.Cats {
-		wantFiles += c.Files
-	}
-	if l.FileCount() != wantFiles {
-		t.Fatalf("layer files = %d, want %d", l.FileCount(), wantFiles)
+		for i, p := range categoryPaths(c) {
+			if r, ok := l.Ref(p); !ok || r.Size() != fileSize(c, i) {
+				t.Fatalf("layer lacks %s of %d B", p, fileSize(c, i))
+			}
+		}
 	}
 	if got := l.SizeUnder("/system"); got != m.SystemBytes() {
 		t.Fatalf("/system in layer = %d, want %d", got, m.SystemBytes())
@@ -113,8 +136,7 @@ func TestBuildLayerExactSizes(t *testing.T) {
 
 func TestBootAndOnDemandPartitionCore(t *testing.T) {
 	m := AndroidX86().ForContainer()
-	boot := m.BootFiles()
-	onDemand := m.OnDemandFiles()
+	boot, onDemand := fileLists(m)
 	var bootB, odB host.Bytes
 	seen := make(map[string]bool)
 	for _, f := range boot {
@@ -131,7 +153,7 @@ func TestBootAndOnDemandPartitionCore(t *testing.T) {
 		}
 		seen[f.Path] = true
 	}
-	core := m.TotalBytes() - m.StrippableBytes()
+	core := m.TotalBytes() - strippableBytes(m)
 	if bootB+odB != core {
 		t.Fatalf("boot %d + on-demand %d != core %d", bootB, odB, core)
 	}
@@ -141,17 +163,24 @@ func TestBootAndOnDemandPartitionCore(t *testing.T) {
 }
 
 func TestCustomizedBootSmallerThanFull(t *testing.T) {
-	full := AndroidX86().ForContainer()
-	cust := AndroidX86().Customized()
-	if cust.BootBytes() >= full.BootBytes() {
-		t.Fatalf("customized boot set %d MB not smaller than full %d MB",
-			cust.BootBytes()/host.MB, full.BootBytes()/host.MB)
+	bootBytes := func(m Manifest) host.Bytes {
+		boot, _ := fileLists(m)
+		var sum host.Bytes
+		for _, f := range boot {
+			sum += f.Size
+		}
+		return sum
+	}
+	full := bootBytes(AndroidX86().ForContainer())
+	cust := bootBytes(AndroidX86().Customized())
+	if cust >= full {
+		t.Fatalf("customized boot set %d MB not smaller than full %d MB", cust/host.MB, full/host.MB)
 	}
 }
 
 func TestNoStrippableFilesInBootSet(t *testing.T) {
-	m := AndroidX86()
-	for _, f := range m.BootFiles() {
+	boot, _ := fileLists(AndroidX86())
+	for _, f := range boot {
 		for _, dir := range []string{"/system/lib/hw", "/system/lib/modules", "/system/etc/firmware", "/system/app/", "/system/media", "/system/vendor"} {
 			if strings.HasPrefix(f.Path, dir) {
 				t.Fatalf("boot reads strippable file %s", f.Path)
@@ -175,16 +204,16 @@ func TestFileSizesSumExactly(t *testing.T) {
 
 // referenceLists recomputes the boot and on-demand enumerations from the
 // category table alone, the way every boot used to.
-func referenceLists(m Manifest) (boot, onDemand []FileRef) {
-	var perCat [][]FileRef
+func referenceLists(m Manifest) (boot, onDemand []fileRef) {
+	var perCat [][]fileRef
 	for _, c := range m.Cats {
 		if c.Strippable {
 			continue
 		}
 		n := int(float64(c.Files)*c.BootFrac + 0.5)
-		var rest []FileRef
+		var rest []fileRef
 		for i := 0; i < c.Files; i++ {
-			ref := FileRef{Path: fmt.Sprintf("%s/%s_%04d%s", c.Dir, c.Name, i, c.Ext), Size: fileSize(c, i)}
+			ref := fileRef{Path: fmt.Sprintf("%s/%s_%04d%s", c.Dir, c.Name, i, c.Ext), Size: fileSize(c, i)}
 			if i < n {
 				boot = append(boot, ref)
 			} else {
@@ -208,55 +237,55 @@ func referenceLists(m Manifest) (boot, onDemand []FileRef) {
 	return boot, onDemand
 }
 
-// TestFileListsBuiltOnce: the lists a manifest hands out are the ones a
-// per-call enumeration produces — contents, order and BootBytes — for all
-// three images, every call returns the same shared array, and a caller
-// that appends to its list cannot write into the next caller's.
+// TestFileListsBuiltOnce: the working set a manifest enumerates is the one
+// a per-call enumeration of the category table produces — contents and
+// order — for all three images and for a literal built outside the
+// constructors; each category's paths are formatted once per process, so
+// a second enumeration hands out the same strings; and a caller that
+// appends to a shared path list cannot write into the next caller's.
 func TestFileListsBuiltOnce(t *testing.T) {
-	for _, m := range []Manifest{AndroidX86(), AndroidX86().ForContainer(), AndroidX86().Customized()} {
-		wantBoot, wantOnDemand := referenceLists(m)
-		if got := m.BootFiles(); !reflect.DeepEqual(got, wantBoot) {
-			t.Fatalf("%s: BootFiles differs from the per-call enumeration (%d vs %d files)", m.Name, len(got), len(wantBoot))
-		}
-		if got := m.OnDemandFiles(); !reflect.DeepEqual(got, wantOnDemand) {
-			t.Fatalf("%s: OnDemandFiles differs from the per-call enumeration (%d vs %d files)", m.Name, len(got), len(wantOnDemand))
-		}
-		var sum host.Bytes
-		for _, f := range wantBoot {
-			sum += f.Size
-		}
-		if m.BootBytes() != sum {
-			t.Fatalf("%s: BootBytes = %d, want %d", m.Name, m.BootBytes(), sum)
-		}
-
-		for name, list := range map[string]func() []FileRef{"BootFiles": m.BootFiles, "OnDemandFiles": m.OnDemandFiles} {
-			a, b := list(), list()
-			if len(a) == 0 || &a[0] != &b[0] {
-				t.Fatalf("%s: %s rebuilt its list on a second call", m.Name, name)
-			}
-			first := append(a, FileRef{Path: "/intruder-1"})
-			second := append(b, FileRef{Path: "/intruder-2"})
-			if first[len(a)].Path != "/intruder-1" || second[len(b)].Path != "/intruder-2" {
-				t.Fatalf("%s: %s: two callers' appends share one array", m.Name, name)
-			}
-			if c := list(); len(c) != len(a) || !reflect.DeepEqual(c, a) {
-				t.Fatalf("%s: %s changed after callers appended to it", m.Name, name)
-			}
-		}
-	}
-	// A literal built outside the constructors still enumerates correctly.
 	lit := Manifest{Name: "literal", Cats: AndroidX86().Customized().Cats}
-	wantBoot, wantOnDemand := referenceLists(lit)
-	if !reflect.DeepEqual(lit.BootFiles(), wantBoot) || !reflect.DeepEqual(lit.OnDemandFiles(), wantOnDemand) {
-		t.Fatal("a Manifest literal enumerates different files than its constructor-built twin")
+	for _, m := range []Manifest{AndroidX86(), AndroidX86().ForContainer(), AndroidX86().Customized(), lit} {
+		wantBoot, wantOnDemand := referenceLists(m)
+		boot, onDemand := fileLists(m)
+		if !reflect.DeepEqual(boot, wantBoot) {
+			t.Fatalf("%s: the boot set differs from the per-call enumeration (%d vs %d files)", m.Name, len(boot), len(wantBoot))
+		}
+		if !reflect.DeepEqual(onDemand, wantOnDemand) {
+			t.Fatalf("%s: the on-demand set differs from the per-call enumeration (%d vs %d files)", m.Name, len(onDemand), len(wantOnDemand))
+		}
+		again, _ := fileLists(m)
+		for i, f := range again {
+			if unsafe.StringData(f.Path) != unsafe.StringData(boot[i].Path) {
+				t.Fatalf("%s: boot[%d] (%s): a second enumeration formatted the path again", m.Name, i, f.Path)
+			}
+		}
+		for _, c := range m.Cats {
+			a, b := categoryPaths(c), categoryPaths(c)
+			if len(a) == 0 || &a[0] != &b[0] {
+				t.Fatalf("%s: %s: the path list was rebuilt on a second call", m.Name, c.Name)
+			}
+			if cap(a) != len(a) {
+				t.Fatalf("%s: %s: the shared path list has spare capacity a caller's append would write into", m.Name, c.Name)
+			}
+			first := append(a, "/intruder-1")
+			second := append(b, "/intruder-2")
+			if first[len(a)] != "/intruder-1" || second[len(b)] != "/intruder-2" {
+				t.Fatalf("%s: %s: two callers' appends share one array", m.Name, c.Name)
+			}
+			if now := categoryPaths(c); !reflect.DeepEqual(now, a) {
+				t.Fatalf("%s: %s: the path list changed after callers appended to it", m.Name, c.Name)
+			}
+		}
 	}
 }
 
 // TestStockImagesBuiltOnce: AndroidX86, its ForContainer and its
-// Customized are built once per process. A call copies the category list
-// and nothing else, every call hands out the same file lists, a caller that
-// edits its categories edits neither the stock image nor what the next
-// caller gets, and two layers built from one manifest share every path.
+// Customized each hand a caller its own category list, so editing one
+// edits neither the stock image nor another caller's, and an edited
+// manifest's derived images carry the edit; what is built once per
+// process is the paths, so a second layer of the same image formats none
+// and holds the first layer's strings.
 func TestStockImagesBuiltOnce(t *testing.T) {
 	for name, build := range map[string]func() Manifest{
 		"AndroidX86":   AndroidX86,
@@ -264,14 +293,13 @@ func TestStockImagesBuiltOnce(t *testing.T) {
 		"Customized":   func() Manifest { return AndroidX86().Customized() },
 	} {
 		a, b := build(), build()
-		if &a.BootFiles()[0] != &b.BootFiles()[0] || &a.OnDemandFiles()[0] != &b.OnDemandFiles()[0] {
-			t.Errorf("%s: two calls built two sets of file lists", name)
-		}
 		if &a.Cats[0] == &b.Cats[0] {
 			t.Errorf("%s: two calls share one category list", name)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { build() }); allocs > 2 {
-			t.Errorf("%s allocates %.0f objects, want at most 2 (a category list per manifest made)", name, allocs)
+		for _, c := range a.Cats {
+			if allocs := testing.AllocsPerRun(20, func() { categoryPaths(c) }); allocs > 0 {
+				t.Errorf("%s: %s: looking up the paths allocates %.0f objects, want 0", name, c.Name, allocs)
+			}
 		}
 	}
 
@@ -282,7 +310,9 @@ func TestStockImagesBuiltOnce(t *testing.T) {
 	}
 	stock := map[string]Manifest{"ForContainer": AndroidX86().ForContainer(), "Customized": AndroidX86().Customized()}
 	for name, d := range map[string]Manifest{"ForContainer": edited.ForContainer(), "Customized": edited.Customized()} {
-		if c, _ := d.Category("framework"); c.Files != 7 || len(d.BootFiles()) == len(stock[name].BootFiles()) {
+		boot, _ := fileLists(d)
+		stockBoot, _ := fileLists(stock[name])
+		if c, _ := d.Category("framework"); c.Files != 7 || len(boot) == len(stockBoot) {
 			t.Fatalf("%s of an edited manifest was served the stock image", name)
 		}
 	}
@@ -296,18 +326,19 @@ func TestStockImagesBuiltOnce(t *testing.T) {
 	}
 }
 
-// TestImageRefsMatchFileLists: the handles an Image hands out are the lists
-// its Manifest enumerates, resolved — same file at the same index, by path
-// and size, and resolved against the Image's own layer — for all three
-// images and for a literal built outside the constructors.
+// TestImageRefsMatchFileLists: the handles an Image hands out are the
+// working set its Manifest enumerates, resolved — same file at the same
+// index, by path and size, and resolved against the Image's own layer —
+// for all three images and for a literal built outside the constructors.
 func TestImageRefsMatchFileLists(t *testing.T) {
 	lit := Manifest{Name: "literal", Cats: AndroidX86().Customized().Cats}
 	for _, m := range []Manifest{AndroidX86(), AndroidX86().ForContainer(), AndroidX86().Customized(), lit} {
 		img := m.BuildLayer("img", true)
+		wantBoot, wantOnDemand := fileLists(m)
 		for name, set := range map[string]struct {
 			refs  []unionfs.Ref
-			files []FileRef
-		}{"Boot": {img.Boot, m.BootFiles()}, "OnDemand": {img.OnDemand, m.OnDemandFiles()}} {
+			files []fileRef
+		}{"Boot": {img.Boot, wantBoot}, "OnDemand": {img.OnDemand, wantOnDemand}} {
 			if len(set.refs) != len(set.files) || len(set.refs) == 0 {
 				t.Fatalf("%s: %s has %d refs for %d files", m.Name, name, len(set.refs), len(set.files))
 			}

@@ -201,12 +201,6 @@ func (k *Kernel) Lsmod() []string {
 // ModuleMemKB returns resident module memory in KiB.
 func (k *Kernel) ModuleMemKB() int { return k.memKB }
 
-// HasDevice reports whether a /dev path is currently provided.
-func (k *Kernel) HasDevice(dev string) bool {
-	_, ok := k.devices[dev]
-	return ok
-}
-
 // NewNamespace creates a device namespace for a container. Open takes it
 // by pointer: the namespace must stay where it is once a device is open.
 func (k *Kernel) NewNamespace(name string) Namespace {

@@ -8,6 +8,12 @@ import (
 	"rattrap/internal/sim"
 )
 
+// hasDevice reports whether a loaded module provides dev.
+func hasDevice(k *Kernel, dev string) bool {
+	_, ok := k.devices[dev]
+	return ok
+}
+
 func newHarness() (*sim.Engine, *Kernel) {
 	e := sim.NewEngine(1)
 	h := host.New(e, host.CloudServer())
@@ -29,13 +35,13 @@ func binderLikeModule() *Module {
 func TestLoadProvidesDevice(t *testing.T) {
 	e, k := newHarness()
 	e.Spawn("init", func(p *sim.Proc) {
-		if k.HasDevice("/dev/binder") {
+		if hasDevice(k, "/dev/binder") {
 			t.Error("device present before load")
 		}
 		if err := k.Load(p, binderLikeModule()); err != nil {
 			t.Error(err)
 		}
-		if !k.HasDevice("/dev/binder") || !k.Loaded("test_binder") {
+		if !hasDevice(k, "/dev/binder") || !k.Loaded("test_binder") {
 			t.Error("device or module missing after load")
 		}
 	})
@@ -112,7 +118,7 @@ func TestSharedDeviceCarriesNoState(t *testing.T) {
 	e.Spawn("init", func(p *sim.Proc) {
 		stateful := &Module{Name: "test_ashmem", VerMagic: "3.18.0", SizeKB: 28,
 			Devices: []DeviceSpec{{Name: "/dev/ashmem", New: func() any { return map[string]int{} }}}}
-		if err := k.Load(p, stateful); err == nil || k.HasDevice("/dev/ashmem") {
+		if err := k.Load(p, stateful); err == nil || hasDevice(k, "/dev/ashmem") {
 			t.Fatalf("a non-namespaced device with a state factory loaded (err %v)", err)
 		}
 		m := &Module{Name: "test_ashmem", VerMagic: "3.18.0", SizeKB: 28,
@@ -156,7 +162,7 @@ func TestUnloadRefcounting(t *testing.T) {
 		if err := k.Unload("test_binder"); err != nil {
 			t.Errorf("unload after close: %v", err)
 		}
-		if k.HasDevice("/dev/binder") {
+		if hasDevice(k, "/dev/binder") {
 			t.Error("device survives unload")
 		}
 		if k.ModuleMemKB() != 0 {
@@ -287,9 +293,9 @@ func TestReloadAfterUnload(t *testing.T) {
 		if err := k.Unload(m.Name); err != nil {
 			t.Fatal(err)
 		}
-		if k.Loaded(m.Name) || len(k.Lsmod()) != 0 || k.HasDevice("/dev/ashmem") || k.ModuleMemKB() != 0 {
+		if k.Loaded(m.Name) || len(k.Lsmod()) != 0 || hasDevice(k, "/dev/ashmem") || k.ModuleMemKB() != 0 {
 			t.Fatalf("unloaded module still visible: loaded=%v lsmod=%v dev=%v mem=%d",
-				k.Loaded(m.Name), k.Lsmod(), k.HasDevice("/dev/ashmem"), k.ModuleMemKB())
+				k.Loaded(m.Name), k.Lsmod(), hasDevice(k, "/dev/ashmem"), k.ModuleMemKB())
 		}
 		if err := k.Unload(m.Name); !errors.Is(err, ErrNoModule) {
 			t.Errorf("second unload: err = %v, want ErrNoModule", err)
@@ -310,7 +316,7 @@ func TestReloadAfterUnload(t *testing.T) {
 		if err := k.Load(p, other); err != nil {
 			t.Fatal(err)
 		}
-		if !k.HasDevice("/dev/other") || k.HasDevice("/dev/ashmem") || k.ModuleMemKB() != 5 {
+		if !hasDevice(k, "/dev/other") || hasDevice(k, "/dev/ashmem") || k.ModuleMemKB() != 5 {
 			t.Errorf("a new spec under an old name kept the old record")
 		}
 	})

@@ -123,9 +123,6 @@ func (l *Link) Profile() Profile { return l.prof }
 // Stats returns accumulated traffic totals.
 func (l *Link) Stats() Stats { return l.stats }
 
-// ResetStats zeroes the accumulated totals.
-func (l *Link) ResetStats() { l.stats = Stats{} }
-
 // jittered perturbs d by the profile's jitter, never below 60% of nominal.
 func (l *Link) jittered(d time.Duration) time.Duration {
 	if l.prof.Jitter == 0 {
@@ -211,17 +208,4 @@ func (l *Link) transfer(p *sim.Proc, size host.Bytes, mbps float64) time.Duratio
 	d := l.jittered(l.nominal(size, mbps))
 	p.Sleep(d)
 	return d
-}
-
-// RoundTrip models a small request/response exchange (control messages):
-// one RTT plus serialization of both payloads.
-func (l *Link) RoundTrip(p *sim.Proc, up, down host.Bytes) (time.Duration, error) {
-	t0 := l.e.Now()
-	if _, err := l.Upload(p, up); err != nil {
-		return (l.e.Now() - t0).Duration(), err
-	}
-	if _, err := l.Download(p, down); err != nil {
-		return (l.e.Now() - t0).Duration(), err
-	}
-	return (l.e.Now() - t0).Duration(), nil
 }

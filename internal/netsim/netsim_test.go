@@ -108,18 +108,20 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.TransfersUp != 2 || s.TransfersDn != 1 {
 		t.Fatalf("transfer counts = %d/%d", s.TransfersUp, s.TransfersDn)
 	}
-	l.ResetStats()
-	if l.Stats().BytesUp != 0 {
-		t.Fatal("ResetStats did not zero totals")
-	}
 }
 
+// A small request/response exchange, an upload then a download, costs one
+// RTT plus serialization of both payloads.
 func TestRoundTrip(t *testing.T) {
 	e := sim.NewEngine(1)
 	prof := Profile{Name: "test", RTT: 100 * time.Millisecond, UpMbps: 8000, DownMbps: 8000}
 	l := NewLink(e, prof)
 	var d time.Duration
-	e.Spawn("c", func(p *sim.Proc) { d, _ = l.RoundTrip(p, 100, 100) })
+	e.Spawn("c", func(p *sim.Proc) {
+		l.Upload(p, 100)
+		l.Download(p, 100)
+		d = e.Now().Duration()
+	})
 	e.Run()
 	if d < 100*time.Millisecond || d > 110*time.Millisecond {
 		t.Fatalf("round trip took %v, want ~1 RTT", d)

@@ -36,9 +36,6 @@ const spanInline = 4
 // NewSpan returns an empty, enabled span.
 func NewSpan() *Span { return &Span{} }
 
-// Enabled reports whether recording into the span does anything.
-func (s *Span) Enabled() bool { return s != nil }
-
 // Add records one stage duration. Negative durations clamp to zero (a
 // paced clock read race can produce them in realtime paths). Nil-safe.
 func (s *Span) Add(stage string, d time.Duration) {

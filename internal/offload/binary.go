@@ -211,12 +211,7 @@ func (c *Conn) encodeBinary(f *Frame) error {
 	switch f.Kind {
 	case KindHello:
 		c.putString(f.Hello.DeviceID)
-		ver := f.Hello.wireVersion
-		if ver == 0 {
-			// Default the explicit field to the version being spoken.
-			ver = BinaryWireVersion
-		}
-		c.putUint(uint64(ver))
+		c.putUint(BinaryWireVersion) // the version advertised, as spoken
 	case KindExec:
 		e := f.Exec
 		c.putString(e.DeviceID)
@@ -329,10 +324,8 @@ func (c *Conn) decodeBinary(buf []byte) (Frame, error) {
 	f := Frame{Kind: binKindNames[kindByte]}
 	switch f.Kind {
 	case KindHello:
-		c.recvHello = Hello{
-			DeviceID:    c.internStr(r.bytes()),
-			wireVersion: int(r.uint()),
-		}
+		c.recvHello = Hello{DeviceID: c.internStr(r.bytes())}
+		r.uint() // the advertised version; the header's is the one checked
 		f.Hello = &c.recvHello
 	case KindExec:
 		c.recvExec = ExecRequest{

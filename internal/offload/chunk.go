@@ -48,37 +48,6 @@ func ChunkHash(b []byte) uint64 {
 	return fmix64(h)
 }
 
-// SplitBlob cuts data into ChunkSize chunks; the last chunk may be short.
-// The chunks alias data (no copying). An empty blob has no chunks.
-func SplitBlob(data []byte) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	n := (len(data) + int(ChunkSize) - 1) / int(ChunkSize)
-	out := make([][]byte, 0, n)
-	for off := 0; off < len(data); off += int(ChunkSize) {
-		end := off + int(ChunkSize)
-		if end > len(data) {
-			end = len(data)
-		}
-		out = append(out, data[off:end:end])
-	}
-	return out
-}
-
-// ChunkBlob returns the content hashes of data's chunks, in order.
-func ChunkBlob(data []byte) []uint64 {
-	chunks := SplitBlob(data)
-	if chunks == nil {
-		return nil
-	}
-	out := make([]uint64, len(chunks))
-	for i, c := range chunks {
-		out[i] = ChunkHash(c)
-	}
-	return out
-}
-
 // ChunkCount returns how many chunks a blob of the given size splits into.
 func ChunkCount(size host.Bytes) int {
 	if size <= 0 {

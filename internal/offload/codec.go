@@ -67,15 +67,7 @@ const (
 // Hello opens a device connection.
 type Hello struct {
 	DeviceID string
-
-	// wireVersion is the wire version the client advertises in its
-	// handshake. Unexported because no caller has to choose it: the encoder
-	// fills in BinaryWireVersion when it is unset.
-	wireVersion int
 }
-
-// WireVersion reports the wire version the peer advertised in its hello.
-func (h Hello) WireVersion() int { return h.wireVersion }
 
 // NeedCode asks the device to transfer mobile code. Seq identifies which
 // in-flight request the ask belongs to, so pipelined clients can route it;

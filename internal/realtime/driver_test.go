@@ -255,6 +255,25 @@ func TestDriverYieldsThroughShortWaits(t *testing.T) {
 	}
 }
 
+// TestDriverIdleHoldsNoTimer: a Now on an idle driver reads the clock once
+// and leaves no event, so it arms no timer, causes no loop pass and counts
+// no timer wakeup.
+func TestDriverIdleHoldsNoTimer(t *testing.T) {
+	fc := newFakeClock()
+	d := NewDriver(sim.NewEngine(1), 1)
+	d.clk = fc
+	d.Start()
+	defer d.Stop()
+	// Start reads the clock once and the idle loop's first pass once.
+	waitUntil(t, "the idle loop has made its first pass", func() bool { n, _ := fc.calls(); return n >= 2 })
+	_ = d.Now()
+	time.Sleep(20 * time.Millisecond) // room for any pass a stray kick would cause
+	if nows, timers := fc.calls(); nows != 3 || timers != 0 || d.TimerWakeups() != 0 {
+		t.Fatalf("idle driver: a Now made %d clock reads, armed %d timers and counted %d timer wakeups; want the Now's one read and none of the rest",
+			nows-2, timers, d.TimerWakeups())
+	}
+}
+
 // TestDriverKicksOnlyAStalePlan: a Do wakes the loop only when it leaves an
 // event earlier than the one the loop is sleeping toward. On an idle loop,
 // zero-time Dos leave nothing, so they cost their own clock read each and
@@ -309,20 +328,6 @@ func TestDriverPacesInlineSleeps(t *testing.T) {
 	if el := time.Since(start); el < steps*step {
 		t.Fatalf("%d sleeps of %v inside Do took %v of wall time: virtual time ran ahead of the wall clock", steps, step, el)
 	}
-}
-
-// TestDriverIdleHoldsNoTimer: an idle driver performs zero timer wakeups.
-func TestDriverIdleHoldsNoTimer(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := NewDriver(e, 1)
-	d.Start()
-	time.Sleep(60 * time.Millisecond)
-	_ = d.Now()
-	time.Sleep(20 * time.Millisecond)
-	if w := d.TimerWakeups(); w != 0 {
-		t.Fatalf("idle driver fired %d timer wakeups, want 0", w)
-	}
-	d.Stop()
 }
 
 // TestDriverZeroTimeDoLatency: 100 back-to-back zero-virtual-time Do

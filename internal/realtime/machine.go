@@ -79,7 +79,12 @@ type protocol struct {
 
 	// Counters are pre-resolved so the request path never touches the
 	// registry's maps.
-	reg        *obs.Registry
+	reg *obs.Registry
+	// lat is server.request_wall: one observation per exec request that
+	// produced a result frame, from frame receipt to result send. Requests
+	// cut off by timeouts or protocol violations are not observed — they
+	// would poison the tail with connection-failure artifacts that are not
+	// request latencies.
 	lat        *metrics.LatencyHistogram
 	cRequests  *obs.Counter // exec frames accepted
 	cDedupHits *obs.Counter // requests answered from the idempotency window

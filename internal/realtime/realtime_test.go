@@ -137,7 +137,7 @@ func TestServerRecordsLatency(t *testing.T) {
 			t.Fatalf("request %d: %s", i, res.Err)
 		}
 	}
-	h := srv.Latency()
+	h := srv.lat
 	if n := waitLatencyCount(srv, 3); n != 3 {
 		t.Fatalf("latency observations = %d, want 3", n)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"rattrap/internal/cluster"
 	"rattrap/internal/core"
-	"rattrap/internal/metrics"
 	"rattrap/internal/obs"
 	"rattrap/internal/offload"
 	"rattrap/internal/sim"
@@ -104,13 +103,6 @@ func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 // histograms (stage.*), per-request span folds (server.stage.*), and the
 // wall-clock request histogram (server.request_wall).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Latency exposes the wall-clock request-latency histogram: one
-// observation per exec request that produced a result frame, measured
-// from frame receipt to result send. Requests cut off by timeouts or
-// protocol violations are not observed — they would poison the tail with
-// connection-failure artifacts that are not request latencies.
-func (s *Server) Latency() *metrics.LatencyHistogram { return s.lat }
 
 // Serve accepts connections until the listener closes.
 func (s *Server) Serve(ln net.Listener) error {

@@ -68,10 +68,10 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // the server's own paced driver.
 func waitLatencyCount(srv *Server, want int64) int64 {
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Latency().Count() < want && time.Now().Before(deadline) {
+	for srv.lat.Count() < want && time.Now().Before(deadline) {
 		srv.Driver().Do("wait", func(p *sim.Proc) { p.Sleep(100 * time.Millisecond) })
 	}
-	return srv.Latency().Count()
+	return srv.lat.Count()
 }
 
 // TestServerCloseDrainsInflightHandlers: Close must wait for connection

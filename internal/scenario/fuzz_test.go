@@ -1,13 +1,14 @@
 package scenario
 
 import (
+	"errors"
 	"os"
 	"testing"
 )
 
 // FuzzScenarioDecode pins the decoder's contract on adversarial input:
 // Decode never panics, never hangs, and every rejection is a typed
-// *ParseError or *SchemaError (IsScenarioError). The corpus seeds every
+// *ParseError or *SchemaError. The corpus seeds every
 // checked-in scenario, benchmark/scenarios/ included, plus a spread of
 // malformed shapes — truncated documents, out-of-range values, unknown
 // event kinds, oversize fleets.
@@ -41,7 +42,9 @@ func FuzzScenarioDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scn, err := Decode(data)
 		if err != nil {
-			if !IsScenarioError(err) {
+			var pe *ParseError
+			var se *SchemaError
+			if !errors.As(err, &pe) && !errors.As(err, &se) {
 				t.Fatalf("untyped decode error %T: %v", err, err)
 			}
 			if scn != nil {

@@ -14,7 +14,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -917,12 +916,4 @@ func planByName(name string, seed int64) (faults.Plan, bool) {
 		}
 	}
 	return faults.Plan{}, false
-}
-
-// IsScenarioError reports whether err is a typed scenario decode error
-// (the fuzz target's never-panic contract).
-func IsScenarioError(err error) bool {
-	var pe *ParseError
-	var se *SchemaError
-	return errors.As(err, &pe) || errors.As(err, &se)
 }

@@ -204,9 +204,6 @@ func TestDecodeErrors(t *testing.T) {
 			if !errors.As(err, &se) {
 				t.Fatalf("want *SchemaError, got %T: %v", err, err)
 			}
-			if !IsScenarioError(err) {
-				t.Errorf("IsScenarioError = false for %v", err)
-			}
 			if !strings.Contains(err.Error(), tc.frag) {
 				t.Errorf("error %q does not mention %q", err, tc.frag)
 			}

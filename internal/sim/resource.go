@@ -69,19 +69,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	p.park()
 }
 
-// TryAcquire attempts to take n units without blocking and reports whether
-// it succeeded.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 || n > r.capacity {
-		panic(fmt.Sprintf("sim: resource %q: acquire %d of %d", r.name, n, r.capacity))
-	}
-	if r.Queued() == 0 && r.inUse+n <= r.capacity {
-		r.setInUse(r.inUse + n)
-		return true
-	}
-	return false
-}
-
 // Release returns n units and wakes queued waiters in FIFO order.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {

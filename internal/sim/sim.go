@@ -250,10 +250,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// Pending reports how many events are queued (including cancelled ones not
-// yet discarded).
-func (e *Engine) Pending() int { return len(e.events) }
-
 // NextEventAt returns the virtual time of the earliest live (non-cancelled)
 // pending event. It reports false when no live events remain. Cancelled
 // events at the head of the queue are discarded as a side effect, so a
@@ -406,7 +402,6 @@ func (p *Proc) Wait(s *Signal) {
 type Signal struct {
 	e       *Engine
 	fired   bool
-	firedAt Time
 	waiters []sigWaiter // in registration order
 	// one backs waiters until a second registration: most signals release
 	// one proc, and that wait then allocates nothing.
@@ -431,9 +426,6 @@ func (s *Signal) Init(e *Engine) { *s = Signal{e: e} }
 // Fired reports whether Fire has been called.
 func (s *Signal) Fired() bool { return s.fired }
 
-// FiredAt returns the virtual time Fire was called; zero if unfired.
-func (s *Signal) FiredAt() Time { return s.firedAt }
-
 // Fire releases all current waiters (as events at the current time) and
 // makes future Wait/OnFire calls return/run immediately. Firing twice
 // panics: one-shot semantics keep model bugs visible.
@@ -442,7 +434,6 @@ func (s *Signal) Fire() {
 		panic("sim: Signal fired twice")
 	}
 	s.fired = true
-	s.firedAt = s.e.now
 	for _, w := range s.waiters {
 		if w.p != nil {
 			s.e.schedule(&w.p.ev, s.e.now)

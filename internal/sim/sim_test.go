@@ -73,8 +73,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != Time(3*time.Second) {
 		t.Fatalf("clock = %v, want 3s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if len(e.events) != 1 {
+		t.Fatalf("pending = %d, want 1", len(e.events))
 	}
 }
 
@@ -134,11 +134,8 @@ func TestSignal(t *testing.T) {
 		sig.Fire()
 	})
 	e.Run()
-	if len(woke) != 2 {
-		t.Fatalf("woke = %v, want both waiters", woke)
-	}
-	if !sig.Fired() || sig.FiredAt() != Time(5*time.Second) {
-		t.Fatalf("FiredAt = %v, want 5s", sig.FiredAt())
+	if len(woke) != 2 || woke[0] != "w1@5s" || woke[1] != "w2@5s" || !sig.Fired() {
+		t.Fatalf("woke = %v, want both waiters at 5s", woke)
 	}
 	// Waiting on an already-fired signal returns immediately.
 	late := false
@@ -261,25 +258,6 @@ func TestResourceNoBarging(t *testing.T) {
 	if len(got) != 2 || got[0] != "big" || got[1] != "small" {
 		t.Fatalf("got = %v, want [big small]", got)
 	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "r", 1)
-	e.Spawn("x", func(p *Proc) {
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire on free resource failed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire on full resource succeeded")
-		}
-		r.Release(1)
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire after release failed")
-		}
-		r.Release(1)
-	})
-	e.Run()
 }
 
 func TestResourceOnChange(t *testing.T) {

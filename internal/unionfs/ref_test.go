@@ -29,7 +29,7 @@ func (w *refWorld) logf(format string, a ...any) { w.log = append(w.log, fmt.Spr
 // its residency on both hosts, and both caches' sizes.
 func (w *refWorld) state() {
 	for _, l := range w.layers {
-		for _, p := range l.Paths() {
+		for _, p := range sortedPaths(l) {
 			n := l.files[p]
 			w.logf("  %s:%s accessed=%v cached=%v/%v", l.name, p, n.accessed,
 				l.CachedOn(w.hosts[0], p), l.CachedOn(w.hosts[1], p))
@@ -86,7 +86,7 @@ func newRefWorld(rng *rand.Rand) *refWorld {
 	}
 	w.layers = append(w.layers, upper)
 	for _, l := range append([]*Layer{upper}, lowers...) {
-		for _, p := range l.Paths() {
+		for _, p := range sortedPaths(l) {
 			r, _ := l.Ref(p)
 			w.refs[p] = append(w.refs[p], r) // read-only and writable layers alike
 		}
@@ -144,7 +144,7 @@ func (w *refWorld) run(rng *rand.Rand, steps int, byRef bool) {
 				upper := NewLayer(fmt.Sprintf("upper%d", i), false)
 				w.m, _ = cloneOf(w.m, fmt.Sprintf("clone%d", i), upper, tmpl)
 				w.layers = append(w.layers, tmpl, upper)
-				for _, q := range tmpl.Paths() {
+				for _, q := range sortedPaths(tmpl) {
 					r, _ := tmpl.Ref(q)
 					w.refs[q] = append(w.refs[q], r)
 				}

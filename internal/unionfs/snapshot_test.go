@@ -38,7 +38,7 @@ func TestSnapshotCloneCOW(t *testing.T) {
 	src, upper, _ := buildBootedMount(t, e, h)
 
 	tmpl := upper.Snapshot("template")
-	if !tmpl.ReadOnly() {
+	if !tmpl.readOnly {
 		t.Fatal("snapshot is not read-only")
 	}
 	clone, err := cloneOf(src, "clone", NewLayer("clone-delta", false), tmpl)
@@ -116,7 +116,9 @@ func TestSnapshotFrozenAgainstSourceWrites(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	upper.ResetAccess()
+	for _, n := range upper.files {
+		n.accessed = false
+	}
 	e.Run()
 	if upper.files["/data/dalvik-cache/boot.art"].accessed {
 		t.Fatal("clone read marked the source upper's node accessed")
@@ -163,11 +165,11 @@ func TestCloneAccountingCountsSharedOnce(t *testing.T) {
 	if total != want {
 		t.Fatalf("accounting = %d, want %d (shared chunks counted once)", total, want)
 	}
-	// Sanity: the naive sum (VisibleSize per clone) would charge the
+	// Sanity: the naive sum (each clone's visible size) would charge the
 	// template and shared layers three times.
 	var naive host.Bytes
 	for _, c := range clones {
-		naive += c.VisibleSize()
+		naive += visibleSize(c)
 	}
 	if naive <= total {
 		t.Fatalf("naive per-clone sum %d should exceed deduplicated total %d", naive, total)

@@ -100,9 +100,6 @@ func NewTmpfs(name string) *Layer {
 // Name returns the layer's identifier.
 func (l *Layer) Name() string { return l.name }
 
-// ReadOnly reports whether the layer rejects writes.
-func (l *Layer) ReadOnly() bool { return l.readOnly }
-
 // AddFile places a file directly into the layer (image construction; not a
 // timed operation) and returns its Ref. data may be nil when only the size
 // matters.
@@ -154,9 +151,6 @@ func (l *Layer) Has(p string) bool {
 	return ok
 }
 
-// FileCount returns the number of files stored in the layer.
-func (l *Layer) FileCount() int { return len(l.files) }
-
 // Size returns the total bytes stored in the layer.
 func (l *Layer) Size() host.Bytes { return l.size }
 
@@ -175,13 +169,6 @@ func (l *Layer) AccessedSize() host.Bytes {
 // NeverAccessedSize returns total bytes of files never read.
 func (l *Layer) NeverAccessedSize() host.Bytes { return l.Size() - l.AccessedSize() }
 
-// ResetAccess clears all access marks (a fresh profiling run).
-func (l *Layer) ResetAccess() {
-	for _, n := range l.files {
-		n.accessed = false
-	}
-}
-
 // SizeUnder returns total bytes of files whose path begins with prefix.
 func (l *Layer) SizeUnder(prefix string) host.Bytes {
 	prefix = clean(prefix)
@@ -199,16 +186,6 @@ func (l *Layer) Walk(fn func(path string)) {
 	for p := range l.files {
 		fn(p)
 	}
-}
-
-// Paths returns all paths in the layer, sorted (deterministic iteration).
-func (l *Layer) Paths() []string {
-	out := make([]string, 0, len(l.files))
-	for p := range l.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns a frozen read-only copy of the layer under a new name:
@@ -534,39 +511,6 @@ func (m *Mount) Remove(p string) error {
 		}
 	}
 	return nil
-}
-
-// VisibleSize returns the total size of the union view.
-func (m *Mount) VisibleSize() host.Bytes {
-	seen := make(map[string]bool)
-	var total host.Bytes
-	for _, l := range m.layers {
-		for p, n := range l.files {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			if !m.whiteoutAbove(l, p) {
-				total += n.size
-			}
-		}
-	}
-	return total
-}
-
-func (m *Mount) whiteoutAbove(target *Layer, p string) bool {
-	for _, l := range m.layers {
-		if l == target {
-			return false
-		}
-		if l.wh[p] {
-			return true
-		}
-		if _, ok := l.files[p]; ok {
-			return false // shadowed, but not whited out; still visible via upper copy
-		}
-	}
-	return false
 }
 
 // List returns the union view's files, sorted by path.

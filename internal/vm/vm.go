@@ -69,9 +69,8 @@ type VM struct {
 	fs          *unionfs.Mount
 	disk        *image.Image // the private disk image Create built
 
-	memUsedMB  int // guest-internal accounting within the reservation
-	running    bool
-	createTime time.Duration
+	memUsedMB int // guest-internal accounting within the reservation
+	running   bool
 }
 
 // Create provisions a VM on h: reserves guest memory, clones a private
@@ -85,7 +84,6 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 	if err := h.AllocMem(cfg.MemMB); err != nil {
 		return nil, fmt.Errorf("vm %s: %w", cfg.Name, err)
 	}
-	start := p.E.Now()
 	p.Sleep(createDelay)
 
 	// Private disk image: a file's page-cache residency belongs to its
@@ -116,7 +114,6 @@ func Create(p *sim.Proc, h *host.Host, e *sim.Engine, cfg Config, manifest image
 		fs:          fs,
 		disk:        disk,
 		running:     true,
-		createTime:  (p.E.Now() - start).Duration(),
 	}, nil
 }
 
@@ -187,17 +184,8 @@ func (v *VM) FreeMem(mb int) {
 // the footprint Table I reports.
 func (v *VM) MemReservedMB() int { return v.cfg.MemMB }
 
-// GuestMemUsedMB is resident memory inside the guest.
-func (v *VM) GuestMemUsedMB() int { return v.memUsedMB }
-
 // DiskUsageBytes is the VM's private disk footprint: the entire image.
 func (v *VM) DiskUsageBytes() host.Bytes { return v.disk.Layer.Size() }
-
-// Running reports whether the VM is powered on.
-func (v *VM) Running() bool { return v.running }
-
-// CreateTime reports how long Create took.
-func (v *VM) CreateTime() time.Duration { return v.createTime }
 
 // Destroy powers the VM off and releases its reservation.
 func (v *VM) Destroy(p *sim.Proc) error {
